@@ -4,15 +4,39 @@
 //! The prefill instance quantizes Q (INT8), K and V (INT2), computes the attention
 //! scores with the homomorphic product `Q'·K'ᵀ`, applies the causal softmax, quantizes
 //! the probabilities P (INT8) and computes the output with the homomorphic product
-//! `P'·V'`. The quantized K'/V' (plus metadata) are exactly what is later transferred
-//! to the decode instance, so the kernel also returns the ready-to-ship
-//! [`HackKvState`].
+//! `P'·V'`. It also returns the ready-to-ship [`HackKvState`], built by
+//! [`HackKvState::from_prefill`]. That call quantizes K and V a second time, with
+//! fresh stochastic draws, so the K'/V' transferred to the decode instance are not the
+//! codes the prefill products used.
+//!
+//! The kernel is causal end to end: query row `i` only touches keys `j ≤ i`. Each
+//! skipped step either fed entries the causal mask discards or contributed exactly
+//! zero, so for finite inputs the output, the state and the RNG stream are
+//! bit-identical to the dense composition (full `L × L` scores, masked softmax, full P
+//! quantization), which the tests keep as the oracle:
+//!
+//! * `Q'·K'ᵀ` is computed for `j ≤ i` only. The dense product's other entries were
+//!   overwritten with −∞.
+//! * Scaling and softmax run over the visible prefix. A masked entry adds
+//!   `exp(−∞) = +0.0` to the positive softmax sum, which leaves it unchanged, and
+//!   normalises to `+0.0`.
+//! * P is quantized only up to the diagonal partition. A fully masked partition is all
+//!   zeros, which quantizes to codes 0, `min = scale = 0` and sum 0 without an RNG
+//!   draw, so skipping it leaves the draw stream unchanged.
+//! * `P'·V'` skips those partitions. Each would add exactly `+0.0` to an accumulator
+//!   that starts at `+0.0` and therefore never holds `−0.0`.
+//!
+//! No dense `L × L` matrix is built: the scores live in one reusable row, and P' keeps
+//! each row's partitions up to the diagonal only.
 
 use crate::state::HackKvState;
 use hack_quant::cost::HomomorphicOpCounts;
-use hack_quant::homomorphic::homomorphic_matmul_counted;
-use hack_quant::{HackConfig, QuantizedTensor};
-use hack_tensor::softmax::causal_softmax_rows;
+use hack_quant::qmatrix::quantize_partition;
+use hack_quant::stochastic::PartitionMeta;
+use hack_quant::{
+    HackConfig, PartitionLayout, QuantBits, QuantRow, QuantizedTensor, RoundingMode, RowProduct,
+};
+use hack_tensor::softmax::softmax_slice_inplace;
 use hack_tensor::{DetRng, Matrix};
 
 /// Result of the prefill attention kernel for one head.
@@ -22,9 +46,11 @@ pub struct PrefillOutput {
     pub output: Matrix,
     /// Decode-ready quantized KV state (what gets transferred to the decode instance).
     pub state: HackKvState,
-    /// Operation counts of the `Q'·K'ᵀ` product.
+    /// Operation counts of the `Q'·K'ᵀ` product, as the dense `L × L` Eq. 4 product
+    /// counts them (the cost model's convention), although the causal kernel skips
+    /// the masked half.
     pub qk_counts: HomomorphicOpCounts,
-    /// Operation counts of the `P'·V'` product.
+    /// Operation counts of the `P'·V'` product, dense like [`Self::qk_counts`].
     pub pv_counts: HomomorphicOpCounts,
 }
 
@@ -56,30 +82,93 @@ pub fn hack_prefill_attention(
     let q_q = QuantizedTensor::quantize_rows(q, cfg.q_bits, pi, cfg.rounding, rng);
     let k_q = QuantizedTensor::quantize_rows(k, cfg.kv_bits, pi, cfg.rounding, rng);
 
-    // Step 3: homomorphic Q'·K'ᵀ, scaled.
-    let (scores_raw, qk_counts) = homomorphic_matmul_counted(&q_q, &k_q, cfg.summation_elimination);
+    // Steps 3–4 and step 2 again, one query row at a time: homomorphic Q'·K'ᵀ over the
+    // visible keys, scaled, causal softmax, then P quantized (INT8, partitions along
+    // the sequence dimension) up to the diagonal partition.
     let scale = 1.0 / (d_h as f32).sqrt();
-    let scores = scores_raw.scale(scale);
+    let p_spans: Vec<(usize, usize)> = PartitionLayout::new(l, pi).ranges().collect();
+    let mut qk = RowProduct::new(&k_q);
+    let mut probs = vec![0.0f32; l];
+    let mut p_q = CausalRows::default();
+    for i in 0..l {
+        let visible = &mut probs[..=i];
+        visible.fill(0.0);
+        qk.accumulate(q_q.row(i), visible);
+        for s in visible.iter_mut() {
+            *s *= scale;
+        }
+        softmax_slice_inplace(visible);
+        // Entries past `i` are still zero (no earlier row reached them), so the masked
+        // tail of the diagonal partition quantizes exactly as in the dense P.
+        p_q.push_row(&probs, &p_spans[..=i / pi], cfg.p_bits, cfg.rounding, rng);
+    }
 
-    // Step 4: causal softmax (prefill has L_Q == L_KV).
-    let probs = causal_softmax_rows(&scores, 0);
-
-    // Step 2 again: quantize P (INT8, partitions along the sequence dimension) and V
-    // (INT2, partitions along the sequence dimension).
-    let p_q = QuantizedTensor::quantize_rows(&probs, cfg.p_bits, pi, cfg.rounding, rng);
+    // Step 2 again for V (INT2, partitions along the sequence dimension), then step 3
+    // again: homomorphic P'·V'.
     let v_q = QuantizedTensor::quantize_cols(v, cfg.kv_bits, pi, cfg.rounding, rng);
-
-    // Step 3 again: homomorphic P'·V'.
-    let (output, pv_counts) = homomorphic_matmul_counted(&p_q, &v_q, cfg.summation_elimination);
+    let mut pv = RowProduct::new(&v_q);
+    let mut output = Matrix::zeros(l, d_h);
+    for i in 0..l {
+        pv.accumulate(p_q.row(i), output.row_mut(i));
+    }
 
     // Build the decode-ready KV state (honouring RQE for the trailing partial block).
     let state = HackKvState::from_prefill(k, v, cfg, rng);
 
+    let se = cfg.summation_elimination;
     PrefillOutput {
         output,
         state,
-        qk_counts,
-        pv_counts,
+        qk_counts: HomomorphicOpCounts::dense(l, l, d_h, pi, se),
+        pv_counts: HomomorphicOpCounts::dense(l, d_h, l, pi, se),
+    }
+}
+
+/// Quantized probabilities P', each row holding its partitions up to the diagonal only
+/// (the ones after it are all-zero and skipped, see the module docs).
+#[derive(Default)]
+struct CausalRows {
+    codes: Vec<u8>,
+    metas: Vec<PartitionMeta>,
+    sums: Vec<i32>,
+    /// Where each row starts in `codes` and in `metas`/`sums`.
+    starts: Vec<(usize, usize)>,
+}
+
+impl CausalRows {
+    /// Quantizes the partitions `spans` (a prefix of the row's) of `values`.
+    fn push_row(
+        &mut self,
+        values: &[f32],
+        spans: &[(usize, usize)],
+        bits: QuantBits,
+        mode: RoundingMode,
+        rng: &mut DetRng,
+    ) {
+        let start = self.codes.len();
+        self.starts.push((start, self.metas.len()));
+        let width = spans.last().map_or(0, |&(_, end)| end);
+        self.codes.resize(start + width, 0);
+        let row = &mut self.codes[start..];
+        for &(s, e) in spans {
+            let (meta, sum) = quantize_partition(&values[s..e], &mut row[s..e], bits, mode, rng);
+            self.metas.push(meta);
+            self.sums.push(sum);
+        }
+    }
+
+    fn row(&self, i: usize) -> QuantRow<'_> {
+        let (code_start, meta_start) = self.starts[i];
+        let (code_end, meta_end) = self
+            .starts
+            .get(i + 1)
+            .copied()
+            .unwrap_or((self.codes.len(), self.metas.len()));
+        QuantRow {
+            codes: &self.codes[code_start..code_end],
+            metas: &self.metas[meta_start..meta_end],
+            sums: &self.sums[meta_start..meta_end],
+        }
     }
 }
 
@@ -87,7 +176,80 @@ pub fn hack_prefill_attention(
 mod tests {
     use super::*;
     use crate::baseline::{baseline_attention, AttentionMask};
+    use hack_quant::homomorphic::homomorphic_matmul_counted;
+    use hack_quant::PartitionSize;
+    use hack_tensor::softmax::causal_softmax_rows;
     use hack_tensor::{cosine_similarity, relative_frobenius_error};
+
+    /// The dense composition the causal kernel replaced, kept as its bit-exactness
+    /// oracle: full `L × L` scores, masked softmax, P quantized in full.
+    fn dense_prefill_oracle(
+        q: &Matrix,
+        k: &Matrix,
+        v: &Matrix,
+        cfg: HackConfig,
+        rng: &mut DetRng,
+    ) -> PrefillOutput {
+        let d_h = q.cols();
+        let pi = cfg.partition.get();
+        let q_q = QuantizedTensor::quantize_rows(q, cfg.q_bits, pi, cfg.rounding, rng);
+        let k_q = QuantizedTensor::quantize_rows(k, cfg.kv_bits, pi, cfg.rounding, rng);
+        let (scores_raw, qk_counts) =
+            homomorphic_matmul_counted(&q_q, &k_q, cfg.summation_elimination);
+        let scores = scores_raw.scale(1.0 / (d_h as f32).sqrt());
+        let probs = causal_softmax_rows(&scores, 0);
+        let p_q = QuantizedTensor::quantize_rows(&probs, cfg.p_bits, pi, cfg.rounding, rng);
+        let v_q = QuantizedTensor::quantize_cols(v, cfg.kv_bits, pi, cfg.rounding, rng);
+        let (output, pv_counts) = homomorphic_matmul_counted(&p_q, &v_q, cfg.summation_elimination);
+        let state = HackKvState::from_prefill(k, v, cfg, rng);
+        PrefillOutput {
+            output,
+            state,
+            qk_counts,
+            pv_counts,
+        }
+    }
+
+    fn bits_of(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn causal_prefill_is_bit_identical_to_dense_oracle() {
+        // Lengths around partition boundaries and a long ragged one, every paper Π,
+        // both rounding modes: outputs, shipped state, op counts and the next RNG
+        // draw must all match the dense composition exactly. L = 65 runs without
+        // Summation Elimination, whose counts differ.
+        for l in [1usize, 63, 64, 65, 200, 731] {
+            let (q, k, v) = structured_qkv(l, 64, 100 + l as u64);
+            for pi in [32, 64, 128] {
+                for rounding in [RoundingMode::Nearest, RoundingMode::Stochastic] {
+                    let cfg = HackConfig {
+                        partition: PartitionSize::new(pi).unwrap(),
+                        rounding,
+                        summation_elimination: l != 65,
+                        ..HackConfig::paper_default()
+                    };
+                    let label = format!("L={l} Π={pi} {rounding:?}");
+                    let mut rng_causal = DetRng::new(7 + pi as u64);
+                    let mut rng_dense = DetRng::new(7 + pi as u64);
+                    let got = hack_prefill_attention(&q, &k, &v, cfg, &mut rng_causal);
+                    let expect = dense_prefill_oracle(&q, &k, &v, cfg, &mut rng_dense);
+                    assert_eq!(bits_of(&got.output), bits_of(&expect.output), "{label}");
+                    assert_eq!(got.state.k_quant(), expect.state.k_quant(), "{label}");
+                    assert_eq!(got.state.v_quant(), expect.state.v_quant(), "{label}");
+                    assert_eq!(
+                        bits_of(got.state.v_tail()),
+                        bits_of(expect.state.v_tail()),
+                        "{label}"
+                    );
+                    assert_eq!(got.qk_counts, expect.qk_counts, "{label}");
+                    assert_eq!(got.pv_counts, expect.pv_counts, "{label}");
+                    assert_eq!(rng_causal.next_u64(), rng_dense.next_u64(), "{label}");
+                }
+            }
+        }
+    }
 
     fn structured_qkv(tokens: usize, d_h: usize, seed: u64) -> (Matrix, Matrix, Matrix) {
         let mut rng = DetRng::new(seed);

@@ -297,7 +297,7 @@ mod tests {
         // E2M1 represents only 0, 0.5, 1, 1.5, 2, 3, 4, 6 (and negatives).
         let spec = FP4_E2M1;
         let mut values: Vec<f32> = (0..16).map(|b| spec.decode(b as u8)).collect();
-        values.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        values.sort_by(f32::total_cmp);
         assert_eq!(spec.max_value(), 6.0);
         assert!(values.contains(&1.5));
         assert!(values.contains(&-6.0));

@@ -731,7 +731,7 @@ impl Simulator {
                 }
             })
             .collect();
-        records.sort_by(|a, b| a.finish_time.partial_cmp(&b.finish_time).unwrap());
+        records.sort_by(|a, b| a.finish_time.total_cmp(&b.finish_time));
 
         // --- Per-group usage summaries. ---
         let mut prefill_groups: Vec<GroupStats> = cluster_cfg
@@ -864,7 +864,7 @@ impl Simulator {
             })
             .filter(|(a, b)| b > a)
             .collect();
-        windows.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        windows.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
         let mut merged: Vec<(f64, f64)> = Vec::new();
         for w in windows {
             match merged.last_mut() {

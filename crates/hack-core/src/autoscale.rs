@@ -289,7 +289,7 @@ impl AutoscaleOutcome {
             .filter(|r| r.jct() <= experiment.slo_jct_s)
             .count();
         let mut jcts: Vec<f64> = result.records.iter().map(|r| r.jct()).collect();
-        jcts.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        jcts.sort_by(f64::total_cmp);
         Self {
             shape,
             policy,

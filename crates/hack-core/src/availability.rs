@@ -223,7 +223,7 @@ impl AvailabilityPoint {
             .iter()
             .flat_map(|r| r.records.iter().map(|rec| rec.jct()))
             .collect();
-        jcts.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        jcts.sort_by(f64::total_cmp);
         Self {
             mtbf_s,
             runs: results.len(),

@@ -143,7 +143,7 @@ impl JctStats {
             return JctStats::default();
         }
         let mut totals: Vec<f64> = breakdowns.iter().map(|b| b.total()).collect();
-        totals.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        totals.sort_by(f64::total_cmp);
         let n = breakdowns.len();
         let mean = totals.iter().sum::<f64>() / n as f64;
         let pct = |q: f64| totals[(((n - 1) as f64) * q).round() as usize];

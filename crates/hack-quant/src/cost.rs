@@ -8,6 +8,7 @@
 //!   formulas predict.
 
 use crate::params::{PartitionSize, QuantBits};
+use crate::qmatrix::PartitionLayout;
 
 /// Operation counts recorded by [`crate::homomorphic::homomorphic_matmul_counted`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -27,6 +28,21 @@ pub struct HomomorphicOpCounts {
 }
 
 impl HomomorphicOpCounts {
+    /// Counts of a full `M×Z · Z×N` Eq. 4 product with partitions of Π = `partition`:
+    /// `M·N·Z` integer MACs, 9 approximation ops per `(i, j, partition)` triple, and
+    /// `(M + N)·Z` sum recomputations without Summation Elimination.
+    pub fn dense(m: usize, n: usize, z: usize, partition: usize, use_stored_sums: bool) -> Self {
+        let n_parts = PartitionLayout::new(z, partition).n_partitions();
+        Self {
+            m,
+            n,
+            z,
+            int_mac_ops: m * n * z,
+            approx_ops: 9 * m * n * n_parts,
+            sum_recompute_ops: if use_stored_sums { 0 } else { (m + n) * z },
+        }
+    }
+
     /// Total operations.
     pub fn total(&self) -> usize {
         self.int_mac_ops + self.approx_ops + self.sum_recompute_ops

@@ -14,8 +14,8 @@
 //! recomputed.
 
 use crate::cost::HomomorphicOpCounts;
-use crate::qmatrix::QuantizedTensor;
-use hack_tensor::matmul::partition_dots_u8_i32;
+use crate::qmatrix::{QuantRow, QuantizedTensor};
+use hack_tensor::matmul::{partition_dots4_u8_i32, DOT_BLOCK};
 use hack_tensor::Matrix;
 
 /// Checks that two tensors can participate in a homomorphic product.
@@ -84,69 +84,121 @@ fn homomorphic_matmul_impl(
 ) -> (Matrix, HomomorphicOpCounts) {
     check_compat(a, b);
     let m = a.rows();
-    let n = b.rows();
-    let z = a.cols();
-    let layout = a.layout();
-    let n_parts = layout.n_partitions();
-    let mut out = Matrix::zeros(m, n);
-    let mut counts = HomomorphicOpCounts::default();
+    let n_parts = a.n_partitions();
+    let mut out = Matrix::zeros(m, b.rows());
 
-    // Hoist everything that is per-partition or per-row out of the (i, j) loops:
-    // partition ranges/lengths, code sums (stored with SE, recomputed once per
-    // row-partition without), and flat row strides into the code/metadata arrays.
-    let spans: Vec<(usize, usize)> = layout.ranges().collect();
-    let lens: Vec<f32> = spans.iter().map(|&(s, e)| (e - s) as f32).collect();
-    let mut dots = vec![0i32; n_parts];
+    // Code sums: stored with SE, recomputed once per row-partition without.
     let (a_sums_buf, b_sums_buf);
     let (a_sums, b_sums): (&[i32], &[i32]) = if use_stored_sums {
         (a.sums(), b.sums())
     } else {
         a_sums_buf = recompute_all_sums(a);
         b_sums_buf = recompute_all_sums(b);
-        counts.sum_recompute_ops += (m + n) * z;
         (&a_sums_buf, &b_sums_buf)
     };
-    let a_codes = a.codes();
-    let b_codes = b.codes();
-    let a_metas = a.metas();
-    let b_metas = b.metas();
-
+    let mut product = RowProduct::with_sums(b, b_sums);
     for i in 0..m {
-        let a_row = &a_codes[i * z..(i + 1) * z];
-        let a_meta_row = &a_metas[i * n_parts..(i + 1) * n_parts];
-        let a_sum_row = &a_sums[i * n_parts..(i + 1) * n_parts];
-        let out_row = out.row_mut(i);
-        #[allow(clippy::needless_range_loop)]
-        for j in 0..n {
-            let b_row = &b_codes[j * z..(j + 1) * z];
-            let b_meta_row = &b_metas[j * n_parts..(j + 1) * n_parts];
-            let b_sum_row = &b_sums[j * n_parts..(j + 1) * n_parts];
+        let a_row = QuantRow {
+            codes: a.codes_row(i),
+            metas: &a.metas()[i * n_parts..(i + 1) * n_parts],
+            sums: &a_sums[i * n_parts..(i + 1) * n_parts],
+        };
+        product.accumulate(a_row, out.row_mut(i));
+    }
+    let counts = HomomorphicOpCounts::dense(m, b.rows(), a.cols(), a.partition(), use_stored_sums);
+    (out, counts)
+}
 
-            // Integer inner products on the raw codes, all partitions in one
-            // fused pass (the INT8-accelerated part).
-            partition_dots_u8_i32(a_row, b_row, &spans, &mut dots);
+/// The Eq. 4 product of single left-operand rows with the rows of one right
+/// operand, four right rows (output columns) at a time.
+///
+/// [`homomorphic_matmul`] runs it once per left row over every column and
+/// partition. Causal prefill runs it on prefixes: `Q'·K'ᵀ` row `i` over the
+/// keys `j ≤ i` only, and `P'·V'` row `i` over the probability partitions up
+/// to the diagonal only.
+#[derive(Debug)]
+pub struct RowProduct<'b> {
+    b: &'b QuantizedTensor,
+    b_sums: &'b [i32],
+    b_max: u8,
+    spans: Vec<(usize, usize)>,
+    lens: Vec<f32>,
+    dots: Vec<[i32; DOT_BLOCK]>,
+}
 
-            // Accumulate the per-partition affine corrections (Eq. 4) in
-            // partition order — the same FP addition order as the scalar
-            // reference, so the result is bit-identical.
-            let mut acc = 0.0f32;
-            for (p, &dot) in dots.iter().enumerate() {
-                let a_meta = a_meta_row[p];
-                let b_meta = b_meta_row[p];
-                acc += a_meta.scale * b_meta.scale * dot as f32
-                    + b_meta.min * a_meta.scale * a_sum_row[p] as f32
-                    + a_meta.min * b_meta.scale * b_sum_row[p] as f32
-                    + lens[p] * a_meta.min * b_meta.min;
-            }
-            out_row[j] += acc;
+impl<'b> RowProduct<'b> {
+    /// Prepares products with the right operand `b` (its rows are the output
+    /// columns), reading its stored code sums.
+    pub fn new(b: &'b QuantizedTensor) -> Self {
+        Self::with_sums(b, b.sums())
+    }
+
+    fn with_sums(b: &'b QuantizedTensor, b_sums: &'b [i32]) -> Self {
+        let spans: Vec<(usize, usize)> = b.layout().ranges().collect();
+        Self {
+            b,
+            b_sums,
+            b_max: b.bits().max_code() as u8,
+            lens: spans.iter().map(|&(s, e)| (e - s) as f32).collect(),
+            dots: vec![[0; DOT_BLOCK]; spans.len()],
+            spans,
         }
     }
-    counts.int_mac_ops = m * n * z;
-    counts.approx_ops = 9 * m * n * n_parts;
-    counts.m = m;
-    counts.n = n;
-    counts.z = z;
-    (out, counts)
+
+    /// Adds to `out[j]` the Eq. 4 product of `a` with right row `j`, for the
+    /// first `out.len()` right rows, over the partitions `a` carries (a prefix
+    /// of the right operand's).
+    ///
+    /// Each entry accumulates its partitions in order from `+0.0`, the same
+    /// floating-point sequence as the scalar reference, so results are
+    /// bit-identical to it.
+    ///
+    /// # Panics
+    /// Panics if `out` is longer than the right operand has rows, or `a` has
+    /// more partitions than it, or `a.sums` and `a.metas` differ in length.
+    pub fn accumulate(&mut self, a: QuantRow<'_>, out: &mut [f32]) {
+        let n_parts = a.metas.len();
+        assert_eq!(a.sums.len(), n_parts, "left row: one sum per partition");
+        assert!(
+            n_parts <= self.spans.len() && out.len() <= self.b.rows(),
+            "left row of {n_parts} partitions × {} columns exceeds the right operand",
+            out.len()
+        );
+        let (spans, lens) = (&self.spans[..n_parts], &self.lens[..n_parts]);
+        let dots = &mut self.dots[..n_parts];
+        let (b_parts, b_metas) = (self.spans.len(), self.b.metas());
+        for (block, out_block) in out.chunks_mut(DOT_BLOCK).enumerate() {
+            let j0 = block * DOT_BLOCK;
+            let mut rows: [&[u8]; DOT_BLOCK] = [&[]; DOT_BLOCK];
+            for (c, row) in rows.iter_mut().enumerate().take(out_block.len()) {
+                *row = self.b.codes_row(j0 + c);
+            }
+            // Integer inner products on the raw codes, every partition of four
+            // columns in one pass (the INT8-accelerated part).
+            partition_dots4_u8_i32(a.codes, &rows[..out_block.len()], self.b_max, spans, dots);
+
+            // Per-partition affine corrections (Eq. 4), in partition order. The four
+            // columns are lanes running the same floating-point sequence; dead lanes
+            // repeat the last live column and are dropped.
+            let live = out_block.len();
+            let bases: [usize; DOT_BLOCK] =
+                std::array::from_fn(|c| (j0 + c.min(live - 1)) * b_parts);
+            let mut acc = [0.0f32; DOT_BLOCK];
+            for (p, dot) in dots.iter().enumerate() {
+                let (a_meta, a_sum, len) = (a.metas[p], a.sums[p] as f32, lens[p]);
+                for c in 0..DOT_BLOCK {
+                    let b_meta = b_metas[bases[c] + p];
+                    acc[c] += a_meta.scale * b_meta.scale * dot[c] as f32
+                        + b_meta.min * a_meta.scale * a_sum
+                        + a_meta.min * b_meta.scale * self.b_sums[bases[c] + p] as f32
+                        + len * a_meta.min * b_meta.min;
+                }
+            }
+            for (o, acc) in out_block.iter_mut().zip(acc) {
+                *o += acc;
+            }
+        }
+    }
 }
 
 /// The pre-change scalar homomorphic GEMM, retained verbatim.
@@ -263,41 +315,101 @@ mod tests {
         (qa, qb)
     }
 
+    fn bits_of(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn blocked_kernel_is_bit_identical_to_scalar_reference() {
-        // The blocked kernel must reproduce the scalar seed implementation exactly:
-        // same output bits, same operation counts, with and without SE, across
-        // shapes that cover full, partial and single partitions.
-        for (case, (m, n, z, partition)) in [
-            (1usize, 6usize, 128usize, 64usize),
-            (4, 3, 96, 32),
-            (2, 5, 100, 64), // partial last partition
-            (3, 2, 16, 16),  // single partition
-            (1, 1, 130, 64), // decode-like with ragged tail
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let mut rng = DetRng::new(4242 + case as u64);
-            let a = Matrix::random_normal(m, z, 0.0, 1.0, &mut rng);
-            let b_t = Matrix::random_normal(n, z, 0.0, 1.0, &mut rng);
-            let (qa, qb) = quantize_pair(
+        // The 4-column blocked kernel must reproduce the scalar seed implementation
+        // exactly: same output bits, same operation counts, with and without SE,
+        // across shapes that cover full, partial and single partitions, every
+        // column count modulo 4 (1–3 live lanes in the last block), Π ∈ {32, 64,
+        // 128}, and both microkernel paths (2/4-bit right codes, Int8 × Int8).
+        let shapes = [
+            (1usize, 6usize, 128usize), // decode Q'·K'ᵀ-like
+            (4, 3, 96),
+            (2, 5, 100), // partial last partition
+            (3, 2, 16),  // shorter than one partition
+            (1, 1, 130), // decode-like with ragged tail
+            (3, 7, 256),
+            (2, 9, 200),
+            (1, 128, 320), // decode P'·V'-like
+        ];
+        let bit_pairs = [
+            (QuantBits::Int8, QuantBits::Int2),
+            (QuantBits::Int8, QuantBits::Int4),
+            (QuantBits::Int8, QuantBits::Int8),
+            (QuantBits::Int2, QuantBits::Int2),
+        ];
+        for (case, (m, n, z)) in shapes.into_iter().enumerate() {
+            for partition in [32, 64, 128] {
+                for (a_bits, b_bits) in bit_pairs {
+                    let mut rng = DetRng::new(4242 + case as u64);
+                    let a = Matrix::random_normal(m, z, 0.0, 1.0, &mut rng);
+                    let b_t = Matrix::random_normal(n, z, 0.0, 1.0, &mut rng);
+                    let (qa, qb) = quantize_pair(&a, &b_t, a_bits, b_bits, partition, &mut rng);
+                    for use_se in [true, false] {
+                        let label =
+                            format!("{m}x{n}x{z} Π={partition} {a_bits:?}×{b_bits:?} se={use_se}");
+                        let (fast, fast_counts) = homomorphic_matmul_counted(&qa, &qb, use_se);
+                        let (slow, slow_counts) =
+                            reference::homomorphic_matmul_scalar(&qa, &qb, use_se);
+                        assert_eq!(bits_of(&fast), bits_of(&slow), "{label}: outputs differ");
+                        assert_eq!(fast_counts, slow_counts, "{label}: counts");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_product_on_prefixes_matches_the_full_product() {
+        // Causal prefill reads prefixes of the full product: the first columns of a
+        // row, or a row's leading partitions (the later ones all-zero codes with
+        // zero metadata, as masked probabilities quantize). Both must be exactly
+        // the corresponding entries of a full product.
+        let mut rng = DetRng::new(77);
+        let (n, z, partition) = (11, 200, 64);
+        let b_t = Matrix::random_normal(n, z, 0.0, 1.0, &mut rng);
+        let qb = QuantizedTensor::quantize_rows(
+            &b_t,
+            QuantBits::Int2,
+            partition,
+            RoundingMode::Stochastic,
+            &mut rng,
+        );
+        let mut product = RowProduct::new(&qb);
+        for visible in [1, 63, 64, 65, 199, 200] {
+            let a = Matrix::from_fn(1, z, |_, c| {
+                if c < visible {
+                    rng.range_f32(0.0, 1.0)
+                } else {
+                    0.0
+                }
+            });
+            let qa = QuantizedTensor::quantize_rows(
                 &a,
-                &b_t,
                 QuantBits::Int8,
-                QuantBits::Int2,
                 partition,
+                RoundingMode::Stochastic,
                 &mut rng,
             );
-            for use_se in [true, false] {
-                let (fast, fast_counts) = homomorphic_matmul_counted(&qa, &qb, use_se);
-                let (slow, slow_counts) = reference::homomorphic_matmul_scalar(&qa, &qb, use_se);
-                assert_eq!(
-                    fast.as_slice(),
-                    slow.as_slice(),
-                    "case {case} se={use_se}: outputs differ"
-                );
-                assert_eq!(fast_counts, slow_counts, "case {case} se={use_se}: counts");
+            let full = homomorphic_matmul(&qa, &qb);
+            let n_vis = visible.div_ceil(partition);
+            let row = qa.row(0);
+            let width = (n_vis * partition).min(z);
+            let prefix = QuantRow {
+                codes: &row.codes[..width],
+                metas: &row.metas[..n_vis],
+                sums: &row.sums[..n_vis],
+            };
+            for cols in [1, 4, 5, n] {
+                let mut out = vec![0.0f32; cols];
+                product.accumulate(prefix, &mut out);
+                let expect: Vec<u32> = full.row(0)[..cols].iter().map(|x| x.to_bits()).collect();
+                let got: Vec<u32> = out.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(got, expect, "visible {visible} cols {cols}");
             }
         }
     }

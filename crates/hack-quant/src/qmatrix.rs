@@ -48,9 +48,11 @@ impl AppendStats {
 /// metadata and the code sum (Summation Elimination). Operating on flat slices lets the
 /// compiler hoist every bounds check out of the element loop; the per-element
 /// arithmetic is exactly [`quantize_value`], so codes are bit-identical to the scalar
-/// path.
+/// path. Every [`QuantizedTensor`] constructor quantizes through this function, so a
+/// caller that builds rows partition by partition (causal prefill's P') draws the
+/// same RNG stream as quantizing the whole tensor.
 #[inline]
-fn quantize_partition(
+pub fn quantize_partition(
     src: &[f32],
     dst: &mut [u8],
     bits: QuantBits,
@@ -110,6 +112,19 @@ impl PartitionLayout {
     pub fn ranges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         (0..self.n_partitions()).map(|p| self.range(p))
     }
+}
+
+/// One quantized vector, or a prefix of its partitions: codes, per-partition metadata
+/// and per-partition code sums. `metas` and `sums` have one entry per partition; the
+/// codes must cover every partition they describe.
+#[derive(Debug, Clone, Copy)]
+pub struct QuantRow<'a> {
+    /// Codes, one byte each.
+    pub codes: &'a [u8],
+    /// Metadata of each partition, in order.
+    pub metas: &'a [PartitionMeta],
+    /// Code sum of each partition (Summation Elimination), in order.
+    pub sums: &'a [i32],
 }
 
 /// Quantized, partitioned tensor (see module docs).
@@ -271,6 +286,16 @@ impl QuantizedTensor {
     /// Codes of vector `r`.
     pub fn codes_row(&self, r: usize) -> &[u8] {
         &self.codes[r * self.cols..(r + 1) * self.cols]
+    }
+
+    /// Vector `r` with all its partitions.
+    pub fn row(&self, r: usize) -> QuantRow<'_> {
+        let n_parts = self.n_partitions();
+        QuantRow {
+            codes: self.codes_row(r),
+            metas: &self.meta[r * n_parts..(r + 1) * n_parts],
+            sums: &self.sums[r * n_parts..(r + 1) * n_parts],
+        }
     }
 
     /// All codes, row-major.

@@ -59,27 +59,21 @@ impl PartitionMeta {
 #[inline]
 pub fn round_code(x: f32, max_code: u32, mode: RoundingMode, rng: &mut DetRng) -> u32 {
     let clamped = x.clamp(0.0, max_code as f32);
-    let floor = clamped.floor();
-    let frac = clamped - floor;
-    let rounded = match mode {
-        RoundingMode::Nearest => {
-            if frac >= 0.5 {
-                floor + 1.0
-            } else {
-                floor
-            }
-        }
-        RoundingMode::Stochastic => {
-            // Round up with probability equal to the fractional part, which makes the
-            // rounding unbiased: E[round(x)] = x.
-            if frac > 0.0 && (rng.next_f32() < frac) {
-                floor + 1.0
-            } else {
-                floor
-            }
-        }
+    // On `[0, max_code]` truncation is an exact floor, and the cast inlines where
+    // `f32::floor` lowers to a libm call on the baseline x86-64 target. −0.0 and NaN
+    // (which `clamp` passes through) both cast to 0 and leave `frac` non-positive or
+    // NaN, so they take code 0 without a draw, exactly as `floor` did.
+    let floor = clamped as u32;
+    let frac = clamped - floor as f32;
+    let up = match mode {
+        RoundingMode::Nearest => frac >= 0.5,
+        // Round up with probability equal to the fractional part, which makes the
+        // rounding unbiased: E[round(x)] = x. Only the draw is conditional; adding the
+        // comparison as 0/1 keeps the coin flip off the branch predictor.
+        RoundingMode::Stochastic => frac > 0.0 && rng.next_f32() < frac,
     };
-    (rounded as u32).min(max_code)
+    // `frac` is 0 at `max_code`, so rounding up never leaves `[0, max_code]`.
+    floor + up as u32
 }
 
 /// Quantizes a single value to its integer code.
@@ -222,6 +216,39 @@ mod tests {
             let got = round_code(code as f32, 3, RoundingMode::Stochastic, &mut rng);
             assert_eq!(got, code);
         }
+    }
+
+    #[test]
+    fn round_code_boundaries_match_floor_and_draw_nothing() {
+        // Integers (including max_code), −0.0 and NaN round to a fixed code with no
+        // RNG draw, in both modes — so the cast-based floor leaves codes and the draw
+        // stream exactly as `f32::floor` did.
+        for bits in [QuantBits::Int2, QuantBits::Int4, QuantBits::Int8] {
+            let max = bits.max_code();
+            let cases = (0..=max).map(|c| (c as f32, c)).chain([
+                (-0.0, 0),
+                (f32::NAN, 0),
+                (max as f32 + 7.5, max),
+                (-3.0, 0),
+            ]);
+            for (x, expect) in cases {
+                for mode in [RoundingMode::Nearest, RoundingMode::Stochastic] {
+                    let mut rng = DetRng::new(8);
+                    assert_eq!(round_code(x, max, mode, &mut rng), expect, "{x} {mode:?}");
+                    assert_eq!(rng.next_u64(), DetRng::new(8).next_u64(), "{x} drew");
+                }
+            }
+        }
+        // Between integers the cast truncates exactly like floor: nearest rounding
+        // picks the closer neighbour, and stochastic rounding draws once.
+        let mut rng = DetRng::new(9);
+        assert_eq!(round_code(2.49, 3, RoundingMode::Nearest, &mut rng), 2);
+        assert_eq!(round_code(2.5, 3, RoundingMode::Nearest, &mut rng), 3);
+        let mut drawn = DetRng::new(10);
+        let up = round_code(1.25, 3, RoundingMode::Stochastic, &mut drawn);
+        let mut expect = DetRng::new(10);
+        assert_eq!(up, if expect.next_f32() < 0.25 { 2 } else { 1 });
+        assert_eq!(drawn.next_u64(), expect.next_u64());
     }
 
     #[test]

@@ -275,46 +275,179 @@ unsafe fn dot_u8_i32_avx2(a: &[u8], b: &[u8]) -> i32 {
     }
 }
 
-/// Computes the per-partition inner products of two equal-length code rows in
-/// one pass: `out[p] = dot(a[start_p..end_p], b[start_p..end_p])`.
+/// Right-operand rows per [`partition_dots4_u8_i32`] call.
+pub const DOT_BLOCK: usize = 4;
+
+/// Largest right-operand code the AVX2 path multiplies with `maddubs`. That
+/// instruction sums two `u8 × i8` products into a saturating `i16`; with left
+/// codes ≤ 255 and right codes ≤ 15 (at most 4-bit) a pair is at most
+/// `2 · 255 · 15 = 7650 < 2¹⁵`, so it never saturates and stays exact.
+const MADDUBS_MAX_B: u8 = 15;
+
+/// Per-partition inner products of one left code row against up to
+/// [`DOT_BLOCK`] right code rows: `out[p][r] = dot(a[span_p], b[r][span_p])`.
+/// Lanes `r ≥ b.len()` are zero.
 ///
-/// This is [`dot_u8_i32`] fused over a whole partitioned row: the SIMD feature
-/// dispatch and the slice validation happen once per row pair instead of once
-/// per partition, which matters when partitions are short (Π = 32..128 codes).
+/// This is the innermost kernel of the homomorphic GEMM (§5.3), fused over a
+/// whole partitioned row and four output columns: the feature dispatch and
+/// span validation happen once per call, each chunk of the left row is loaded
+/// once and multiplied against four right rows, and the four partition totals
+/// are reduced together.
+///
+/// `b_max` bounds every code in `b`. On AVX2 the kernel multiplies with
+/// `maddubs` + `pmaddwd` when `b_max ≤ 15` (K and V codes of at most 4 bits)
+/// and with the widen + `pmaddwd` scheme otherwise (Int8 × Int8); without AVX2
+/// it falls back to one [`dot_u8_i32`] per row. All paths are exact integer
+/// arithmetic, bit-identical to the scalar sums. A code above `b_max` gives
+/// unspecified (but memory-safe) sums.
 ///
 /// # Panics
-/// Panics if the rows differ in length, `spans` and `out` differ in length, or
-/// any span is reversed or out of bounds.
-#[inline]
-pub fn partition_dots_u8_i32(a: &[u8], b: &[u8], spans: &[(usize, usize)], out: &mut [i32]) {
-    assert_eq!(a.len(), b.len(), "partition_dots_u8_i32 length mismatch");
-    assert_eq!(spans.len(), out.len(), "partition_dots_u8_i32 span count");
-    // Validate every span up front — this is a safe public fn, so the unchecked
-    // slicing below must be impossible to reach with a bad span.
-    for &(start, end) in spans {
-        assert!(
-            start <= end && end <= a.len(),
-            "partition span {start}..{end} out of bounds for row of length {}",
-            a.len()
-        );
+/// Panics if `b` holds no rows or more than [`DOT_BLOCK`], `spans` and `out`
+/// differ in length, or a span is reversed or ends past `a` or a `b` row.
+pub fn partition_dots4_u8_i32(
+    a: &[u8],
+    b: &[&[u8]],
+    b_max: u8,
+    spans: &[(usize, usize)],
+    out: &mut [[i32; DOT_BLOCK]],
+) {
+    let live = b.len();
+    assert!(
+        (1..=DOT_BLOCK).contains(&live),
+        "partition_dots4_u8_i32 takes 1..={DOT_BLOCK} right rows, got {live}"
+    );
+    assert_eq!(spans.len(), out.len(), "partition_dots4_u8_i32 span count");
+    let mut end = 0;
+    for &(s, e) in spans {
+        assert!(s <= e, "partition span {s}..{e} is reversed");
+        end = end.max(e);
     }
+    let shortest = b.iter().map(|r| r.len()).fold(a.len(), usize::min);
+    assert!(
+        end <= shortest,
+        "partition spans end at {end}, past a row of length {shortest}"
+    );
+    debug_assert!(
+        b.iter().all(|r| spans
+            .iter()
+            .all(|&(s, e)| r[s..e].iter().all(|&c| c <= b_max))),
+        "a right-operand code exceeds b_max = {b_max}"
+    );
+    // Dead lanes repeat row 0 so the SIMD loop has no per-lane branch; they are
+    // zeroed at the end.
+    let rows: [&[u8]; DOT_BLOCK] = std::array::from_fn(|r| b.get(r).copied().unwrap_or(b[0]));
     #[cfg(target_arch = "x86_64")]
-    let use_avx2 = std::arch::is_x86_feature_detected!("avx2");
-    for (i, &(start, end)) in spans.iter().enumerate() {
-        // SAFETY: every span was validated against the row length above.
-        let (pa, pb) = unsafe { (a.get_unchecked(start..end), b.get_unchecked(start..end)) };
-        #[cfg(target_arch = "x86_64")]
-        {
-            // SAFETY: feature checked (AVX2) / baseline (SSE2).
-            out[i] = if use_avx2 && pa.len() >= 32 {
-                unsafe { dot_u8_i32_avx2(pa, pb) }
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 presence just checked; every span lies inside `a` and
+        // every row of `rows` (validated above).
+        unsafe {
+            if b_max <= MADDUBS_MAX_B {
+                dots4_avx2::<true>(a, rows, spans, out);
             } else {
-                unsafe { dot_u8_i32_sse2(pa, pb) }
-            };
+                dots4_avx2::<false>(a, rows, spans, out);
+            }
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            out[i] = dot_u8_i32_scalar(pa, pb);
+    } else {
+        dots4_per_row(a, rows, spans, out);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    dots4_per_row(a, rows, spans, out);
+    for o in out.iter_mut() {
+        o[live..].fill(0);
+    }
+}
+
+/// Fallback body of [`partition_dots4_u8_i32`] without AVX2: one
+/// [`dot_u8_i32`] per span and row. Kept out of line so the AVX2 caller stays
+/// small.
+#[inline(never)]
+fn dots4_per_row(
+    a: &[u8],
+    b: [&[u8]; DOT_BLOCK],
+    spans: &[(usize, usize)],
+    out: &mut [[i32; DOT_BLOCK]],
+) {
+    for (o, &(s, e)) in out.iter_mut().zip(spans) {
+        for (x, row) in o.iter_mut().zip(b) {
+            *x = dot_u8_i32(&a[s..e], &row[s..e]);
+        }
+    }
+}
+
+/// AVX2 body of [`partition_dots4_u8_i32`]. `NARROW` selects `maddubs` on 32
+/// codes per step (right codes ≤ [`MADDUBS_MAX_B`]); otherwise 16 codes per
+/// step are zero-extended to 16-bit lanes and multiplied with `pmaddwd`.
+///
+/// # Safety
+/// AVX2 must be available, and every span must lie inside `a` and every row.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn dots4_avx2<const NARROW: bool>(
+    a: &[u8],
+    b: [&[u8]; DOT_BLOCK],
+    spans: &[(usize, usize)],
+    out: &mut [[i32; DOT_BLOCK]],
+) {
+    use std::arch::x86_64::*;
+    let step = if NARROW { 32 } else { 16 };
+    // SAFETY: AVX2 is available (caller contract). Every load reads `step`
+    // bytes starting below `simd_end`, so it stays inside `start..end`, which
+    // lies inside `a` and every row (caller contract).
+    unsafe {
+        let ones = _mm256_set1_epi16(1);
+        for (o, &(start, end)) in out.iter_mut().zip(spans) {
+            let simd_end = start + (end - start) / step * step;
+            let mut acc = [_mm256_setzero_si256(); DOT_BLOCK];
+            let mut i = start;
+            while i < simd_end {
+                let pa = load_step_avx2::<NARROW>(a.as_ptr().add(i));
+                for (acc_r, row) in acc.iter_mut().zip(b) {
+                    let pb = load_step_avx2::<NARROW>(row.as_ptr().add(i));
+                    // Both schemes end in exact i32 lanes: `maddubs` pairs fit
+                    // in i16 (see MADDUBS_MAX_B) and `pmaddwd` widens them.
+                    let prod = if NARROW {
+                        _mm256_madd_epi16(_mm256_maddubs_epi16(pa, pb), ones)
+                    } else {
+                        _mm256_madd_epi16(pa, pb)
+                    };
+                    *acc_r = _mm256_add_epi32(*acc_r, prod);
+                }
+                i += step;
+            }
+            // Reduce the four accumulators together: two rounds of hadd leave
+            // [r0, r1, r2, r3] partial totals in each 128-bit half.
+            let h01 = _mm256_hadd_epi32(acc[0], acc[1]);
+            let h23 = _mm256_hadd_epi32(acc[2], acc[3]);
+            let h = _mm256_hadd_epi32(h01, h23);
+            let sums = _mm_add_epi32(_mm256_castsi256_si128(h), _mm256_extracti128_si256(h, 1));
+            _mm_storeu_si128(o.as_mut_ptr().cast(), sums);
+            for idx in simd_end..end {
+                let x = a[idx] as i32;
+                for (acc_r, row) in o.iter_mut().zip(b) {
+                    *acc_r = acc_r.wrapping_add(x * row[idx] as i32);
+                }
+            }
+        }
+    }
+}
+
+/// Loads one [`dots4_avx2`] step: 32 raw codes (`NARROW`) or 16 codes
+/// zero-extended to 16-bit lanes.
+///
+/// # Safety
+/// AVX2 must be available and `ptr` readable for 32 (`NARROW`) or 16 bytes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn load_step_avx2<const NARROW: bool>(ptr: *const u8) -> std::arch::x86_64::__m256i {
+    use std::arch::x86_64::*;
+    // SAFETY: AVX2 is available and `ptr` is readable for the bytes loaded
+    // (caller contract); both loads are unaligned.
+    unsafe {
+        if NARROW {
+            _mm256_loadu_si256(ptr.cast())
+        } else {
+            _mm256_cvtepu8_epi16(_mm_loadu_si128(ptr.cast()))
         }
     }
 }
@@ -468,23 +601,111 @@ mod tests {
 
     #[test]
     fn fused_partition_dots_match_per_partition_dots() {
+        // The fused 4-row kernel against the single-row SIMD dot, partition by
+        // partition, at the homomorphic GEMM's shapes.
         let mut rng = DetRng::new(12);
         for (len, partition) in [(128usize, 64usize), (100, 32), (64, 64), (36, 16)] {
             let a: Vec<u8> = (0..len).map(|_| rng.range_usize(0, 256) as u8).collect();
-            let b: Vec<u8> = (0..len).map(|_| rng.range_usize(0, 256) as u8).collect();
-            let spans: Vec<(usize, usize)> = (0..len.div_ceil(partition))
-                .map(|p| (p * partition, ((p + 1) * partition).min(len)))
+            let b_rows: Vec<Vec<u8>> = (0..DOT_BLOCK)
+                .map(|_| (0..len).map(|_| rng.range_usize(0, 256) as u8).collect())
                 .collect();
-            let mut fused = vec![0i32; spans.len()];
-            partition_dots_u8_i32(&a, &b, &spans, &mut fused);
-            for (i, &(s, e)) in spans.iter().enumerate() {
-                assert_eq!(
-                    fused[i],
-                    dot_u8_i32(&a[s..e], &b[s..e]),
-                    "{len}/{partition}@{i}"
-                );
+            let b: Vec<&[u8]> = b_rows.iter().map(Vec::as_slice).collect();
+            let spans = spans_of(len, partition);
+            let mut fused = vec![[0i32; DOT_BLOCK]; spans.len()];
+            partition_dots4_u8_i32(&a, &b, 255, &spans, &mut fused);
+            for (p, &(s, e)) in spans.iter().enumerate() {
+                for (r, row) in b.iter().enumerate() {
+                    assert_eq!(
+                        fused[p][r],
+                        dot_u8_i32(&a[s..e], &row[s..e]),
+                        "{len}/{partition}@{p} row {r}"
+                    );
+                }
             }
         }
+    }
+
+    /// The oracle for [`partition_dots4_u8_i32`]: scalar dots per span and live
+    /// row, dead lanes zero.
+    fn scalar_dots4(a: &[u8], b: &[&[u8]], spans: &[(usize, usize)]) -> Vec<[i32; DOT_BLOCK]> {
+        spans
+            .iter()
+            .map(|&(s, e)| {
+                let mut lanes = [0i32; DOT_BLOCK];
+                for (lane, row) in lanes.iter_mut().zip(b) {
+                    *lane = dot_u8_i32_scalar(&a[s..e], &row[s..e]);
+                }
+                lanes
+            })
+            .collect()
+    }
+
+    fn spans_of(len: usize, partition: usize) -> Vec<(usize, usize)> {
+        (0..len.div_ceil(partition))
+            .map(|p| (p * partition, ((p + 1) * partition).min(len)))
+            .collect()
+    }
+
+    #[test]
+    fn dots4_match_scalar_dots() {
+        // Every length 0..=255 (so every SIMD tail), whole-row and partitioned
+        // spans with ragged last partitions, 1..=4 live rows, and right-operand
+        // code ranges that take the maddubs path (Int2, Int4) and the widen path
+        // (Int8).
+        let mut rng = DetRng::new(13);
+        for b_max in [3u8, 15, 255] {
+            for len in 0..=255usize {
+                let a: Vec<u8> = (0..len).map(|_| rng.range_usize(0, 256) as u8).collect();
+                let b_rows: Vec<Vec<u8>> = (0..DOT_BLOCK)
+                    .map(|_| {
+                        (0..len)
+                            .map(|_| rng.range_usize(0, b_max as usize + 1) as u8)
+                            .collect()
+                    })
+                    .collect();
+                for partition in [len.max(1), 16, 32, 64, 100] {
+                    let spans = spans_of(len, partition);
+                    for live in 1..=DOT_BLOCK {
+                        let b: Vec<&[u8]> = b_rows[..live].iter().map(Vec::as_slice).collect();
+                        let mut got = vec![[-7i32; DOT_BLOCK]; spans.len()];
+                        partition_dots4_u8_i32(&a, &b, b_max, &spans, &mut got);
+                        assert_eq!(
+                            got,
+                            scalar_dots4(&a, &b, &spans),
+                            "len {len} Π {partition} live {live} b_max {b_max}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dots4_are_exact_on_saturated_codes() {
+        // 255 × max code in every lane: the largest maddubs pair sums (Int2, Int4)
+        // and the largest pmaddwd products (Int8).
+        for b_max in [3u8, 15, 255] {
+            for len in [255usize, 4096] {
+                let a = vec![255u8; len];
+                let row = vec![b_max; len];
+                let b = [row.as_slice(); DOT_BLOCK];
+                for spans in [vec![(0, len)], spans_of(len, 64)] {
+                    let mut got = vec![[0i32; DOT_BLOCK]; spans.len()];
+                    partition_dots4_u8_i32(&a, &b, b_max, &spans, &mut got);
+                    for (lanes, &(s, e)) in got.iter().zip(&spans) {
+                        let expect = ((e - s) * 255 * b_max as usize) as i32;
+                        assert_eq!(*lanes, [expect; DOT_BLOCK], "len {len} b_max {b_max}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "past a row")]
+    fn dots4_reject_spans_past_a_short_row() {
+        let mut out = [[0i32; DOT_BLOCK]];
+        partition_dots4_u8_i32(&[1; 64], &[&[1; 63]], 3, &[(0, 64)], &mut out);
     }
 
     #[test]

@@ -267,7 +267,7 @@ pub fn merge_streams(streams: &[Vec<Request>]) -> Vec<Request> {
         .enumerate()
         .flat_map(|(i, s)| s.iter().map(move |r| (i, *r)))
         .collect();
-    tagged.sort_by(|a, b| a.1.arrival.partial_cmp(&b.1.arrival).unwrap());
+    tagged.sort_by(|a, b| a.1.arrival.total_cmp(&b.1.arrival));
     let mut remap: Vec<Vec<u64>> = streams.iter().map(|s| vec![0; s.len()]).collect();
     for (new_id, (stream, r)) in tagged.iter().enumerate() {
         remap[*stream][r.id as usize] = new_id as u64;
