@@ -26,16 +26,18 @@
 //! * `P'·V'` skips those partitions. Each would add exactly `+0.0` to an accumulator
 //!   that starts at `+0.0` and therefore never holds `−0.0`.
 //!
-//! No dense `L × L` matrix is built: the scores live in one reusable row, and P' keeps
-//! each row's partitions up to the diagonal only.
+//! No dense `L × L` f32 matrix is built: the scores live in one reusable row. P' is an
+//! `L × L` one-byte code tensor whose partitions after each row's diagonal stay zero.
+//!
+//! Without Summation Elimination both products recompute every code sum of their
+//! operands from the codes, as the dense products did, so the HACK/SE ablation still
+//! pays for the work its `sum_recompute_ops` reports.
 
 use crate::state::HackKvState;
 use hack_quant::cost::HomomorphicOpCounts;
 use hack_quant::qmatrix::quantize_partition;
 use hack_quant::stochastic::PartitionMeta;
-use hack_quant::{
-    HackConfig, PartitionLayout, QuantBits, QuantRow, QuantizedTensor, RoundingMode, RowProduct,
-};
+use hack_quant::{HackConfig, PartitionLayout, QuantizedTensor, RowProduct};
 use hack_tensor::softmax::softmax_slice_inplace;
 use hack_tensor::{DetRng, Matrix};
 
@@ -77,45 +79,71 @@ pub fn hack_prefill_attention(
     let (l, d_h) = q.shape();
     assert!(l > 0, "prefill requires at least one token");
     let pi = cfg.partition.get();
+    // Without Summation Elimination every product recomputes its operands' code sums
+    // from the codes instead of reading the stored ones.
+    let se = cfg.summation_elimination;
 
     // Step 2: quantize Q (INT8, partitions along the head dimension) and K (INT2).
     let q_q = QuantizedTensor::quantize_rows(q, cfg.q_bits, pi, cfg.rounding, rng);
     let k_q = QuantizedTensor::quantize_rows(k, cfg.kv_bits, pi, cfg.rounding, rng);
+    let (q_sums, k_sums) = (q_q.code_sums(se), k_q.code_sums(se));
 
     // Steps 3–4 and step 2 again, one query row at a time: homomorphic Q'·K'ᵀ over the
     // visible keys, scaled, causal softmax, then P quantized (INT8, partitions along
-    // the sequence dimension) up to the diagonal partition.
+    // the sequence dimension) up to the diagonal partition. The partitions after it
+    // keep codes 0 and zero metadata, which is what they quantize to, and are never
+    // read.
     let scale = 1.0 / (d_h as f32).sqrt();
     let p_spans: Vec<(usize, usize)> = PartitionLayout::new(l, pi).ranges().collect();
-    let mut qk = RowProduct::new(&k_q);
+    let n_parts = p_spans.len();
+    let mut qk = RowProduct::with_sums(&k_q, &k_sums);
     let mut probs = vec![0.0f32; l];
-    let mut p_q = CausalRows::default();
+    let mut p_codes = vec![0u8; l * l];
+    let zero_meta = PartitionMeta {
+        min: 0.0,
+        scale: 0.0,
+    };
+    let mut p_metas = vec![zero_meta; l * n_parts];
+    let mut p_sums = vec![0i32; l * n_parts];
     for i in 0..l {
         let visible = &mut probs[..=i];
         visible.fill(0.0);
-        qk.accumulate(q_q.row(i), visible);
+        qk.accumulate(q_q.row_prefix(i, q_q.n_partitions(), &q_sums), visible);
         for s in visible.iter_mut() {
             *s *= scale;
         }
         softmax_slice_inplace(visible);
         // Entries past `i` are still zero (no earlier row reached them), so the masked
         // tail of the diagonal partition quantizes exactly as in the dense P.
-        p_q.push_row(&probs, &p_spans[..=i / pi], cfg.p_bits, cfg.rounding, rng);
+        let row_codes = &mut p_codes[i * l..(i + 1) * l];
+        for (p, &(s, e)) in p_spans[..=i / pi].iter().enumerate() {
+            let (meta, sum) = quantize_partition(
+                &probs[s..e],
+                &mut row_codes[s..e],
+                cfg.p_bits,
+                cfg.rounding,
+                rng,
+            );
+            p_metas[i * n_parts + p] = meta;
+            p_sums[i * n_parts + p] = sum;
+        }
     }
+    let p_q = QuantizedTensor::from_parts(l, l, cfg.p_bits, pi, p_codes, p_metas, p_sums);
+    let p_sums = p_q.code_sums(se);
 
     // Step 2 again for V (INT2, partitions along the sequence dimension), then step 3
-    // again: homomorphic P'·V'.
+    // again: homomorphic P'·V' over each row's partitions up to the diagonal.
     let v_q = QuantizedTensor::quantize_cols(v, cfg.kv_bits, pi, cfg.rounding, rng);
-    let mut pv = RowProduct::new(&v_q);
+    let v_sums = v_q.code_sums(se);
+    let mut pv = RowProduct::with_sums(&v_q, &v_sums);
     let mut output = Matrix::zeros(l, d_h);
     for i in 0..l {
-        pv.accumulate(p_q.row(i), output.row_mut(i));
+        pv.accumulate(p_q.row_prefix(i, i / pi + 1, &p_sums), output.row_mut(i));
     }
 
     // Build the decode-ready KV state (honouring RQE for the trailing partial block).
     let state = HackKvState::from_prefill(k, v, cfg, rng);
 
-    let se = cfg.summation_elimination;
     PrefillOutput {
         output,
         state,
@@ -124,60 +152,12 @@ pub fn hack_prefill_attention(
     }
 }
 
-/// Quantized probabilities P', each row holding its partitions up to the diagonal only
-/// (the ones after it are all-zero and skipped, see the module docs).
-#[derive(Default)]
-struct CausalRows {
-    codes: Vec<u8>,
-    metas: Vec<PartitionMeta>,
-    sums: Vec<i32>,
-    /// Where each row starts in `codes` and in `metas`/`sums`.
-    starts: Vec<(usize, usize)>,
-}
-
-impl CausalRows {
-    /// Quantizes the partitions `spans` (a prefix of the row's) of `values`.
-    fn push_row(
-        &mut self,
-        values: &[f32],
-        spans: &[(usize, usize)],
-        bits: QuantBits,
-        mode: RoundingMode,
-        rng: &mut DetRng,
-    ) {
-        let start = self.codes.len();
-        self.starts.push((start, self.metas.len()));
-        let width = spans.last().map_or(0, |&(_, end)| end);
-        self.codes.resize(start + width, 0);
-        let row = &mut self.codes[start..];
-        for &(s, e) in spans {
-            let (meta, sum) = quantize_partition(&values[s..e], &mut row[s..e], bits, mode, rng);
-            self.metas.push(meta);
-            self.sums.push(sum);
-        }
-    }
-
-    fn row(&self, i: usize) -> QuantRow<'_> {
-        let (code_start, meta_start) = self.starts[i];
-        let (code_end, meta_end) = self
-            .starts
-            .get(i + 1)
-            .copied()
-            .unwrap_or((self.codes.len(), self.metas.len()));
-        QuantRow {
-            codes: &self.codes[code_start..code_end],
-            metas: &self.metas[meta_start..meta_end],
-            sums: &self.sums[meta_start..meta_end],
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::baseline::{baseline_attention, AttentionMask};
     use hack_quant::homomorphic::homomorphic_matmul_counted;
-    use hack_quant::PartitionSize;
+    use hack_quant::{PartitionSize, RoundingMode};
     use hack_tensor::softmax::causal_softmax_rows;
     use hack_tensor::{cosine_similarity, relative_frobenius_error};
 

@@ -62,21 +62,6 @@ pub fn homomorphic_matmul_counted(
     homomorphic_matmul_impl(a, b, use_stored_sums)
 }
 
-/// Recomputes every per-partition code sum of `t` (the no-SE path), once per
-/// `(row, partition)` — the same recomputation count as reading them partition by
-/// partition, so [`HomomorphicOpCounts::sum_recompute_ops`] is unchanged.
-fn recompute_all_sums(t: &QuantizedTensor) -> Vec<i32> {
-    let layout = t.layout();
-    let cols = t.cols();
-    let mut sums = Vec::with_capacity(t.rows() * layout.n_partitions());
-    for row_codes in t.codes().chunks_exact(cols.max(1)) {
-        for (start, end) in layout.ranges() {
-            sums.push(row_codes[start..end].iter().map(|&c| c as i32).sum());
-        }
-    }
-    sums
-}
-
 fn homomorphic_matmul_impl(
     a: &QuantizedTensor,
     b: &QuantizedTensor,
@@ -87,23 +72,13 @@ fn homomorphic_matmul_impl(
     let n_parts = a.n_partitions();
     let mut out = Matrix::zeros(m, b.rows());
 
-    // Code sums: stored with SE, recomputed once per row-partition without.
-    let (a_sums_buf, b_sums_buf);
-    let (a_sums, b_sums): (&[i32], &[i32]) = if use_stored_sums {
-        (a.sums(), b.sums())
-    } else {
-        a_sums_buf = recompute_all_sums(a);
-        b_sums_buf = recompute_all_sums(b);
-        (&a_sums_buf, &b_sums_buf)
-    };
-    let mut product = RowProduct::with_sums(b, b_sums);
+    // Code sums: stored with SE, recomputed once per row-partition without (the same
+    // count as reading them partition by partition, so `sum_recompute_ops` holds).
+    let a_sums = a.code_sums(use_stored_sums);
+    let b_sums = b.code_sums(use_stored_sums);
+    let mut product = RowProduct::with_sums(b, &b_sums);
     for i in 0..m {
-        let a_row = QuantRow {
-            codes: a.codes_row(i),
-            metas: &a.metas()[i * n_parts..(i + 1) * n_parts],
-            sums: &a_sums[i * n_parts..(i + 1) * n_parts],
-        };
-        product.accumulate(a_row, out.row_mut(i));
+        product.accumulate(a.row_prefix(i, n_parts, &a_sums), out.row_mut(i));
     }
     let counts = HomomorphicOpCounts::dense(m, b.rows(), a.cols(), a.partition(), use_stored_sums);
     (out, counts)
@@ -133,7 +108,17 @@ impl<'b> RowProduct<'b> {
         Self::with_sums(b, b.sums())
     }
 
-    fn with_sums(b: &'b QuantizedTensor, b_sums: &'b [i32]) -> Self {
+    /// Like [`Self::new`], but reads the right operand's code sums from `b_sums`
+    /// (row-major, one per partition, as [`QuantizedTensor::code_sums`] returns them).
+    ///
+    /// # Panics
+    /// Panics if `b_sums` does not hold one sum per partition of `b`.
+    pub fn with_sums(b: &'b QuantizedTensor, b_sums: &'b [i32]) -> Self {
+        assert_eq!(
+            b_sums.len(),
+            b.sums().len(),
+            "right operand: one code sum per partition"
+        );
         let spans: Vec<(usize, usize)> = b.layout().ranges().collect();
         Self {
             b,
@@ -324,8 +309,9 @@ mod tests {
         // The 4-column blocked kernel must reproduce the scalar seed implementation
         // exactly: same output bits, same operation counts, with and without SE,
         // across shapes that cover full, partial and single partitions, every
-        // column count modulo 4 (1–3 live lanes in the last block), Π ∈ {32, 64,
-        // 128}, and both microkernel paths (2/4-bit right codes, Int8 × Int8).
+        // column count modulo 4 (1–3 live lanes in the last block), Π ∈ {16, 32,
+        // 64, 128} (at Π = 16 every partition is shorter than one 32-code SIMD
+        // step), and both microkernel paths (2/4-bit right codes, Int8 × Int8).
         let shapes = [
             (1usize, 6usize, 128usize), // decode Q'·K'ᵀ-like
             (4, 3, 96),
@@ -343,7 +329,7 @@ mod tests {
             (QuantBits::Int2, QuantBits::Int2),
         ];
         for (case, (m, n, z)) in shapes.into_iter().enumerate() {
-            for partition in [32, 64, 128] {
+            for partition in [16, 32, 64, 128] {
                 for (a_bits, b_bits) in bit_pairs {
                     let mut rng = DetRng::new(4242 + case as u64);
                     let a = Matrix::random_normal(m, z, 0.0, 1.0, &mut rng);
@@ -396,14 +382,7 @@ mod tests {
                 &mut rng,
             );
             let full = homomorphic_matmul(&qa, &qb);
-            let n_vis = visible.div_ceil(partition);
-            let row = qa.row(0);
-            let width = (n_vis * partition).min(z);
-            let prefix = QuantRow {
-                codes: &row.codes[..width],
-                metas: &row.metas[..n_vis],
-                sums: &row.sums[..n_vis],
-            };
+            let prefix = qa.row_prefix(0, visible.div_ceil(partition), qa.sums());
             for cols in [1, 4, 5, n] {
                 let mut out = vec![0.0f32; cols];
                 product.accumulate(prefix, &mut out);

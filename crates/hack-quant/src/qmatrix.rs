@@ -20,6 +20,7 @@
 use crate::params::{QuantBits, RoundingMode};
 use crate::stochastic::{dequantize_value, quantize_value, PartitionMeta};
 use hack_tensor::{DetRng, Matrix};
+use std::borrow::Cow;
 
 /// Statistics returned by append operations; used by the ablation cost accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -288,13 +289,23 @@ impl QuantizedTensor {
         &self.codes[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Vector `r` with all its partitions.
-    pub fn row(&self, r: usize) -> QuantRow<'_> {
-        let n_parts = self.n_partitions();
+    /// Vector `r` over its first `n_parts` partitions, with the code sums read from
+    /// `sums` (one per partition of every vector, row-major, as [`Self::code_sums`]
+    /// returns them).
+    ///
+    /// # Panics
+    /// Panics if `r` or `n_parts` is out of range, or `sums` is too short.
+    pub fn row_prefix<'a>(&'a self, r: usize, n_parts: usize, sums: &'a [i32]) -> QuantRow<'a> {
+        assert!(
+            n_parts <= self.n_partitions(),
+            "{n_parts} partitions requested of {}",
+            self.n_partitions()
+        );
+        let base = r * self.n_partitions();
         QuantRow {
             codes: self.codes_row(r),
-            metas: &self.meta[r * n_parts..(r + 1) * n_parts],
-            sums: &self.sums[r * n_parts..(r + 1) * n_parts],
+            metas: &self.meta[base..base + n_parts],
+            sums: &sums[base..base + n_parts],
         }
     }
 
@@ -335,6 +346,23 @@ impl QuantizedTensor {
             .iter()
             .map(|&c| c as i32)
             .sum()
+    }
+
+    /// Every per-partition code sum, row-major: the stored ones with Summation
+    /// Elimination (`use_stored_sums`), otherwise recomputed from the codes once per
+    /// `(row, partition)`, the work the HACK/SE ablation pays on every product.
+    pub fn code_sums(&self, use_stored_sums: bool) -> Cow<'_, [i32]> {
+        if use_stored_sums {
+            return Cow::Borrowed(&self.sums);
+        }
+        let layout = self.layout();
+        let mut sums = Vec::with_capacity(self.sums.len());
+        for row_codes in self.codes.chunks_exact(self.cols.max(1)) {
+            for (start, end) in layout.ranges() {
+                sums.push(row_codes[start..end].iter().map(|&c| c as i32).sum());
+            }
+        }
+        Cow::Owned(sums)
     }
 
     /// Verifies the stored-sum invariant (every stored sum equals the recomputed one).
@@ -916,6 +944,9 @@ mod tests {
                 assert_eq!(q.sum(r, p), q.recompute_sum(r, p));
             }
         }
+        assert!(matches!(q.code_sums(true), Cow::Borrowed(_)));
+        assert!(matches!(q.code_sums(false), Cow::Owned(_)));
+        assert_eq!(q.code_sums(false), q.code_sums(true));
     }
 
     #[test]

@@ -295,11 +295,11 @@ const MADDUBS_MAX_B: u8 = 15;
 /// are reduced together.
 ///
 /// `b_max` bounds every code in `b`. On AVX2 the kernel multiplies with
-/// `maddubs` + `pmaddwd` when `b_max ≤ 15` (K and V codes of at most 4 bits)
-/// and with the widen + `pmaddwd` scheme otherwise (Int8 × Int8); without AVX2
-/// it falls back to one [`dot_u8_i32`] per row. All paths are exact integer
-/// arithmetic, bit-identical to the scalar sums. A code above `b_max` gives
-/// unspecified (but memory-safe) sums.
+/// `maddubs` + `pmaddwd` when `b_max ≤ 15` (K and V codes of at most 4 bits).
+/// Otherwise (Int8 × Int8), or without AVX2, it takes one [`dot_u8_i32`] per
+/// span and row, which is the widen + `pmaddwd` scheme. All paths are exact
+/// integer arithmetic, bit-identical to the scalar sums. A code above `b_max`
+/// gives unspecified (but memory-safe) sums.
 ///
 /// # Panics
 /// Panics if `b` holds no rows or more than [`DOT_BLOCK`], `spans` and `out`
@@ -337,16 +337,10 @@ pub fn partition_dots4_u8_i32(
     // zeroed at the end.
     let rows: [&[u8]; DOT_BLOCK] = std::array::from_fn(|r| b.get(r).copied().unwrap_or(b[0]));
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
+    if b_max <= MADDUBS_MAX_B && std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: AVX2 presence just checked; every span lies inside `a` and
         // every row of `rows` (validated above).
-        unsafe {
-            if b_max <= MADDUBS_MAX_B {
-                dots4_avx2::<true>(a, rows, spans, out);
-            } else {
-                dots4_avx2::<false>(a, rows, spans, out);
-            }
-        }
+        unsafe { dots4_avx2(a, rows, spans, out) };
     } else {
         dots4_per_row(a, rows, spans, out);
     }
@@ -357,9 +351,9 @@ pub fn partition_dots4_u8_i32(
     }
 }
 
-/// Fallback body of [`partition_dots4_u8_i32`] without AVX2: one
-/// [`dot_u8_i32`] per span and row. Kept out of line so the AVX2 caller stays
-/// small.
+/// Fallback body of [`partition_dots4_u8_i32`] for right codes above 4 bits or
+/// without AVX2: one [`dot_u8_i32`] per span and row. Kept out of line so the
+/// AVX2 caller stays small.
 #[inline(never)]
 fn dots4_per_row(
     a: &[u8],
@@ -374,45 +368,41 @@ fn dots4_per_row(
     }
 }
 
-/// AVX2 body of [`partition_dots4_u8_i32`]. `NARROW` selects `maddubs` on 32
-/// codes per step (right codes ≤ [`MADDUBS_MAX_B`]); otherwise 16 codes per
-/// step are zero-extended to 16-bit lanes and multiplied with `pmaddwd`.
+/// AVX2 body of [`partition_dots4_u8_i32`]: `maddubs` + `pmaddwd` on 32 codes
+/// per step, for right codes ≤ [`MADDUBS_MAX_B`].
 ///
 /// # Safety
-/// AVX2 must be available, and every span must lie inside `a` and every row.
+/// AVX2 must be available, every span must lie inside `a` and every row, and
+/// every right code must be at most [`MADDUBS_MAX_B`] for exact sums.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn dots4_avx2<const NARROW: bool>(
+unsafe fn dots4_avx2(
     a: &[u8],
     b: [&[u8]; DOT_BLOCK],
     spans: &[(usize, usize)],
     out: &mut [[i32; DOT_BLOCK]],
 ) {
     use std::arch::x86_64::*;
-    let step = if NARROW { 32 } else { 16 };
-    // SAFETY: AVX2 is available (caller contract). Every load reads `step`
+    const STEP: usize = 32;
+    // SAFETY: AVX2 is available (caller contract). Every load reads `STEP`
     // bytes starting below `simd_end`, so it stays inside `start..end`, which
-    // lies inside `a` and every row (caller contract).
+    // lies inside `a` and every row (caller contract); the loads are unaligned.
     unsafe {
         let ones = _mm256_set1_epi16(1);
         for (o, &(start, end)) in out.iter_mut().zip(spans) {
-            let simd_end = start + (end - start) / step * step;
+            let simd_end = start + (end - start) / STEP * STEP;
             let mut acc = [_mm256_setzero_si256(); DOT_BLOCK];
             let mut i = start;
             while i < simd_end {
-                let pa = load_step_avx2::<NARROW>(a.as_ptr().add(i));
+                let pa = _mm256_loadu_si256(a.as_ptr().add(i).cast());
                 for (acc_r, row) in acc.iter_mut().zip(b) {
-                    let pb = load_step_avx2::<NARROW>(row.as_ptr().add(i));
-                    // Both schemes end in exact i32 lanes: `maddubs` pairs fit
-                    // in i16 (see MADDUBS_MAX_B) and `pmaddwd` widens them.
-                    let prod = if NARROW {
-                        _mm256_madd_epi16(_mm256_maddubs_epi16(pa, pb), ones)
-                    } else {
-                        _mm256_madd_epi16(pa, pb)
-                    };
+                    let pb = _mm256_loadu_si256(row.as_ptr().add(i).cast());
+                    // `maddubs` pairs fit in i16 (see MADDUBS_MAX_B) and
+                    // `pmaddwd` against ones widens them to exact i32 lanes.
+                    let prod = _mm256_madd_epi16(_mm256_maddubs_epi16(pa, pb), ones);
                     *acc_r = _mm256_add_epi32(*acc_r, prod);
                 }
-                i += step;
+                i += STEP;
             }
             // Reduce the four accumulators together: two rounds of hadd leave
             // [r0, r1, r2, r3] partial totals in each 128-bit half.
@@ -427,27 +417,6 @@ unsafe fn dots4_avx2<const NARROW: bool>(
                     *acc_r = acc_r.wrapping_add(x * row[idx] as i32);
                 }
             }
-        }
-    }
-}
-
-/// Loads one [`dots4_avx2`] step: 32 raw codes (`NARROW`) or 16 codes
-/// zero-extended to 16-bit lanes.
-///
-/// # Safety
-/// AVX2 must be available and `ptr` readable for 32 (`NARROW`) or 16 bytes.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[inline]
-unsafe fn load_step_avx2<const NARROW: bool>(ptr: *const u8) -> std::arch::x86_64::__m256i {
-    use std::arch::x86_64::*;
-    // SAFETY: AVX2 is available and `ptr` is readable for the bytes loaded
-    // (caller contract); both loads are unaligned.
-    unsafe {
-        if NARROW {
-            _mm256_loadu_si256(ptr.cast())
-        } else {
-            _mm256_cvtepu8_epi16(_mm_loadu_si128(ptr.cast()))
         }
     }
 }
@@ -599,32 +568,6 @@ mod tests {
         assert_eq!(dot_u8_i32(&a, &a), 4096 * 255 * 255);
     }
 
-    #[test]
-    fn fused_partition_dots_match_per_partition_dots() {
-        // The fused 4-row kernel against the single-row SIMD dot, partition by
-        // partition, at the homomorphic GEMM's shapes.
-        let mut rng = DetRng::new(12);
-        for (len, partition) in [(128usize, 64usize), (100, 32), (64, 64), (36, 16)] {
-            let a: Vec<u8> = (0..len).map(|_| rng.range_usize(0, 256) as u8).collect();
-            let b_rows: Vec<Vec<u8>> = (0..DOT_BLOCK)
-                .map(|_| (0..len).map(|_| rng.range_usize(0, 256) as u8).collect())
-                .collect();
-            let b: Vec<&[u8]> = b_rows.iter().map(Vec::as_slice).collect();
-            let spans = spans_of(len, partition);
-            let mut fused = vec![[0i32; DOT_BLOCK]; spans.len()];
-            partition_dots4_u8_i32(&a, &b, 255, &spans, &mut fused);
-            for (p, &(s, e)) in spans.iter().enumerate() {
-                for (r, row) in b.iter().enumerate() {
-                    assert_eq!(
-                        fused[p][r],
-                        dot_u8_i32(&a[s..e], &row[s..e]),
-                        "{len}/{partition}@{p} row {r}"
-                    );
-                }
-            }
-        }
-    }
-
     /// The oracle for [`partition_dots4_u8_i32`]: scalar dots per span and live
     /// row, dead lanes zero.
     fn scalar_dots4(a: &[u8], b: &[&[u8]], spans: &[(usize, usize)]) -> Vec<[i32; DOT_BLOCK]> {
@@ -647,11 +590,12 @@ mod tests {
     }
 
     #[test]
-    fn dots4_match_scalar_dots() {
-        // Every length 0..=255 (so every SIMD tail), whole-row and partitioned
-        // spans with ragged last partitions, 1..=4 live rows, and right-operand
-        // code ranges that take the maddubs path (Int2, Int4) and the widen path
-        // (Int8).
+    fn fused_partition_dots_match_per_partition_dots() {
+        // The fused 4-row kernel against scalar dots, partition by partition:
+        // every length 0..=255 (so every SIMD tail), whole-row and partitioned
+        // spans with ragged last partitions (the homomorphic GEMM's Π = 16..=64
+        // among them), 1..=4 live rows, and right-operand code ranges that take
+        // the maddubs path (Int2, Int4) and the per-row widen path (Int8).
         let mut rng = DetRng::new(13);
         for b_max in [3u8, 15, 255] {
             for len in 0..=255usize {
