@@ -113,16 +113,23 @@ impl Simulator {
         requests: Arc<Vec<Request>>,
     ) -> Result<Self, ConfigError> {
         config.validate()?;
-        assert_eq!(
-            requests.len(),
-            config.trace.num_requests,
-            "supplied trace length must match config.trace.num_requests"
-        );
+        if requests.len() != config.trace.num_requests {
+            return Err(ConfigError::TraceLengthMismatch {
+                expected: config.trace.num_requests,
+                got: requests.len(),
+            });
+        }
         // Session DAG validation: a child's parent must precede it in the
         // trace and must not arrive after it — gating releases children at
         // `max(child arrival, parent completion)`, which is only causal when
         // parents nominally arrive first.
         for (i, r) in requests.iter().enumerate() {
+            if r.tenant.index() >= crate::policy::MAX_TENANTS {
+                return Err(ConfigError::TenantOutOfRange {
+                    request: r.id,
+                    tenant: r.tenant.0,
+                });
+            }
             if let Some(p) = r.parent {
                 if (p as usize) >= i || requests[p as usize].arrival > r.arrival {
                     return Err(ConfigError::InvalidSessionParent {
@@ -324,14 +331,6 @@ impl Simulator {
         let cluster_cfg = &self.config.cluster;
         let prefill_replicas = cluster_cfg.fleet.prefill.total_replicas();
         let decode_replicas = cluster_cfg.fleet.decode.total_replicas();
-
-        assert!(
-            requests
-                .iter()
-                .all(|r| r.tenant.index() < crate::policy::MAX_TENANTS),
-            "trace tags a tenant beyond MAX_TENANTS ({})",
-            crate::policy::MAX_TENANTS
-        );
 
         // --- Assemble the engine and the component fleet. (The fault plan and
         // topology were validated at construction time.) ---
@@ -1847,13 +1846,32 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "beyond MAX_TENANTS")]
     fn out_of_range_tenant_tags_are_rejected() {
         use hack_workload::trace::TenantId;
         let cfg = sim_config(KvMethodProfile::baseline(), Dataset::Cocktail, 0.05, 5);
-        let mut requests = hack_workload::trace::TraceGenerator::new(cfg.trace).generate();
+        let mut requests = TraceGenerator::new(cfg.trace).generate();
         requests[3].tenant = TenantId(crate::policy::MAX_TENANTS as u32);
-        let _ = Simulator::with_requests(cfg, std::sync::Arc::new(requests)).run();
+        assert!(matches!(
+            Simulator::try_with_requests(cfg, Arc::new(requests)),
+            Err(ConfigError::TenantOutOfRange {
+                request: 3,
+                tenant,
+            }) if tenant as usize == crate::policy::MAX_TENANTS
+        ));
+    }
+
+    #[test]
+    fn trace_length_mismatch_is_a_typed_error() {
+        let cfg = sim_config(KvMethodProfile::baseline(), Dataset::Cocktail, 0.05, 5);
+        let mut requests = TraceGenerator::new(cfg.trace).generate();
+        requests.pop();
+        assert_eq!(
+            Simulator::try_with_requests(cfg, Arc::new(requests)).err(),
+            Some(ConfigError::TraceLengthMismatch {
+                expected: cfg.trace.num_requests,
+                got: cfg.trace.num_requests - 1,
+            })
+        );
     }
 
     // --- Session-structured traces and the prefix cache. ---

@@ -561,6 +561,22 @@ pub enum ConfigError {
         /// The rejected parent id.
         parent: u64,
     },
+    /// A request is tagged with a tenant at or beyond
+    /// [`MAX_TENANTS`](crate::policy::MAX_TENANTS), which the per-tenant
+    /// queues and counters cannot hold.
+    TenantOutOfRange {
+        /// The offending request's trace id.
+        request: u64,
+        /// Its tenant index.
+        tenant: u32,
+    },
+    /// A supplied trace's length differs from `config.trace.num_requests`.
+    TraceLengthMismatch {
+        /// `config.trace.num_requests`.
+        expected: usize,
+        /// The supplied trace's length.
+        got: usize,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -616,6 +632,15 @@ impl fmt::Display for ConfigError {
                 f,
                 "session child {child} references parent {parent} that is \
                  missing, itself, or arrives after the child"
+            ),
+            ConfigError::TenantOutOfRange { request, tenant } => write!(
+                f,
+                "request {request} is tagged with tenant {tenant}, beyond MAX_TENANTS ({})",
+                crate::policy::MAX_TENANTS
+            ),
+            ConfigError::TraceLengthMismatch { expected, got } => write!(
+                f,
+                "supplied trace has {got} requests but config.trace.num_requests is {expected}"
             ),
         }
     }

@@ -17,6 +17,11 @@
 //! * Event ordering is total: `(time, id)` with `f64::total_cmp`, and emission
 //!   rejects non-finite or past times, so the queue can never be corrupted by a
 //!   stray NaN.
+//! * The default queue ([`queue::SlabEventQueue`]) keeps its keys in two
+//!   tiers: a sorted run that takes, in O(1), every push landing after its
+//!   tail (such as an arrival trace seeded in arrival order), and a binary
+//!   heap for the rest. A pop takes the earlier of the two heads, so delivery
+//!   order is exactly the single heap's.
 //! * The engine can record a structured [`log::EventRecord`] trace for
 //!   debugging and determinism tests.
 //!
@@ -98,8 +103,9 @@ mod state;
 /// slab engine against it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineMode {
-    /// Free-list slab of event nodes behind a compact key heap; payloads up to
-    /// 24 bytes stored inline (no allocation per event). The default.
+    /// Free-list slab of event nodes behind a sorted key run and a compact key
+    /// heap; payloads up to 24 bytes stored inline (no allocation per event).
+    /// The default.
     #[default]
     Slab,
     /// Pre-change representation: full events in a `BinaryHeap`, every payload

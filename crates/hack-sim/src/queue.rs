@@ -1,24 +1,38 @@
-//! The time-ordered event queue: a free-list slab behind a compact key heap.
+//! The time-ordered event queue: a free-list slab behind a two-tier key index.
 //!
 //! The seed engine kept full [`Event`] structs inside a `BinaryHeap`, so every
 //! sift operation moved ~56 bytes (plus the boxed payload pointer chased on
-//! compare). The slab queue instead heapifies 24-byte [`EventKey`]s — exactly
+//! compare). The slab queue instead orders 24-byte [`EventKey`]s — exactly
 //! the `(time, id)` pair the ordering is defined on plus a slot index — and
 //! parks the event bodies in a slab (`Vec<Option<EventNode>>`) whose slots are
 //! recycled through a free list, so node storage is reused instead of
 //! reallocated as events churn.
 //!
+//! The keys live in two tiers:
+//!
+//! * a **sorted run** (`VecDeque`): a push whose key comes after the run's
+//!   last key in `(time, id)` order is appended in O(1);
+//! * a **key heap** (`BinaryHeap`) for every other push.
+//!
+//! A pop takes whichever tier's head is earlier. A simulator that seeds its
+//! whole arrival trace up front, in arrival order, therefore lands every
+//! seeded arrival in the run, and the heap holds only the events emitted
+//! while running (mostly near-future completions). Its sifts then walk a
+//! heap of in-flight events, not one as deep as the whole trace.
+//!
 //! Delivery order is identical to the seed's `BinaryHeap<Event>` by
-//! construction: both pop by `(time, id)` with `f64::total_cmp` and ids are
-//! unique. [`BoxedEventQueue`] keeps the pre-change representation alive for
-//! the benchmark comparison and the equivalence tests.
+//! construction. `(time, id)` under `f64::total_cmp` is a total order and ids
+//! are unique; the run is sorted by construction and the heap by its
+//! invariant, so the earlier of the two heads is always the global minimum.
+//! [`BoxedEventQueue`] keeps the pre-change representation alive for the
+//! benchmark comparison and the equivalence tests.
 
 use crate::event::{ComponentId, Event, EventId};
 use crate::payload::Payload;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
-/// Heap key: the total order `(time, id)` plus the slab slot of the body.
+/// Queue key: the total order `(time, id)` plus the slab slot of the body.
 #[derive(Debug, Clone, Copy)]
 struct EventKey {
     time: f64,
@@ -51,7 +65,15 @@ impl PartialOrd for EventKey {
     }
 }
 
-/// Event body parked in the slab while the key waits in the heap.
+impl EventKey {
+    /// Whether `self` is delivered before `other`: `(time, id)` ascending.
+    fn precedes(&self, other: &EventKey) -> bool {
+        // `Ord` is reversed for the max-heap, so "greater" means "earlier".
+        self > other
+    }
+}
+
+/// Event body parked in the slab while its key waits in the run or the heap.
 struct EventNode {
     src: ComponentId,
     dst: ComponentId,
@@ -62,6 +84,9 @@ struct EventNode {
 /// Slab-backed event queue (see module docs).
 #[derive(Default)]
 pub struct SlabEventQueue {
+    /// Keys pushed in ascending `(time, id)` order, earliest at the front.
+    run: VecDeque<EventKey>,
+    /// Every other key.
     keys: BinaryHeap<EventKey>,
     nodes: Vec<Option<EventNode>>,
     free: Vec<u32>,
@@ -88,16 +113,28 @@ impl SlabEventQueue {
                 slot
             }
         };
-        self.keys.push(EventKey {
+        let key = EventKey {
             time: event.time,
             id: event.id,
             slot,
-        });
+        };
+        match self.run.back() {
+            Some(last) if !last.precedes(&key) => self.keys.push(key),
+            _ => self.run.push_back(key),
+        }
     }
 
     /// Removes and returns the earliest event (by `(time, id)`).
     pub fn pop(&mut self) -> Option<Event> {
-        let key = self.keys.pop()?;
+        let from_run = match (self.run.front(), self.keys.peek()) {
+            (Some(run), Some(heap)) => run.precedes(heap),
+            (run, _) => run.is_some(),
+        };
+        let key = if from_run {
+            self.run.pop_front()
+        } else {
+            self.keys.pop()
+        }?;
         let node = self.nodes[key.slot as usize]
             .take()
             .expect("slab slot vacated while its key was still queued");
@@ -114,12 +151,12 @@ impl SlabEventQueue {
 
     /// Number of queued events.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.run.len() + self.keys.len()
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.run.is_empty() && self.keys.is_empty()
     }
 
     /// Capacity of the node slab (allocated once, then recycled).
@@ -159,7 +196,8 @@ impl BoxedEventQueue {
 
 /// Queue representation selector (see [`crate::EngineMode`]).
 pub enum EventQueue {
-    /// Slab nodes + key heap, inline-capable payloads (the default).
+    /// Slab nodes + sorted run + key heap, inline-capable payloads (the
+    /// default).
     Slab(SlabEventQueue),
     /// Pre-change representation: boxed payloads heapified whole.
     Boxed(BoxedEventQueue),
@@ -268,33 +306,177 @@ mod tests {
         // order exactly, including ties and interleaved push/pop churn.
         for seed in 0..6 {
             let mut rng = DetRng::new(1000 + seed);
-            let mut slab = SlabEventQueue::default();
-            let mut boxed = BoxedEventQueue::default();
+            let mut q = Lockstep::default();
             let mut next_id = 0u64;
             let mut clock = 0.0f64;
             for _ in 0..500 {
-                if rng.chance(0.6) || slab.is_empty() {
+                if rng.chance(0.6) || q.slab.is_empty() {
                     // Times collide frequently to exercise the id tie-break.
-                    let time = clock + (rng.range_usize(0, 4) as f64) * 0.5;
-                    slab.push(event(next_id, time));
-                    boxed.push(event(next_id, time));
+                    q.push(next_id, clock + (rng.range_usize(0, 4) as f64) * 0.5);
                     next_id += 1;
                 } else {
-                    let a = slab.pop().unwrap();
-                    let b = boxed.pop().unwrap();
-                    assert_eq!((a.id, a.time.to_bits()), (b.id, b.time.to_bits()));
-                    clock = a.time;
+                    clock = q.pop().expect("queue is non-empty").1;
                 }
             }
-            loop {
-                match (slab.pop(), boxed.pop()) {
-                    (None, None) => break,
-                    (Some(a), Some(b)) => {
-                        assert_eq!((a.id, a.time.to_bits()), (b.id, b.time.to_bits()))
-                    }
-                    (a, b) => panic!("queue lengths diverged: {a:?} vs {b:?}"),
+            q.drain();
+        }
+    }
+
+    /// The two-tier queue and the single-heap oracle driven in lockstep:
+    /// every pop must agree on `(id, time)`, and `len`/`is_empty` must agree
+    /// after every operation.
+    #[derive(Default)]
+    struct Lockstep {
+        slab: SlabEventQueue,
+        boxed: BoxedEventQueue,
+    }
+
+    impl Lockstep {
+        fn check_len(&self) {
+            assert_eq!(self.slab.len(), self.boxed.len());
+            assert_eq!(self.slab.is_empty(), self.boxed.is_empty());
+        }
+
+        fn push(&mut self, id: EventId, time: f64) {
+            self.slab.push(event(id, time));
+            self.boxed.push(event(id, time));
+            self.check_len();
+        }
+
+        fn pop(&mut self) -> Option<(EventId, f64)> {
+            let a = self.slab.pop().map(|e| (e.id, e.time));
+            let b = self.boxed.pop().map(|e| (e.id, e.time));
+            assert_eq!(
+                a.map(|(id, t)| (id, t.to_bits())),
+                b.map(|(id, t)| (id, t.to_bits()))
+            );
+            self.check_len();
+            a
+        }
+
+        fn drain(&mut self) -> Vec<EventId> {
+            std::iter::from_fn(|| self.pop())
+                .map(|(id, _)| id)
+                .collect()
+        }
+
+        /// Keys held by (run, heap).
+        fn tiers(&self) -> (usize, usize) {
+            (self.slab.run.len(), self.slab.keys.len())
+        }
+    }
+
+    #[test]
+    fn monotone_preseed_fills_the_run_and_churn_matches_the_oracle() {
+        let mut q = Lockstep::default();
+        // 10k seeded arrivals in (time, id) order, with repeated times.
+        let mut next_id = 0u64;
+        for i in 0..10_000u64 {
+            q.push(next_id, (i / 3) as f64 * 0.25);
+            next_id += 1;
+        }
+        assert_eq!(q.tiers(), (10_000, 0), "a monotone seed bypasses the heap");
+        // Churn: each delivery emits near-future follow-ups, as handlers do.
+        let mut rng = DetRng::new(7);
+        while let Some((_, now)) = q.pop() {
+            if next_id < 30_000 {
+                for _ in 0..rng.range_usize(0, 3) {
+                    q.push(next_id, now + rng.range_usize(0, 8) as f64 * 0.125);
+                    next_id += 1;
                 }
             }
         }
+        assert!(q.slab.is_empty());
+    }
+
+    #[test]
+    fn equal_time_ties_resolve_by_id_across_tiers() {
+        let mut q = Lockstep::default();
+        // Run: (1.0, #1), (2.0, #3), (9.0, #4).
+        q.push(1, 1.0);
+        q.push(3, 2.0);
+        q.push(4, 9.0);
+        // Heap: same time as the run's (2.0, #3) with a smaller id, and the
+        // same time with a larger id.
+        q.push(2, 2.0);
+        q.push(5, 2.0);
+        assert_eq!(q.tiers(), (3, 2));
+        assert_eq!(q.drain(), vec![1, 2, 3, 5, 4]);
+
+        // The mirror case: the run holds the smaller id at the shared time.
+        q.push(10, 5.0);
+        q.push(11, 7.0);
+        q.push(12, 5.0);
+        q.push(9, 7.0);
+        assert_eq!(q.tiers(), (2, 2));
+        assert_eq!(q.drain(), vec![10, 12, 9, 11]);
+    }
+
+    #[test]
+    fn shuffled_seeding_matches_the_oracle() {
+        for seed in 0..4 {
+            let mut rng = DetRng::new(2000 + seed);
+            let mut q = Lockstep::default();
+            let mut ids: Vec<EventId> = (0..2_000).collect();
+            // Fisher-Yates, so the ids (and with them the times) arrive out
+            // of order.
+            for i in (1..ids.len()).rev() {
+                ids.swap(i, rng.range_usize(0, i + 1));
+            }
+            for &id in &ids {
+                // Coarse times, so many keys share one and tie on id.
+                q.push(id, (id % 97) as f64);
+            }
+            let (run, heap) = q.tiers();
+            assert!(run > 0 && heap > 0, "both tiers in use: {run}/{heap}");
+            let order = q.drain();
+            assert_eq!(order.len(), ids.len());
+        }
+    }
+
+    #[test]
+    fn pops_drain_either_tier_first_and_the_run_refills() {
+        // The run drains before the heap: everything in the heap is later.
+        let mut q = Lockstep::default();
+        q.push(0, 0.0);
+        q.push(1, 100.0);
+        q.push(2, 50.0); // before the run's tail: heap
+        assert_eq!(q.tiers(), (2, 1));
+        assert_eq!(q.pop(), Some((0, 0.0)));
+        assert_eq!(q.pop(), Some((2, 50.0)));
+        assert_eq!(q.pop(), Some((1, 100.0)));
+        // Both tiers are empty: the next pushes append to the run again.
+        q.push(3, 101.0);
+        q.push(4, 102.0);
+        assert_eq!(q.tiers(), (2, 0));
+        assert_eq!(q.drain(), vec![3, 4]);
+
+        // The heap drains before the run: a far-future tail sends every
+        // later push to the heap.
+        let mut q = Lockstep::default();
+        q.push(0, 1000.0);
+        for id in 1..=50 {
+            q.push(id, id as f64);
+        }
+        assert_eq!(q.tiers(), (1, 50));
+        for id in 1..=20 {
+            assert_eq!(q.pop(), Some((id, id as f64)));
+        }
+        // Interleave: new near-future pushes still go to the heap, ahead of
+        // the run's head.
+        q.push(51, 20.5);
+        assert_eq!(q.pop(), Some((51, 20.5)));
+        for id in 21..=50 {
+            assert_eq!(q.pop(), Some((id, id as f64)));
+        }
+        // Only the run is left. Drain it, then refill it while the heap is
+        // re-populated behind it.
+        assert_eq!(q.tiers(), (1, 0));
+        assert_eq!(q.pop(), Some((0, 1000.0)));
+        q.push(60, 1500.0); // empty run: appended
+        q.push(61, 1200.0); // before the tail: heap
+        q.push(62, 1600.0); // after the tail: run
+        assert_eq!(q.tiers(), (2, 1));
+        assert_eq!(q.drain(), vec![61, 60, 62]);
     }
 }

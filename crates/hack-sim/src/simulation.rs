@@ -263,6 +263,46 @@ mod tests {
     }
 
     #[test]
+    fn canceling_a_run_resident_event_suppresses_it_in_both_modes() {
+        // Arrivals seeded in time order all land in the slab queue's sorted
+        // run; cancel one from the middle of it, then let a handler emit
+        // near-future follow-ups into the heap tier.
+        struct Echo {
+            ctx: SimulationContext,
+            seen: Vec<u32>,
+        }
+        impl EventHandler for Echo {
+            fn on(&mut self, event: Event) {
+                let n = event.get::<Tick>().expect("only ticks").n;
+                self.seen.push(n);
+                if n < 100 {
+                    self.ctx.emit_self(Tick { n: n + 100 }, 0.5);
+                }
+            }
+        }
+        let run = |mode: crate::EngineMode| {
+            let mut sim = Simulation::with_mode(1, mode);
+            let ctx = sim.create_context("echo");
+            let ids: Vec<_> = (0..6)
+                .map(|n| ctx.emit_at(Tick { n }, ctx.id(), f64::from(n) + 1.0))
+                .collect();
+            ctx.cancel_event(ids[3]);
+            let echo = Rc::new(RefCell::new(Echo {
+                ctx,
+                seen: Vec::new(),
+            }));
+            sim.add_handler("echo", echo.clone());
+            assert_eq!(sim.queue_len(), 6, "a canceled event stays queued");
+            sim.run();
+            let seen = echo.borrow().seen.clone();
+            (seen, sim.processed_count(), sim.queue_len())
+        };
+        let slab = run(crate::EngineMode::Slab);
+        assert_eq!(slab, (vec![0, 100, 1, 101, 2, 102, 4, 104, 5, 105], 10, 0));
+        assert_eq!(slab, run(crate::EngineMode::Boxed));
+    }
+
+    #[test]
     fn events_to_handlerless_components_are_counted() {
         let mut sim = Simulation::new(1);
         let passive = sim.create_context("passive");

@@ -95,7 +95,7 @@ impl MultiTenantTrace {
         // Within a stream arrivals are strictly increasing, so a stable sort
         // of the concatenation preserves every stream's internal order and
         // breaks cross-tenant ties by spec order.
-        merged.sort_by(|a, b| a.arrival.partial_cmp(&b.arrival).expect("finite arrivals"));
+        merged.sort_by(|a, b| a.arrival.total_cmp(&b.arrival));
         for (i, r) in merged.iter_mut().enumerate() {
             r.id = i as u64;
         }

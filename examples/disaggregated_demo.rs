@@ -52,7 +52,7 @@ fn main() {
                 .row(prefill.output.rows() - 1)
                 .iter()
                 .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+                .max_by(|a, b| a.1.total_cmp(b.1))
                 .map(|(i, _)| i as u32)
                 .unwrap_or(0);
             let msg = KvTransferMessage {
@@ -111,7 +111,7 @@ fn main() {
             let next = out
                 .iter()
                 .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+                .max_by(|a, b| a.1.total_cmp(b.1))
                 .map(|(i, _)| i as u32)
                 .unwrap();
             generated.push(next);
