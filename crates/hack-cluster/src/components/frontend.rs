@@ -2,21 +2,19 @@
 //! fault injection, the fabric fault/recovery and transfer-retry control
 //! events.
 
-use crate::components::{prefill, ClusterState};
+use crate::components::{prefill, ClusterState, PrefillReplicaState};
 use crate::events::{FabricFault, FabricRecovered, RequestArrived, TransferRetry};
-use crate::policy::ReplicaLoad;
 use hack_sim::{Event, EventHandler};
 use std::cell::RefCell;
 use std::rc::Rc;
 
 /// The cluster frontend: receives [`RequestArrived`] events, asks the run's
-/// [`crate::policy::AdmissionPolicy`] whether the request enters at all, and
-/// dispatches admitted requests onto the prefill fleet — by default to the
-/// live replica with the shortest queue by queued tokens (§7.1), or through
-/// the run's [`crate::policy::DispatchPolicy`], which sees every replica's
-/// group, backlog and per-group service speed (heterogeneous fleets). The
-/// chosen replica is kicked if idle; *which* queued request a replica serves
-/// next is the scheduling policy's decision (see [`prefill::start_prefill`]).
+/// admission policy whether the request enters at all, and dispatches
+/// admitted requests onto the prefill fleet through the run's dispatch policy
+/// — by default to the live replica with the shortest queue by queued tokens
+/// (§7.1, [`Frontend::route`]). The chosen replica is kicked if idle; *which*
+/// queued request a replica serves next is the scheduling policy's decision
+/// (see [`prefill::start_prefill`]).
 ///
 /// The frontend is also the addressee of the fault-plan control events that
 /// concern no single replica: [`FabricFault`]/[`FabricRecovered`] (link
@@ -30,12 +28,21 @@ pub(crate) struct Frontend {
 /// `waiting_for_prefill` when every replica is down — drained on recovery).
 /// Shared by the arrival path and prefill-failure re-routing.
 pub(crate) fn dispatch_to_prefill(cs: &mut ClusterState, req: usize, now: f64) {
-    let replica = if cs.dispatch.is_some() {
-        Frontend::route_with_policy(cs, req, now)
-    } else {
-        Frontend::route(cs, req)
+    let request = cs.requests[req];
+    let ClusterState {
+        dispatch,
+        prefill,
+        costs,
+        prefill_models,
+        config,
+        ..
+    } = &mut *cs;
+    let service_secs = |group: usize| {
+        let (prefill_t, quant_t) =
+            costs.prefill_service_times(prefill_models, &config.profile, group, request.input_len);
+        prefill_t + quant_t
     };
-    let Some(replica) = replica else {
+    let Some(replica) = dispatch.route(prefill, &request, service_secs) else {
         cs.waiting_for_prefill.push_back(req);
         return;
     };
@@ -49,79 +56,30 @@ pub(crate) fn dispatch_to_prefill(cs: &mut ClusterState, req: usize, now: f64) {
 }
 
 impl Frontend {
-    /// Built-in least-loaded routing (the pre-fleet default, no policy call):
-    /// pending tokens per replica, counting the in-service request of a busy
-    /// replica at this request's own length. Failed replicas never qualify;
+    /// Least-loaded routing (§7.1), the default dispatch policy: pending
+    /// tokens per replica, counting the in-service request of a busy replica
+    /// at the arriving request's `input_len`. Failed replicas never qualify;
     /// `None` means the whole fleet is down.
-    fn route(cs: &ClusterState, req: usize) -> Option<usize> {
-        (0..cs.prefill.len())
-            .filter(|&r| !cs.prefill[r].failed)
-            .min_by_key(|&r| {
-                cs.prefill[r].queued_tokens
-                    + if cs.prefill[r].busy {
-                        cs.requests[req].input_len
-                    } else {
-                        0
-                    }
-            })
-    }
-
-    /// Policy-driven routing: assemble the per-replica load views (group,
-    /// backlog, this request's estimated service time on the replica's group)
-    /// and delegate. Only non-default dispatch policies pay this. A policy
-    /// that routes onto a failed replica falls back to built-in live-replica
-    /// routing (policies predate fault awareness).
-    fn route_with_policy(cs: &mut ClusterState, req: usize, now: f64) -> Option<usize> {
-        let mut policy = cs
-            .dispatch
-            .take()
-            .expect("route_with_policy requires an active dispatch policy");
-        let input_len = cs.requests[req].input_len;
-        let loads: Vec<ReplicaLoad> = cs
-            .prefill
-            .iter()
-            .map(|p| {
-                let (prefill_t, quant_t) = cs.prefill_service_times(p.group, input_len);
-                ReplicaLoad {
-                    group: p.group,
-                    queued_tokens: p.queued_tokens,
-                    queue_len: p.queue.len(),
-                    busy: p.busy,
-                    service_secs: prefill_t + quant_t,
-                }
-            })
-            .collect();
-        let replica = policy.route(&loads, &cs.requests[req], now);
-        cs.dispatch = Some(policy);
-        assert!(
-            replica < cs.prefill.len(),
-            "dispatch policy routed to replica {replica} of {}",
-            cs.prefill.len()
-        );
-        if cs.prefill[replica].failed {
-            return Self::route(cs, req);
-        }
-        Some(replica)
+    pub(crate) fn route(prefill: &[PrefillReplicaState], input_len: usize) -> Option<usize> {
+        (0..prefill.len())
+            .filter(|&r| !prefill[r].failed)
+            .min_by_key(|&r| prefill[r].queued_tokens + if prefill[r].busy { input_len } else { 0 })
     }
 
     fn on_arrival(&self, req: usize, now: f64) {
         let mut cs = self.cluster.borrow_mut();
         let cs = &mut *cs;
-        // `None` is the built-in admit-everything default: no policy call on
-        // the arrival hot path.
-        if let Some(admission) = cs.admission.as_mut() {
-            if !admission.admit(&cs.requests[req], now) {
-                cs.rejected += 1;
-                cs.states[req].rejected = true;
-                cs.rejected_per_tenant[cs.requests[req].tenant.index()] += 1;
-                if let Some(tel) = &mut cs.tel {
-                    tel.request_rejected(req, now);
-                }
-                // Rejection is terminal: children gated on this request are
-                // released rather than orphaned.
-                cs.release_children(req, now);
-                return;
+        if !cs.admission.admit(&cs.requests[req], now) {
+            cs.rejected += 1;
+            cs.states[req].rejected = true;
+            cs.rejected_per_tenant[cs.requests[req].tenant.index()] += 1;
+            if let Some(tel) = &mut cs.tel {
+                tel.request_rejected(req, now);
             }
+            // Rejection is terminal: children gated on this request are
+            // released rather than orphaned.
+            cs.release_children(req, now);
+            return;
         }
         let tenant = cs.requests[req].tenant.index();
         if let Some(tel) = &mut cs.tel {

@@ -3,8 +3,9 @@
 //! Four component kinds cooperate:
 //!
 //! * [`frontend::Frontend`] — admission and replica-aware dispatch of arriving
-//!   requests onto the prefill fleet (least-loaded by default; pluggable
-//!   [`crate::policy::DispatchPolicy`] for heterogeneous fleets);
+//!   requests onto the prefill fleet (least-loaded by default; the other
+//!   [`crate::policy::DispatchPolicyKind`]s serve heterogeneous fleets and
+//!   sessions);
 //! * [`prefill::PrefillReplica`] — the prefill lifecycle of one replica
 //!   (queueing, prefill + quantization service, hand-off to the transfer path);
 //! * [`network::NetworkFabric`] — per-prefill-NIC serialization of KV
@@ -32,7 +33,7 @@ pub(crate) mod scaling;
 use crate::cache::{PrefixHit, SessionCacheState};
 use crate::config::SimulationConfig;
 use crate::events::{RequestArrived, TransferCompleted, TransferRetry};
-use crate::policy::{AdmissionPolicy, DispatchPolicy, SchedulingPolicy, MAX_TENANTS};
+use crate::policy::{Admission, Dispatch, Scheduling, MAX_TENANTS};
 use crate::sim::CostMode;
 use crate::topology::retry_backoff;
 use hack_model::cost::{KvMethodProfile, ReplicaCostModel};
@@ -75,108 +76,111 @@ impl SimCosts {
             .expect("table cost mode always carries prefill cost tables")[prefill_group]
             [decode_group]
     }
+
+    /// Prefill and quantization service times of a prompt on prefill group
+    /// `group` (cost models `models`, one per group), memoized by prompt
+    /// length (lengths repeat heavily across a trace).
+    pub fn prefill_service_times(
+        &self,
+        models: &[ReplicaCostModel],
+        profile: &KvMethodProfile,
+        group: usize,
+        prompt: usize,
+    ) -> (f64, f64) {
+        if self.mode == CostMode::Table {
+            if let Some(costs) = self.prefill_table(group, 0).get(prompt) {
+                return (costs.prefill, costs.quantization);
+            }
+        }
+        let model = &models[group];
+        (
+            model.prefill_time(prompt, profile),
+            model.quantization_time(prompt, profile),
+        )
+    }
 }
 
-/// The pending requests of one prefill replica.
-///
-/// Two representations, chosen once per run: a plain arrival-ordered FIFO when
-/// no scheduling policy is active (the pre-policy hot path: `push_back` /
-/// `pop_front`, nothing else), or per-tenant sub-queues when one is — the
-/// policy picks a *tenant* from the sub-queue heads (O(tenants)) and the
-/// winner's head pops in O(1), replacing the old O(queue) scan +
-/// `VecDeque::remove(pos)`. Requests enter exactly once, in arrival order, so
-/// within any sub-queue request indices ascend and the head is always the
-/// tenant's earliest arrival.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PrefillQueue {
-    /// Arrival-ordered FIFO (no-scheduling-policy runs).
-    fifo: VecDeque<usize>,
-    /// Per-tenant sub-queues (`Some` exactly when a scheduling policy runs).
-    by_tenant: Option<Vec<VecDeque<usize>>>,
-    len: usize,
+/// The pending requests of one prefill replica, in the shape the run's
+/// scheduling policy pops ([`Scheduling::queue`]). Requests enter in the
+/// order they reach the replica, so within any (sub-)queue the head is the
+/// earliest-queued request.
+#[derive(Debug, Clone)]
+pub(crate) enum PrefillQueue {
+    /// Arrival-ordered FIFO (FCFS: `push_back` / `pop_front`, nothing else).
+    Fifo(VecDeque<usize>),
+    /// Per-tenant sub-queues (the tenant-aware policies): the policy picks a
+    /// *tenant* from the sub-queue heads (O(tenants)) and the winner's head
+    /// pops in O(1).
+    ByTenant(TenantQueues),
 }
 
 impl PrefillQueue {
-    /// An empty queue; `per_tenant` selects the sub-queue representation.
-    pub fn new(per_tenant: bool) -> Self {
-        Self {
-            fifo: VecDeque::new(),
-            by_tenant: per_tenant.then(|| vec![VecDeque::new(); MAX_TENANTS]),
-            len: 0,
-        }
-    }
-
-    /// Queues `req` for `tenant` (requests arrive in arrival order).
+    /// Queues `req` for `tenant`.
     pub fn push(&mut self, req: usize, tenant: usize) {
-        self.len += 1;
-        match &mut self.by_tenant {
-            Some(queues) => queues[tenant.min(MAX_TENANTS - 1)].push_back(req),
-            None => self.fifo.push_back(req),
+        match self {
+            PrefillQueue::Fifo(fifo) => fifo.push_back(req),
+            PrefillQueue::ByTenant(queues) => {
+                queues.queues[tenant.min(MAX_TENANTS - 1)].push_back(req);
+                queues.len += 1;
+            }
         }
-    }
-
-    /// Pops the overall earliest-queued request (the FCFS fast path; only
-    /// valid in FIFO representation).
-    pub fn pop_front(&mut self) -> Option<usize> {
-        debug_assert!(
-            self.by_tenant.is_none(),
-            "pop_front is the no-policy fast path"
-        );
-        let req = self.fifo.pop_front();
-        if req.is_some() {
-            self.len -= 1;
-        }
-        req
-    }
-
-    /// The per-tenant sub-queue heads (each tenant's earliest queued request).
-    pub fn heads(&self) -> [Option<usize>; MAX_TENANTS] {
-        let queues = self
-            .by_tenant
-            .as_ref()
-            .expect("heads() requires the per-tenant representation");
-        let mut heads = [None; MAX_TENANTS];
-        for (head, queue) in heads.iter_mut().zip(queues) {
-            *head = queue.front().copied();
-        }
-        heads
-    }
-
-    /// Pops `tenant`'s earliest queued request.
-    pub fn pop_tenant(&mut self, tenant: usize) -> Option<usize> {
-        let queues = self
-            .by_tenant
-            .as_mut()
-            .expect("pop_tenant requires the per-tenant representation");
-        let req = queues[tenant.min(MAX_TENANTS - 1)].pop_front();
-        if req.is_some() {
-            self.len -= 1;
-        }
-        req
     }
 
     /// Queued requests across all tenants.
     pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Empties the queue, returning every queued request in arrival order
-    /// (request indices ascend with arrival, so sorting restores the global
-    /// order across per-tenant sub-queues). Used when a prefill replica fails
-    /// and its queue re-routes.
-    pub fn drain_all(&mut self) -> Vec<usize> {
-        let mut all: Vec<usize> = match &mut self.by_tenant {
-            Some(queues) => queues.iter_mut().flat_map(|q| q.drain(..)).collect(),
-            None => self.fifo.drain(..).collect(),
-        };
-        all.sort_unstable();
-        self.len = 0;
-        all
+        match self {
+            PrefillQueue::Fifo(fifo) => fifo.len(),
+            PrefillQueue::ByTenant(queues) => queues.len,
+        }
     }
 
     /// Whether nothing is queued.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
+    }
+
+    /// Empties the queue, returning every queued request in arrival order
+    /// (request indices ascend with arrival, so sorting restores the global
+    /// order across sub-queues and re-routed requests). Used when a prefill
+    /// replica fails and its queue re-routes.
+    pub fn drain_all(&mut self) -> Vec<usize> {
+        let mut all: Vec<usize> = match self {
+            PrefillQueue::Fifo(fifo) => fifo.drain(..).collect(),
+            PrefillQueue::ByTenant(queues) => {
+                queues.len = 0;
+                queues.queues.iter_mut().flat_map(|q| q.drain(..)).collect()
+            }
+        };
+        all.sort_unstable();
+        all
+    }
+}
+
+/// One arrival-ordered sub-queue per tenant, plus their total length.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TenantQueues {
+    queues: Box<[VecDeque<usize>; MAX_TENANTS]>,
+    len: usize,
+}
+
+impl TenantQueues {
+    /// Pops the head of the tenant `pick` selects from the sub-queue heads
+    /// (`heads[t]` is tenant `t`'s earliest queued request, `None` when it
+    /// has nothing queued; `pick` sees at least one `Some`). `None` when
+    /// nothing is queued.
+    pub fn pop_by(
+        &mut self,
+        pick: impl FnOnce(&[Option<usize>; MAX_TENANTS]) -> usize,
+    ) -> Option<usize> {
+        if self.len == 0 {
+            return None;
+        }
+        let heads = self.queues.each_ref().map(|q| q.front().copied());
+        let req = self.queues[pick(&heads)].pop_front();
+        if req.is_some() {
+            self.len -= 1;
+        }
+        req
     }
 }
 
@@ -195,10 +199,10 @@ pub(crate) struct PrefillReplicaState {
 }
 
 impl PrefillReplicaState {
-    pub fn new(group: usize, per_tenant_queue: bool) -> Self {
+    pub fn new(group: usize, queue: PrefillQueue) -> Self {
         Self {
             group,
-            queue: PrefillQueue::new(per_tenant_queue),
+            queue,
             queued_tokens: 0,
             busy: false,
             failed: false,
@@ -345,20 +349,11 @@ pub(crate) struct ClusterState {
     /// Cost model of each decode group (index = group).
     pub decode_models: Vec<ReplicaCostModel>,
     pub costs: SimCosts,
-    /// Dispatch policy of this run (fresh per run; see [`crate::policy`]).
-    /// `None` is the built-in least-loaded default — the frontend routes
-    /// without assembling load views or making a policy call.
-    pub dispatch: Option<Box<dyn DispatchPolicy>>,
-    /// Admission policy of this run (fresh per run; see [`crate::policy`]).
-    /// `None` is the built-in admit-everything default — the frontend skips
-    /// the policy call entirely, keeping the default arrival path as cheap as
-    /// the pre-policy simulator's.
-    pub admission: Option<Box<dyn AdmissionPolicy>>,
-    /// Scheduling policy of this run (fresh per run; see [`crate::policy`]).
-    /// `None` is built-in FCFS — `start_prefill` pops the queue head without
-    /// a policy call, and the prefill queues skip the per-tenant sub-queue
-    /// bookkeeping entirely.
-    pub scheduling: Option<Box<dyn SchedulingPolicy>>,
+    /// The run's dispatch, admission and scheduling policies (fresh per
+    /// run; see [`crate::policy`]).
+    pub dispatch: Dispatch,
+    pub admission: Admission,
+    pub scheduling: Scheduling,
     pub requests: Arc<Vec<Request>>,
     pub prefill: Vec<PrefillReplicaState>,
     pub decode: Vec<DecodeReplicaState>,
@@ -485,17 +480,8 @@ impl ClusterState {
     /// `group`, memoized by prompt length (lengths repeat heavily across a
     /// trace).
     pub fn prefill_service_times(&self, group: usize, prompt: usize) -> (f64, f64) {
-        if self.costs.mode == CostMode::Table {
-            if let Some(costs) = self.costs.prefill_table(group, 0).get(prompt) {
-                return (costs.prefill, costs.quantization);
-            }
-        }
-        let profile = self.profile();
-        let model = &self.prefill_models[group];
-        (
-            model.prefill_time(prompt, profile),
-            model.quantization_time(prompt, profile),
-        )
+        self.costs
+            .prefill_service_times(&self.prefill_models, self.profile(), group, prompt)
     }
 
     /// Uncontended wire time of `request`'s KV transfer from prefill group

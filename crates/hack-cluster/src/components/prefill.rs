@@ -20,38 +20,19 @@ pub(crate) struct PrefillReplica {
 }
 
 /// Starts the next queued prefill on `replica`, if any — *which* queued
-/// request is the run's [`crate::policy::SchedulingPolicy`] decision: the
-/// policy picks a tenant from the per-tenant sub-queue heads (O(tenants)) and
-/// the tenant's earliest-queued request pops in O(1). Built-in FCFS (no
-/// policy) pops the FIFO head, reproducing the pre-policy simulator
-/// bit-for-bit.
+/// request is the run's scheduling policy's decision (FCFS pops the FIFO
+/// head; the tenant-aware policies pick a tenant from the per-tenant
+/// sub-queue heads).
 ///
 /// Free function (rather than a method of [`PrefillReplica`]) because both the
 /// frontend (on arrival at an idle replica) and the replica itself (on
 /// completion) trigger it while holding the shared state.
 pub(crate) fn start_prefill(cs: &mut ClusterState, replica: usize, now: f64) {
-    let next = {
-        // Split-borrow the policy away from the queue it inspects.
-        let ClusterState {
-            scheduling,
-            prefill,
-            requests,
-            config,
-            ..
-        } = cs;
-        let queue = &mut prefill[replica].queue;
-        match scheduling {
-            // Built-in FCFS: the pre-policy hot path, no policy call.
-            None => queue.pop_front(),
-            Some(_) if queue.is_empty() => None,
-            Some(policy) => {
-                let heads = queue.heads();
-                let tenant = policy.select_tenant(&heads, requests, &config.policy.tenants, now);
-                queue.pop_tenant(tenant)
-            }
-        }
-    };
-    let Some(req) = next else {
+    let Some(req) = cs.scheduling.select(
+        &mut cs.prefill[replica].queue,
+        &cs.requests,
+        &cs.config.policy.tenants,
+    ) else {
         return;
     };
     cs.prefill[replica].busy = true;

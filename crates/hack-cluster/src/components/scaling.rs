@@ -2,10 +2,10 @@
 //!
 //! A dedicated engine component on the same self-addressed tick pattern as
 //! the telemetry sampler: every [`SCALE_TICK_SECS`] it snapshots each decode
-//! group through the engine-probe path, asks the run's
-//! [`ScalingPolicy`](crate::policy::ScalingPolicy) for a desired replica
-//! count, clamps it to `[1, capacity]`, and turns the delta into the same
-//! event machinery fault injection uses:
+//! group through the engine-probe path, asks the run's scaling policy
+//! (built from its [`crate::policy::ScalingPolicyKind`]) for a desired replica count, clamps
+//! it to `[1, capacity]`, and turns the delta into the same event machinery
+//! fault injection uses:
 //!
 //! * **Scale-up** picks the lowest-index scaled-out replica of the group,
 //!   charges the group's provisioning delay
@@ -17,15 +17,14 @@
 //!   powers down (closing its billed interval) the instant it goes idle.
 //!
 //! The controller exists only in runs with a scaling policy
-//! ([`ScalingPolicyKind::Off`](crate::policy::ScalingPolicyKind) instantiates
-//! to no controller at all), draws no randomness, and reaches the cluster
-//! blackboard only through the probe — so the off path stays bit- and
-//! cost-identical to the pre-scaling simulator, and an inert policy (one that
-//! always answers "hold") leaves the simulation outcome bit-identical too.
+//! ([`crate::policy::ScalingPolicyKind::Off`] builds no controller component), draws no
+//! randomness, and reaches the cluster blackboard only through the probe —
+//! so an inert policy (watermarks that never fire) leaves the simulation
+//! outcome bit-identical to `Off`.
 
 use crate::components::ClusterState;
 use crate::events::{ReplicaProvisioned, ScaleTick};
-use crate::policy::{GroupScalingView, ScalingPolicy};
+use crate::policy::{GroupScalingView, Scaling};
 use hack_sim::{Event, EventHandler, SimulationContext};
 use std::cell::Cell;
 use std::rc::Rc;
@@ -39,7 +38,7 @@ pub const SCALE_TICK_SECS: f64 = 10.0;
 /// cluster blackboard.
 pub(crate) struct ScalingController {
     pub ctx: SimulationContext,
-    pub policy: Box<dyn ScalingPolicy>,
+    pub policy: Scaling,
     /// Per-decode-replica in-flight scale-up orders (ordered but not yet
     /// provisioned). Controller-local: the blackboard only learns about a
     /// replica when it actually joins.

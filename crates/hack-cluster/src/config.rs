@@ -11,7 +11,7 @@
 
 use crate::cache::CacheConfig;
 use crate::fleet::{FleetSpec, GroupSet, ReplicaGroup};
-use crate::policy::PolicyConfig;
+use crate::policy::{AdmissionPolicyKind, PolicyConfig, ScalingPolicyKind};
 use crate::telemetry::TelemetryConfig;
 use crate::topology::{
     ConfigError, FaultDomain, FaultEvent, FaultPlan, LinkGraphSpec, TopologySpec,
@@ -424,6 +424,7 @@ impl SimulationConfig {
             }
         }
         self.policy.retry.validate()?;
+        self.validate_policy_ranges()?;
         let prefill = self.cluster.prefill_replicas();
         let decode = self.cluster.decode_replicas();
         for event in self.faults.iter() {
@@ -495,6 +496,62 @@ impl SimulationConfig {
                 {
                     return Err(ConfigError::OverlappingFaults { domain: a.domain });
                 }
+            }
+        }
+        Ok(())
+    }
+
+    /// The parameter ranges the admission and scaling policies assume. Each
+    /// check states the accepted range and rejects whatever fails it, NaN
+    /// included.
+    fn validate_policy_ranges(&self) -> Result<(), ConfigError> {
+        let require = |ok: bool, what: &'static str| {
+            if ok {
+                Ok(())
+            } else {
+                Err(ConfigError::InvalidPolicy { what })
+            }
+        };
+        if let AdmissionPolicyKind::TokenBucket {
+            rate_per_weight,
+            burst,
+        } = self.policy.admission
+        {
+            require(
+                rate_per_weight > 0.0,
+                "token-bucket rate_per_weight (must be > 0)",
+            )?;
+            require(burst >= 1.0, "token-bucket burst (must be >= 1)")?;
+        }
+        match self.policy.scaling {
+            ScalingPolicyKind::Off => {}
+            ScalingPolicyKind::Threshold { high, low } => {
+                require(low < high, "threshold low (must sit below high)")?;
+            }
+            ScalingPolicyKind::TargetUtilization { setpoint, band } => {
+                require(
+                    setpoint > 0.0 && setpoint < 1.0,
+                    "target-utilization setpoint (must be in (0, 1))",
+                )?;
+                require(
+                    band >= 0.0 && band < setpoint,
+                    "target-utilization band (must be in [0, setpoint))",
+                )?;
+            }
+            ScalingPolicyKind::Predictive {
+                alpha,
+                per_replica_rps,
+                headroom,
+            } => {
+                require(
+                    alpha > 0.0 && alpha <= 1.0,
+                    "predictive alpha (must be in (0, 1])",
+                )?;
+                require(
+                    per_replica_rps > 0.0,
+                    "predictive per_replica_rps (must be > 0)",
+                )?;
+                require(headroom >= 1.0, "predictive headroom (must be >= 1)")?;
             }
         }
         Ok(())
@@ -721,6 +778,80 @@ mod tests {
             sim_config(bad, FaultPlan::none()).validate(),
             Err(ConfigError::InvalidTopology { what: "spine_gbps" })
         ));
+    }
+
+    #[test]
+    fn policy_parameters_outside_their_ranges_fail_at_construction() {
+        use AdmissionPolicyKind::TokenBucket;
+        use ScalingPolicyKind::{Predictive, TargetUtilization, Threshold};
+        let bucket = |rate_per_weight, burst| PolicyConfig {
+            admission: TokenBucket {
+                rate_per_weight,
+                burst,
+            },
+            ..PolicyConfig::default()
+        };
+        let threshold = |high, low| PolicyConfig::autoscaled(Threshold { high, low });
+        let target =
+            |setpoint, band| PolicyConfig::autoscaled(TargetUtilization { setpoint, band });
+        let predictive = |alpha, per_replica_rps, headroom| {
+            PolicyConfig::autoscaled(Predictive {
+                alpha,
+                per_replica_rps,
+                headroom,
+            })
+        };
+        let nan = f64::NAN;
+        // (parameter, rejected, accepted): the accepted cases include the
+        // values the experiments, benchmark and property tests run with.
+        let cases = [
+            ("rate_per_weight", bucket(0.0, 2.0), bucket(0.05, 2.0)),
+            ("rate_per_weight NaN", bucket(nan, 2.0), bucket(1e6, 1e6)),
+            ("burst", bucket(1.0, 0.5), bucket(0.6, 10.0)),
+            ("burst NaN", bucket(1.0, nan), bucket(1.0, 1.0)),
+            ("threshold", threshold(1.0, 4.0), threshold(4.0, 1.0)),
+            ("threshold NaN", threshold(nan, 1.0), threshold(1e18, -1.0)),
+            ("threshold equal", threshold(2.0, 2.0), threshold(1.0, 0.9)),
+            ("setpoint", target(1.5, 0.15), target(0.7, 0.15)),
+            ("setpoint NaN", target(nan, 0.1), target(0.4, 0.2)),
+            ("band", target(0.7, 0.7), target(0.9, 0.05)),
+            ("band NaN", target(0.7, nan), target(0.7, 0.0)),
+            (
+                "alpha",
+                predictive(1.5, 1.0, 1.2),
+                predictive(1.0, 1.0, 1.2),
+            ),
+            (
+                "alpha NaN",
+                predictive(nan, 1.0, 1.2),
+                predictive(0.1, 1.0, 1.2),
+            ),
+            (
+                "per_replica_rps",
+                predictive(0.3, 0.0, 1.2),
+                predictive(0.3, 0.1, 1.2),
+            ),
+            (
+                "headroom",
+                predictive(0.3, 1.0, 0.9),
+                predictive(0.3, 1.0, 1.0),
+            ),
+            (
+                "headroom NaN",
+                predictive(0.3, 1.0, nan),
+                predictive(0.9, 1.0, 1.5),
+            ),
+        ];
+        let flat = ClusterConfig::paper_default(ModelKind::Llama31_70B, GpuKind::A10G);
+        let base = sim_config(flat, FaultPlan::none());
+        let build = |policy| crate::Simulator::try_new(SimulationConfig { policy, ..base }).err();
+        for (what, rejected, accepted) in cases {
+            assert!(
+                matches!(build(rejected), Some(ConfigError::InvalidPolicy { .. })),
+                "{what}: {rejected:?} must be rejected"
+            );
+            assert_eq!(build(accepted), None, "{what}: {accepted:?}");
+        }
     }
 
     #[test]

@@ -22,14 +22,14 @@
 //! replica dies mid-run, its in-flight requests are aborted and re-queued onto the
 //! surviving fleet, and the replica optionally recovers. Multi-tenancy is the
 //! second: requests carry a [`hack_workload::trace::TenantId`], and the frontend's
-//! admission and prefill-scheduling decisions are pluggable policies
+//! admission and prefill-scheduling decisions are per-run policies
 //! ([`policy`]: FCFS — bit-identical to the pre-policy simulator — weighted
 //! round-robin, SLO-deadline EDF, and per-tenant token-bucket admission), with
 //! per-tenant JCT/fairness/SLO summaries on [`SimulationResult`]. Heterogeneous
 //! fleets are the third: the cluster's topology is a first-class [`FleetSpec`]
 //! of [`ReplicaGroup`]s ([`fleet`]), each group carrying its own GPU kind,
 //! parallelism, NIC bandwidth and cost model; the frontend's replica routing is
-//! a pluggable [`policy::DispatchPolicy`] (least-loaded — bit-identical to the
+//! chosen by [`DispatchPolicyKind`] (least-loaded — bit-identical to the
 //! pre-fleet router — fastest-eligible, group-affinity), and results report
 //! per-group utilization/JCT ([`GroupStats`]). Every legacy constructor lowers
 //! to a single-group fleet pinned bit-identical to the flat configuration.
@@ -91,8 +91,8 @@
 //!   event lists. Retry behaviour is a config knob now ([`RetryPolicy`] on
 //!   [`PolicyConfig`]), defaults bit-identical to the old constants.
 //! * **Elastic fleets** ([`ScalingPolicyKind`] on [`PolicyConfig`]): an
-//!   autoscaling controller ticks every [`SCALE_TICK_SECS`], asks a pluggable
-//!   [`ScalingPolicy`] (queue-depth thresholds, target utilization with
+//!   autoscaling controller ticks every [`SCALE_TICK_SECS`], asks the run's
+//!   scaling policy (queue-depth thresholds, target utilization with
 //!   hysteresis, or a predictive arrival-rate EWMA) for a desired decode
 //!   replica count per group, and grows/shrinks the fleet through the same
 //!   event machinery faults use — scale-ups pay a per-GPU-kind provisioning
@@ -100,8 +100,8 @@
 //!   [`ReplicaGroup`] carries a `$`/GPU-hour price, and [`SimulationResult`]
 //!   turns racked uptime into cost sensors (`gpu_dollars`,
 //!   `dollars_per_1k_tokens`). [`ScalingPolicyKind::Off`] (the default)
-//!   instantiates no controller at all and stays bit- and cost-identical to
-//!   the static fleet.
+//!   builds no controller at all and stays bit- and cost-identical to the
+//!   static fleet.
 //!
 //! # SESSIONS
 //!
@@ -146,9 +146,8 @@ pub use components::scaling::SCALE_TICK_SECS;
 pub use config::{ClusterConfig, FailureSpec, SimulationConfig};
 pub use fleet::{FleetSpec, GroupSet, ReplicaGroup, MAX_GROUPS};
 pub use policy::{
-    AdmissionPolicy, AdmissionPolicyKind, DispatchPolicy, DispatchPolicyKind, GroupScalingView,
-    PolicyConfig, ReplicaLoad, ScalingPolicy, ScalingPolicyKind, SchedulingPolicy,
-    SchedulingPolicyKind, TenantClass, TenantClasses,
+    AdmissionPolicyKind, DispatchPolicyKind, GroupScalingView, PolicyConfig, ReplicaLoad,
+    ScalingPolicyKind, SchedulingPolicyKind, TenantClass, TenantClasses,
 };
 pub use result::{FaultRecord, GroupStats, RequestRecord, SimulationResult};
 pub use sim::{CostMode, Simulator};

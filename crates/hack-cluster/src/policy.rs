@@ -1,47 +1,39 @@
-//! Pluggable dispatch, admission and scheduling policies of the [`Frontend`].
+//! The run's dispatch, admission, scheduling and scaling policies.
 //!
-//! The frontend makes three per-request decisions, each behind its own trait:
+//! The [`Frontend`] makes three per-request decisions and the autoscaling
+//! controller one per tick:
 //!
-//! * [`DispatchPolicy`] — *which prefill replica* an admitted request queues
-//!   on. Replica-aware: policies see every replica's group, backlog and the
-//!   request's estimated service time on that replica's group, so
-//!   heterogeneous fleets can route around slow groups.
-//! * [`AdmissionPolicy`] — *whether* a request enters the cluster at all.
-//! * [`SchedulingPolicy`] — *which queued request* a freed prefill replica
-//!   serves next. Since the per-tenant sub-queue redesign the policy picks a
-//!   **tenant** from the sub-queue heads (O(tenants) per decision) and the
-//!   replica serves that tenant's earliest-queued request; the old
-//!   O(queue)-scan + `VecDeque::remove` selection is gone, with the scan kept
-//!   as a test oracle pinning the selections bit-identical.
+//! * **dispatch** — *which prefill replica* an admitted request queues on.
+//!   Least-loaded is the frontend's own routing (§7.1); the other policies
+//!   see every replica's group, backlog and the request's estimated service
+//!   time on that replica's group ([`ReplicaLoad`]), so heterogeneous fleets
+//!   can route around slow groups;
+//! * **admission** — *whether* a request enters the cluster at all;
+//! * **scheduling** — *which queued request* a freed prefill replica serves
+//!   next. FCFS pops the replica's FIFO head; the tenant-aware policies pick
+//!   a **tenant** from per-tenant sub-queue heads (O(tenants) per decision)
+//!   and serve that tenant's earliest-queued request;
+//! * **scaling** — how many decode replicas each group keeps live.
 //!
-//! All three are chosen per run through the serializable, `Copy`
-//! [`PolicyConfig`] on [`crate::config::SimulationConfig`]; the trait objects
-//! themselves are built fresh for every run so policy state (round-robin
-//! credit, token buckets) never leaks across runs. Every default
+//! Each is chosen per run through the serializable, `Copy` [`PolicyConfig`]
+//! on [`crate::config::SimulationConfig`] and built fresh for every run into
+//! a closed enum (`Dispatch`, `Admission`, `Scheduling`, `Scaling`) with one
+//! `match` method, so policy state (round-robin credit, token buckets,
+//! session pins, forecasts) never leaks across runs. Each enum arm is the
+//! single code path of its kind; the defaults
 //! ([`DispatchPolicyKind::LeastLoaded`], [`AdmissionPolicyKind::AdmitAll`],
-//! [`SchedulingPolicyKind::Fcfs`]) instantiates to `None` and keeps the
-//! built-in hot path, bit-identical *and* cost-identical to the pre-policy
-//! simulator.
-//!
-//! Shipped dispatch policies:
-//!
-//! * [`LeastLoaded`] — shortest queue by pending tokens (§7.1), the default;
-//!   **bit-identical** to the pre-fleet frontend routing.
-//! * [`FastestEligible`] — least estimated completion time: the token backlog
-//!   scaled by the replica group's service speed for this request, so a fast
-//!   L4 group absorbs more load than an A10G group of equal queue length.
-//! * [`GroupAffinity`] — tenants are pinned to prefill groups round-robin
-//!   (`tenant mod groups`), least-loaded within the preferred group; gives
-//!   noisy tenants a blast radius of one group.
-//!
-//! Shipped scheduling policies: [`Fcfs`] (default), [`WeightedRoundRobin`],
-//! [`SloEdf`]. Shipped admission policies: [`AdmitAll`] (default) and
-//! [`TenantTokenBucket`].
+//! [`SchedulingPolicyKind::Fcfs`]) are the pre-policy simulator's paths, and
+//! [`ScalingPolicyKind::Off`] builds no controller at all. Parameter ranges
+//! are checked by [`crate::config::SimulationConfig::validate`], so an
+//! out-of-range policy fails at `Simulator::try_new`, never mid-run.
 //!
 //! [`Frontend`]: crate::components::frontend::Frontend
 
+use crate::components::frontend::Frontend;
+use crate::components::{PrefillQueue, PrefillReplicaState};
 use hack_workload::trace::{Request, TenantId};
 use serde::{Serialize, Value};
+use std::collections::{HashMap, VecDeque};
 
 /// Upper bound on distinct tenants per simulation (sizes the fixed per-tenant
 /// state so [`PolicyConfig`] stays `Copy`).
@@ -50,11 +42,12 @@ pub const MAX_TENANTS: usize = 8;
 /// Service class of one tenant: scheduling weight and SLO target.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TenantClass {
-    /// Relative scheduling weight (share under [`WeightedRoundRobin`], token
-    /// rate under [`TenantTokenBucket`]).
+    /// Relative scheduling weight (share under
+    /// [`SchedulingPolicyKind::WeightedRoundRobin`], token rate under
+    /// [`AdmissionPolicyKind::TokenBucket`]).
     pub weight: f64,
-    /// Target job completion time in seconds ([`SloEdf`]'s deadline offset
-    /// and the SLO-attainment threshold in the metrics).
+    /// Target job completion time in seconds ([`SchedulingPolicyKind::SloEdf`]'s
+    /// deadline offset and the SLO-attainment threshold in the metrics).
     pub slo_jct: f64,
 }
 
@@ -151,9 +144,10 @@ impl Serialize for TenantClasses {
 
 // --- Dispatch: which prefill replica an admitted request queues on. ---
 
-/// The frontend's per-replica view when routing one request: group membership,
-/// current backlog and the request's estimated service time on the replica's
-/// group (heterogeneous groups differ in speed, not just load).
+/// One replica as the load-view dispatch policies see it when routing one
+/// request: group membership, current backlog and the request's estimated
+/// service time on the replica's group (heterogeneous groups differ in
+/// speed, not just load).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplicaLoad {
     /// Prefill group of the replica.
@@ -166,8 +160,6 @@ pub struct ReplicaLoad {
     /// (the in-service request counted *again*, at the arriving request's
     /// length), kept for bit-compatibility.
     pub queued_tokens: usize,
-    /// Requests queued on the replica (the in-service one excluded).
-    pub queue_len: usize,
     /// Whether the replica is currently serving a prefill.
     pub busy: bool,
     /// Estimated (prefill + quantization) service seconds of the *arriving*
@@ -184,80 +176,107 @@ impl ReplicaLoad {
     }
 }
 
-/// Picks the prefill replica an admitted request queues on.
-pub trait DispatchPolicy {
-    /// Returns the index (into `loads`) of the replica to route `request` to.
-    /// `loads` is non-empty and ordered by global replica index (group-major).
-    fn route(&mut self, loads: &[ReplicaLoad], request: &Request, now: f64) -> usize;
+/// The run's dispatch policy, built once per run from its
+/// [`DispatchPolicyKind`].
+#[derive(Debug)]
+pub(crate) enum Dispatch {
+    LeastLoaded,
+    FastestEligible,
+    GroupAffinity,
+    SessionAffinity(SessionAffinity),
 }
 
-/// Shortest queue by pending tokens (§7.1) — the default, bit-identical to
-/// the pre-fleet frontend (first replica wins ties).
-#[derive(Debug, Default)]
-pub struct LeastLoaded;
+impl Dispatch {
+    pub(crate) fn new(kind: DispatchPolicyKind) -> Self {
+        match kind {
+            DispatchPolicyKind::LeastLoaded => Dispatch::LeastLoaded,
+            DispatchPolicyKind::FastestEligible => Dispatch::FastestEligible,
+            DispatchPolicyKind::GroupAffinity => Dispatch::GroupAffinity,
+            DispatchPolicyKind::SessionAffinity => {
+                Dispatch::SessionAffinity(SessionAffinity::default())
+            }
+        }
+    }
 
-impl DispatchPolicy for LeastLoaded {
-    fn route(&mut self, loads: &[ReplicaLoad], request: &Request, _now: f64) -> usize {
-        loads
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| l.backlog_tokens(request.input_len))
-            .map(|(i, _)| i)
-            .expect("cluster has at least one prefill replica")
+    /// The prefill replica `request` queues on, or `None` when every replica
+    /// has failed. Least-loaded is the frontend's routing over the live
+    /// replicas. The other policies see every replica's [`ReplicaLoad`],
+    /// failed ones included (`service_secs(group)` is the request's service
+    /// time on `group`), and a pick on a failed replica falls back to
+    /// least-loaded: the policies predate fault awareness.
+    pub(crate) fn route(
+        &mut self,
+        prefill: &[PrefillReplicaState],
+        request: &Request,
+        service_secs: impl Fn(usize) -> f64,
+    ) -> Option<usize> {
+        let loads = || -> Vec<ReplicaLoad> {
+            prefill
+                .iter()
+                .map(|p| ReplicaLoad {
+                    group: p.group,
+                    queued_tokens: p.queued_tokens,
+                    busy: p.busy,
+                    service_secs: service_secs(p.group),
+                })
+                .collect()
+        };
+        let pick = match self {
+            Dispatch::LeastLoaded => return Frontend::route(prefill, request.input_len),
+            Dispatch::FastestEligible => fastest_eligible(&loads(), request),
+            Dispatch::GroupAffinity => group_affinity(&loads(), request),
+            Dispatch::SessionAffinity(pins) => pins.route(&loads(), request),
+        };
+        if prefill[pick].failed {
+            Frontend::route(prefill, request.input_len)
+        } else {
+            Some(pick)
+        }
     }
 }
 
 /// Least estimated completion time: the token backlog (plus this request)
 /// scaled by the group's per-token service speed for this request. On a
-/// homogeneous fleet this degrades to [`LeastLoaded`] with a constant extra
-/// addend; on a mixed fleet the faster group absorbs proportionally more load.
-#[derive(Debug, Default)]
-pub struct FastestEligible;
-
-impl DispatchPolicy for FastestEligible {
-    fn route(&mut self, loads: &[ReplicaLoad], request: &Request, _now: f64) -> usize {
-        let input = request.input_len.max(1);
-        let mut best = 0usize;
-        let mut best_score = f64::INFINITY;
-        for (i, l) in loads.iter().enumerate() {
-            let backlog = (l.backlog_tokens(request.input_len) + request.input_len) as f64;
-            // Seconds to drain the backlog at this group's speed for prompts
-            // like this one (service_secs / input tokens).
-            let score = backlog * l.service_secs / input as f64;
-            // Strict `<` keeps the first minimum, matching LeastLoaded's
-            // deterministic tie-break.
-            if score < best_score {
-                best = i;
-                best_score = score;
-            }
+/// homogeneous fleet this ranks replicas as least-loaded does, up to a
+/// constant addend; on a mixed fleet the faster group absorbs
+/// proportionally more load.
+fn fastest_eligible(loads: &[ReplicaLoad], request: &Request) -> usize {
+    let input = request.input_len.max(1);
+    let mut best = 0usize;
+    let mut best_score = f64::INFINITY;
+    for (i, l) in loads.iter().enumerate() {
+        let backlog = (l.backlog_tokens(request.input_len) + request.input_len) as f64;
+        // Seconds to drain the backlog at this group's speed for prompts
+        // like this one (service_secs / input tokens).
+        let score = backlog * l.service_secs / input as f64;
+        // Strict `<` keeps the first minimum, matching least-loaded's
+        // deterministic tie-break.
+        if score < best_score {
+            best = i;
+            best_score = score;
         }
-        best
     }
+    best
 }
 
 /// Pins tenants to prefill groups round-robin (`tenant mod groups`) and
 /// routes least-loaded *within* the preferred group, so one tenant's burst
 /// only queues behind its own group.
-#[derive(Debug, Default)]
-pub struct GroupAffinity;
-
-impl DispatchPolicy for GroupAffinity {
-    fn route(&mut self, loads: &[ReplicaLoad], request: &Request, _now: f64) -> usize {
-        let groups = loads.iter().map(|l| l.group + 1).max().unwrap_or(1);
-        let preferred = request.tenant.index() % groups;
-        loads
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.group == preferred)
-            .min_by_key(|(_, l)| l.backlog_tokens(request.input_len))
-            .map(|(i, _)| i)
-            .expect("every group has at least one replica")
-    }
+fn group_affinity(loads: &[ReplicaLoad], request: &Request) -> usize {
+    let groups = loads.iter().map(|l| l.group + 1).max().unwrap_or(1);
+    let preferred = request.tenant.index() % groups;
+    loads
+        .iter()
+        .enumerate()
+        .filter(|(_, l)| l.group == preferred)
+        .min_by_key(|(_, l)| l.backlog_tokens(request.input_len))
+        .map(|(i, _)| i)
+        .expect("every group has at least one replica")
 }
 
 /// Factor by which a session's pinned prefill replica may exceed the
-/// least-loaded replica's backlog before [`SessionAffinity`] spills the
-/// session elsewhere.
+/// least-loaded replica's backlog before session-affinity dispatch spills
+/// the session elsewhere.
 pub const SESSION_SPILL_FACTOR: f64 = 2.0;
 
 /// Keeps each session's turns on the prefill replica that served the session
@@ -269,23 +288,13 @@ pub const SESSION_SPILL_FACTOR: f64 = 2.0;
 /// least-loaded. This is the prefill-side half of session affinity; on the
 /// decode side, a prefix-cache hit independently forces placement onto the
 /// replica holding the prefix.
-#[derive(Debug)]
-pub struct SessionAffinity {
-    spill_factor: f64,
-    pinned: std::collections::HashMap<u64, usize>,
+#[derive(Debug, Default)]
+pub(crate) struct SessionAffinity {
+    pinned: HashMap<u64, usize>,
 }
 
-impl Default for SessionAffinity {
-    fn default() -> Self {
-        Self {
-            spill_factor: SESSION_SPILL_FACTOR,
-            pinned: std::collections::HashMap::new(),
-        }
-    }
-}
-
-impl DispatchPolicy for SessionAffinity {
-    fn route(&mut self, loads: &[ReplicaLoad], request: &Request, _now: f64) -> usize {
+impl SessionAffinity {
+    fn route(&mut self, loads: &[ReplicaLoad], request: &Request) -> usize {
         let fallback = loads
             .iter()
             .enumerate()
@@ -299,7 +308,7 @@ impl DispatchPolicy for SessionAffinity {
             Some(&pinned) if pinned < loads.len() => {
                 let pinned_backlog = loads[pinned].backlog_tokens(request.input_len) as f64;
                 let best_backlog = loads[fallback].backlog_tokens(request.input_len) as f64;
-                let limit = self.spill_factor * best_backlog + request.input_len as f64;
+                let limit = SESSION_SPILL_FACTOR * best_backlog + request.input_len as f64;
                 if pinned_backlog <= limit {
                     pinned
                 } else {
@@ -315,7 +324,7 @@ impl DispatchPolicy for SessionAffinity {
     }
 }
 
-/// Serializable selector of the run's [`DispatchPolicy`].
+/// Serializable selector of the run's dispatch policy.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub enum DispatchPolicyKind {
     /// Shortest queue by pending tokens (the pre-fleet routing, bit-identical).
@@ -331,26 +340,6 @@ pub enum DispatchPolicyKind {
 }
 
 impl DispatchPolicyKind {
-    /// Builds the policy instance for one run.
-    pub fn build(self) -> Box<dyn DispatchPolicy> {
-        match self {
-            DispatchPolicyKind::LeastLoaded => Box::<LeastLoaded>::default(),
-            DispatchPolicyKind::FastestEligible => Box::<FastestEligible>::default(),
-            DispatchPolicyKind::GroupAffinity => Box::<GroupAffinity>::default(),
-            DispatchPolicyKind::SessionAffinity => Box::<SessionAffinity>::default(),
-        }
-    }
-
-    /// Builds the policy for the simulator's hot path: `None` means the
-    /// built-in least-loaded default, which the frontend routes without a
-    /// policy call or load-view assembly.
-    pub(crate) fn instantiate(self) -> Option<Box<dyn DispatchPolicy>> {
-        match self {
-            DispatchPolicyKind::LeastLoaded => None,
-            other => Some(other.build()),
-        }
-    }
-
     /// Display name (bench/table row labels).
     pub fn name(self) -> &'static str {
         match self {
@@ -374,42 +363,33 @@ impl DispatchPolicyKind {
 
 // --- Admission: whether an arriving request enters the cluster. ---
 
-/// Decides whether an arriving request enters the cluster at all.
-///
-/// Rejected requests never occupy a prefill queue; the simulator counts them
-/// per run (and per tenant) in the result.
-pub trait AdmissionPolicy {
-    /// Called once per arrival, in arrival order. `now` is the arrival time.
-    fn admit(&mut self, request: &Request, now: f64) -> bool;
+/// The run's admission policy, built once per run from its
+/// [`AdmissionPolicyKind`]. Rejected requests never occupy a prefill queue;
+/// the simulator counts them per run (and per tenant) in the result.
+#[derive(Debug)]
+pub(crate) enum Admission {
+    AdmitAll,
+    TokenBucket(TenantTokenBucket),
 }
 
-/// Picks which tenant a prefill replica serves next.
-///
-/// `heads[t]` is the request index of tenant `t`'s earliest-queued request on
-/// the replica, or `None` when the tenant has nothing queued there (at least
-/// one entry is `Some`). Within a tenant, service order is always arrival
-/// order — the policy only arbitrates *between* tenants, which is what makes
-/// each decision O(tenants) instead of an O(queue) scan.
-pub trait SchedulingPolicy {
-    /// Returns the tenant (index into `heads`, `Some` entry) to serve next.
-    /// `requests` is the full trace, `classes` the per-tenant service
-    /// classes, `now` the decision time.
-    fn select_tenant(
-        &mut self,
-        heads: &[Option<usize>; MAX_TENANTS],
-        requests: &[Request],
-        classes: &TenantClasses,
-        now: f64,
-    ) -> usize;
-}
+impl Admission {
+    pub(crate) fn new(kind: AdmissionPolicyKind, classes: &TenantClasses) -> Self {
+        match kind {
+            AdmissionPolicyKind::AdmitAll => Admission::AdmitAll,
+            AdmissionPolicyKind::TokenBucket {
+                rate_per_weight,
+                burst,
+            } => Admission::TokenBucket(TenantTokenBucket::new(rate_per_weight, burst, classes)),
+        }
+    }
 
-/// Admits everything (the default, and the pre-policy behaviour).
-#[derive(Debug, Default)]
-pub struct AdmitAll;
-
-impl AdmissionPolicy for AdmitAll {
-    fn admit(&mut self, _request: &Request, _now: f64) -> bool {
-        true
+    /// Whether `request`, arriving at `now`, enters the cluster. Called once
+    /// per arrival, in arrival order.
+    pub(crate) fn admit(&mut self, request: &Request, now: f64) -> bool {
+        match self {
+            Admission::AdmitAll => true,
+            Admission::TokenBucket(bucket) => bucket.admit(request, now),
+        }
     }
 }
 
@@ -420,7 +400,7 @@ impl AdmissionPolicy for AdmitAll {
 /// more than its configured rate sees deterministic rejections instead of
 /// inflating every other tenant's queueing time.
 #[derive(Debug)]
-pub struct TenantTokenBucket {
+pub(crate) struct TenantTokenBucket {
     rates: [f64; MAX_TENANTS],
     burst: f64,
     tokens: [f64; MAX_TENANTS],
@@ -428,10 +408,9 @@ pub struct TenantTokenBucket {
 }
 
 impl TenantTokenBucket {
-    /// Builds the bucket set from the run's tenant classes.
-    pub fn new(rate_per_weight: f64, burst: f64, classes: &TenantClasses) -> Self {
-        assert!(rate_per_weight > 0.0, "token rate must be positive");
-        assert!(burst >= 1.0, "burst must admit at least one request");
+    /// Builds the bucket set from the run's tenant classes (`rate_per_weight
+    /// > 0` and `burst >= 1`, checked by the config's validation).
+    fn new(rate_per_weight: f64, burst: f64, classes: &TenantClasses) -> Self {
         let mut rates = [rate_per_weight; MAX_TENANTS];
         for (tenant, class) in classes.iter() {
             rates[tenant.index()] = rate_per_weight * class.weight;
@@ -443,9 +422,7 @@ impl TenantTokenBucket {
             refilled_at: [0.0; MAX_TENANTS],
         }
     }
-}
 
-impl AdmissionPolicy for TenantTokenBucket {
     fn admit(&mut self, request: &Request, now: f64) -> bool {
         let t = request.tenant.index().min(MAX_TENANTS - 1);
         let elapsed = (now - self.refilled_at[t]).max(0.0);
@@ -460,107 +437,7 @@ impl AdmissionPolicy for TenantTokenBucket {
     }
 }
 
-/// First-come-first-served: the tenant whose head arrived first (queue pushes
-/// are arrival-ordered, so request indices order arrivals). Bit-identical to
-/// the pre-policy simulator.
-#[derive(Debug, Default)]
-pub struct Fcfs;
-
-impl SchedulingPolicy for Fcfs {
-    fn select_tenant(
-        &mut self,
-        heads: &[Option<usize>; MAX_TENANTS],
-        _requests: &[Request],
-        _classes: &TenantClasses,
-        _now: f64,
-    ) -> usize {
-        heads
-            .iter()
-            .enumerate()
-            .filter_map(|(t, head)| head.map(|req| (req, t)))
-            .min()
-            .map(|(_, t)| t)
-            .expect("the queue is non-empty")
-    }
-}
-
-/// Smooth weighted round-robin over the tenants currently present in the
-/// queue; within a tenant, requests are served in arrival order.
-///
-/// Classic smooth-WRR: every selection first credits each *present* tenant by
-/// its weight, picks the present tenant with the highest accumulated credit
-/// (ties to the lowest tenant id), then debits the winner by the total weight
-/// credited this round. Absent tenants accrue nothing, so a tenant cannot
-/// bank service while idle. O(tenants) per decision.
-#[derive(Debug, Default)]
-pub struct WeightedRoundRobin {
-    credit: [f64; MAX_TENANTS],
-}
-
-impl SchedulingPolicy for WeightedRoundRobin {
-    fn select_tenant(
-        &mut self,
-        heads: &[Option<usize>; MAX_TENANTS],
-        _requests: &[Request],
-        classes: &TenantClasses,
-        _now: f64,
-    ) -> usize {
-        let mut round_total = 0.0;
-        let mut winner = MAX_TENANTS;
-        for (t, head) in heads.iter().enumerate() {
-            if head.is_none() {
-                continue;
-            }
-            let weight = classes.get(TenantId(t as u32)).weight;
-            self.credit[t] += weight;
-            round_total += weight;
-            if winner == MAX_TENANTS || self.credit[t] > self.credit[winner] {
-                winner = t;
-            }
-        }
-        debug_assert!(winner < MAX_TENANTS, "queue is non-empty");
-        self.credit[winner] -= round_total;
-        winner
-    }
-}
-
-/// Earliest-deadline-first with per-tenant deadlines `arrival + slo_jct`.
-///
-/// Tenants without a finite SLO target effectively yield to every tenant with
-/// one; among equal deadlines the earliest arrival (smallest request index)
-/// wins, so single-tenant traces degrade to FCFS. Each tenant's head carries
-/// the tenant's earliest deadline (arrival order within a tenant is deadline
-/// order), so the decision is O(tenants).
-#[derive(Debug, Default)]
-pub struct SloEdf;
-
-impl SchedulingPolicy for SloEdf {
-    fn select_tenant(
-        &mut self,
-        heads: &[Option<usize>; MAX_TENANTS],
-        requests: &[Request],
-        classes: &TenantClasses,
-        _now: f64,
-    ) -> usize {
-        let mut best_tenant = MAX_TENANTS;
-        let mut best = (f64::INFINITY, usize::MAX);
-        for (t, head) in heads.iter().enumerate() {
-            let Some(req) = *head else { continue };
-            let r = &requests[req];
-            let deadline = r.arrival + classes.get(r.tenant).slo_jct;
-            // Strict lexicographic minimum on (deadline, request index): ties
-            // resolve to the earliest-queued request, as the old scan did.
-            if deadline < best.0 || (deadline == best.0 && req < best.1) {
-                best = (deadline, req);
-                best_tenant = t;
-            }
-        }
-        debug_assert!(best_tenant < MAX_TENANTS, "queue is non-empty");
-        best_tenant
-    }
-}
-
-/// Serializable selector of the run's [`AdmissionPolicy`].
+/// Serializable selector of the run's admission policy.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub enum AdmissionPolicyKind {
     /// Admit everything (the pre-policy behaviour).
@@ -576,31 +453,133 @@ pub enum AdmissionPolicyKind {
     },
 }
 
-impl AdmissionPolicyKind {
-    /// Builds the policy instance for one run.
-    pub fn build(self, classes: &TenantClasses) -> Box<dyn AdmissionPolicy> {
-        match self {
-            AdmissionPolicyKind::AdmitAll => Box::new(AdmitAll),
-            AdmissionPolicyKind::TokenBucket {
-                rate_per_weight,
-                burst,
-            } => Box::new(TenantTokenBucket::new(rate_per_weight, burst, classes)),
+// --- Scheduling: which queued request a freed prefill replica serves. ---
+
+/// The run's scheduling policy, built once per run from its
+/// [`SchedulingPolicyKind`]. Every prefill queue of the run is built by
+/// [`Scheduling::queue`], in the shape its policy pops.
+#[derive(Debug)]
+pub(crate) enum Scheduling {
+    Fcfs,
+    /// One credit set, shared by every replica's queue.
+    WeightedRoundRobin(WeightedRoundRobin),
+    SloEdf,
+}
+
+impl Scheduling {
+    pub(crate) fn new(kind: SchedulingPolicyKind) -> Self {
+        match kind {
+            SchedulingPolicyKind::Fcfs => Scheduling::Fcfs,
+            SchedulingPolicyKind::WeightedRoundRobin => {
+                Scheduling::WeightedRoundRobin(WeightedRoundRobin::default())
+            }
+            SchedulingPolicyKind::SloEdf => Scheduling::SloEdf,
         }
     }
 
-    /// Builds the policy for the simulator's hot path: `None` means the
-    /// built-in admit-everything default, which the frontend handles without
-    /// any per-arrival policy call (keeping the single-tenant path identical
-    /// in cost, not just in outcome, to the pre-policy simulator).
-    pub(crate) fn instantiate(self, classes: &TenantClasses) -> Option<Box<dyn AdmissionPolicy>> {
+    /// An empty prefill queue in the shape this policy pops: a FIFO for
+    /// FCFS, per-tenant sub-queues for the tenant-aware policies.
+    pub(crate) fn queue(&self) -> PrefillQueue {
         match self {
-            AdmissionPolicyKind::AdmitAll => None,
-            other => Some(other.build(classes)),
+            Scheduling::Fcfs => PrefillQueue::Fifo(VecDeque::new()),
+            Scheduling::WeightedRoundRobin(_) | Scheduling::SloEdf => {
+                PrefillQueue::ByTenant(Default::default())
+            }
+        }
+    }
+
+    /// Pops the request `queue`'s replica serves next (`None` when empty).
+    /// FCFS pops the FIFO head (the pre-policy simulator, bit-for-bit); the
+    /// tenant-aware policies pick a tenant from the sub-queue heads and pop
+    /// that tenant's earliest-queued request.
+    pub(crate) fn select(
+        &mut self,
+        queue: &mut PrefillQueue,
+        requests: &[Request],
+        classes: &TenantClasses,
+    ) -> Option<usize> {
+        match (self, queue) {
+            (Scheduling::Fcfs, PrefillQueue::Fifo(fifo)) => fifo.pop_front(),
+            (Scheduling::WeightedRoundRobin(wrr), PrefillQueue::ByTenant(queues)) => {
+                queues.pop_by(|heads| wrr.select_tenant(heads, classes))
+            }
+            (Scheduling::SloEdf, PrefillQueue::ByTenant(queues)) => {
+                queues.pop_by(|heads| slo_edf(heads, requests, classes))
+            }
+            _ => unreachable!("Scheduling::queue builds every prefill queue in its policy's shape"),
         }
     }
 }
 
-/// Serializable selector of the run's [`SchedulingPolicy`].
+/// Smooth weighted round-robin over the tenants currently present in the
+/// queue; within a tenant, requests are served in arrival order.
+///
+/// Classic smooth-WRR: every selection first credits each *present* tenant by
+/// its weight, picks the present tenant with the highest accumulated credit
+/// (ties to the lowest tenant id), then debits the winner by the total weight
+/// credited this round. Absent tenants accrue nothing, so a tenant cannot
+/// bank service while idle. O(tenants) per decision.
+#[derive(Debug, Default)]
+pub(crate) struct WeightedRoundRobin {
+    credit: [f64; MAX_TENANTS],
+}
+
+impl WeightedRoundRobin {
+    /// The tenant to serve next; `heads[t]` is tenant `t`'s earliest queued
+    /// request (`None` when it has nothing queued; at least one is `Some`).
+    fn select_tenant(
+        &mut self,
+        heads: &[Option<usize>; MAX_TENANTS],
+        classes: &TenantClasses,
+    ) -> usize {
+        let mut round_total = 0.0;
+        let mut winner = MAX_TENANTS;
+        for (t, head) in heads.iter().enumerate() {
+            if head.is_none() {
+                continue;
+            }
+            let weight = classes.get(TenantId(t as u32)).weight;
+            self.credit[t] += weight;
+            round_total += weight;
+            if winner == MAX_TENANTS || self.credit[t] > self.credit[winner] {
+                winner = t;
+            }
+        }
+        self.credit[winner] -= round_total;
+        winner
+    }
+}
+
+/// Earliest-deadline-first with per-tenant deadlines `arrival + slo_jct`:
+/// the tenant whose head has the earliest deadline.
+///
+/// Tenants without a finite SLO target effectively yield to every tenant with
+/// one; among equal deadlines the earliest arrival (smallest request index)
+/// wins, so single-tenant traces degrade to FCFS. Each tenant's head carries
+/// the tenant's earliest deadline (arrival order within a tenant is deadline
+/// order), so the decision is O(tenants).
+fn slo_edf(
+    heads: &[Option<usize>; MAX_TENANTS],
+    requests: &[Request],
+    classes: &TenantClasses,
+) -> usize {
+    let mut best_tenant = MAX_TENANTS;
+    let mut best = (f64::INFINITY, usize::MAX);
+    for (t, head) in heads.iter().enumerate() {
+        let Some(req) = *head else { continue };
+        let r = &requests[req];
+        let deadline = r.arrival + classes.get(r.tenant).slo_jct;
+        // Strict lexicographic minimum on (deadline, request index): ties
+        // resolve to the earliest-queued request, as the old scan did.
+        if deadline < best.0 || (deadline == best.0 && req < best.1) {
+            best = (deadline, req);
+            best_tenant = t;
+        }
+    }
+    best_tenant
+}
+
+/// Serializable selector of the run's scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub enum SchedulingPolicyKind {
     /// First-come-first-served (the pre-policy behaviour, bit-identical).
@@ -613,26 +592,6 @@ pub enum SchedulingPolicyKind {
 }
 
 impl SchedulingPolicyKind {
-    /// Builds the policy instance for one run.
-    pub fn build(self) -> Box<dyn SchedulingPolicy> {
-        match self {
-            SchedulingPolicyKind::Fcfs => Box::<Fcfs>::default(),
-            SchedulingPolicyKind::WeightedRoundRobin => Box::<WeightedRoundRobin>::default(),
-            SchedulingPolicyKind::SloEdf => Box::<SloEdf>::default(),
-        }
-    }
-
-    /// Builds the policy for the simulator's hot path: `None` means the
-    /// built-in FCFS default, which `start_prefill` serves with a plain
-    /// `pop_front` — no per-selection policy call, so the single-tenant path
-    /// costs exactly what it did before policies existed.
-    pub(crate) fn instantiate(self) -> Option<Box<dyn SchedulingPolicy>> {
-        match self {
-            SchedulingPolicyKind::Fcfs => None,
-            other => Some(other.build()),
-        }
-    }
-
     /// Display name (bench/table row labels).
     pub fn name(self) -> &'static str {
         match self {
@@ -690,91 +649,73 @@ impl GroupScalingView {
     }
 }
 
-/// Picks each decode group's desired replica count at every scaling tick.
-/// The controller clamps the answer to `[1, capacity]` and turns the delta
-/// into provisioning orders (scale-up) or drains (scale-down).
-pub trait ScalingPolicy {
+/// The run's decode-fleet scaling policy, built once per run from its
+/// [`ScalingPolicyKind`]. Picks each decode group's desired replica count at
+/// every scaling tick; the controller clamps the answer to `[1, capacity]`
+/// and turns the delta into provisioning orders (scale-up) or drains
+/// (scale-down).
+#[derive(Debug)]
+pub(crate) enum Scaling {
+    /// Queue-depth watermarks: grow by one replica while the backlog per
+    /// committed replica exceeds `high`, shrink by one while it sits below
+    /// `low`.
+    Threshold {
+        high: f64,
+        low: f64,
+    },
+    /// Busy-fraction setpoint with hysteresis: utilization is demand over the
+    /// committed fleet's batch slots; outside `setpoint ± band` the group
+    /// grows or shrinks by one replica per tick, inside the band it holds
+    /// (the band is what keeps a noisy trace from thrashing every tick).
+    TargetUtilization {
+        setpoint: f64,
+        band: f64,
+    },
+    Predictive(PredictiveScaler),
+}
+
+impl Scaling {
+    /// The policy of `kind`; `None` for [`ScalingPolicyKind::Off`], whose run
+    /// has no controller component at all.
+    pub(crate) fn new(kind: ScalingPolicyKind) -> Option<Self> {
+        Some(match kind {
+            ScalingPolicyKind::Off => return None,
+            ScalingPolicyKind::Threshold { high, low } => Scaling::Threshold { high, low },
+            ScalingPolicyKind::TargetUtilization { setpoint, band } => {
+                Scaling::TargetUtilization { setpoint, band }
+            }
+            ScalingPolicyKind::Predictive {
+                alpha,
+                per_replica_rps,
+                headroom,
+            } => Scaling::Predictive(PredictiveScaler::new(alpha, per_replica_rps, headroom)),
+        })
+    }
+
     /// Desired replica count for the group described by `view` at time `now`.
-    fn desired(&mut self, view: &GroupScalingView, now: f64) -> usize;
-}
-
-/// Holds the committed replica count steady (the inert controller: every
-/// tick's machinery runs but no scale event ever fires).
-#[derive(Debug, Default)]
-pub struct HoldSteady;
-
-impl ScalingPolicy for HoldSteady {
-    fn desired(&mut self, view: &GroupScalingView, _now: f64) -> usize {
-        view.committed()
-    }
-}
-
-/// Queue-depth watermarks: grow by one replica while the backlog per
-/// committed replica exceeds `high`, shrink by one while it sits below `low`.
-#[derive(Debug)]
-pub struct ThresholdScaler {
-    high: f64,
-    low: f64,
-}
-
-impl ThresholdScaler {
-    /// Watermarks in queued requests per committed replica (`low < high`).
-    pub fn new(high: f64, low: f64) -> Self {
-        assert!(low < high, "low watermark must sit below high");
-        Self { high, low }
-    }
-}
-
-impl ScalingPolicy for ThresholdScaler {
-    fn desired(&mut self, view: &GroupScalingView, _now: f64) -> usize {
+    pub(crate) fn desired(&mut self, view: &GroupScalingView, now: f64) -> usize {
         let committed = view.committed();
-        let backlog = view.queued as f64 / committed.max(1) as f64;
-        if backlog > self.high {
-            committed + 1
-        } else if backlog < self.low {
-            committed.saturating_sub(1)
-        } else {
-            committed
-        }
-    }
-}
-
-/// Busy-fraction setpoint with hysteresis: utilization is active decodes over
-/// the committed fleet's batch slots; outside `setpoint ± band` the group
-/// grows or shrinks by one replica per tick, inside the band it holds (the
-/// band is what keeps a noisy trace from thrashing up and down every tick).
-#[derive(Debug)]
-pub struct TargetUtilizationScaler {
-    setpoint: f64,
-    band: f64,
-}
-
-impl TargetUtilizationScaler {
-    /// Setpoint and hysteresis half-width, both in (0, 1).
-    pub fn new(setpoint: f64, band: f64) -> Self {
-        assert!(
-            setpoint > 0.0 && setpoint < 1.0,
-            "setpoint must be in (0,1)"
-        );
-        assert!(
-            band >= 0.0 && band < setpoint,
-            "band must fit under setpoint"
-        );
-        Self { setpoint, band }
-    }
-}
-
-impl ScalingPolicy for TargetUtilizationScaler {
-    fn desired(&mut self, view: &GroupScalingView, _now: f64) -> usize {
-        let committed = view.committed();
-        let slots = (committed * view.batch.max(1)).max(1) as f64;
-        let util = (view.active + view.queued) as f64 / slots;
-        if util > self.setpoint + self.band {
-            committed + 1
-        } else if util < self.setpoint - self.band {
-            committed.saturating_sub(1)
-        } else {
-            committed
+        // One replica up, one down, or hold.
+        let step = |grow: bool, shrink: bool| {
+            if grow {
+                committed + 1
+            } else if shrink {
+                committed.saturating_sub(1)
+            } else {
+                committed
+            }
+        };
+        match self {
+            Scaling::Threshold { high, low } => {
+                let backlog = view.queued as f64 / committed.max(1) as f64;
+                step(backlog > *high, backlog < *low)
+            }
+            Scaling::TargetUtilization { setpoint, band } => {
+                let slots = (committed * view.batch.max(1)).max(1) as f64;
+                let util = (view.active + view.queued) as f64 / slots;
+                step(util > *setpoint + *band, util < *setpoint - *band)
+            }
+            Scaling::Predictive(predictive) => predictive.desired(view, now),
         }
     }
 }
@@ -783,7 +724,7 @@ impl ScalingPolicy for TargetUtilizationScaler {
 /// sampler uses): desired replicas are the smoothed rate, padded by
 /// `headroom`, divided by one replica's sustainable throughput.
 #[derive(Debug)]
-pub struct PredictiveScaler {
+pub(crate) struct PredictiveScaler {
     alpha: f64,
     per_replica_rps: f64,
     headroom: f64,
@@ -794,14 +735,9 @@ pub struct PredictiveScaler {
 
 impl PredictiveScaler {
     /// `alpha` is the EWMA smoothing factor in (0, 1], `per_replica_rps` one
-    /// replica's sustainable request rate, `headroom` the safety multiplier.
-    pub fn new(alpha: f64, per_replica_rps: f64, headroom: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0,1]");
-        assert!(per_replica_rps > 0.0, "per-replica rate must be positive");
-        assert!(
-            headroom >= 1.0,
-            "headroom below 1 would plan to fall behind"
-        );
+    /// replica's sustainable request rate (> 0), `headroom` the safety
+    /// multiplier (≥ 1); the config's validation checks all three.
+    fn new(alpha: f64, per_replica_rps: f64, headroom: f64) -> Self {
         Self {
             alpha,
             per_replica_rps,
@@ -811,9 +747,7 @@ impl PredictiveScaler {
             primed: false,
         }
     }
-}
 
-impl ScalingPolicy for PredictiveScaler {
     fn desired(&mut self, view: &GroupScalingView, now: f64) -> usize {
         let dt = now - self.last_now;
         self.last_now = now;
@@ -832,7 +766,7 @@ impl ScalingPolicy for PredictiveScaler {
     }
 }
 
-/// Serializable selector of the run's [`ScalingPolicy`].
+/// Serializable selector of the run's decode-fleet scaling policy.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub enum ScalingPolicyKind {
     /// No autoscaling: the fleet stays at its configured size and the
@@ -866,34 +800,6 @@ pub enum ScalingPolicyKind {
 }
 
 impl ScalingPolicyKind {
-    /// Builds the policy instance for one run ([`Off`](Self::Off) builds the
-    /// inert [`HoldSteady`], useful for measuring pure controller overhead).
-    pub fn build(self) -> Box<dyn ScalingPolicy> {
-        match self {
-            ScalingPolicyKind::Off => Box::<HoldSteady>::default(),
-            ScalingPolicyKind::Threshold { high, low } => Box::new(ThresholdScaler::new(high, low)),
-            ScalingPolicyKind::TargetUtilization { setpoint, band } => {
-                Box::new(TargetUtilizationScaler::new(setpoint, band))
-            }
-            ScalingPolicyKind::Predictive {
-                alpha,
-                per_replica_rps,
-                headroom,
-            } => Box::new(PredictiveScaler::new(alpha, per_replica_rps, headroom)),
-        }
-    }
-
-    /// Builds the policy for the simulator's hot path: `None` means no
-    /// controller at all — no scaling ticks on the event queue, no uptime
-    /// bookkeeping beyond the static fleet's, bit- *and* cost-identical to
-    /// the pre-scaling simulator.
-    pub(crate) fn instantiate(self) -> Option<Box<dyn ScalingPolicy>> {
-        match self {
-            ScalingPolicyKind::Off => None,
-            other => Some(other.build()),
-        }
-    }
-
     /// Display name (bench/table row labels).
     pub fn name(self) -> &'static str {
         match self {
@@ -979,11 +885,9 @@ impl PolicyConfig {
         }
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::VecDeque;
 
     fn request(id: u64, tenant: u32, arrival: f64) -> Request {
         Request {
@@ -1076,14 +980,17 @@ mod tests {
 
     #[test]
     fn fcfs_picks_the_tenant_with_the_earliest_head() {
+        // Tenant 1's request 0 queued before tenant 0's request 1: FCFS
+        // serves the FIFO head whatever the tenants.
         let requests = vec![request(0, 1, 0.0), request(1, 0, 1.0)];
         let classes = TenantClasses::single_tenant();
-        let mut fcfs = Fcfs;
-        // Tenant 1's head (request 0) arrived before tenant 0's (request 1).
-        let mut heads = [None; MAX_TENANTS];
-        heads[0] = Some(1);
-        heads[1] = Some(0);
-        assert_eq!(fcfs.select_tenant(&heads, &requests, &classes, 5.0), 1);
+        let mut fcfs = Scheduling::new(SchedulingPolicyKind::Fcfs);
+        let mut queue = fcfs.queue();
+        queue.push(0, 1);
+        queue.push(1, 0);
+        assert_eq!(fcfs.select(&mut queue, &requests, &classes), Some(0));
+        assert_eq!(fcfs.select(&mut queue, &requests, &classes), Some(1));
+        assert_eq!(fcfs.select(&mut queue, &requests, &classes), None);
     }
 
     #[test]
@@ -1108,7 +1015,7 @@ mod tests {
         let heads = heads_of(&queue, &requests);
         let mut wins = [0usize; 2];
         for _ in 0..6 {
-            wins[wrr.select_tenant(&heads, &requests, &classes, 0.0)] += 1;
+            wins[wrr.select_tenant(&heads, &classes)] += 1;
         }
         assert_eq!(wins, [4, 2], "2:1 weights over 6 turns");
     }
@@ -1117,16 +1024,16 @@ mod tests {
     fn wrr_serves_a_lone_tenant_in_arrival_order() {
         let requests: Vec<Request> = (0..4).map(|i| request(i, 0, i as f64)).collect();
         let classes = TenantClasses::single_tenant();
-        let mut wrr = WeightedRoundRobin::default();
-        let queue: VecDeque<usize> = [0, 1, 2, 3].into_iter().collect();
-        // Only tenant 0 present: always tenant 0 (whose head is the earliest
-        // arrival).
-        for _ in 0..4 {
-            assert_eq!(
-                wrr.select_tenant(&heads_of(&queue, &requests), &requests, &classes, 0.0),
-                0
-            );
+        let mut wrr = Scheduling::new(SchedulingPolicyKind::WeightedRoundRobin);
+        let mut queue = wrr.queue();
+        for req in 0..4 {
+            queue.push(req, 0);
         }
+        // Only tenant 0 present: its sub-queue drains in arrival order.
+        for req in 0..4 {
+            assert_eq!(wrr.select(&mut queue, &requests, &classes), Some(req));
+        }
+        assert_eq!(wrr.select(&mut queue, &requests, &classes), None);
     }
 
     #[test]
@@ -1146,20 +1053,16 @@ mod tests {
                 slo_jct: 10.0,
             },
         ]);
-        let mut edf = SloEdf;
         let queue: VecDeque<usize> = [0, 1, 2].into_iter().collect();
         assert_eq!(
-            edf.select_tenant(&heads_of(&queue, &requests), &requests, &classes, 9.0),
+            slo_edf(&heads_of(&queue, &requests), &requests, &classes),
             1
         );
         // Equal deadlines: the earliest-queued request wins.
         let twins = vec![request(0, 0, 1.0), request(1, 1, 1.0)];
         let classes = TenantClasses::new(&[TenantClass::default(), TenantClass::default()]);
         let queue: VecDeque<usize> = [0, 1].into_iter().collect();
-        assert_eq!(
-            edf.select_tenant(&heads_of(&queue, &twins), &twins, &classes, 2.0),
-            0
-        );
+        assert_eq!(slo_edf(&heads_of(&queue, &twins), &twins, &classes), 0);
     }
 
     #[test]
@@ -1202,7 +1105,6 @@ mod tests {
 
         let mut wrr_heads = WeightedRoundRobin::default();
         let mut wrr_scan_credit = [0.0f64; MAX_TENANTS];
-        let mut edf_heads = SloEdf;
 
         let mut queue: VecDeque<usize> = VecDeque::new();
         let mut arrivals = 0usize;
@@ -1219,7 +1121,7 @@ mod tests {
 
             // EDF: stateless, compare directly.
             let scan_pos = scan_edf(&queue, &requests, &classes);
-            let tenant = edf_heads.select_tenant(&heads, &requests, &classes, step as f64);
+            let tenant = slo_edf(&heads, &requests, &classes);
             assert_eq!(
                 heads[tenant],
                 Some(queue[scan_pos]),
@@ -1228,7 +1130,7 @@ mod tests {
 
             // WRR: stateful; advance both copies with the same selection.
             let scan_pos = scan_wrr(&mut wrr_scan_credit, &queue, &requests, &classes);
-            let tenant = wrr_heads.select_tenant(&heads, &requests, &classes, step as f64);
+            let tenant = wrr_heads.select_tenant(&heads, &classes);
             let scan_req = queue[scan_pos];
             assert_eq!(
                 heads[tenant],
@@ -1271,39 +1173,49 @@ mod tests {
         ReplicaLoad {
             group,
             queued_tokens,
-            queue_len: usize::from(queued_tokens > 0),
             busy,
             service_secs,
         }
     }
 
+    fn replica(queued_tokens: usize, busy: bool, failed: bool) -> PrefillReplicaState {
+        PrefillReplicaState {
+            queued_tokens,
+            busy,
+            failed,
+            ..PrefillReplicaState::new(0, Scheduling::Fcfs.queue())
+        }
+    }
+
     #[test]
     fn least_loaded_matches_the_pre_fleet_metric() {
-        let mut policy = LeastLoaded;
-        let req = request(0, 0, 0.0); // input_len = 100
-                                      // Replica 1 has fewer queued tokens, but replica 2 is idle: idle beats
-                                      // a busy replica whose in-service request counts at this length.
-        let loads = [
-            load(0, 300, false, 1.0),
-            load(0, 50, true, 1.0),
-            load(0, 120, false, 1.0),
+        // input_len = 100. Replica 1 has fewer queued tokens, but replica 2
+        // is idle: idle beats a busy replica whose in-service request counts
+        // at this length.
+        let prefill = [
+            replica(300, false, false),
+            replica(50, true, false),
+            replica(120, false, false),
         ];
-        assert_eq!(policy.route(&loads, &req, 0.0), 2);
+        assert_eq!(Frontend::route(&prefill, 100), Some(2));
         // First minimum wins ties.
-        let tied = [load(0, 80, false, 1.0), load(0, 80, false, 1.0)];
-        assert_eq!(policy.route(&tied, &req, 0.0), 0);
+        let tied = [replica(80, false, false), replica(80, false, false)];
+        assert_eq!(Frontend::route(&tied, 100), Some(0));
+        // Failed replicas never qualify; a fully failed fleet routes nowhere.
+        let degraded = [replica(0, false, true), replica(500, true, false)];
+        assert_eq!(Frontend::route(&degraded, 100), Some(1));
+        assert_eq!(Frontend::route(&[replica(0, false, true)], 100), None);
     }
 
     #[test]
     fn fastest_eligible_prefers_the_faster_group_under_equal_load() {
-        let mut policy = FastestEligible;
         let req = request(0, 0, 0.0);
         // Same backlog; group 1 serves this prompt twice as fast.
         let loads = [load(0, 200, false, 2.0), load(1, 200, false, 1.0)];
-        assert_eq!(policy.route(&loads, &req, 0.0), 1);
+        assert_eq!(fastest_eligible(&loads, &req), 1);
         // A fast group with a deep queue loses to an idle slow one.
         let loads = [load(0, 0, false, 2.0), load(1, 5_000, true, 1.0)];
-        assert_eq!(policy.route(&loads, &req, 0.0), 0);
+        assert_eq!(fastest_eligible(&loads, &req), 0);
     }
 
     #[test]
@@ -1313,28 +1225,27 @@ mod tests {
         req.session = 7;
         // First turn of the session routes least-loaded and pins there.
         let loads = [load(0, 300, false, 1.0), load(0, 50, false, 1.0)];
-        assert_eq!(policy.route(&loads, &req, 0.0), 1);
+        assert_eq!(policy.route(&loads, &req), 1);
         // Follow-ups stick to the pin even when it is no longer least-loaded
         // (400 <= 2 * 200 + 100).
         let loads = [load(0, 200, false, 1.0), load(0, 400, false, 1.0)];
-        assert_eq!(policy.route(&loads, &req, 0.0), 1);
+        assert_eq!(policy.route(&loads, &req), 1);
         // ... until the pinned backlog crosses the spill threshold
         // (901 > 2 * 400 + 100); the session re-pins on the spill target.
         let loads = [load(0, 400, false, 1.0), load(0, 901, false, 1.0)];
-        assert_eq!(policy.route(&loads, &req, 0.0), 0);
+        assert_eq!(policy.route(&loads, &req), 0);
         let loads = [load(0, 500, false, 1.0), load(0, 450, false, 1.0)];
-        assert_eq!(policy.route(&loads, &req, 0.0), 0, "re-pinned after spill");
+        assert_eq!(policy.route(&loads, &req), 0, "re-pinned after spill");
         // Independent requests (session 0) always route least-loaded.
-        assert_eq!(policy.route(&loads, &request(1, 0, 0.0), 0.0), 1);
+        assert_eq!(policy.route(&loads, &request(1, 0, 0.0)), 1);
         // Different sessions pin independently.
         let mut other = request(2, 0, 0.0);
         other.session = 9;
-        assert_eq!(policy.route(&loads, &other, 0.0), 1);
+        assert_eq!(policy.route(&loads, &other), 1);
     }
 
     #[test]
     fn group_affinity_pins_tenants_to_groups() {
-        let mut policy = GroupAffinity;
         let loads = [
             load(0, 500, false, 1.0),
             load(0, 0, false, 1.0),
@@ -1343,35 +1254,41 @@ mod tests {
         ];
         // Tenant 0 -> group 0 (least-loaded within it), tenant 1 -> group 1,
         // tenant 2 wraps to group 0 again.
-        assert_eq!(policy.route(&loads, &request(0, 0, 0.0), 0.0), 1);
-        assert_eq!(policy.route(&loads, &request(1, 1, 0.0), 0.0), 2);
-        assert_eq!(policy.route(&loads, &request(2, 2, 0.0), 0.0), 1);
+        assert_eq!(group_affinity(&loads, &request(0, 0, 0.0)), 1);
+        assert_eq!(group_affinity(&loads, &request(1, 1, 0.0)), 2);
+        assert_eq!(group_affinity(&loads, &request(2, 2, 0.0)), 1);
     }
 
     #[test]
     fn kinds_build_their_policies() {
         let classes = TenantClasses::single_tenant();
         let requests = vec![request(0, 0, 0.0)];
-        let mut heads = [None; MAX_TENANTS];
-        heads[0] = Some(0);
         for kind in SchedulingPolicyKind::all() {
-            let mut policy = kind.build();
-            assert_eq!(policy.select_tenant(&heads, &requests, &classes, 0.0), 0);
+            let mut policy = Scheduling::new(kind);
+            let mut queue = policy.queue();
+            queue.push(0, 0);
+            assert_eq!(policy.select(&mut queue, &requests, &classes), Some(0));
+            assert_eq!(policy.select(&mut queue, &requests, &classes), None);
             assert!(!kind.name().is_empty());
         }
         for kind in DispatchPolicyKind::all() {
-            let mut policy = kind.build();
-            let loads = [load(0, 0, false, 1.0)];
-            assert_eq!(policy.route(&loads, &requests[0], 0.0), 0);
+            let mut policy = Dispatch::new(kind);
+            let prefill = [replica(0, false, false)];
+            assert_eq!(policy.route(&prefill, &requests[0], |_| 1.0), Some(0));
+            // A pick on a failed replica falls back to the live fleet.
+            let prefill = [replica(0, false, true), replica(900, true, false)];
+            assert_eq!(policy.route(&prefill, &requests[0], |_| 1.0), Some(1));
             assert!(!kind.name().is_empty());
         }
-        let mut admit = AdmissionPolicyKind::AdmitAll.build(&classes);
+        let mut admit = Admission::new(AdmissionPolicyKind::AdmitAll, &classes);
         assert!(admit.admit(&requests[0], 0.0));
-        let mut bucket = AdmissionPolicyKind::TokenBucket {
-            rate_per_weight: 1.0,
-            burst: 1.0,
-        }
-        .build(&classes);
+        let mut bucket = Admission::new(
+            AdmissionPolicyKind::TokenBucket {
+                rate_per_weight: 1.0,
+                burst: 1.0,
+            },
+            &classes,
+        );
         assert!(bucket.admit(&requests[0], 0.0));
         assert!(!bucket.admit(&requests[0], 0.0));
     }
@@ -1392,18 +1309,18 @@ mod tests {
 
     #[test]
     fn scaling_policies_track_load() {
-        // Off instantiates to no controller at all; everything else to one.
-        assert!(ScalingPolicyKind::Off.instantiate().is_none());
+        // Off builds no controller at all; everything else builds one.
+        assert!(Scaling::new(ScalingPolicyKind::Off).is_none());
         for kind in ScalingPolicyKind::all(1.0).into_iter().skip(1) {
-            assert!(kind.instantiate().is_some(), "{}", kind.name());
+            assert!(Scaling::new(kind).is_some(), "{}", kind.name());
         }
-
-        // The inert policy holds whatever is committed, including in-flight
-        // provisioning orders.
-        assert_eq!(HoldSteady.desired(&view(3, 1, 0, 100), 10.0), 4);
+        let build = |kind| Scaling::new(kind).expect("not Off");
 
         // Threshold: backlog per committed replica against the watermarks.
-        let mut th = ThresholdScaler::new(4.0, 1.0);
+        let mut th = build(ScalingPolicyKind::Threshold {
+            high: 4.0,
+            low: 1.0,
+        });
         assert_eq!(th.desired(&view(2, 0, 0, 10), 0.0), 3, "10/2 > 4 grows");
         assert_eq!(th.desired(&view(2, 0, 0, 1), 0.0), 1, "1/2 < 1 shrinks");
         assert_eq!(th.desired(&view(2, 0, 0, 4), 0.0), 2, "2 <= 4/2 <= 4 holds");
@@ -1411,17 +1328,31 @@ mod tests {
         // the first order is still in flight.
         assert_eq!(th.desired(&view(2, 1, 0, 13), 0.0), 4);
         assert_eq!(th.desired(&view(2, 1, 0, 9), 0.0), 3);
+        // The never-firing watermarks of the inert-controller A/B hold
+        // whatever is committed, in-flight orders included.
+        let mut inert = build(ScalingPolicyKind::Threshold {
+            high: 1e18,
+            low: -1.0,
+        });
+        assert_eq!(inert.desired(&view(3, 1, 0, 100), 10.0), 4);
 
         // Target utilization: demand over committed batch slots, hysteresis
         // band holds in between.
-        let mut tu = TargetUtilizationScaler::new(0.7, 0.15);
+        let mut tu = build(ScalingPolicyKind::TargetUtilization {
+            setpoint: 0.7,
+            band: 0.15,
+        });
         assert_eq!(tu.desired(&view(2, 0, 14, 0), 0.0), 3, "14/16 > 0.85");
         assert_eq!(tu.desired(&view(2, 0, 4, 0), 0.0), 1, "4/16 < 0.55");
         assert_eq!(tu.desired(&view(2, 0, 11, 0), 0.0), 2, "0.69 in band");
 
         // Predictive: the first tick seeds the EWMA, later ticks smooth it;
         // desired is the padded forecast over per-replica throughput.
-        let mut pr = PredictiveScaler::new(0.5, 1.0, 1.0);
+        let mut pr = build(ScalingPolicyKind::Predictive {
+            alpha: 0.5,
+            per_replica_rps: 1.0,
+            headroom: 1.0,
+        });
         let mut v = view(1, 0, 0, 0);
         v.arrived = 40;
         assert_eq!(pr.desired(&v, 10.0), 4, "seed: 4 rps / 1 rps per replica");

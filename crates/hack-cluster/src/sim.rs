@@ -30,7 +30,7 @@ use crate::events::{
     FabricFault, FabricRecovered, PrefillFailed, PrefillRecovered, ReplicaFailed, ReplicaRecovered,
     RequestArrived, SampleTick, ScaleTick,
 };
-use crate::policy::ScalingPolicyKind;
+use crate::policy::{Admission, Dispatch, Scaling, Scheduling};
 use crate::result::{FaultRecord, GroupStats, RequestRecord, SimulationResult};
 use crate::telemetry::{TelemetrySampler, TelemetryState};
 use crate::topology::{ConfigError, FaultDomain};
@@ -56,14 +56,6 @@ pub enum CostMode {
     /// formula evaluation per call. Kept for benchmarking and equivalence
     /// testing; results agree with [`CostMode::Table`] to ~1e-15 relative.
     Reference,
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Test-only switch forcing the boxed trait-object policy path even for
-    /// the LeastLoaded/FCFS/AdmitAll defaults (see
-    /// [`Simulator::run_with_boxed_default_policies`]).
-    static FORCE_BOXED_POLICIES: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// Discrete-event simulator of one configuration (cluster × trace × method).
@@ -277,26 +269,6 @@ impl Simulator {
         (result, trace)
     }
 
-    /// Test hook: run with the configured policies forced through the boxed
-    /// trait-object path, even for the LeastLoaded/FCFS/AdmitAll defaults
-    /// that normally instantiate to `None`. Pins the `Some`-branch mechanics
-    /// (load-view assembly + virtual `route`, per-tenant sub-queues + virtual
-    /// `select_tenant`, per-arrival `admit`) bit-identical to the built-in
-    /// fast path.
-    #[cfg(test)]
-    pub(crate) fn run_with_boxed_default_policies(&self) -> SimulationResult {
-        self.run_boxed_impl().0
-    }
-
-    #[cfg(test)]
-    #[allow(clippy::type_complexity)]
-    fn run_boxed_impl(&self) -> (SimulationResult, Vec<EventRecord>, u64, Option<Telemetry>) {
-        let prev = FORCE_BOXED_POLICIES.with(|f| f.replace(true));
-        let out = self.run_impl(EngineMode::Slab, CostMode::Table, false);
-        FORCE_BOXED_POLICIES.with(|f| f.set(prev));
-        out
-    }
-
     /// Runs and also reports the number of engine events processed (used by the
     /// bench harness to size its workloads honestly).
     pub fn run_counted(&self, mode: EngineMode) -> (SimulationResult, u64) {
@@ -352,8 +324,12 @@ impl Simulator {
         let sampler_ctx = telemetry_settings
             .as_ref()
             .map(|_| sim.create_context("telemetry-sampler"));
-        let scaling_on = self.config.policy.scaling != ScalingPolicyKind::Off;
-        let scaler_ctx = scaling_on.then(|| sim.create_context("scaling-controller"));
+        let scaler = Scaling::new(self.config.policy.scaling)
+            .map(|scaling| (scaling, sim.create_context("scaling-controller")));
+        // Perpetual tickers: auxiliary components that always keep one
+        // self-addressed event pending (the telemetry sampler's SampleTick,
+        // the scaling controller's ScaleTick).
+        let tickers = usize::from(telemetry_settings.is_some()) + usize::from(scaler.is_some());
 
         let frontend_id = frontend_ctx.id();
         let prefill_ids: Vec<_> = prefill_ctxs.iter().map(|c| c.id()).collect();
@@ -407,28 +383,18 @@ impl Simulator {
 
         let num_requests = requests.len();
         let policy = self.config.policy;
-        #[cfg(test)]
-        let force_boxed = FORCE_BOXED_POLICIES.with(std::cell::Cell::get);
-        #[cfg(not(test))]
-        let force_boxed = false;
-        let (dispatch, admission, scheduling) = if force_boxed {
-            (
-                Some(policy.dispatch.build()),
-                Some(policy.admission.build(&policy.tenants)),
-                Some(policy.scheduling.build()),
-            )
-        } else {
-            (
-                policy.dispatch.instantiate(),
-                policy.admission.instantiate(&policy.tenants),
-                policy.scheduling.instantiate(),
-            )
-        };
-        let per_tenant_queues = scheduling.is_some();
+        let scheduling = Scheduling::new(policy.scheduling);
 
         // Replicas flatten group-major: group 0's replicas first, carrying
-        // their group's memory budget.
-        let prefill_group_of = cluster_cfg.fleet.prefill.flatten_groups();
+        // their group's memory budget; every prefill queue takes the shape
+        // the scheduling policy pops.
+        let prefill = cluster_cfg
+            .fleet
+            .prefill
+            .flatten_groups()
+            .into_iter()
+            .map(|g| PrefillReplicaState::new(g, scheduling.queue()))
+            .collect();
         let decode_group_of = cluster_cfg.fleet.decode.flatten_groups();
         let decode_budgets: Vec<f64> = (0..cluster_cfg.fleet.decode.len())
             .map(|g| cluster_cfg.decode_group_kv_budget_bytes(g))
@@ -480,15 +446,12 @@ impl Simulator {
             prefill_models: self.prefill_models.clone(),
             decode_models: self.decode_models.clone(),
             costs: sim_costs,
-            dispatch,
-            admission,
+            dispatch: Dispatch::new(policy.dispatch),
+            admission: Admission::new(policy.admission, &policy.tenants),
             scheduling,
             states: vec![ReqState::default(); requests.len()],
             requests,
-            prefill: prefill_group_of
-                .iter()
-                .map(|&g| PrefillReplicaState::new(g, per_tenant_queues))
-                .collect(),
+            prefill,
             decode: decode_group_of
                 .iter()
                 .map(|&g| DecodeReplicaState {
@@ -573,7 +536,7 @@ impl Simulator {
             session_children,
         };
         let cluster = Rc::new(RefCell::new(state));
-        if telemetry_settings.is_some() || scaling_on {
+        if tickers > 0 {
             // The blackboard doubles as the engine probe: auxiliary components
             // (the sampler and the scaling controller) observe the simulation
             // through `SimulationContext::probe` instead of being wired in.
@@ -619,7 +582,7 @@ impl Simulator {
             );
         }
         let scale_ticks = Rc::new(std::cell::Cell::new(0u64));
-        if let Some(ctx) = scaler_ctx {
+        if let Some((scaling, ctx)) = scaler {
             // The first control decision fires at t=0 (observing the fleet's
             // configured full capacity); the controller re-arms itself.
             ctx.emit_at(ScaleTick, ctx.id(), 0.0);
@@ -627,10 +590,7 @@ impl Simulator {
                 "scaling-controller",
                 Rc::new(RefCell::new(ScalingController {
                     ctx,
-                    policy: policy
-                        .scaling
-                        .instantiate()
-                        .expect("scaling_on checked above"),
+                    policy: scaling,
                     ordered: vec![false; decode_replicas],
                     arrivals_seen: 0,
                     ticks: scale_ticks.clone(),
@@ -642,52 +602,34 @@ impl Simulator {
         // rejected by admission — (or the queue runs dry, e.g. under a
         // permanent failure of the whole decode fleet). ---
         let mut makespan = 0.0f64;
-        // Perpetual tickers: auxiliary components that always keep one
-        // self-addressed event pending (the telemetry sampler's SampleTick,
-        // the scaling controller's ScaleTick).
-        let tickers = usize::from(telemetry_settings.is_some()) + usize::from(scaling_on);
-        if tickers == 0 {
-            // The exact pre-telemetry loop: nothing on this path even looks at
-            // the ticker machinery.
-            while {
-                let cs = cluster.borrow();
-                cs.completed + cs.rejected < num_requests
-            } {
-                if !sim.step() {
-                    break;
-                }
-                makespan = makespan.max(sim.time());
+        // Each ticker keeps exactly one tick pending at all times, so the
+        // queue never runs dry on its own: when a delivered control event
+        // leaves nothing but the tickers' own re-arms behind
+        // (`queue_len() <= tickers`) the simulation proper is over — a
+        // ticker-free run would have seen `step()` return false. That check
+        // only needs to run on control-delivering steps (between control
+        // events the queue always holds the pending ticks plus at least one
+        // live event); without tickers the counters never move, so every
+        // step takes the makespan branch. Steps that deliver control-plane
+        // traffic (sampler ticks, scale ticks, provisioning landings) are
+        // excluded from the makespan so it stays a maximum over
+        // request-visible events only — bit-identical to a ticker-free run
+        // when nothing scales, even when the run ends with the queue dry
+        // (e.g. a permanent whole-fleet failure): events are delivered in
+        // time order, so the surviving maximum is over exactly the same
+        // event set.
+        while {
+            let cs = cluster.borrow();
+            cs.completed + cs.rejected < num_requests
+        } {
+            let ticks_before = sampler_ticks.get() + scale_ticks.get();
+            if !sim.step() {
+                break;
             }
-        } else {
-            // Each ticker keeps exactly one tick pending at all times, so the
-            // queue never runs dry on its own: when a delivered control event
-            // leaves nothing but the tickers' own re-arms behind
-            // (`queue_len() <= tickers`) the simulation proper is over — the
-            // ticker-free loop would have seen `step()` return false. That
-            // check only needs to run on control-delivering steps (between
-            // control events the queue always holds the pending ticks plus at
-            // least one live event), which keeps the per-step cost of this
-            // loop at a few counter loads over the ticker-free loop. Steps
-            // that deliver control-plane traffic (sampler ticks, scale ticks,
-            // provisioning landings) are excluded from the makespan so it
-            // stays a maximum over request-visible events only — bit-identical
-            // to the ticker-free run when nothing scales, even when the run
-            // ends with the queue dry (e.g. a permanent whole-fleet failure):
-            // events are delivered in time order, so the surviving maximum is
-            // over exactly the same event set.
-            while {
-                let cs = cluster.borrow();
-                cs.completed + cs.rejected < num_requests
-            } {
-                let ticks_before = sampler_ticks.get() + scale_ticks.get();
-                if !sim.step() {
-                    break;
-                }
-                if sampler_ticks.get() + scale_ticks.get() == ticks_before {
-                    makespan = makespan.max(sim.time());
-                } else if sim.queue_len() <= tickers {
-                    break;
-                }
+            if sampler_ticks.get() + scale_ticks.get() == ticks_before {
+                makespan = makespan.max(sim.time());
+            } else if sim.queue_len() <= tickers {
+                break;
             }
         }
 
@@ -1061,7 +1003,9 @@ mod tests {
     use crate::cache::CacheConfig;
     use crate::config::{ClusterConfig, FailureSpec};
     use crate::fleet::{GroupSet, ReplicaGroup};
-    use crate::policy::{DispatchPolicyKind, PolicyConfig};
+    use crate::policy::{
+        DispatchPolicyKind, PolicyConfig, SchedulingPolicyKind, TenantClass, TenantClasses,
+    };
     use crate::telemetry::TelemetryConfig;
     use crate::topology::FaultPlan;
     use hack_model::gpu::GpuKind;
@@ -1559,27 +1503,6 @@ mod tests {
         let _ = Simulator::new(failure_config(10, FailureSpec::permanent(99, 1.0))).run();
     }
 
-    #[test]
-    fn boxed_default_policies_reproduce_the_fast_path_bit_for_bit() {
-        // LeastLoaded/FCFS/AdmitAll normally instantiate to `None` (the
-        // pre-policy hot paths). Forcing them through the boxed trait-object
-        // path (load-view assembly + `LeastLoaded::route`, per-tenant
-        // sub-queues + `Fcfs::select_tenant`, per-arrival `AdmitAll::admit`)
-        // must change nothing: PartialEq compares every f64 exactly.
-        for (dataset, rps) in [(Dataset::Cocktail, 0.08), (Dataset::Imdb, 0.6)] {
-            let sim = Simulator::new(sim_config(KvMethodProfile::hack(), dataset, rps, 50));
-            assert_eq!(
-                sim.run_with_boxed_default_policies(),
-                sim.run(),
-                "{}: boxed LeastLoaded/Fcfs/AdmitAll must match the built-in fast path",
-                dataset.name()
-            );
-        }
-        // Same pin on a heterogeneous fleet.
-        let sim = Simulator::new(mixed_config(KvMethodProfile::baseline(), 30));
-        assert_eq!(sim.run_with_boxed_default_policies(), sim.run());
-    }
-
     // --- Topology-aware fabric and fault plans. ---
 
     fn link_graph_config(n: usize, rps: f64) -> SimulationConfig {
@@ -1749,6 +1672,53 @@ mod tests {
                 (total - jct).abs() < 1e-6 * jct.max(1.0),
                 "breakdown must sum to JCT under prefill faults: {total} vs {jct}"
             );
+        }
+    }
+
+    #[test]
+    fn every_policy_kind_survives_a_prefill_replica_fault() {
+        // Under load, a transient fault on prefill replica 0 re-routes its
+        // queue (`drain_all` on a FIFO or on per-tenant sub-queues) and
+        // leaves a dead, empty replica that the load-view dispatchers pick
+        // and must fall back from.
+        use crate::topology::{FaultDomain, FaultEvent};
+        let n = 60;
+        let mut cfg = sim_config(KvMethodProfile::baseline(), Dataset::Cocktail, 1.0, n);
+        cfg.faults.push(FaultEvent::transient(
+            FaultDomain::PrefillReplica(0),
+            20.0,
+            60.0,
+        ));
+        cfg.policy.tenants = TenantClasses::new(&[
+            TenantClass {
+                weight: 3.0,
+                slo_jct: 30.0,
+            },
+            TenantClass {
+                weight: 1.0,
+                slo_jct: 300.0,
+            },
+        ]);
+        let mut requests = TraceGenerator::new(cfg.trace).generate();
+        for r in requests.iter_mut().skip(1).step_by(2) {
+            r.tenant = hack_workload::trace::TenantId(1);
+        }
+        let requests = Arc::new(requests);
+        for dispatch in DispatchPolicyKind::all() {
+            for scheduling in SchedulingPolicyKind::all() {
+                cfg.policy.dispatch = dispatch;
+                cfg.policy.scheduling = scheduling;
+                let label = format!("{} x {}", dispatch.name(), scheduling.name());
+                let sim = Simulator::with_requests(cfg, requests.clone());
+                let result = sim.run();
+                assert_eq!(result.injected_failures, 1, "{label}");
+                assert_eq!(
+                    result.records.len() + result.rejected_requests + result.aborted_requests,
+                    n,
+                    "{label}: request conservation"
+                );
+                assert_eq!(sim.run(), result, "{label}: repeat run");
+            }
         }
     }
 

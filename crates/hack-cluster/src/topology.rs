@@ -546,6 +546,11 @@ pub enum ConfigError {
         /// Which parameter is invalid.
         what: &'static str,
     },
+    /// An admission or scaling policy parameter is out of range.
+    InvalidPolicy {
+        /// Which parameter is invalid.
+        what: &'static str,
+    },
     /// A degradation factor is not in `(0, 1)`, or a degradation targets a
     /// replica domain (only links can run slow; replicas fail binarily).
     InvalidDegradeFactor {
@@ -623,6 +628,7 @@ impl fmt::Display for ConfigError {
             ConfigError::InvalidRetryPolicy { what } => {
                 write!(f, "retry policy has invalid {what}")
             }
+            ConfigError::InvalidPolicy { what } => write!(f, "policy has invalid {what}"),
             ConfigError::InvalidDegradeFactor { domain } => write!(
                 f,
                 "degradation on {} needs a factor in (0, 1) and a link domain",
