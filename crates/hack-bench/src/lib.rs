@@ -1,26 +1,16 @@
 //! # hack-bench
 //!
-//! Benchmark and experiment harness of the HACK reproduction:
+//! Experiment harness of the HACK reproduction: one binary per figure and table
+//! of the paper's evaluation (`src/bin/`: Fig. 1–4, the §3 FP4/6/8 study,
+//! Fig. 9–14, Tables 5–8). Each prints the same rows/series the paper reports
+//! and writes a JSON copy under `target/experiments/`. Grid cells are sharded
+//! across threads by [`shard`]; cells with `rps: None` measure the cluster's
+//! capacity by bisection over simulator runs
+//! ([`hack_core::JctExperiment::with_measured_load`]).
 //!
-//! * **In-tree micro-benchmarks** (`src/bin/bench.rs`): quantization and
-//!   homomorphic-matmul kernels (optimized vs the retained scalar reference),
-//!   attention kernels (prefill + decode, including the SE/RQE ablations), the
-//!   baseline codecs, the discrete-event engine (slab vs the pre-change boxed
-//!   representation) and the analytic cost layer (`sim_cost`: prefix-sum cost
-//!   tables vs the reference summation loops, including a full capacity
-//!   bisection). Writes `BENCH_kernels.json` / `BENCH_sim.json`;
-//!   `--compare <baseline.json>` prints a delta report against recorded
-//!   baselines (CI does this on every push). See `PERF.md` at the repository
-//!   root for the schema and how to compare runs across commits.
-//! * **Per-figure/table binaries** (`src/bin/`): one binary per figure and table of the
-//!   paper's evaluation (Fig. 1–4, the §3 FP4/6/8 study, Fig. 9–14, Tables 5–8). Each
-//!   prints the same rows/series the paper reports and writes a JSON copy under
-//!   `target/experiments/`. Grid cells are sharded across threads by [`shard`];
-//!   cells with `rps: None` measure the cluster's capacity by bisection over
-//!   simulator runs ([`hack_core::JctExperiment::with_measured_load`]).
-//!
-//! Run `cargo run -p hack-bench --release --bin <experiment>` for a single experiment,
-//! or see EXPERIMENTS.md for the full index and the recorded outcomes.
+//! Run `cargo run -p hack-bench --release --bin <experiment>` for a single
+//! experiment. Performance is measured by the standalone `bench/` package, not
+//! by this crate.
 
 pub mod shard;
 

@@ -5,12 +5,10 @@
 //! bandwidths and cost parameterisations (see [`crate::fleet`]). The paper's
 //! homogeneous deployments are single-group fleets; [`ClusterConfig`] keeps
 //! flat accessors (`prefill_replicas()`, `decode_network_gbps()`, …) for that
-//! shape, and [`ClusterConfig::from_value`] still decodes pre-fleet config
-//! snapshots (flat `prefill_gpu`/`prefill_replicas`/… keys) by lowering them
-//! to a single-group fleet.
+//! shape.
 
 use crate::cache::CacheConfig;
-use crate::fleet::{FleetSpec, GroupSet, ReplicaGroup};
+use crate::fleet::{FleetSpec, ReplicaGroup};
 use crate::policy::{AdmissionPolicyKind, PolicyConfig, ScalingPolicyKind};
 use crate::telemetry::TelemetryConfig;
 use crate::topology::{
@@ -233,48 +231,14 @@ impl ClusterConfig {
     }
 
     /// Decodes a cluster configuration from its serialized [`Value`] tree.
-    ///
-    /// Accepts both the current fleet format (a `fleet` key) and pre-fleet
-    /// snapshots (flat `prefill_gpu`/`prefill_replicas`/`prefill_network_gbps`
-    /// keys, ditto decode), lowering the latter to a single-group fleet with
-    /// the Table 3 parallelism those configurations implied.
     pub fn from_value(value: &Value) -> Option<ClusterConfig> {
-        let model = ModelKind::from_name(value.get_key("model")?.as_str()?)?;
-        let fleet = match value.get_key("fleet") {
-            Some(fleet) => FleetSpec::from_value(fleet)?,
-            None => {
-                // Pre-fleet snapshot: flat homogeneous fields.
-                let side = |prefix: &str| -> Option<ReplicaGroup> {
-                    let gpu =
-                        GpuKind::from_name(value.get_key(&format!("{prefix}_gpu"))?.as_str()?)?;
-                    Some(ReplicaGroup {
-                        gpu,
-                        replicas: value.get_key(&format!("{prefix}_replicas"))?.as_f64()? as usize,
-                        parallel: Parallelism::table3(model, gpu),
-                        network_gbps: value.get_key(&format!("{prefix}_network_gbps"))?.as_f64()?,
-                        cost_params: None,
-                        dollars_per_gpu_hour: ReplicaGroup::default_dollars_per_gpu_hour(gpu),
-                        provision_delay_s: ReplicaGroup::default_provision_delay_s(gpu),
-                    })
-                };
-                FleetSpec {
-                    prefill: GroupSet::single(side("prefill")?),
-                    decode: GroupSet::single(side("decode")?),
-                }
-            }
-        };
         Some(ClusterConfig {
-            model,
-            fleet,
+            model: ModelKind::from_name(value.get_key("model")?.as_str()?)?,
+            fleet: FleetSpec::from_value(value.get_key("fleet")?)?,
             pipelining: matches!(value.get_key("pipelining")?, Value::Bool(true)),
             cost_params: CostParams::from_value(value.get_key("cost_params")?)?,
             activation_reserve: value.get_key("activation_reserve")?.as_f64()?,
-            // Pre-topology snapshots have no `topology` key: they ran on the
-            // flat fabric.
-            topology: match value.get_key("topology") {
-                Some(v) => TopologySpec::from_value(v)?,
-                None => TopologySpec::Flat,
-            },
+            topology: TopologySpec::from_value(value.get_key("topology")?)?,
         })
     }
 
@@ -310,58 +274,6 @@ impl ClusterConfig {
     }
 }
 
-/// Fault-injection schedule: one decode replica goes down mid-run and
-/// (optionally) comes back.
-///
-/// While the replica is down it admits nothing; its in-flight requests are
-/// aborted, their KV reservations dropped, and they are re-dispatched through
-/// the normal admission path (re-transferring their KV from the prefill side's
-/// CPU copy, the spill path of §4). On recovery the replica rejoins the fleet
-/// empty and the memory-wait queue is drained into it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct FailureSpec {
-    /// Index of the decode replica that fails (global, group-major).
-    pub decode_replica: usize,
-    /// Failure time (seconds since trace start).
-    pub at: f64,
-    /// Recovery time, or `None` for a permanent failure.
-    pub recover_at: Option<f64>,
-}
-
-impl FailureSpec {
-    /// A failure of decode replica `decode_replica` at time `at` with no recovery.
-    pub fn permanent(decode_replica: usize, at: f64) -> Self {
-        Self {
-            decode_replica,
-            at,
-            recover_at: None,
-        }
-    }
-
-    /// A failure at time `at` that recovers at `recover_at`.
-    pub fn transient(decode_replica: usize, at: f64, recover_at: f64) -> Self {
-        Self {
-            decode_replica,
-            at,
-            recover_at: Some(recover_at),
-        }
-    }
-}
-
-impl From<FailureSpec> for FaultPlan {
-    /// The legacy single-failure schedule is a one-event fault plan over the
-    /// decode-replica domain (identical seeded events, hence bit-identical
-    /// runs).
-    fn from(spec: FailureSpec) -> FaultPlan {
-        FaultPlan::new(&[FaultEvent {
-            domain: FaultDomain::DecodeReplica(spec.decode_replica),
-            at: spec.at,
-            recover_at: spec.recover_at,
-            degrade: None,
-        }])
-    }
-}
-
 /// A full simulation: cluster + workload + evaluated method + frontend policy
 /// (+ optional fault injection).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -377,8 +289,7 @@ pub struct SimulationConfig {
     /// bit-for-bit (least-loaded dispatch, admit all, FCFS).
     pub policy: PolicyConfig,
     /// Scheduled fault injection over typed fault domains (replicas, NICs,
-    /// ToRs, the spine). The empty plan (the default) injects nothing; the
-    /// legacy single-failure [`FailureSpec`] converts via `From`.
+    /// ToRs, the spine). The empty plan (the default) injects nothing.
     pub faults: FaultPlan,
     /// Telemetry switch. [`TelemetryConfig::Off`] (the default) allocates no
     /// recording state and is bit- and cost-identical to the pre-telemetry
@@ -461,8 +372,7 @@ impl SimulationConfig {
                 }
             }
             // No link graph means no spine blocks at all: a `Spine(s)` event
-            // that slipped past the topology check (e.g. a legacy `"Spine"`
-            // decode) must never validate against a phantom block.
+            // must never validate against a phantom block.
             let spines = self
                 .cluster
                 .topology
@@ -561,6 +471,7 @@ impl SimulationConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::GroupSet;
     use hack_workload::dataset::Dataset;
 
     #[test]
@@ -673,13 +584,17 @@ mod tests {
         let mut graph = flat;
         graph.topology = TopologySpec::LinkGraph(LinkGraphSpec::paper_default());
 
-        // The empty plan and a legacy-shaped transient failure are fine.
+        // The empty plan and a single-replica transient failure are fine.
         assert_eq!(sim_config(flat, FaultPlan::none()).validate(), Ok(()));
-        let legacy = FaultPlan::from(FailureSpec::transient(0, 10.0, 20.0));
-        assert_eq!(sim_config(flat, legacy).validate(), Ok(()));
+        let transient = FaultPlan::new(&[FaultEvent::transient(
+            FaultDomain::DecodeReplica(0),
+            10.0,
+            20.0,
+        )]);
+        assert_eq!(sim_config(flat, transient).validate(), Ok(()));
 
         // Out-of-range decode replica: the old should-panic case, now typed.
-        let oob = FaultPlan::from(FailureSpec::permanent(99, 1.0));
+        let oob = FaultPlan::new(&[FaultEvent::permanent(FaultDomain::DecodeReplica(99), 1.0)]);
         assert!(matches!(
             sim_config(flat, oob).validate(),
             Err(ConfigError::ReplicaOutOfRange { limit: 4, .. })
@@ -740,8 +655,8 @@ mod tests {
 
         // Spine indices are checked against the spine-block count: the
         // paper-default fabric has exactly one spine, so `Spine(0)` is legal
-        // and `Spine(1)` — which a legacy `"Spine"` decode can never produce
-        // but an availability-generated plan could — is typed out-of-range.
+        // and `Spine(1)` — which an availability-generated plan could
+        // produce — is typed out-of-range.
         let spine_ok = FaultPlan::new(&[FaultEvent::transient(FaultDomain::Spine(0), 10.0, 20.0)]);
         assert_eq!(sim_config(graph, spine_ok).validate(), Ok(()));
         let spine_oob = FaultPlan::new(&[FaultEvent::transient(FaultDomain::Spine(1), 10.0, 20.0)]);
@@ -867,29 +782,18 @@ mod tests {
     }
 
     #[test]
-    fn pre_fleet_snapshots_lower_to_single_group_fleets() {
-        // A config serialized before the fleet API existed: flat homogeneous
-        // fields, no `fleet` key. Values mirror paper_default(Llama, A10G).
-        let json = r#"{
-            "model": "Llama31_70B",
-            "prefill_gpu": "A10G", "prefill_replicas": 5, "prefill_network_gbps": 40.0,
-            "decode_gpu": "A100", "decode_replicas": 4, "decode_network_gbps": 200.0,
-            "pipelining": false,
-            "cost_params": {
-                "compute_efficiency": 0.5, "attention_efficiency": 0.22,
-                "elementwise_efficiency": 0.005, "memory_efficiency": 0.8,
-                "kv_access_efficiency": 0.05, "dequant_efficiency": 0.0003,
-                "decode_iter_overhead_s": 0.03, "network_efficiency": 0.9,
-                "pp_bubble": 0.10, "decode_batch": 8.0
-            },
-            "activation_reserve": 0.10
-        }"#;
-        let value = serde_json::from_str(json).unwrap();
-        let decoded = ClusterConfig::from_value(&value).expect("old snapshot decodes");
-        assert_eq!(
-            decoded,
-            ClusterConfig::paper_default(ModelKind::Llama31_70B, GpuKind::A10G),
-            "the lowered single-group fleet must equal the legacy constructor"
-        );
+    fn snapshots_without_a_fleet_or_topology_key_are_rejected() {
+        // Only the current shape decodes: a snapshot missing the `fleet` or
+        // the `topology` key is malformed, not an older format to default.
+        let c = ClusterConfig::paper_default(ModelKind::Llama31_70B, GpuKind::A10G);
+        let value = serde_json::from_str(&serde_json::to_string(&c).unwrap()).unwrap();
+        assert_eq!(ClusterConfig::from_value(&value), Some(c));
+        for key in ["fleet", "topology"] {
+            let mut stripped = value.clone();
+            if let Value::Object(fields) = &mut stripped {
+                fields.retain(|(k, _)| k != key);
+            }
+            assert_eq!(ClusterConfig::from_value(&stripped), None, "no `{key}` key");
+        }
     }
 }

@@ -157,28 +157,19 @@ impl ReplicaGroup {
         )
     }
 
-    /// Decodes a group from its serialized [`Value`] tree. Snapshots from
-    /// before the cost model carry no price/provisioning keys; those fall
-    /// back to the GPU kind's defaults.
+    /// Decodes a group from its serialized [`Value`] tree.
     pub fn from_value(value: &Value) -> Option<ReplicaGroup> {
-        let gpu = GpuKind::from_name(value.get_key("gpu")?.as_str()?)?;
         Some(ReplicaGroup {
-            gpu,
+            gpu: GpuKind::from_name(value.get_key("gpu")?.as_str()?)?,
             replicas: value.get_key("replicas")?.as_f64()? as usize,
             parallel: Parallelism::from_value(value.get_key("parallel")?)?,
             network_gbps: value.get_key("network_gbps")?.as_f64()?,
-            cost_params: match value.get_key("cost_params") {
-                None | Some(Value::Null) => None,
-                Some(params) => Some(CostParams::from_value(params)?),
+            cost_params: match value.get_key("cost_params")? {
+                Value::Null => None,
+                params => Some(CostParams::from_value(params)?),
             },
-            dollars_per_gpu_hour: value
-                .get_key("dollars_per_gpu_hour")
-                .and_then(|v| v.as_f64())
-                .unwrap_or_else(|| Self::default_dollars_per_gpu_hour(gpu)),
-            provision_delay_s: value
-                .get_key("provision_delay_s")
-                .and_then(|v| v.as_f64())
-                .unwrap_or_else(|| Self::default_provision_delay_s(gpu)),
+            dollars_per_gpu_hour: value.get_key("dollars_per_gpu_hour")?.as_f64()?,
+            provision_delay_s: value.get_key("provision_delay_s")?.as_f64()?,
         })
     }
 }
@@ -404,14 +395,26 @@ mod tests {
         // The decoder is fallible end to end: structurally valid JSON with
         // semantically invalid content (zero replicas, non-positive NIC)
         // yields None, never a panic.
+        let side = |replicas: i32, gbps: f64| {
+            format!(
+                r#"[{{"gpu":"A10G","replicas":{replicas},"parallel":{{"tp":4,"pp":2}},
+                    "network_gbps":{gbps:?},"cost_params":null,
+                    "dollars_per_gpu_hour":1.0,"provision_delay_s":60.0}}]"#
+            )
+        };
+        let value = serde_json::from_str(&side(2, 40.0)).expect("valid JSON");
+        assert!(
+            GroupSet::from_value(&value).is_some(),
+            "the control decodes"
+        );
         for json in [
-            r#"[{"gpu":"A10G","replicas":0,"parallel":{"tp":4,"pp":2},"network_gbps":40.0,"cost_params":null}]"#,
-            r#"[{"gpu":"A10G","replicas":2,"parallel":{"tp":4,"pp":2},"network_gbps":0.0,"cost_params":null}]"#,
-            r#"[{"gpu":"A10G","replicas":-3,"parallel":{"tp":4,"pp":2},"network_gbps":40.0,"cost_params":null}]"#,
-            r#"[]"#,
-            r#"{"not":"an array"}"#,
+            side(0, 40.0),
+            side(2, 0.0),
+            side(-3, 40.0),
+            "[]".to_string(),
+            r#"{"not":"an array"}"#.to_string(),
         ] {
-            let value = serde_json::from_str(json).expect("valid JSON");
+            let value = serde_json::from_str(&json).expect("valid JSON");
             assert!(GroupSet::from_value(&value).is_none(), "{json}");
         }
     }

@@ -18,7 +18,7 @@
 //! serialization + pipelined transfer) and `DecodeReplica` (KV memory accounting) —
 //! communicating through the typed payloads in [`events`]. New serving scenarios are
 //! added by introducing event types and handlers instead of editing a monolithic
-//! match; fault injection ([`FailureSpec`]) is the first such scenario: a decode
+//! match; fault injection ([`FaultPlan`]) is the first such scenario: a decode
 //! replica dies mid-run, its in-flight requests are aborted and re-queued onto the
 //! surviving fleet, and the replica optionally recovers. Multi-tenancy is the
 //! second: requests carry a [`hack_workload::trace::TenantId`], and the frontend's
@@ -61,8 +61,7 @@
 //!   before the request is permanently aborted). The frontend routes around
 //!   dead prefill replicas and parks arrivals when the whole fleet is down.
 //!   Configurations are validated at [`Simulator::try_new`] time with typed
-//!   [`ConfigError`]s. The legacy single-failure [`FailureSpec`] converts via
-//!   `From` and stays bit-identical.
+//!   [`ConfigError`]s.
 //! * **Sensors** ([`SimulationResult`]): per-fault blast radius
 //!   ([`FaultRecord`]: replicas affected, requests aborted, downtime,
 //!   recovery-drain time), retry counts and a per-request attempt histogram,
@@ -143,7 +142,7 @@ pub mod topology;
 
 pub use cache::{CacheConfig, CacheSettings};
 pub use components::scaling::SCALE_TICK_SECS;
-pub use config::{ClusterConfig, FailureSpec, SimulationConfig};
+pub use config::{ClusterConfig, SimulationConfig};
 pub use fleet::{FleetSpec, GroupSet, ReplicaGroup, MAX_GROUPS};
 pub use policy::{
     AdmissionPolicyKind, DispatchPolicyKind, GroupScalingView, PolicyConfig, ReplicaLoad,

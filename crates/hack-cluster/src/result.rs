@@ -51,9 +51,7 @@ impl RequestRecord {
         self.breakdown.total() / service
     }
 
-    /// Decodes a record from its serialized [`Value`] tree. Pre-tenant
-    /// snapshots (no `tenant` key inside `request`) decode as tenant 0 — see
-    /// [`Request::from_value`].
+    /// Decodes a record from its serialized [`Value`] tree.
     pub fn from_value(value: &Value) -> Option<RequestRecord> {
         Some(RequestRecord {
             request: Request::from_value(value.get_key("request")?)?,
@@ -575,23 +573,5 @@ mod tests {
             back.breakdown.queueing.to_bits(),
             original.breakdown.queueing.to_bits()
         );
-    }
-
-    #[test]
-    fn pre_tenant_record_snapshots_decode_as_tenant_zero() {
-        let json = r#"{
-            "request": {"id":1,"arrival":0.5,"input_len":64,"output_len":8},
-            "prefill_replica": 2,
-            "decode_replica": 1,
-            "finish_time": 9.5,
-            "breakdown": {"prefill":1.0,"quantization":0.0,"communication":0.5,
-                          "dequant_or_approx":0.0,"decode":7.0,"queueing":0.5}
-        }"#;
-        let value = serde_json::from_str(json).unwrap();
-        let record = RequestRecord::from_value(&value).expect("old snapshot decodes");
-        assert_eq!(record.tenant(), TenantId::default());
-        assert_eq!(record.prefill_replica, 2);
-        assert!((record.jct() - 9.0).abs() < 1e-12);
-        assert!((record.slowdown() - 9.0 / 8.5).abs() < 1e-12);
     }
 }

@@ -15,7 +15,7 @@
 //! per-prompt-length memo per (prefill group × decode group) pair, so every
 //! per-request cost during the event loop is O(1).
 //! [`CostMode::Reference`] re-runs the original per-token summation loops
-//! instead — kept for benchmarking and as the equivalence oracle.
+//! instead — kept as the equivalence oracle.
 
 use crate::components::decode::DecodeReplica;
 use crate::components::frontend::Frontend;
@@ -53,8 +53,8 @@ pub enum CostMode {
     #[default]
     Table,
     /// The pre-table paths: O(output tokens) summation per request and direct
-    /// formula evaluation per call. Kept for benchmarking and equivalence
-    /// testing; results agree with [`CostMode::Table`] to ~1e-15 relative.
+    /// formula evaluation per call. Kept for equivalence testing; results
+    /// agree with [`CostMode::Table`] to ~1e-15 relative.
     Reference,
 }
 
@@ -230,8 +230,8 @@ impl Simulator {
     }
 
     /// Runs on an explicit engine representation ([`EngineMode::Boxed`] is the
-    /// pre-slab engine, kept for benchmarking and equivalence testing; results
-    /// are bit-identical across modes).
+    /// pre-slab engine, kept for equivalence testing; results are
+    /// bit-identical across modes).
     pub fn run_with_mode(&self, mode: EngineMode) -> SimulationResult {
         self.run_impl(mode, CostMode::Table, false).0
     }
@@ -256,8 +256,8 @@ impl Simulator {
     }
 
     /// Runs with an explicit cost-evaluation mode ([`CostMode::Reference`] is
-    /// the pre-table summation path, kept for benchmarking and equivalence
-    /// testing; results agree to ~1e-15 relative).
+    /// the pre-table summation path, kept for equivalence testing; results
+    /// agree to ~1e-15 relative).
     pub fn run_with_costs(&self, costs: CostMode) -> SimulationResult {
         self.run_impl(EngineMode::Slab, costs, false).0
     }
@@ -267,13 +267,6 @@ impl Simulator {
     pub fn run_traced(&self, mode: EngineMode) -> (SimulationResult, Vec<EventRecord>) {
         let (result, trace, _, _) = self.run_impl(mode, CostMode::Table, true);
         (result, trace)
-    }
-
-    /// Runs and also reports the number of engine events processed (used by the
-    /// bench harness to size its workloads honestly).
-    pub fn run_counted(&self, mode: EngineMode) -> (SimulationResult, u64) {
-        let (result, _, events, _) = self.run_impl(mode, CostMode::Table, false);
-        (result, events)
     }
 
     #[allow(clippy::type_complexity)]
@@ -1001,13 +994,13 @@ fn fault_targets(domain: FaultDomain, cluster: &ClusterConfig) -> (Vec<usize>, V
 mod tests {
     use super::*;
     use crate::cache::CacheConfig;
-    use crate::config::{ClusterConfig, FailureSpec};
+    use crate::config::ClusterConfig;
     use crate::fleet::{GroupSet, ReplicaGroup};
     use crate::policy::{
         DispatchPolicyKind, PolicyConfig, SchedulingPolicyKind, TenantClass, TenantClasses,
     };
     use crate::telemetry::TelemetryConfig;
-    use crate::topology::FaultPlan;
+    use crate::topology::{FaultDomain, FaultEvent, FaultPlan};
     use hack_model::gpu::GpuKind;
     use hack_model::spec::ModelKind;
     use hack_workload::dataset::Dataset;
@@ -1260,8 +1253,8 @@ mod tests {
 
     #[test]
     fn slab_engine_matches_boxed_under_fault_injection() {
-        let spec = FailureSpec::transient(0, 50.0, 400.0);
-        let cfg = failure_config(30, spec);
+        let fault = FaultEvent::transient(FaultDomain::DecodeReplica(0), 50.0, 400.0);
+        let cfg = failure_config(30, fault);
         let (slab_result, slab_trace) = Simulator::new(cfg).run_traced(EngineMode::Slab);
         let (boxed_result, boxed_trace) = Simulator::new(cfg).run_traced(EngineMode::Boxed);
         assert_eq!(slab_trace, boxed_trace);
@@ -1410,17 +1403,18 @@ mod tests {
     // --- Fault injection: scenarios the monolithic simulator could not express. ---
 
     /// A failure window covering the middle of the run on the default config.
-    fn failure_config(n: usize, failure: FailureSpec) -> SimulationConfig {
+    fn failure_config(n: usize, failure: FaultEvent) -> SimulationConfig {
         SimulationConfig {
-            faults: failure.into(),
+            faults: FaultPlan::new(&[failure]),
             ..sim_config(KvMethodProfile::baseline(), Dataset::Cocktail, 0.08, n)
         }
     }
 
-    /// A failure spec guaranteed to abort at least one in-flight decode: from a
-    /// healthy run, pick a completed request and fail its decode replica just
-    /// before it finishes (decoding is the last stage, so it is in flight then).
-    fn mid_decode_failure(n: usize) -> FailureSpec {
+    /// A decode-replica fault guaranteed to abort at least one in-flight
+    /// decode: from a healthy run, pick a completed request and fail its decode
+    /// replica just before it finishes (decoding is the last stage, so it is in
+    /// flight then).
+    fn mid_decode_failure(n: usize) -> FaultEvent {
         let healthy = Simulator::new(sim_config(
             KvMethodProfile::baseline(),
             Dataset::Cocktail,
@@ -1433,8 +1427,8 @@ mod tests {
             .iter()
             .find(|r| r.breakdown.decode > 1.0)
             .expect("some request decodes for more than a second");
-        FailureSpec::transient(
-            victim.decode_replica,
+        FaultEvent::transient(
+            FaultDomain::DecodeReplica(victim.decode_replica),
             victim.finish_time - 0.5,
             healthy.makespan + 100.0,
         )
@@ -1478,7 +1472,8 @@ mod tests {
 
     #[test]
     fn permanent_failure_leaves_survivors_serving() {
-        let result = Simulator::new(failure_config(40, FailureSpec::permanent(0, 100.0))).run();
+        let fault = FaultEvent::permanent(FaultDomain::DecodeReplica(0), 100.0);
+        let result = Simulator::new(failure_config(40, fault)).run();
         // The paper-default fleet has 4 decode replicas; the other three finish the work.
         assert_eq!(result.records.len(), 40);
         assert!(result
@@ -1500,7 +1495,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "failure targets decode replica")]
     fn failure_on_nonexistent_replica_is_rejected() {
-        let _ = Simulator::new(failure_config(10, FailureSpec::permanent(99, 1.0))).run();
+        let fault = FaultEvent::permanent(FaultDomain::DecodeReplica(99), 1.0);
+        let _ = Simulator::new(failure_config(10, fault)).run();
     }
 
     // --- Topology-aware fabric and fault plans. ---
@@ -1681,7 +1677,6 @@ mod tests {
         // queue (`drain_all` on a FIFO or on per-tenant sub-queues) and
         // leaves a dead, empty replica that the load-view dispatchers pick
         // and must fall back from.
-        use crate::topology::{FaultDomain, FaultEvent};
         let n = 60;
         let mut cfg = sim_config(KvMethodProfile::baseline(), Dataset::Cocktail, 1.0, n);
         cfg.faults.push(FaultEvent::transient(
@@ -1743,19 +1738,18 @@ mod tests {
     }
 
     #[test]
-    fn legacy_failure_spec_still_pins_the_single_replica_fault_path() {
-        // `FailureSpec -> FaultPlan` must reproduce the legacy event sequence
-        // exactly (it seeds one ReplicaFailed + one ReplicaRecovered).
-        let spec = FailureSpec::transient(1, 50.0, 400.0);
-        let via_plan = Simulator::new(failure_config(30, spec)).run();
-        assert_eq!(via_plan.injected_failures, 1);
-        assert_eq!(via_plan.faults.len(), 1);
-        assert_eq!(via_plan.faults[0].replicas_affected, 1);
+    fn single_decode_replica_fault_fails_exactly_one_replica() {
+        // A one-event plan over the decode-replica domain seeds one
+        // ReplicaFailed + one ReplicaRecovered and touches no other replica.
+        let fault = FaultEvent::transient(FaultDomain::DecodeReplica(1), 50.0, 400.0);
+        let result = Simulator::new(failure_config(30, fault)).run();
+        assert_eq!(result.injected_failures, 1);
+        assert_eq!(result.faults.len(), 1);
+        assert_eq!(result.faults[0].replicas_affected, 1);
     }
 
     #[test]
     fn invalid_fault_configs_yield_typed_errors() {
-        use crate::topology::{ConfigError, FaultDomain, FaultEvent, FaultPlan};
         let base = sim_config(KvMethodProfile::baseline(), Dataset::Imdb, 0.3, 5);
 
         // Recovery at or before the fault instant.

@@ -9,14 +9,11 @@
 //! transfer start/finish/failure event, so a group's effective NIC bandwidth
 //! is emergent rather than assumed.
 //!
-//! [`FaultPlan`] generalizes the old single-decode-replica [`FailureSpec`]
-//! (see [`crate::config`]) to a bounded schedule of typed fault events over
-//! *fault domains* — a single replica, a NIC, a ToR, or the spine. A switch
-//! fault atomically fails every replica behind it; in-flight transfers
-//! crossing a dead link abort with partial progress and retry with
-//! deterministic seeded backoff.
-//!
-//! [`FailureSpec`]: crate::config::FailureSpec
+//! [`FaultPlan`] is a bounded schedule of typed fault events over *fault
+//! domains* — a single replica, a NIC, a ToR, or the spine. A switch fault
+//! atomically fails every replica behind it; in-flight transfers crossing a
+//! dead link abort with partial progress and retry with deterministic seeded
+//! backoff.
 
 use serde::{Serialize, Value};
 use std::fmt;
@@ -121,9 +118,7 @@ impl TopologySpec {
         }
     }
 
-    /// Decodes a topology from its serialized [`Value`] shape. A missing
-    /// `topology` key in old snapshots lowers to [`TopologySpec::Flat`]; this
-    /// decodes the present-key shapes.
+    /// Decodes a topology from its serialized [`Value`] shape.
     pub fn from_value(value: &Value) -> Option<TopologySpec> {
         match value {
             Value::String(s) if s == "Flat" => Some(TopologySpec::Flat),
@@ -166,8 +161,7 @@ pub struct LinkGraphSpec {
     /// Capacity of each spine block (Gbps), shared by the inter-ToR traffic
     /// ECMP-hashed onto it.
     pub spine_gbps: f64,
-    /// Number of redundant spine blocks (ECMP paths). Old snapshots without
-    /// the key decode to 1.
+    /// Number of redundant spine blocks (ECMP paths).
     pub spines: usize,
 }
 
@@ -223,10 +217,7 @@ impl LinkGraphSpec {
             decode_per_tor: value.get_key("decode_per_tor")?.as_f64()? as usize,
             tor_uplink_gbps: value.get_key("tor_uplink_gbps")?.as_f64()?,
             spine_gbps: value.get_key("spine_gbps")?.as_f64()?,
-            spines: value
-                .get_key("spines")
-                .and_then(Value::as_f64)
-                .map_or(1, |v| v as usize),
+            spines: value.get_key("spines")?.as_f64()? as usize,
         })
     }
 }
@@ -239,8 +230,9 @@ impl LinkGraphSpec {
 /// fabric). Replica domains work under either topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum FaultDomain {
-    /// One decode replica (global, group-major index) — the legacy
-    /// [`FailureSpec`](crate::config::FailureSpec) semantics.
+    /// One decode replica (global, group-major index): it admits nothing
+    /// while down, its in-flight requests are aborted and re-dispatched, and
+    /// on recovery it rejoins the fleet empty.
     DecodeReplica(usize),
     /// One prefill replica: its queue re-routes to live replicas, its
     /// in-flight prefill is aborted and re-admitted.
@@ -259,8 +251,7 @@ pub enum FaultDomain {
     /// One spine block: no replica fails. With a single spine every in-flight
     /// transfer aborts and new transfers cannot start until recovery; with
     /// redundant spines surviving flows are ECMP-rerouted across the live
-    /// blocks instead (link-graph only). Old snapshots serialized the
-    /// unit-variant string `"Spine"`, which decodes to `Spine(0)`.
+    /// blocks instead (link-graph only).
     Spine(usize),
 }
 
@@ -288,28 +279,24 @@ impl FaultDomain {
     }
 
     /// Decodes a domain from its serialized [`Value`] shape (tuple variants
-    /// serialize to `{name: [index]}`; the legacy unit-variant string
-    /// `"Spine"` decodes to `Spine(0)`).
+    /// serialize to `{name: [index]}`).
     pub fn from_value(value: &Value) -> Option<FaultDomain> {
-        match value {
-            Value::String(s) if s == "Spine" => Some(FaultDomain::Spine(0)),
-            Value::Object(fields) => {
-                let (name, inner) = fields.first()?;
-                let index = match inner {
-                    Value::Array(items) => items.first()?.as_f64()? as usize,
-                    other => other.as_f64()? as usize,
-                };
-                match name.as_str() {
-                    "DecodeReplica" => Some(FaultDomain::DecodeReplica(index)),
-                    "PrefillReplica" => Some(FaultDomain::PrefillReplica(index)),
-                    "PrefillNic" => Some(FaultDomain::PrefillNic(index)),
-                    "DecodeNic" => Some(FaultDomain::DecodeNic(index)),
-                    "PrefillTor" => Some(FaultDomain::PrefillTor(index)),
-                    "DecodeTor" => Some(FaultDomain::DecodeTor(index)),
-                    "Spine" => Some(FaultDomain::Spine(index)),
-                    _ => None,
-                }
-            }
+        let Value::Object(fields) = value else {
+            return None;
+        };
+        let (name, inner) = fields.first()?;
+        let index = match inner {
+            Value::Array(items) => items.first()?.as_f64()? as usize,
+            other => other.as_f64()? as usize,
+        };
+        match name.as_str() {
+            "DecodeReplica" => Some(FaultDomain::DecodeReplica(index)),
+            "PrefillReplica" => Some(FaultDomain::PrefillReplica(index)),
+            "PrefillNic" => Some(FaultDomain::PrefillNic(index)),
+            "DecodeNic" => Some(FaultDomain::DecodeNic(index)),
+            "PrefillTor" => Some(FaultDomain::PrefillTor(index)),
+            "DecodeTor" => Some(FaultDomain::DecodeTor(index)),
+            "Spine" => Some(FaultDomain::Spine(index)),
             _ => None,
         }
     }
@@ -331,7 +318,7 @@ pub struct FaultEvent {
     /// Recovery time, or `None` for a permanent fault.
     pub recover_at: Option<f64>,
     /// Capacity multiplier in `(0, 1)` for a degradation, or `None` for a
-    /// binary up/down fault. Old snapshots without the key decode to `None`.
+    /// binary up/down fault.
     pub degrade: Option<f64>,
 }
 
@@ -371,13 +358,13 @@ impl FaultEvent {
         Some(FaultEvent {
             domain: FaultDomain::from_value(value.get_key("domain")?)?,
             at: value.get_key("at")?.as_f64()?,
-            recover_at: match value.get_key("recover_at") {
-                None | Some(Value::Null) => None,
-                Some(v) => Some(v.as_f64()?),
+            recover_at: match value.get_key("recover_at")? {
+                Value::Null => None,
+                v => Some(v.as_f64()?),
             },
-            degrade: match value.get_key("degrade") {
-                None | Some(Value::Null) => None,
-                Some(v) => Some(v.as_f64()?),
+            degrade: match value.get_key("degrade")? {
+                Value::Null => None,
+                v => Some(v.as_f64()?),
             },
         })
     }
@@ -386,11 +373,7 @@ impl FaultEvent {
 /// A bounded, `Copy` schedule of fault events (at most [`MAX_FAULTS`]).
 ///
 /// The empty plan (the default) injects nothing and is bit-identical to the
-/// pre-fault simulator. The legacy single-failure
-/// [`FailureSpec`](crate::config::FailureSpec) converts losslessly via
-/// `From`, and [`FaultPlan::from_value`] additionally accepts that old
-/// serialized shape (a `decode_replica`/`at`/`recover_at` object), so
-/// pre-fault snapshots keep decoding.
+/// pre-fault simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultPlan {
     events: [Option<FaultEvent>; MAX_FAULTS],
@@ -453,40 +436,19 @@ impl FaultPlan {
         self.iter().any(|e| e.domain.needs_link_graph())
     }
 
-    /// Decodes a plan from either the current shape (an array of fault
-    /// events) or the legacy single-failure [`FailureSpec`] shape.
-    ///
-    /// [`FailureSpec`]: crate::config::FailureSpec
+    /// Decodes a plan from its serialized shape: an array of fault events.
     pub fn from_value(value: &Value) -> Option<FaultPlan> {
-        match value {
-            Value::Null => Some(FaultPlan::none()),
-            Value::Array(items) => {
-                if items.len() > MAX_FAULTS {
-                    return None;
-                }
-                let mut plan = FaultPlan::none();
-                for item in items {
-                    plan.push(FaultEvent::from_value(item)?);
-                }
-                Some(plan)
-            }
-            Value::Object(_) => {
-                // Legacy FailureSpec snapshot: {decode_replica, at, recover_at}.
-                let replica = value.get_key("decode_replica")?.as_f64()? as usize;
-                let at = value.get_key("at")?.as_f64()?;
-                let recover_at = match value.get_key("recover_at") {
-                    None | Some(Value::Null) => None,
-                    Some(v) => Some(v.as_f64()?),
-                };
-                Some(FaultPlan::new(&[FaultEvent {
-                    domain: FaultDomain::DecodeReplica(replica),
-                    at,
-                    recover_at,
-                    degrade: None,
-                }]))
-            }
-            _ => None,
+        let Value::Array(items) = value else {
+            return None;
+        };
+        if items.len() > MAX_FAULTS {
+            return None;
         }
+        let mut plan = FaultPlan::none();
+        for item in items {
+            plan.push(FaultEvent::from_value(item)?);
+        }
+        Some(plan)
     }
 }
 
@@ -875,36 +837,45 @@ mod tests {
     #[test]
     fn legacy_spine_string_and_missing_spines_key_decode() {
         // Pre-ECMP snapshots serialized the unit variant "Spine" and a
-        // LinkGraphSpec without the `spines` key.
+        // LinkGraphSpec without the `spines` key. Neither decodes: both are
+        // malformed, not defaulted. The current shapes of the same values do.
         assert_eq!(
             FaultDomain::from_value(&Value::String("Spine".to_string())),
+            None
+        );
+        assert_eq!(
+            FaultDomain::from_value(&FaultDomain::Spine(0).serialize_value()),
             Some(FaultDomain::Spine(0))
         );
         let mut value = LinkGraphSpec::paper_default().serialize_value();
+        assert_eq!(
+            LinkGraphSpec::from_value(&value),
+            Some(LinkGraphSpec::paper_default())
+        );
         if let Value::Object(fields) = &mut value {
             fields.retain(|(k, _)| k != "spines");
         }
-        let spec = LinkGraphSpec::from_value(&value).expect("legacy shape decodes");
-        assert_eq!(spec.spines, 1);
-        assert_eq!(spec, LinkGraphSpec::paper_default());
+        assert_eq!(LinkGraphSpec::from_value(&value), None);
     }
 
     #[test]
     fn fault_plan_decodes_legacy_failure_spec_shape() {
-        // A pre-fault-plan snapshot: the serialized FailureSpec object.
-        let spec = crate::config::FailureSpec::transient(2, 40.0, 400.0);
-        let value = spec.serialize_value();
-        let plan = FaultPlan::from_value(&value).expect("legacy shape decodes");
-        assert_eq!(plan, FaultPlan::from(spec));
-        assert_eq!(
-            plan.get(0).domain,
-            FaultDomain::DecodeReplica(2),
-            "legacy failures are decode-replica faults"
-        );
+        // A pre-fault-plan snapshot held one `{decode_replica, at,
+        // recover_at}` object. Only the event array decodes: that object, a
+        // bare fault event and `null` are all rejected.
+        let legacy = Value::Object(vec![
+            ("decode_replica".to_string(), Value::Number(2.0)),
+            ("at".to_string(), Value::Number(40.0)),
+            ("recover_at".to_string(), Value::Number(400.0)),
+        ]);
+        assert_eq!(FaultPlan::from_value(&legacy), None);
+        let event = FaultEvent::transient(FaultDomain::DecodeReplica(2), 40.0, 400.0);
+        assert_eq!(FaultPlan::from_value(&event.serialize_value()), None);
+        assert_eq!(FaultPlan::from_value(&Value::Null), None);
 
-        let permanent = crate::config::FailureSpec::permanent(0, 5.0);
-        let plan = FaultPlan::from_value(&permanent.serialize_value()).unwrap();
-        assert_eq!(plan.get(0).recover_at, None);
+        let plan = FaultPlan::new(&[event]);
+        assert_eq!(FaultPlan::from_value(&plan.serialize_value()), Some(plan));
+        assert_eq!(plan.get(0).domain, FaultDomain::DecodeReplica(2));
     }
 
     #[test]

@@ -3,9 +3,7 @@
 //! A single-group [`FleetSpec`] **is** the legacy flat configuration: every
 //! test here pins that a hand-built single-group fleet reproduces the legacy
 //! constructors bit-for-bit (`PartialEq` on [`SimulationResult`] compares
-//! every f64 exactly) across engine modes, cost modes and frontend policies,
-//! and that pre-fleet serialized config snapshots decode through
-//! [`ClusterConfig::from_value`].
+//! every f64 exactly) across engine modes, cost modes and frontend policies.
 
 use hack_cluster::{
     AdmissionPolicyKind, CacheConfig, ClusterConfig, CostMode, DispatchPolicyKind, FaultPlan,
@@ -188,46 +186,6 @@ fn group_affinity_on_a_single_group_coincides_with_least_loaded() {
         Simulator::new(affinity).run(),
         Simulator::new(base).run(),
         "group-affinity must coincide with least-loaded on one group"
-    );
-}
-
-#[test]
-fn pre_fleet_config_snapshot_decodes_and_reproduces_the_legacy_run() {
-    // A flat (pre-fleet) ClusterConfig snapshot, as PR 4 would have written
-    // it: no `fleet` key, no parallelism (implied by Table 3).
-    let json = r#"{
-        "model": "Llama31_70B",
-        "prefill_gpu": "A10G",
-        "prefill_replicas": 5,
-        "prefill_network_gbps": 40.0,
-        "decode_gpu": "A100",
-        "decode_replicas": 4,
-        "decode_network_gbps": 200.0,
-        "pipelining": false,
-        "cost_params": {
-            "compute_efficiency": 0.5, "attention_efficiency": 0.22,
-            "elementwise_efficiency": 0.005, "memory_efficiency": 0.8,
-            "kv_access_efficiency": 0.05, "dequant_efficiency": 0.0003,
-            "decode_iter_overhead_s": 0.03, "network_efficiency": 0.9,
-            "pp_bubble": 0.1, "decode_batch": 8.0
-        },
-        "activation_reserve": 0.1
-    }"#;
-    let value = serde_json::from_str(json).expect("snapshot parses");
-    let decoded = ClusterConfig::from_value(&value).expect("pre-fleet snapshot decodes");
-    assert_eq!(
-        decoded,
-        ClusterConfig::paper_default(ModelKind::Llama31_70B, GpuKind::A10G)
-    );
-    // And the decoded config drives the simulator to the identical result.
-    assert_eq!(
-        Simulator::new(sim_config(decoded, 3, 25)).run(),
-        Simulator::new(sim_config(
-            ClusterConfig::paper_default(ModelKind::Llama31_70B, GpuKind::A10G),
-            3,
-            25
-        ))
-        .run()
     );
 }
 

@@ -15,8 +15,8 @@
 //!    timestamps agree to ~1e-9 (the cost layers agree to ~1e-15 relative).
 
 use hack_cluster::{
-    CacheConfig, ClusterConfig, CostMode, FailureSpec, FaultPlan, PolicyConfig, SimulationConfig,
-    Simulator, TelemetryConfig,
+    CacheConfig, ClusterConfig, CostMode, FaultDomain, FaultEvent, FaultPlan, PolicyConfig,
+    SimulationConfig, Simulator, TelemetryConfig,
 };
 use hack_metrics::telemetry::Telemetry;
 use hack_model::cost::KvMethodProfile;
@@ -52,7 +52,11 @@ fn with_telemetry(mut config: SimulationConfig, interval: f64) -> SimulationConf
 
 fn failure_config(n: usize) -> SimulationConfig {
     SimulationConfig {
-        faults: FailureSpec::transient(0, 40.0, 400.0).into(),
+        faults: FaultPlan::new(&[FaultEvent::transient(
+            FaultDomain::DecodeReplica(0),
+            40.0,
+            400.0,
+        )]),
         ..base_config(n, 0.08)
     }
 }

@@ -6,8 +6,8 @@
 //! an [`AvailabilityModel`] (spine outages plus decode-ToR link degradations).
 //! The pooled outcomes become availability SLO curves: nines of goodput,
 //! p99/p999 JCT versus failure rate, downtime and abandonment totals, and the
-//! ECMP reroute count. Everything is deterministic in the seed list, so the
-//! bench harness pins the grid exactly across runs.
+//! ECMP reroute count. Everything is deterministic in the seed list, so
+//! `tests/integration_drift_anchors.rs` pins the grid exactly.
 
 use crate::experiment::{ExperimentTable, Row};
 use crate::method::Method;

@@ -7,8 +7,7 @@
 //! instances for L4s (faster prefill compute, same 40 Gbps NIC — the ROADMAP's
 //! "Heterogeneous GPUs" scenario). [`HeteroFleetExperiment::grid`] sweeps
 //! every shipped [`DispatchPolicyKind`] on the mixed fleet and reports average
-//! JCT plus per-group utilization — the `hetero_fleet` experiment grid of the
-//! bench harness.
+//! JCT plus per-group utilization — the `hetero_fleet` experiment grid.
 
 use crate::experiment::{ExperimentTable, Row};
 use crate::method::Method;
@@ -179,8 +178,7 @@ pub struct HeteroFleetOutcome {
 }
 
 impl HeteroFleetOutcome {
-    /// Aggregates a finished simulation result (also used by the bench
-    /// harness, which times the raw runs itself).
+    /// Aggregates a finished simulation result.
     pub fn from_result(dispatch: DispatchPolicyKind, result: SimulationResult) -> Self {
         Self {
             dispatch,

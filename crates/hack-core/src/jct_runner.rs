@@ -6,8 +6,8 @@
 
 use crate::method::Method;
 use hack_cluster::{
-    CacheConfig, ClusterConfig, CostMode, FailureSpec, FaultPlan, PolicyConfig, SimulationConfig,
-    Simulator, TelemetryConfig,
+    CacheConfig, ClusterConfig, FaultPlan, PolicyConfig, SimulationConfig, Simulator,
+    TelemetryConfig,
 };
 use hack_metrics::jct::{JctStats, StageRatios};
 use hack_model::gpu::GpuKind;
@@ -38,9 +38,6 @@ pub struct JctExperiment {
     pub prefill_replicas: Option<usize>,
     /// Override for the number of decode replicas.
     pub decode_replicas: Option<usize>,
-    /// Optional fault injection: a decode replica fails (and possibly recovers)
-    /// mid-run.
-    pub failure: Option<FailureSpec>,
     /// Trace seed.
     pub seed: u64,
 }
@@ -62,7 +59,6 @@ impl JctExperiment {
             pipelining: false,
             prefill_replicas: None,
             decode_replicas: None,
-            failure: None,
             seed: 42,
         }
     }
@@ -181,8 +177,7 @@ impl JctExperiment {
     /// once; each probe only rescales arrival times, bit-identical to a fresh
     /// trace at that rate) and, through the process-wide cost-table cache, one
     /// set of decode cost tables — so each probe re-runs only the event loop.
-    /// [`Self::measured_max_rps_reference`] keeps the uncached per-probe path;
-    /// both return bit-identical results (pinned by test).
+    /// A test pins it bit-identical to the uncached per-probe path.
     ///
     /// Deterministic: probes reuse this experiment's trace seed.
     pub fn measured_max_rps(&self) -> f64 {
@@ -201,16 +196,17 @@ impl JctExperiment {
 
     /// The pre-cache capacity measurement: every probe synthesises its trace
     /// from scratch and evaluates costs through the reference summation loops
-    /// ([`CostMode::Reference`]). Kept as the benchmark "before" and as the
-    /// oracle [`Self::measured_max_rps`] must reproduce bit-identically.
-    pub fn measured_max_rps_reference(&self) -> f64 {
+    /// ([`hack_cluster::CostMode::Reference`]). It is the test oracle that
+    /// [`Self::measured_max_rps`] must reproduce bit-identically.
+    #[cfg(test)]
+    fn measured_max_rps_reference(&self) -> f64 {
         let n = self.num_requests.clamp(20, 40);
         self.bisect_max_rps(|rps| {
             let config = self
                 .probe_experiment(rps, n)
                 .simulation_config(Method::Baseline);
             Simulator::new(config)
-                .run_with_costs(CostMode::Reference)
+                .run_with_costs(hack_cluster::CostMode::Reference)
                 .average_jct()
         })
     }
@@ -242,16 +238,15 @@ impl JctExperiment {
         }
     }
 
-    /// Builds the full simulation configuration for one method (also used by the
-    /// bench harness to drive the [`Simulator`] directly, e.g. with an explicit
-    /// engine mode).
+    /// Builds the full simulation configuration for one method (also used to
+    /// drive the [`Simulator`] directly, e.g. with an explicit engine mode).
     pub fn simulation_config(&self, method: Method) -> SimulationConfig {
         SimulationConfig {
             cluster: self.cluster_config(),
             trace: self.trace_config(),
             profile: method.profile(),
             policy: PolicyConfig::default(),
-            faults: self.failure.map(FaultPlan::from).unwrap_or_default(),
+            faults: FaultPlan::none(),
             telemetry: TelemetryConfig::Off,
             cache: CacheConfig::Off,
         }

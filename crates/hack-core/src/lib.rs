@@ -12,7 +12,7 @@
 //! * [`fidelity`] — numerical-fidelity experiments on the reference transformer and on
 //!   raw attention tensors: the accuracy proxy behind Tables 6–8.
 //! * [`experiment`] — output helpers: result tables that print like the paper's
-//!   figures/tables and serialise to JSON for the bench harness.
+//!   figures/tables and serialise to JSON for the experiment binaries.
 //!
 //! ## Quick start
 //!
@@ -67,11 +67,11 @@ pub mod prelude {
     pub use hack_attention::state::HackKvState;
     pub use hack_cluster::{
         AdmissionPolicyKind, AvailabilityModel, CacheConfig, CacheSettings, ClusterConfig,
-        ConfigError, DispatchPolicyKind, FailureSpec, FaultDomain, FaultEvent, FaultPlan,
-        FaultRecord, FleetShape, FleetSpec, GroupSet, GroupStats, LinkGraphSpec, MtbfSpec,
-        PolicyConfig, ReplicaGroup, RetryPolicy, ScalingPolicyKind, SchedulingPolicyKind,
-        SimulationConfig, Simulator, TelemetryConfig, TelemetrySettings, TenantClass,
-        TenantClasses, TopologySpec, SCALE_TICK_SECS,
+        ConfigError, DispatchPolicyKind, FaultDomain, FaultEvent, FaultPlan, FaultRecord,
+        FleetShape, FleetSpec, GroupSet, GroupStats, LinkGraphSpec, MtbfSpec, PolicyConfig,
+        ReplicaGroup, RetryPolicy, ScalingPolicyKind, SchedulingPolicyKind, SimulationConfig,
+        Simulator, TelemetryConfig, TelemetrySettings, TenantClass, TenantClasses, TopologySpec,
+        SCALE_TICK_SECS,
     };
     pub use hack_metrics::telemetry::Telemetry;
     pub use hack_model::gpu::GpuKind;

@@ -188,9 +188,9 @@ impl<'b> RowProduct<'b> {
 
 /// The pre-change scalar homomorphic GEMM, retained verbatim.
 ///
-/// It serves two purposes: the bit-exactness oracle the blocked kernel above is
-/// pinned against in tests, and the baseline the in-tree `bench` binary times the
-/// optimized kernel against (see PERF.md).
+/// It is the bit-exactness oracle the blocked kernel above is pinned against in
+/// tests.
+#[cfg(test)]
 pub mod reference {
     use super::*;
 

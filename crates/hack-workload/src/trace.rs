@@ -76,39 +76,21 @@ impl Request {
     /// Decodes a request from its serialized [`Value`] tree (the stub serde's
     /// data model; `serde_json::from_str` produces these).
     ///
-    /// Trace snapshots written before multi-tenancy carry no `tenant` key and
-    /// pre-session snapshots carry no `session`/`parent`/`shared_prefix_tokens`
-    /// keys; those decode with the defaults (tenant 0, independent request), so
-    /// old snapshots stay readable. A *present* but malformed optional key is
-    /// corruption, not an old snapshot, and is rejected like any other
-    /// malformed field (`parent` may be `null` — that is how `None`
-    /// serializes — but not, say, a string).
+    /// Every field is required; `parent` may be `null` (that is how `None`
+    /// serializes). A missing or malformed key rejects the snapshot.
     pub fn from_value(value: &Value) -> Option<Request> {
-        let tenant = match value.get_key("tenant") {
-            None => TenantId::default(),
-            Some(t) => TenantId(t.as_f64()? as u32),
-        };
-        let session = match value.get_key("session") {
-            None => 0,
-            Some(s) => s.as_f64()? as u64,
-        };
-        let parent = match value.get_key("parent") {
-            None | Some(Value::Null) => None,
-            Some(p) => Some(p.as_f64()? as u64),
-        };
-        let shared_prefix_tokens = match value.get_key("shared_prefix_tokens") {
-            None => 0,
-            Some(s) => s.as_f64()? as usize,
-        };
         Some(Request {
             id: value.get_key("id")?.as_f64()? as u64,
-            tenant,
+            tenant: TenantId(value.get_key("tenant")?.as_f64()? as u32),
             arrival: value.get_key("arrival")?.as_f64()?,
             input_len: value.get_key("input_len")?.as_f64()? as usize,
             output_len: value.get_key("output_len")?.as_f64()? as usize,
-            session,
-            parent,
-            shared_prefix_tokens,
+            session: value.get_key("session")?.as_f64()? as u64,
+            parent: match value.get_key("parent")? {
+                Value::Null => None,
+                p => Some(p.as_f64()? as u64),
+            },
+            shared_prefix_tokens: value.get_key("shared_prefix_tokens")?.as_f64()? as usize,
         })
     }
 }
@@ -413,11 +395,13 @@ mod tests {
 
     #[test]
     fn pre_tenant_snapshots_decode_as_tenant_zero() {
-        // Trace snapshots written before multi-tenancy have no `tenant` key;
-        // they must keep decoding (forward compatibility).
-        let json = r#"{"id":5,"arrival":12.25,"input_len":100,"output_len":7}"#;
+        // A snapshot decodes as tenant zero only when it says `tenant: 0`.
+        // The pre-multi-tenancy shape, which had no `tenant` key, is
+        // malformed and rejected rather than defaulted.
+        let json = r#"{"id":5,"tenant":0,"arrival":12.25,"input_len":100,"output_len":7,
+                       "session":0,"parent":null,"shared_prefix_tokens":0}"#;
         let value = serde_json::from_str(json).unwrap();
-        let r = Request::from_value(&value).expect("old snapshot decodes");
+        let r = Request::from_value(&value).expect("current snapshot decodes");
         assert_eq!(
             r,
             Request {
@@ -431,54 +415,50 @@ mod tests {
                 shared_prefix_tokens: 0,
             }
         );
-        // A malformed snapshot is rejected, not silently defaulted: a missing
-        // required key, or a `tenant` key that is present but non-numeric.
-        let bad = serde_json::from_str(r#"{"id":5,"arrival":1.0}"#).unwrap();
-        assert!(Request::from_value(&bad).is_none());
-        let corrupt = serde_json::from_str(
-            r#"{"id":5,"tenant":"1","arrival":1.0,"input_len":10,"output_len":2}"#,
-        )
-        .unwrap();
-        assert!(
-            Request::from_value(&corrupt).is_none(),
-            "non-numeric tenant must be rejected, not defaulted"
-        );
+        // No `tenant` key, a missing required key, or a `tenant` key that is
+        // present but non-numeric: each is rejected, not silently defaulted.
+        for json in [
+            r#"{"id":5,"arrival":12.25,"input_len":100,"output_len":7,
+                "session":0,"parent":null,"shared_prefix_tokens":0}"#,
+            r#"{"id":5,"tenant":0,"arrival":1.0}"#,
+            r#"{"id":5,"tenant":"1","arrival":1.0,"input_len":10,"output_len":2,
+                "session":0,"parent":null,"shared_prefix_tokens":0}"#,
+        ] {
+            let value = serde_json::from_str(json).unwrap();
+            assert!(Request::from_value(&value).is_none(), "{json}");
+        }
     }
 
     #[test]
     fn pre_session_snapshots_decode_as_independent_requests() {
-        // Pre-session snapshots (no session/parent/shared_prefix_tokens keys)
-        // decode as independent requests; `parent: null` is how `None`
-        // serializes and must also decode as `None`.
-        let json = r#"{"id":2,"tenant":1,"arrival":3.5,"input_len":64,"output_len":8}"#;
+        // An independent request serializes `session: 0`, `parent: null`
+        // (how `None` serializes) and `shared_prefix_tokens: 0`, and decodes
+        // back to exactly that. The pre-session shape, which had none of
+        // these keys, is malformed and rejected rather than defaulted.
+        let json = r#"{"id":2,"tenant":1,"arrival":3.5,"input_len":64,"output_len":8,
+                       "session":0,"parent":null,"shared_prefix_tokens":0}"#;
         let value = serde_json::from_str(json).unwrap();
-        let r = Request::from_value(&value).expect("pre-session snapshot decodes");
+        let r = Request::from_value(&value).expect("independent request decodes");
         assert_eq!(r.session, 0);
         assert_eq!(r.parent, None);
         assert_eq!(r.shared_prefix_tokens, 0);
 
         let json = r#"{"id":2,"tenant":1,"arrival":3.5,"input_len":64,"output_len":8,
-                       "session":4,"parent":null,"shared_prefix_tokens":0}"#;
-        let value = serde_json::from_str(json).unwrap();
-        let r = Request::from_value(&value).expect("null parent decodes");
-        assert_eq!(r.session, 4);
-        assert_eq!(r.parent, None);
-
-        let json = r#"{"id":2,"tenant":1,"arrival":3.5,"input_len":64,"output_len":8,
                        "session":4,"parent":1,"shared_prefix_tokens":32}"#;
         let value = serde_json::from_str(json).unwrap();
         let r = Request::from_value(&value).expect("numeric parent decodes");
+        assert_eq!(r.session, 4);
         assert_eq!(r.parent, Some(1));
         assert_eq!(r.shared_prefix_tokens, 32);
 
-        // Present-but-malformed session fields are corruption, not back-compat.
-        let corrupt = serde_json::from_str(
-            r#"{"id":2,"arrival":3.5,"input_len":64,"output_len":8,"parent":"x"}"#,
-        )
-        .unwrap();
-        assert!(
-            Request::from_value(&corrupt).is_none(),
-            "non-numeric parent must be rejected, not defaulted"
-        );
+        // No session keys, or a present but non-numeric parent: rejected.
+        for json in [
+            r#"{"id":2,"tenant":1,"arrival":3.5,"input_len":64,"output_len":8}"#,
+            r#"{"id":2,"tenant":1,"arrival":3.5,"input_len":64,"output_len":8,
+                "session":4,"parent":"x","shared_prefix_tokens":0}"#,
+        ] {
+            let value = serde_json::from_str(json).unwrap();
+            assert!(Request::from_value(&value).is_none(), "{json}");
+        }
     }
 }

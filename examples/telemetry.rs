@@ -67,7 +67,11 @@ fn main() {
     // ~1/200th of the expected makespan so counter tracks have useful shape.
     let interval = (healthy.makespan / 200.0).max(1.0);
     let config = SimulationConfig {
-        faults: FailureSpec::transient(victim, fail_at, recover_at).into(),
+        faults: FaultPlan::new(&[FaultEvent::transient(
+            FaultDomain::DecodeReplica(victim),
+            fail_at,
+            recover_at,
+        )]),
         telemetry: TelemetryConfig::with_interval(interval),
         cache: CacheConfig::Off,
         ..base_config
