@@ -25,7 +25,7 @@ fn admit_to_batch(cs: &mut ClusterState, d: usize, req: usize, now: f64) {
     cs.decode[d].active += 1;
     cs.decode[d].resident_tokens += cs.requests[req].total_tokens();
     let group = cs.decode[d].group;
-    let (decode_t, dequant_t) = cs.decode_durations(group, &cs.requests[req]);
+    let (decode_t, dequant_t) = cs.costs.decode_durations(group, &cs.requests[req]);
     // Congestion: when more sequences are resident than the group's
     // nominal batch, every iteration takes proportionally longer.
     let nominal = cs.decode_models[group].params.decode_batch;

@@ -33,13 +33,10 @@ pub(crate) fn dispatch_to_prefill(cs: &mut ClusterState, req: usize, now: f64) {
         dispatch,
         prefill,
         costs,
-        prefill_models,
-        config,
         ..
     } = &mut *cs;
     let service_secs = |group: usize| {
-        let (prefill_t, quant_t) =
-            costs.prefill_service_times(prefill_models, &config.profile, group, request.input_len);
+        let (prefill_t, quant_t) = costs.prefill_service_times(group, request.input_len);
         prefill_t + quant_t
     };
     let Some(replica) = dispatch.route(prefill, &request, service_secs) else {

@@ -33,8 +33,8 @@ pub(crate) mod scaling;
 use crate::cache::{PrefixHit, SessionCacheState};
 use crate::config::SimulationConfig;
 use crate::events::{RequestArrived, TransferCompleted, TransferRetry};
+use crate::fleet::FleetSpec;
 use crate::policy::{Admission, Dispatch, Scheduling, MAX_TENANTS};
-use crate::sim::CostMode;
 use crate::topology::retry_backoff;
 use hack_model::cost::{KvMethodProfile, ReplicaCostModel};
 use hack_model::cost_table::{DecodeCostTable, PrefillCostTable};
@@ -43,60 +43,65 @@ use hack_workload::trace::Request;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// The memoized cost layer of one simulation run: per-decode-group prefix-sum
-/// tables and per-(prefill group × decode group) prompt-length memos, built
-/// once per [`crate::sim::Simulator`], plus the mode selecting between them
-/// and the reference summation loops (kept as the equivalence oracle). The
-/// tables are `None` exactly under [`CostMode::Reference`], which never reads
-/// them (and must not pay for building them — it is the benchmarked
-/// "pre-table" baseline).
+/// The memoized cost layer of a [`crate::sim::Simulator`], built on its first
+/// run and shared by every later one: one decode prefix-sum table per decode
+/// group and one prompt-length memo per (prefill group × decode group) pair,
+/// so every per-request cost the handlers ask for is O(1). Prompt lengths
+/// outside the trace (prefix-cache suffixes) fall through to the
+/// [`ReplicaCostModel`] formulas, which remain the test oracle of every
+/// lookup (`cost_layer_*` in the simulator's tests).
+#[derive(Clone)]
 pub(crate) struct SimCosts {
-    pub mode: CostMode,
+    pub profile: KvMethodProfile,
+    pub fleet: FleetSpec,
+    /// Cost model of each prefill group (index = group).
+    pub prefill_models: Vec<ReplicaCostModel>,
     /// `decode[dg]`: the decode cost table of decode group `dg`.
-    pub decode: Option<Vec<Arc<DecodeCostTable>>>,
+    pub decode: Vec<Arc<DecodeCostTable>>,
     /// `prefill[pg][dg]`: prefill/quantization times under prefill group
     /// `pg`'s model and the wire time over `min(pg, dg)` NIC bandwidth. The
     /// prefill/quantization entries are identical across `dg` (they do not
     /// depend on the network), so group-only lookups read `prefill[pg][0]`.
-    pub prefill: Option<Vec<Vec<Arc<PrefillCostTable>>>>,
+    pub prefill: Vec<Vec<Arc<PrefillCostTable>>>,
 }
 
 impl SimCosts {
-    fn decode_table(&self, group: usize) -> &DecodeCostTable {
-        &self
-            .decode
-            .as_deref()
-            .expect("table cost mode always carries decode cost tables")[group]
-    }
-
-    fn prefill_table(&self, prefill_group: usize, decode_group: usize) -> &PrefillCostTable {
-        &self
-            .prefill
-            .as_deref()
-            .expect("table cost mode always carries prefill cost tables")[prefill_group]
-            [decode_group]
+    /// Total (decode, dequant/approx) time of `request`'s decode iterations on
+    /// a replica of decode group `group`: two prefix subtractions in the
+    /// group's decode cost table.
+    pub fn decode_durations(&self, group: usize, request: &Request) -> (f64, f64) {
+        self.decode[group].decode_durations(request.input_len, request.output_len)
     }
 
     /// Prefill and quantization service times of a prompt on prefill group
-    /// `group` (cost models `models`, one per group), memoized by prompt
-    /// length (lengths repeat heavily across a trace).
-    pub fn prefill_service_times(
-        &self,
-        models: &[ReplicaCostModel],
-        profile: &KvMethodProfile,
-        group: usize,
-        prompt: usize,
-    ) -> (f64, f64) {
-        if self.mode == CostMode::Table {
-            if let Some(costs) = self.prefill_table(group, 0).get(prompt) {
-                return (costs.prefill, costs.quantization);
-            }
+    /// `group`, memoized by prompt length (lengths repeat heavily across a
+    /// trace).
+    pub fn prefill_service_times(&self, group: usize, prompt: usize) -> (f64, f64) {
+        if let Some(costs) = self.prefill[group][0].get(prompt) {
+            return (costs.prefill, costs.quantization);
         }
-        let model = &models[group];
+        let model = &self.prefill_models[group];
         (
-            model.prefill_time(prompt, profile),
-            model.quantization_time(prompt, profile),
+            model.prefill_time(prompt, &self.profile),
+            model.quantization_time(prompt, &self.profile),
         )
+    }
+
+    /// Uncontended wire time of a `prompt`-token KV transfer from prefill
+    /// group `prefill_group` to decode group `decode_group`, bottlenecked by
+    /// the slower of the two groups' NICs and memoized by prompt length (the
+    /// NIC serialization on top of it is per-request state in the fabric).
+    pub fn transfer_duration_len(
+        &self,
+        prefill_group: usize,
+        decode_group: usize,
+        prompt: usize,
+    ) -> f64 {
+        if let Some(costs) = self.prefill[prefill_group][decode_group].get(prompt) {
+            return costs.transfer;
+        }
+        let gbps = self.fleet.wire_gbps(prefill_group, decode_group);
+        self.prefill_models[prefill_group].transfer_time(prompt, &self.profile, gbps)
     }
 }
 
@@ -344,8 +349,6 @@ pub(crate) struct FaultTally {
 /// live here as methods so every component sees one consistent picture.
 pub(crate) struct ClusterState {
     pub config: SimulationConfig,
-    /// Cost model of each prefill group (index = group).
-    pub prefill_models: Vec<ReplicaCostModel>,
     /// Cost model of each decode group (index = group).
     pub decode_models: Vec<ReplicaCostModel>,
     pub costs: SimCosts,
@@ -450,81 +453,6 @@ impl ClusterState {
         }
     }
 
-    /// Total (decode, dequant/approx) time of `request`'s decode iterations on
-    /// a replica of decode group `group` — two prefix subtractions in the
-    /// group's decode cost table (O(1) per request), or the reference
-    /// summation loop under [`CostMode::Reference`].
-    pub fn decode_durations(&self, group: usize, request: &Request) -> (f64, f64) {
-        match self.costs.mode {
-            CostMode::Table => self
-                .costs
-                .decode_table(group)
-                .decode_durations(request.input_len, request.output_len),
-            CostMode::Reference => self.decode_durations_reference(group, request),
-        }
-    }
-
-    /// The pre-table sequential summation over decode iterations, kept as the
-    /// oracle the table path is pinned against.
-    pub fn decode_durations_reference(&self, group: usize, request: &Request) -> (f64, f64) {
-        let model = &self.decode_models[group];
-        model.decode_durations_reference(
-            self.profile(),
-            model.params.decode_batch,
-            request.input_len,
-            request.output_len,
-        )
-    }
-
-    /// Prefill and quantization service times of a prompt on prefill group
-    /// `group`, memoized by prompt length (lengths repeat heavily across a
-    /// trace).
-    pub fn prefill_service_times(&self, group: usize, prompt: usize) -> (f64, f64) {
-        self.costs
-            .prefill_service_times(&self.prefill_models, self.profile(), group, prompt)
-    }
-
-    /// Uncontended wire time of `request`'s KV transfer from prefill group
-    /// `prefill_group` to decode group `decode_group`, bottlenecked by the
-    /// slower of the two groups' NICs and memoized by prompt length (the NIC
-    /// serialization on top of it is per-request state in the fabric).
-    pub fn transfer_duration(
-        &self,
-        prefill_group: usize,
-        decode_group: usize,
-        request: &Request,
-    ) -> f64 {
-        self.transfer_duration_len(prefill_group, decode_group, request.input_len)
-    }
-
-    /// [`Self::transfer_duration`] for an explicit prompt length — the
-    /// prefix-cache hit path transfers only the suffix past the cached
-    /// prefix. Off-table lengths fall through to the direct formula, so
-    /// suffix lengths need no table entries.
-    pub fn transfer_duration_len(
-        &self,
-        prefill_group: usize,
-        decode_group: usize,
-        prompt: usize,
-    ) -> f64 {
-        if self.costs.mode == CostMode::Table {
-            if let Some(costs) = self
-                .costs
-                .prefill_table(prefill_group, decode_group)
-                .get(prompt)
-            {
-                return costs.transfer;
-            }
-        }
-        let fleet = &self.config.cluster.fleet;
-        let gbps = fleet
-            .prefill
-            .get(prefill_group)
-            .network_gbps
-            .min(fleet.decode.get(decode_group).network_gbps);
-        self.prefill_models[prefill_group].transfer_time(prompt, self.profile(), gbps)
-    }
-
     /// Hands `req` to the transfer/decode pipeline: reserve decode memory and
     /// serialize the KV transfer onto the prefill NIC, or spill to prefill CPU
     /// memory and join the FIFO memory-wait queue (§4). A prefix-cache hit
@@ -572,7 +500,7 @@ impl ClusterState {
             self.start_transfer_flow(req, replica, target, now);
             return;
         }
-        let duration = self.transfer_duration_len(
+        let duration = self.costs.transfer_duration_len(
             self.prefill[replica].group,
             self.decode[target].group,
             self.effective_prompt(req),
@@ -596,13 +524,10 @@ impl ClusterState {
     /// that bandwidth is the bandwidth-independent volume a fair-shared flow
     /// must move.
     pub fn transfer_volume(&self, prefill_group: usize, decode_group: usize, req: usize) -> f64 {
-        let fleet = &self.config.cluster.fleet;
-        let gbps = fleet
-            .prefill
-            .get(prefill_group)
-            .network_gbps
-            .min(fleet.decode.get(decode_group).network_gbps);
-        self.transfer_duration_len(prefill_group, decode_group, self.effective_prompt(req)) * gbps
+        let prompt = self.effective_prompt(req);
+        self.costs
+            .transfer_duration_len(prefill_group, decode_group, prompt)
+            * self.costs.fleet.wire_gbps(prefill_group, decode_group)
     }
 
     /// Starts (or fails to start) the fair-shared flow of `req` from prefill
@@ -910,8 +835,8 @@ impl ClusterState {
             return full;
         };
         let suffix = full - saved;
-        let (full_prefill, full_quant) = self.prefill_service_times(group, full);
-        let (suffix_prefill, suffix_quant) = self.prefill_service_times(group, suffix);
+        let (full_prefill, full_quant) = self.costs.prefill_service_times(group, full);
+        let (suffix_prefill, suffix_quant) = self.costs.prefill_service_times(group, suffix);
         let bytes = self.decode_models[0].kv_fp16_bytes(saved) * self.profile().kv_size_factor;
         let cache = self.cache.as_mut().expect("checked above");
         cache.caches[replica].pin(request.session);

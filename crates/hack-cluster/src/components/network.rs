@@ -7,7 +7,7 @@
 //!   from one NIC, modelled as a FIFO resource (`nic_free_at`): a transfer
 //!   starts when the NIC frees up and occupies it for the wire time. The wire
 //!   time itself is group-aware — see
-//!   [`super::ClusterState::transfer_duration`], which memoizes it per
+//!   [`super::SimCosts::transfer_duration_len`], which memoizes it per
 //!   (prefill group, decode group, prompt length) and bottlenecks on the
 //!   slower of the two groups' NICs. This path is bit- and cost-identical to
 //!   the pre-topology simulator.

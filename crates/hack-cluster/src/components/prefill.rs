@@ -44,7 +44,7 @@ pub(crate) fn start_prefill(cs: &mut ClusterState, replica: usize, now: f64) {
     // Session prefix lookup: on a hit, prefill (and later the KV transfer)
     // covers only the suffix past the cached prefix.
     let prompt = cs.resolve_prefix(req, group, now);
-    let (prefill_t, quant_t) = cs.prefill_service_times(group, prompt);
+    let (prefill_t, quant_t) = cs.costs.prefill_service_times(group, prompt);
     cs.states[req].prefill_time = prefill_t;
     cs.states[req].quant_time = quant_t;
     if let Some(tel) = &mut cs.tel {
@@ -90,7 +90,11 @@ pub(crate) fn start_prefill(cs: &mut ClusterState, replica: usize, now: f64) {
                     tel.flow_started(replica);
                 }
             } else {
-                let duration = cs.transfer_duration(group, cs.decode[target].group, &request);
+                let duration = cs.costs.transfer_duration_len(
+                    group,
+                    cs.decode[target].group,
+                    request.input_len,
+                );
                 let end = cs.fabric.reserve_nic(replica, now, duration);
                 cs.states[req].pipelined_transfer_end = Some(end);
                 if let Some(tel) = &mut cs.tel {

@@ -19,7 +19,7 @@ use hack_model::gpu::GpuKind;
 use hack_model::parallelism::Parallelism;
 use hack_model::spec::ModelKind;
 use hack_workload::trace::TraceConfig;
-use serde::{Serialize, Value};
+use serde::Serialize;
 
 /// Static description of a disaggregated cluster: model, fleet topology and
 /// the fleet-wide cost/memory constants.
@@ -228,18 +228,6 @@ impl ClusterConfig {
             decode_rps += group.replicas as f64 * batch / decode_seconds_per_request.max(1e-9);
         }
         prefill_rps.min(network_rps).min(decode_rps)
-    }
-
-    /// Decodes a cluster configuration from its serialized [`Value`] tree.
-    pub fn from_value(value: &Value) -> Option<ClusterConfig> {
-        Some(ClusterConfig {
-            model: ModelKind::from_name(value.get_key("model")?.as_str()?)?,
-            fleet: FleetSpec::from_value(value.get_key("fleet")?)?,
-            pipelining: matches!(value.get_key("pipelining")?, Value::Bool(true)),
-            cost_params: CostParams::from_value(value.get_key("cost_params")?)?,
-            activation_reserve: value.get_key("activation_reserve")?.as_f64()?,
-            topology: TopologySpec::from_value(value.get_key("topology")?)?,
-        })
     }
 
     /// Number of prefill-side ToRs under the link-graph topology (0 under
@@ -555,9 +543,7 @@ mod tests {
     fn cluster_config_serde_round_trips() {
         let original = ClusterConfig::paper_default(ModelKind::Llama31_70B, GpuKind::A10G);
         let json = serde_json::to_string(&original).unwrap();
-        let value = serde_json::from_str(&json).unwrap();
-        let back = ClusterConfig::from_value(&value).expect("fleet-format config decodes");
-        assert_eq!(back, original);
+        assert_eq!(serde_json::from_str(&json), Ok(original.serialize_value()));
     }
 
     fn sim_config(cluster: ClusterConfig, faults: FaultPlan) -> SimulationConfig {
@@ -774,26 +760,9 @@ mod tests {
         let mut c = ClusterConfig::paper_default(ModelKind::Llama31_70B, GpuKind::A10G);
         c.topology = TopologySpec::LinkGraph(LinkGraphSpec::paper_default());
         let json = serde_json::to_string(&c).unwrap();
-        let value = serde_json::from_str(&json).unwrap();
-        assert_eq!(ClusterConfig::from_value(&value), Some(c));
+        assert_eq!(serde_json::from_str(&json), Ok(c.serialize_value()));
         // 5 prefill replicas at 4 per ToR -> 2 switches; 4 decode at 2 -> 2.
         assert_eq!(c.prefill_tors(), 2);
         assert_eq!(c.decode_tors(), 2);
-    }
-
-    #[test]
-    fn snapshots_without_a_fleet_or_topology_key_are_rejected() {
-        // Only the current shape decodes: a snapshot missing the `fleet` or
-        // the `topology` key is malformed, not an older format to default.
-        let c = ClusterConfig::paper_default(ModelKind::Llama31_70B, GpuKind::A10G);
-        let value = serde_json::from_str(&serde_json::to_string(&c).unwrap()).unwrap();
-        assert_eq!(ClusterConfig::from_value(&value), Some(c));
-        for key in ["fleet", "topology"] {
-            let mut stripped = value.clone();
-            if let Value::Object(fields) = &mut stripped {
-                fields.retain(|(k, _)| k != key);
-            }
-            assert_eq!(ClusterConfig::from_value(&stripped), None, "no `{key}` key");
-        }
     }
 }

@@ -156,22 +156,6 @@ impl ReplicaGroup {
             self.cost_params.unwrap_or(default_params),
         )
     }
-
-    /// Decodes a group from its serialized [`Value`] tree.
-    pub fn from_value(value: &Value) -> Option<ReplicaGroup> {
-        Some(ReplicaGroup {
-            gpu: GpuKind::from_name(value.get_key("gpu")?.as_str()?)?,
-            replicas: value.get_key("replicas")?.as_f64()? as usize,
-            parallel: Parallelism::from_value(value.get_key("parallel")?)?,
-            network_gbps: value.get_key("network_gbps")?.as_f64()?,
-            cost_params: match value.get_key("cost_params")? {
-                Value::Null => None,
-                params => Some(CostParams::from_value(params)?),
-            },
-            dollars_per_gpu_hour: value.get_key("dollars_per_gpu_hour")?.as_f64()?,
-            provision_delay_s: value.get_key("provision_delay_s")?.as_f64()?,
-        })
-    }
 }
 
 /// The replica groups of one fleet side, in group order. Fixed capacity
@@ -276,29 +260,6 @@ impl GroupSet {
         }
         out
     }
-
-    /// Decodes a side from its serialized [`Value`] tree (an array of
-    /// groups). Semantically invalid snapshots (no groups, too many, a
-    /// zero-replica group, a non-positive NIC bandwidth) return `None` like
-    /// any other malformed input — the decoder never panics.
-    pub fn from_value(value: &Value) -> Option<GroupSet> {
-        let Value::Array(items) = value else {
-            return None;
-        };
-        if items.is_empty() || items.len() > MAX_GROUPS {
-            return None;
-        }
-        let groups: Option<Vec<ReplicaGroup>> =
-            items.iter().map(ReplicaGroup::from_value).collect();
-        let groups = groups?;
-        if groups
-            .iter()
-            .any(|g| g.replicas == 0 || g.network_gbps <= 0.0 || g.network_gbps.is_nan())
-        {
-            return None;
-        }
-        Some(GroupSet::new(&groups))
-    }
 }
 
 // Serialize only the live prefix (the derive would emit all MAX_GROUPS slots).
@@ -332,12 +293,11 @@ impl FleetSpec {
         }
     }
 
-    /// Decodes a fleet from its serialized [`Value`] tree.
-    pub fn from_value(value: &Value) -> Option<FleetSpec> {
-        Some(FleetSpec {
-            prefill: GroupSet::from_value(value.get_key("prefill")?)?,
-            decode: GroupSet::from_value(value.get_key("decode")?)?,
-        })
+    /// The KV wire bandwidth from prefill group `prefill_group` to decode
+    /// group `decode_group`: the slower of the two groups' NICs.
+    pub fn wire_gbps(&self, prefill_group: usize, decode_group: usize) -> f64 {
+        let prefill = self.prefill.get(prefill_group).network_gbps;
+        prefill.min(self.decode.get(decode_group).network_gbps)
     }
 }
 
@@ -391,35 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn from_value_rejects_invalid_snapshots_without_panicking() {
-        // The decoder is fallible end to end: structurally valid JSON with
-        // semantically invalid content (zero replicas, non-positive NIC)
-        // yields None, never a panic.
-        let side = |replicas: i32, gbps: f64| {
-            format!(
-                r#"[{{"gpu":"A10G","replicas":{replicas},"parallel":{{"tp":4,"pp":2}},
-                    "network_gbps":{gbps:?},"cost_params":null,
-                    "dollars_per_gpu_hour":1.0,"provision_delay_s":60.0}}]"#
-            )
-        };
-        let value = serde_json::from_str(&side(2, 40.0)).expect("valid JSON");
-        assert!(
-            GroupSet::from_value(&value).is_some(),
-            "the control decodes"
-        );
-        for json in [
-            side(0, 40.0),
-            side(2, 0.0),
-            side(-3, 40.0),
-            "[]".to_string(),
-            r#"{"not":"an array"}"#.to_string(),
-        ] {
-            let value = serde_json::from_str(&json).expect("valid JSON");
-            assert!(GroupSet::from_value(&value).is_none(), "{json}");
-        }
-    }
-
-    #[test]
     fn group_set_flattens_group_major() {
         let set = GroupSet::new(&[a10g(2), a10g(3)]);
         assert_eq!(set.len(), 2);
@@ -450,10 +381,13 @@ mod tests {
         };
         let json = serde_json::to_string(&fleet).unwrap();
         let value = serde_json::from_str(&json).unwrap();
-        let back = FleetSpec::from_value(&value).expect("fleet decodes");
-        assert_eq!(back, fleet);
-        assert_eq!(back.prefill.get(1).cost_params.unwrap().decode_batch, 4.0);
-        assert!(back.decode.get(0).cost_params.is_none());
+        assert_eq!(value, fleet.serialize_value());
+        // Only the live groups serialize, not all `MAX_GROUPS` slots.
+        let groups = |side: &str| match value.get_key(side) {
+            Some(Value::Array(groups)) => groups.len(),
+            other => panic!("{side}: {other:?}"),
+        };
+        assert_eq!((groups("prefill"), groups("decode")), (2, 1));
     }
 
     #[test]

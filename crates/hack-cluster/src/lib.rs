@@ -149,7 +149,7 @@ pub use policy::{
     ScalingPolicyKind, SchedulingPolicyKind, TenantClass, TenantClasses,
 };
 pub use result::{FaultRecord, GroupStats, RequestRecord, SimulationResult};
-pub use sim::{CostMode, Simulator};
+pub use sim::Simulator;
 pub use telemetry::{TelemetryConfig, TelemetrySettings};
 pub use topology::{
     AvailabilityModel, ConfigError, FaultDomain, FaultEvent, FaultPlan, FleetShape, LinkGraphSpec,

@@ -13,9 +13,9 @@
 //! group ([`hack_model::cost_table::DecodeCostTable`], shared process-wide
 //! across simulators with the same parameterisation) and one prefill-side
 //! per-prompt-length memo per (prefill group × decode group) pair, so every
-//! per-request cost during the event loop is O(1).
-//! [`CostMode::Reference`] re-runs the original per-token summation loops
-//! instead — kept as the equivalence oracle.
+//! per-request cost during the event loop is O(1). The per-token summation
+//! loops and direct formulas of [`hack_model::ReplicaCostModel`] those tables
+//! reproduce are the test oracle (`cost_layer_*` below).
 
 use crate::components::decode::DecodeReplica;
 use crate::components::frontend::Frontend;
@@ -45,32 +45,15 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// How the simulator evaluates per-request analytic costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CostMode {
-    /// Memoized cost tables: decode durations are prefix subtractions,
-    /// prefill/quantization/transfer times are per-prompt-length memos.
-    #[default]
-    Table,
-    /// The pre-table paths: O(output tokens) summation per request and direct
-    /// formula evaluation per call. Kept for equivalence testing; results
-    /// agree with [`CostMode::Table`] to ~1e-15 relative.
-    Reference,
-}
-
 /// Discrete-event simulator of one configuration (cluster × trace × method).
 pub struct Simulator {
     config: SimulationConfig,
-    /// Cost model of each prefill group.
-    prefill_models: Vec<ReplicaCostModel>,
     /// Cost model of each decode group.
     decode_models: Vec<ReplicaCostModel>,
     requests: Arc<Vec<Request>>,
-    /// Cost tables, built on the first [`CostMode::Table`] run and reused by
-    /// every subsequent one. Lazy so that pure [`CostMode::Reference`] runs —
-    /// the benchmarked "pre-table" baseline — never pay table construction.
-    #[allow(clippy::type_complexity)]
-    tables: OnceCell<(Vec<Arc<DecodeCostTable>>, Vec<Vec<Arc<PrefillCostTable>>>)>,
+    /// The cost layer, built on the first run and reused by every later one.
+    /// Lazy, so constructing a simulator stays cheap.
+    costs: OnceCell<SimCosts>,
 }
 
 impl Simulator {
@@ -132,18 +115,14 @@ impl Simulator {
             }
         }
         let cluster = &config.cluster;
-        let prefill_models = (0..cluster.fleet.prefill.len())
-            .map(|g| cluster.prefill_cost_model(g))
-            .collect();
         let decode_models = (0..cluster.fleet.decode.len())
             .map(|g| cluster.decode_cost_model(g))
             .collect();
         Ok(Self {
             config,
-            prefill_models,
             decode_models,
             requests,
-            tables: OnceCell::new(),
+            costs: OnceCell::new(),
         })
     }
 
@@ -151,17 +130,20 @@ impl Simulator {
     /// per decode group (shared process-wide across equal parameterisations)
     /// and one prefill per-prompt-length memo per (prefill × decode) group
     /// pair, built on first use.
-    #[allow(clippy::type_complexity)]
-    fn tables(&self) -> &(Vec<Arc<DecodeCostTable>>, Vec<Vec<Arc<PrefillCostTable>>>) {
-        self.tables.get_or_init(|| {
+    fn costs(&self) -> &SimCosts {
+        self.costs.get_or_init(|| {
             let max_kv_len = self
                 .requests
                 .iter()
                 .map(Request::total_tokens)
                 .max()
                 .unwrap_or(1);
-            let fleet = &self.config.cluster.fleet;
-            let decode_tables: Vec<Arc<DecodeCostTable>> = self
+            let cluster = &self.config.cluster;
+            let fleet = cluster.fleet;
+            let prefill_models: Vec<ReplicaCostModel> = (0..fleet.prefill.len())
+                .map(|g| cluster.prefill_cost_model(g))
+                .collect();
+            let decode = self
                 .decode_models
                 .iter()
                 .map(|model| {
@@ -177,18 +159,14 @@ impl Simulator {
             // re-evaluate the transfer column at their own min-NIC bandwidth
             // (prefill/quantization are bandwidth-independent), and pairings
             // with an equal bandwidth share one table.
-            let prefill_tables: Vec<Vec<Arc<PrefillCostTable>>> = self
-                .prefill_models
+            let prefill = prefill_models
                 .iter()
                 .enumerate()
                 .map(|(pg, model)| {
-                    let prefill_gbps = fleet.prefill.get(pg).network_gbps;
                     let mut built: Vec<(f64, Arc<PrefillCostTable>)> = Vec::new();
-                    fleet
-                        .decode
-                        .iter()
+                    (0..fleet.decode.len())
                         .map(|dg| {
-                            let network_gbps = prefill_gbps.min(dg.network_gbps);
+                            let network_gbps = fleet.wire_gbps(pg, dg);
                             if let Some((_, table)) =
                                 built.iter().find(|(gbps, _)| *gbps == network_gbps)
                             {
@@ -211,7 +189,13 @@ impl Simulator {
                         .collect()
                 })
                 .collect();
-            (decode_tables, prefill_tables)
+            SimCosts {
+                profile: self.config.profile,
+                fleet,
+                prefill_models,
+                decode,
+                prefill,
+            }
         })
     }
 
@@ -233,7 +217,7 @@ impl Simulator {
     /// pre-slab engine, kept for equivalence testing; results are
     /// bit-identical across modes).
     pub fn run_with_mode(&self, mode: EngineMode) -> SimulationResult {
-        self.run_impl(mode, CostMode::Table, false).0
+        self.run_impl(mode, false).0
     }
 
     /// Runs and returns the recorded [`Telemetry`] alongside the result —
@@ -241,57 +225,33 @@ impl Simulator {
     /// The result itself is bit-identical to [`Simulator::run`]: telemetry
     /// records the simulation, it never perturbs it.
     pub fn run_with_telemetry(&self) -> (SimulationResult, Option<Telemetry>) {
-        self.run_with_telemetry_modes(EngineMode::Slab, CostMode::Table)
+        self.run_with_telemetry_mode(EngineMode::Slab)
     }
 
-    /// [`Simulator::run_with_telemetry`] on explicit engine/cost modes (used
-    /// by the telemetry determinism tests).
-    pub fn run_with_telemetry_modes(
+    /// [`Simulator::run_with_telemetry`] on an explicit engine mode (used by
+    /// the telemetry determinism tests).
+    pub fn run_with_telemetry_mode(
         &self,
         mode: EngineMode,
-        costs: CostMode,
     ) -> (SimulationResult, Option<Telemetry>) {
-        let (result, _, _, telemetry) = self.run_impl(mode, costs, false);
+        let (result, _, telemetry) = self.run_impl(mode, false);
         (result, telemetry)
-    }
-
-    /// Runs with an explicit cost-evaluation mode ([`CostMode::Reference`] is
-    /// the pre-table summation path, kept for equivalence testing; results
-    /// agree to ~1e-15 relative).
-    pub fn run_with_costs(&self, costs: CostMode) -> SimulationResult {
-        self.run_impl(EngineMode::Slab, costs, false).0
     }
 
     /// Runs with structured event logging enabled, returning the full engine
     /// event trace alongside the result (used by the trace-equivalence tests).
     pub fn run_traced(&self, mode: EngineMode) -> (SimulationResult, Vec<EventRecord>) {
-        let (result, trace, _, _) = self.run_impl(mode, CostMode::Table, true);
+        let (result, trace, _) = self.run_impl(mode, true);
         (result, trace)
     }
 
-    #[allow(clippy::type_complexity)]
     fn run_impl(
         &self,
         mode: EngineMode,
-        costs: CostMode,
         capture_log: bool,
-    ) -> (SimulationResult, Vec<EventRecord>, u64, Option<Telemetry>) {
+    ) -> (SimulationResult, Vec<EventRecord>, Option<Telemetry>) {
         let requests = self.requests.clone();
-        let sim_costs = match costs {
-            CostMode::Table => {
-                let (decode, prefill) = self.tables();
-                SimCosts {
-                    mode: costs,
-                    decode: Some(decode.clone()),
-                    prefill: Some(prefill.clone()),
-                }
-            }
-            CostMode::Reference => SimCosts {
-                mode: costs,
-                decode: None,
-                prefill: None,
-            },
-        };
+        let costs = self.costs().clone();
         let profile = *self.profile();
         let cluster_cfg = &self.config.cluster;
         let prefill_replicas = cluster_cfg.fleet.prefill.total_replicas();
@@ -344,31 +304,35 @@ impl Simulator {
         // replica failures (ascending replica index), and recovery events
         // mirror that order. A legacy single-decode-replica plan expands to
         // exactly the two events the pre-plan simulator seeded.
-        for (k, f) in self.config.faults.iter().enumerate() {
-            // A degradation slows links without failing anything behind them:
-            // it expands to the fabric events only.
-            let (pre, dec) = if f.degrade.is_some() {
-                (Vec::new(), Vec::new())
-            } else {
-                fault_targets(f.domain, cluster_cfg)
-            };
+        // A degradation slows links without failing anything behind them: it
+        // expands to the fabric events only.
+        let targets: Vec<(Vec<usize>, Vec<usize>)> = self
+            .config
+            .faults
+            .iter()
+            .map(|f| match f.degrade {
+                Some(_) => (Vec::new(), Vec::new()),
+                None => fault_targets(f.domain, cluster_cfg),
+            })
+            .collect();
+        for (k, (f, (pre, dec))) in self.config.faults.iter().zip(&targets).enumerate() {
             if f.domain.needs_link_graph() {
                 driver.emit_at(FabricFault { fault: k }, frontend_id, f.at);
             }
-            for &i in &pre {
+            for &i in pre {
                 driver.emit_at(PrefillFailed { fault: k }, prefill_ids[i], f.at);
             }
-            for &i in &dec {
+            for &i in dec {
                 driver.emit_at(ReplicaFailed { fault: k }, decode_ids[i], f.at);
             }
             if let Some(recover) = f.recover_at {
                 if f.domain.needs_link_graph() {
                     driver.emit_at(FabricRecovered { fault: k }, frontend_id, recover);
                 }
-                for &i in &pre {
+                for &i in pre {
                     driver.emit_at(PrefillRecovered { fault: k }, prefill_ids[i], recover);
                 }
-                for &i in &dec {
+                for &i in dec {
                     driver.emit_at(ReplicaRecovered { fault: k }, decode_ids[i], recover);
                 }
             }
@@ -436,9 +400,8 @@ impl Simulator {
         });
         let state = ClusterState {
             config: self.config,
-            prefill_models: self.prefill_models.clone(),
             decode_models: self.decode_models.clone(),
-            costs: sim_costs,
+            costs,
             dispatch: Dispatch::new(policy.dispatch),
             admission: Admission::new(policy.admission, &policy.tenants),
             scheduling,
@@ -495,21 +458,12 @@ impl Simulator {
             injected_failures: 0,
             retries: 0,
             gave_up: 0,
-            fault_tallies: self
-                .config
-                .faults
+            fault_tallies: targets
                 .iter()
-                .map(|f| {
-                    let (pre, dec) = if f.degrade.is_some() {
-                        (Vec::new(), Vec::new())
-                    } else {
-                        fault_targets(f.domain, cluster_cfg)
-                    };
-                    FaultTally {
-                        replicas_affected: pre.len() + dec.len(),
-                        requests_aborted: 0,
-                        recovery_drain: 0.0,
-                    }
+                .map(|(pre, dec)| FaultTally {
+                    replicas_affected: pre.len() + dec.len(),
+                    requests_aborted: 0,
+                    recovery_drain: 0.0,
                 })
                 .collect(),
             pending_drain: Vec::new(),
@@ -952,9 +906,8 @@ impl Simulator {
             makespan,
         };
         drop(cs);
-        let events = sim.processed_count();
         let telemetry = cluster.borrow_mut().tel.take().map(|ts| ts.tel);
-        (result, sim.take_log(), events, telemetry)
+        (result, sim.take_log(), telemetry)
     }
 }
 
@@ -1212,46 +1165,6 @@ mod tests {
     }
 
     #[test]
-    fn cost_tables_reproduce_reference_summation_end_to_end() {
-        // The prefix-sum/memoized cost layer changes only f64 summation order,
-        // so a seeded run must agree with the reference per-token loops on
-        // every record to within 1e-9 relative (and exactly on the discrete
-        // outcomes: completion order, replica placement, swap counts).
-        for profile in [
-            KvMethodProfile::baseline(),
-            KvMethodProfile::cachegen(),
-            KvMethodProfile::hack(),
-        ] {
-            let sim = Simulator::new(sim_config(profile, Dataset::Cocktail, 0.08, 50));
-            let table = sim.run_with_costs(CostMode::Table);
-            let reference = sim.run_with_costs(CostMode::Reference);
-            assert_eq!(table.records.len(), reference.records.len());
-            assert_eq!(table.swapped_requests, reference.swapped_requests);
-            assert_eq!(table.requeued_requests, reference.requeued_requests);
-            let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs().max(1.0);
-            for (t, r) in table.records.iter().zip(&reference.records) {
-                assert_eq!(
-                    t.request.id, r.request.id,
-                    "{}: completion order",
-                    profile.name
-                );
-                assert_eq!(t.prefill_replica, r.prefill_replica);
-                assert_eq!(t.decode_replica, r.decode_replica);
-                assert!(
-                    close(t.jct(), r.jct()),
-                    "{}: request {} jct {} vs {}",
-                    profile.name,
-                    t.request.id,
-                    t.jct(),
-                    r.jct()
-                );
-            }
-            assert!(close(table.average_jct(), reference.average_jct()));
-            assert!(close(table.makespan, reference.makespan));
-        }
-    }
-
-    #[test]
     fn slab_engine_matches_boxed_under_fault_injection() {
         let fault = FaultEvent::transient(FaultDomain::DecodeReplica(0), 50.0, 400.0);
         let cfg = failure_config(30, fault);
@@ -1341,20 +1254,79 @@ mod tests {
     }
 
     #[test]
-    fn mixed_fleet_runs_are_deterministic_across_engines_and_cost_modes() {
+    fn mixed_fleet_runs_are_deterministic_across_engines() {
         let cfg = mixed_config(KvMethodProfile::hack(), 35);
         let sim = Simulator::new(cfg);
         let (slab, slab_trace) = sim.run_traced(EngineMode::Slab);
         let (boxed, boxed_trace) = sim.run_traced(EngineMode::Boxed);
         assert_eq!(slab_trace, boxed_trace, "mixed fleet: engine traces");
         assert_eq!(slab, boxed, "mixed fleet: engine results");
-        let reference = sim.run_with_costs(CostMode::Reference);
-        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs().max(1.0);
-        assert_eq!(slab.records.len(), reference.records.len());
-        for (t, r) in slab.records.iter().zip(&reference.records) {
-            assert_eq!(t.request.id, r.request.id);
-            assert_eq!(t.prefill_replica, r.prefill_replica);
-            assert!(close(t.jct(), r.jct()));
+    }
+
+    #[test]
+    fn cost_layer_lookups_match_the_cost_model_formulas() {
+        // Two prefill groups over two decode groups with different GPUs and
+        // NICs: the decode groups have different cost models, and the wire
+        // bandwidths of the four (prefill, decode) pairs differ (40 and 25
+        // Gbps from prefill group 0, 20 from the 20 Gbps prefill group 1).
+        let (prefill_gbps, decode_gbps) = ([50.0_f64, 20.0], [40.0, 25.0]);
+        let group = |gpu: GpuKind, network_gbps: f64| ReplicaGroup {
+            replicas: 2,
+            network_gbps,
+            ..ReplicaGroup::paper_sized(ModelKind::Llama31_70B, gpu, 4)
+        };
+        let mut cfg = sim_config(KvMethodProfile::hack(), Dataset::Cocktail, 0.08, 40);
+        cfg.cluster.fleet.prefill = GroupSet::new(&[
+            group(GpuKind::A10G, prefill_gbps[0]),
+            group(GpuKind::L4, prefill_gbps[1]),
+        ]);
+        cfg.cluster.fleet.decode = GroupSet::new(&[
+            group(GpuKind::A10G, decode_gbps[0]),
+            group(GpuKind::L4, decode_gbps[1]),
+        ]);
+        let sim = Simulator::new(cfg);
+        let costs = sim.costs();
+        let cluster = &cfg.cluster;
+        let profile = cfg.profile;
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs().max(f64::MIN_POSITIVE);
+
+        let mut prompts: Vec<usize> = sim.requests.iter().map(|r| r.input_len).collect();
+        // A prompt length outside the trace: the prefix-cache suffix path.
+        let suffix = (1..).find(|len| !prompts.contains(len)).unwrap();
+        prompts.push(suffix);
+        for (pg, pg_gbps) in prefill_gbps.into_iter().enumerate() {
+            let model = cluster.prefill_cost_model(pg);
+            for &prompt in &prompts {
+                let (prefill, quant) = costs.prefill_service_times(pg, prompt);
+                let at = format!("prefill group {pg}, prompt {prompt}");
+                assert!(close(prefill, model.prefill_time(prompt, &profile)), "{at}");
+                assert!(
+                    close(quant, model.quantization_time(prompt, &profile)),
+                    "{at}"
+                );
+                for (dg, dg_gbps) in decode_gbps.into_iter().enumerate() {
+                    let gbps = pg_gbps.min(dg_gbps);
+                    let wire = model.transfer_time(prompt, &profile, gbps);
+                    assert!(
+                        close(costs.transfer_duration_len(pg, dg, prompt), wire),
+                        "pair ({pg}, {dg}), prompt {prompt}"
+                    );
+                }
+            }
+        }
+        for dg in 0..2 {
+            let model = cluster.decode_cost_model(dg);
+            for r in sim.requests.iter() {
+                let (decode, dequant) = costs.decode_durations(dg, r);
+                let (ref_decode, ref_dequant) = model.decode_durations_reference(
+                    &profile,
+                    model.params.decode_batch,
+                    r.input_len,
+                    r.output_len,
+                );
+                assert!(close(decode, ref_decode), "group {dg}, request {}", r.id);
+                assert!(close(dequant, ref_dequant), "group {dg}, request {}", r.id);
+            }
         }
     }
 

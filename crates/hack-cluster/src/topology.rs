@@ -117,22 +117,6 @@ impl TopologySpec {
             TopologySpec::LinkGraph(spec) => Some(spec),
         }
     }
-
-    /// Decodes a topology from its serialized [`Value`] shape.
-    pub fn from_value(value: &Value) -> Option<TopologySpec> {
-        match value {
-            Value::String(s) if s == "Flat" => Some(TopologySpec::Flat),
-            Value::Object(_) => {
-                let inner = value.get_key("LinkGraph")?;
-                let spec = match inner {
-                    Value::Array(items) => LinkGraphSpec::from_value(items.first()?)?,
-                    other => LinkGraphSpec::from_value(other)?,
-                };
-                Some(TopologySpec::LinkGraph(spec))
-            }
-            _ => None,
-        }
-    }
 }
 
 /// Parameters of the link-graph fabric: how many replicas share each ToR and
@@ -186,19 +170,6 @@ impl LinkGraphSpec {
         }
     }
 
-    /// An effectively non-blocking fabric: uplinks and spine so fat that every
-    /// flow is NIC-limited (useful as the "topology enabled, no contention"
-    /// reference point).
-    pub fn non_blocking() -> Self {
-        Self {
-            prefill_per_tor: 4,
-            decode_per_tor: 2,
-            tor_uplink_gbps: 1e6,
-            spine_gbps: 1e6,
-            spines: 1,
-        }
-    }
-
     /// Oversubscription ratio of a ToR whose replicas have `nic_gbps` NICs:
     /// aggregate downlink capacity over uplink capacity.
     pub fn oversubscription(&self, nic_gbps: f64, per_tor: usize) -> f64 {
@@ -208,17 +179,6 @@ impl LinkGraphSpec {
     /// Number of ToRs needed for `replicas` replicas at `per_tor` per switch.
     pub fn tors_for(replicas: usize, per_tor: usize) -> usize {
         replicas.div_ceil(per_tor.max(1))
-    }
-
-    /// Decodes a spec from its serialized [`Value`] tree.
-    pub fn from_value(value: &Value) -> Option<LinkGraphSpec> {
-        Some(LinkGraphSpec {
-            prefill_per_tor: value.get_key("prefill_per_tor")?.as_f64()? as usize,
-            decode_per_tor: value.get_key("decode_per_tor")?.as_f64()? as usize,
-            tor_uplink_gbps: value.get_key("tor_uplink_gbps")?.as_f64()?,
-            spine_gbps: value.get_key("spine_gbps")?.as_f64()?,
-            spines: value.get_key("spines")?.as_f64()? as usize,
-        })
     }
 }
 
@@ -277,29 +237,6 @@ impl FaultDomain {
             FaultDomain::Spine(i) => format!("spine-{i}"),
         }
     }
-
-    /// Decodes a domain from its serialized [`Value`] shape (tuple variants
-    /// serialize to `{name: [index]}`).
-    pub fn from_value(value: &Value) -> Option<FaultDomain> {
-        let Value::Object(fields) = value else {
-            return None;
-        };
-        let (name, inner) = fields.first()?;
-        let index = match inner {
-            Value::Array(items) => items.first()?.as_f64()? as usize,
-            other => other.as_f64()? as usize,
-        };
-        match name.as_str() {
-            "DecodeReplica" => Some(FaultDomain::DecodeReplica(index)),
-            "PrefillReplica" => Some(FaultDomain::PrefillReplica(index)),
-            "PrefillNic" => Some(FaultDomain::PrefillNic(index)),
-            "DecodeNic" => Some(FaultDomain::DecodeNic(index)),
-            "PrefillTor" => Some(FaultDomain::PrefillTor(index)),
-            "DecodeTor" => Some(FaultDomain::DecodeTor(index)),
-            "Spine" => Some(FaultDomain::Spine(index)),
-            _ => None,
-        }
-    }
 }
 
 /// One scheduled fault: a domain goes down at `at` and (optionally) recovers.
@@ -352,21 +289,6 @@ impl FaultEvent {
             recover_at: Some(recover_at),
             degrade: Some(factor),
         }
-    }
-
-    fn from_value(value: &Value) -> Option<FaultEvent> {
-        Some(FaultEvent {
-            domain: FaultDomain::from_value(value.get_key("domain")?)?,
-            at: value.get_key("at")?.as_f64()?,
-            recover_at: match value.get_key("recover_at")? {
-                Value::Null => None,
-                v => Some(v.as_f64()?),
-            },
-            degrade: match value.get_key("degrade")? {
-                Value::Null => None,
-                v => Some(v.as_f64()?),
-            },
-        })
     }
 }
 
@@ -435,21 +357,6 @@ impl FaultPlan {
     pub fn needs_link_graph(&self) -> bool {
         self.iter().any(|e| e.domain.needs_link_graph())
     }
-
-    /// Decodes a plan from its serialized shape: an array of fault events.
-    pub fn from_value(value: &Value) -> Option<FaultPlan> {
-        let Value::Array(items) = value else {
-            return None;
-        };
-        if items.len() > MAX_FAULTS {
-            return None;
-        }
-        let mut plan = FaultPlan::none();
-        for item in items {
-            plan.push(FaultEvent::from_value(item)?);
-        }
-        Some(plan)
-    }
 }
 
 impl Serialize for FaultPlan {
@@ -457,8 +364,6 @@ impl Serialize for FaultPlan {
         Value::Array(self.iter().map(|e| e.serialize_value()).collect())
     }
 }
-
-impl serde::Deserialize for FaultPlan {}
 
 /// A configuration error detected at [`Simulator`](crate::Simulator)
 /// construction time, before any event runs.
@@ -817,8 +722,8 @@ mod tests {
             TopologySpec::Flat,
             TopologySpec::LinkGraph(LinkGraphSpec::paper_default()),
         ] {
-            let value = topo.serialize_value();
-            assert_eq!(TopologySpec::from_value(&value), Some(topo));
+            let json = serde_json::to_string(&topo).unwrap();
+            assert_eq!(serde_json::from_str(&json), Ok(topo.serialize_value()));
         }
     }
 
@@ -830,52 +735,11 @@ mod tests {
             FaultEvent::transient(FaultDomain::Spine(0), 200.0, 210.0),
             FaultEvent::degraded(FaultDomain::DecodeTor(1), 300.0, 330.0, 0.25),
         ]);
-        let value = plan.serialize_value();
-        assert_eq!(FaultPlan::from_value(&value), Some(plan));
-    }
-
-    #[test]
-    fn legacy_spine_string_and_missing_spines_key_decode() {
-        // Pre-ECMP snapshots serialized the unit variant "Spine" and a
-        // LinkGraphSpec without the `spines` key. Neither decodes: both are
-        // malformed, not defaulted. The current shapes of the same values do.
-        assert_eq!(
-            FaultDomain::from_value(&Value::String("Spine".to_string())),
-            None
-        );
-        assert_eq!(
-            FaultDomain::from_value(&FaultDomain::Spine(0).serialize_value()),
-            Some(FaultDomain::Spine(0))
-        );
-        let mut value = LinkGraphSpec::paper_default().serialize_value();
-        assert_eq!(
-            LinkGraphSpec::from_value(&value),
-            Some(LinkGraphSpec::paper_default())
-        );
-        if let Value::Object(fields) = &mut value {
-            fields.retain(|(k, _)| k != "spines");
-        }
-        assert_eq!(LinkGraphSpec::from_value(&value), None);
-    }
-
-    #[test]
-    fn fault_plan_decodes_legacy_failure_spec_shape() {
-        // A pre-fault-plan snapshot held one `{decode_replica, at,
-        // recover_at}` object. Only the event array decodes: that object, a
-        // bare fault event and `null` are all rejected.
-        let legacy = Value::Object(vec![
-            ("decode_replica".to_string(), Value::Number(2.0)),
-            ("at".to_string(), Value::Number(40.0)),
-            ("recover_at".to_string(), Value::Number(400.0)),
-        ]);
-        assert_eq!(FaultPlan::from_value(&legacy), None);
-        let event = FaultEvent::transient(FaultDomain::DecodeReplica(2), 40.0, 400.0);
-        assert_eq!(FaultPlan::from_value(&event.serialize_value()), None);
-        assert_eq!(FaultPlan::from_value(&Value::Null), None);
-
-        let plan = FaultPlan::new(&[event]);
-        assert_eq!(FaultPlan::from_value(&plan.serialize_value()), Some(plan));
-        assert_eq!(plan.get(0).domain, FaultDomain::DecodeReplica(2));
+        // Only the live events serialize, each one bit-exact through JSON.
+        let json = serde_json::to_string(&plan).unwrap();
+        let value = serde_json::from_str(&json).unwrap();
+        assert_eq!(value, plan.serialize_value());
+        assert!(matches!(value, Value::Array(events) if events.len() == 4));
     }
 
     #[test]

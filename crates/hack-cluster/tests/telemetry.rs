@@ -1,6 +1,6 @@
 //! Telemetry determinism pins (ROADMAP: observability).
 //!
-//! Three guarantees, each pinned here:
+//! Two guarantees, each pinned here:
 //!
 //! 1. **Off is off**: the default [`TelemetryConfig::Off`] returns no
 //!    telemetry, and a telemetry-on run's [`SimulationResult`] is
@@ -10,13 +10,10 @@
 //! 2. **Engine-representation independence**: the same seed produces the
 //!    *identical* span/instant/series streams on [`EngineMode::Slab`] and
 //!    [`EngineMode::Boxed`].
-//! 3. **Cost-mode independence**: [`CostMode::Table`] and
-//!    [`CostMode::Reference`] produce structurally identical streams whose
-//!    timestamps agree to ~1e-9 (the cost layers agree to ~1e-15 relative).
 
 use hack_cluster::{
-    CacheConfig, ClusterConfig, CostMode, FaultDomain, FaultEvent, FaultPlan, PolicyConfig,
-    SimulationConfig, Simulator, TelemetryConfig,
+    CacheConfig, ClusterConfig, FaultDomain, FaultEvent, FaultPlan, PolicyConfig, SimulationConfig,
+    Simulator, TelemetryConfig,
 };
 use hack_metrics::telemetry::Telemetry;
 use hack_model::cost::KvMethodProfile;
@@ -116,9 +113,8 @@ fn span_streams_are_identical_across_engine_modes() {
         with_telemetry(failure_config(50), 5.0)
     }] {
         let sim = Simulator::new(config);
-        let (slab_result, slab) = sim.run_with_telemetry_modes(EngineMode::Slab, CostMode::Table);
-        let (boxed_result, boxed) =
-            sim.run_with_telemetry_modes(EngineMode::Boxed, CostMode::Table);
+        let (slab_result, slab) = sim.run_with_telemetry_mode(EngineMode::Slab);
+        let (boxed_result, boxed) = sim.run_with_telemetry_mode(EngineMode::Boxed);
         assert_eq!(slab_result, boxed_result);
         assert_streams_identical(
             &slab.expect("slab telemetry"),
@@ -126,36 +122,6 @@ fn span_streams_are_identical_across_engine_modes() {
             "slab vs boxed",
         );
     }
-}
-
-#[test]
-fn span_streams_match_across_cost_modes_within_tolerance() {
-    let sim = Simulator::new(with_telemetry(base_config(50, 0.08), 5.0));
-    let (_, table) = sim.run_with_telemetry_modes(EngineMode::Slab, CostMode::Table);
-    let (_, reference) = sim.run_with_telemetry_modes(EngineMode::Slab, CostMode::Reference);
-    let (table, reference) = (table.unwrap(), reference.unwrap());
-
-    // Structure is exactly equal; the cost layers differ only in float
-    // summation order, so timestamps agree to ~1e-9 absolute.
-    assert_eq!(table.tracks(), reference.tracks());
-    assert_eq!(table.spans().len(), reference.spans().len());
-    for (a, b) in table.spans().iter().zip(reference.spans()) {
-        assert_eq!(
-            (a.name, a.cat, a.track, a.req),
-            (b.name, b.cat, b.track, b.req)
-        );
-        assert!(
-            (a.start - b.start).abs() < 1e-9 && (a.end - b.end).abs() < 1e-9,
-            "span {} drifted: [{}, {}] vs [{}, {}]",
-            a.name,
-            a.start,
-            a.end,
-            b.start,
-            b.end
-        );
-    }
-    assert_eq!(table.instants().len(), reference.instants().len());
-    assert_eq!(table.counter("completed"), reference.counter("completed"));
 }
 
 #[test]

@@ -194,10 +194,10 @@ impl JctExperiment {
         })
     }
 
-    /// The pre-cache capacity measurement: every probe synthesises its trace
-    /// from scratch and evaluates costs through the reference summation loops
-    /// ([`hack_cluster::CostMode::Reference`]). It is the test oracle that
-    /// [`Self::measured_max_rps`] must reproduce bit-identically.
+    /// The uncached capacity measurement: every probe synthesises its trace
+    /// from scratch and runs a fresh simulator on it. It is the test oracle
+    /// that [`Self::measured_max_rps`], which shares one trace template
+    /// across its probes, must reproduce bit-identically.
     #[cfg(test)]
     fn measured_max_rps_reference(&self) -> f64 {
         let n = self.num_requests.clamp(20, 40);
@@ -205,9 +205,7 @@ impl JctExperiment {
             let config = self
                 .probe_experiment(rps, n)
                 .simulation_config(Method::Baseline);
-            Simulator::new(config)
-                .run_with_costs(hack_cluster::CostMode::Reference)
-                .average_jct()
+            Simulator::new(config).run().average_jct()
         })
     }
 
@@ -346,9 +344,9 @@ mod tests {
 
     #[test]
     fn cached_bisection_is_bit_identical_to_the_reference_path() {
-        // The cached capacity measurement (shared trace template + cost
-        // tables) must make exactly the same accept/reject decisions as the
-        // uncached reference path, hence return the identical rate.
+        // The cached capacity measurement (one shared trace template) must
+        // make exactly the same accept/reject decisions as the uncached
+        // reference path, hence return the identical rate.
         for dataset in [Dataset::Imdb, Dataset::Cocktail] {
             let e = small(dataset);
             assert_eq!(

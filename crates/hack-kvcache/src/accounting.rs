@@ -1,7 +1,6 @@
 //! Decode-instance memory accounting (Table 5 and the §7.4 overhead numbers).
 
 use crate::layout::{CacheLayout, KvShape};
-use hack_quant::params::QuantBits;
 
 /// Memory model of a decode instance: parameters + activations + KV cache against the
 /// GPU memory capacity allocated to one model replica.
@@ -132,16 +131,6 @@ impl DecodeMemoryModel {
     /// §7.4: fraction of GPU memory spent on the RQE FP16 tail at a given residency.
     pub fn rqe_overhead_fraction(&self, resident_tokens: usize) -> f64 {
         self.breakdown(resident_tokens).rqe_tail as f64 / self.gpu_memory_bytes.max(1) as f64
-    }
-}
-
-/// Convenience constructor for the paper's default HACK layout with a given partition.
-pub fn hack_layout_with_partition(partition: usize) -> CacheLayout {
-    CacheLayout::Quantized {
-        bits: QuantBits::Int2,
-        partition,
-        store_sums: true,
-        fp16_tail: true,
     }
 }
 

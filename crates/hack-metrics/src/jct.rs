@@ -1,12 +1,12 @@
 //! Job Completion Time decomposition and aggregate statistics.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Per-request JCT decomposition (all values in seconds).
 ///
 /// The stages match Fig. 10 of the paper; `queueing` captures time spent waiting for a
 /// prefill/decode slot or for the NIC, which is part of JCT but not of any stage bar.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct JctBreakdown {
     /// Prefill compute time.
     pub prefill: f64,
@@ -23,20 +23,6 @@ pub struct JctBreakdown {
 }
 
 impl JctBreakdown {
-    /// Decodes a breakdown from its serialized [`serde::Value`] tree (used by
-    /// the result-snapshot round-trip path).
-    pub fn from_value(value: &serde::Value) -> Option<JctBreakdown> {
-        let f = |key: &str| value.get_key(key).and_then(serde::Value::as_f64);
-        Some(JctBreakdown {
-            prefill: f("prefill")?,
-            quantization: f("quantization")?,
-            communication: f("communication")?,
-            dequant_or_approx: f("dequant_or_approx")?,
-            decode: f("decode")?,
-            queueing: f("queueing")?,
-        })
-    }
-
     /// Total JCT.
     pub fn total(&self) -> f64 {
         self.prefill
@@ -62,7 +48,7 @@ impl JctBreakdown {
 }
 
 /// Stage-to-JCT ratios of one request (or the average over many).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct StageRatios {
     /// Prefill / JCT.
     pub prefill: f64,
@@ -118,7 +104,7 @@ pub fn average_ratios(breakdowns: &[JctBreakdown]) -> StageRatios {
 }
 
 /// Aggregate JCT statistics over a set of requests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct JctStats {
     /// Number of requests.
     pub count: usize,

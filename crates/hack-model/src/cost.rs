@@ -11,7 +11,7 @@
 use crate::gpu::GpuSpec;
 use crate::parallelism::Parallelism;
 use crate::spec::ModelSpec;
-use serde::{Deserialize, Serialize, Value};
+use serde::Serialize;
 
 /// How an evaluated method treats KV data. Every method in the paper maps to one of
 /// these profiles (the mapping lives in `hack-core`).
@@ -164,7 +164,7 @@ impl KvMethodProfile {
 /// utilisation figures for dense GEMMs, element-wise kernels and NCCL transfers; they
 /// are deliberately method-independent so comparisons between methods depend only on
 /// the operation/byte counts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CostParams {
     /// Fraction of peak tensor throughput achieved by large GEMMs.
     pub compute_efficiency: f64,
@@ -198,25 +198,6 @@ pub struct CostParams {
     pub decode_batch: f64,
 }
 
-impl CostParams {
-    /// Decodes the efficiency constants from their serialized [`Value`] tree
-    /// (config snapshots; every field must be present and numeric).
-    pub fn from_value(value: &Value) -> Option<CostParams> {
-        Some(CostParams {
-            compute_efficiency: value.get_key("compute_efficiency")?.as_f64()?,
-            attention_efficiency: value.get_key("attention_efficiency")?.as_f64()?,
-            elementwise_efficiency: value.get_key("elementwise_efficiency")?.as_f64()?,
-            memory_efficiency: value.get_key("memory_efficiency")?.as_f64()?,
-            kv_access_efficiency: value.get_key("kv_access_efficiency")?.as_f64()?,
-            dequant_efficiency: value.get_key("dequant_efficiency")?.as_f64()?,
-            decode_iter_overhead_s: value.get_key("decode_iter_overhead_s")?.as_f64()?,
-            network_efficiency: value.get_key("network_efficiency")?.as_f64()?,
-            pp_bubble: value.get_key("pp_bubble")?.as_f64()?,
-            decode_batch: value.get_key("decode_batch")?.as_f64()?,
-        })
-    }
-}
-
 impl Default for CostParams {
     fn default() -> Self {
         Self {
@@ -235,7 +216,7 @@ impl Default for CostParams {
 }
 
 /// Per-stage service times of one request (seconds).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct StageTimes {
     /// Prefill compute time.
     pub prefill: f64,
@@ -306,16 +287,6 @@ impl ReplicaCostModel {
     pub fn agg_fp16_flops(&self) -> f64 {
         self.parallel.gpus_per_replica() as f64
             * self.gpu.fp16_tflops
-            * 1e12
-            * self.params.compute_efficiency
-            * self.pp_factor()
-    }
-
-    /// Aggregate INT8 GEMM throughput of the replica (op/s); equals the FP16 rate on
-    /// GPUs without INT8 tensor cores.
-    pub fn agg_int8_ops(&self) -> f64 {
-        self.parallel.gpus_per_replica() as f64
-            * self.gpu.effective_int8_tops()
             * 1e12
             * self.params.compute_efficiency
             * self.pp_factor()
@@ -473,8 +444,7 @@ impl ReplicaCostModel {
     /// starting after a prompt of `input_len` tokens, summed sequentially — the
     /// O(`output_len`) loop [`crate::cost_table::DecodeCostTable`] replaces
     /// with prefix subtractions. Kept as the equivalence oracle the table path
-    /// is pinned against (and as the `CostMode::Reference` path of the cluster
-    /// simulator).
+    /// is pinned against, here and in the cluster simulator's cost-layer test.
     pub fn decode_durations_reference(
         &self,
         profile: &KvMethodProfile,

@@ -17,8 +17,9 @@
 //! Prefix sums change the f64 summation order (`prefix[a+n] - prefix[a]` versus
 //! the sequential loop from `a+1` to `a+n`), so table results match the
 //! reference loop ([`ReplicaCostModel::decode_durations_reference`]) exactly
-//! when the request starts at context 0 and to ~1e-15 relative error elsewhere;
-//! the tests in this module and in `hack-cluster`/`hack-core` pin both bounds.
+//! when the request starts at context 0 and to ~1e-15 relative error elsewhere.
+//! The tests in this module pin both bounds; `hack-cluster`'s `cost_layer_*`
+//! test pins the simulator's lookups to the reference formulas within 1e-9.
 //!
 //! Tables are immutable once built and shared via [`DecodeCostTable::shared`],
 //! a process-wide cache keyed by the full parameterisation: repeated simulator

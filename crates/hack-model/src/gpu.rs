@@ -1,9 +1,9 @@
 //! GPU and AWS-instance specifications (Table 2 of the paper).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// GPU families used in the paper's testbed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum GpuKind {
     /// NVIDIA A10G (g5 instances) — the paper's default prefill GPU.
     A10G,
@@ -27,14 +27,6 @@ impl GpuKind {
             GpuKind::L4,
             GpuKind::A100,
         ]
-    }
-
-    /// Parses the serialized variant name back into the kind (the stub serde
-    /// derive writes unit variants as bare strings; config decoders use this).
-    pub fn from_name(name: &str) -> Option<GpuKind> {
-        GpuKind::all()
-            .into_iter()
-            .find(|kind| format!("{kind:?}") == name)
     }
 
     /// Hardware specification of one GPU of this kind.
@@ -98,7 +90,7 @@ impl GpuKind {
 }
 
 /// Hardware specification of a single GPU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct GpuSpec {
     /// GPU family.
     pub kind: GpuKind,
@@ -133,7 +125,7 @@ impl GpuSpec {
 
 /// AWS instance families of Table 2.
 #[allow(non_camel_case_types)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum InstanceKind {
     /// g5.12xlarge — 4 × A10G, 96 GiB GPU memory, 40 Gbps.
     G5_12xlarge,
@@ -217,7 +209,7 @@ impl InstanceKind {
 }
 
 /// One AWS instance (Table 2 row).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct InstanceSpec {
     /// Which family this is.
     pub kind: InstanceKind,

@@ -1,9 +1,9 @@
 //! Model architecture specifications and FLOP/byte counts.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The five models evaluated in the paper (§7.1, Table 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum ModelKind {
     /// Mistral-v0.3 7B ("M").
     Mistral7B,
@@ -27,14 +27,6 @@ impl ModelKind {
             ModelKind::Llama31_70B,
             ModelKind::Falcon180B,
         ]
-    }
-
-    /// Parses the serialized variant name back into the kind (the stub serde
-    /// derive writes unit variants as bare strings; config decoders use this).
-    pub fn from_name(name: &str) -> Option<ModelKind> {
-        ModelKind::all()
-            .into_iter()
-            .find(|kind| format!("{kind:?}") == name)
     }
 
     /// The single-letter label used in the paper's figures.
@@ -120,7 +112,7 @@ impl ModelKind {
 }
 
 /// Architectural parameters of a decoder-only transformer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ModelSpec {
     /// Which model this is.
     pub kind: ModelKind,

@@ -89,11 +89,6 @@ pub fn kv_dequant_ops(d_h: usize, l_kv: usize) -> usize {
     4 * d_h * l_kv
 }
 
-/// Cost of quantizing `elements` values (subtract, scale, round ≈ 3 ops each).
-pub fn quantize_ops(elements: usize) -> usize {
-    3 * elements
-}
-
 /// Cost of requantizing the last block of V without RQE in one decode iteration:
 /// the whole partial block (up to `Π·d_h` elements) is dequantized and requantized
 /// (≈ 5 ops per element: dequant 2 + quant 3).

@@ -4,7 +4,6 @@ use crate::event::{ComponentId, EventId};
 use crate::payload::Payload;
 use crate::state::SimState;
 use crate::EngineMode;
-use hack_tensor::DetRng;
 use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -82,12 +81,6 @@ impl SimulationContext {
     /// Uniform `f64` in `[lo, hi)` from the engine's seeded generator.
     pub fn gen_range(&self, lo: f64, hi: f64) -> f64 {
         self.state.borrow_mut().rng().range_f64(lo, hi)
-    }
-
-    /// Derives an independent deterministic generator (e.g. to hand to a
-    /// component that wants its own stream).
-    pub fn fork_rng(&self) -> DetRng {
-        self.state.borrow_mut().rng().fork()
     }
 
     /// Runs `f` against the engine probe installed with

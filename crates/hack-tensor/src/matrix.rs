@@ -83,11 +83,6 @@ impl Matrix {
         Self::from_fn(rows, cols, |_, _| rng.normal_f32(mean, std_dev))
     }
 
-    /// Builds a matrix with i.i.d. uniform entries in `[lo, hi)`.
-    pub fn random_uniform(rows: usize, cols: usize, lo: f32, hi: f32, rng: &mut DetRng) -> Self {
-        Self::from_fn(rows, cols, |_, _| rng.range_f32(lo, hi))
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -121,11 +116,6 @@ impl Matrix {
     /// Mutable access to the backing row-major slice.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the matrix, returning the backing vector.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Returns element `(r, c)`.
@@ -262,13 +252,6 @@ impl Matrix {
             rows: self.rows,
             cols: self.cols,
             data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Applies a function to every element in place.
-    pub fn map_inplace(&mut self, mut f: impl FnMut(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
         }
     }
 

@@ -1,11 +1,11 @@
 //! Dataset length models (Table 4 of the paper).
 
 use hack_tensor::DetRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Average / minimum / maximum token-length statistics of one side (input or output)
 /// of a dataset, as reported in Table 4.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LengthStats {
     /// Average length in tokens.
     pub avg: usize,
@@ -36,7 +36,7 @@ impl LengthStats {
 }
 
 /// The four datasets of Table 4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Dataset {
     /// IMDb genre classification — short prompts, short outputs.
     Imdb,

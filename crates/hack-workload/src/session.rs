@@ -20,13 +20,13 @@ use crate::arrivals::PoissonArrivals;
 use crate::dataset::Dataset;
 use crate::trace::{Request, TenantId};
 use hack_tensor::DetRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Minimum number of fresh (non-shared) prompt tokens a follow-up carries.
 const MIN_FOLLOWUP_TOKENS: usize = 16;
 
 /// Shape of the sessions a [`SessionSpec`] generates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum SessionKind {
     /// Linear multi-turn chat: each turn's prompt is the previous turn's full
     /// context plus a fresh user message, issued after an exponential
@@ -80,7 +80,7 @@ impl RequestDag {
 }
 
 /// Generation parameters for one stream of sessions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SessionSpec {
     /// Tenant every request of this stream is tagged with.
     pub tenant: TenantId,

@@ -4,7 +4,7 @@
 use crate::arrivals::PoissonArrivals;
 use crate::dataset::Dataset;
 use hack_tensor::DetRng;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 
 /// Identity of the workload class ("tenant") a request belongs to.
 ///
@@ -36,10 +36,8 @@ impl Serialize for TenantId {
     }
 }
 
-impl Deserialize for TenantId {}
-
 /// One inference request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Request {
     /// Request id (position in the trace).
     pub id: u64,
@@ -72,31 +70,10 @@ impl Request {
     pub fn total_tokens(&self) -> usize {
         self.input_len + self.output_len
     }
-
-    /// Decodes a request from its serialized [`Value`] tree (the stub serde's
-    /// data model; `serde_json::from_str` produces these).
-    ///
-    /// Every field is required; `parent` may be `null` (that is how `None`
-    /// serializes). A missing or malformed key rejects the snapshot.
-    pub fn from_value(value: &Value) -> Option<Request> {
-        Some(Request {
-            id: value.get_key("id")?.as_f64()? as u64,
-            tenant: TenantId(value.get_key("tenant")?.as_f64()? as u32),
-            arrival: value.get_key("arrival")?.as_f64()?,
-            input_len: value.get_key("input_len")?.as_f64()? as usize,
-            output_len: value.get_key("output_len")?.as_f64()? as usize,
-            session: value.get_key("session")?.as_f64()? as u64,
-            parent: match value.get_key("parent")? {
-                Value::Null => None,
-                p => Some(p.as_f64()? as u64),
-            },
-            shared_prefix_tokens: value.get_key("shared_prefix_tokens")?.as_f64()? as usize,
-        })
-    }
 }
 
 /// Trace-generation parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TraceConfig {
     /// Dataset providing the length distributions.
     pub dataset: Dataset,
@@ -373,8 +350,9 @@ mod tests {
     #[test]
     fn request_serde_round_trips_exactly() {
         // f64 serialization uses the shortest round-trippable representation,
-        // so a JSON round trip must reproduce the request bit-for-bit —
-        // including the tenant tag and the session fields.
+        // so the JSON text of a request parses back to exactly its serialized
+        // tree — including the tenant tag (a bare number) and the session
+        // fields (`parent` is `null` or the parent's id).
         let mut trace = TraceTemplate::new(TraceConfig::cocktail_default())
             .instantiate_tagged(0.37, TenantId(3));
         for (i, r) in trace.iter_mut().enumerate() {
@@ -385,80 +363,15 @@ mod tests {
             }
         }
         for r in trace {
-            let json = serde_json::to_string(&r).unwrap();
-            let value = serde_json::from_str(&json).unwrap();
-            let back = Request::from_value(&value).expect("decodes");
-            assert_eq!(back, r);
-            assert_eq!(back.arrival.to_bits(), r.arrival.to_bits());
-        }
-    }
-
-    #[test]
-    fn pre_tenant_snapshots_decode_as_tenant_zero() {
-        // A snapshot decodes as tenant zero only when it says `tenant: 0`.
-        // The pre-multi-tenancy shape, which had no `tenant` key, is
-        // malformed and rejected rather than defaulted.
-        let json = r#"{"id":5,"tenant":0,"arrival":12.25,"input_len":100,"output_len":7,
-                       "session":0,"parent":null,"shared_prefix_tokens":0}"#;
-        let value = serde_json::from_str(json).unwrap();
-        let r = Request::from_value(&value).expect("current snapshot decodes");
-        assert_eq!(
-            r,
-            Request {
-                id: 5,
-                tenant: TenantId::default(),
-                arrival: 12.25,
-                input_len: 100,
-                output_len: 7,
-                session: 0,
-                parent: None,
-                shared_prefix_tokens: 0,
-            }
-        );
-        // No `tenant` key, a missing required key, or a `tenant` key that is
-        // present but non-numeric: each is rejected, not silently defaulted.
-        for json in [
-            r#"{"id":5,"arrival":12.25,"input_len":100,"output_len":7,
-                "session":0,"parent":null,"shared_prefix_tokens":0}"#,
-            r#"{"id":5,"tenant":0,"arrival":1.0}"#,
-            r#"{"id":5,"tenant":"1","arrival":1.0,"input_len":10,"output_len":2,
-                "session":0,"parent":null,"shared_prefix_tokens":0}"#,
-        ] {
-            let value = serde_json::from_str(json).unwrap();
-            assert!(Request::from_value(&value).is_none(), "{json}");
-        }
-    }
-
-    #[test]
-    fn pre_session_snapshots_decode_as_independent_requests() {
-        // An independent request serializes `session: 0`, `parent: null`
-        // (how `None` serializes) and `shared_prefix_tokens: 0`, and decodes
-        // back to exactly that. The pre-session shape, which had none of
-        // these keys, is malformed and rejected rather than defaulted.
-        let json = r#"{"id":2,"tenant":1,"arrival":3.5,"input_len":64,"output_len":8,
-                       "session":0,"parent":null,"shared_prefix_tokens":0}"#;
-        let value = serde_json::from_str(json).unwrap();
-        let r = Request::from_value(&value).expect("independent request decodes");
-        assert_eq!(r.session, 0);
-        assert_eq!(r.parent, None);
-        assert_eq!(r.shared_prefix_tokens, 0);
-
-        let json = r#"{"id":2,"tenant":1,"arrival":3.5,"input_len":64,"output_len":8,
-                       "session":4,"parent":1,"shared_prefix_tokens":32}"#;
-        let value = serde_json::from_str(json).unwrap();
-        let r = Request::from_value(&value).expect("numeric parent decodes");
-        assert_eq!(r.session, 4);
-        assert_eq!(r.parent, Some(1));
-        assert_eq!(r.shared_prefix_tokens, 32);
-
-        // No session keys, or a present but non-numeric parent: rejected.
-        for json in [
-            r#"{"id":2,"tenant":1,"arrival":3.5,"input_len":64,"output_len":8}"#,
-            r#"{"id":2,"tenant":1,"arrival":3.5,"input_len":64,"output_len":8,
-                "session":4,"parent":"x","shared_prefix_tokens":0}"#,
-        ] {
-            let value = serde_json::from_str(json).unwrap();
-            assert!(Request::from_value(&value).is_none(), "{json}");
+            let value = serde_json::from_str(&serde_json::to_string(&r).unwrap()).unwrap();
+            assert_eq!(value, r.serialize_value());
+            let field = |key: &str| value.get_key(key).and_then(Value::as_f64);
+            assert_eq!(
+                field("arrival").map(f64::to_bits),
+                Some(r.arrival.to_bits())
+            );
+            assert_eq!(field("tenant"), Some(3.0));
+            assert_eq!(field("parent"), r.parent.map(|p| p as f64));
         }
     }
 }

@@ -580,7 +580,7 @@ fn fcfs_policy_equals_default_on_single_tenant_traces() {
 // --- Robustness invariants: conservation under randomized fault plans
 // --- (topology-aware fabric, correlated switch faults, transfer retries).
 
-use hack_cluster::{CostMode, SimulationResult};
+use hack_cluster::SimulationResult;
 use hack_sim::EngineMode;
 
 /// A random non-overlapping fault plan over every fault-domain kind. When any
@@ -640,7 +640,7 @@ fn assert_conserved(result: &SimulationResult, total: usize, label: &str) {
 }
 
 #[test]
-fn conservation_holds_under_randomized_fault_plans_across_engines_and_cost_modes() {
+fn conservation_holds_under_randomized_fault_plans_across_engines() {
     use hack_cluster::{LinkGraphSpec, TopologySpec};
     for case in 0..8 {
         let mut rng = DetRng::new(18_000 + case);
@@ -656,11 +656,7 @@ fn conservation_holds_under_randomized_fault_plans_across_engines_and_cost_modes
         let boxed = Simulator::new(config).run_with_mode(EngineMode::Boxed);
         assert_eq!(slab, boxed, "case {case}: engine divergence under faults");
 
-        // Conservation holds in every cost mode (Reference recomputes each
-        // stage time from first principles, so it reshuffles all timing).
-        let reference = Simulator::new(config).run_with_costs(CostMode::Reference);
-        assert_conserved(&slab, total, &format!("case {case} (table)"));
-        assert_conserved(&reference, total, &format!("case {case} (reference)"));
+        assert_conserved(&slab, total, &format!("case {case}"));
 
         // Fault records stay within the plan's bounds.
         assert_eq!(slab.faults.len(), config.faults.len());
@@ -782,7 +778,7 @@ fn generated_fault_plans_are_deterministic_and_always_validate() {
 }
 
 #[test]
-fn conservation_holds_under_generated_plans_across_engines_and_cost_modes() {
+fn conservation_holds_under_generated_plans_across_engines() {
     use hack_cluster::{LinkGraphSpec, TopologySpec};
     for case in 0..6 {
         let mut rng = DetRng::new(22_000 + case);
@@ -798,9 +794,7 @@ fn conservation_holds_under_generated_plans_across_engines_and_cost_modes() {
         let slab = Simulator::new(config).run_with_mode(EngineMode::Slab);
         let boxed = Simulator::new(config).run_with_mode(EngineMode::Boxed);
         assert_eq!(slab, boxed, "case {case}: engine divergence");
-        let reference = Simulator::new(config).run_with_costs(CostMode::Reference);
-        assert_conserved(&slab, total, &format!("case {case} (table)"));
-        assert_conserved(&reference, total, &format!("case {case} (reference)"));
+        assert_conserved(&slab, total, &format!("case {case}"));
 
         // Degradation exposure only ever comes from degrade-tagged events.
         if config.faults.iter().all(|e| e.degrade.is_none()) {
@@ -913,7 +907,7 @@ fn session_children_never_start_before_their_parent_completes() {
 }
 
 #[test]
-fn session_conservation_holds_across_engines_and_cost_modes() {
+fn session_conservation_holds_across_engines() {
     for case in 0..6 {
         let mut rng = DetRng::new(24_000 + case);
         let (config, requests) = random_session_workload(&mut rng);
@@ -925,14 +919,7 @@ fn session_conservation_holds_across_engines_and_cost_modes() {
             slab, boxed,
             "case {case}: engine divergence on session DAGs"
         );
-        let reference =
-            Simulator::with_requests(config, requests.clone()).run_with_costs(CostMode::Reference);
-        assert_conserved(&slab, requests.len(), &format!("case {case} (table)"));
-        assert_conserved(
-            &reference,
-            requests.len(),
-            &format!("case {case} (reference)"),
-        );
+        assert_conserved(&slab, requests.len(), &format!("case {case}"));
     }
 }
 
