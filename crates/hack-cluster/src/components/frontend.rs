@@ -90,8 +90,8 @@ impl Frontend {
     /// every in-flight flow crossing a dead endpoint aborts with partial
     /// progress and enters the retry chain, while flows that only lost their
     /// spine block ECMP-reroute onto a surviving spine. A degradation lowers
-    /// the links' capacity instead: nothing aborts, flows just re-split at
-    /// the slower rates.
+    /// the links' capacity instead: nothing aborts, flows just re-split to
+    /// the smaller bottleneck equal shares.
     fn on_fabric_fault(&self, fault: usize, now: f64) {
         let mut cs = self.cluster.borrow_mut();
         let cs = &mut *cs;

@@ -13,12 +13,16 @@
 //!   the pre-topology simulator.
 //! * **Link graph**: transfers are flows crossing five links (source NIC,
 //!   source ToR uplink, spine, destination ToR uplink, destination NIC), each
-//!   receiving the max-min fair share `min_l capacity(l)/flows(l)` along its
-//!   path. Progress is re-split on every flow start/finish/failure: remaining
-//!   volumes advance at the old rates, rates are recomputed, and each flow's
-//!   completion event is cancelled and re-emitted — group NIC bandwidth is
-//!   emergent rather than assumed. Dead links abort their flows with partial
-//!   progress kept for the retry path.
+//!   receiving the equal share of its bottleneck link,
+//!   `min_l capacity(l)/flows(l)` along its path. This is not max-min
+//!   fairness: capacity a flow cannot use at its bottleneck is not handed to
+//!   the flows sharing its other links (true water-filling is ROADMAP item
+//!   2(b)). Progress is re-split on every flow start/finish/failure: remaining
+//!   volumes advance at the old rates and rates are recomputed — group NIC
+//!   bandwidth is emergent rather than assumed. The fabric keeps one pending
+//!   [`FlowCompleted`], the earliest-finishing flow's (lowest request index on
+//!   ties); each re-split cancels it and emits the new earliest. Dead links
+//!   abort their flows with partial progress kept for the retry path.
 
 use crate::events::FlowCompleted;
 use crate::topology::FaultDomain;
@@ -39,10 +43,8 @@ pub(crate) struct Flow {
     pub dst_ctx: ComponentId,
     /// Remaining volume in Gbps-seconds (`transfer_time` at 1 Gbps).
     pub remaining: f64,
-    /// Current fair-share rate (Gbps).
+    /// Current bottleneck-share rate (Gbps).
     pub rate: f64,
-    /// Pending [`FlowCompleted`] event.
-    pub event: EventId,
     /// When this flow (attempt) started, for telemetry spans.
     pub started: f64,
 }
@@ -102,6 +104,11 @@ pub(crate) struct LinkGraph {
     flows: BTreeMap<usize, Flow>,
     /// Time the flows' `remaining` volumes were last advanced to.
     last_update: f64,
+    /// The fabric's one pending [`FlowCompleted`]: the earliest-finishing
+    /// flow's, re-targeted by every re-split.
+    pending: Option<EventId>,
+    /// Per-link flow counts, a scratch buffer [`LinkGraph::resplit`] refills.
+    load: Vec<u32>,
 }
 
 /// The transfer path between the prefill and decode fleets.
@@ -158,6 +165,7 @@ impl NetworkFabric {
         capacity.extend(decode_nic_gbps);
         let alive = vec![true; capacity.len()];
         let degrade = vec![1.0; capacity.len()];
+        let load = vec![0; capacity.len()];
         Self {
             ctx,
             nic_free_at: vec![0.0; prefill_replicas],
@@ -168,6 +176,8 @@ impl NetworkFabric {
                 degrade,
                 flows: BTreeMap::new(),
                 last_update: 0.0,
+                pending: None,
+                load,
             }),
             rerouted: 0,
         }
@@ -306,9 +316,6 @@ impl NetworkFabric {
         let g = graph.as_mut().expect("start_flow requires the link graph");
         let spine = g.ecmp_spine(req).expect("path_alive checked a live spine");
         g.advance(now);
-        // The completion event is re-emitted with the true fair-share rate by
-        // the resplit below; the placeholder is never delivered.
-        let event = ctx.emit_at(FlowCompleted { req }, dst_ctx, now + 1e30);
         g.flows.insert(
             req,
             Flow {
@@ -318,7 +325,6 @@ impl NetworkFabric {
                 dst_ctx,
                 remaining: volume,
                 rate: 0.0,
-                event,
                 started: now,
             },
         );
@@ -331,23 +337,22 @@ impl NetworkFabric {
     pub fn finish_flow(&mut self, req: usize, now: f64) -> Option<Flow> {
         let Self { ctx, graph, .. } = self;
         let g = graph.as_mut()?;
+        // The pending event is the one being delivered: nothing to cancel.
+        g.pending = None;
         g.advance(now);
         let flow = g.flows.remove(&req);
         g.resplit(ctx, now);
         flow
     }
 
-    /// Aborts `req`'s flow (e.g. its source prefill replica died), cancelling
-    /// its completion event. Returns the aborted flow with its partial
+    /// Aborts `req`'s flow (e.g. its source prefill replica died) and
+    /// re-splits the survivors. Returns the aborted flow with its partial
     /// progress in `remaining`.
     pub fn abort_flow(&mut self, req: usize, now: f64) -> Option<Flow> {
         let Self { ctx, graph, .. } = self;
         let g = graph.as_mut()?;
         g.advance(now);
         let flow = g.flows.remove(&req);
-        if let Some(f) = &flow {
-            ctx.cancel_event(f.event);
-        }
         g.resplit(ctx, now);
         flow
     }
@@ -401,7 +406,6 @@ impl NetworkFabric {
                 }
             }
             let flow = g.flows.remove(&req).expect("listed flow exists");
-            ctx.cancel_event(flow.event);
             aborted.push((req, flow));
         }
         g.resplit(ctx, now);
@@ -420,11 +424,11 @@ impl LinkGraph {
     /// currently alive blocks; `None` when every spine is down. With one
     /// spine this is always block 0 (bit-identical to the pre-ECMP fabric).
     fn ecmp_spine(&self, req: usize) -> Option<usize> {
-        let alive: Vec<usize> = self.alive_spines().collect();
-        if alive.is_empty() {
+        let n = self.alive_spines().count() as u64;
+        if n == 0 {
             None
         } else {
-            Some(alive[(ecmp_hash(req) % alive.len() as u64) as usize])
+            self.alive_spines().nth((ecmp_hash(req) % n) as usize)
         }
     }
 
@@ -439,11 +443,16 @@ impl LinkGraph {
         self.last_update = now;
     }
 
-    /// Recomputes every flow's max-min fair share and re-schedules its
-    /// completion event (cancel + re-emit). Called after any change to the
-    /// flow set or link liveness; `advance` must have run first.
+    /// Recomputes every flow's bottleneck equal share
+    /// `min_l capacity(l)·degrade(l)/flows(l)` (not max-min water-filling:
+    /// capacity a flow cannot use at its bottleneck is not handed to the
+    /// others — ROADMAP item 2(b)) and re-targets the fabric's one pending
+    /// [`FlowCompleted`] at the earliest-finishing flow, ties going to the
+    /// lowest request index. Called after any change to the flow set or link
+    /// state; `advance` must have run first.
     fn resplit(&mut self, ctx: &SimulationContext, now: f64) {
-        let mut load = vec![0u32; self.capacity.len()];
+        let load = &mut self.load;
+        load.fill(0);
         for flow in self.flows.values() {
             for l in self.layout.path_via(flow.src, flow.dst, flow.spine) {
                 load[l] += 1;
@@ -452,18 +461,208 @@ impl LinkGraph {
         let layout = self.layout;
         let capacity = &self.capacity;
         let degrade = &self.degrade;
+        let mut next: Option<(f64, usize, ComponentId)> = None;
         for (&req, flow) in self.flows.iter_mut() {
             let mut rate = f64::INFINITY;
             for l in layout.path_via(flow.src, flow.dst, flow.spine) {
                 rate = rate.min(capacity[l] * degrade[l] / load[l] as f64);
             }
             flow.rate = rate;
-            ctx.cancel_event(flow.event);
-            flow.event = ctx.emit_at(
-                FlowCompleted { req },
-                flow.dst_ctx,
-                now + flow.remaining / rate,
-            );
+            let at = now + flow.remaining / rate;
+            // Strict `<` over the request-ordered map: ties keep the lowest
+            // request index.
+            if next.is_none_or(|(t, ..)| at < t) {
+                next = Some((at, req, flow.dst_ctx));
+            }
         }
+        if let Some(id) = self.pending.take() {
+            ctx.cancel_event(id);
+        }
+        self.pending = next.map(|(at, req, dst)| ctx.emit_at(FlowCompleted { req }, dst, at));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hack_sim::{Event, EventHandler, Simulation};
+    use hack_tensor::DetRng;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// Records every delivered [`FlowCompleted`] as `(time, req)`.
+    #[derive(Default)]
+    struct Recorder(Vec<(f64, usize)>);
+
+    impl EventHandler for Recorder {
+        fn on(&mut self, event: Event) {
+            let &FlowCompleted { req } = event.get::<FlowCompleted>().expect("only flows land");
+            self.0.push((event.time, req));
+        }
+    }
+
+    /// A simulation, a link-graph fabric and the decode-side recorder. The
+    /// fabric has `replicas` prefill replicas with `nic` Gbps NICs and as
+    /// many decode replicas with 100 Gbps NICs, two replicas per ToR
+    /// (100 Gbps uplinks) and `spines` 400 Gbps spine blocks.
+    struct Rig {
+        sim: Simulation,
+        fabric: NetworkFabric,
+        dst: ComponentId,
+        delivered: Rc<RefCell<Recorder>>,
+    }
+
+    impl Rig {
+        fn new(replicas: usize, nic: f64, spines: usize) -> Self {
+            let mut sim = Simulation::new(7);
+            let ctx = sim.create_context("fabric");
+            sim.create_context("decode");
+            let delivered = Rc::new(RefCell::new(Recorder::default()));
+            let dst = sim.add_handler("decode", delivered.clone());
+            let fabric = NetworkFabric::with_link_graph(
+                ctx,
+                vec![nic; replicas],
+                vec![100.0; replicas],
+                2,
+                2,
+                100.0,
+                400.0,
+                spines,
+            );
+            Self {
+                sim,
+                fabric,
+                dst,
+                delivered,
+            }
+        }
+
+        fn start(&mut self, req: usize, src: usize, dst: usize, volume: f64, now: f64) {
+            assert!(self.fabric.start_flow(req, src, dst, self.dst, volume, now));
+        }
+
+        /// Delivers the next event and finishes its flow, as the decode
+        /// replica does; returns `(time, req)`.
+        fn land(&mut self) -> (f64, usize) {
+            assert!(self.sim.step(), "a flow completion is pending");
+            let (time, req) = *self.delivered.borrow().0.last().expect("delivered");
+            assert!(self.fabric.finish_flow(req, time).is_some());
+            (time, req)
+        }
+
+        fn graph(&self) -> &LinkGraph {
+            self.fabric.graph.as_ref().expect("link graph")
+        }
+    }
+
+    #[test]
+    fn every_fabric_operation_emits_one_event() {
+        let mut rig = Rig::new(4, 10.0, 1);
+        let mut emitted = rig.sim.emitted_count();
+        let mut emits_one = |rig: &Rig| {
+            let now = rig.sim.emitted_count();
+            assert_eq!(now, emitted + 1);
+            emitted = now;
+        };
+        for req in 0..6 {
+            rig.start(req, req % 4, (req + 1) % 4, 10.0 + req as f64, 0.0);
+            emits_one(&rig);
+        }
+        let links = rig.fabric.links_for_domain(FaultDomain::Spine(0));
+        rig.fabric.set_degrade(&links, 0.5, 0.5);
+        emits_one(&rig);
+        assert!(rig.fabric.abort_flow(3, 0.5).is_some());
+        emits_one(&rig);
+        rig.land();
+        emits_one(&rig);
+        assert_eq!(rig.fabric.active_flows(), 4);
+    }
+
+    #[test]
+    fn smaller_flow_on_a_shared_nic_lands_first() {
+        let mut rig = Rig::new(1, 10.0, 1);
+        rig.start(0, 0, 0, 30.0, 0.0);
+        rig.start(1, 0, 0, 10.0, 0.0);
+        // Both flows get half the 10 Gbps NIC: 10 / 5 = 2 s.
+        assert_eq!(rig.land(), (2.0, 1));
+        // The survivor moved 10 of its 30 and now runs alone at 10 Gbps.
+        assert_eq!(rig.land(), (4.0, 0));
+        assert!(!rig.sim.step(), "nothing left pending");
+    }
+
+    #[test]
+    fn equal_flows_land_in_request_order() {
+        let mut rig = Rig::new(1, 10.0, 1);
+        rig.start(7, 0, 0, 10.0, 0.0);
+        rig.start(3, 0, 0, 10.0, 0.0);
+        assert_eq!(rig.land(), (2.0, 3));
+        assert_eq!(rig.land(), (2.0, 7));
+    }
+
+    #[test]
+    fn aborting_the_pending_flow_retargets_the_completion() {
+        let mut rig = Rig::new(1, 10.0, 1);
+        rig.start(0, 0, 0, 10.0, 0.0);
+        rig.start(1, 0, 0, 30.0, 0.0);
+        // At 1 s flow 0 (due at 2 s) has 5 left and flow 1 has 25.
+        let aborted = rig.fabric.abort_flow(0, 1.0).expect("active");
+        assert_eq!(aborted.remaining, 5.0);
+        assert_eq!(rig.land(), (3.5, 1));
+        assert!(!rig.sim.step(), "the aborted flow's event never lands");
+        assert_eq!(rig.delivered.borrow().0.len(), 1);
+    }
+
+    /// The flow-capacity invariant: no link carries more than its degraded
+    /// capacity, and exactly the non-empty fabric has a pending completion.
+    fn assert_within_capacity(g: &LinkGraph) {
+        let mut used = vec![0.0; g.capacity.len()];
+        for f in g.flows.values() {
+            for l in g.layout.path_via(f.src, f.dst, f.spine) {
+                used[l] += f.rate;
+            }
+        }
+        for (l, &u) in used.iter().enumerate() {
+            let cap = g.capacity[l] * g.degrade[l];
+            assert!(u <= cap * (1.0 + 1e-12), "link {l}: {u} Gbps over {cap}");
+        }
+        assert_eq!(g.pending.is_some(), !g.flows.is_empty());
+    }
+
+    #[test]
+    fn random_operations_keep_links_within_capacity() {
+        let mut rig = Rig::new(8, 40.0, 2);
+        let mut rng = DetRng::new(0x5eed);
+        let links = rig.graph().capacity.len();
+        let (mut next_req, mut most_active) = (0, 0);
+        for _ in 0..2000 {
+            let now = rig.sim.time();
+            let active: Vec<usize> = rig.graph().flows.keys().copied().collect();
+            most_active = most_active.max(active.len());
+            match rng.range_usize(0, 4) {
+                0 => {
+                    let (src, dst) = (rng.range_usize(0, 8), rng.range_usize(0, 8));
+                    rig.start(next_req, src, dst, rng.range_f64(1.0, 50.0), now);
+                    next_req += 1;
+                }
+                1 if !active.is_empty() => {
+                    rig.land();
+                }
+                2 if !active.is_empty() => {
+                    let req = active[rng.range_usize(0, active.len())];
+                    assert!(rig.fabric.abort_flow(req, now).is_some());
+                }
+                _ => {
+                    let link = rng.range_usize(0, links);
+                    let factor = if rng.chance(0.5) {
+                        1.0
+                    } else {
+                        rng.range_f64(0.1, 1.0)
+                    };
+                    rig.fabric.set_degrade(&[link], factor, now);
+                }
+            }
+            assert_within_capacity(rig.graph());
+        }
+        assert!(most_active >= 8, "the sequence exercised contention");
     }
 }

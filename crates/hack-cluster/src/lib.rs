@@ -49,8 +49,9 @@
 //!   cost-identical to the pre-topology simulator.
 //!   [`TopologySpec::LinkGraph`] models replica NIC → ToR → spine tiers with
 //!   per-link capacities; every KV transfer becomes a flow receiving the
-//!   max-min fair share `min_l capacity(l)/flows(l)` along its five-link
-//!   path, re-split on every transfer start/finish/failure.
+//!   equal share of its bottleneck link, `min_l capacity(l)/flows(l)` along
+//!   its five-link path, re-split on every transfer start/finish/failure.
+//!   This is not max-min fairness (true water-filling is ROADMAP item 2(b)).
 //! * **Fault plans** ([`FaultPlan`]): a bounded schedule of typed
 //!   [`FaultEvent`]s over [`FaultDomain`]s — a decode or prefill replica, a
 //!   NIC, a ToR, or the spine. A switch fault atomically fails every replica
@@ -73,7 +74,7 @@
 //!
 //! * **Link degradation**: a [`FaultEvent`] carrying a `degrade` factor runs
 //!   the domain's links at a fraction of nominal capacity instead of cutting
-//!   them — flows re-split to the smaller max-min shares, dispatch
+//!   them — flows re-split to the smaller bottleneck shares, dispatch
 //!   de-prioritizes replicas behind degraded decode paths, nothing aborts,
 //!   and [`SimulationResult`] reports the exposure (`degraded_link_secs`,
 //!   `throughput_loss_gbps_s`).

@@ -5,9 +5,10 @@
 //! wire time and is pinned bit- and cost-identical to the pre-topology
 //! simulator. [`TopologySpec::LinkGraph`] models the fabric as replica NIC →
 //! ToR → spine tiers with per-link capacities; active KV transfers become
-//! flows that fairly share each link, with progress re-split on every
-//! transfer start/finish/failure event, so a group's effective NIC bandwidth
-//! is emergent rather than assumed.
+//! flows that each take the equal share of their bottleneck link (not
+//! max-min water-filling — ROADMAP item 2(b)), with progress re-split on
+//! every transfer start/finish/failure event, so a group's effective NIC
+//! bandwidth is emergent rather than assumed.
 //!
 //! [`FaultPlan`] is a bounded schedule of typed fault events over *fault
 //! domains* — a single replica, a NIC, a ToR, or the spine. A switch fault
@@ -105,7 +106,7 @@ pub enum TopologySpec {
     #[default]
     Flat,
     /// Link-graph fabric: per-replica NICs feeding ToR uplinks feeding a
-    /// spine, with transfers as max-min fairly shared flows.
+    /// spine, with transfers as flows at their bottleneck link's equal share.
     LinkGraph(LinkGraphSpec),
 }
 

@@ -8,7 +8,9 @@
 //! sensors of [`SimulationResult`]: blast radius, retries, goodput while
 //! degraded, and recovery-drain time. The `flat/no-fault` row doubles as the
 //! equivalence anchor: it runs the exact pre-topology configuration, and
-//! `tests/integration_drift_anchors.rs` pins its average JCT exactly.
+//! `tests/integration_drift_anchors.rs` pins its average JCT exactly, along
+//! with the `graph/no-fault`, `graph/tor` and `graph/spine` rows of a loaded
+//! storm whose flows contend for links.
 
 use crate::experiment::{ExperimentTable, Row};
 use crate::method::Method;

@@ -1,12 +1,12 @@
 //! Integration: exact drift anchors for the deterministic scenario grids.
 //!
-//! Four small scenario configurations — the fault storm, the MTBF/MTTR
-//! availability sweep, the autoscale cost-vs-SLO sweep and the session
-//! prefix-cache grid — are pure functions of their seeds, so every value
-//! below is reproduced bit-for-bit on any host. A mismatch is a semantic
-//! change to the simulator (a different controller decision, fault window,
-//! cache lookup or dispatch), never noise: fix the cause, or update the value
-//! in the same change that explains why it moved.
+//! Four small scenario configurations — the fault storm (flat and link-graph
+//! rows), the MTBF/MTTR availability sweep, the autoscale cost-vs-SLO sweep
+//! and the session prefix-cache grid — are pure functions of their seeds, so
+//! every value below is reproduced bit-for-bit on any host. A mismatch is a
+//! semantic change to the simulator (a different controller decision, fault
+//! window, cache lookup or dispatch), never noise: fix the cause, or update
+//! the value in the same change that explains why it moved.
 
 use hack_core::prelude::*;
 
@@ -22,6 +22,50 @@ fn fault_storm_flat_row_is_pinned() {
     assert_eq!(
         storm.run(flat, Method::hack()).average_jct,
         6.167930048929858
+    );
+}
+
+/// The fault storm's link-graph rows, loaded until transfers share links: 60
+/// requests at 8 rps with one transient fault from 3.75 s to 8.75 s. These
+/// rows run the fabric's re-split on overlapping flows, so they pin the
+/// completion order of contended `FlowCompleted` events. The spine row runs
+/// on a 2-spine fabric, so its fault ECMP-reroutes a live flow instead of
+/// aborting it.
+#[test]
+fn fault_storm_graph_rows_are_pinned() {
+    let storm = FaultStormExperiment {
+        num_requests: 60,
+        rps: 8.0,
+        fault_at: 3.75,
+        recover_at: 8.75,
+        ..FaultStormExperiment::paper_storm()
+    };
+    let rows = ["graph/no-fault", "graph/tor", "graph/spine"];
+    let got: Vec<(&str, f64, usize, usize)> = storm
+        .scenarios()
+        .into_iter()
+        .filter(|s| rows.contains(&s.label))
+        .map(|mut scenario| {
+            if scenario.label == "graph/spine" {
+                scenario.topology = TopologySpec::LinkGraph(LinkGraphSpec::redundant(2));
+            }
+            let result = Simulator::new(storm.simulation_config(&scenario, Method::hack())).run();
+            (
+                scenario.label,
+                result.average_jct(),
+                result.transfer_retries,
+                result.rerouted_flows,
+            )
+        })
+        .collect();
+    assert!(got[2].3 >= 1, "the spine fault reroutes a live flow");
+    assert_eq!(
+        got,
+        [
+            ("graph/no-fault", 27.21442300325993, 0, 0),
+            ("graph/tor", 27.232214724652057, 1, 0),
+            ("graph/spine", 27.21442300325993, 0, 1),
+        ]
     );
 }
 
