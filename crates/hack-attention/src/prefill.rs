@@ -128,6 +128,9 @@ pub fn hack_prefill_attention(
             p_sums[i * n_parts + p] = sum;
         }
     }
+    // The scores are done. Freeing their right-operand copies before P'·V' builds
+    // its own keeps the two off the same memory peak.
+    drop(qk);
     let p_q = QuantizedTensor::from_parts(l, l, cfg.p_bits, pi, p_codes, p_metas, p_sums);
     let p_sums = p_q.code_sums(se);
 

@@ -15,7 +15,8 @@
 
 use crate::cost::HomomorphicOpCounts;
 use crate::qmatrix::{QuantRow, QuantizedTensor};
-use hack_tensor::matmul::{partition_dots4_u8_i32, DOT_BLOCK};
+use crate::stochastic::PartitionMeta;
+use hack_tensor::matmul::{partition_dots8_u8_i32, DOT_BLOCK};
 use hack_tensor::Matrix;
 
 /// Checks that two tensors can participate in a homomorphic product.
@@ -85,7 +86,7 @@ fn homomorphic_matmul_impl(
 }
 
 /// The Eq. 4 product of single left-operand rows with the rows of one right
-/// operand, four right rows (output columns) at a time.
+/// operand, eight right rows (output columns) at a time.
 ///
 /// [`homomorphic_matmul`] runs it once per left row over every column and
 /// partition. Causal prefill runs it on prefixes: `Q'·K'ᵀ` row `i` over the
@@ -94,11 +95,26 @@ fn homomorphic_matmul_impl(
 #[derive(Debug)]
 pub struct RowProduct<'b> {
     b: &'b QuantizedTensor,
-    b_sums: &'b [i32],
     b_max: u8,
     spans: Vec<(usize, usize)>,
     lens: Vec<f32>,
+    /// The right operand's metadata and code sums as `f32` lanes, partition-major:
+    /// entry `p * n_blocks + block` holds partition `p` of columns
+    /// `block * DOT_BLOCK..` (the `[p * n_pad + j]` layout with `n_pad` the
+    /// column count rounded up to a block). Dead lanes of the last block repeat
+    /// its last live column.
+    lanes: Vec<BlockLanes>,
+    n_blocks: usize,
     dots: Vec<[i32; DOT_BLOCK]>,
+}
+
+/// One partition of one block of right-operand columns, as the Eq. 4 epilogue
+/// reads it.
+#[derive(Debug, Clone, Copy, Default)]
+struct BlockLanes {
+    scale: [f32; DOT_BLOCK],
+    min: [f32; DOT_BLOCK],
+    sum: [f32; DOT_BLOCK],
 }
 
 impl<'b> RowProduct<'b> {
@@ -110,22 +126,38 @@ impl<'b> RowProduct<'b> {
 
     /// Like [`Self::new`], but reads the right operand's code sums from `b_sums`
     /// (row-major, one per partition, as [`QuantizedTensor::code_sums`] returns them).
+    /// The right operand's metadata and these sums are copied once, as `f32`, into
+    /// the partition-major layout the eight-lane epilogue reads.
     ///
     /// # Panics
     /// Panics if `b_sums` does not hold one sum per partition of `b`.
-    pub fn with_sums(b: &'b QuantizedTensor, b_sums: &'b [i32]) -> Self {
+    pub fn with_sums(b: &'b QuantizedTensor, b_sums: &[i32]) -> Self {
         assert_eq!(
             b_sums.len(),
             b.sums().len(),
             "right operand: one code sum per partition"
         );
         let spans: Vec<(usize, usize)> = b.layout().ranges().collect();
+        let (n, n_parts) = (b.rows(), spans.len());
+        let n_blocks = n.div_ceil(DOT_BLOCK);
+        let mut lanes = vec![BlockLanes::default(); n_parts * n_blocks];
+        for (p, row) in lanes.chunks_exact_mut(n_blocks.max(1)).enumerate() {
+            for (block, entry) in row.iter_mut().enumerate() {
+                for c in 0..DOT_BLOCK {
+                    let at = (block * DOT_BLOCK + c).min(n - 1) * n_parts + p;
+                    entry.scale[c] = b.metas()[at].scale;
+                    entry.min[c] = b.metas()[at].min;
+                    entry.sum[c] = b_sums[at] as f32;
+                }
+            }
+        }
         Self {
             b,
-            b_sums,
             b_max: b.bits().max_code() as u8,
             lens: spans.iter().map(|&(s, e)| (e - s) as f32).collect(),
-            dots: vec![[0; DOT_BLOCK]; spans.len()],
+            lanes,
+            n_blocks,
+            dots: vec![[0; DOT_BLOCK]; n_parts],
             spans,
         }
     }
@@ -151,38 +183,55 @@ impl<'b> RowProduct<'b> {
         );
         let (spans, lens) = (&self.spans[..n_parts], &self.lens[..n_parts]);
         let dots = &mut self.dots[..n_parts];
-        let (b_parts, b_metas) = (self.spans.len(), self.b.metas());
         for (block, out_block) in out.chunks_mut(DOT_BLOCK).enumerate() {
-            let j0 = block * DOT_BLOCK;
-            let mut rows: [&[u8]; DOT_BLOCK] = [&[]; DOT_BLOCK];
-            for (c, row) in rows.iter_mut().enumerate().take(out_block.len()) {
-                *row = self.b.codes_row(j0 + c);
-            }
-            // Integer inner products on the raw codes, every partition of four
-            // columns in one pass (the INT8-accelerated part).
-            partition_dots4_u8_i32(a.codes, &rows[..out_block.len()], self.b_max, spans, dots);
-
-            // Per-partition affine corrections (Eq. 4), in partition order. The four
-            // columns are lanes running the same floating-point sequence; dead lanes
-            // repeat the last live column and are dropped.
             let live = out_block.len();
-            let bases: [usize; DOT_BLOCK] =
-                std::array::from_fn(|c| (j0 + c.min(live - 1)) * b_parts);
+            let mut rows: [&[u8]; DOT_BLOCK] = [&[]; DOT_BLOCK];
+            for (c, row) in rows.iter_mut().enumerate().take(live) {
+                *row = self.b.codes_row(block * DOT_BLOCK + c);
+            }
+            // Integer inner products on the raw codes, every partition of eight
+            // columns in one pass (the INT8-accelerated part).
+            partition_dots8_u8_i32(a.codes, &rows[..live], self.b_max, spans, dots);
+
+            // Per-partition affine corrections (Eq. 4), in partition order.
             let mut acc = [0.0f32; DOT_BLOCK];
             for (p, dot) in dots.iter().enumerate() {
-                let (a_meta, a_sum, len) = (a.metas[p], a.sums[p] as f32, lens[p]);
-                for c in 0..DOT_BLOCK {
-                    let b_meta = b_metas[bases[c] + p];
-                    acc[c] += a_meta.scale * b_meta.scale * dot[c] as f32
-                        + b_meta.min * a_meta.scale * a_sum
-                        + a_meta.min * b_meta.scale * self.b_sums[bases[c] + p] as f32
-                        + len * a_meta.min * b_meta.min;
-                }
+                let b = &self.lanes[p * self.n_blocks + block];
+                eq4_lanes(&mut acc, dot, a.metas[p], a.sums[p] as f32, lens[p], b);
             }
             for (o, acc) in out_block.iter_mut().zip(acc) {
                 *o += acc;
             }
         }
+    }
+}
+
+/// Adds one partition's Eq. 4 term to eight output columns:
+///
+/// `acc += (((a.s·b.s)·dot + (b.m·a.s)·Σa) + (a.m·b.s)·Σb) + (len·a.m)·b.m`
+///
+/// The eight columns are independent lanes running the scalar reference's
+/// floating-point sequence: each lane does the same IEEE `f32` operations in
+/// the same association (`len·a.m` is lane-invariant, so computing it once
+/// changes no bit), Rust never contracts them into fused multiply-adds, and
+/// `dot as f32` rounds to nearest whether it compiles to a scalar or a packed
+/// `cvtdq2ps`. The fixed-width array form lets the compiler run the lanes as
+/// packed vector instructions; the result is bit-identical either way.
+#[inline(always)]
+fn eq4_lanes(
+    acc: &mut [f32; DOT_BLOCK],
+    dot: &[i32; DOT_BLOCK],
+    a: PartitionMeta,
+    a_sum: f32,
+    len: f32,
+    b: &BlockLanes,
+) {
+    let len_a_min = len * a.min;
+    for c in 0..DOT_BLOCK {
+        acc[c] += a.scale * b.scale[c] * dot[c] as f32
+            + b.min[c] * a.scale * a_sum
+            + a.min * b.scale[c] * b.sum[c]
+            + len_a_min * b.min[c];
     }
 }
 
@@ -306,29 +355,26 @@ mod tests {
 
     #[test]
     fn blocked_kernel_is_bit_identical_to_scalar_reference() {
-        // The 4-column blocked kernel must reproduce the scalar seed implementation
-        // exactly: same output bits, same operation counts, with and without SE,
-        // across shapes that cover full, partial and single partitions, every
-        // column count modulo 4 (1–3 live lanes in the last block), Π ∈ {16, 32,
-        // 64, 128} (at Π = 16 every partition is shorter than one 32-code SIMD
-        // step), and both microkernel paths (2/4-bit right codes, Int8 × Int8).
-        let shapes = [
-            (1usize, 6usize, 128usize), // decode Q'·K'ᵀ-like
-            (4, 3, 96),
-            (2, 5, 100), // partial last partition
-            (3, 2, 16),  // shorter than one partition
-            (1, 1, 130), // decode-like with ragged tail
-            (3, 7, 256),
-            (2, 9, 200),
-            (1, 128, 320), // decode P'·V'-like
-        ];
+        // The 8-column blocked kernel must reproduce the scalar seed implementation
+        // exactly: same output bits, same operation counts, with and without SE.
+        // The column counts cover every residue modulo 8 (1–7 live lanes in the
+        // last block, and full blocks), up to decode P'·V'-like widths; the
+        // contracted lengths cover full, ragged-last and single short partitions;
+        // Π ∈ {16, 32, 64, 128} (at Π = 16 every partition is shorter than one
+        // 32-code SIMD step); and both microkernel paths run (2/4-bit right codes,
+        // Int8 × Int8).
+        let lengths = [128usize, 96, 100, 16, 130, 256, 200, 320];
+        let shapes = (1..=17usize)
+            .chain([128, 130])
+            .enumerate()
+            .map(|(case, n)| (1 + case % 3, n, lengths[case % lengths.len()]));
         let bit_pairs = [
             (QuantBits::Int8, QuantBits::Int2),
             (QuantBits::Int8, QuantBits::Int4),
             (QuantBits::Int8, QuantBits::Int8),
             (QuantBits::Int2, QuantBits::Int2),
         ];
-        for (case, (m, n, z)) in shapes.into_iter().enumerate() {
+        for (case, (m, n, z)) in shapes.enumerate() {
             for partition in [16, 32, 64, 128] {
                 for (a_bits, b_bits) in bit_pairs {
                     let mut rng = DetRng::new(4242 + case as u64);
@@ -383,7 +429,7 @@ mod tests {
             );
             let full = homomorphic_matmul(&qa, &qb);
             let prefix = qa.row_prefix(0, visible.div_ceil(partition), qa.sums());
-            for cols in [1, 4, 5, n] {
+            for cols in [1, 7, 8, 9, n] {
                 let mut out = vec![0.0f32; cols];
                 product.accumulate(prefix, &mut out);
                 let expect: Vec<u32> = full.row(0)[..cols].iter().map(|x| x.to_bits()).collect();

@@ -18,7 +18,7 @@
 //! memory accounting.
 
 use crate::params::{QuantBits, RoundingMode};
-use crate::stochastic::{dequantize_value, quantize_value, PartitionMeta};
+use crate::stochastic::{dequantize_value, rounds_up, split_code, PartitionMeta};
 use hack_tensor::{DetRng, Matrix};
 use std::borrow::Cow;
 
@@ -45,13 +45,22 @@ impl AppendStats {
     }
 }
 
+/// Elements per pass of [`quantize_partition`].
+const QUANTIZE_CHUNK: usize = 64;
+
 /// Quantizes one partition's values into `dst` (same length), returning the partition
-/// metadata and the code sum (Summation Elimination). Operating on flat slices lets the
-/// compiler hoist every bounds check out of the element loop; the per-element
-/// arithmetic is exactly [`quantize_value`], so codes are bit-identical to the scalar
-/// path. Every [`QuantizedTensor`] constructor quantizes through this function, so a
-/// caller that builds rows partition by partition (causal prefill's P') draws the
-/// same RNG stream as quantizing the whole tensor.
+/// metadata and the code sum (Summation Elimination). Every [`QuantizedTensor`]
+/// constructor quantizes through this function, so a caller that builds rows
+/// partition by partition (causal prefill's P') draws the same RNG stream as
+/// quantizing the whole tensor.
+///
+/// The codes, the sum and the draws are exactly those of
+/// [`quantize_value`](crate::stochastic::quantize_value) applied element by
+/// element. The work runs in two passes over chunks of [`QUANTIZE_CHUNK`]
+/// elements: first the draw-free normalise, clamp, floor and fraction for the whole
+/// chunk, which the compiler vectorizes, then the rounding decisions in element
+/// order, so stochastic rounding draws the same sequence. A constant partition
+/// (scale 0) takes code 0 everywhere without a draw, as `quantize_value` does.
 #[inline]
 pub fn quantize_partition(
     src: &[f32],
@@ -62,11 +71,27 @@ pub fn quantize_partition(
 ) -> (PartitionMeta, i32) {
     debug_assert_eq!(src.len(), dst.len());
     let pm = PartitionMeta::from_values(src, bits);
+    if pm.scale == 0.0 {
+        dst.fill(0);
+        return (pm, 0);
+    }
+    let max_code = bits.max_code();
     let mut sum = 0i32;
-    for (c, &v) in dst.iter_mut().zip(src) {
-        let code = quantize_value(v, &pm, bits, mode, rng);
-        *c = code;
-        sum += code as i32;
+    let mut floors = [0u8; QUANTIZE_CHUNK];
+    let mut fracs = [0.0f32; QUANTIZE_CHUNK];
+    for (src, dst) in src
+        .chunks(QUANTIZE_CHUNK)
+        .zip(dst.chunks_mut(QUANTIZE_CHUNK))
+    {
+        for ((&v, floor), frac) in src.iter().zip(&mut floors).zip(&mut fracs) {
+            let (f, r) = split_code((v - pm.min) / pm.scale, max_code);
+            *floor = f as u8;
+            *frac = r;
+        }
+        for ((c, &floor), &frac) in dst.iter_mut().zip(&floors).zip(&fracs) {
+            *c = floor + rounds_up(frac, mode, rng) as u8;
+            sum += *c as i32;
+        }
     }
     (pm, sum)
 }
@@ -595,6 +620,7 @@ impl QuantizedTensor {
 #[cfg(test)]
 mod scalar_reference {
     use super::*;
+    use crate::stochastic::quantize_value;
 
     /// The seed's element-indexed `quantize_rows`.
     pub fn quantize_rows(
@@ -765,6 +791,63 @@ mod tests {
                     assert_eq!(fast, slow, "case {case} {bits:?} {mode:?}");
                     // The RNG streams must stay in lockstep, so later draws agree too.
                     assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "case {case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn two_pass_quantize_partition_matches_per_element_quantization() {
+        // Codes, metadata, sum and the next RNG draw against `quantize_value` applied
+        // element by element: both rounding modes, every width, lengths on both sides
+        // of the chunk size, and partitions that are Gaussian, softmax-like (mostly
+        // tiny positives), constant (scale 0), or carry NaN and −0.0.
+        use crate::stochastic::quantize_value;
+        let mut data = DetRng::new(91);
+        for len in [0usize, 1, 5, 63, 64, 65, 127, 128, 130, 200] {
+            let gaussian = Matrix::random_normal(1, len, 0.0, 1.0, &mut data)
+                .as_slice()
+                .to_vec();
+            let softmax_like: Vec<f32> = (0..len).map(|_| data.next_f32().powi(8)).collect();
+            let mut special = gaussian.clone();
+            for (i, v) in special.iter_mut().enumerate() {
+                match i % 7 {
+                    0 => *v = f32::NAN,
+                    3 => *v = -0.0,
+                    _ => {}
+                }
+            }
+            let zero_min: Vec<f32> = (0..len).map(|i| [0.0, -0.0, 0.5, 1.0][i % 4]).collect();
+            let cases = [
+                gaussian,
+                softmax_like,
+                vec![0.75; len],
+                special,
+                zero_min,
+                vec![f32::NAN; len],
+            ];
+            for (case, src) in cases.iter().enumerate() {
+                for bits in [QuantBits::Int2, QuantBits::Int4, QuantBits::Int8] {
+                    for mode in [RoundingMode::Nearest, RoundingMode::Stochastic] {
+                        let label = format!("len {len} case {case} {bits:?} {mode:?}");
+                        let (mut rng_a, mut rng_b) = (DetRng::new(17), DetRng::new(17));
+                        let mut codes = vec![0xAAu8; len];
+                        let (pm, sum) = quantize_partition(src, &mut codes, bits, mode, &mut rng_a);
+                        let expect_pm = PartitionMeta::from_values(src, bits);
+                        let expect: Vec<u8> = src
+                            .iter()
+                            .map(|&v| quantize_value(v, &expect_pm, bits, mode, &mut rng_b))
+                            .collect();
+                        assert_eq!(codes, expect, "{label}: codes");
+                        assert_eq!(
+                            (pm.min.to_bits(), pm.scale.to_bits()),
+                            (expect_pm.min.to_bits(), expect_pm.scale.to_bits()),
+                            "{label}: meta"
+                        );
+                        let expect_sum: i32 = expect.iter().map(|&c| c as i32).sum();
+                        assert_eq!(sum, expect_sum, "{label}: sum");
+                        assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "{label}: draws");
+                    }
                 }
             }
         }

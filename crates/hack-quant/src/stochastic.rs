@@ -56,24 +56,51 @@ impl PartitionMeta {
 
 /// Rounds `x` (an arbitrary non-negative real in code space) to an integer using the
 /// requested rounding mode, clamping into `[0, max_code]`.
+///
+/// # Panics
+/// Panics if `max_code` exceeds 255 (codes are stored in one byte).
 #[inline]
 pub fn round_code(x: f32, max_code: u32, mode: RoundingMode, rng: &mut DetRng) -> u32 {
+    let (floor, frac) = split_code(x, max_code);
+    // `frac` is 0 at `max_code`, so rounding up never leaves `[0, max_code]`.
+    floor + rounds_up(frac, mode, rng) as u32
+}
+
+/// The draw-free half of [`round_code`]: clamps `x` into `[0, max_code]` and splits it
+/// into its floor and fractional part.
+///
+/// # Panics
+/// Panics if `max_code` exceeds 255 (codes are stored in one byte).
+#[inline(always)]
+pub(crate) fn split_code(x: f32, max_code: u32) -> (u32, f32) {
+    assert!(
+        max_code <= u8::MAX as u32,
+        "max_code {max_code} exceeds a byte"
+    );
     let clamped = x.clamp(0.0, max_code as f32);
     // On `[0, max_code]` truncation is an exact floor, and the cast inlines where
     // `f32::floor` lowers to a libm call on the baseline x86-64 target. −0.0 and NaN
-    // (which `clamp` passes through) both cast to 0 and leave `frac` non-positive or
-    // NaN, so they take code 0 without a draw, exactly as `floor` did.
-    let floor = clamped as u32;
-    let frac = clamped - floor as f32;
-    let up = match mode {
+    // (which `clamp` passes through) both truncate to 0 and leave `frac` non-positive
+    // or NaN, so they take code 0 without a draw, exactly as `floor` did.
+    let in_range = if clamped >= 0.0 { clamped } else { 0.0 };
+    // SAFETY: `in_range` is not NaN and lies in `[0, 255]`, which `i32` represents.
+    // Unlike the saturating `as` cast, the unchecked one vectorizes on baseline
+    // x86-64, so a loop of splits runs on packed instructions.
+    let floor = unsafe { in_range.to_int_unchecked::<i32>() };
+    (floor as u32, clamped - floor as f32)
+}
+
+/// The rounding decision of [`round_code`] for a fractional part `frac`; the only
+/// step that draws from `rng`.
+#[inline(always)]
+pub(crate) fn rounds_up(frac: f32, mode: RoundingMode, rng: &mut DetRng) -> bool {
+    match mode {
         RoundingMode::Nearest => frac >= 0.5,
         // Round up with probability equal to the fractional part, which makes the
         // rounding unbiased: E[round(x)] = x. Only the draw is conditional; adding the
         // comparison as 0/1 keeps the coin flip off the branch predictor.
         RoundingMode::Stochastic => frac > 0.0 && rng.next_f32() < frac,
-    };
-    // `frac` is 0 at `max_code`, so rounding up never leaves `[0, max_code]`.
-    floor + up as u32
+    }
 }
 
 /// Quantizes a single value to its integer code.
@@ -249,6 +276,12 @@ mod tests {
         let mut expect = DetRng::new(10);
         assert_eq!(up, if expect.next_f32() < 0.25 { 2 } else { 1 });
         assert_eq!(drawn.next_u64(), expect.next_u64());
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds a byte")]
+    fn round_code_rejects_codes_wider_than_a_byte() {
+        round_code(300.0, 256, RoundingMode::Nearest, &mut DetRng::new(1));
     }
 
     #[test]

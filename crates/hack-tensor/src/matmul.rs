@@ -170,12 +170,14 @@ pub fn gemm_u8_i32(a: &[u8], b: &[u8], m: usize, k: usize, n: usize) -> Vec<i32>
 /// Blocked inner product of two unsigned code slices with `i32` accumulation —
 /// the innermost kernel of the homomorphic GEMM (§5.3).
 ///
-/// On x86-64 this widens 16 codes at a time to 16-bit lanes and multiply-adds
-/// them with `pmaddwd` (part of the x86-64 baseline, so no runtime dispatch) —
-/// the CPU analogue of the paper's §6 trick of widening 2-bit codes to INT8
-/// for the tensor-core GEMM. Every step is exact integer arithmetic and `i32`
-/// addition is associative (also modulo 2³², so even on overflow), making the
-/// result bit-identical to the scalar left-to-right sum.
+/// On x86-64 this widens the codes to 16-bit lanes and multiply-adds them with
+/// `pmaddwd` — the CPU analogue of the paper's §6 trick of widening 2-bit codes
+/// to INT8 for the tensor-core GEMM. It dispatches at run time: slices of at
+/// least 32 codes take an AVX2 body (32 codes per step) when the CPU has AVX2,
+/// everything else the SSE2 body (16 codes per step, part of the x86-64
+/// baseline). Other targets take a scalar loop. Every step is exact integer
+/// arithmetic and `i32` addition is associative (also modulo 2³², so even on
+/// overflow), making the result bit-identical to the scalar left-to-right sum.
 #[inline]
 pub fn dot_u8_i32(a: &[u8], b: &[u8]) -> i32 {
     assert_eq!(a.len(), b.len(), "dot_u8_i32 length mismatch");
@@ -275,8 +277,9 @@ unsafe fn dot_u8_i32_avx2(a: &[u8], b: &[u8]) -> i32 {
     }
 }
 
-/// Right-operand rows per [`partition_dots4_u8_i32`] call.
-pub const DOT_BLOCK: usize = 4;
+/// Right-operand rows per [`partition_dots8_u8_i32`] call: the output columns
+/// of one homomorphic GEMM block, one `i32 × 8` AVX2 vector per partition.
+pub const DOT_BLOCK: usize = 8;
 
 /// Largest right-operand code the AVX2 path multiplies with `maddubs`. That
 /// instruction sums two `u8 × i8` products into a saturating `i16`; with left
@@ -288,11 +291,11 @@ const MADDUBS_MAX_B: u8 = 15;
 /// [`DOT_BLOCK`] right code rows: `out[p][r] = dot(a[span_p], b[r][span_p])`.
 /// Lanes `r ≥ b.len()` are zero.
 ///
-/// This is the innermost kernel of the homomorphic GEMM (§5.3), fused over a
-/// whole partitioned row and four output columns: the feature dispatch and
-/// span validation happen once per call, each chunk of the left row is loaded
-/// once and multiplied against four right rows, and the four partition totals
-/// are reduced together.
+/// This is the integer part of the homomorphic GEMM (§5.3), fused over a whole
+/// partitioned row and eight output columns: the feature dispatch and span
+/// validation happen once per call, each chunk of the left row is loaded once
+/// and multiplied against eight right rows, and the eight partition totals are
+/// reduced into one vector.
 ///
 /// `b_max` bounds every code in `b`. On AVX2 the kernel multiplies with
 /// `maddubs` + `pmaddwd` when `b_max ≤ 15` (K and V codes of at most 4 bits).
@@ -304,7 +307,7 @@ const MADDUBS_MAX_B: u8 = 15;
 /// # Panics
 /// Panics if `b` holds no rows or more than [`DOT_BLOCK`], `spans` and `out`
 /// differ in length, or a span is reversed or ends past `a` or a `b` row.
-pub fn partition_dots4_u8_i32(
+pub fn partition_dots8_u8_i32(
     a: &[u8],
     b: &[&[u8]],
     b_max: u8,
@@ -314,9 +317,9 @@ pub fn partition_dots4_u8_i32(
     let live = b.len();
     assert!(
         (1..=DOT_BLOCK).contains(&live),
-        "partition_dots4_u8_i32 takes 1..={DOT_BLOCK} right rows, got {live}"
+        "partition_dots8_u8_i32 takes 1..={DOT_BLOCK} right rows, got {live}"
     );
-    assert_eq!(spans.len(), out.len(), "partition_dots4_u8_i32 span count");
+    assert_eq!(spans.len(), out.len(), "partition_dots8_u8_i32 span count");
     let mut end = 0;
     for &(s, e) in spans {
         assert!(s <= e, "partition span {s}..{e} is reversed");
@@ -333,29 +336,34 @@ pub fn partition_dots4_u8_i32(
             .all(|&(s, e)| r[s..e].iter().all(|&c| c <= b_max))),
         "a right-operand code exceeds b_max = {b_max}"
     );
-    // Dead lanes repeat row 0 so the SIMD loop has no per-lane branch; they are
-    // zeroed at the end.
-    let rows: [&[u8]; DOT_BLOCK] = std::array::from_fn(|r| b.get(r).copied().unwrap_or(b[0]));
+    let rows = pad_rows(b);
     #[cfg(target_arch = "x86_64")]
     if b_max <= MADDUBS_MAX_B && std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: AVX2 presence just checked; every span lies inside `a` and
         // every row of `rows` (validated above).
-        unsafe { dots4_avx2(a, rows, spans, out) };
+        unsafe { dots8_avx2(a, rows, spans, out) };
     } else {
-        dots4_per_row(a, rows, spans, out);
+        dots8_per_row(a, rows, spans, out);
     }
     #[cfg(not(target_arch = "x86_64"))]
-    dots4_per_row(a, rows, spans, out);
+    dots8_per_row(a, rows, spans, out);
     for o in out.iter_mut() {
         o[live..].fill(0);
     }
 }
 
-/// Fallback body of [`partition_dots4_u8_i32`] for right codes above 4 bits or
-/// without AVX2: one [`dot_u8_i32`] per span and row. Kept out of line so the
-/// AVX2 caller stays small.
+/// `b` padded to [`DOT_BLOCK`] rows for the bodies of [`partition_dots8_u8_i32`]:
+/// dead lanes repeat row 0 so the SIMD loop has no per-lane branch, and the
+/// caller zeroes them afterwards.
+fn pad_rows<'a>(b: &[&'a [u8]]) -> [&'a [u8]; DOT_BLOCK] {
+    std::array::from_fn(|r| b.get(r).copied().unwrap_or(b[0]))
+}
+
+/// Portable body of [`partition_dots8_u8_i32`], taken for right codes above
+/// 4 bits or without AVX2: one [`dot_u8_i32`] per span and row. Kept out of
+/// line so the AVX2 caller stays small.
 #[inline(never)]
-fn dots4_per_row(
+fn dots8_per_row(
     a: &[u8],
     b: [&[u8]; DOT_BLOCK],
     spans: &[(usize, usize)],
@@ -368,7 +376,7 @@ fn dots4_per_row(
     }
 }
 
-/// AVX2 body of [`partition_dots4_u8_i32`]: `maddubs` + `pmaddwd` on 32 codes
+/// AVX2 body of [`partition_dots8_u8_i32`]: `maddubs` + `pmaddwd` on 32 codes
 /// per step, for right codes ≤ [`MADDUBS_MAX_B`].
 ///
 /// # Safety
@@ -376,7 +384,7 @@ fn dots4_per_row(
 /// every right code must be at most [`MADDUBS_MAX_B`] for exact sums.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn dots4_avx2(
+unsafe fn dots8_avx2(
     a: &[u8],
     b: [&[u8]; DOT_BLOCK],
     spans: &[(usize, usize)],
@@ -386,7 +394,8 @@ unsafe fn dots4_avx2(
     const STEP: usize = 32;
     // SAFETY: AVX2 is available (caller contract). Every load reads `STEP`
     // bytes starting below `simd_end`, so it stays inside `start..end`, which
-    // lies inside `a` and every row (caller contract); the loads are unaligned.
+    // lies inside `a` and every row (caller contract); the loads and the
+    // 32-byte store into the `[i32; 8]` entry are unaligned.
     unsafe {
         let ones = _mm256_set1_epi16(1);
         for (o, &(start, end)) in out.iter_mut().zip(spans) {
@@ -404,13 +413,23 @@ unsafe fn dots4_avx2(
                 }
                 i += STEP;
             }
-            // Reduce the four accumulators together: two rounds of hadd leave
-            // [r0, r1, r2, r3] partial totals in each 128-bit half.
-            let h01 = _mm256_hadd_epi32(acc[0], acc[1]);
-            let h23 = _mm256_hadd_epi32(acc[2], acc[3]);
-            let h = _mm256_hadd_epi32(h01, h23);
-            let sums = _mm_add_epi32(_mm256_castsi256_si128(h), _mm256_extracti128_si256(h, 1));
-            _mm_storeu_si128(o.as_mut_ptr().cast(), sums);
+            // Reduce the eight accumulators into one vector. Two rounds of
+            // hadd leave partial totals of rows 0–3 in each 128-bit half of
+            // `h0` and of rows 4–7 in each half of `h1`; adding the low halves
+            // to the high halves gives [r0, …, r7].
+            let h0 = _mm256_hadd_epi32(
+                _mm256_hadd_epi32(acc[0], acc[1]),
+                _mm256_hadd_epi32(acc[2], acc[3]),
+            );
+            let h1 = _mm256_hadd_epi32(
+                _mm256_hadd_epi32(acc[4], acc[5]),
+                _mm256_hadd_epi32(acc[6], acc[7]),
+            );
+            let sums = _mm256_add_epi32(
+                _mm256_permute2x128_si256(h0, h1, 0x20),
+                _mm256_permute2x128_si256(h0, h1, 0x31),
+            );
+            _mm256_storeu_si256(o.as_mut_ptr().cast(), sums);
             for idx in simd_end..end {
                 let x = a[idx] as i32;
                 for (acc_r, row) in o.iter_mut().zip(b) {
@@ -568,9 +587,9 @@ mod tests {
         assert_eq!(dot_u8_i32(&a, &a), 4096 * 255 * 255);
     }
 
-    /// The oracle for [`partition_dots4_u8_i32`]: scalar dots per span and live
+    /// The oracle for [`partition_dots8_u8_i32`]: scalar dots per span and live
     /// row, dead lanes zero.
-    fn scalar_dots4(a: &[u8], b: &[&[u8]], spans: &[(usize, usize)]) -> Vec<[i32; DOT_BLOCK]> {
+    fn scalar_dots8(a: &[u8], b: &[&[u8]], spans: &[(usize, usize)]) -> Vec<[i32; DOT_BLOCK]> {
         spans
             .iter()
             .map(|&(s, e)| {
@@ -591,11 +610,13 @@ mod tests {
 
     #[test]
     fn fused_partition_dots_match_per_partition_dots() {
-        // The fused 4-row kernel against scalar dots, partition by partition:
+        // The fused 8-row kernel against scalar dots, partition by partition:
         // every length 0..=255 (so every SIMD tail), whole-row and partitioned
         // spans with ragged last partitions (the homomorphic GEMM's Π = 16..=64
-        // among them), 1..=4 live rows, and right-operand code ranges that take
-        // the maddubs path (Int2, Int4) and the per-row widen path (Int8).
+        // among them), 1..=8 live rows, and right-operand code ranges that take
+        // the maddubs path (Int2, Int4) and the per-row widen path (Int8). The
+        // portable per-row body is also called directly, so it runs on every
+        // code range on AVX2 hosts too.
         let mut rng = DetRng::new(13);
         for b_max in [3u8, 15, 255] {
             for len in 0..=255usize {
@@ -611,13 +632,16 @@ mod tests {
                     let spans = spans_of(len, partition);
                     for live in 1..=DOT_BLOCK {
                         let b: Vec<&[u8]> = b_rows[..live].iter().map(Vec::as_slice).collect();
+                        let expect = scalar_dots8(&a, &b, &spans);
+                        let label = format!("len {len} Π {partition} live {live} b_max {b_max}");
                         let mut got = vec![[-7i32; DOT_BLOCK]; spans.len()];
-                        partition_dots4_u8_i32(&a, &b, b_max, &spans, &mut got);
-                        assert_eq!(
-                            got,
-                            scalar_dots4(&a, &b, &spans),
-                            "len {len} Π {partition} live {live} b_max {b_max}"
-                        );
+                        partition_dots8_u8_i32(&a, &b, b_max, &spans, &mut got);
+                        assert_eq!(got, expect, "{label}");
+                        let mut portable = vec![[-7i32; DOT_BLOCK]; spans.len()];
+                        dots8_per_row(&a, pad_rows(&b), &spans, &mut portable);
+                        for (lanes, want) in portable.iter().zip(&expect) {
+                            assert_eq!(lanes[..live], want[..live], "portable {label}");
+                        }
                     }
                 }
             }
@@ -625,9 +649,10 @@ mod tests {
     }
 
     #[test]
-    fn dots4_are_exact_on_saturated_codes() {
+    fn dots8_are_exact_on_saturated_codes() {
         // 255 × max code in every lane: the largest maddubs pair sums (Int2, Int4)
-        // and the largest pmaddwd products (Int8).
+        // and the largest pmaddwd products (Int8), on the dispatched kernel and on
+        // the portable body.
         for b_max in [3u8, 15, 255] {
             for len in [255usize, 4096] {
                 let a = vec![255u8; len];
@@ -635,10 +660,13 @@ mod tests {
                 let b = [row.as_slice(); DOT_BLOCK];
                 for spans in [vec![(0, len)], spans_of(len, 64)] {
                     let mut got = vec![[0i32; DOT_BLOCK]; spans.len()];
-                    partition_dots4_u8_i32(&a, &b, b_max, &spans, &mut got);
-                    for (lanes, &(s, e)) in got.iter().zip(&spans) {
+                    partition_dots8_u8_i32(&a, &b, b_max, &spans, &mut got);
+                    let mut portable = vec![[0i32; DOT_BLOCK]; spans.len()];
+                    dots8_per_row(&a, b, &spans, &mut portable);
+                    for ((lanes, portable), &(s, e)) in got.iter().zip(&portable).zip(&spans) {
                         let expect = ((e - s) * 255 * b_max as usize) as i32;
                         assert_eq!(*lanes, [expect; DOT_BLOCK], "len {len} b_max {b_max}");
+                        assert_eq!(*portable, [expect; DOT_BLOCK], "portable len {len}");
                     }
                 }
             }
@@ -647,9 +675,9 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "past a row")]
-    fn dots4_reject_spans_past_a_short_row() {
+    fn dots8_reject_spans_past_a_short_row() {
         let mut out = [[0i32; DOT_BLOCK]];
-        partition_dots4_u8_i32(&[1; 64], &[&[1; 63]], 3, &[(0, 64)], &mut out);
+        partition_dots8_u8_i32(&[1; 64], &[&[1; 64], &[1; 63]], 3, &[(0, 64)], &mut out);
     }
 
     #[test]
