@@ -14,10 +14,26 @@
 //!
 //! Both optimizations can be switched off via [`HackConfig`] to reproduce the HACK/SE
 //! and HACK/RQE ablations.
+//!
+//! With Summation Elimination the state also keeps the Eq. 4 right-operand lanes of
+//! K' and V' ([`RightLanes`]): their metadata and stored code sums as the `f32`
+//! records the homomorphic product's epilogue reads. The constructors build them,
+//! and [`HackKvState::append_token`] grows them with the tensors: one lane per new
+//! K' token, and for V' a re-layout when a partition is added (a tail flush under
+//! RQE, or the first token of a new partition without it) or, without RQE, a rewrite
+//! of the requantized last partition. Decode therefore does metadata work
+//! proportional to the new token, not to the sequence, and its products are
+//! bit-identical to [`homomorphic_matmul_counted`] on the same tensors. Without
+//! Summation Elimination no lanes are kept: every decode step recomputes the code
+//! sums and lays out the lanes afresh, the work the HACK/SE ablation counts. The
+//! lanes are a host-side compute layout, not KV data, so [`HackKvState::kv_bytes`]
+//! leaves them out.
 
+use hack_quant::cost::HomomorphicOpCounts;
+use hack_quant::homomorphic::{homomorphic_matmul_counted, homomorphic_matmul_with_lanes};
 use hack_quant::qmatrix::AppendStats;
-use hack_quant::{homomorphic::homomorphic_matmul_counted, HackConfig, QuantizedTensor};
-use hack_tensor::matmul::matmul;
+use hack_quant::{HackConfig, QuantizedTensor, RightLanes};
+use hack_tensor::matmul::vecmat_acc;
 use hack_tensor::softmax::softmax_slice_inplace;
 use hack_tensor::{DetRng, Matrix};
 
@@ -37,6 +53,14 @@ pub struct DecodeStepStats {
     pub requantized_elements: usize,
 }
 
+impl DecodeStepStats {
+    fn add_product(&mut self, counts: HomomorphicOpCounts) {
+        self.int_mac_ops += counts.int_mac_ops;
+        self.approx_ops += counts.approx_ops;
+        self.sum_recompute_ops += counts.sum_recompute_ops;
+    }
+}
+
 /// Decode-side quantized KV state for a single attention head.
 #[derive(Debug, Clone)]
 pub struct HackKvState {
@@ -49,8 +73,17 @@ pub struct HackKvState {
     v: QuantizedTensor,
     /// FP16 tail of V: `tail_tokens × head_dim`, token-major, `tail_tokens < Π`.
     v_tail: Matrix,
+    /// Eq. 4 right-operand lanes of `k` and `v`, kept with Summation Elimination only.
+    lanes: Option<KvLanes>,
     /// Cumulative append statistics.
     append_stats: AppendStats,
+}
+
+/// The [`RightLanes`] of K' (for `Q'·K'ᵀ`) and V' (for `P'·V'`).
+#[derive(Debug, Clone)]
+struct KvLanes {
+    k: RightLanes,
+    v: RightLanes,
 }
 
 impl HackKvState {
@@ -82,25 +115,41 @@ impl HackKvState {
             )
         };
 
-        Self {
-            cfg,
-            head_dim,
-            k: k_q,
-            v: v_q,
-            v_tail,
-            append_stats: AppendStats::default(),
-        }
+        Self::assemble(cfg, head_dim, k_q, v_q, v_tail)
     }
 
     /// Creates an empty state (no prefill), e.g. for unit tests.
     pub fn empty(head_dim: usize, cfg: HackConfig) -> Self {
         let pi = cfg.partition.get();
+        Self::assemble(
+            cfg,
+            head_dim,
+            // No K vectors yet, but their length is known, so appends validate.
+            QuantizedTensor::from_parts(0, head_dim, cfg.kv_bits, pi, vec![], vec![], vec![]),
+            QuantizedTensor::empty(head_dim, cfg.kv_bits, pi),
+            Matrix::zeros(0, head_dim),
+        )
+    }
+
+    /// The state of validated parts, with its lanes built from them.
+    fn assemble(
+        cfg: HackConfig,
+        head_dim: usize,
+        k: QuantizedTensor,
+        v: QuantizedTensor,
+        v_tail: Matrix,
+    ) -> Self {
+        let lanes = cfg.summation_elimination.then(|| KvLanes {
+            k: RightLanes::new(&k, k.sums()),
+            v: RightLanes::new(&v, v.sums()),
+        });
         Self {
             cfg,
             head_dim,
-            k: QuantizedTensor::empty(0, cfg.kv_bits, pi).with_cols(head_dim),
-            v: QuantizedTensor::empty(head_dim, cfg.kv_bits, pi),
-            v_tail: Matrix::zeros(0, head_dim),
+            k,
+            v,
+            v_tail,
+            lanes,
             append_stats: AppendStats::default(),
         }
     }
@@ -152,6 +201,12 @@ impl HackKvState {
     }
 
     /// Rebuilds a state from its transported parts.
+    ///
+    /// # Panics
+    /// Panics if the parts do not form a state `cfg` could have built: the layouts
+    /// and token counts must agree, K and V must use `cfg`'s partition size and KV
+    /// precision, and the V tail must be what `cfg` leaves there (under RQE, whole
+    /// partitions of V and a tail shorter than Π; without RQE, no tail).
     pub fn from_parts(
         cfg: HackConfig,
         head_dim: usize,
@@ -159,6 +214,7 @@ impl HackKvState {
         v: QuantizedTensor,
         v_tail: Matrix,
     ) -> Self {
+        let pi = cfg.partition.get();
         assert_eq!(k.cols(), head_dim, "K layout must be tokens × head_dim");
         assert_eq!(v.rows(), head_dim, "V layout must be head_dim × tokens");
         assert_eq!(
@@ -171,14 +227,30 @@ impl HackKvState {
             v.cols() + v_tail.rows(),
             "token counts of K and V (+tail) must agree"
         );
-        Self {
-            cfg,
-            head_dim,
-            k,
-            v,
-            v_tail,
-            append_stats: AppendStats::default(),
+        assert_eq!(
+            (k.partition(), v.partition()),
+            (pi, pi),
+            "K and V partition sizes must be the configured Π"
+        );
+        assert_eq!(
+            (k.bits(), v.bits()),
+            (cfg.kv_bits, cfg.kv_bits),
+            "K and V precisions must be the configured KV bits"
+        );
+        if cfg.requant_elimination {
+            assert_eq!(
+                v.cols() % pi,
+                0,
+                "under RQE, quantized V must hold whole partitions"
+            );
+            assert!(
+                v_tail.rows() < pi,
+                "under RQE, the V tail must be shorter than Π"
+            );
+        } else {
+            assert_eq!(v_tail.rows(), 0, "without RQE, the V tail must be empty");
         }
+        Self::assemble(cfg, head_dim, k, v, v_tail)
     }
 
     /// Appends one token's K and V vectors (step 9 in Fig. 5).
@@ -191,23 +263,31 @@ impl HackKvState {
         let mut stats = AppendStats::default();
 
         // K: the new token's vector forms its own partitions along the head dimension.
-        let k_new = Matrix::from_vec(1, self.head_dim, k_row.to_vec());
-        stats = stats.merge(self.k.append_rows(&k_new, self.cfg.rounding, rng));
+        stats = stats.merge(self.k.append_row(k_row, self.cfg.rounding, rng));
+        if let Some(lanes) = &mut self.lanes {
+            lanes.k.push_rows(&self.k, self.k.sums());
+        }
 
-        if self.cfg.requant_elimination {
+        let v_grew = if self.cfg.requant_elimination {
             // V: accumulate in the FP16 tail; flush a full partition when it fills up.
             let mut fp16_row = v_row.to_vec();
             hack_tensor::half::round_slice_to_f16(&mut fp16_row);
             self.v_tail.push_row(&fp16_row);
-            if self.v_tail.rows() == self.cfg.partition.get() {
+            let flush = self.v_tail.rows() == self.cfg.partition.get();
+            if flush {
                 let block = self.v_tail.transpose(); // head_dim × Π
                 stats = stats.merge(self.v.append_full_partition(&block, self.cfg.rounding, rng));
                 self.v_tail = Matrix::zeros(0, self.head_dim);
             }
+            flush
         } else {
             // V: append a single column, requantizing the partial last partition.
             let column = Matrix::from_vec(self.head_dim, 1, v_row.to_vec());
             stats = stats.merge(self.v.append_columns(&column, self.cfg.rounding, rng));
+            true
+        };
+        if let (true, Some(lanes)) = (v_grew, &mut self.lanes) {
+            lanes.v.extend_cols(&self.v, self.v.sums());
         }
 
         self.append_stats = self.append_stats.merge(stats);
@@ -224,53 +304,46 @@ impl HackKvState {
         let l_kv = self.seq_len();
         assert!(l_kv > 0, "decode_attention on an empty KV state");
         let pi = self.cfg.partition.get();
-        let mut stats = DecodeStepStats {
-            requantized_elements: 0,
-            ..Default::default()
-        };
+        let mut stats = DecodeStepStats::default();
 
         // 1. Quantize Q (INT8) and compute the attention scores homomorphically.
-        let q_m = Matrix::from_vec(1, self.head_dim, q_row.to_vec());
-        let q_q = QuantizedTensor::quantize_rows(&q_m, self.cfg.q_bits, pi, self.cfg.rounding, rng);
-        let (scores, score_counts) =
-            homomorphic_matmul_counted(&q_q, &self.k, self.cfg.summation_elimination);
-        stats.int_mac_ops += score_counts.int_mac_ops;
-        stats.approx_ops += score_counts.approx_ops;
-        stats.sum_recompute_ops += score_counts.sum_recompute_ops;
+        let q_q = QuantizedTensor::quantize_row(q_row, self.cfg.q_bits, pi, self.cfg.rounding, rng);
+        let lanes = self.lanes.as_ref();
+        let (mut scores, score_counts) = product(&q_q, &self.k, lanes.map(|l| &l.k));
+        stats.add_product(score_counts);
 
-        // 2. Softmax over the scaled scores.
+        // 2. Softmax over the scaled scores, in place.
         let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let mut p: Vec<f32> = scores.row(0).iter().map(|s| s * scale).collect();
-        softmax_slice_inplace(&mut p);
+        let p = scores.row_mut(0);
+        for s in p.iter_mut() {
+            *s *= scale;
+        }
+        softmax_slice_inplace(p);
 
         // 3. P·V: homomorphic product over the quantized tokens plus an FP16 product
         //    over the tail.
         let quantized_tokens = self.quantized_tokens();
         let mut out = vec![0.0f32; self.head_dim];
         if quantized_tokens > 0 {
-            let p_main = Matrix::from_vec(1, quantized_tokens, p[..quantized_tokens].to_vec());
-            let p_q = QuantizedTensor::quantize_rows(
-                &p_main,
+            let p_q = QuantizedTensor::quantize_row(
+                &p[..quantized_tokens],
                 self.cfg.p_bits,
                 pi,
                 self.cfg.rounding,
                 rng,
             );
-            let (o_main, pv_counts) =
-                homomorphic_matmul_counted(&p_q, &self.v, self.cfg.summation_elimination);
-            stats.int_mac_ops += pv_counts.int_mac_ops;
-            stats.approx_ops += pv_counts.approx_ops;
-            stats.sum_recompute_ops += pv_counts.sum_recompute_ops;
+            let (o_main, pv_counts) = product(&p_q, &self.v, lanes.map(|l| &l.v));
+            stats.add_product(pv_counts);
             for (o, m) in out.iter_mut().zip(o_main.row(0)) {
                 *o += m;
             }
         }
         let tail_tokens = self.tail_tokens();
         if tail_tokens > 0 {
-            let p_tail = Matrix::from_vec(1, tail_tokens, p[quantized_tokens..].to_vec());
-            let o_tail = matmul(&p_tail, &self.v_tail);
+            let mut o_tail = vec![0.0f32; self.head_dim];
+            vecmat_acc(&p[quantized_tokens..], &self.v_tail, &mut o_tail);
             stats.tail_fp_ops += 2 * tail_tokens * self.head_dim;
-            for (o, t) in out.iter_mut().zip(o_tail.row(0)) {
+            for (o, t) in out.iter_mut().zip(&o_tail) {
                 *o += t;
             }
         }
@@ -306,23 +379,16 @@ impl HackKvState {
     }
 }
 
-/// Small extension used by [`HackKvState::empty`]: an empty tensor still needs to know
-/// its vector length so that later appends validate correctly.
-trait WithCols {
-    fn with_cols(self, cols: usize) -> QuantizedTensor;
-}
-
-impl WithCols for QuantizedTensor {
-    fn with_cols(self, cols: usize) -> QuantizedTensor {
-        QuantizedTensor::from_parts(
-            0,
-            cols,
-            self.bits(),
-            self.partition(),
-            Vec::new(),
-            Vec::new(),
-            Vec::new(),
-        )
+/// One homomorphic product with the right operand `b`: over its kept `lanes` with
+/// Summation Elimination, and with its code sums recomputed without.
+fn product(
+    a: &QuantizedTensor,
+    b: &QuantizedTensor,
+    lanes: Option<&RightLanes>,
+) -> (Matrix, HomomorphicOpCounts) {
+    match lanes {
+        Some(lanes) => homomorphic_matmul_with_lanes(a, b, lanes),
+        None => homomorphic_matmul_counted(a, b, false),
     }
 }
 
@@ -331,7 +397,165 @@ mod tests {
     use super::*;
     use crate::baseline::{baseline_attention, AttentionMask};
     use hack_quant::params::RoundingMode;
+    use hack_quant::{PartitionSize, QuantBits};
     use hack_tensor::cosine_similarity;
+    use hack_tensor::matmul::matmul;
+
+    /// The pre-change [`HackKvState::decode_attention`], kept as the oracle
+    /// of the persistent lanes: both products through `homomorphic_matmul_counted`
+    /// on the state's tensors, laying out the right operand's lanes afresh.
+    fn reference_decode_attention(
+        state: &HackKvState,
+        q_row: &[f32],
+        rng: &mut DetRng,
+    ) -> (Vec<f32>, DecodeStepStats) {
+        let cfg = state.config();
+        let head_dim = state.head_dim();
+        let pi = cfg.partition.get();
+        let mut stats = DecodeStepStats::default();
+
+        let q_m = Matrix::from_vec(1, head_dim, q_row.to_vec());
+        let q_q = QuantizedTensor::quantize_rows(&q_m, cfg.q_bits, pi, cfg.rounding, rng);
+        let (scores, score_counts) =
+            homomorphic_matmul_counted(&q_q, state.k_quant(), cfg.summation_elimination);
+        stats.add_product(score_counts);
+
+        let scale = 1.0 / (head_dim as f32).sqrt();
+        let mut p: Vec<f32> = scores.row(0).iter().map(|s| s * scale).collect();
+        softmax_slice_inplace(&mut p);
+
+        let quantized_tokens = state.quantized_tokens();
+        let mut out = vec![0.0f32; head_dim];
+        if quantized_tokens > 0 {
+            let p_main = Matrix::from_vec(1, quantized_tokens, p[..quantized_tokens].to_vec());
+            let p_q = QuantizedTensor::quantize_rows(&p_main, cfg.p_bits, pi, cfg.rounding, rng);
+            let (o_main, pv_counts) =
+                homomorphic_matmul_counted(&p_q, state.v_quant(), cfg.summation_elimination);
+            stats.add_product(pv_counts);
+            for (o, m) in out.iter_mut().zip(o_main.row(0)) {
+                *o += m;
+            }
+        }
+        let tail_tokens = state.tail_tokens();
+        if tail_tokens > 0 {
+            let p_tail = Matrix::from_vec(1, tail_tokens, p[quantized_tokens..].to_vec());
+            let o_tail = matmul(&p_tail, state.v_tail());
+            stats.tail_fp_ops += 2 * tail_tokens * head_dim;
+            for (o, t) in out.iter_mut().zip(o_tail.row(0)) {
+                *o += t;
+            }
+        }
+        (out, stats)
+    }
+
+    fn rebuilt(state: &HackKvState) -> HackKvState {
+        HackKvState::from_parts(
+            state.config(),
+            state.head_dim(),
+            state.k_quant().clone(),
+            state.v_quant().clone(),
+            state.v_tail().clone(),
+        )
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn persistent_lanes_decode_matches_per_step_products_pi32() {
+        check_persistent_lanes_decode(32);
+    }
+
+    #[test]
+    fn persistent_lanes_decode_matches_per_step_products_pi64() {
+        check_persistent_lanes_decode(64);
+    }
+
+    #[test]
+    fn persistent_lanes_decode_matches_per_step_products_pi128() {
+        check_persistent_lanes_decode(128);
+    }
+
+    fn check_persistent_lanes_decode(pi: usize) {
+        // Every step's output bits, stats and next RNG draw must equal the oracle's,
+        // which lays out both products' lanes afresh from the state's tensors. The
+        // prefill lengths cover every L mod 8 and L mod Π ∈ {0, 1, Π−1}; each run
+        // lasts 2Π + 9 steps, so V' flushes (or, without RQE, starts) at least two
+        // new partitions and K' passes every block residue. Halfway through, the state
+        // is replaced by its clone and a `from_parts` rebuild joins it; both must go
+        // on identically. d_h = 36 leaves a ragged last K' partition at Π = 32 and
+        // four dead lanes in V''s last block.
+        let d_h = 36;
+        let base = HackConfig {
+            partition: PartitionSize(pi),
+            ..HackConfig::paper_default()
+        };
+        let configs = [
+            ("paper", base),
+            (
+                "no-SE",
+                HackConfig {
+                    summation_elimination: false,
+                    ..base
+                },
+            ),
+            (
+                "no-RQE",
+                HackConfig {
+                    requant_elimination: false,
+                    ..base
+                },
+            ),
+        ];
+        for (name, cfg) in configs {
+            for len in [
+                pi,
+                pi + 1,
+                pi + 2,
+                pi + 3,
+                pi + 4,
+                pi + 5,
+                pi + 6,
+                2 * pi - 1,
+            ] {
+                let steps = 2 * pi + 9;
+                let (k, v) = structured_kv(len + steps, d_h, (pi + len) as u64);
+                let mut rng = DetRng::new(len as u64);
+                let mut state = HackKvState::from_prefill(
+                    &k.row_block(0, len),
+                    &v.row_block(0, len),
+                    cfg,
+                    &mut rng,
+                );
+                let mut rebuilt_state: Option<(HackKvState, DetRng)> = None;
+                for t in 0..steps {
+                    let label = format!("{name} Π={pi} L={len} step {t}");
+                    let q: Vec<f32> = (0..d_h).map(|i| ((i + t) as f32 * 0.07).sin()).collect();
+                    let (k_row, v_row) = (k.row(len + t), v.row(len + t));
+                    if t == steps / 2 {
+                        state = state.clone();
+                        rebuilt_state = Some((rebuilt(&state), rng.clone()));
+                    }
+                    state.append_token(k_row, v_row, &mut rng);
+                    let mut ref_rng = rng.clone();
+                    let (expect, expect_stats) =
+                        reference_decode_attention(&state, &q, &mut ref_rng);
+                    let (out, stats) = state.decode_attention(&q, &mut rng);
+                    assert_eq!(bits(&out), bits(&expect), "{label}: outputs");
+                    assert_eq!(stats, expect_stats, "{label}: stats");
+                    assert_eq!(rng.clone().next_u64(), ref_rng.next_u64(), "{label}: RNG");
+                    if let Some((other, other_rng)) = &mut rebuilt_state {
+                        other.append_token(k_row, v_row, other_rng);
+                        let (o, s) = other.decode_attention(&q, other_rng);
+                        assert_eq!(bits(&o), bits(&out), "{label}: rebuilt outputs");
+                        assert_eq!(s, stats, "{label}: rebuilt stats");
+                        assert_eq!(*other_rng, rng, "{label}: rebuilt RNG");
+                    }
+                }
+            }
+        }
+    }
 
     fn structured_kv(tokens: usize, d_h: usize, seed: u64) -> (Matrix, Matrix) {
         // Keys/values with per-channel offsets and modest noise, closer to real KV
@@ -564,6 +788,63 @@ mod tests {
             state.v_quant().clone(),
             Matrix::zeros(3, d_h), // wrong tail length
         );
+    }
+
+    /// The parts of a `tokens`-long state built with `cfg`, for `from_parts` misuse.
+    fn parts(tokens: usize, cfg: HackConfig) -> (QuantizedTensor, QuantizedTensor, Matrix) {
+        let (k, v) = structured_kv(tokens, 32, 23);
+        let state = HackKvState::from_prefill(&k, &v, cfg, &mut DetRng::new(24));
+        (
+            state.k_quant().clone(),
+            state.v_quant().clone(),
+            state.v_tail().clone(),
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "partition sizes")]
+    fn from_parts_rejects_another_partition_size() {
+        let small = HackConfig {
+            partition: PartitionSize(32),
+            ..HackConfig::paper_default()
+        };
+        let (k, v, tail) = parts(128, small);
+        HackKvState::from_parts(HackConfig::paper_default(), 32, k, v, tail);
+    }
+
+    #[test]
+    #[should_panic(expected = "precisions")]
+    fn from_parts_rejects_another_kv_precision() {
+        let int4 = HackConfig {
+            kv_bits: QuantBits::Int4,
+            ..HackConfig::paper_default()
+        };
+        let (k, v, tail) = parts(100, int4);
+        HackKvState::from_parts(HackConfig::paper_default(), 32, k, v, tail);
+    }
+
+    #[test]
+    #[should_panic(expected = "whole partitions")]
+    fn from_parts_rejects_rqe_v_ending_mid_partition() {
+        let (k, v, tail) = parts(70, HackConfig::without_requant_elimination());
+        HackKvState::from_parts(HackConfig::paper_default(), 32, k, v, tail);
+    }
+
+    #[test]
+    #[should_panic(expected = "shorter than Π")]
+    fn from_parts_rejects_an_rqe_tail_of_a_whole_partition() {
+        let cfg = HackConfig::paper_default();
+        let (k, _, _) = parts(64, cfg);
+        let (_, tail) = structured_kv(64, 32, 25);
+        let v = QuantizedTensor::empty(32, cfg.kv_bits, cfg.partition.get());
+        HackKvState::from_parts(cfg, 32, k, v, tail.to_f16_precision());
+    }
+
+    #[test]
+    #[should_panic(expected = "tail must be empty")]
+    fn from_parts_rejects_a_tail_without_rqe() {
+        let (k, v, tail) = parts(70, HackConfig::paper_default());
+        HackKvState::from_parts(HackConfig::without_requant_elimination(), 32, k, v, tail);
     }
 
     #[test]

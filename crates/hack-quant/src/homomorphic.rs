@@ -18,6 +18,7 @@ use crate::qmatrix::{QuantRow, QuantizedTensor};
 use crate::stochastic::PartitionMeta;
 use hack_tensor::matmul::{partition_dots8_u8_i32, DOT_BLOCK};
 use hack_tensor::Matrix;
+use std::borrow::Cow;
 
 /// Checks that two tensors can participate in a homomorphic product.
 fn check_compat(a: &QuantizedTensor, b: &QuantizedTensor) {
@@ -63,26 +64,191 @@ pub fn homomorphic_matmul_counted(
     homomorphic_matmul_impl(a, b, use_stored_sums)
 }
 
+/// [`homomorphic_matmul_counted`] with Summation Elimination, reading the right
+/// operand's metadata and stored code sums from `b_lanes` instead of building them.
+/// A decode state keeps such lanes across steps (see [`RightLanes`]); the result
+/// and the counts are bit-identical to `homomorphic_matmul_counted(a, b, true)`.
+///
+/// # Panics
+/// Panics if the operands are incompatible or `b_lanes` does not describe `b`.
+pub fn homomorphic_matmul_with_lanes(
+    a: &QuantizedTensor,
+    b: &QuantizedTensor,
+    b_lanes: &RightLanes,
+) -> (Matrix, HomomorphicOpCounts) {
+    check_compat(a, b);
+    multiply(a, RowProduct::with_lanes(b, b_lanes), true)
+}
+
 fn homomorphic_matmul_impl(
     a: &QuantizedTensor,
     b: &QuantizedTensor,
     use_stored_sums: bool,
 ) -> (Matrix, HomomorphicOpCounts) {
     check_compat(a, b);
-    let m = a.rows();
-    let n_parts = a.n_partitions();
-    let mut out = Matrix::zeros(m, b.rows());
-
     // Code sums: stored with SE, recomputed once per row-partition without (the same
     // count as reading them partition by partition, so `sum_recompute_ops` holds).
-    let a_sums = a.code_sums(use_stored_sums);
     let b_sums = b.code_sums(use_stored_sums);
-    let mut product = RowProduct::with_sums(b, &b_sums);
+    multiply(a, RowProduct::with_sums(b, &b_sums), use_stored_sums)
+}
+
+/// Every row of `a` times the right operand of `product`, over all partitions.
+fn multiply(
+    a: &QuantizedTensor,
+    mut product: RowProduct<'_>,
+    use_stored_sums: bool,
+) -> (Matrix, HomomorphicOpCounts) {
+    let (m, n, n_parts) = (a.rows(), product.b.rows(), a.n_partitions());
+    let mut out = Matrix::zeros(m, n);
+    let a_sums = a.code_sums(use_stored_sums);
     for i in 0..m {
         product.accumulate(a.row_prefix(i, n_parts, &a_sums), out.row_mut(i));
     }
-    let counts = HomomorphicOpCounts::dense(m, b.rows(), a.cols(), a.partition(), use_stored_sums);
+    let counts = HomomorphicOpCounts::dense(m, n, a.cols(), a.partition(), use_stored_sums);
     (out, counts)
+}
+
+/// The right operand's metadata and code sums as `f32` lanes, the layout the
+/// eight-column Eq. 4 epilogue of [`RowProduct`] reads.
+///
+/// Block-major: entry `block * n_parts + p` holds partition `p` of right rows
+/// (output columns) `block * DOT_BLOCK..`. Dead lanes of the last block repeat its
+/// last live row; they compute values the product drops. Both ways a right operand
+/// grows append cheaply, so a decode state keeps its lanes across steps:
+///
+/// * new right rows (a K' token) fill the last block or add one at the end
+///   ([`Self::push_rows`]);
+/// * a longer contracted dimension (V' gaining tokens) rewrites the requantized
+///   last partition in place, or re-lays out the lanes once a new partition starts
+///   ([`Self::extend_cols`]).
+///
+/// Either way the lanes equal those [`Self::new`] builds from the grown tensor.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RightLanes {
+    lanes: Vec<BlockLanes>,
+    rows: usize,
+    n_parts: usize,
+}
+
+/// One partition of one block of right-operand rows, as the Eq. 4 epilogue
+/// reads it.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct BlockLanes {
+    scale: [f32; DOT_BLOCK],
+    min: [f32; DOT_BLOCK],
+    sum: [f32; DOT_BLOCK],
+}
+
+impl RightLanes {
+    /// The lanes of every row of `b`, with code sums read from `b_sums` (row-major,
+    /// one per partition, as [`QuantizedTensor::code_sums`] returns them).
+    ///
+    /// # Panics
+    /// Panics if `b_sums` does not hold one sum per partition of `b`.
+    pub fn new(b: &QuantizedTensor, b_sums: &[i32]) -> Self {
+        check_sums(b, b_sums);
+        let (rows, n_parts) = (b.rows(), b.n_partitions());
+        let mut lanes = vec![BlockLanes::default(); rows.div_ceil(DOT_BLOCK) * n_parts];
+        for p in 0..n_parts {
+            for (block, entry) in lanes.iter_mut().skip(p).step_by(n_parts).enumerate() {
+                for c in 0..DOT_BLOCK {
+                    let at = (block * DOT_BLOCK + c).min(rows - 1) * n_parts + p;
+                    entry.scale[c] = b.metas()[at].scale;
+                    entry.min[c] = b.metas()[at].min;
+                    entry.sum[c] = b_sums[at] as f32;
+                }
+            }
+        }
+        Self {
+            lanes,
+            rows,
+            n_parts,
+        }
+    }
+
+    /// Adds the lanes of the rows `b` gained since these lanes were built or last
+    /// extended (rows `self.rows()..b.rows()`).
+    ///
+    /// # Panics
+    /// Panics if `b` has fewer rows or another partition count than the lanes, or
+    /// `b_sums` does not hold one sum per partition of `b`.
+    pub fn push_rows(&mut self, b: &QuantizedTensor, b_sums: &[i32]) {
+        check_sums(b, b_sums);
+        assert!(
+            b.rows() >= self.rows && b.n_partitions() == self.n_parts,
+            "lanes of {} rows × {} partitions cannot grow into {} × {}",
+            self.rows,
+            self.n_parts,
+            b.rows(),
+            b.n_partitions()
+        );
+        let n_parts = self.n_parts;
+        for j in self.rows..b.rows() {
+            if j % DOT_BLOCK == 0 {
+                self.lanes
+                    .resize(self.lanes.len() + n_parts, BlockLanes::default());
+            }
+            self.write_row(b, b_sums, j, 0..n_parts);
+        }
+        self.rows = b.rows();
+    }
+
+    /// Brings the lanes up to date after every row of `b` grew along the contracted
+    /// dimension (the append requantized the last partition, or started new ones):
+    /// the last partition is rewritten in place when the partition count held,
+    /// and the lanes are re-laid out when it grew.
+    ///
+    /// # Panics
+    /// Panics if `b` has another row count or fewer partitions than the lanes, or
+    /// `b_sums` does not hold one sum per partition of `b`.
+    pub fn extend_cols(&mut self, b: &QuantizedTensor, b_sums: &[i32]) {
+        check_sums(b, b_sums);
+        assert!(
+            b.rows() == self.rows && b.n_partitions() >= self.n_parts,
+            "lanes of {} rows × {} partitions cannot grow into {} × {}",
+            self.rows,
+            self.n_parts,
+            b.rows(),
+            b.n_partitions()
+        );
+        if b.n_partitions() > self.n_parts {
+            *self = Self::new(b, b_sums);
+        } else if let Some(last) = self.n_parts.checked_sub(1) {
+            for j in 0..self.rows {
+                self.write_row(b, b_sums, j, last..self.n_parts);
+            }
+        }
+    }
+
+    /// Copies partitions `parts` of right row `j` into its lane and the dead lanes
+    /// after it. Rows written in order leave every lane as [`Self::new`] does.
+    #[inline]
+    fn write_row(
+        &mut self,
+        b: &QuantizedTensor,
+        b_sums: &[i32],
+        j: usize,
+        parts: std::ops::Range<usize>,
+    ) {
+        let c = j % DOT_BLOCK;
+        let (lanes, row) = ((j / DOT_BLOCK) * self.n_parts, j * self.n_parts);
+        let entries = &mut self.lanes[lanes + parts.start..lanes + parts.end];
+        let metas = &b.metas()[row + parts.start..row + parts.end];
+        let sums = &b_sums[row + parts.start..row + parts.end];
+        for ((entry, meta), &sum) in entries.iter_mut().zip(metas).zip(sums) {
+            entry.scale[c..].fill(meta.scale);
+            entry.min[c..].fill(meta.min);
+            entry.sum[c..].fill(sum as f32);
+        }
+    }
+}
+
+fn check_sums(b: &QuantizedTensor, b_sums: &[i32]) {
+    assert_eq!(
+        b_sums.len(),
+        b.sums().len(),
+        "right operand: one code sum per partition"
+    );
 }
 
 /// The Eq. 4 product of single left-operand rows with the rows of one right
@@ -91,30 +257,15 @@ fn homomorphic_matmul_impl(
 /// [`homomorphic_matmul`] runs it once per left row over every column and
 /// partition. Causal prefill runs it on prefixes: `Q'·K'ᵀ` row `i` over the
 /// keys `j ≤ i` only, and `P'·V'` row `i` over the probability partitions up
-/// to the diagonal only.
+/// to the diagonal only. Decode runs it on lanes its state keeps.
 #[derive(Debug)]
 pub struct RowProduct<'b> {
     b: &'b QuantizedTensor,
     b_max: u8,
     spans: Vec<(usize, usize)>,
     lens: Vec<f32>,
-    /// The right operand's metadata and code sums as `f32` lanes, partition-major:
-    /// entry `p * n_blocks + block` holds partition `p` of columns
-    /// `block * DOT_BLOCK..` (the `[p * n_pad + j]` layout with `n_pad` the
-    /// column count rounded up to a block). Dead lanes of the last block repeat
-    /// its last live column.
-    lanes: Vec<BlockLanes>,
-    n_blocks: usize,
+    lanes: Cow<'b, RightLanes>,
     dots: Vec<[i32; DOT_BLOCK]>,
-}
-
-/// One partition of one block of right-operand columns, as the Eq. 4 epilogue
-/// reads it.
-#[derive(Debug, Clone, Copy, Default)]
-struct BlockLanes {
-    scale: [f32; DOT_BLOCK],
-    min: [f32; DOT_BLOCK],
-    sum: [f32; DOT_BLOCK],
 }
 
 impl<'b> RowProduct<'b> {
@@ -127,37 +278,39 @@ impl<'b> RowProduct<'b> {
     /// Like [`Self::new`], but reads the right operand's code sums from `b_sums`
     /// (row-major, one per partition, as [`QuantizedTensor::code_sums`] returns them).
     /// The right operand's metadata and these sums are copied once, as `f32`, into
-    /// the partition-major layout the eight-lane epilogue reads.
+    /// the [`RightLanes`] the eight-lane epilogue reads.
     ///
     /// # Panics
     /// Panics if `b_sums` does not hold one sum per partition of `b`.
     pub fn with_sums(b: &'b QuantizedTensor, b_sums: &[i32]) -> Self {
-        assert_eq!(
-            b_sums.len(),
-            b.sums().len(),
-            "right operand: one code sum per partition"
+        Self::from_lanes(b, Cow::Owned(RightLanes::new(b, b_sums)))
+    }
+
+    /// Like [`Self::new`], but reads the right operand's metadata and code sums
+    /// from `lanes`, which the caller built (or kept up to date) for `b`.
+    ///
+    /// # Panics
+    /// Panics if `lanes` has another row or partition count than `b`.
+    pub fn with_lanes(b: &'b QuantizedTensor, lanes: &'b RightLanes) -> Self {
+        assert!(
+            lanes.rows == b.rows() && lanes.n_parts == b.n_partitions(),
+            "lanes of {} rows × {} partitions do not describe a right operand of {} × {}",
+            lanes.rows,
+            lanes.n_parts,
+            b.rows(),
+            b.n_partitions()
         );
+        Self::from_lanes(b, Cow::Borrowed(lanes))
+    }
+
+    fn from_lanes(b: &'b QuantizedTensor, lanes: Cow<'b, RightLanes>) -> Self {
         let spans: Vec<(usize, usize)> = b.layout().ranges().collect();
-        let (n, n_parts) = (b.rows(), spans.len());
-        let n_blocks = n.div_ceil(DOT_BLOCK);
-        let mut lanes = vec![BlockLanes::default(); n_parts * n_blocks];
-        for (p, row) in lanes.chunks_exact_mut(n_blocks.max(1)).enumerate() {
-            for (block, entry) in row.iter_mut().enumerate() {
-                for c in 0..DOT_BLOCK {
-                    let at = (block * DOT_BLOCK + c).min(n - 1) * n_parts + p;
-                    entry.scale[c] = b.metas()[at].scale;
-                    entry.min[c] = b.metas()[at].min;
-                    entry.sum[c] = b_sums[at] as f32;
-                }
-            }
-        }
         Self {
             b,
             b_max: b.bits().max_code() as u8,
             lens: spans.iter().map(|&(s, e)| (e - s) as f32).collect(),
             lanes,
-            n_blocks,
-            dots: vec![[0; DOT_BLOCK]; n_parts],
+            dots: vec![[0; DOT_BLOCK]; spans.len()],
             spans,
         }
     }
@@ -183,6 +336,7 @@ impl<'b> RowProduct<'b> {
         );
         let (spans, lens) = (&self.spans[..n_parts], &self.lens[..n_parts]);
         let dots = &mut self.dots[..n_parts];
+        let b_parts = self.lanes.n_parts;
         for (block, out_block) in out.chunks_mut(DOT_BLOCK).enumerate() {
             let live = out_block.len();
             let mut rows: [&[u8]; DOT_BLOCK] = [&[]; DOT_BLOCK];
@@ -194,9 +348,9 @@ impl<'b> RowProduct<'b> {
             partition_dots8_u8_i32(a.codes, &rows[..live], self.b_max, spans, dots);
 
             // Per-partition affine corrections (Eq. 4), in partition order.
+            let lanes = &self.lanes.lanes[block * b_parts..][..n_parts];
             let mut acc = [0.0f32; DOT_BLOCK];
-            for (p, dot) in dots.iter().enumerate() {
-                let b = &self.lanes[p * self.n_blocks + block];
+            for (p, (dot, b)) in dots.iter().zip(lanes).enumerate() {
                 eq4_lanes(&mut acc, dot, a.metas[p], a.sums[p] as f32, lens[p], b);
             }
             for (o, acc) in out_block.iter_mut().zip(acc) {
@@ -437,6 +591,77 @@ mod tests {
                 assert_eq!(got, expect, "visible {visible} cols {cols}");
             }
         }
+    }
+
+    #[test]
+    fn grown_lanes_equal_lanes_built_from_the_grown_tensor() {
+        // K' grows by rows (one token at a time, across block boundaries), V' by
+        // columns (requantizing the last partition, then starting a new one). After
+        // every append the kept lanes must equal fresh ones, and a product over them
+        // must equal `homomorphic_matmul_counted`.
+        let mut rng = DetRng::new(31);
+        let (d_h, partition) = (20, 8);
+        let mut k =
+            QuantizedTensor::from_parts(0, d_h, QuantBits::Int2, partition, vec![], vec![], vec![]);
+        let mut v = QuantizedTensor::empty(d_h, QuantBits::Int2, partition);
+        let (mut k_lanes, mut v_lanes) =
+            (RightLanes::new(&k, k.sums()), RightLanes::new(&v, v.sums()));
+        for t in 0..3 * partition + 3 {
+            let row = Matrix::random_normal(1, d_h, 0.0, 1.0, &mut rng);
+            k.append_row(row.row(0), RoundingMode::Stochastic, &mut rng);
+            k_lanes.push_rows(&k, k.sums());
+            v.append_columns(&row.transpose(), RoundingMode::Stochastic, &mut rng);
+            v_lanes.extend_cols(&v, v.sums());
+            assert_eq!(k_lanes, RightLanes::new(&k, k.sums()), "K' lanes after {t}");
+            assert_eq!(v_lanes, RightLanes::new(&v, v.sums()), "V' lanes after {t}");
+
+            let q = Matrix::random_normal(1, d_h, 0.0, 1.0, &mut rng);
+            let qq = QuantizedTensor::quantize_rows(
+                &q,
+                QuantBits::Int8,
+                partition,
+                RoundingMode::Nearest,
+                &mut rng,
+            );
+            let p = Matrix::random_normal(1, t + 1, 0.0, 1.0, &mut rng);
+            let pq = QuantizedTensor::quantize_rows(
+                &p,
+                QuantBits::Int8,
+                partition,
+                RoundingMode::Nearest,
+                &mut rng,
+            );
+            for (a, b, lanes) in [(&qq, &k, &k_lanes), (&pq, &v, &v_lanes)] {
+                let (got, got_counts) = homomorphic_matmul_with_lanes(a, b, lanes);
+                let (expect, expect_counts) = homomorphic_matmul_counted(a, b, true);
+                assert_eq!(bits_of(&got), bits_of(&expect), "product after {t}");
+                assert_eq!(got_counts, expect_counts);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "do not describe")]
+    fn lanes_of_another_shape_are_rejected() {
+        let mut rng = DetRng::new(32);
+        let m = Matrix::random_normal(9, 16, 0.0, 1.0, &mut rng);
+        let b =
+            QuantizedTensor::quantize_rows(&m, QuantBits::Int2, 8, RoundingMode::Nearest, &mut rng);
+        let shorter = QuantizedTensor::quantize_rows(
+            &m.row_block(0, 8),
+            QuantBits::Int2,
+            8,
+            RoundingMode::Nearest,
+            &mut rng,
+        );
+        let a = QuantizedTensor::quantize_rows(
+            &m.row_block(0, 1),
+            QuantBits::Int8,
+            8,
+            RoundingMode::Nearest,
+            &mut rng,
+        );
+        homomorphic_matmul_with_lanes(&a, &b, &RightLanes::new(&shorter, shorter.sums()));
     }
 
     #[test]

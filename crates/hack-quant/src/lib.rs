@@ -35,6 +35,8 @@ pub mod params;
 pub mod qmatrix;
 pub mod stochastic;
 
-pub use homomorphic::{dequant_matmul, homomorphic_matmul, homomorphic_matmul_no_se, RowProduct};
+pub use homomorphic::{
+    dequant_matmul, homomorphic_matmul, homomorphic_matmul_no_se, RightLanes, RowProduct,
+};
 pub use params::{HackConfig, PartitionSize, QuantBits, RoundingMode};
 pub use qmatrix::{PartitionLayout, QuantRow, QuantizedTensor};

@@ -178,37 +178,39 @@ impl QuantizedTensor {
         mode: RoundingMode,
         rng: &mut DetRng,
     ) -> Self {
-        let layout = PartitionLayout::new(m.cols(), partition);
-        let rows = m.rows();
-        let cols = m.cols();
-        let n_parts = layout.n_partitions();
-        let mut codes = vec![0u8; rows * cols];
-        let mut meta = Vec::with_capacity(rows * n_parts);
-        let mut sums = Vec::with_capacity(rows * n_parts);
-        if cols > 0 {
-            for (r, row_codes) in codes.chunks_exact_mut(cols).enumerate() {
-                let row = m.row(r);
-                for (start, end) in layout.ranges() {
-                    let (pm, sum) = quantize_partition(
-                        &row[start..end],
-                        &mut row_codes[start..end],
-                        bits,
-                        mode,
-                        rng,
-                    );
-                    meta.push(pm);
-                    sums.push(sum);
-                }
-            }
+        let mut q = Self::with_capacity(m.rows(), m.cols(), bits, partition);
+        for r in 0..m.rows() {
+            q.push_row(m.row(r), mode, rng);
         }
+        q
+    }
+
+    /// Quantizes one vector held in a slice: the one-row tensor
+    /// [`Self::quantize_rows`] builds from a `1 × values.len()` matrix, with the
+    /// same codes, metadata, sums and RNG draws.
+    pub fn quantize_row(
+        values: &[f32],
+        bits: QuantBits,
+        partition: usize,
+        mode: RoundingMode,
+        rng: &mut DetRng,
+    ) -> Self {
+        let mut q = Self::with_capacity(1, values.len(), bits, partition);
+        q.push_row(values, mode, rng);
+        q
+    }
+
+    /// A tensor of no vectors of length `cols`, with room for `rows` of them.
+    fn with_capacity(rows: usize, cols: usize, bits: QuantBits, partition: usize) -> Self {
+        let n_parts = PartitionLayout::new(cols, partition).n_partitions();
         Self {
-            rows,
+            rows: 0,
             cols,
             bits,
             partition,
-            codes,
-            meta,
-            sums,
+            codes: Vec::with_capacity(rows * cols),
+            meta: Vec::with_capacity(rows * n_parts),
+            sums: Vec::with_capacity(rows * n_parts),
         }
     }
 
@@ -435,38 +437,40 @@ impl QuantizedTensor {
         self.dequantize().transpose()
     }
 
-    /// Appends new vectors (rows of `m`, which must have `cols` columns), quantizing
-    /// them with fresh partitions. This is the K-append path during decode: the new
-    /// token's K vector forms its own partitions, so existing metadata never changes.
-    pub fn append_rows(&mut self, m: &Matrix, mode: RoundingMode, rng: &mut DetRng) -> AppendStats {
+    /// Appends a new vector (`cols` long), quantizing it with fresh partitions. This
+    /// is the K-append path during decode: the new token's K vector forms its own
+    /// partitions, so existing metadata never changes.
+    pub fn append_row(&mut self, row: &[f32], mode: RoundingMode, rng: &mut DetRng) -> AppendStats {
         assert_eq!(
-            m.cols(),
+            row.len(),
             self.cols,
-            "append_rows expects vectors of length {}",
+            "append_row expects a vector of length {}",
             self.cols
         );
-        let layout = self.layout();
+        self.push_row(row, mode, rng)
+    }
+
+    /// Quantizes `row` (`cols` long) partition by partition as a new last vector.
+    fn push_row(&mut self, row: &[f32], mode: RoundingMode, rng: &mut DetRng) -> AppendStats {
         let mut stats = AppendStats::default();
-        for r in 0..m.rows() {
-            let row = m.row(r);
-            let base = self.codes.len();
-            self.codes.resize(base + self.cols, 0);
-            let row_codes = &mut self.codes[base..];
-            for (start, end) in layout.ranges() {
-                let (pm, sum) = quantize_partition(
-                    &row[start..end],
-                    &mut row_codes[start..end],
-                    self.bits,
-                    mode,
-                    rng,
-                );
-                self.meta.push(pm);
-                self.sums.push(sum);
-                stats.new_partitions += 1;
-                stats.quantized_elements += end - start;
-            }
-            self.rows += 1;
+        let layout = self.layout();
+        let base = self.codes.len();
+        self.codes.resize(base + self.cols, 0);
+        let row_codes = &mut self.codes[base..];
+        for (start, end) in layout.ranges() {
+            let (pm, sum) = quantize_partition(
+                &row[start..end],
+                &mut row_codes[start..end],
+                self.bits,
+                mode,
+                rng,
+            );
+            self.meta.push(pm);
+            self.sums.push(sum);
+            stats.new_partitions += 1;
+            stats.quantized_elements += end - start;
         }
+        self.rows += 1;
         stats
     }
 
@@ -1033,6 +1037,23 @@ mod tests {
     }
 
     #[test]
+    fn slice_quantizers_match_the_matrix_ones() {
+        // `quantize_row` then `append_row` build the tensor `quantize_rows` builds
+        // from the same two rows, with the same RNG stream.
+        let mut src = rng();
+        let m = Matrix::random_normal(2, 100, 0.0, 1.0, &mut src);
+        for mode in [RoundingMode::Nearest, RoundingMode::Stochastic] {
+            let (mut a, mut b) = (DetRng::new(3), DetRng::new(3));
+            let mut rows =
+                QuantizedTensor::quantize_row(m.row(0), QuantBits::Int8, 32, mode, &mut a);
+            rows.append_row(m.row(1), mode, &mut a);
+            let whole = QuantizedTensor::quantize_rows(&m, QuantBits::Int8, 32, mode, &mut b);
+            assert_eq!(rows, whole);
+            assert_eq!(a, b);
+        }
+    }
+
+    #[test]
     fn append_rows_preserves_existing_metadata() {
         let mut rng = rng();
         let m = Matrix::random_normal(3, 64, 0.0, 1.0, &mut rng);
@@ -1045,7 +1066,10 @@ mod tests {
         );
         let before_meta = q.metas().to_vec();
         let extra = Matrix::random_normal(2, 64, 0.0, 1.0, &mut rng);
-        let stats = q.append_rows(&extra, RoundingMode::Nearest, &mut rng);
+        let mut stats = AppendStats::default();
+        for row in extra.iter_rows() {
+            stats = stats.merge(q.append_row(row, RoundingMode::Nearest, &mut rng));
+        }
         assert_eq!(q.rows(), 5);
         assert_eq!(stats.new_partitions, 2);
         assert_eq!(stats.requantized_elements, 0);

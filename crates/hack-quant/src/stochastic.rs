@@ -36,22 +36,71 @@ impl PartitionMeta {
     }
 
     /// Computes metadata directly from a slice of values.
+    ///
+    /// The range is the `f32::min`/`f32::max` fold over `values` (NaN entries are
+    /// skipped), found with eight compare-select lanes. Without NaN, the lanes'
+    /// minimum and maximum are the fold's, and the bits of a non-zero extreme are
+    /// the only ones that compare equal to it. The two cases where the fold's order
+    /// could pick other bits, a NaN in the slice or an extreme of ±0, take the
+    /// scalar fold itself.
     pub fn from_values(values: &[f32], bits: QuantBits) -> Self {
-        let mut mn = f32::INFINITY;
-        let mut mx = f32::NEG_INFINITY;
-        for &v in values {
-            mn = mn.min(v);
-            mx = mx.max(v);
-        }
         if values.is_empty() {
-            mn = 0.0;
-            mx = 0.0;
+            return Self::from_range(0.0, 0.0, bits);
         }
-        Self::from_range(mn, mx, bits)
+        let mut mn = [f32::INFINITY; MINMAX_LANES];
+        let mut mx = [f32::NEG_INFINITY; MINMAX_LANES];
+        let mut nan = [false; MINMAX_LANES];
+        let chunks = values.chunks_exact(MINMAX_LANES);
+        let rest = chunks.remainder();
+        for chunk in chunks {
+            let chunk: &[f32; MINMAX_LANES] = chunk.try_into().expect("exact chunk");
+            select_extremes(&mut mn, &mut mx, &mut nan, chunk);
+        }
+        select_extremes(&mut mn, &mut mx, &mut nan, rest);
+        let (mut lo, mut hi) = (mn[0], mx[0]);
+        for (&l, &h) in mn.iter().zip(&mx).skip(1) {
+            lo = if l < lo { l } else { lo };
+            hi = if h > hi { h } else { hi };
+        }
+        if nan.contains(&true) || lo == 0.0 || hi == 0.0 {
+            (lo, hi) = min_max_fold(values);
+        }
+        Self::from_range(lo, hi, bits)
     }
 
     /// Bytes used to store this metadata on the wire / in the cache (two FP16 values).
     pub const STORAGE_BYTES: usize = 4;
+}
+
+/// Compare-select lanes of [`PartitionMeta::from_values`].
+const MINMAX_LANES: usize = 8;
+
+/// One compare-select step of [`PartitionMeta::from_values`]: lane `l` takes
+/// `values[l]` as its new minimum (maximum) if it is smaller (larger), and notes a
+/// NaN. `values` holds at most one entry per lane.
+#[inline(always)]
+fn select_extremes(
+    mn: &mut [f32; MINMAX_LANES],
+    mx: &mut [f32; MINMAX_LANES],
+    nan: &mut [bool; MINMAX_LANES],
+    values: &[f32],
+) {
+    for (((lo, hi), seen), &v) in mn.iter_mut().zip(mx).zip(nan).zip(values) {
+        *lo = if v < *lo { v } else { *lo };
+        *hi = if v > *hi { v } else { *hi };
+        *seen |= v.is_nan();
+    }
+}
+
+/// The `f32::min`/`f32::max` fold over a non-empty slice, in element order.
+fn min_max_fold(values: &[f32]) -> (f32, f32) {
+    let mut mn = f32::INFINITY;
+    let mut mx = f32::NEG_INFINITY;
+    for &v in values {
+        mn = mn.min(v);
+        mx = mx.max(v);
+    }
+    (mn, mx)
 }
 
 /// Rounds `x` (an arbitrary non-negative real in code space) to an integer using the
@@ -177,6 +226,61 @@ mod tests {
         let m = PartitionMeta::from_values(&vals, QuantBits::Int4);
         assert_eq!(m.min, -2.0);
         assert!((m.scale - 3.5 / 15.0).abs() < 2e-3); // fp16 rounding of the scale
+    }
+
+    #[test]
+    fn lane_scan_matches_the_scalar_fold() {
+        // The eight-lane scan must give the scalar fold's min and scale bits at every
+        // length 0–200 (each lane residue, and the remainder loop), on inputs where
+        // fold order matters (±0 extremes, NaN) and where it must not (±∞,
+        // subnormals, ordinary values).
+        fn fold(values: &[f32], bits: QuantBits) -> PartitionMeta {
+            if values.is_empty() {
+                PartitionMeta::from_range(0.0, 0.0, bits)
+            } else {
+                let (mn, mx) = min_max_fold(values);
+                PartitionMeta::from_range(mn, mx, bits)
+            }
+        }
+        let sub = f32::from_bits(3);
+        let mut rng = DetRng::new(11);
+        let pools: [&[f32]; 7] = [
+            &[0.0, -0.0, 0.5, 1.0],
+            &[0.0, -0.0, -0.5, -1.0],
+            &[0.0, -0.0],
+            &[f32::NAN, 0.25, -3.0, 0.0],
+            &[f32::NAN],
+            &[f32::INFINITY, f32::NEG_INFINITY, 1.0, -0.0],
+            &[sub, -sub, f32::MIN_POSITIVE, 0.0, -0.0, 1e-40],
+        ];
+        for len in 0..=200 {
+            let mut cases: Vec<Vec<f32>> = pools
+                .iter()
+                .map(|pool| {
+                    (0..len)
+                        .map(|_| pool[rng.range_usize(0, pool.len())])
+                        .collect()
+                })
+                .collect();
+            cases.push((0..len).map(|_| rng.normal_f32(0.0, 1.0)).collect());
+            // One extreme planted anywhere, including the remainder loop.
+            if len > 0 {
+                let mut spiked: Vec<f32> = (0..len).map(|_| rng.range_f32(1.0, 2.0)).collect();
+                spiked[rng.range_usize(0, len)] = -0.0;
+                cases.push(spiked);
+            }
+            for values in &cases {
+                for bits in [QuantBits::Int2, QuantBits::Int8] {
+                    let (got, expect) =
+                        (PartitionMeta::from_values(values, bits), fold(values, bits));
+                    assert_eq!(
+                        (got.min.to_bits(), got.scale.to_bits()),
+                        (expect.min.to_bits(), expect.scale.to_bits()),
+                        "len {len} {bits:?} {values:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,6 +12,8 @@ pub struct F16(pub u16);
 
 const F16_EXP_BIAS: i32 = 15;
 const F32_EXP_BIAS: i32 = 127;
+/// The FP16 subnormal step, 2⁻²⁴: a subnormal with mantissa `m` is `m × 2⁻²⁴`.
+const F16_SUBNORMAL_STEP: f32 = 1.0 / (1u32 << 24) as f32;
 
 impl F16 {
     /// Positive infinity.
@@ -138,20 +140,10 @@ pub fn f16_bits_to_f32(bits: u16) -> f32 {
     let mant = (bits & 0x03FF) as u32;
 
     let out_bits = if exp == 0 {
-        if mant == 0 {
-            sign
-        } else {
-            // Subnormal: normalise it into the f32 representation.
-            let mut e = 0i32;
-            let mut m = mant;
-            while m & 0x0400 == 0 {
-                m <<= 1;
-                e -= 1;
-            }
-            m &= 0x03FF;
-            let f32_exp = ((e + 1 - F16_EXP_BIAS + F32_EXP_BIAS) as u32) << 23;
-            sign | f32_exp | (m << 13)
-        }
+        // Zero or subnormal: the value is exactly `mant × 2⁻²⁴`. The integer
+        // converts exactly, and scaling by a power of two lands on a normal
+        // `f32`, so the product is exact; the sign goes back in as a bit.
+        sign | (mant as f32 * F16_SUBNORMAL_STEP).to_bits()
     } else if exp == 0x1F {
         if mant == 0 {
             sign | 0x7F80_0000
@@ -186,9 +178,56 @@ pub fn f16_storage_bytes(n: usize) -> usize {
     n * 2
 }
 
+/// The pre-change [`f16_bits_to_f32`], which normalised subnormals with a shift
+/// loop, kept verbatim as its bit-exactness oracle.
+#[cfg(test)]
+fn f16_bits_to_f32_loop(bits: u16) -> f32 {
+    let sign = ((bits & 0x8000) as u32) << 16;
+    let exp = ((bits >> 10) & 0x1F) as u32;
+    let mant = (bits & 0x03FF) as u32;
+
+    let out_bits = if exp == 0 {
+        if mant == 0 {
+            sign
+        } else {
+            // Subnormal: normalise it into the f32 representation.
+            let mut e = 0i32;
+            let mut m = mant;
+            while m & 0x0400 == 0 {
+                m <<= 1;
+                e -= 1;
+            }
+            m &= 0x03FF;
+            let f32_exp = ((e + 1 - F16_EXP_BIAS + F32_EXP_BIAS) as u32) << 23;
+            sign | f32_exp | (m << 13)
+        }
+    } else if exp == 0x1F {
+        if mant == 0 {
+            sign | 0x7F80_0000
+        } else {
+            sign | 0x7FC0_0000 | (mant << 13)
+        }
+    } else {
+        let f32_exp = (exp as i32 - F16_EXP_BIAS + F32_EXP_BIAS) as u32;
+        sign | (f32_exp << 23) | (mant << 13)
+    };
+    f32::from_bits(out_bits)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn subnormal_decode_matches_the_shift_loop_on_every_pattern() {
+        for bits in 0u16..=0xFFFF {
+            assert_eq!(
+                f16_bits_to_f32(bits).to_bits(),
+                f16_bits_to_f32_loop(bits).to_bits(),
+                "bits {bits:#06x}"
+            );
+        }
+    }
 
     #[test]
     fn zero_round_trips() {

@@ -27,23 +27,38 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
         b.rows(),
         b.cols()
     );
-    let (m, k) = a.shape();
-    let n = b.cols();
-    let mut out = Matrix::zeros(m, n);
-    for i in 0..m {
-        let a_row = a.row(i);
-        let out_row = out.row_mut(i);
-        for (z, &a_iz) in a_row.iter().enumerate().take(k) {
-            if a_iz == 0.0 {
-                continue;
-            }
-            let b_row = b.row(z);
-            for (j, &b_zj) in b_row.iter().enumerate().take(n) {
-                out_row[j] += a_iz * b_zj;
-            }
-        }
+    let mut out = Matrix::zeros(a.rows(), b.cols());
+    for i in 0..a.rows() {
+        vecmat_acc(a.row(i), b, out.row_mut(i));
     }
     out
+}
+
+/// Adds the vector-matrix product `x · B` to `out`: for each non-zero `x[z]` in
+/// order, `out[j] += x[z] · B[z][j]`. This is one row of [`matmul`], for a left
+/// operand held in a slice.
+///
+/// # Panics
+/// Panics if `x` is not `B.rows()` long or `out` is not `B.cols()` long.
+pub fn vecmat_acc(x: &[f32], b: &Matrix, out: &mut [f32]) {
+    assert_eq!(
+        x.len(),
+        b.rows(),
+        "vecmat_acc: x must have one entry per row of B"
+    );
+    assert_eq!(
+        out.len(),
+        b.cols(),
+        "vecmat_acc: out must have one entry per column of B"
+    );
+    for (z, &x_z) in x.iter().enumerate() {
+        if x_z == 0.0 {
+            continue;
+        }
+        for (o, &b_zj) in out.iter_mut().zip(b.row(z)) {
+            *o += x_z * b_zj;
+        }
+    }
 }
 
 /// FP32 GEMM with the second operand given transposed: `C = A · Bᵀ`.

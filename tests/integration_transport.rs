@@ -96,10 +96,11 @@ fn transferred_state_continues_decoding_identically() {
     let mut local = state;
 
     // Run the same decode steps on both sides with the same RNG stream; every output
-    // must match exactly.
+    // must match exactly. 2Π steps from 130 tokens take both states through two V'
+    // tail flushes (at 192 and 256 tokens) and every sequence length mod 8.
     let mut rng_local = DetRng::new(555);
     let mut rng_remote = DetRng::new(555);
-    for step in 0..10 {
+    for step in 0..2 * HackConfig::paper_default().partition.get() {
         let q: Vec<f32> = (0..head_dim)
             .map(|i| ((i + step) as f32 * 0.04).sin())
             .collect();
