@@ -28,6 +28,10 @@
 //!
 //! No dense `L × L` f32 matrix is built: the scores live in one reusable row. P' is an
 //! `L × L` one-byte code tensor whose partitions after each row's diagonal stay zero.
+//! It is still the largest allocation of the kernel (4 MiB at L = 2048), so P', the
+//! quantized operands and both products' metadata copies are freed before
+//! [`HackKvState::from_prefill`] runs; otherwise its transient copies of V would
+//! sit on top of them at the kernel's memory peak.
 //!
 //! Without Summation Elimination both products recompute every code sum of their
 //! operands from the codes, as the dense products did, so the HACK/SE ablation still
@@ -79,6 +83,32 @@ pub fn hack_prefill_attention(
     let (l, d_h) = q.shape();
     assert!(l > 0, "prefill requires at least one token");
     let pi = cfg.partition.get();
+    let se = cfg.summation_elimination;
+    // Everything the products allocate, P' included, is freed when
+    // `causal_attention` returns, so `from_prefill` starts from a smaller peak.
+    let output = causal_attention(q, k, v, cfg, rng);
+
+    // Build the decode-ready KV state (honouring RQE for the trailing partial block).
+    let state = HackKvState::from_prefill(k, v, cfg, rng);
+
+    PrefillOutput {
+        output,
+        state,
+        qk_counts: HomomorphicOpCounts::dense(l, l, d_h, pi, se),
+        pv_counts: HomomorphicOpCounts::dense(l, d_h, l, pi, se),
+    }
+}
+
+/// Steps 2–4 of causal HACK prefill: the `L × d_h` attention output.
+fn causal_attention(
+    q: &Matrix,
+    k: &Matrix,
+    v: &Matrix,
+    cfg: HackConfig,
+    rng: &mut DetRng,
+) -> Matrix {
+    let (l, d_h) = q.shape();
+    let pi = cfg.partition.get();
     // Without Summation Elimination every product recomputes its operands' code sums
     // from the codes instead of reading the stored ones.
     let se = cfg.summation_elimination;
@@ -96,7 +126,7 @@ pub fn hack_prefill_attention(
     let scale = 1.0 / (d_h as f32).sqrt();
     let p_spans: Vec<(usize, usize)> = PartitionLayout::new(l, pi).ranges().collect();
     let n_parts = p_spans.len();
-    let mut qk = RowProduct::with_sums(&k_q, &k_sums);
+    let qk = RowProduct::with_sums(&k_q, &k_sums);
     let mut probs = vec![0.0f32; l];
     let mut p_codes = vec![0u8; l * l];
     let zero_meta = PartitionMeta {
@@ -138,21 +168,12 @@ pub fn hack_prefill_attention(
     // again: homomorphic P'·V' over each row's partitions up to the diagonal.
     let v_q = QuantizedTensor::quantize_cols(v, cfg.kv_bits, pi, cfg.rounding, rng);
     let v_sums = v_q.code_sums(se);
-    let mut pv = RowProduct::with_sums(&v_q, &v_sums);
+    let pv = RowProduct::with_sums(&v_q, &v_sums);
     let mut output = Matrix::zeros(l, d_h);
     for i in 0..l {
         pv.accumulate(p_q.row_prefix(i, i / pi + 1, &p_sums), output.row_mut(i));
     }
-
-    // Build the decode-ready KV state (honouring RQE for the trailing partial block).
-    let state = HackKvState::from_prefill(k, v, cfg, rng);
-
-    PrefillOutput {
-        output,
-        state,
-        qk_counts: HomomorphicOpCounts::dense(l, l, d_h, pi, se),
-        pv_counts: HomomorphicOpCounts::dense(l, d_h, l, pi, se),
-    }
+    output
 }
 
 #[cfg(test)]

@@ -23,11 +23,13 @@
 //! RQE, or the first token of a new partition without it) or, without RQE, a rewrite
 //! of the requantized last partition. Decode therefore does metadata work
 //! proportional to the new token, not to the sequence, and its products are
-//! bit-identical to [`homomorphic_matmul_counted`] on the same tensors. Without
-//! Summation Elimination no lanes are kept: every decode step recomputes the code
-//! sums and lays out the lanes afresh, the work the HACK/SE ablation counts. The
-//! lanes are a host-side compute layout, not KV data, so [`HackKvState::kv_bytes`]
-//! leaves them out.
+//! bit-identical to [`homomorphic_matmul_counted`] on the same tensors. Each product
+//! is one row-kernel call ([`hack_quant::RowProduct`]) for the step's single query
+//! or probability row over every block of eight K' or V' rows, so a longer sequence
+//! adds loop iterations, not kernel calls. Without Summation Elimination no lanes
+//! are kept: every decode step recomputes the code sums and lays out the lanes
+//! afresh, the work the HACK/SE ablation counts. The lanes are a host-side compute
+//! layout, not KV data, so [`HackKvState::kv_bytes`] leaves them out.
 
 use hack_quant::cost::HomomorphicOpCounts;
 use hack_quant::homomorphic::{homomorphic_matmul_counted, homomorphic_matmul_with_lanes};

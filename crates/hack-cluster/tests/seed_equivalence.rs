@@ -53,8 +53,7 @@ mod legacy {
             // Reverse ordering: BinaryHeap is a max-heap, we need the earliest event first.
             other
                 .time
-                .partial_cmp(&self.time)
-                .unwrap_or(Ordering::Equal)
+                .total_cmp(&self.time)
                 .then_with(|| other.seq.cmp(&self.seq))
         }
     }
@@ -367,7 +366,7 @@ mod legacy {
                     }
                 })
                 .collect();
-            records.sort_by(|a, b| a.finish_time.partial_cmp(&b.finish_time).unwrap());
+            records.sort_by(|a, b| a.finish_time.total_cmp(&b.finish_time));
 
             SimulationResult {
                 method: profile.name.to_string(),

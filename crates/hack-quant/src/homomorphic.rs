@@ -12,11 +12,15 @@
 //! cores); the remaining three are the cheap affine correction. With Summation
 //! Elimination the code sums `Σ a'` and `Σ b'` are read from storage instead of being
 //! recomputed.
+//!
+//! On the CPU both parts run fused in one kernel, [`RowProduct`], called once per
+//! left row by causal prefill, decode and [`homomorphic_matmul`] alike. Its AVX2 and
+//! portable bodies are both bit-identical to the scalar reference the tests keep.
 
 use crate::cost::HomomorphicOpCounts;
 use crate::qmatrix::{QuantRow, QuantizedTensor};
 use crate::stochastic::PartitionMeta;
-use hack_tensor::matmul::{partition_dots8_u8_i32, DOT_BLOCK};
+use hack_tensor::matmul::dot_u8_i32;
 use hack_tensor::Matrix;
 use std::borrow::Cow;
 
@@ -95,7 +99,7 @@ fn homomorphic_matmul_impl(
 /// Every row of `a` times the right operand of `product`, over all partitions.
 fn multiply(
     a: &QuantizedTensor,
-    mut product: RowProduct<'_>,
+    product: RowProduct<'_>,
     use_stored_sums: bool,
 ) -> (Matrix, HomomorphicOpCounts) {
     let (m, n, n_parts) = (a.rows(), product.b.rows(), a.n_partitions());
@@ -251,21 +255,53 @@ fn check_sums(b: &QuantizedTensor, b_sums: &[i32]) {
     );
 }
 
+/// Right-operand rows (output columns) per block of the row kernel: one
+/// `i32 × 8` dot vector and one `f32 × 8` Eq. 4 accumulator per partition.
+const DOT_BLOCK: usize = 8;
+
+/// Largest right-operand code the AVX2 body multiplies with `maddubs`. That
+/// instruction sums two `u8 × i8` products into a saturating `i16`; with left
+/// codes ≤ 255 and right codes ≤ 15 (at most 4-bit) a pair is at most
+/// `2 · 255 · 15 = 7650 < 2¹⁵`, so it never saturates and stays exact.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+const MADDUBS_MAX_B: u32 = 15;
+
+/// How [`RowProduct`] computes its integer dots, chosen once when it is built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum DotBody {
+    /// `maddubs` + `pmaddwd`, the whole row inside one AVX2 function; needs
+    /// right codes of at most [`MADDUBS_MAX_B`].
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// One [`dot_u8_i32`] per partition and column: right codes above 4 bits,
+    /// or no AVX2.
+    Portable,
+}
+
 /// The Eq. 4 product of single left-operand rows with the rows of one right
-/// operand, eight right rows (output columns) at a time.
+/// operand.
 ///
 /// [`homomorphic_matmul`] runs it once per left row over every column and
 /// partition. Causal prefill runs it on prefixes: `Q'·K'ᵀ` row `i` over the
 /// keys `j ≤ i` only, and `P'·V'` row `i` over the probability partitions up
 /// to the diagonal only. Decode runs it on lanes its state keeps.
+///
+/// Each [`Self::accumulate`] validates the row once and runs one loop over
+/// blocks of eight output columns and, in each, the partitions in order: eight
+/// integer dots with right code rows read row-major (dead lanes of the last
+/// block repeat its last live row), their Eq. 4 terms added to eight `f32`
+/// accumulators, which land in `out` once per block. With AVX2 and right codes
+/// of at most 4 bits the whole loop runs inside one AVX2 function (`maddubs`
+/// dots, 256-bit `mulps`/`addps` epilogue); otherwise it takes one
+/// [`dot_u8_i32`] per partition and column. Both bodies are bit-identical to
+/// the scalar reference.
 #[derive(Debug)]
 pub struct RowProduct<'b> {
     b: &'b QuantizedTensor,
-    b_max: u8,
+    body: DotBody,
     spans: Vec<(usize, usize)>,
     lens: Vec<f32>,
     lanes: Cow<'b, RightLanes>,
-    dots: Vec<[i32; DOT_BLOCK]>,
 }
 
 impl<'b> RowProduct<'b> {
@@ -305,13 +341,28 @@ impl<'b> RowProduct<'b> {
 
     fn from_lanes(b: &'b QuantizedTensor, lanes: Cow<'b, RightLanes>) -> Self {
         let spans: Vec<(usize, usize)> = b.layout().ranges().collect();
+        let body = match b.bits().max_code() {
+            #[cfg(target_arch = "x86_64")]
+            b_max if b_max <= MADDUBS_MAX_B && std::arch::is_x86_feature_detected!("avx2") => {
+                DotBody::Avx2
+            }
+            _ => DotBody::Portable,
+        };
         Self {
             b,
-            b_max: b.bits().max_code() as u8,
+            body,
             lens: spans.iter().map(|&(s, e)| (e - s) as f32).collect(),
             lanes,
-            dots: vec![[0; DOT_BLOCK]; spans.len()],
             spans,
+        }
+    }
+
+    /// This product with the portable dot body, whatever the host supports.
+    #[cfg(test)]
+    fn portable(self) -> Self {
+        Self {
+            body: DotBody::Portable,
+            ..self
         }
     }
 
@@ -324,9 +375,10 @@ impl<'b> RowProduct<'b> {
     /// bit-identical to it.
     ///
     /// # Panics
-    /// Panics if `out` is longer than the right operand has rows, or `a` has
-    /// more partitions than it, or `a.sums` and `a.metas` differ in length.
-    pub fn accumulate(&mut self, a: QuantRow<'_>, out: &mut [f32]) {
+    /// Panics if `out` is longer than the right operand has rows, `a` has more
+    /// partitions than it, `a.sums` and `a.metas` differ in length, or
+    /// `a.codes` ends before the last partition `a` carries.
+    pub fn accumulate(&self, a: QuantRow<'_>, out: &mut [f32]) {
         let n_parts = a.metas.len();
         assert_eq!(a.sums.len(), n_parts, "left row: one sum per partition");
         assert!(
@@ -334,30 +386,138 @@ impl<'b> RowProduct<'b> {
             "left row of {n_parts} partitions × {} columns exceeds the right operand",
             out.len()
         );
-        let (spans, lens) = (&self.spans[..n_parts], &self.lens[..n_parts]);
-        let dots = &mut self.dots[..n_parts];
-        let b_parts = self.lanes.n_parts;
-        for (block, out_block) in out.chunks_mut(DOT_BLOCK).enumerate() {
-            let live = out_block.len();
-            let mut rows: [&[u8]; DOT_BLOCK] = [&[]; DOT_BLOCK];
-            for (c, row) in rows.iter_mut().enumerate().take(live) {
-                *row = self.b.codes_row(block * DOT_BLOCK + c);
-            }
-            // Integer inner products on the raw codes, every partition of eight
-            // columns in one pass (the INT8-accelerated part).
-            partition_dots8_u8_i32(a.codes, &rows[..live], self.b_max, spans, dots);
+        let end = n_parts.checked_sub(1).map_or(0, |p| self.spans[p].1);
+        assert!(
+            a.codes.len() >= end,
+            "left row of {} codes ends before its partitions do ({end})",
+            a.codes.len()
+        );
+        match self.body {
+            // SAFETY: `Avx2` is only chosen on hosts with AVX2, for right codes
+            // of at most `MADDUBS_MAX_B`. The checks above keep every span `a`
+            // carries inside `a.codes` and `out` within the right operand's
+            // rows, each of which the spans partition.
+            #[cfg(target_arch = "x86_64")]
+            DotBody::Avx2 => unsafe { self.row_avx2(a, out) },
+            DotBody::Portable => self.row(a, out, |a, b, rows, (s, e)| {
+                rows.map(|r| dot_u8_i32(&a[s..e], &b[r + s..r + e]))
+            }),
+        }
+    }
 
-            // Per-partition affine corrections (Eq. 4), in partition order.
+    /// [`Self::row`] with AVX2 dots, all of it compiled for AVX2.
+    ///
+    /// # Safety
+    /// AVX2 must be available, every right code at most [`MADDUBS_MAX_B`],
+    /// every span of `a` inside `a.codes`, and `out` no longer than the right
+    /// operand has rows.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn row_avx2(&self, a: QuantRow<'_>, out: &mut [f32]) {
+        // SAFETY: AVX2 and the code bound are this function's contract. `row`
+        // passes spans of `a` (inside `a.codes` by contract) and offsets of
+        // right rows below `out.len()`, so each span lies inside every row.
+        self.row(a, out, |a, b, rows, span| unsafe {
+            dots_avx2(a, b, rows, span)
+        });
+    }
+
+    /// The row loop both bodies share: blocks of eight output columns, and in
+    /// each the partitions of `a` in order, `dots` giving one partition's eight
+    /// integer dots.
+    #[inline(always)]
+    fn row(
+        &self,
+        a: QuantRow<'_>,
+        out: &mut [f32],
+        dots: impl Fn(&[u8], &[u8], [usize; DOT_BLOCK], (usize, usize)) -> [i32; DOT_BLOCK],
+    ) {
+        let n_parts = a.metas.len();
+        let (spans, lens) = (&self.spans[..n_parts], &self.lens[..n_parts]);
+        let b_parts = self.lanes.n_parts;
+        let (b_codes, cols) = (self.b.codes(), self.b.cols());
+        let last = out.len().saturating_sub(1);
+        for (block, out_block) in out.chunks_mut(DOT_BLOCK).enumerate() {
+            let rows = std::array::from_fn(|c| (block * DOT_BLOCK + c).min(last) * cols);
             let lanes = &self.lanes.lanes[block * b_parts..][..n_parts];
             let mut acc = [0.0f32; DOT_BLOCK];
-            for (p, (dot, b)) in dots.iter().zip(lanes).enumerate() {
-                eq4_lanes(&mut acc, dot, a.metas[p], a.sums[p] as f32, lens[p], b);
+            for (p, ((&span, &len), b)) in spans.iter().zip(lens).zip(lanes).enumerate() {
+                let dot = dots(a.codes, b_codes, rows, span);
+                eq4_lanes(&mut acc, &dot, a.metas[p], a.sums[p] as f32, len, b);
             }
             for (o, acc) in out_block.iter_mut().zip(acc) {
                 *o += acc;
             }
         }
     }
+}
+
+/// The integer dots of one partition `start..end` of the left codes `a` with
+/// the eight right code rows that start at offsets `rows` of `b`: `maddubs` +
+/// `pmaddwd` on 32 codes per step, each left chunk loaded once, the eight
+/// accumulators reduced to one vector, and the `< 32`-code tail added in
+/// scalar. Exact integer arithmetic, so bit-identical to scalar dots.
+///
+/// # Safety
+/// AVX2 must be available, `start..end` must lie inside `a` and `r + start..r +
+/// end` inside `b` for every `r` in `rows`, and every right code must be at most
+/// [`MADDUBS_MAX_B`] for exact sums (a larger one gives wrong but memory-safe
+/// sums).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn dots_avx2(
+    a: &[u8],
+    b: &[u8],
+    rows: [usize; DOT_BLOCK],
+    (start, end): (usize, usize),
+) -> [i32; DOT_BLOCK] {
+    use std::arch::x86_64::*;
+    const STEP: usize = 32;
+    let simd_end = start + (end - start) / STEP * STEP;
+    let mut out = [0i32; DOT_BLOCK];
+    // SAFETY: every load reads `STEP` bytes starting below `simd_end`, so it
+    // stays inside `start..end` of `a` and of every row (caller contract); the
+    // loads and the store into `out` are unaligned.
+    unsafe {
+        let ones = _mm256_set1_epi16(1);
+        let mut acc = [_mm256_setzero_si256(); DOT_BLOCK];
+        let mut i = start;
+        while i < simd_end {
+            let pa = _mm256_loadu_si256(a.as_ptr().add(i).cast());
+            for (acc_r, row) in acc.iter_mut().zip(rows) {
+                let pb = _mm256_loadu_si256(b.as_ptr().add(row + i).cast());
+                // `maddubs` pairs fit in i16 (see MADDUBS_MAX_B) and `pmaddwd`
+                // against ones widens them to exact i32 lanes.
+                let prod = _mm256_madd_epi16(_mm256_maddubs_epi16(pa, pb), ones);
+                *acc_r = _mm256_add_epi32(*acc_r, prod);
+            }
+            i += STEP;
+        }
+        // Two rounds of hadd leave partial totals of rows 0–3 in each 128-bit
+        // half of `h0` and of rows 4–7 in each half of `h1`; adding the low
+        // halves to the high halves gives [r0, …, r7].
+        let h0 = _mm256_hadd_epi32(
+            _mm256_hadd_epi32(acc[0], acc[1]),
+            _mm256_hadd_epi32(acc[2], acc[3]),
+        );
+        let h1 = _mm256_hadd_epi32(
+            _mm256_hadd_epi32(acc[4], acc[5]),
+            _mm256_hadd_epi32(acc[6], acc[7]),
+        );
+        let sums = _mm256_add_epi32(
+            _mm256_permute2x128_si256(h0, h1, 0x20),
+            _mm256_permute2x128_si256(h0, h1, 0x31),
+        );
+        _mm256_storeu_si256(out.as_mut_ptr().cast(), sums);
+    }
+    for idx in simd_end..end {
+        let x = a[idx] as i32;
+        for (o, row) in out.iter_mut().zip(rows) {
+            *o = o.wrapping_add(x * b[row + idx] as i32);
+        }
+    }
+    out
 }
 
 /// Adds one partition's Eq. 4 term to eight output columns:
@@ -487,6 +647,7 @@ pub fn dequant_matmul(a: &QuantizedTensor, b: &QuantizedTensor) -> Matrix {
 mod tests {
     use super::*;
     use crate::params::{QuantBits, RoundingMode};
+    use crate::qmatrix::PartitionLayout;
     use hack_tensor::matmul::matmul_transposed_b;
     use hack_tensor::{relative_frobenius_error, DetRng, Matrix};
 
@@ -565,7 +726,7 @@ mod tests {
             RoundingMode::Stochastic,
             &mut rng,
         );
-        let mut product = RowProduct::new(&qb);
+        let product = RowProduct::new(&qb);
         for visible in [1, 63, 64, 65, 199, 200] {
             let a = Matrix::from_fn(1, z, |_, c| {
                 if c < visible {
@@ -591,6 +752,144 @@ mod tests {
                 assert_eq!(got, expect, "visible {visible} cols {cols}");
             }
         }
+    }
+
+    /// Both dot bodies of `b`'s row products: the one [`RowProduct::new`] picks on
+    /// this host, then the portable one.
+    fn both_bodies(b: &QuantizedTensor) -> [RowProduct<'_>; 2] {
+        [RowProduct::new(b), RowProduct::new(b).portable()]
+    }
+
+    #[test]
+    fn row_kernel_bodies_match_the_scalar_reference() {
+        // Each dot body, one `accumulate` per left row, against the scalar
+        // reference: every output width 1..=17 (every live-lane count of the last
+        // block, one to three blocks) and causal prefixes (left rows whose later
+        // partitions are all zero, as masked probabilities quantize, passed with
+        // only their leading partitions). Π = 16 and 48 leave a scalar tail after
+        // the 32-code chunks; every contracted length ends in a ragged partition.
+        // Int2 and Int4 right codes take the AVX2 body on AVX2 hosts, Int8 the
+        // portable one; the portable body also runs on every code width.
+        let n = 17;
+        for partition in [16, 48, 64, 128] {
+            let z = 3 * partition + 5;
+            for b_bits in [QuantBits::Int2, QuantBits::Int4, QuantBits::Int8] {
+                let mut rng = DetRng::new(900 + partition as u64);
+                let b_t = Matrix::random_normal(n, z, 0.0, 1.0, &mut rng);
+                let visible = [1, partition - 1, partition + 1, 2 * partition, z];
+                let a = Matrix::from_fn(visible.len(), z, |r, c| {
+                    if c < visible[r] {
+                        rng.range_f32(0.0, 1.0)
+                    } else {
+                        0.0
+                    }
+                });
+                let qa = QuantizedTensor::quantize_rows(
+                    &a,
+                    QuantBits::Int8,
+                    partition,
+                    RoundingMode::Stochastic,
+                    &mut rng,
+                );
+                let qb = QuantizedTensor::quantize_rows(
+                    &b_t,
+                    b_bits,
+                    partition,
+                    RoundingMode::Stochastic,
+                    &mut rng,
+                );
+                let (expect, _) = reference::homomorphic_matmul_scalar(&qa, &qb, true);
+                let [picked, portable] = both_bodies(&qb);
+                assert_eq!(portable.body, DotBody::Portable);
+                #[cfg(target_arch = "x86_64")]
+                if b_bits != QuantBits::Int8 && std::arch::is_x86_feature_detected!("avx2") {
+                    assert_eq!(picked.body, DotBody::Avx2, "{b_bits:?}");
+                } else {
+                    assert_eq!(picked.body, DotBody::Portable, "{b_bits:?}");
+                }
+                for product in [picked, portable] {
+                    for (i, &vis) in visible.iter().enumerate() {
+                        let row = qa.row_prefix(i, vis.div_ceil(partition), qa.sums());
+                        for cols in 1..=n {
+                            let mut out = vec![0.0f32; cols];
+                            product.accumulate(row, &mut out);
+                            assert_eq!(
+                                out.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                                bits_of(&expect.row_block(i, i + 1))[..cols],
+                                "Π={partition} {b_bits:?} {:?} visible {vis} cols {cols}",
+                                product.body
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_kernel_is_exact_on_saturated_codes() {
+        // Left codes 255 against the largest right code in every lane: the largest
+        // maddubs pair sums (Int2, Int4) and pmaddwd products (Int8). With unit
+        // scales and zero minima every entry is the plain sum of its partition
+        // dots, which for right codes ≤ 15 is an exact integer in f32.
+        for bits in [QuantBits::Int2, QuantBits::Int4, QuantBits::Int8] {
+            let b_max = bits.max_code() as u8;
+            for (z, partition) in [(255usize, 255usize), (255, 64), (4096, 4096), (4096, 64)] {
+                let n_parts = z.div_ceil(partition);
+                let unit = PartitionMeta {
+                    min: 0.0,
+                    scale: 1.0,
+                };
+                let tensor = |rows: usize, bits: QuantBits, code: u8| {
+                    let sum = |p: usize| {
+                        let (s, e) = PartitionLayout::new(z, partition).range(p);
+                        ((e - s) * code as usize) as i32
+                    };
+                    QuantizedTensor::from_parts(
+                        rows,
+                        z,
+                        bits,
+                        partition,
+                        vec![code; rows * z],
+                        vec![unit; rows * n_parts],
+                        (0..rows * n_parts).map(|i| sum(i % n_parts)).collect(),
+                    )
+                };
+                let a = tensor(1, QuantBits::Int8, 255);
+                let b = tensor(DOT_BLOCK + 1, bits, b_max);
+                let (expect, _) = reference::homomorphic_matmul_scalar(&a, &b, true);
+                for product in both_bodies(&b) {
+                    let mut out = vec![0.0f32; b.rows()];
+                    product.accumulate(a.row_prefix(0, n_parts, a.sums()), &mut out);
+                    let label = format!("{bits:?} z {z} Π {partition} {:?}", product.body);
+                    assert_eq!(out, expect.row(0), "{label}");
+                    if bits.max_code() <= MADDUBS_MAX_B {
+                        let exact = (z * 255 * b_max as usize) as f32;
+                        assert_eq!(out, vec![exact; b.rows()], "{label}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "ends before its partitions do")]
+    fn row_kernel_rejects_a_left_row_shorter_than_its_spans() {
+        let mut rng = DetRng::new(33);
+        let m = Matrix::random_normal(3, 128, 0.0, 1.0, &mut rng);
+        let b = QuantizedTensor::quantize_rows(
+            &m,
+            QuantBits::Int2,
+            64,
+            RoundingMode::Nearest,
+            &mut rng,
+        );
+        let a = b.row_prefix(0, 2, b.sums());
+        let short = QuantRow {
+            codes: &a.codes[..127],
+            ..a
+        };
+        RowProduct::new(&b).accumulate(short, &mut [0.0; 3]);
     }
 
     #[test]

@@ -292,169 +292,6 @@ unsafe fn dot_u8_i32_avx2(a: &[u8], b: &[u8]) -> i32 {
     }
 }
 
-/// Right-operand rows per [`partition_dots8_u8_i32`] call: the output columns
-/// of one homomorphic GEMM block, one `i32 × 8` AVX2 vector per partition.
-pub const DOT_BLOCK: usize = 8;
-
-/// Largest right-operand code the AVX2 path multiplies with `maddubs`. That
-/// instruction sums two `u8 × i8` products into a saturating `i16`; with left
-/// codes ≤ 255 and right codes ≤ 15 (at most 4-bit) a pair is at most
-/// `2 · 255 · 15 = 7650 < 2¹⁵`, so it never saturates and stays exact.
-const MADDUBS_MAX_B: u8 = 15;
-
-/// Per-partition inner products of one left code row against up to
-/// [`DOT_BLOCK`] right code rows: `out[p][r] = dot(a[span_p], b[r][span_p])`.
-/// Lanes `r ≥ b.len()` are zero.
-///
-/// This is the integer part of the homomorphic GEMM (§5.3), fused over a whole
-/// partitioned row and eight output columns: the feature dispatch and span
-/// validation happen once per call, each chunk of the left row is loaded once
-/// and multiplied against eight right rows, and the eight partition totals are
-/// reduced into one vector.
-///
-/// `b_max` bounds every code in `b`. On AVX2 the kernel multiplies with
-/// `maddubs` + `pmaddwd` when `b_max ≤ 15` (K and V codes of at most 4 bits).
-/// Otherwise (Int8 × Int8), or without AVX2, it takes one [`dot_u8_i32`] per
-/// span and row, which is the widen + `pmaddwd` scheme. All paths are exact
-/// integer arithmetic, bit-identical to the scalar sums. A code above `b_max`
-/// gives unspecified (but memory-safe) sums.
-///
-/// # Panics
-/// Panics if `b` holds no rows or more than [`DOT_BLOCK`], `spans` and `out`
-/// differ in length, or a span is reversed or ends past `a` or a `b` row.
-pub fn partition_dots8_u8_i32(
-    a: &[u8],
-    b: &[&[u8]],
-    b_max: u8,
-    spans: &[(usize, usize)],
-    out: &mut [[i32; DOT_BLOCK]],
-) {
-    let live = b.len();
-    assert!(
-        (1..=DOT_BLOCK).contains(&live),
-        "partition_dots8_u8_i32 takes 1..={DOT_BLOCK} right rows, got {live}"
-    );
-    assert_eq!(spans.len(), out.len(), "partition_dots8_u8_i32 span count");
-    let mut end = 0;
-    for &(s, e) in spans {
-        assert!(s <= e, "partition span {s}..{e} is reversed");
-        end = end.max(e);
-    }
-    let shortest = b.iter().map(|r| r.len()).fold(a.len(), usize::min);
-    assert!(
-        end <= shortest,
-        "partition spans end at {end}, past a row of length {shortest}"
-    );
-    debug_assert!(
-        b.iter().all(|r| spans
-            .iter()
-            .all(|&(s, e)| r[s..e].iter().all(|&c| c <= b_max))),
-        "a right-operand code exceeds b_max = {b_max}"
-    );
-    let rows = pad_rows(b);
-    #[cfg(target_arch = "x86_64")]
-    if b_max <= MADDUBS_MAX_B && std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 presence just checked; every span lies inside `a` and
-        // every row of `rows` (validated above).
-        unsafe { dots8_avx2(a, rows, spans, out) };
-    } else {
-        dots8_per_row(a, rows, spans, out);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    dots8_per_row(a, rows, spans, out);
-    for o in out.iter_mut() {
-        o[live..].fill(0);
-    }
-}
-
-/// `b` padded to [`DOT_BLOCK`] rows for the bodies of [`partition_dots8_u8_i32`]:
-/// dead lanes repeat row 0 so the SIMD loop has no per-lane branch, and the
-/// caller zeroes them afterwards.
-fn pad_rows<'a>(b: &[&'a [u8]]) -> [&'a [u8]; DOT_BLOCK] {
-    std::array::from_fn(|r| b.get(r).copied().unwrap_or(b[0]))
-}
-
-/// Portable body of [`partition_dots8_u8_i32`], taken for right codes above
-/// 4 bits or without AVX2: one [`dot_u8_i32`] per span and row. Kept out of
-/// line so the AVX2 caller stays small.
-#[inline(never)]
-fn dots8_per_row(
-    a: &[u8],
-    b: [&[u8]; DOT_BLOCK],
-    spans: &[(usize, usize)],
-    out: &mut [[i32; DOT_BLOCK]],
-) {
-    for (o, &(s, e)) in out.iter_mut().zip(spans) {
-        for (x, row) in o.iter_mut().zip(b) {
-            *x = dot_u8_i32(&a[s..e], &row[s..e]);
-        }
-    }
-}
-
-/// AVX2 body of [`partition_dots8_u8_i32`]: `maddubs` + `pmaddwd` on 32 codes
-/// per step, for right codes ≤ [`MADDUBS_MAX_B`].
-///
-/// # Safety
-/// AVX2 must be available, every span must lie inside `a` and every row, and
-/// every right code must be at most [`MADDUBS_MAX_B`] for exact sums.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dots8_avx2(
-    a: &[u8],
-    b: [&[u8]; DOT_BLOCK],
-    spans: &[(usize, usize)],
-    out: &mut [[i32; DOT_BLOCK]],
-) {
-    use std::arch::x86_64::*;
-    const STEP: usize = 32;
-    // SAFETY: AVX2 is available (caller contract). Every load reads `STEP`
-    // bytes starting below `simd_end`, so it stays inside `start..end`, which
-    // lies inside `a` and every row (caller contract); the loads and the
-    // 32-byte store into the `[i32; 8]` entry are unaligned.
-    unsafe {
-        let ones = _mm256_set1_epi16(1);
-        for (o, &(start, end)) in out.iter_mut().zip(spans) {
-            let simd_end = start + (end - start) / STEP * STEP;
-            let mut acc = [_mm256_setzero_si256(); DOT_BLOCK];
-            let mut i = start;
-            while i < simd_end {
-                let pa = _mm256_loadu_si256(a.as_ptr().add(i).cast());
-                for (acc_r, row) in acc.iter_mut().zip(b) {
-                    let pb = _mm256_loadu_si256(row.as_ptr().add(i).cast());
-                    // `maddubs` pairs fit in i16 (see MADDUBS_MAX_B) and
-                    // `pmaddwd` against ones widens them to exact i32 lanes.
-                    let prod = _mm256_madd_epi16(_mm256_maddubs_epi16(pa, pb), ones);
-                    *acc_r = _mm256_add_epi32(*acc_r, prod);
-                }
-                i += STEP;
-            }
-            // Reduce the eight accumulators into one vector. Two rounds of
-            // hadd leave partial totals of rows 0–3 in each 128-bit half of
-            // `h0` and of rows 4–7 in each half of `h1`; adding the low halves
-            // to the high halves gives [r0, …, r7].
-            let h0 = _mm256_hadd_epi32(
-                _mm256_hadd_epi32(acc[0], acc[1]),
-                _mm256_hadd_epi32(acc[2], acc[3]),
-            );
-            let h1 = _mm256_hadd_epi32(
-                _mm256_hadd_epi32(acc[4], acc[5]),
-                _mm256_hadd_epi32(acc[6], acc[7]),
-            );
-            let sums = _mm256_add_epi32(
-                _mm256_permute2x128_si256(h0, h1, 0x20),
-                _mm256_permute2x128_si256(h0, h1, 0x31),
-            );
-            _mm256_storeu_si256(o.as_mut_ptr().cast(), sums);
-            for idx in simd_end..end {
-                let x = a[idx] as i32;
-                for (acc_r, row) in o.iter_mut().zip(b) {
-                    *acc_r = acc_r.wrapping_add(x * row[idx] as i32);
-                }
-            }
-        }
-    }
-}
-
 /// Integer GEMM where `B` is provided transposed (`n × k` row-major): `C = A · Bᵀ`.
 ///
 /// The quantized K matrix is stored token-major, so the score computation `Q'·K'ᵀ` uses
@@ -600,99 +437,6 @@ mod tests {
         // Saturated inputs at maximal length exercise the pairwise i32 sums.
         let a = vec![255u8; 4096];
         assert_eq!(dot_u8_i32(&a, &a), 4096 * 255 * 255);
-    }
-
-    /// The oracle for [`partition_dots8_u8_i32`]: scalar dots per span and live
-    /// row, dead lanes zero.
-    fn scalar_dots8(a: &[u8], b: &[&[u8]], spans: &[(usize, usize)]) -> Vec<[i32; DOT_BLOCK]> {
-        spans
-            .iter()
-            .map(|&(s, e)| {
-                let mut lanes = [0i32; DOT_BLOCK];
-                for (lane, row) in lanes.iter_mut().zip(b) {
-                    *lane = dot_u8_i32_scalar(&a[s..e], &row[s..e]);
-                }
-                lanes
-            })
-            .collect()
-    }
-
-    fn spans_of(len: usize, partition: usize) -> Vec<(usize, usize)> {
-        (0..len.div_ceil(partition))
-            .map(|p| (p * partition, ((p + 1) * partition).min(len)))
-            .collect()
-    }
-
-    #[test]
-    fn fused_partition_dots_match_per_partition_dots() {
-        // The fused 8-row kernel against scalar dots, partition by partition:
-        // every length 0..=255 (so every SIMD tail), whole-row and partitioned
-        // spans with ragged last partitions (the homomorphic GEMM's Π = 16..=64
-        // among them), 1..=8 live rows, and right-operand code ranges that take
-        // the maddubs path (Int2, Int4) and the per-row widen path (Int8). The
-        // portable per-row body is also called directly, so it runs on every
-        // code range on AVX2 hosts too.
-        let mut rng = DetRng::new(13);
-        for b_max in [3u8, 15, 255] {
-            for len in 0..=255usize {
-                let a: Vec<u8> = (0..len).map(|_| rng.range_usize(0, 256) as u8).collect();
-                let b_rows: Vec<Vec<u8>> = (0..DOT_BLOCK)
-                    .map(|_| {
-                        (0..len)
-                            .map(|_| rng.range_usize(0, b_max as usize + 1) as u8)
-                            .collect()
-                    })
-                    .collect();
-                for partition in [len.max(1), 16, 32, 64, 100] {
-                    let spans = spans_of(len, partition);
-                    for live in 1..=DOT_BLOCK {
-                        let b: Vec<&[u8]> = b_rows[..live].iter().map(Vec::as_slice).collect();
-                        let expect = scalar_dots8(&a, &b, &spans);
-                        let label = format!("len {len} Π {partition} live {live} b_max {b_max}");
-                        let mut got = vec![[-7i32; DOT_BLOCK]; spans.len()];
-                        partition_dots8_u8_i32(&a, &b, b_max, &spans, &mut got);
-                        assert_eq!(got, expect, "{label}");
-                        let mut portable = vec![[-7i32; DOT_BLOCK]; spans.len()];
-                        dots8_per_row(&a, pad_rows(&b), &spans, &mut portable);
-                        for (lanes, want) in portable.iter().zip(&expect) {
-                            assert_eq!(lanes[..live], want[..live], "portable {label}");
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn dots8_are_exact_on_saturated_codes() {
-        // 255 × max code in every lane: the largest maddubs pair sums (Int2, Int4)
-        // and the largest pmaddwd products (Int8), on the dispatched kernel and on
-        // the portable body.
-        for b_max in [3u8, 15, 255] {
-            for len in [255usize, 4096] {
-                let a = vec![255u8; len];
-                let row = vec![b_max; len];
-                let b = [row.as_slice(); DOT_BLOCK];
-                for spans in [vec![(0, len)], spans_of(len, 64)] {
-                    let mut got = vec![[0i32; DOT_BLOCK]; spans.len()];
-                    partition_dots8_u8_i32(&a, &b, b_max, &spans, &mut got);
-                    let mut portable = vec![[0i32; DOT_BLOCK]; spans.len()];
-                    dots8_per_row(&a, b, &spans, &mut portable);
-                    for ((lanes, portable), &(s, e)) in got.iter().zip(&portable).zip(&spans) {
-                        let expect = ((e - s) * 255 * b_max as usize) as i32;
-                        assert_eq!(*lanes, [expect; DOT_BLOCK], "len {len} b_max {b_max}");
-                        assert_eq!(*portable, [expect; DOT_BLOCK], "portable len {len}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "past a row")]
-    fn dots8_reject_spans_past_a_short_row() {
-        let mut out = [[0i32; DOT_BLOCK]];
-        partition_dots8_u8_i32(&[1; 64], &[&[1; 64], &[1; 63]], 3, &[(0, 64)], &mut out);
     }
 
     #[test]
