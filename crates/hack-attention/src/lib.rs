@@ -2,12 +2,11 @@
 //!
 //! Attention kernels for the HACK reproduction (§5.3, §6 of the paper).
 //!
-//! Four execution paths are provided, mirroring the systems compared in the paper:
+//! Three execution paths are provided, mirroring the systems compared in the paper:
 //!
 //! | Path | Module | Models |
 //! |---|---|---|
 //! | FP32/FP16 dense attention | [`baseline`] | the disaggregated-inference baseline |
-//! | Tiled online-softmax attention | [`flash`] | the FlashAttention-2 backend HACK integrates with |
 //! | Dequantize-then-compute attention | [`dequant_path`] | CacheGen / KVQuant: 2-bit KV storage, FP16 compute |
 //! | Homomorphic-quantized attention | [`prefill`], [`state`] | HACK's `attn_prefill` / `attn_decode` kernels |
 //!
@@ -20,12 +19,10 @@
 
 pub mod baseline;
 pub mod dequant_path;
-pub mod flash;
 pub mod prefill;
 pub mod state;
 
 pub use baseline::{baseline_attention, fp16_attention, AttentionMask};
 pub use dequant_path::dequant_quantized_attention;
-pub use flash::flash_attention;
 pub use prefill::{hack_prefill_attention, PrefillOutput};
 pub use state::{DecodeStepStats, HackKvState};

@@ -10,7 +10,8 @@
 //!    the first token of each group is an **anchor** encoded directly, the rest are
 //!    encoded as deltas from the previous token in the same channel.
 //! 2. Quantize anchors and deltas with per-channel asymmetric quantization
-//!    ([`CacheGenLike::bits`] bits, metadata in FP16).
+//!    ([`CacheGenLike::anchor_bits`] / [`CacheGenLike::delta_bits`] bits, metadata
+//!    in FP16).
 //! 3. Entropy-code the concatenated code stream with the canonical Huffman coder from
 //!    [`crate::entropy`] (the paper uses an arithmetic coder — same order-0 entropy
 //!    class; the substitution is recorded in DESIGN.md).

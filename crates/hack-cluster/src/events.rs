@@ -36,8 +36,8 @@ pub struct DecodeFinished {
     pub req: usize,
 }
 
-/// Periodic telemetry tick, self-addressed by the
-/// [`crate::telemetry::TelemetrySampler`]. Only exists in telemetry-enabled
+/// Periodic telemetry tick, self-addressed by the telemetry sampler
+/// component (`TelemetrySampler`). Only exists in telemetry-enabled
 /// runs; the sampler re-arms itself each tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SampleTick;
@@ -107,8 +107,8 @@ pub struct FlowCompleted {
     pub req: usize,
 }
 
-/// Periodic autoscaling tick, self-addressed by the
-/// [`crate::components::scaling::ScalingController`]. Only exists in runs
+/// Periodic autoscaling tick, self-addressed by the autoscaling controller
+/// component (`ScalingController`). Only exists in runs
 /// with a scaling policy; the controller re-arms itself each tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScaleTick;

@@ -238,19 +238,6 @@ impl GroupSet {
         self.iter().map(|g| g.replicas).sum()
     }
 
-    /// The group of the `replica`-th replica under group-major global
-    /// indexing, or `None` past the fleet.
-    pub fn group_of_replica(&self, replica: usize) -> Option<usize> {
-        let mut offset = 0;
-        for (i, g) in self.iter().enumerate() {
-            offset += g.replicas;
-            if replica < offset {
-                return Some(i);
-            }
-        }
-        None
-    }
-
     /// Per-replica group indices, flattened group-major (the simulator's
     /// global replica order).
     pub fn flatten_groups(&self) -> Vec<usize> {
@@ -356,11 +343,6 @@ mod tests {
         assert_eq!(set.len(), 2);
         assert_eq!(set.total_replicas(), 5);
         assert_eq!(set.flatten_groups(), vec![0, 0, 1, 1, 1]);
-        assert_eq!(set.group_of_replica(0), Some(0));
-        assert_eq!(set.group_of_replica(1), Some(0));
-        assert_eq!(set.group_of_replica(2), Some(1));
-        assert_eq!(set.group_of_replica(4), Some(1));
-        assert_eq!(set.group_of_replica(5), None);
     }
 
     #[test]

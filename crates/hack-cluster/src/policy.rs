@@ -1,6 +1,6 @@
 //! The run's dispatch, admission, scheduling and scaling policies.
 //!
-//! The [`Frontend`] makes three per-request decisions and the autoscaling
+//! The `Frontend` component makes three per-request decisions and the autoscaling
 //! controller one per tick:
 //!
 //! * **dispatch** — *which prefill replica* an admitted request queues on.
@@ -26,8 +26,6 @@
 //! [`ScalingPolicyKind::Off`] builds no controller at all. Parameter ranges
 //! are checked by [`crate::config::SimulationConfig::validate`], so an
 //! out-of-range policy fails at `Simulator::try_new`, never mid-run.
-//!
-//! [`Frontend`]: crate::components::frontend::Frontend
 
 use crate::components::frontend::Frontend;
 use crate::components::{PrefillQueue, PrefillReplicaState};
@@ -155,7 +153,7 @@ pub struct ReplicaLoad {
     /// Prompt tokens pending on the replica. While the replica is `busy`
     /// this still *includes* the in-service request's prompt (it is released
     /// only when its prefill finishes), so policies should not add their own
-    /// in-service estimate on top of it — [`ReplicaLoad::backlog_tokens`]'s
+    /// in-service estimate on top of it — `ReplicaLoad::backlog_tokens`'s
     /// extra `busy` addend is the pre-fleet router's deliberate pessimism
     /// (the in-service request counted *again*, at the arriving request's
     /// length), kept for bit-compatibility.
@@ -854,19 +852,6 @@ pub struct PolicyConfig {
 }
 
 impl PolicyConfig {
-    /// A multi-tenant policy with the given classes and scheduling policy,
-    /// admitting everything and dispatching least-loaded.
-    pub fn scheduled(classes: &[TenantClass], scheduling: SchedulingPolicyKind) -> Self {
-        Self {
-            tenants: TenantClasses::new(classes),
-            dispatch: DispatchPolicyKind::LeastLoaded,
-            admission: AdmissionPolicyKind::AdmitAll,
-            scheduling,
-            retry: crate::topology::RetryPolicy::default(),
-            scaling: ScalingPolicyKind::Off,
-        }
-    }
-
     /// A single-tenant policy with the given decode-fleet scaling policy
     /// (autoscaling experiments).
     pub fn autoscaled(scaling: ScalingPolicyKind) -> Self {

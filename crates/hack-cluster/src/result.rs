@@ -290,26 +290,11 @@ impl SimulationResult {
 
     // --- Per-group views (heterogeneous-fleet scenarios). ---
 
-    /// The prefill-side [`GroupStats`] of `group`, if the fleet has it.
-    pub fn prefill_group(&self, group: usize) -> Option<&GroupStats> {
-        self.prefill_groups.iter().find(|g| g.group == group)
-    }
-
-    /// The decode-side [`GroupStats`] of `group`, if the fleet has it.
-    pub fn decode_group(&self, group: usize) -> Option<&GroupStats> {
-        self.decode_groups.iter().find(|g| g.group == group)
-    }
-
-    /// Full [`JctStats`] (mean, p50/p95/p99, min/max) per prefill group, in
+    /// Full [`JctStats`] (mean, p50/p95/p99, min/max) per decode group, in
     /// group order — the percentile complement of the usage-oriented
-    /// [`GroupStats`]. Groups that served nothing report empty stats.
-    pub fn per_prefill_group_stats(&self) -> Vec<(usize, JctStats)> {
-        Self::group_stats_of(&self.prefill_groups, &self.records, |r| r.prefill_replica)
-    }
-
-    /// Full [`JctStats`] per decode group, in group order (the group that
-    /// *completed* each request — under fault injection a request's aborted
-    /// attempts may have run elsewhere).
+    /// [`GroupStats`]; groups that served nothing report empty stats. Each
+    /// request counts towards the group that *completed* it (under fault
+    /// injection its aborted attempts may have run elsewhere).
     pub fn per_decode_group_stats(&self) -> Vec<(usize, JctStats)> {
         Self::group_stats_of(&self.decode_groups, &self.records, |r| r.decode_replica)
     }
@@ -527,15 +512,15 @@ mod tests {
             gpu_dollars: 0.0,
         };
         let mut result = result_of(vec![
-            record(0.0, 10.0), // prefill replica 0 -> group 0
+            record(0.0, 10.0), // decode replica 0 -> group 0
             record(0.0, 20.0),
             record(0.0, 30.0),
         ]);
         // Group 0 holds replicas {0, 1}, group 1 holds replica {2}.
-        result.prefill_groups = vec![group(0, 2), group(1, 1)];
-        result.records[1].prefill_replica = 1; // still group 0
-        result.records[2].prefill_replica = 2; // group 1
-        let stats = result.per_prefill_group_stats();
+        result.decode_groups = vec![group(0, 2), group(1, 1)];
+        result.records[1].decode_replica = 1; // still group 0
+        result.records[2].decode_replica = 2; // group 1
+        let stats = result.per_decode_group_stats();
         assert_eq!(stats.len(), 2);
         assert_eq!(stats[0].0, 0);
         assert_eq!(stats[0].1.count, 2);
@@ -544,11 +529,6 @@ mod tests {
         assert_eq!(stats[1].1.count, 1);
         assert_eq!(stats[1].1.max, 30.0);
         assert!(stats[0].1.p50 <= stats[0].1.p95 && stats[0].1.p95 <= stats[0].1.p99);
-
-        // Decode side: all records on decode replica 0 of a 1-group fleet.
-        result.decode_groups = vec![group(0, 1)];
-        let decode_stats = result.per_decode_group_stats();
-        assert_eq!(decode_stats[0].1.count, 3);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! [`Simulator::run`] builds a [`hack_sim::Simulation`], registers the
 //! component fleet (frontend, prefill replicas, network fabric, decode
-//! replicas — see [`crate::components`]), seeds it with the request trace's
+//! replicas, the crate's `components` module), seeds it with the request trace's
 //! arrival events (plus any fault-injection events), and drives the engine
 //! until every request completes.
 //!

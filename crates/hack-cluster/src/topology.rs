@@ -171,12 +171,6 @@ impl LinkGraphSpec {
         }
     }
 
-    /// Oversubscription ratio of a ToR whose replicas have `nic_gbps` NICs:
-    /// aggregate downlink capacity over uplink capacity.
-    pub fn oversubscription(&self, nic_gbps: f64, per_tor: usize) -> f64 {
-        nic_gbps * per_tor as f64 / self.tor_uplink_gbps
-    }
-
     /// Number of ToRs needed for `replicas` replicas at `per_tor` per switch.
     pub fn tors_for(replicas: usize, per_tor: usize) -> usize {
         replicas.div_ceil(per_tor.max(1))
@@ -866,7 +860,8 @@ mod tests {
     #[test]
     fn oversubscription_ratio() {
         let spec = LinkGraphSpec::paper_default();
-        let ratio = spec.oversubscription(40.0, 4);
+        // Four 40 Gbps NICs per ToR over its uplink.
+        let ratio = 40.0 * 4.0 / spec.tor_uplink_gbps;
         assert!((ratio - 1.6).abs() < 1e-12);
         assert_eq!(LinkGraphSpec::tors_for(5, 4), 2);
         assert_eq!(LinkGraphSpec::tors_for(4, 4), 1);

@@ -50,6 +50,7 @@ pub enum CacheLayout {
 
 impl CacheLayout {
     /// The paper's HACK layout: 2-bit codes, Π = 64, sums and FP16 tail enabled.
+    #[cfg(test)]
     pub fn hack_default() -> Self {
         CacheLayout::Quantized {
             bits: QuantBits::Int2,
@@ -130,6 +131,7 @@ impl CacheLayout {
 
     /// Compression ratio versus FP16 for a given sequence length
     /// (`1 - bytes/fp16_bytes`).
+    #[cfg(test)]
     pub fn compression_vs_fp16(&self, shape: &KvShape, tokens: usize) -> f64 {
         let fp16 = CacheLayout::Fp16.kv_bytes(shape, tokens) as f64;
         if fp16 == 0.0 {

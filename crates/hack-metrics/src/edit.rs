@@ -33,6 +33,7 @@ pub fn edit_similarity<T: PartialEq>(a: &[T], b: &[T]) -> f64 {
 }
 
 /// Edit similarity between two strings, computed over their characters.
+#[cfg(test)]
 pub fn edit_similarity_str(a: &str, b: &str) -> f64 {
     let ac: Vec<char> = a.chars().collect();
     let bc: Vec<char> = b.chars().collect();

@@ -1,4 +1,4 @@
-//! Telemetry: lifecycle spans, time-series probes, counters/gauges/histograms,
+//! Telemetry: lifecycle spans, time-series probes, counters/histograms,
 //! and trace exporters.
 //!
 //! This module is the *data* layer of the simulator's observability stack. It
@@ -186,7 +186,7 @@ impl Histogram {
 }
 
 /// The telemetry registry of one run: tracks, spans, instants, time series and
-/// the scalar counter/gauge/histogram registries.
+/// the scalar counter/histogram registries.
 ///
 /// All registration and recording methods are deterministic and
 /// allocation-light; `record`-class methods on pre-registered ids do at most
@@ -198,7 +198,6 @@ pub struct Telemetry {
     instants: Vec<InstantEvent>,
     series: Vec<TimeSeries>,
     counters: Vec<(&'static str, u64)>,
-    gauges: Vec<(&'static str, f64)>,
     histograms: Vec<(&'static str, Histogram)>,
 }
 
@@ -295,14 +294,6 @@ impl Telemetry {
         }
     }
 
-    /// Sets the named gauge (registered on first use).
-    pub fn set_gauge(&mut self, name: &'static str, value: f64) {
-        match self.gauges.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, v)) => *v = value,
-            None => self.gauges.push((name, value)),
-        }
-    }
-
     /// Records one value into the named histogram (registered on first use).
     #[inline]
     pub fn record_histogram(&mut self, name: &'static str, value: f64) {
@@ -344,14 +335,6 @@ impl Telemetry {
             .iter()
             .find(|(n, _)| *n == name)
             .map_or(0, |(_, v)| *v)
-    }
-
-    /// The named gauge's value, if ever set.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| *v)
     }
 
     /// The named histogram, if ever recorded into.
@@ -574,7 +557,6 @@ mod tests {
         t.sample(q, 1.0, 3.0);
         t.add_counter("completed", 1);
         t.add_counter("completed", 2);
-        t.set_gauge("makespan", 4.5);
         t.record_histogram("jct_seconds", 1.5);
         t.record_histogram("jct_seconds", 6.0);
         t
@@ -592,7 +574,6 @@ mod tests {
         assert_eq!(t.instants().len(), 2);
         assert_eq!(t.counter("completed"), 3);
         assert_eq!(t.counter("never"), 0);
-        assert_eq!(t.gauge("makespan"), Some(4.5));
         let h = t.histogram("jct_seconds").unwrap();
         assert_eq!(h.count(), 2);
         assert!((h.mean() - 3.75).abs() < 1e-12);

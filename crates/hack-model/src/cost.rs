@@ -11,6 +11,7 @@
 use crate::gpu::GpuSpec;
 use crate::parallelism::Parallelism;
 use crate::spec::ModelSpec;
+use hack_quant::params::{PartitionSize, QuantBits};
 use serde::Serialize;
 
 /// How an evaluated method treats KV data. Every method in the paper maps to one of
@@ -87,9 +88,11 @@ impl KvMethodProfile {
 
     /// HACK with a custom partition size (Table 8 sensitivity study).
     pub fn hack_with_partition(partition: usize) -> Self {
-        // Smaller partitions mean more metadata: codes are 2/16 of FP16 plus
-        // 4 bytes of FP16 metadata + ~1 byte of sums per Π elements.
-        let overhead_per_element = 5.0 / partition as f64;
+        // Smaller partitions mean more metadata: codes are 2/16 of FP16 plus,
+        // per Π elements, 4 bytes of FP16 min/scale and the partition's code
+        // sum (one byte, or an INT16 once it needs more than 8 bits, §6).
+        let sum_bytes = PartitionSize(partition).sum_storage_bytes(QuantBits::Int2);
+        let overhead_per_element = (4 + sum_bytes) as f64 / partition as f64;
         Self {
             name: match partition {
                 32 => "hack-p32",
@@ -216,6 +219,7 @@ impl Default for CostParams {
 }
 
 /// Per-stage service times of one request (seconds).
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct StageTimes {
     /// Prefill compute time.
@@ -231,6 +235,7 @@ pub struct StageTimes {
     pub decode: f64,
 }
 
+#[cfg(test)]
 impl StageTimes {
     /// Sum of all stages.
     pub fn total(&self) -> f64 {
@@ -465,6 +470,7 @@ impl ReplicaCostModel {
     /// Full per-request stage times: prefill on this replica, transfer over
     /// `network_gbps`, then `output_len` decode iterations at an average batch size of
     /// `CostParams::decode_batch` on the decode replica `decode_model`.
+    #[cfg(test)]
     pub fn request_stage_times(
         &self,
         decode_model: &ReplicaCostModel,
@@ -494,6 +500,7 @@ mod tests {
     use super::*;
     use crate::gpu::GpuKind;
     use crate::spec::ModelKind;
+    use hack_quant::cost::{fp16_kv_head_bytes, quantized_kv_head_bytes};
 
     fn llama_on(gpu: GpuKind) -> ReplicaCostModel {
         let model = ModelKind::Llama31_70B.spec();
@@ -519,6 +526,24 @@ mod tests {
             KvMethodProfile::hack_with_partition(32).kv_size_factor
                 > KvMethodProfile::hack_with_partition(128).kv_size_factor
         );
+    }
+
+    #[test]
+    fn hack_kv_size_factor_matches_the_quantized_kv_layout() {
+        // Codes, FP16 min/scale and SE sums of K and V over FP16 K and V, at
+        // shapes that are whole partitions: at Π = 128 an Int2 sum needs 9
+        // bits and is stored as an INT16.
+        for partition in [32, 64, 128] {
+            let (tokens, d_h) = (4 * partition, 128);
+            let quantized =
+                quantized_kv_head_bytes(tokens, d_h, QuantBits::Int2, partition, true) as f64;
+            let fp16 = fp16_kv_head_bytes(tokens, d_h) as f64;
+            assert_eq!(
+                KvMethodProfile::hack_with_partition(partition).kv_size_factor,
+                quantized / fp16,
+                "Π = {partition}"
+            );
+        }
     }
 
     #[test]

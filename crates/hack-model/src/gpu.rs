@@ -116,11 +116,6 @@ impl GpuSpec {
     pub fn effective_int8_tops(&self) -> f64 {
         self.int8_tops.unwrap_or(self.fp16_tflops)
     }
-
-    /// Speedup of INT8 matmuls over FP16 matmuls on this GPU (1.0 when unsupported).
-    pub fn int8_speedup(&self) -> f64 {
-        self.effective_int8_tops() / self.fp16_tflops
-    }
 }
 
 /// AWS instance families of Table 2.
@@ -229,23 +224,6 @@ pub struct InstanceSpec {
     pub host_mem_gib: f64,
 }
 
-impl InstanceSpec {
-    /// Network bandwidth in bytes per second.
-    pub fn network_bytes_per_sec(&self) -> f64 {
-        self.network_gbps * 1e9 / 8.0
-    }
-
-    /// GPU memory per GPU in bytes.
-    pub fn gpu_mem_bytes_per_gpu(&self) -> f64 {
-        self.gpu_mem_gib * (1u64 << 30) as f64 / self.gpus as f64
-    }
-
-    /// Total GPU memory in bytes.
-    pub fn gpu_mem_bytes(&self) -> f64 {
-        self.gpu_mem_gib * (1u64 << 30) as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,7 +248,6 @@ mod tests {
     fn v100_has_no_int8_acceleration() {
         let v100 = GpuKind::V100.spec();
         assert!(v100.int8_tops.is_none());
-        assert_eq!(v100.int8_speedup(), 1.0);
         assert_eq!(v100.effective_int8_tops(), v100.fp16_tflops);
     }
 
@@ -278,7 +255,8 @@ mod tests {
     fn int8_speedup_is_about_2x_where_supported() {
         for gpu in [GpuKind::A10G, GpuKind::T4, GpuKind::L4, GpuKind::A100] {
             let s = gpu.spec();
-            assert!((s.int8_speedup() - 2.0).abs() < 0.05, "{}", s.name);
+            let speedup = s.effective_int8_tops() / s.fp16_tflops;
+            assert!((speedup - 2.0).abs() < 0.05, "{}", s.name);
         }
     }
 
@@ -296,14 +274,6 @@ mod tests {
         for gpu in GpuKind::all() {
             assert_eq!(gpu.instance().gpu, gpu);
         }
-    }
-
-    #[test]
-    fn unit_conversions() {
-        let g5 = InstanceKind::G5_12xlarge.spec();
-        assert_eq!(g5.network_bytes_per_sec(), 5e9);
-        assert_eq!(g5.gpu_mem_bytes(), 96.0 * (1u64 << 30) as f64);
-        assert_eq!(g5.gpu_mem_bytes_per_gpu(), 24.0 * (1u64 << 30) as f64);
     }
 
     #[test]

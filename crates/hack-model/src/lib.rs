@@ -27,7 +27,7 @@
 //!   per-`kv_len` decode/dequant tables with prefix sums
 //!   ([`cost_table::DecodeCostTable`], process-wide cached) and per-prompt-length
 //!   prefill/quantization/transfer memos ([`cost_table::PrefillCostTable`]).
-//! * [`reference`] — a small, runnable decoder-only transformer (RMSNorm, RoPE, GQA,
+//! * [`reference`](mod@reference) — a small, runnable decoder-only transformer (RMSNorm, RoPE, GQA,
 //!   SwiGLU MLP) whose attention backend is pluggable, used to measure end-to-end
 //!   output fidelity of HACK and the baselines (Table 6/7 proxies).
 
@@ -38,7 +38,7 @@ pub mod parallelism;
 pub mod reference;
 pub mod spec;
 
-pub use cost::{CostParams, KvMethodProfile, ReplicaCostModel, StageTimes};
+pub use cost::{CostParams, KvMethodProfile, ReplicaCostModel};
 pub use cost_table::{DecodeCostTable, PrefillCostTable, PrefillCosts};
 pub use gpu::{GpuKind, GpuSpec, InstanceKind, InstanceSpec};
 pub use parallelism::Parallelism;

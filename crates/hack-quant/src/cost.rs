@@ -144,24 +144,6 @@ pub fn fp16_kv_head_bytes(tokens: usize, head_dim: usize) -> usize {
     2 * fp16_bytes(tokens * head_dim)
 }
 
-/// Compression ratio achieved by a quantized KV layout versus FP16
-/// (`1 - quantized/fp16`, e.g. `0.86` for "86% compression").
-pub fn kv_compression_ratio(
-    tokens: usize,
-    head_dim: usize,
-    bits: QuantBits,
-    partition: usize,
-    include_sums: bool,
-) -> f64 {
-    let q = quantized_kv_head_bytes(tokens, head_dim, bits, partition, include_sums) as f64;
-    let f = fp16_kv_head_bytes(tokens, head_dim) as f64;
-    if f == 0.0 {
-        0.0
-    } else {
-        1.0 - q / f
-    }
-}
-
 /// Bytes of the FP16 tail buffer used by Requantization Elimination: the last
 /// (partial) block of V, at most `Π` tokens of `head_dim` channels.
 pub fn rqe_tail_bytes(tokens_in_last_block: usize, head_dim: usize) -> usize {
@@ -226,13 +208,17 @@ mod tests {
         let d_h = 128;
         let fp16 = fp16_kv_head_bytes(tokens, d_h);
         assert_eq!(fp16, 2 * 2 * tokens * d_h);
-        let ratio = kv_compression_ratio(tokens, d_h, QuantBits::Int2, 64, true);
+        let ratio_of = |include_sums| {
+            let q = quantized_kv_head_bytes(tokens, d_h, QuantBits::Int2, 64, include_sums);
+            1.0 - q as f64 / fp16 as f64
+        };
+        let ratio = ratio_of(true);
         // The paper quotes ~85-86% KV compression for 2-bit quantization with
         // per-partition metadata.
         assert!(ratio > 0.82 && ratio < 0.88, "compression ratio {ratio}");
         // Including sums costs a little extra memory (the ~5% of quantized size noted
         // in §6), so the ratio without sums must be higher.
-        let ratio_no_sums = kv_compression_ratio(tokens, d_h, QuantBits::Int2, 64, false);
+        let ratio_no_sums = ratio_of(false);
         assert!(ratio_no_sums > ratio);
     }
 

@@ -56,7 +56,7 @@ const QUANTIZE_CHUNK: usize = 64;
 ///
 /// The codes, the sum and the draws are exactly those of
 /// [`quantize_value`](crate::stochastic::quantize_value) applied element by
-/// element. The work runs in two passes over chunks of [`QUANTIZE_CHUNK`]
+/// element. The work runs in two passes over chunks of `QUANTIZE_CHUNK`
 /// elements: first the draw-free normalise, clamp, floor and fraction for the whole
 /// chunk, which the compiler vectorizes, then the rounding decisions in element
 /// order, so stochastic rounding draws the same sequence. A constant partition

@@ -47,7 +47,8 @@ impl Event {
     }
 
     /// Whether the payload avoids a heap allocation.
-    pub fn payload_is_inline(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn payload_is_inline(&self) -> bool {
         self.payload.is_inline()
     }
 }

@@ -34,9 +34,6 @@ pub struct EventRecord {
 }
 
 impl EventRecord {
-    /// Header line matching [`EventRecord::render_csv`]'s column order.
-    pub const CSV_HEADER: &'static str = "kind,time,id,src,dst,payload";
-
     /// Strips module paths from the payload type for readability.
     fn short_payload(&self) -> &'static str {
         self.payload_type
@@ -58,24 +55,6 @@ impl EventRecord {
             self.id,
             self.src,
             arrow,
-            self.dst,
-            self.short_payload()
-        )
-    }
-
-    /// One CSV row (no trailing newline); columns per
-    /// [`EventRecord::CSV_HEADER`]. Times use full `f64` round-trip precision
-    /// so CSV dumps remain valid determinism evidence.
-    pub fn render_csv(&self) -> String {
-        let kind = match self.kind {
-            RecordKind::Emitted => "emit",
-            RecordKind::Delivered => "deliver",
-        };
-        format!(
-            "{kind},{},{},{},{},{}",
-            self.time,
-            self.id,
-            self.src,
             self.dst,
             self.short_payload()
         )

@@ -2,7 +2,7 @@
 //!
 //! The seed engine kept full [`Event`] structs inside a `BinaryHeap`, so every
 //! sift operation moved ~56 bytes (plus the boxed payload pointer chased on
-//! compare). The slab queue instead orders 24-byte [`EventKey`]s — exactly
+//! compare). The slab queue instead orders 24-byte `EventKey`s — exactly
 //! the `(time, id)` pair the ordering is defined on plus a slot index — and
 //! parks the event bodies in a slab (`Vec<Option<EventNode>>`) whose slots are
 //! recycled through a free list, so node storage is reused instead of
@@ -160,7 +160,8 @@ impl SlabEventQueue {
     }
 
     /// Capacity of the node slab (allocated once, then recycled).
-    pub fn slab_capacity(&self) -> usize {
+    #[cfg(test)]
+    fn slab_capacity(&self) -> usize {
         self.nodes.len()
     }
 }

@@ -21,7 +21,6 @@ pub struct Simulation {
     state: Rc<RefCell<SimState>>,
     names: Vec<Rc<str>>,
     handlers: Vec<Option<Rc<RefCell<dyn EventHandler>>>>,
-    unhandled: u64,
 }
 
 impl Simulation {
@@ -41,7 +40,6 @@ impl Simulation {
             state: Rc::new(RefCell::new(SimState::new(seed, mode))),
             names: Vec::new(),
             handlers: Vec::new(),
-            unhandled: 0,
         }
     }
 
@@ -98,18 +96,17 @@ impl Simulation {
 
     /// Delivers the next event. Returns `false` when the queue is empty.
     ///
-    /// Events addressed to a component without a handler are counted (see
-    /// [`Simulation::unhandled_count`]) and otherwise dropped, like unhandled
-    /// messages in most actor systems.
+    /// Events addressed to a component without a handler are delivered to no
+    /// one (they still count as processed), like unhandled messages in most
+    /// actor systems.
     pub fn step(&mut self) -> bool {
         let event: Option<Event> = self.state.borrow_mut().next_event();
         match event {
             None => false,
             Some(event) => {
                 let handler = self.handlers.get(event.dst).cloned().flatten();
-                match handler {
-                    Some(handler) => handler.borrow_mut().on(event),
-                    None => self.unhandled += 1,
+                if let Some(handler) = handler {
+                    handler.borrow_mut().on(event);
                 }
                 true
             }
@@ -124,21 +121,6 @@ impl Simulation {
         self.state.borrow().processed_count() - before
     }
 
-    /// Runs until the queue is empty or the clock passes `deadline`; returns
-    /// `true` if events remain (i.e. the deadline cut the run short). The first
-    /// event scheduled after the deadline is still delivered — it is what moves
-    /// the clock past it.
-    pub fn run_until(&mut self, deadline: f64) -> bool {
-        loop {
-            if !self.step() {
-                return false;
-            }
-            if self.time() > deadline {
-                return true;
-            }
-        }
-    }
-
     /// Total events emitted so far (including canceled and pending ones).
     pub fn emitted_count(&self) -> u64 {
         self.state.borrow().emitted_count()
@@ -147,11 +129,6 @@ impl Simulation {
     /// Total events delivered so far.
     pub fn processed_count(&self) -> u64 {
         self.state.borrow().processed_count()
-    }
-
-    /// Events delivered to components that had no handler attached.
-    pub fn unhandled_count(&self) -> u64 {
-        self.unhandled
     }
 
     /// Number of events currently pending in the queue.
@@ -167,26 +144,6 @@ impl Simulation {
     /// Drains and returns the structured event log recorded so far.
     pub fn take_log(&mut self) -> Vec<EventRecord> {
         self.state.borrow_mut().take_log()
-    }
-
-    /// Streams the structured event log to `writer` as CSV instead of (or in
-    /// addition to) collecting it in memory: a header line is written
-    /// immediately and every subsequent emission/delivery appends one
-    /// [`EventRecord::render_csv`] row. Unlike [`Simulation::set_log_enabled`]
-    /// + [`Simulation::take_log`], this never holds the full log in memory.
-    ///
-    /// Write errors are latched (logging continues as a no-op) and surfaced by
-    /// [`Simulation::detach_log_writer`].
-    pub fn log_to_writer<W: std::io::Write + 'static>(&mut self, writer: W) {
-        self.state.borrow_mut().set_log_writer(Box::new(writer));
-    }
-
-    /// Flushes and drops the streaming log sink attached with
-    /// [`Simulation::log_to_writer`], reporting the first write error
-    /// encountered since it was attached. A no-op `Ok(())` when no sink is
-    /// attached.
-    pub fn detach_log_writer(&mut self) -> std::io::Result<()> {
-        self.state.borrow_mut().detach_log_writer()
     }
 
     /// Installs the engine probe: a shared mutable value components can reach
@@ -307,8 +264,8 @@ mod tests {
         let mut sim = Simulation::new(1);
         let passive = sim.create_context("passive");
         passive.emit_self(Tick { n: 1 }, 0.5);
-        sim.run();
-        assert_eq!(sim.unhandled_count(), 1);
+        assert_eq!(sim.run(), 1);
+        assert_eq!(sim.queue_len(), 0);
     }
 
     #[test]
@@ -414,62 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn log_streams_to_writer_without_collecting() {
-        #[derive(Clone, Default)]
-        struct SharedBuf(Rc<RefCell<Vec<u8>>>);
-        impl std::io::Write for SharedBuf {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.borrow_mut().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let buf = SharedBuf::default();
-        let mut sim = Simulation::new(1);
-        sim.log_to_writer(buf.clone());
-        let counter = build_counter(&mut sim, 1.0);
-        counter.borrow().ctx.emit_self(Tick { n: 1 }, 0.25);
-        sim.run();
-        sim.detach_log_writer().unwrap();
-
-        let csv = String::from_utf8(buf.0.borrow().clone()).unwrap();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], EventRecord::CSV_HEADER);
-        // 2 emissions + 2 deliveries.
-        assert_eq!(lines.len(), 5);
-        assert!(lines[1].starts_with("emit,0.25,0,0,0,Tick"), "{}", lines[1]);
-        assert!(lines[2].starts_with("deliver,0.25,"), "{}", lines[2]);
-        // The in-memory log was never enabled: nothing was collected.
-        assert!(sim.take_log().is_empty());
-        // Detaching again is a clean no-op.
-        assert!(sim.detach_log_writer().is_ok());
-    }
-
-    #[test]
-    fn log_writer_errors_are_latched_and_reported() {
-        struct FailingWriter;
-        impl std::io::Write for FailingWriter {
-            fn write(&mut self, _buf: &[u8]) -> std::io::Result<usize> {
-                Err(std::io::Error::other("disk full"))
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let mut sim = Simulation::new(1);
-        sim.log_to_writer(FailingWriter);
-        let counter = build_counter(&mut sim, 1.0);
-        counter.borrow().ctx.emit_self(Tick { n: 0 }, 0.5);
-        sim.run(); // must not panic despite every write failing
-        let err = sim.detach_log_writer().unwrap_err();
-        assert_eq!(err.to_string(), "disk full");
-    }
-
-    #[test]
     fn render_variants_are_aligned_and_parseable() {
         let record = EventRecord {
             id: 7,
@@ -487,11 +388,6 @@ mod tests {
         };
         let pos = |s: &str| s.find("(Tick)").unwrap();
         assert_eq!(pos(&record.render()), pos(&wide.render()));
-        assert_eq!(record.render_csv(), "emit,1.5,7,0,3,Tick");
-        assert_eq!(
-            EventRecord::CSV_HEADER.split(',').count(),
-            record.render_csv().split(',').count()
-        );
     }
 
     #[test]
@@ -520,16 +416,5 @@ mod tests {
         // Probing never perturbs the engine.
         assert_eq!(sim.queue_len(), 0);
         assert_eq!(sim.emitted_count(), 1);
-    }
-
-    #[test]
-    fn run_until_stops_at_deadline() {
-        let mut sim = Simulation::new(1);
-        let counter = build_counter(&mut sim, 10.0);
-        counter.borrow().ctx.emit_self(Tick { n: 100 }, 0.0);
-        let remaining = sim.run_until(35.0);
-        assert!(remaining);
-        assert!(sim.queue_len() > 0);
-        assert!(sim.time() <= 45.0);
     }
 }

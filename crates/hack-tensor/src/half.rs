@@ -22,8 +22,6 @@ impl F16 {
     pub const NEG_INFINITY: F16 = F16(0xFC00);
     /// A quiet NaN.
     pub const NAN: F16 = F16(0x7E00);
-    /// Zero.
-    pub const ZERO: F16 = F16(0x0000);
     /// One.
     pub const ONE: F16 = F16(0x3C00);
     /// Largest finite value (65504).
@@ -44,11 +42,6 @@ impl F16 {
     /// Returns true if the value is NaN.
     pub fn is_nan(self) -> bool {
         (self.0 & 0x7C00) == 0x7C00 && (self.0 & 0x03FF) != 0
-    }
-
-    /// Returns true if the value is +/- infinity.
-    pub fn is_infinite(self) -> bool {
-        (self.0 & 0x7FFF) == 0x7C00
     }
 
     /// Returns true if the value is finite (not NaN, not infinite).
@@ -255,7 +248,6 @@ mod tests {
     fn overflow_becomes_infinity() {
         assert_eq!(F16::from_f32(1.0e6), F16::INFINITY);
         assert_eq!(F16::from_f32(-1.0e6), F16::NEG_INFINITY);
-        assert!(F16::from_f32(1.0e6).is_infinite());
     }
 
     #[test]
@@ -331,7 +323,6 @@ mod tests {
         round_slice_to_f16(&mut values);
         assert_eq!(values, expect);
     }
-
     #[test]
     fn storage_bytes() {
         assert_eq!(f16_storage_bytes(0), 0);

@@ -6,13 +6,12 @@
 //! CPU equivalents every other crate in the workspace builds on:
 //!
 //! * [`Matrix`] — a row-major `f32` matrix with the small set of operations attention
-//!   needs (blocked matmul, transpose, row slicing, block views).
+//!   needs (transpose, row slicing, block views).
 //! * [`half`] — software IEEE-754 binary16 ("FP16") emulation, used to model the
 //!   storage precision the paper's baselines compute in.
-//! * [`matmul`] — FP32 and INT8 (i8×i8→i32) GEMMs, including the widened-code GEMM the
-//!   HACK homomorphic multiplication lowers to.
-//! * [`softmax`] — numerically-stable row softmax plus the online-softmax primitives
-//!   used by the FlashAttention-2-style kernel.
+//! * [`matmul`] — FP32 GEMMs and the widened-code integer inner product (u8·u8→i32)
+//!   the HACK homomorphic multiplication lowers to.
+//! * [`softmax`] — numerically-stable row softmax, optionally causal-masked.
 //! * [`rng`] — deterministic, seedable PRNG (SplitMix64 / Xoshiro256**) with Gaussian
 //!   and exponential sampling; every stochastic component in the workspace takes one of
 //!   these so that experiments are reproducible bit-for-bit.

@@ -1,15 +1,15 @@
 //! Matrix multiplication kernels.
 //!
-//! The reproduction needs three flavours of GEMM:
+//! Two flavours:
 //!
-//! 1. An FP32 reference GEMM ([`matmul`], [`matmul_transposed_b`]) for baseline
-//!    attention and for validating every other kernel.
-//! 2. A cache-blocked FP32 GEMM ([`matmul_blocked`]) used by the larger reference
-//!    transformer forward passes.
-//! 3. Integer GEMMs on small codes ([`gemm_i8_i32`], [`gemm_u8_i32`]) that model the
-//!    INT8 tensor-core path the paper lowers the homomorphic multiplication onto
-//!    (§6: quantized 2-bit codes are widened to INT8 before the GEMM because Triton's
-//!    minimum compute precision is INT8).
+//! 1. FP32 GEMMs ([`matmul`], [`matmul_transposed_b`], [`vecmat_acc`]) for baseline
+//!    attention, the FP16 V tail of HACK decode, and for validating every other
+//!    kernel.
+//! 2. The integer inner product on small codes ([`dot_u8_i32`]) that models the INT8
+//!    tensor-core path the paper lowers the homomorphic multiplication onto (§6:
+//!    quantized 2-bit codes are widened to INT8 before the GEMM because Triton's
+//!    minimum compute precision is INT8). It is the portable body of
+//!    `hack-quant`'s homomorphic row kernel.
 
 use crate::matrix::Matrix;
 
@@ -90,93 +90,6 @@ pub fn matmul_transposed_b(a: &Matrix, b_t: &Matrix) -> Matrix {
                 acc += a_row[z] * b_row[z];
             }
             out_row[j] = acc;
-        }
-    }
-    out
-}
-
-/// Cache-blocked FP32 GEMM. Identical results (up to FP associativity) to [`matmul`]
-/// but substantially faster for the reference-transformer shapes.
-pub fn matmul_blocked(a: &Matrix, b: &Matrix, block: usize) -> Matrix {
-    assert_eq!(
-        a.cols(),
-        b.rows(),
-        "matmul_blocked inner dimension mismatch"
-    );
-    assert!(block > 0, "block size must be positive");
-    let (m, k) = a.shape();
-    let n = b.cols();
-    let mut out = Matrix::zeros(m, n);
-    for ii in (0..m).step_by(block) {
-        let i_end = (ii + block).min(m);
-        for kk in (0..k).step_by(block) {
-            let k_end = (kk + block).min(k);
-            for jj in (0..n).step_by(block) {
-                let j_end = (jj + block).min(n);
-                for i in ii..i_end {
-                    let a_row = a.row(i);
-                    let out_row = out.row_mut(i);
-                    #[allow(clippy::needless_range_loop)]
-                    for z in kk..k_end {
-                        let a_iz = a_row[z];
-                        if a_iz == 0.0 {
-                            continue;
-                        }
-                        let b_row = b.row(z);
-                        for j in jj..j_end {
-                            out_row[j] += a_iz * b_row[j];
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Integer GEMM on signed 8-bit codes with 32-bit accumulation: `C = A · B`.
-///
-/// `a` is `m × k` row-major, `b` is `k × n` row-major. This is the CPU stand-in for the
-/// INT8 tensor-core GEMM used by HACK's homomorphic multiplication.
-pub fn gemm_i8_i32(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Vec<i32> {
-    assert_eq!(a.len(), m * k, "gemm_i8_i32: A length mismatch");
-    assert_eq!(b.len(), k * n, "gemm_i8_i32: B length mismatch");
-    let mut out = vec![0i32; m * n];
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * n..(i + 1) * n];
-        for (z, &a_iz) in a_row.iter().enumerate() {
-            if a_iz == 0 {
-                continue;
-            }
-            let a_val = a_iz as i32;
-            let b_row = &b[z * n..(z + 1) * n];
-            for (j, &b_zj) in b_row.iter().enumerate() {
-                out_row[j] += a_val * b_zj as i32;
-            }
-        }
-    }
-    out
-}
-
-/// Integer GEMM on unsigned 8-bit codes (the widened 2-bit/8-bit quantization codes,
-/// which are always non-negative) with 32-bit accumulation: `C = A · B`.
-pub fn gemm_u8_i32(a: &[u8], b: &[u8], m: usize, k: usize, n: usize) -> Vec<i32> {
-    assert_eq!(a.len(), m * k, "gemm_u8_i32: A length mismatch");
-    assert_eq!(b.len(), k * n, "gemm_u8_i32: B length mismatch");
-    let mut out = vec![0i32; m * n];
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * n..(i + 1) * n];
-        for (z, &a_iz) in a_row.iter().enumerate() {
-            if a_iz == 0 {
-                continue;
-            }
-            let a_val = a_iz as i32;
-            let b_row = &b[z * n..(z + 1) * n];
-            for (j, &b_zj) in b_row.iter().enumerate() {
-                out_row[j] += a_val * b_zj as i32;
-            }
         }
     }
     out
@@ -292,46 +205,6 @@ unsafe fn dot_u8_i32_avx2(a: &[u8], b: &[u8]) -> i32 {
     }
 }
 
-/// Integer GEMM where `B` is provided transposed (`n × k` row-major): `C = A · Bᵀ`.
-///
-/// The quantized K matrix is stored token-major, so the score computation `Q'·K'ᵀ` uses
-/// this layout directly.
-pub fn gemm_u8_i32_transposed_b(a: &[u8], b_t: &[u8], m: usize, k: usize, n: usize) -> Vec<i32> {
-    assert_eq!(
-        a.len(),
-        m * k,
-        "gemm_u8_i32_transposed_b: A length mismatch"
-    );
-    assert_eq!(
-        b_t.len(),
-        n * k,
-        "gemm_u8_i32_transposed_b: B length mismatch"
-    );
-    let mut out = vec![0i32; m * n];
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * n..(i + 1) * n];
-        for (j, out_ij) in out_row.iter_mut().enumerate() {
-            *out_ij = dot_u8_i32(a_row, &b_t[j * k..(j + 1) * k]);
-        }
-    }
-    out
-}
-
-/// Matrix-vector product `y = A · x` (FP32).
-pub fn matvec(a: &Matrix, x: &[f32]) -> Vec<f32> {
-    assert_eq!(a.cols(), x.len(), "matvec dimension mismatch");
-    a.iter_rows()
-        .map(|row| row.iter().zip(x).map(|(a, b)| a * b).sum())
-        .collect()
-}
-
-/// Dot product of two slices.
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len(), "dot length mismatch");
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,44 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn blocked_matches_reference() {
-        let mut rng = DetRng::new(6);
-        let a = Matrix::random_normal(17, 23, 0.0, 1.0, &mut rng);
-        let b = Matrix::random_normal(23, 11, 0.0, 1.0, &mut rng);
-        let expect = matmul(&a, &b);
-        for block in [1, 4, 8, 64] {
-            let got = matmul_blocked(&a, &b, block);
-            assert_close(&expect, &got, 1e-3);
-        }
-    }
-
-    #[test]
-    fn i8_gemm_known_values() {
-        // A = [[1, -2], [3, 4]], B = [[5, 6], [7, 8]]
-        let a: Vec<i8> = vec![1, -2, 3, 4];
-        let b: Vec<i8> = vec![5, 6, 7, 8];
-        let c = gemm_i8_i32(&a, &b, 2, 2, 2);
-        assert_eq!(c, vec![-9, -10, 43, 50]);
-    }
-
-    #[test]
-    fn u8_gemm_matches_f32_reference() {
-        let mut rng = DetRng::new(7);
-        let m = 5;
-        let k = 16;
-        let n = 9;
-        let a: Vec<u8> = (0..m * k).map(|_| rng.range_usize(0, 4) as u8).collect();
-        let b: Vec<u8> = (0..k * n).map(|_| rng.range_usize(0, 256) as u8).collect();
-        let got = gemm_u8_i32(&a, &b, m, k, n);
-        let af = Matrix::from_vec(m, k, a.iter().map(|&x| x as f32).collect());
-        let bf = Matrix::from_vec(k, n, b.iter().map(|&x| x as f32).collect());
-        let expect = matmul(&af, &bf);
-        for (i, &g) in got.iter().enumerate() {
-            assert_eq!(g as f32, expect.as_slice()[i]);
-        }
-    }
-
-    #[test]
     fn blocked_u8_dot_matches_scalar_sum() {
         let mut rng = DetRng::new(11);
         for len in [0, 1, 15, 16, 17, 31, 32, 64, 100, 255] {
@@ -437,45 +272,6 @@ mod tests {
         // Saturated inputs at maximal length exercise the pairwise i32 sums.
         let a = vec![255u8; 4096];
         assert_eq!(dot_u8_i32(&a, &a), 4096 * 255 * 255);
-    }
-
-    #[test]
-    fn u8_gemm_transposed_matches_untransposed() {
-        let mut rng = DetRng::new(8);
-        let m = 3;
-        let k = 12;
-        let n = 7;
-        let a: Vec<u8> = (0..m * k).map(|_| rng.range_usize(0, 4) as u8).collect();
-        let b: Vec<u8> = (0..k * n).map(|_| rng.range_usize(0, 4) as u8).collect();
-        // b_t is n x k.
-        let mut b_t = vec![0u8; n * k];
-        for z in 0..k {
-            for j in 0..n {
-                b_t[j * k + z] = b[z * n + j];
-            }
-        }
-        assert_eq!(
-            gemm_u8_i32(&a, &b, m, k, n),
-            gemm_u8_i32_transposed_b(&a, &b_t, m, k, n)
-        );
-    }
-
-    #[test]
-    fn i8_gemm_accumulates_in_i32_without_overflow() {
-        // 127 * 127 * 512 = 8,258,048 which overflows i16 but not i32.
-        let k = 512;
-        let a = vec![127i8; k];
-        let b = vec![127i8; k];
-        let c = gemm_i8_i32(&a, &b, 1, k, 1);
-        assert_eq!(c[0], 127 * 127 * k as i32);
-    }
-
-    #[test]
-    fn matvec_and_dot() {
-        let a = Matrix::from_vec(2, 3, vec![1.0, 0.0, 2.0, -1.0, 3.0, 1.0]);
-        let y = matvec(&a, &[1.0, 2.0, 3.0]);
-        assert_eq!(y, vec![7.0, 8.0]);
-        assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
     }
 
     #[test]

@@ -289,20 +289,6 @@ impl Matrix {
         self.map(round_to_f16)
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data
-            .iter()
-            .map(|x| (*x as f64).powi(2))
-            .sum::<f64>()
-            .sqrt() as f32
-    }
-
-    /// Maximum absolute element.
-    pub fn max_abs(&self) -> f32 {
-        self.data.iter().fold(0.0f32, |acc, x| acc.max(x.abs()))
-    }
-
     /// Minimum and maximum over a row range of a single column, used by per-column
     /// quantization partitions.
     pub fn col_min_max(&self, col: usize, row_start: usize, row_end: usize) -> (f32, f32) {
@@ -311,20 +297,6 @@ impl Matrix {
         let mut mx = f32::NEG_INFINITY;
         for r in row_start..row_end {
             let v = self.get(r, col);
-            mn = mn.min(v);
-            mx = mx.max(v);
-        }
-        (mn, mx)
-    }
-
-    /// Minimum and maximum over a column range of a single row, used by per-row
-    /// quantization partitions.
-    pub fn row_min_max(&self, row: usize, col_start: usize, col_end: usize) -> (f32, f32) {
-        assert!(row < self.rows && col_start < col_end && col_end <= self.cols);
-        let slice = &self.row(row)[col_start..col_end];
-        let mut mn = f32::INFINITY;
-        let mut mx = f32::NEG_INFINITY;
-        for &v in slice {
             mn = mn.min(v);
             mx = mx.max(v);
         }
@@ -485,8 +457,6 @@ mod tests {
     #[test]
     fn norms_and_stats() {
         let m = Matrix::from_vec(1, 4, vec![1.0, -2.0, 2.0, 0.0]);
-        assert!((m.frobenius_norm() - 3.0).abs() < 1e-6);
-        assert_eq!(m.max_abs(), 2.0);
         assert_eq!(m.sum(), 1.0);
         assert_eq!(m.mean(), 0.25);
         assert!(m.all_finite());
@@ -499,7 +469,6 @@ mod tests {
         let m = Matrix::from_vec(3, 2, vec![1.0, -1.0, 5.0, 2.0, -3.0, 0.0]);
         assert_eq!(m.col_min_max(0, 0, 3), (-3.0, 5.0));
         assert_eq!(m.col_min_max(0, 0, 2), (1.0, 5.0));
-        assert_eq!(m.row_min_max(1, 0, 2), (2.0, 5.0));
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Numerically-stable softmax and the online-softmax primitives used by the
-//! FlashAttention-2-style kernel.
+//! Numerically-stable row softmax, with and without a causal mask.
 
 use crate::matrix::Matrix;
 
@@ -67,98 +66,9 @@ pub fn causal_softmax_rows(scores: &Matrix, l_kv_minus_l_q: usize) -> Matrix {
     out
 }
 
-/// Running state for online softmax over blocks of scores (FlashAttention-2 style).
-///
-/// Processes score blocks left-to-right, maintaining the running row max `m`, the
-/// running normaliser `l`, and the unnormalised weighted accumulation of values `acc`.
-#[derive(Debug, Clone)]
-pub struct OnlineSoftmax {
-    /// Running maximum per row.
-    pub m: Vec<f32>,
-    /// Running sum of exponentials per row.
-    pub l: Vec<f32>,
-    /// Unnormalised output accumulator, `rows × d_v`.
-    pub acc: Matrix,
-}
-
-impl OnlineSoftmax {
-    /// Creates the running state for `rows` query rows and value dimension `d_v`.
-    pub fn new(rows: usize, d_v: usize) -> Self {
-        Self {
-            m: vec![f32::NEG_INFINITY; rows],
-            l: vec![0.0; rows],
-            acc: Matrix::zeros(rows, d_v),
-        }
-    }
-
-    /// Folds one block of scores (`rows × block_len`) and the corresponding value block
-    /// (`block_len × d_v`) into the running state.
-    pub fn update(&mut self, score_block: &Matrix, value_block: &Matrix) {
-        assert_eq!(score_block.rows(), self.acc.rows(), "row mismatch");
-        assert_eq!(
-            score_block.cols(),
-            value_block.rows(),
-            "score/value mismatch"
-        );
-        assert_eq!(value_block.cols(), self.acc.cols(), "value width mismatch");
-        let rows = score_block.rows();
-        let d_v = self.acc.cols();
-        for r in 0..rows {
-            let s_row = score_block.row(r);
-            let block_max = s_row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            let new_m = self.m[r].max(block_max);
-            if new_m == f32::NEG_INFINITY {
-                // Entire block masked and nothing accumulated yet.
-                continue;
-            }
-            let correction = if self.m[r] == f32::NEG_INFINITY {
-                0.0
-            } else {
-                (self.m[r] - new_m).exp()
-            };
-            // Rescale the existing accumulator and normaliser.
-            self.l[r] *= correction;
-            for c in 0..d_v {
-                let v = self.acc.get(r, c) * correction;
-                self.acc.set(r, c, v);
-            }
-            // Fold in the new block.
-            for (j, &s) in s_row.iter().enumerate() {
-                let p = (s - new_m).exp();
-                if p == 0.0 {
-                    continue;
-                }
-                self.l[r] += p;
-                let v_row = value_block.row(j);
-                #[allow(clippy::needless_range_loop)]
-                for c in 0..d_v {
-                    let v = self.acc.get(r, c) + p * v_row[c];
-                    self.acc.set(r, c, v);
-                }
-            }
-            self.m[r] = new_m;
-        }
-    }
-
-    /// Finalises the state into normalised attention outputs (`rows × d_v`).
-    pub fn finish(self) -> Matrix {
-        let mut out = self.acc;
-        for r in 0..out.rows() {
-            let l = self.l[r];
-            let inv = if l > 0.0 { 1.0 / l } else { 0.0 };
-            for c in 0..out.cols() {
-                let v = out.get(r, c) * inv;
-                out.set(r, c, v);
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matmul::matmul;
     use crate::rng::DetRng;
 
     #[test]
@@ -237,59 +147,6 @@ mod tests {
         assert!((p.get(0, 0) - 1.0 / 3.0).abs() < 1e-6);
         // Row 1 sees all four.
         assert!((p.get(1, 3) - 0.25).abs() < 1e-6);
-    }
-
-    #[test]
-    fn online_softmax_matches_dense_attention() {
-        let mut rng = DetRng::new(11);
-        let l_q = 4;
-        let l_kv = 24;
-        let d_v = 8;
-        let scores = Matrix::random_normal(l_q, l_kv, 0.0, 2.0, &mut rng);
-        let values = Matrix::random_normal(l_kv, d_v, 0.0, 1.0, &mut rng);
-
-        let expect = matmul(&softmax_rows(&scores), &values);
-
-        let mut online = OnlineSoftmax::new(l_q, d_v);
-        let block = 7; // deliberately not a divisor of l_kv
-        let mut start = 0;
-        while start < l_kv {
-            let end = (start + block).min(l_kv);
-            let s_block = scores.block(0, l_q, start, end);
-            let v_block = values.row_block(start, end);
-            online.update(&s_block, &v_block);
-            start = end;
-        }
-        let got = online.finish();
-        for r in 0..l_q {
-            for c in 0..d_v {
-                assert!(
-                    (expect.get(r, c) - got.get(r, c)).abs() < 1e-4,
-                    "({r},{c}): {} vs {}",
-                    expect.get(r, c),
-                    got.get(r, c)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn online_softmax_handles_masked_blocks() {
-        let l_q = 2;
-        let d_v = 3;
-        let mut online = OnlineSoftmax::new(l_q, d_v);
-        let masked = Matrix::full(l_q, 4, f32::NEG_INFINITY);
-        let values = Matrix::full(4, d_v, 5.0);
-        online.update(&masked, &values);
-        let normal = Matrix::full(l_q, 2, 0.0);
-        let values2 = Matrix::from_fn(2, d_v, |r, _| r as f32);
-        online.update(&normal, &values2);
-        let out = online.finish();
-        for r in 0..l_q {
-            for c in 0..d_v {
-                assert!((out.get(r, c) - 0.5).abs() < 1e-6);
-            }
-        }
     }
 
     #[test]

@@ -77,6 +77,7 @@ impl MultiTenantTrace {
     /// One tenant's stream exactly as it enters the merge (tagged, ids local
     /// to the stream) — the oracle the merged trace's substreams are pinned
     /// against.
+    #[cfg(test)]
     pub fn tenant_stream(&self, tenant: TenantId) -> Option<Vec<Request>> {
         let i = self.specs.iter().position(|s| s.tenant == tenant)?;
         Some(self.templates[i].instantiate_tagged(self.specs[i].trace.rps, tenant))
@@ -105,6 +106,7 @@ impl MultiTenantTrace {
     /// Extracts one tenant's substream from a merged trace, re-numbering ids
     /// to the substream position (so it compares equal to
     /// [`Self::tenant_stream`]).
+    #[cfg(test)]
     pub fn substream(trace: &[Request], tenant: TenantId) -> Vec<Request> {
         trace
             .iter()

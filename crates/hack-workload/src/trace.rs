@@ -89,6 +89,7 @@ pub struct TraceConfig {
 
 impl TraceConfig {
     /// A default trace: the paper's default dataset (Cocktail) at a moderate rate.
+    #[cfg(test)]
     pub fn cocktail_default() -> Self {
         Self {
             dataset: Dataset::Cocktail,
