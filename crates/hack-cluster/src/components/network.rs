@@ -82,7 +82,7 @@ impl Layout {
 }
 
 /// Deterministic ECMP hash of a request id — a splitmix64 finalizer, so the
-/// spine choice is identical across engine modes and platforms.
+/// spine choice is identical across runs and platforms.
 fn ecmp_hash(req: usize) -> u64 {
     let mut z = (req as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -293,11 +293,18 @@ pub struct SimulationConfig {
 }
 
 impl SimulationConfig {
-    /// Validates the fault plan against the cluster and topology, returning a
-    /// typed [`ConfigError`] instead of misbehaving mid-run. Called by
+    /// Validates the fleet (each side needs a replica), the topology and the
+    /// fault plan, returning a typed [`ConfigError`] instead of misbehaving
+    /// mid-run. Called by
     /// [`Simulator::try_new`](crate::Simulator::try_new) before any event is
     /// scheduled.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.cluster.prefill_replicas() == 0 {
+            return Err(ConfigError::EmptyFleetSide { side: "prefill" });
+        }
+        if self.cluster.decode_replicas() == 0 {
+            return Err(ConfigError::EmptyFleetSide { side: "decode" });
+        }
         if let Some(spec) = self.cluster.topology.link_graph() {
             let positive = |x: f64| x.is_finite() && x > 0.0;
             if !positive(spec.tor_uplink_gbps) {

@@ -94,11 +94,18 @@ impl Simulator {
                 got: requests.len(),
             });
         }
-        // Session DAG validation: a child's parent must precede it in the
-        // trace and must not arrive after it — gating releases children at
-        // `max(child arrival, parent completion)`, which is only causal when
-        // parents nominally arrive first.
+        // Every arrival must be schedulable. Session DAG validation: a
+        // child's parent must precede it in the trace and must not arrive
+        // after it — gating releases children at `max(child arrival, parent
+        // completion)`, which is only causal when parents nominally arrive
+        // first.
         for (i, r) in requests.iter().enumerate() {
+            if !r.arrival.is_finite() || r.arrival < 0.0 {
+                return Err(ConfigError::InvalidArrival {
+                    request: r.id,
+                    arrival: r.arrival,
+                });
+            }
             if r.tenant.index() >= crate::policy::MAX_TENANTS {
                 return Err(ConfigError::TenantOutOfRange {
                     request: r.id,
@@ -210,14 +217,7 @@ impl Simulator {
 
     /// Runs the simulation to completion and returns the aggregated result.
     pub fn run(&self) -> SimulationResult {
-        self.run_with_mode(EngineMode::Slab)
-    }
-
-    /// Runs on an explicit engine representation ([`EngineMode::Boxed`] is the
-    /// pre-slab engine, kept for equivalence testing; results are
-    /// bit-identical across modes).
-    pub fn run_with_mode(&self, mode: EngineMode) -> SimulationResult {
-        self.run_impl(mode, false).0
+        self.run_impl(false).0
     }
 
     /// Runs and returns the recorded [`Telemetry`] alongside the result —
@@ -225,29 +225,24 @@ impl Simulator {
     /// The result itself is bit-identical to [`Simulator::run`]: telemetry
     /// records the simulation, it never perturbs it.
     pub fn run_with_telemetry(&self) -> (SimulationResult, Option<Telemetry>) {
-        self.run_with_telemetry_mode(EngineMode::Slab)
-    }
-
-    /// [`Simulator::run_with_telemetry`] on an explicit engine mode (used by
-    /// the telemetry determinism tests).
-    pub fn run_with_telemetry_mode(
-        &self,
-        mode: EngineMode,
-    ) -> (SimulationResult, Option<Telemetry>) {
-        let (result, _, telemetry) = self.run_impl(mode, false);
+        let (result, _, telemetry) = self.run_impl(false);
         (result, telemetry)
     }
 
     /// Runs with structured event logging enabled, returning the full engine
     /// event trace alongside the result (used by the trace-equivalence tests).
-    pub fn run_traced(&self, mode: EngineMode) -> (SimulationResult, Vec<EventRecord>) {
-        let (result, trace, _) = self.run_impl(mode, true);
+    ///
+    /// The [`EngineMode`] argument selects nothing: the engine has one mode.
+    /// It remains only because the benchmark of record calls
+    /// `run_traced(EngineMode::Slab)` and its source is frozen outside its own
+    /// maintenance changes.
+    pub fn run_traced(&self, _mode: EngineMode) -> (SimulationResult, Vec<EventRecord>) {
+        let (result, trace, _) = self.run_impl(true);
         (result, trace)
     }
 
     fn run_impl(
         &self,
-        mode: EngineMode,
         capture_log: bool,
     ) -> (SimulationResult, Vec<EventRecord>, Option<Telemetry>) {
         let requests = self.requests.clone();
@@ -259,7 +254,7 @@ impl Simulator {
 
         // --- Assemble the engine and the component fleet. (The fault plan and
         // topology were validated at construction time.) ---
-        let mut sim = Simulation::with_mode(self.config.trace.seed, mode);
+        let mut sim = Simulation::new(self.config.trace.seed);
         sim.set_log_enabled(capture_log);
         let driver = sim.create_context("driver");
         let frontend_ctx = sim.create_context("frontend");
@@ -1148,30 +1143,31 @@ mod tests {
         assert!(a100 < 0.1, "A100 (400 Gbps) comm ratio {a100}");
     }
 
+    /// Runs `cfg` twice, each run on a fresh engine (the second reuses the
+    /// cost layer the first built), and asserts that the runs agree on every
+    /// emission and delivery, in order, and on the result (`PartialEq`
+    /// compares every f64 exactly).
+    fn assert_repeat_runs_agree(cfg: SimulationConfig, what: &str) {
+        let sim = Simulator::new(cfg);
+        let (first, first_trace) = sim.run_traced(EngineMode::Slab);
+        let (again, again_trace) = sim.run_traced(EngineMode::Slab);
+        assert!(!first_trace.is_empty(), "{what}: empty trace");
+        assert_eq!(first_trace, again_trace, "{what}: event traces");
+        assert_eq!(first, again, "{what}: results");
+    }
+
     #[test]
-    fn slab_engine_reproduces_boxed_engine_trace_and_result() {
-        // The slab/inline-payload engine must reproduce the pre-change boxed
-        // engine on a seeded cluster run: identical event trace (every emission
-        // and delivery, in order) and identical SimulationResult (PartialEq on
-        // the result compares every f64 exactly).
+    fn repeat_runs_reproduce_the_event_trace_and_result() {
         for profile in [KvMethodProfile::baseline(), KvMethodProfile::hack()] {
             let cfg = sim_config(profile, Dataset::Cocktail, 0.08, 40);
-            let (slab_result, slab_trace) = Simulator::new(cfg).run_traced(EngineMode::Slab);
-            let (boxed_result, boxed_trace) = Simulator::new(cfg).run_traced(EngineMode::Boxed);
-            assert!(!slab_trace.is_empty());
-            assert_eq!(slab_trace, boxed_trace, "{}: event traces", profile.name);
-            assert_eq!(slab_result, boxed_result, "{}: results", profile.name);
+            assert_repeat_runs_agree(cfg, profile.name);
         }
     }
 
     #[test]
-    fn slab_engine_matches_boxed_under_fault_injection() {
+    fn repeat_runs_reproduce_the_event_trace_under_fault_injection() {
         let fault = FaultEvent::transient(FaultDomain::DecodeReplica(0), 50.0, 400.0);
-        let cfg = failure_config(30, fault);
-        let (slab_result, slab_trace) = Simulator::new(cfg).run_traced(EngineMode::Slab);
-        let (boxed_result, boxed_trace) = Simulator::new(cfg).run_traced(EngineMode::Boxed);
-        assert_eq!(slab_trace, boxed_trace);
-        assert_eq!(slab_result, boxed_result);
+        assert_repeat_runs_agree(failure_config(30, fault), "decode replica fault");
     }
 
     #[test]
@@ -1254,13 +1250,8 @@ mod tests {
     }
 
     #[test]
-    fn mixed_fleet_runs_are_deterministic_across_engines() {
-        let cfg = mixed_config(KvMethodProfile::hack(), 35);
-        let sim = Simulator::new(cfg);
-        let (slab, slab_trace) = sim.run_traced(EngineMode::Slab);
-        let (boxed, boxed_trace) = sim.run_traced(EngineMode::Boxed);
-        assert_eq!(slab_trace, boxed_trace, "mixed fleet: engine traces");
-        assert_eq!(slab, boxed, "mixed fleet: engine results");
+    fn repeat_runs_reproduce_a_mixed_fleet_trace() {
+        assert_repeat_runs_agree(mixed_config(KvMethodProfile::hack(), 35), "mixed fleet");
     }
 
     #[test]
@@ -1519,7 +1510,7 @@ mod tests {
     }
 
     #[test]
-    fn link_graph_engines_agree_under_a_fault_storm() {
+    fn repeat_runs_reproduce_a_link_graph_fault_storm() {
         let mut cfg = link_graph_config(30, 0.6);
         let mut plan = crate::topology::FaultPlan::none();
         plan.push(crate::topology::FaultEvent::transient(
@@ -1533,10 +1524,7 @@ mod tests {
             165.0,
         ));
         cfg.faults = plan;
-        let (slab_result, slab_trace) = Simulator::new(cfg).run_traced(EngineMode::Slab);
-        let (boxed_result, boxed_trace) = Simulator::new(cfg).run_traced(EngineMode::Boxed);
-        assert_eq!(slab_trace, boxed_trace);
-        assert_eq!(slab_result, boxed_result);
+        assert_repeat_runs_agree(cfg, "link-graph fault storm");
     }
 
     #[test]
@@ -1808,6 +1796,36 @@ mod tests {
                 got: cfg.trace.num_requests - 1,
             })
         );
+    }
+
+    #[test]
+    fn unrunnable_arrivals_and_empty_fleet_sides_are_typed_errors() {
+        let cfg = sim_config(KvMethodProfile::baseline(), Dataset::Cocktail, 0.05, 5);
+        for arrival in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            let mut requests = TraceGenerator::new(cfg.trace).generate();
+            requests[2].arrival = arrival;
+            let err = Simulator::try_with_requests(cfg, Arc::new(requests)).err();
+            assert!(
+                matches!(
+                    err,
+                    Some(ConfigError::InvalidArrival { request: 2, arrival: a })
+                        if a.to_bits() == arrival.to_bits()
+                ),
+                "arrival {arrival}: {err:?}"
+            );
+        }
+
+        let requests = Arc::new(TraceGenerator::new(cfg.trace).generate());
+        let mut no_prefill = cfg;
+        no_prefill.cluster.fleet.prefill.get_mut(0).replicas = 0;
+        let mut no_decode = cfg;
+        no_decode.cluster.fleet.decode.get_mut(0).replicas = 0;
+        for (config, side) in [(no_prefill, "prefill"), (no_decode, "decode")] {
+            assert_eq!(
+                Simulator::try_with_requests(config, requests.clone()).err(),
+                Some(ConfigError::EmptyFleetSide { side })
+            );
+        }
     }
 
     // --- Session-structured traces and the prefix cache. ---

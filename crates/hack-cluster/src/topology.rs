@@ -437,6 +437,19 @@ pub enum ConfigError {
         /// Its tenant index.
         tenant: u32,
     },
+    /// A fleet side has no replicas at all, so no request could complete.
+    EmptyFleetSide {
+        /// `"prefill"` or `"decode"`.
+        side: &'static str,
+    },
+    /// A request's arrival time is non-finite or negative, so its arrival
+    /// event cannot be scheduled.
+    InvalidArrival {
+        /// The offending request's trace id.
+        request: u64,
+        /// The rejected arrival time.
+        arrival: f64,
+    },
     /// A supplied trace's length differs from `config.trace.num_requests`.
     TraceLengthMismatch {
         /// `config.trace.num_requests`.
@@ -506,6 +519,13 @@ impl fmt::Display for ConfigError {
                 "request {request} is tagged with tenant {tenant}, beyond MAX_TENANTS ({})",
                 crate::policy::MAX_TENANTS
             ),
+            ConfigError::EmptyFleetSide { side } => {
+                write!(f, "the {side} side of the fleet has no replicas")
+            }
+            ConfigError::InvalidArrival { request, arrival } => write!(
+                f,
+                "request {request} arrives at {arrival} (must be finite and >= 0)"
+            ),
             ConfigError::TraceLengthMismatch { expected, got } => write!(
                 f,
                 "supplied trace has {got} requests but config.trace.num_requests is {expected}"
@@ -517,7 +537,7 @@ impl fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// Deterministic per-(seed, request, attempt) jitter in `[0, 1)` for the
-/// retry backoff — a splitmix64 finalizer, identical across engine modes and
+/// retry backoff — a splitmix64 finalizer, identical across runs and
 /// platforms.
 pub(crate) fn retry_jitter(seed: u64, req: usize, attempt: u32) -> f64 {
     let mut z = seed

@@ -3,7 +3,7 @@
 //! A single-group [`FleetSpec`] **is** the legacy flat configuration: every
 //! test here pins that a hand-built single-group fleet reproduces the legacy
 //! constructors bit-for-bit (`PartialEq` on [`SimulationResult`] compares
-//! every f64 exactly) across engine modes and frontend policies.
+//! every f64 exactly), under the default policies and every frontend policy.
 
 use hack_cluster::{
     AdmissionPolicyKind, CacheConfig, ClusterConfig, DispatchPolicyKind, FaultPlan, FleetSpec,
@@ -14,7 +14,6 @@ use hack_model::cost::{CostParams, KvMethodProfile};
 use hack_model::gpu::GpuKind;
 use hack_model::parallelism::Parallelism;
 use hack_model::spec::ModelKind;
-use hack_sim::EngineMode;
 use hack_workload::dataset::Dataset;
 use hack_workload::tenant::{MultiTenantTrace, TenantSpec};
 use hack_workload::trace::{TenantId, TraceConfig};
@@ -82,20 +81,18 @@ fn hand_built_single_group_fleet_equals_the_legacy_constructor() {
 }
 
 #[test]
-fn single_group_results_are_bit_identical_across_engine_modes() {
+fn single_group_results_are_bit_identical_to_the_legacy_constructor() {
     let legacy = Simulator::new(sim_config(
         ClusterConfig::paper_default(ModelKind::Llama31_70B, GpuKind::A10G),
         7,
         45,
     ));
     let fleet = Simulator::new(sim_config(hand_built_default(), 7, 45));
-    for mode in [EngineMode::Slab, EngineMode::Boxed] {
-        assert_eq!(
-            fleet.run_with_mode(mode),
-            legacy.run_with_mode(mode),
-            "{mode:?}: single-group fleet diverged from legacy"
-        );
-    }
+    assert_eq!(
+        fleet.run(),
+        legacy.run(),
+        "single-group fleet diverged from legacy"
+    );
 }
 
 #[test]

@@ -7,9 +7,8 @@
 //!    **bit-identical** to the off run of the same seed — recording observes
 //!    the simulation, it never perturbs it (no extra RNG draws, no time
 //!    perturbation, makespan included).
-//! 2. **Engine-representation independence**: the same seed produces the
-//!    *identical* span/instant/series streams on [`EngineMode::Slab`] and
-//!    [`EngineMode::Boxed`].
+//! 2. **Reproducibility**: repeat runs of one seed produce *identical*
+//!    span/instant/series streams.
 
 use hack_cluster::{
     CacheConfig, ClusterConfig, FaultDomain, FaultEvent, FaultPlan, PolicyConfig, SimulationConfig,
@@ -19,7 +18,6 @@ use hack_metrics::telemetry::Telemetry;
 use hack_model::cost::KvMethodProfile;
 use hack_model::gpu::GpuKind;
 use hack_model::spec::ModelKind;
-use hack_sim::EngineMode;
 use hack_workload::dataset::Dataset;
 use hack_workload::trace::TraceConfig;
 
@@ -108,18 +106,17 @@ fn assert_streams_identical(a: &Telemetry, b: &Telemetry, label: &str) {
 }
 
 #[test]
-fn span_streams_are_identical_across_engine_modes() {
+fn span_streams_are_identical_across_repeat_runs() {
     for config in [with_telemetry(base_config(50, 0.08), 5.0), {
         with_telemetry(failure_config(50), 5.0)
     }] {
-        let sim = Simulator::new(config);
-        let (slab_result, slab) = sim.run_with_telemetry_mode(EngineMode::Slab);
-        let (boxed_result, boxed) = sim.run_with_telemetry_mode(EngineMode::Boxed);
-        assert_eq!(slab_result, boxed_result);
+        let (first_result, first) = Simulator::new(config).run_with_telemetry();
+        let (again_result, again) = Simulator::new(config).run_with_telemetry();
+        assert_eq!(first_result, again_result);
         assert_streams_identical(
-            &slab.expect("slab telemetry"),
-            &boxed.expect("boxed telemetry"),
-            "slab vs boxed",
+            &first.expect("first run's telemetry"),
+            &again.expect("repeat run's telemetry"),
+            "first vs repeat run",
         );
     }
 }

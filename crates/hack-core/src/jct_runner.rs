@@ -237,7 +237,7 @@ impl JctExperiment {
     }
 
     /// Builds the full simulation configuration for one method (also used to
-    /// drive the [`Simulator`] directly, e.g. with an explicit engine mode).
+    /// drive the [`Simulator`] directly, e.g. with event tracing).
     pub fn simulation_config(&self, method: Method) -> SimulationConfig {
         SimulationConfig {
             cluster: self.cluster_config(),

@@ -154,14 +154,6 @@ impl Method {
             Method::Hack { .. } | Method::HackNoSe | Method::HackNoRqe => None,
         }
     }
-
-    /// Whether this method computes attention directly on compressed KV data.
-    pub fn computes_on_compressed(&self) -> bool {
-        matches!(
-            self,
-            Method::Hack { .. } | Method::HackNoSe | Method::HackNoRqe
-        )
-    }
 }
 
 #[cfg(test)]
@@ -193,13 +185,6 @@ mod tests {
         assert!(!Method::HackNoSe.profile().summation_elimination);
         assert!(!Method::HackNoRqe.profile().requant_elimination);
         assert_eq!(Method::Hack { partition: 32 }.profile().partition, 32);
-    }
-
-    #[test]
-    fn only_hack_computes_on_compressed() {
-        for m in Method::main_comparison() {
-            assert_eq!(m.computes_on_compressed(), matches!(m, Method::Hack { .. }));
-        }
     }
 
     #[test]

@@ -122,13 +122,6 @@ impl CacheLayout {
         }
     }
 
-    /// Average bytes per token for block-granular accounting (computed over one block
-    /// of `block_tokens` tokens).
-    pub fn bytes_per_token(&self, shape: &KvShape, block_tokens: usize) -> usize {
-        self.kv_bytes(shape, block_tokens)
-            .div_ceil(block_tokens.max(1))
-    }
-
     /// Compression ratio versus FP16 for a given sequence length
     /// (`1 - bytes/fp16_bytes`).
     #[cfg(test)]
@@ -206,15 +199,6 @@ mod tests {
         let hack = CacheLayout::hack_default().compression_vs_fp16(&shape, tokens);
         assert!(fp4 <= 0.75 + 1e-9);
         assert!(hack > fp4);
-    }
-
-    #[test]
-    fn bytes_per_token_is_positive_and_consistent() {
-        let shape = llama70b_shape();
-        let per_token = CacheLayout::hack_default().bytes_per_token(&shape, 16);
-        assert!(per_token > 0);
-        let full = CacheLayout::hack_default().kv_bytes(&shape, 16);
-        assert!(per_token * 16 >= full);
     }
 
     #[test]

@@ -43,16 +43,6 @@ pub fn agreement_rate<T: PartialEq>(a: &[T], b: &[T]) -> f64 {
     a.iter().zip(b).filter(|(x, y)| x == y).count() as f64 / a.len() as f64
 }
 
-/// Total-variation distance between two probability distributions.
-pub fn total_variation(p: &[f32], q: &[f32]) -> f64 {
-    assert_eq!(p.len(), q.len(), "total_variation length mismatch");
-    0.5 * p
-        .iter()
-        .zip(q)
-        .map(|(x, y)| (x - y).abs() as f64)
-        .sum::<f64>()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,14 +65,6 @@ mod tests {
     fn agreement_counts_matches() {
         assert_eq!(agreement_rate(&[1, 2, 3, 4], &[1, 9, 3, 8]), 0.5);
         assert_eq!(agreement_rate::<u32>(&[], &[]), 1.0);
-    }
-
-    #[test]
-    fn total_variation_bounds() {
-        assert_eq!(total_variation(&[1.0, 0.0], &[0.0, 1.0]), 1.0);
-        assert_eq!(total_variation(&[0.5, 0.5], &[0.5, 0.5]), 0.0);
-        let tv = total_variation(&[0.7, 0.3], &[0.5, 0.5]);
-        assert!((tv - 0.2).abs() < 1e-6);
     }
 
     #[test]

@@ -159,15 +159,6 @@ impl JctStats {
             mean_breakdown: mb,
         }
     }
-
-    /// Relative reduction in mean JCT versus another (baseline) set of statistics:
-    /// `1 - self.mean / other.mean`.
-    pub fn reduction_vs(&self, other: &JctStats) -> f64 {
-        if other.mean <= 0.0 {
-            return 0.0;
-        }
-        1.0 - self.mean / other.mean
-    }
 }
 
 #[cfg(test)]
@@ -213,20 +204,6 @@ mod tests {
         assert!(stats.p99 <= stats.max);
         assert!(stats.mean > 0.0);
         assert!((stats.mean_breakdown.queueing - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn reduction_vs_baseline() {
-        let fast = JctStats {
-            mean: 10.0,
-            ..Default::default()
-        };
-        let slow = JctStats {
-            mean: 40.0,
-            ..Default::default()
-        };
-        assert!((fast.reduction_vs(&slow) - 0.75).abs() < 1e-9);
-        assert_eq!(fast.reduction_vs(&JctStats::default()), 0.0);
     }
 
     #[test]

@@ -11,16 +11,13 @@
 //! * Chrome trace-event JSON ([`Telemetry::chrome_trace_json`]) — loadable in
 //!   Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`, with one
 //!   track per registered component and one counter track per time series;
-//! * a compact CSV time-series dump ([`Telemetry::timeseries_csv`]);
-//! * a JSON time-series dump ([`Telemetry::timeseries_value`]).
+//! * a compact CSV time-series dump ([`Telemetry::timeseries_csv`]).
 //!
 //! Everything is deterministic: names are registered in a fixed order, spans
 //! and samples are recorded in event order, and no wall-clock or randomness is
 //! involved — two runs with the same seed produce byte-identical exports. See
 //! `OBSERVABILITY.md` at the repository root for the span taxonomy and the
 //! trace-event schema.
-
-use serde::Value;
 
 /// Identifier of a registered track (one Perfetto row, e.g. one replica).
 pub type TrackId = u32;
@@ -83,14 +80,10 @@ pub struct TimeSeries {
     pub points: Vec<(f64, f64)>,
 }
 
-/// A log₂-bucketed histogram of non-negative values.
-///
-/// Bucket `i` holds values in `[2^(i-1), 2^i)` (bucket 0 holds `[0, 1)`), so
-/// relative resolution is a factor of two across the full `f64` range with a
-/// fixed 64-slot footprint — cheap enough to record into on the hot path.
+/// A running summary of non-negative values: count, mean, min and max —
+/// cheap enough to record into on the hot path.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Histogram {
-    buckets: [u64; 64],
     count: u64,
     sum: f64,
     min: f64,
@@ -100,7 +93,6 @@ pub struct Histogram {
 impl Default for Histogram {
     fn default() -> Self {
         Self {
-            buckets: [0; 64],
             count: 0,
             sum: 0.0,
             min: f64::INFINITY,
@@ -110,23 +102,10 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    #[inline]
-    fn bucket_of(value: f64) -> usize {
-        if value < 1.0 {
-            return 0;
-        }
-        // 1 + floor(log2(v)) straight from the IEEE-754 exponent (`v >= 1.0`
-        // here, so the unbiased exponent is non-negative and infinities land
-        // in the top bucket) — no libm call on the recording hot path.
-        let biased = (value.to_bits() >> 52) & 0x7ff;
-        (biased as usize - 1022).min(63)
-    }
-
     /// Records one non-negative value (negative values clamp to zero).
     #[inline]
     pub fn record(&mut self, value: f64) {
         let v = value.max(0.0);
-        self.buckets[Self::bucket_of(v)] += 1;
         self.count += 1;
         self.sum += v;
         self.min = self.min.min(v);
@@ -158,28 +137,6 @@ impl Histogram {
     pub fn max(&self) -> f64 {
         if self.count == 0 {
             return 0.0;
-        }
-        self.max
-    }
-
-    /// Approximate quantile `q` in `[0, 1]`: the lower bound of the bucket
-    /// containing the `q`-th ranked value (a factor-of-two underestimate at
-    /// worst, exact for the extremes via `min`/`max`).
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = ((self.count - 1) as f64 * q.clamp(0.0, 1.0)).round() as u64;
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if n > 0 && seen > rank {
-                return if i == 0 {
-                    0.0
-                } else {
-                    (1u64 << (i - 1)) as f64
-                };
-            }
         }
         self.max
     }
@@ -374,7 +331,7 @@ impl Telemetry {
     ///   series (Perfetto renders each name as its own counter track).
     ///
     /// The export is written by streaming into one `String` (no intermediate
-    /// [`Value`] tree), so full-scale traces with millions of events stay
+    /// `serde::Value` tree), so full-scale traces with millions of events stay
     /// cheap to produce.
     pub fn chrome_trace_json(&self) -> String {
         // ~120 bytes per event is a good preallocation estimate.
@@ -465,29 +422,6 @@ impl Telemetry {
         out
     }
 
-    /// Exports every registered time series as a JSON [`Value`] tree:
-    /// `{series_name: [[time_s, value], ...], ...}` in registration order.
-    pub fn timeseries_value(&self) -> Value {
-        Value::Object(
-            self.series
-                .iter()
-                .map(|s| {
-                    (
-                        s.name.clone(),
-                        Value::Array(
-                            s.points
-                                .iter()
-                                .map(|&(t, v)| {
-                                    Value::Array(vec![Value::Number(t), Value::Number(v)])
-                                })
-                                .collect(),
-                        ),
-                    )
-                })
-                .collect(),
-        )
-    }
-
     /// A one-line human summary (event volumes), for example/CLI output.
     pub fn summary_line(&self) -> String {
         format!(
@@ -543,6 +477,7 @@ fn json_f64(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     fn populated() -> Telemetry {
         let mut t = Telemetry::new();
@@ -582,20 +517,17 @@ mod tests {
     }
 
     #[test]
-    fn histogram_quantiles_bracket_the_data() {
+    fn histogram_summarises_count_mean_min_and_max() {
         let mut h = Histogram::default();
+        assert_eq!((h.count(), h.mean(), h.min(), h.max()), (0, 0.0, 0.0, 0.0));
         for i in 1..=1000 {
             h.record(i as f64);
         }
-        assert_eq!(h.count(), 1000);
+        h.record(-3.0); // clamps to zero
+        assert_eq!(h.count(), 1001);
+        assert_eq!(h.mean(), 500_500.0 / 1001.0);
         assert_eq!(h.max(), 1000.0);
-        assert_eq!(h.min(), 1.0);
-        // Log2 buckets: the quantile is a lower bound within a factor of 2.
-        let p50 = h.quantile(0.5);
-        assert!((250.0..=500.0).contains(&p50), "p50 {p50}");
-        let p99 = h.quantile(0.99);
-        assert!((495.0..=990.0).contains(&p99), "p99 {p99}");
-        assert!(h.quantile(0.0) <= h.quantile(1.0));
+        assert_eq!(h.min(), 0.0);
     }
 
     #[test]
@@ -640,7 +572,7 @@ mod tests {
     }
 
     #[test]
-    fn csv_and_json_series_dumps_agree() {
+    fn csv_series_dump_lists_every_sample_in_order() {
         let t = populated();
         let csv = t.timeseries_csv();
         let mut lines = csv.lines();
@@ -648,15 +580,6 @@ mod tests {
         assert_eq!(lines.next(), Some("prefill-0/queue_depth,0,0"));
         assert_eq!(lines.next(), Some("prefill-0/queue_depth,1,3"));
         assert_eq!(lines.next(), None);
-
-        let value = t.timeseries_value();
-        let series = value.get_key("prefill-0/queue_depth").unwrap();
-        let Value::Array(points) = series else {
-            panic!("series is an array")
-        };
-        assert_eq!(points.len(), 2);
-        let json = serde_json::to_string(&value).unwrap();
-        assert!(serde_json::from_str(&json).is_ok());
     }
 
     #[test]

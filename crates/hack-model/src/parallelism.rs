@@ -48,13 +48,6 @@ impl Parallelism {
         };
         Parallelism::new(tp, pp)
     }
-
-    /// Number of instances of the given GPU family needed to host one replica
-    /// (each non-A100 instance has 4 GPUs, the A100 instance has 8 — Table 2).
-    pub fn instances_per_replica(&self, gpu: GpuKind) -> usize {
-        let gpus_per_instance = gpu.instance().gpus;
-        self.gpus_per_replica().div_ceil(gpus_per_instance)
-    }
 }
 
 #[cfg(test)]
@@ -113,17 +106,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn instances_per_replica_llama_on_a10g() {
-        // Llama-3.1 70B on A10G: TP=4, PP=2 -> 8 GPUs -> two 4-GPU g5.12xlarge
-        // instances (matching §7.6: "each prefill model required two A10G instances").
-        let p = Parallelism::table3(ModelKind::Llama31_70B, GpuKind::A10G);
-        assert_eq!(p.instances_per_replica(GpuKind::A10G), 2);
-        // On A100: TP=4 -> half a p4de.24xlarge.
-        let pa = Parallelism::table3(ModelKind::Llama31_70B, GpuKind::A100);
-        assert_eq!(pa.instances_per_replica(GpuKind::A100), 1);
     }
 
     #[test]

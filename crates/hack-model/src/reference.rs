@@ -11,14 +11,12 @@
 //! The architecture mirrors the evaluated models at miniature scale: RMSNorm, rotary
 //! position embeddings, grouped-query attention, SwiGLU MLP, tied embeddings.
 
-use crate::spec::ModelSpec;
 use hack_attention::baseline::{baseline_attention, AttentionMask};
 use hack_attention::dequant_path::dequant_quantized_attention;
 use hack_attention::prefill::hack_prefill_attention;
 use hack_quant::params::QuantBits;
 use hack_quant::HackConfig;
 use hack_tensor::matmul::matmul;
-use hack_tensor::softmax::softmax_slice_inplace;
 use hack_tensor::{DetRng, Matrix};
 
 /// How attention is computed inside the reference transformer.
@@ -69,22 +67,6 @@ impl ReferenceConfig {
             kv_heads: 2,
             head_dim: 16,
             intermediate: 128,
-            vocab: 128,
-        }
-    }
-
-    /// A configuration that miniaturises a given real model spec (same head_dim ratio
-    /// and GQA grouping, scaled-down widths).
-    pub fn miniature_of(spec: &ModelSpec) -> Self {
-        let heads = 4;
-        let group = (spec.heads / spec.kv_heads).clamp(1, heads);
-        Self {
-            layers: 2,
-            hidden: heads * 16,
-            heads,
-            kv_heads: (heads / group).max(1),
-            head_dim: 16,
-            intermediate: heads * 32,
             vocab: 128,
         }
     }
@@ -269,13 +251,6 @@ impl ReferenceTransformer {
         }
         generated
     }
-
-    /// Next-token probability distribution of the last position (softmax of logits).
-    pub fn next_token_probs(&self, tokens: &[u32]) -> Vec<f32> {
-        let mut logits = self.next_token_logits(tokens);
-        softmax_slice_inplace(&mut logits);
-        logits
-    }
 }
 
 fn argmax(values: &[f32]) -> u32 {
@@ -408,29 +383,6 @@ mod tests {
             agree >= 4,
             "at least some agreement expected, got {agree}/16"
         );
-    }
-
-    #[test]
-    fn probs_are_a_distribution() {
-        let cfg = ReferenceConfig::tiny();
-        let model = ReferenceTransformer::new(cfg, AttentionBackend::Exact, 23);
-        let p = prompt(8, 8, cfg.vocab);
-        let probs = model.next_token_probs(&p);
-        let sum: f32 = probs.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-4);
-        assert!(probs.iter().all(|&x| x >= 0.0));
-    }
-
-    #[test]
-    fn miniature_configs_are_valid() {
-        for kind in crate::spec::ModelKind::all() {
-            let cfg = ReferenceConfig::miniature_of(&kind.spec());
-            assert_eq!(cfg.hidden, cfg.heads * cfg.head_dim);
-            assert_eq!(cfg.heads % cfg.kv_heads, 0);
-            let model = ReferenceTransformer::new(cfg, AttentionBackend::Exact, 1);
-            let p = prompt(6, 9, cfg.vocab);
-            assert!(model.forward(&p).all_finite());
-        }
     }
 
     #[test]

@@ -49,13 +49,6 @@ impl HomomorphicOpCounts {
     }
 }
 
-/// Cost of the integer code GEMM `A'·B'` for an `M×Z · Z×N` product: `2·M·N·Z`
-/// (one multiply + one add per element triple). Same formula as an FP16 GEMM; the
-/// speedup comes from the cheaper INT8 datapath, not from fewer operations.
-pub fn int_matmul_ops(m: usize, n: usize, z: usize) -> usize {
-    2 * m * n * z
-}
-
 /// Cost of the full approximation step of Eq. 4 (no Summation Elimination):
 /// `9·M·N + M·Z + N·Z` (§5.2).
 pub fn approx_ops(m: usize, n: usize, z: usize) -> usize {
@@ -182,12 +175,6 @@ mod tests {
         assert!(kv_dequant_ops(d_h, 40) > 10 * decode_approx_ops_with_se(d_h, 40));
         // At L_KV = 2 the inequality does not yet hold strictly in the >10x sense.
         assert!(kv_dequant_ops(d_h, 2) < 10 * decode_approx_ops_with_se(d_h, 2));
-    }
-
-    #[test]
-    fn int_matmul_cost() {
-        assert_eq!(int_matmul_ops(1, 100, 128), 25_600);
-        assert_eq!(int_matmul_ops(0, 5, 5), 0);
     }
 
     #[test]

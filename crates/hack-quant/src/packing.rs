@@ -48,29 +48,6 @@ pub fn unpack_codes(packed: &[u8], bits: QuantBits, n: usize) -> Vec<u8> {
     out
 }
 
-/// Packs a slice of `i32` partition sums into little-endian `i16` bytes (the alignment
-/// format chosen in §6 when the sum needs more than 8 bits).
-pub fn pack_sums_i16(sums: &[i32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(sums.len() * 2);
-    for &s in sums {
-        let clamped = s.clamp(i16::MIN as i32, i16::MAX as i32) as i16;
-        out.extend_from_slice(&clamped.to_le_bytes());
-    }
-    out
-}
-
-/// Unpacks little-endian `i16` sums back to `i32`.
-pub fn unpack_sums_i16(bytes: &[u8]) -> Vec<i32> {
-    assert!(
-        bytes.len().is_multiple_of(2),
-        "i16 sum buffer must have even length"
-    );
-    bytes
-        .chunks_exact(2)
-        .map(|c| i16::from_le_bytes([c[0], c[1]]) as i32)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,20 +108,5 @@ mod tests {
     fn empty_inputs() {
         assert!(pack_codes(&[], QuantBits::Int2).is_empty());
         assert!(unpack_codes(&[], QuantBits::Int2, 0).is_empty());
-    }
-
-    #[test]
-    fn sum_packing_round_trip() {
-        let sums = vec![0, 127, -5, 300, 32767];
-        let bytes = pack_sums_i16(&sums);
-        assert_eq!(bytes.len(), 10);
-        assert_eq!(unpack_sums_i16(&bytes), sums);
-    }
-
-    #[test]
-    fn sum_packing_clamps_out_of_range() {
-        let sums = vec![100_000, -100_000];
-        let back = unpack_sums_i16(&pack_sums_i16(&sums));
-        assert_eq!(back, vec![i16::MAX as i32, i16::MIN as i32]);
     }
 }

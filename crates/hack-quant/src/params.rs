@@ -90,11 +90,6 @@ impl PartitionSize {
         self.0
     }
 
-    /// Number of partitions needed to cover a dimension of length `dim`.
-    pub fn partitions_for(self, dim: usize) -> usize {
-        dim.div_ceil(self.0)
-    }
-
     /// Bits needed to store the integer sum of one partition's codes
     /// (Summation Elimination, §5.3): `b + ⌈log2 Π⌉`.
     pub fn sum_bits(self, bits: QuantBits) -> u32 {
@@ -218,15 +213,6 @@ mod tests {
         assert!(PartitionSize::new(17).is_err());
         assert!(PartitionSize::new(48).is_ok());
         assert_eq!(PartitionSize::new(64).unwrap().get(), 64);
-    }
-
-    #[test]
-    fn partitions_for_dimension() {
-        let p = PartitionSize::new(64).unwrap();
-        assert_eq!(p.partitions_for(64), 1);
-        assert_eq!(p.partitions_for(65), 2);
-        assert_eq!(p.partitions_for(128), 2);
-        assert_eq!(p.partitions_for(1), 1);
     }
 
     #[test]

@@ -174,29 +174,6 @@ pub fn dequantize_value(code: u8, meta: &PartitionMeta) -> f32 {
     meta.min + meta.scale * code as f32
 }
 
-/// Quantizes a slice in place into `codes` (which must have the same length).
-pub fn quantize_slice(
-    values: &[f32],
-    meta: &PartitionMeta,
-    bits: QuantBits,
-    mode: RoundingMode,
-    rng: &mut DetRng,
-    codes: &mut [u8],
-) {
-    assert_eq!(values.len(), codes.len(), "quantize_slice length mismatch");
-    for (v, c) in values.iter().zip(codes.iter_mut()) {
-        *c = quantize_value(*v, meta, bits, mode, rng);
-    }
-}
-
-/// Dequantizes a slice of codes into `out`.
-pub fn dequantize_slice(codes: &[u8], meta: &PartitionMeta, out: &mut [f32]) {
-    assert_eq!(codes.len(), out.len(), "dequantize_slice length mismatch");
-    for (c, o) in codes.iter().zip(out.iter_mut()) {
-        *o = dequantize_value(*c, meta);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,27 +397,6 @@ mod tests {
             let c = quantize_value(v, &meta, QuantBits::Int2, RoundingMode::Nearest, &mut rng);
             let back = dequantize_value(c, &meta);
             assert!((back - v).abs() <= meta.scale / 2.0 + 1e-3);
-        }
-    }
-
-    #[test]
-    fn slice_round_trip() {
-        let mut rng = DetRng::new(7);
-        let vals: Vec<f32> = (0..32).map(|_| rng.range_f32(0.0, 1.0)).collect();
-        let meta = PartitionMeta::from_values(&vals, QuantBits::Int8);
-        let mut codes = vec![0u8; vals.len()];
-        quantize_slice(
-            &vals,
-            &meta,
-            QuantBits::Int8,
-            RoundingMode::Nearest,
-            &mut rng,
-            &mut codes,
-        );
-        let mut back = vec![0.0f32; vals.len()];
-        dequantize_slice(&codes, &meta, &mut back);
-        for (v, b) in vals.iter().zip(&back) {
-            assert!((v - b).abs() <= meta.scale + 1e-4);
         }
     }
 

@@ -3,7 +3,6 @@
 use crate::event::{ComponentId, EventId};
 use crate::payload::Payload;
 use crate::state::SimState;
-use crate::EngineMode;
 use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -45,10 +44,7 @@ impl SimulationContext {
     /// # Panics
     /// Panics when `delay` is negative or non-finite.
     pub fn emit<T: Any>(&self, payload: T, dst: ComponentId, delay: f64) -> EventId {
-        let mut state = self.state.borrow_mut();
-        let time = state.time() + delay;
-        let payload = wrap_payload(payload, state.mode());
-        state.add_event(payload, std::any::type_name::<T>(), self.id, dst, time)
+        self.emit_at(payload, dst, self.time() + delay)
     }
 
     /// Schedules `payload` for delivery to `dst` at the absolute time `time`.
@@ -56,9 +52,13 @@ impl SimulationContext {
     /// # Panics
     /// Panics when `time` is non-finite or earlier than the current time.
     pub fn emit_at<T: Any>(&self, payload: T, dst: ComponentId, time: f64) -> EventId {
-        let mut state = self.state.borrow_mut();
-        let payload = wrap_payload(payload, state.mode());
-        state.add_event(payload, std::any::type_name::<T>(), self.id, dst, time)
+        self.state.borrow_mut().add_event(
+            Payload::new(payload),
+            std::any::type_name::<T>(),
+            self.id,
+            dst,
+            time,
+        )
     }
 
     /// Schedules `payload` for delivery back to this component after `delay`.
@@ -96,15 +96,6 @@ impl SimulationContext {
         };
         let mut probe = probe.borrow_mut();
         probe.downcast_mut::<T>().map(|t| f(time, t))
-    }
-}
-
-/// Wraps a payload according to the engine mode: inline-capable in the default
-/// slab engine, always boxed in the pre-change compatibility mode.
-fn wrap_payload<T: Any>(payload: T, mode: EngineMode) -> Payload {
-    match mode {
-        EngineMode::Slab => Payload::new(payload),
-        EngineMode::Boxed => Payload::boxed(payload),
     }
 }
 

@@ -17,11 +17,13 @@
 //! * Event ordering is total: `(time, id)` with `f64::total_cmp`, and emission
 //!   rejects non-finite or past times, so the queue can never be corrupted by a
 //!   stray NaN.
-//! * The default queue ([`queue::SlabEventQueue`]) keeps its keys in two
-//!   tiers: a sorted run that takes, in O(1), every push landing after its
-//!   tail (such as an arrival trace seeded in arrival order), and a binary
-//!   heap for the rest. A pop takes the earlier of the two heads, so delivery
-//!   order is exactly the single heap's.
+//! * The queue ([`queue::SlabEventQueue`]) parks event bodies in a recycled
+//!   slab and keeps their keys in two tiers: a sorted run that takes, in
+//!   O(1), every push landing after its tail (such as an arrival trace seeded
+//!   in arrival order), and a binary heap for the rest. A pop takes the
+//!   earlier of the two heads, so delivery order is exactly that of one heap
+//!   of whole events. Payloads of at most 24 bytes are stored inline
+//!   ([`Payload`]), so emitting one allocates nothing.
 //! * The engine can record a structured [`log::EventRecord`] trace for
 //!   debugging and determinism tests.
 //!
@@ -95,22 +97,19 @@ pub mod queue;
 pub mod simulation;
 mod state;
 
-/// Engine representation: how events are queued and payloads stored.
+/// The engine representation. There is only one: a free-list slab of event
+/// nodes behind a sorted key run and a compact key heap, with payloads up to
+/// 24 bytes stored inline.
 ///
-/// Both modes produce bit-identical event traces and results; they differ only
-/// in allocation behaviour and speed. [`EngineMode::Boxed`] is the seed
-/// implementation, retained so benchmarks and tests can measure/verify the
-/// slab engine against it.
+/// This one-variant enum remains for a single reason: the benchmark of record
+/// calls `Simulator::run_traced(EngineMode::Slab)` in `hack-cluster`, and the
+/// benchmark's source is frozen outside its own maintenance changes. Nothing
+/// in the engine reads it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineMode {
-    /// Free-list slab of event nodes behind a sorted key run and a compact key
-    /// heap; payloads up to 24 bytes stored inline (no allocation per event).
-    /// The default.
+    /// The slab engine (see [`queue::SlabEventQueue`] and [`Payload`]).
     #[default]
     Slab,
-    /// Pre-change representation: full events in a `BinaryHeap`, every payload
-    /// boxed.
-    Boxed,
 }
 
 pub use context::SimulationContext;

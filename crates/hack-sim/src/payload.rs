@@ -1,13 +1,11 @@
 //! Event payload storage: small payloads inline, large ones boxed.
 //!
-//! The seed engine boxed every payload (`Box<dyn Any>`), which costs one heap
-//! allocation per emitted event — the dominant allocation source on
-//! multi-million-event runs. Almost every real payload is tiny (the cluster
-//! simulator's largest event is a single `usize`), so [`Payload::new`] stores
-//! values of at most [`Payload::INLINE_BYTES`] bytes (and alignment ≤ 8)
-//! directly inside the event node and only spills larger or over-aligned types
-//! to a `Box`. [`Payload::boxed`] forces the pre-change always-box behaviour
-//! and exists for the benchmark comparison and the equivalence tests.
+//! Boxing every payload (`Box<dyn Any>`) would cost one heap allocation per
+//! emitted event — the dominant allocation source on multi-million-event
+//! runs. Almost every real payload is tiny (the cluster simulator's largest
+//! event is a single `usize`), so [`Payload::new`] stores values of at most
+//! [`Payload::INLINE_BYTES`] bytes (and alignment ≤ 8) directly inside the
+//! event node and only spills larger or over-aligned types to a `Box`.
 
 use std::any::{Any, TypeId};
 use std::mem::{align_of, size_of, MaybeUninit};
@@ -64,8 +62,8 @@ impl Payload {
         }
     }
 
-    /// Wraps a payload in a `Box` unconditionally (the pre-change representation).
-    pub fn boxed<T: Any>(value: T) -> Self {
+    /// The spill path of [`Payload::new`]: wraps a payload in a `Box`.
+    fn boxed<T: Any>(value: T) -> Self {
         Self {
             repr: Repr::Boxed(Box::new(value)),
         }

@@ -1,8 +1,7 @@
 //! The time-ordered event queue: a free-list slab behind a two-tier key index.
 //!
-//! The seed engine kept full [`Event`] structs inside a `BinaryHeap`, so every
-//! sift operation moved ~56 bytes (plus the boxed payload pointer chased on
-//! compare). The slab queue instead orders 24-byte `EventKey`s — exactly
+//! A `BinaryHeap` of whole [`Event`] structs would move ~56 bytes on every
+//! sift operation. The slab queue instead orders 24-byte `EventKey`s — exactly
 //! the `(time, id)` pair the ordering is defined on plus a slot index — and
 //! parks the event bodies in a slab (`Vec<Option<EventNode>>`) whose slots are
 //! recycled through a free list, so node storage is reused instead of
@@ -20,12 +19,11 @@
 //! while running (mostly near-future completions). Its sifts then walk a
 //! heap of in-flight events, not one as deep as the whole trace.
 //!
-//! Delivery order is identical to the seed's `BinaryHeap<Event>` by
-//! construction. `(time, id)` under `f64::total_cmp` is a total order and ids
-//! are unique; the run is sorted by construction and the heap by its
-//! invariant, so the earlier of the two heads is always the global minimum.
-//! [`BoxedEventQueue`] keeps the pre-change representation alive for the
-//! benchmark comparison and the equivalence tests.
+//! Delivery order is identical to a `BinaryHeap<Event>`'s by construction.
+//! `(time, id)` under `f64::total_cmp` is a total order and ids are unique;
+//! the run is sorted by construction and the heap by its invariant, so the
+//! earlier of the two heads is always the global minimum. The unit tests
+//! drive the queue in lockstep with such a heap as the ordering oracle.
 
 use crate::event::{ComponentId, Event, EventId};
 use crate::payload::Payload;
@@ -51,7 +49,7 @@ impl Eq for EventKey {}
 impl Ord for EventKey {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed so the max-heap pops the earliest (time, id) — the same
-        // order as the seed's `impl Ord for Event`.
+        // order as `impl Ord for Event`.
         other
             .time
             .total_cmp(&self.time)
@@ -166,75 +164,6 @@ impl SlabEventQueue {
     }
 }
 
-/// The pre-change queue: full events heapified directly. Kept for the
-/// benchmark comparison and as the ordering oracle in tests.
-#[derive(Debug, Default)]
-pub struct BoxedEventQueue {
-    events: BinaryHeap<Event>,
-}
-
-impl BoxedEventQueue {
-    /// Inserts an event.
-    pub fn push(&mut self, event: Event) {
-        self.events.push(event);
-    }
-
-    /// Removes and returns the earliest event (by `(time, id)`).
-    pub fn pop(&mut self) -> Option<Event> {
-        self.events.pop()
-    }
-
-    /// Number of queued events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
-/// Queue representation selector (see [`crate::EngineMode`]).
-pub enum EventQueue {
-    /// Slab nodes + sorted run + key heap, inline-capable payloads (the
-    /// default).
-    Slab(SlabEventQueue),
-    /// Pre-change representation: boxed payloads heapified whole.
-    Boxed(BoxedEventQueue),
-}
-
-impl EventQueue {
-    /// Inserts an event.
-    pub fn push(&mut self, event: Event) {
-        match self {
-            EventQueue::Slab(q) => q.push(event),
-            EventQueue::Boxed(q) => q.push(event),
-        }
-    }
-
-    /// Removes and returns the earliest event (by `(time, id)`).
-    pub fn pop(&mut self) -> Option<Event> {
-        match self {
-            EventQueue::Slab(q) => q.pop(),
-            EventQueue::Boxed(q) => q.pop(),
-        }
-    }
-
-    /// Number of queued events.
-    pub fn len(&self) -> usize {
-        match self {
-            EventQueue::Slab(q) => q.len(),
-            EventQueue::Boxed(q) => q.len(),
-        }
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,9 +231,9 @@ mod tests {
     }
 
     #[test]
-    fn slab_order_matches_boxed_queue_on_random_workload() {
-        // The slab queue must reproduce the pre-change BinaryHeap<Event> delivery
-        // order exactly, including ties and interleaved push/pop churn.
+    fn slab_order_matches_the_heap_oracle_on_random_workload() {
+        // The slab queue must reproduce a BinaryHeap<Event>'s delivery order
+        // exactly, including ties and interleaved push/pop churn.
         for seed in 0..6 {
             let mut rng = DetRng::new(1000 + seed);
             let mut q = Lockstep::default();
@@ -329,24 +258,24 @@ mod tests {
     #[derive(Default)]
     struct Lockstep {
         slab: SlabEventQueue,
-        boxed: BoxedEventQueue,
+        oracle: BinaryHeap<Event>,
     }
 
     impl Lockstep {
         fn check_len(&self) {
-            assert_eq!(self.slab.len(), self.boxed.len());
-            assert_eq!(self.slab.is_empty(), self.boxed.is_empty());
+            assert_eq!(self.slab.len(), self.oracle.len());
+            assert_eq!(self.slab.is_empty(), self.oracle.is_empty());
         }
 
         fn push(&mut self, id: EventId, time: f64) {
             self.slab.push(event(id, time));
-            self.boxed.push(event(id, time));
+            self.oracle.push(event(id, time));
             self.check_len();
         }
 
         fn pop(&mut self) -> Option<(EventId, f64)> {
             let a = self.slab.pop().map(|e| (e.id, e.time));
-            let b = self.boxed.pop().map(|e| (e.id, e.time));
+            let b = self.oracle.pop().map(|e| (e.id, e.time));
             assert_eq!(
                 a.map(|(id, t)| (id, t.to_bits())),
                 b.map(|(id, t)| (id, t.to_bits()))

@@ -5,7 +5,6 @@ use crate::event::{ComponentId, Event};
 use crate::handler::EventHandler;
 use crate::log::EventRecord;
 use crate::state::SimState;
-use crate::EngineMode;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -24,28 +23,13 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Creates an empty simulation whose RNG is seeded with `seed`, using the
-    /// default slab/inline-payload engine.
+    /// Creates an empty simulation whose RNG is seeded with `seed`.
     pub fn new(seed: u64) -> Self {
-        Self::with_mode(seed, EngineMode::Slab)
-    }
-
-    /// Creates an empty simulation with an explicit engine representation.
-    ///
-    /// [`EngineMode::Boxed`] reproduces the pre-slab engine (full events
-    /// heapified, every payload boxed); event traces and results are
-    /// bit-identical across modes — only allocation behaviour and speed differ.
-    pub fn with_mode(seed: u64, mode: EngineMode) -> Self {
         Self {
-            state: Rc::new(RefCell::new(SimState::new(seed, mode))),
+            state: Rc::new(RefCell::new(SimState::new(seed))),
             names: Vec::new(),
             handlers: Vec::new(),
         }
-    }
-
-    /// The engine representation this simulation runs on.
-    pub fn mode(&self) -> EngineMode {
-        self.state.borrow().mode()
     }
 
     /// Registers a component name and returns its context. The returned context
@@ -220,7 +204,7 @@ mod tests {
     }
 
     #[test]
-    fn canceling_a_run_resident_event_suppresses_it_in_both_modes() {
+    fn canceling_a_run_resident_event_suppresses_it() {
         // Arrivals seeded in time order all land in the slab queue's sorted
         // run; cancel one from the middle of it, then let a handler emit
         // near-future follow-ups into the heap tier.
@@ -237,26 +221,59 @@ mod tests {
                 }
             }
         }
-        let run = |mode: crate::EngineMode| {
-            let mut sim = Simulation::with_mode(1, mode);
-            let ctx = sim.create_context("echo");
-            let ids: Vec<_> = (0..6)
-                .map(|n| ctx.emit_at(Tick { n }, ctx.id(), f64::from(n) + 1.0))
-                .collect();
-            ctx.cancel_event(ids[3]);
-            let echo = Rc::new(RefCell::new(Echo {
-                ctx,
-                seen: Vec::new(),
-            }));
-            sim.add_handler("echo", echo.clone());
-            assert_eq!(sim.queue_len(), 6, "a canceled event stays queued");
-            sim.run();
-            let seen = echo.borrow().seen.clone();
-            (seen, sim.processed_count(), sim.queue_len())
-        };
-        let slab = run(crate::EngineMode::Slab);
-        assert_eq!(slab, (vec![0, 100, 1, 101, 2, 102, 4, 104, 5, 105], 10, 0));
-        assert_eq!(slab, run(crate::EngineMode::Boxed));
+        let mut sim = Simulation::new(1);
+        let ctx = sim.create_context("echo");
+        let ids: Vec<_> = (0..6)
+            .map(|n| ctx.emit_at(Tick { n }, ctx.id(), f64::from(n) + 1.0))
+            .collect();
+        ctx.cancel_event(ids[3]);
+        let echo = Rc::new(RefCell::new(Echo {
+            ctx,
+            seen: Vec::new(),
+        }));
+        sim.add_handler("echo", echo.clone());
+        assert_eq!(sim.queue_len(), 6, "a canceled event stays queued");
+        sim.run();
+        assert_eq!(
+            echo.borrow().seen,
+            vec![0, 100, 1, 101, 2, 102, 4, 104, 5, 105]
+        );
+        assert_eq!((sim.processed_count(), sim.queue_len()), (10, 0));
+    }
+
+    #[test]
+    fn canceling_a_heap_resident_event_suppresses_it() {
+        // Ticks 0-2 at t = 10, 20, 30 fill the sorted run. Ticks 10-12 at
+        // t = 5, 15, 25 land before the run's tail, so they go to the heap
+        // tier. Cancel the heap's head (tick 10) and a later heap key
+        // (tick 11); the heap must then yield only tick 12, interleaved with
+        // the run by time.
+        struct Recorder {
+            seen: Vec<u32>,
+        }
+        impl EventHandler for Recorder {
+            fn on(&mut self, event: Event) {
+                self.seen.push(event.get::<Tick>().expect("only ticks").n);
+            }
+        }
+        let mut sim = Simulation::new(1);
+        let ctx = sim.create_context("recorder");
+        for (n, time) in [(0, 10.0), (1, 20.0), (2, 30.0)] {
+            ctx.emit_at(Tick { n }, ctx.id(), time);
+        }
+        let heap_ids: Vec<_> = [(10, 5.0), (11, 15.0), (12, 25.0)]
+            .into_iter()
+            .map(|(n, time)| ctx.emit_at(Tick { n }, ctx.id(), time))
+            .collect();
+        ctx.cancel_event(heap_ids[0]);
+        ctx.cancel_event(heap_ids[1]);
+        let recorder = Rc::new(RefCell::new(Recorder { seen: Vec::new() }));
+        sim.add_handler("recorder", recorder.clone());
+        assert_eq!(sim.queue_len(), 6, "canceled events stay queued");
+        assert_eq!(sim.run(), 4);
+        assert_eq!(recorder.borrow().seen, vec![0, 1, 12, 2]);
+        assert_eq!((sim.emitted_count(), sim.queue_len()), (6, 0));
+        assert_eq!(sim.time(), 30.0);
     }
 
     #[test]
@@ -327,25 +344,7 @@ mod tests {
     }
 
     #[test]
-    fn slab_and_boxed_modes_produce_identical_traces() {
-        // The slab/inline-payload engine must reproduce the pre-change boxed
-        // engine bit-for-bit: same event log, same final clock, same counts.
-        let run = |mode: crate::EngineMode| {
-            let mut sim = Simulation::with_mode(21, mode);
-            sim.set_log_enabled(true);
-            let counter = build_counter(&mut sim, 0.75);
-            let delay = counter.borrow().ctx.gen_range(0.0, 1.0);
-            counter.borrow().ctx.emit_self(Tick { n: 50 }, delay);
-            sim.run();
-            (sim.take_log(), sim.time().to_bits(), sim.processed_count())
-        };
-        let slab = run(crate::EngineMode::Slab);
-        let boxed = run(crate::EngineMode::Boxed);
-        assert_eq!(slab, boxed);
-    }
-
-    #[test]
-    fn slab_mode_delivers_small_payloads_inline_boxed_mode_never_does() {
+    fn small_payloads_are_delivered_inline_and_large_ones_spill() {
         struct Probe {
             inline_seen: Vec<bool>,
         }
@@ -354,20 +353,16 @@ mod tests {
                 self.inline_seen.push(event.payload_is_inline());
             }
         }
-        for (mode, expect_inline) in [
-            (crate::EngineMode::Slab, true),
-            (crate::EngineMode::Boxed, false),
-        ] {
-            let mut sim = Simulation::with_mode(1, mode);
-            let ctx = sim.create_context("probe");
-            ctx.emit_self(Tick { n: 1 }, 0.5);
-            let probe = Rc::new(RefCell::new(Probe {
-                inline_seen: Vec::new(),
-            }));
-            sim.add_handler("probe", probe.clone());
-            sim.run();
-            assert_eq!(probe.borrow().inline_seen, vec![expect_inline], "{mode:?}");
-        }
+        let mut sim = Simulation::new(1);
+        let ctx = sim.create_context("probe");
+        ctx.emit_self(Tick { n: 1 }, 0.5);
+        ctx.emit_self([0u64; 8], 1.0);
+        let probe = Rc::new(RefCell::new(Probe {
+            inline_seen: Vec::new(),
+        }));
+        sim.add_handler("probe", probe.clone());
+        sim.run();
+        assert_eq!(probe.borrow().inline_seen, vec![true, false]);
     }
 
     #[test]

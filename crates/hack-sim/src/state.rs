@@ -3,8 +3,7 @@
 use crate::event::{ComponentId, Event, EventId};
 use crate::log::{EventRecord, RecordKind};
 use crate::payload::Payload;
-use crate::queue::{BoxedEventQueue, EventQueue, SlabEventQueue};
-use crate::EngineMode;
+use crate::queue::SlabEventQueue;
 use hack_tensor::DetRng;
 use std::any::Any;
 use std::cell::RefCell;
@@ -13,8 +12,7 @@ use std::rc::Rc;
 
 pub(crate) struct SimState {
     clock: f64,
-    mode: EngineMode,
-    events: EventQueue,
+    events: SlabEventQueue,
     canceled: HashSet<EventId>,
     next_event_id: EventId,
     processed: u64,
@@ -24,14 +22,10 @@ pub(crate) struct SimState {
 }
 
 impl SimState {
-    pub fn new(seed: u64, mode: EngineMode) -> Self {
+    pub fn new(seed: u64) -> Self {
         Self {
             clock: 0.0,
-            mode,
-            events: match mode {
-                EngineMode::Slab => EventQueue::Slab(SlabEventQueue::default()),
-                EngineMode::Boxed => EventQueue::Boxed(BoxedEventQueue::default()),
-            },
+            events: SlabEventQueue::default(),
             canceled: HashSet::new(),
             next_event_id: 0,
             processed: 0,
@@ -39,11 +33,6 @@ impl SimState {
             log: None,
             probe: None,
         }
-    }
-
-    /// The engine representation this state was built with.
-    pub fn mode(&self) -> EngineMode {
-        self.mode
     }
 
     pub fn time(&self) -> f64 {

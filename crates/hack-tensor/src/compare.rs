@@ -75,21 +75,6 @@ pub fn cosine_similarity(a: &Matrix, b: &Matrix) -> f32 {
     (dot / (na.sqrt() * nb.sqrt())) as f32
 }
 
-/// Asserts two matrices are element-wise close; meant for use inside tests.
-pub fn assert_matrices_close(a: &Matrix, b: &Matrix, tol: f32, context: &str) {
-    assert_eq!(a.shape(), b.shape(), "{context}: shape mismatch");
-    for r in 0..a.rows() {
-        for c in 0..a.cols() {
-            let x = a.get(r, c);
-            let y = b.get(r, c);
-            assert!(
-                (x - y).abs() <= tol,
-                "{context}: element ({r},{c}) differs: {x} vs {y} (tol {tol})"
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,20 +135,5 @@ mod tests {
         let a = Matrix::zeros(1, 2);
         let b = Matrix::zeros(2, 1);
         max_abs_diff(&a, &b);
-    }
-
-    #[test]
-    fn assert_close_passes_within_tolerance() {
-        let a = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
-        let b = Matrix::from_vec(1, 2, vec![1.0005, 1.9995]);
-        assert_matrices_close(&a, &b, 1e-3, "test");
-    }
-
-    #[test]
-    #[should_panic(expected = "differs")]
-    fn assert_close_fails_outside_tolerance() {
-        let a = Matrix::from_vec(1, 1, vec![1.0]);
-        let b = Matrix::from_vec(1, 1, vec![2.0]);
-        assert_matrices_close(&a, &b, 0.5, "test");
     }
 }

@@ -166,11 +166,6 @@ pub fn round_slice_to_f16(values: &mut [f32]) {
     }
 }
 
-/// Number of bytes needed to store `n` FP16 values.
-pub fn f16_storage_bytes(n: usize) -> usize {
-    n * 2
-}
-
 /// The pre-change [`f16_bits_to_f32`], which normalised subnormals with a shift
 /// loop, kept verbatim as its bit-exactness oracle.
 #[cfg(test)]
@@ -322,10 +317,5 @@ mod tests {
         let expect: Vec<f32> = values.iter().map(|&v| round_to_f16(v)).collect();
         round_slice_to_f16(&mut values);
         assert_eq!(values, expect);
-    }
-    #[test]
-    fn storage_bytes() {
-        assert_eq!(f16_storage_bytes(0), 0);
-        assert_eq!(f16_storage_bytes(128), 256);
     }
 }

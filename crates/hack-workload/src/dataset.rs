@@ -121,11 +121,6 @@ impl Dataset {
         }
     }
 
-    /// Whether this is one of the paper's "long-sequence" datasets (arXiv, Cocktail).
-    pub fn is_long_sequence(&self) -> bool {
-        matches!(self, Dataset::Arxiv | Dataset::Cocktail)
-    }
-
     /// Samples one (input_len, output_len) pair. Inputs are capped at `max_context`
     /// minus the sampled output length (the Falcon-180B 2K-context case of §7.1).
     pub fn sample_lengths(&self, max_context: usize, rng: &mut DetRng) -> (usize, usize) {
@@ -197,14 +192,6 @@ mod tests {
             assert!(i + o <= 2048 + Dataset::Arxiv.output_stats().max);
             assert!(i <= 2048);
         }
-    }
-
-    #[test]
-    fn long_sequence_flags() {
-        assert!(Dataset::Cocktail.is_long_sequence());
-        assert!(Dataset::Arxiv.is_long_sequence());
-        assert!(!Dataset::Imdb.is_long_sequence());
-        assert!(!Dataset::HumanEval.is_long_sequence());
     }
 
     #[test]

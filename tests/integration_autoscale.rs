@@ -5,12 +5,11 @@
 //! fleet never loses a request. `ScalingPolicyKind::Off` must reproduce the
 //! scaling-free simulator bit-for-bit (the retained-reference contract), an
 //! armed-but-inert controller must match it too, and every scaling decision —
-//! being pure clock-and-state logic — must land bit-identically across engine
-//! layouts and across repeat runs.
+//! being pure clock-and-state logic — must land bit-identically across repeat
+//! runs.
 
 use hack_cluster::SimulationResult;
 use hack_core::prelude::*;
-use hack_sim::EngineMode;
 use std::sync::Arc;
 
 fn experiment() -> AutoscaleExperiment {
@@ -95,28 +94,19 @@ fn off_is_bit_identical_to_the_scaling_free_simulator() {
 }
 
 #[test]
-fn scaling_decisions_are_engine_independent_and_reproducible() {
+fn scaling_decisions_are_reproducible() {
     // Scaling decisions are pure clock-and-state logic on the probe tick, so
     // the full result — scale events, billed dollars, every JCT — must be
-    // bit-identical across engine layouts and across repeat runs.
+    // bit-identical across repeat runs.
     let e = experiment();
     for shape in TraceShape::all() {
         for scaling in ScalingPolicyKind::all(e.per_replica_rps) {
             let requests = Arc::new(e.trace(shape));
             let config = e.simulation_config(scaling, Method::hack());
-            let run = |mode| Simulator::with_requests(config, requests.clone()).run_with_mode(mode);
-            let slab = run(EngineMode::Slab);
-            let boxed = run(EngineMode::Boxed);
+            let run = || Simulator::with_requests(config, requests.clone()).run();
             assert_eq!(
-                slab,
-                boxed,
-                "{}/{}: engine layouts diverged",
-                shape.name(),
-                scaling.name()
-            );
-            assert_eq!(
-                slab,
-                run(EngineMode::Slab),
+                run(),
+                run(),
                 "{}/{}: repeat runs diverged",
                 shape.name(),
                 scaling.name()

@@ -5,13 +5,12 @@
 //! replicas in the blast radius), redundant spines must turn spine outages
 //! from transfer-killing events into ECMP reroutes of the surviving flows,
 //! MTBF/MTTR-generated availability sweeps must be bit-identically
-//! reproducible across runs and engine layouts, and the degraded-window
+//! reproducible across runs, and the degraded-window
 //! sensors must recount exactly from the raw fault plan even when windows of
 //! different domains overlap in time.
 
 use hack_cluster::SimulationResult;
 use hack_core::prelude::*;
-use hack_sim::EngineMode;
 
 fn graph_config(n: usize, rps: f64, spines: usize) -> SimulationConfig {
     let mut cluster = ClusterConfig::paper_default(ModelKind::Llama31_70B, GpuKind::A10G);
@@ -145,7 +144,7 @@ fn redundant_spines_reroute_flows_a_single_spine_fabric_must_retry() {
 }
 
 #[test]
-fn availability_sweeps_are_reproducible_and_engine_independent() {
+fn availability_sweeps_are_reproducible() {
     let experiment = AvailabilityExperiment {
         num_requests: 25,
         mtbf_grid_s: vec![60.0, 600.0],
@@ -159,16 +158,13 @@ fn availability_sweeps_are_reproducible_and_engine_independent() {
     let second = experiment.sweep(Method::Baseline);
     assert_eq!(first, second);
 
-    // Each generated cell validates, conserves requests, and is identical
-    // under both engine layouts.
+    // Each generated cell validates and conserves requests.
     for &mtbf in &experiment.mtbf_grid_s {
         for &seed in &experiment.fault_seeds {
             let config = experiment.simulation_config(mtbf, seed, Method::Baseline);
             config.validate().expect("generated plans always validate");
-            let slab = Simulator::new(config).run_with_mode(EngineMode::Slab);
-            let boxed = Simulator::new(config).run_with_mode(EngineMode::Boxed);
-            assert_eq!(slab, boxed, "engine divergence at mtbf={mtbf} seed={seed}");
-            assert_conserved(&slab, experiment.num_requests, "generated plan");
+            let result = Simulator::new(config).run();
+            assert_conserved(&result, experiment.num_requests, "generated plan");
         }
     }
 

@@ -10,7 +10,6 @@
 
 use hack_cluster::SimulationResult;
 use hack_core::prelude::*;
-use hack_sim::EngineMode;
 
 fn storm_config(n: usize, rps: f64) -> SimulationConfig {
     let mut cluster = ClusterConfig::paper_default(ModelKind::Llama31_70B, GpuKind::A10G);
@@ -147,8 +146,8 @@ fn aborted_transfers_resume_with_partial_progress_and_bounded_retries() {
     }
     assert_conserved(&result, 60);
 
-    // Deterministic, and identical across both engine layouts.
-    let again = Simulator::new(config).run_with_mode(EngineMode::Boxed);
+    // Deterministic: a repeat run is bit-identical.
+    let again = Simulator::new(config).run();
     assert_eq!(result, again);
 }
 

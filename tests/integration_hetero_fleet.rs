@@ -3,7 +3,6 @@
 //! backward-compatibility contract at the experiment level.
 
 use hack_core::prelude::*;
-use hack_sim::EngineMode;
 use hack_workload::tenant::{MultiTenantTrace, TenantSpec};
 use std::sync::Arc;
 
@@ -46,22 +45,6 @@ fn mixed_fleet_runs_deterministically_with_per_group_stats() {
             );
         }
     }
-}
-
-#[test]
-fn mixed_fleet_is_engine_mode_invariant() {
-    let e = experiment();
-    let config = e.simulation_config(
-        e.mixed_cluster(),
-        Method::hack(),
-        DispatchPolicyKind::FastestEligible,
-    );
-    let sim = Simulator::new(config);
-    assert_eq!(
-        sim.run_with_mode(EngineMode::Slab),
-        sim.run_with_mode(EngineMode::Boxed),
-        "engine modes must agree bit-for-bit on heterogeneous fleets"
-    );
 }
 
 #[test]

@@ -6,15 +6,13 @@
 //! tenant (Cocktail, long prompts) driven past single-tenant capacity — and
 //! the assertions are the reasons the policy layer exists:
 //!
-//! * same seed ⇒ bit-identical per-tenant results, across runs and across
-//!   engine representations (`EngineMode::Slab` vs `Boxed`);
+//! * same seed ⇒ bit-identical per-tenant results across runs;
 //! * FCFS starves the interactive tenant behind the batch backlog, weighted
 //!   round-robin bounds its wait, SLO-EDF prioritises its deadlines — and
 //!   both measurably improve the Jain fairness index over FCFS.
 
 use hack_cluster::{SchedulingPolicyKind, SimulationConfig, Simulator};
 use hack_core::prelude::*;
-use hack_sim::EngineMode;
 use hack_workload::Request;
 use std::sync::Arc;
 
@@ -36,15 +34,13 @@ fn mix_requests(mix: &TenantMixExperiment) -> Arc<Vec<Request>> {
 }
 
 #[test]
-fn two_tenant_runs_are_bit_identical_across_runs_and_engine_modes() {
+fn two_tenant_runs_are_bit_identical_across_runs() {
     let mix = contention_mix();
     for scheduling in SchedulingPolicyKind::all() {
         let config = mix_config(&mix, scheduling);
-        let run = |mode: EngineMode| {
-            Simulator::with_requests(config, mix_requests(&mix)).run_with_mode(mode)
-        };
-        let a = run(EngineMode::Slab);
-        let b = run(EngineMode::Slab);
+        let run = || Simulator::with_requests(config, mix_requests(&mix)).run();
+        let a = run();
+        let b = run();
         // PartialEq on SimulationResult compares every f64 exactly; equality
         // of the full results implies bit-identical per-tenant JctStats.
         assert_eq!(a, b, "{}: repeat run", scheduling.name());
@@ -54,8 +50,6 @@ fn two_tenant_runs_are_bit_identical_across_runs_and_engine_modes() {
             "{}: per-tenant stats",
             scheduling.name()
         );
-        let boxed = run(EngineMode::Boxed);
-        assert_eq!(a, boxed, "{}: engine modes", scheduling.name());
         assert_eq!(a.records.len(), 85, "{}: all complete", scheduling.name());
     }
 }

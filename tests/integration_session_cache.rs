@@ -6,12 +6,10 @@
 //! itself honours its byte budget (evicting under pressure rather than
 //! growing past `capacity_fraction`) and cache-aware dispatch converts
 //! session locality into hits. Cache state lives outside the event queue's
-//! tie-order, so every cell must land bit-identically across engine layouts
-//! and repeat runs.
+//! tie-order, so every cell must land bit-identically across repeat runs.
 
 use hack_cluster::SimulationResult;
 use hack_core::prelude::*;
-use hack_sim::EngineMode;
 use std::sync::Arc;
 
 fn experiment() -> SessionCacheExperiment {
@@ -172,28 +170,19 @@ fn a_starved_cache_evicts_and_honours_its_byte_budget() {
 }
 
 #[test]
-fn cache_cells_are_engine_independent_and_reproducible() {
+fn cache_cells_are_reproducible() {
     // Cache bookkeeping (LRU clocks, pins, byte accounting) draws no
     // randomness and never races the event queue, so every cell — hits,
-    // evictions, every JCT — must be bit-identical across engine layouts and
-    // across repeat runs.
+    // evictions, every JCT — must be bit-identical across repeat runs.
     let e = experiment();
     for mix in SessionMix::all() {
         let requests = Arc::new(e.trace(mix).generate());
         for (cache, dispatch) in e.cells() {
             let config = e.simulation_config(Method::hack(), mix, cache, dispatch, requests.len());
-            let run = |mode| Simulator::with_requests(config, requests.clone()).run_with_mode(mode);
-            let slab = run(EngineMode::Slab);
+            let run = || Simulator::with_requests(config, requests.clone()).run();
             assert_eq!(
-                slab,
-                run(EngineMode::Boxed),
-                "{}/{}: engine layouts diverged",
-                mix.name(),
-                dispatch.name()
-            );
-            assert_eq!(
-                slab,
-                run(EngineMode::Slab),
+                run(),
+                run(),
                 "{}/{}: repeat runs diverged",
                 mix.name(),
                 dispatch.name()

@@ -581,7 +581,6 @@ fn fcfs_policy_equals_default_on_single_tenant_traces() {
 // --- (topology-aware fabric, correlated switch faults, transfer retries).
 
 use hack_cluster::SimulationResult;
-use hack_sim::EngineMode;
 
 /// A random non-overlapping fault plan over every fault-domain kind. When any
 /// chosen domain needs the link graph, the caller must have set a `LinkGraph`
@@ -640,7 +639,7 @@ fn assert_conserved(result: &SimulationResult, total: usize, label: &str) {
 }
 
 #[test]
-fn conservation_holds_under_randomized_fault_plans_across_engines() {
+fn conservation_holds_under_randomized_fault_plans_across_repeat_runs() {
     use hack_cluster::{LinkGraphSpec, TopologySpec};
     for case in 0..8 {
         let mut rng = DetRng::new(18_000 + case);
@@ -651,16 +650,19 @@ fn conservation_holds_under_randomized_fault_plans_across_engines() {
         config.faults = random_fault_plan(&mut rng, &config.cluster);
         let total = config.trace.num_requests;
 
-        // The two engine layouts must agree bit-for-bit even mid-fault-storm.
-        let slab = Simulator::new(config).run_with_mode(EngineMode::Slab);
-        let boxed = Simulator::new(config).run_with_mode(EngineMode::Boxed);
-        assert_eq!(slab, boxed, "case {case}: engine divergence under faults");
+        // Repeat runs must agree bit-for-bit even mid-fault-storm.
+        let result = Simulator::new(config).run();
+        let again = Simulator::new(config).run();
+        assert_eq!(
+            result, again,
+            "case {case}: repeat run diverged under faults"
+        );
 
-        assert_conserved(&slab, total, &format!("case {case}"));
+        assert_conserved(&result, total, &format!("case {case}"));
 
         // Fault records stay within the plan's bounds.
-        assert_eq!(slab.faults.len(), config.faults.len());
-        for f in &slab.faults {
+        assert_eq!(result.faults.len(), config.faults.len());
+        for f in &result.faults {
             assert!(f.requests_aborted <= total);
             assert!(f.downtime_secs >= 0.0);
         }
@@ -778,7 +780,7 @@ fn generated_fault_plans_are_deterministic_and_always_validate() {
 }
 
 #[test]
-fn conservation_holds_under_generated_plans_across_engines() {
+fn conservation_holds_under_generated_plans_across_repeat_runs() {
     use hack_cluster::{LinkGraphSpec, TopologySpec};
     for case in 0..6 {
         let mut rng = DetRng::new(22_000 + case);
@@ -791,15 +793,15 @@ fn conservation_holds_under_generated_plans_across_engines() {
         config.faults = model.generate_plan(&config.cluster.fleet_shape(), horizon, rng.next_u64());
         let total = config.trace.num_requests;
 
-        let slab = Simulator::new(config).run_with_mode(EngineMode::Slab);
-        let boxed = Simulator::new(config).run_with_mode(EngineMode::Boxed);
-        assert_eq!(slab, boxed, "case {case}: engine divergence");
-        assert_conserved(&slab, total, &format!("case {case}"));
+        let result = Simulator::new(config).run();
+        let again = Simulator::new(config).run();
+        assert_eq!(result, again, "case {case}: repeat run diverged");
+        assert_conserved(&result, total, &format!("case {case}"));
 
         // Degradation exposure only ever comes from degrade-tagged events.
         if config.faults.iter().all(|e| e.degrade.is_none()) {
-            assert_eq!(slab.degraded_link_secs, 0.0, "case {case}");
-            assert_eq!(slab.throughput_loss_gbps_s, 0.0, "case {case}");
+            assert_eq!(result.degraded_link_secs, 0.0, "case {case}");
+            assert_eq!(result.throughput_loss_gbps_s, 0.0, "case {case}");
         }
     }
 }
@@ -907,19 +909,18 @@ fn session_children_never_start_before_their_parent_completes() {
 }
 
 #[test]
-fn session_conservation_holds_across_engines() {
+fn session_conservation_holds_across_repeat_runs() {
     for case in 0..6 {
         let mut rng = DetRng::new(24_000 + case);
         let (config, requests) = random_session_workload(&mut rng);
-        let slab =
-            Simulator::with_requests(config, requests.clone()).run_with_mode(EngineMode::Slab);
-        let boxed =
-            Simulator::with_requests(config, requests.clone()).run_with_mode(EngineMode::Boxed);
+        let run = || Simulator::with_requests(config, requests.clone()).run();
+        let result = run();
         assert_eq!(
-            slab, boxed,
-            "case {case}: engine divergence on session DAGs"
+            result,
+            run(),
+            "case {case}: repeat run diverged on session DAGs"
         );
-        assert_conserved(&slab, requests.len(), &format!("case {case}"));
+        assert_conserved(&result, requests.len(), &format!("case {case}"));
     }
 }
 
