@@ -585,15 +585,26 @@ impl Simulator {
         let params_bytes = cluster_cfg.model.spec().param_bytes_fp16();
         let peak_kv = cs.decode.iter().map(|d| d.peak_kv).fold(0.0, f64::max);
 
-        let mut records: Vec<RequestRecord> = cs
-            .requests
+        // Records are ordered by finish time, ties in request-index order:
+        // the order a stable sort by finish time gives the index-ordered done
+        // requests. Request indices are unique, so `(finish_time, index)` is
+        // a total order and an unstable sort of these small keys yields that
+        // same permutation without moving a record or allocating a merge
+        // buffer; each record is then built once, in place.
+        let mut order: Vec<(f64, usize)> = cs
+            .states
             .iter()
             .enumerate()
-            .filter(|(i, _)| cs.states[*i].done)
-            .map(|(i, r)| {
+            .filter(|(_, s)| s.done)
+            .map(|(i, s)| (s.finish_time, i))
+            .collect();
+        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let records: Vec<RequestRecord> = order
+            .iter()
+            .map(|&(_, i)| {
                 let s = &cs.states[i];
                 RequestRecord {
-                    request: *r,
+                    request: cs.requests[i],
                     prefill_replica: s.prefill_replica,
                     decode_replica: s.decode_replica,
                     finish_time: s.finish_time,
@@ -614,7 +625,6 @@ impl Simulator {
                 }
             })
             .collect();
-        records.sort_by(|a, b| a.finish_time.total_cmp(&b.finish_time));
 
         // --- Per-group usage summaries. ---
         let mut prefill_groups: Vec<GroupStats> = cluster_cfg
@@ -1171,6 +1181,42 @@ mod tests {
     }
 
     #[test]
+    fn records_are_in_stable_finish_time_order() {
+        // Pairs of identical requests arriving together on a two-replica
+        // fleet finish at exactly the same time (six ties); later pairs are
+        // shorter and overtake earlier ones, so finish order is not index
+        // order either.
+        let mut cfg = sim_config(KvMethodProfile::baseline(), Dataset::Cocktail, 0.05, 12);
+        cfg.cluster.fleet.prefill.get_mut(0).replicas = 2;
+        cfg.cluster.fleet.decode.get_mut(0).replicas = 2;
+        let mut requests = TraceGenerator::new(cfg.trace).generate();
+        for (i, r) in requests.iter_mut().enumerate() {
+            let pair = i / 2;
+            r.arrival = pair as f64;
+            r.input_len = 2048 - 256 * pair;
+            r.output_len = 1024 >> pair;
+        }
+        let result = Simulator::with_requests(cfg, Arc::new(requests)).run();
+        assert_eq!(result.records.len(), 12);
+
+        let mut expected = result.records.clone();
+        expected.sort_by_key(|r| r.request.id);
+        expected.sort_by(|a, b| a.finish_time.total_cmp(&b.finish_time));
+        assert_eq!(result.records, expected);
+        let ties = result
+            .records
+            .windows(2)
+            .filter(|w| w[0].finish_time.to_bits() == w[1].finish_time.to_bits())
+            .count();
+        assert!(ties > 0, "the trace must produce exact finish-time ties");
+        let ids: Vec<u64> = result.records.iter().map(|r| r.request.id).collect();
+        assert!(
+            ids.windows(2).any(|w| w[0] > w[1]),
+            "finish order must differ from index order: {ids:?}"
+        );
+    }
+
+    #[test]
     fn deterministic_given_identical_configuration() {
         let a = run(KvMethodProfile::hack(), Dataset::Arxiv, 0.1, 30);
         let b = run(KvMethodProfile::hack(), Dataset::Arxiv, 0.1, 30);
@@ -1525,6 +1571,74 @@ mod tests {
         ));
         cfg.faults = plan;
         assert_repeat_runs_agree(cfg, "link-graph fault storm");
+    }
+
+    /// All four decode replicas of a link-graph fleet fail for good at 30 s
+    /// with telemetry on, so most requests can never resolve. The run must
+    /// stop once only the sampler's tick is left queued (`queue_len() <=
+    /// tickers`). While cancelled fabric events lingered in the queue it
+    /// never did: the sampler ticked on, growing the address space by about
+    /// 1 GB per second of recorded samples, until memory ran out. Its body,
+    /// `unresolvable_link_graph_run_outcome`, therefore runs in a child
+    /// process of this test binary under a 2 GiB address-space limit and a
+    /// 20 s deadline, so that a regression fails this test instead of
+    /// hanging it or exhausting the machine's memory.
+    #[cfg(unix)]
+    #[test]
+    fn unresolvable_link_graph_run_with_telemetry_ends() {
+        use std::process::{Command, Stdio};
+        use std::time::{Duration, Instant};
+        let mut child = Command::new("sh")
+            .args(["-c", "ulimit -v 2097152 && exec \"$0\" \"$@\""])
+            .arg(std::env::current_exe().expect("the test binary's path"))
+            .args([
+                "--exact",
+                "sim::tests::unresolvable_link_graph_run_outcome",
+                "--ignored",
+                "--test-threads=1",
+            ])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn the test binary");
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while child.try_wait().expect("poll the child").is_none() {
+            if Instant::now() > deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("a run whose requests cannot all resolve did not end within 20 s");
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let output = child
+            .wait_with_output()
+            .expect("collect the child's output");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(
+            output.status.success() && stdout.contains("test result: ok. 1 passed"),
+            "the run failed ({}):\n{stdout}\n{}",
+            output.status,
+            String::from_utf8_lossy(&output.stderr)
+        );
+    }
+
+    /// Body of `unresolvable_link_graph_run_with_telemetry_ends`, which runs
+    /// it in a memory-capped child process.
+    #[test]
+    #[ignore = "run in a child process by unresolvable_link_graph_run_with_telemetry_ends"]
+    fn unresolvable_link_graph_run_outcome() {
+        let mut cfg = link_graph_config(40, 0.38);
+        cfg.telemetry = TelemetryConfig::on();
+        let faults: Vec<FaultEvent> = (0..4)
+            .map(|i| FaultEvent::permanent(FaultDomain::DecodeReplica(i), 30.0))
+            .collect();
+        cfg.faults = FaultPlan::new(&faults);
+        let result = Simulator::new(cfg).run();
+        assert_eq!(
+            (result.records.len(), result.aborted_requests),
+            (11, 29),
+            "(completed, aborted)"
+        );
     }
 
     #[test]

@@ -289,7 +289,8 @@ impl AutoscaleOutcome {
             .filter(|r| r.jct() <= experiment.slo_jct_s)
             .count();
         let mut jcts: Vec<f64> = result.records.iter().map(|r| r.jct()).collect();
-        jcts.sort_by(f64::total_cmp);
+        // Unstable is exact: `total_cmp`-equal values have identical bits.
+        jcts.sort_unstable_by(f64::total_cmp);
         Self {
             shape,
             policy,

@@ -223,7 +223,8 @@ impl AvailabilityPoint {
             .iter()
             .flat_map(|r| r.records.iter().map(|rec| rec.jct()))
             .collect();
-        jcts.sort_by(f64::total_cmp);
+        // Unstable is exact: `total_cmp`-equal values have identical bits.
+        jcts.sort_unstable_by(f64::total_cmp);
         Self {
             mtbf_s,
             runs: results.len(),

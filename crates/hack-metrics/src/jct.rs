@@ -129,7 +129,10 @@ impl JctStats {
             return JctStats::default();
         }
         let mut totals: Vec<f64> = breakdowns.iter().map(|b| b.total()).collect();
-        totals.sort_by(f64::total_cmp);
+        // Unstable is exact here: `total_cmp` calls two values equal only
+        // when their bits are identical, so the sorted sequence, and the
+        // mean summed over it, are bit for bit those of a stable sort.
+        totals.sort_unstable_by(f64::total_cmp);
         let n = breakdowns.len();
         let mean = totals.iter().sum::<f64>() / n as f64;
         let pct = |q: f64| totals[(((n - 1) as f64) * q).round() as usize];

@@ -17,12 +17,12 @@
 //! * Event ordering is total: `(time, id)` with `f64::total_cmp`, and emission
 //!   rejects non-finite or past times, so the queue can never be corrupted by a
 //!   stray NaN.
-//! * The queue ([`queue::SlabEventQueue`]) parks event bodies in a recycled
-//!   slab and keeps their keys in two tiers: a sorted run that takes, in
-//!   O(1), every push landing after its tail (such as an arrival trace seeded
-//!   in arrival order), and a binary heap for the rest. A pop takes the
-//!   earlier of the two heads, so delivery order is exactly that of one heap
-//!   of whole events. Payloads of at most 24 bytes are stored inline
+//! * The queue ([`queue::SlabEventQueue`]) has two tiers: a sorted run of
+//!   whole events that takes, in O(1), every push landing after its tail
+//!   (such as an arrival trace seeded in arrival order) and shrinks as it
+//!   drains, and a binary heap of keys for the rest, whose bodies wait in a
+//!   recycled slab. A pop takes the earlier of the two heads, so delivery
+//!   order is exactly that of one heap of whole events. Payloads of at most 24 bytes are stored inline
 //!   ([`Payload`]), so emitting one allocates nothing.
 //! * The engine can record a structured [`log::EventRecord`] trace for
 //!   debugging and determinism tests.
@@ -97,9 +97,9 @@ pub mod queue;
 pub mod simulation;
 mod state;
 
-/// The engine representation. There is only one: a free-list slab of event
-/// nodes behind a sorted key run and a compact key heap, with payloads up to
-/// 24 bytes stored inline.
+/// The engine representation. There is only one: a sorted run of whole
+/// events in front of a compact key heap over a free-list slab, with payloads
+/// up to 24 bytes stored inline.
 ///
 /// This one-variant enum remains for a single reason: the benchmark of record
 /// calls `Simulator::run_traced(EngineMode::Slab)` in `hack-cluster`, and the

@@ -1,23 +1,26 @@
-//! The time-ordered event queue: a free-list slab behind a two-tier key index.
+//! The time-ordered event queue: a sorted run of whole events in front of a
+//! key heap over a free-list slab.
 //!
-//! A `BinaryHeap` of whole [`Event`] structs would move ~56 bytes on every
-//! sift operation. The slab queue instead orders 24-byte `EventKey`s — exactly
-//! the `(time, id)` pair the ordering is defined on plus a slot index — and
-//! parks the event bodies in a slab (`Vec<Option<EventNode>>`) whose slots are
-//! recycled through a free list, so node storage is reused instead of
-//! reallocated as events churn.
+//! Events live in two tiers:
 //!
-//! The keys live in two tiers:
-//!
-//! * a **sorted run** (`VecDeque`): a push whose key comes after the run's
-//!   last key in `(time, id)` order is appended in O(1);
-//! * a **key heap** (`BinaryHeap`) for every other push.
+//! * a **sorted run** (`VecDeque<Event>`): a push that comes after the run's
+//!   last event in `(time, id)` order is appended in O(1), body and all;
+//! * a **key heap** (`BinaryHeap`) for every other push. A `BinaryHeap` of
+//!   whole [`Event`] structs would move the full body on every sift, so the
+//!   heap orders 24-byte `EventKey`s — exactly the `(time, id)` pair the
+//!   ordering is defined on plus a slot index — and parks the bodies in a
+//!   slab (`Vec<Option<EventNode>>`) whose slots are recycled through a free
+//!   list. The slab holds heap-tier events only.
 //!
 //! A pop takes whichever tier's head is earlier. A simulator that seeds its
 //! whole arrival trace up front, in arrival order, therefore lands every
-//! seeded arrival in the run, and the heap holds only the events emitted
-//! while running (mostly near-future completions). Its sifts then walk a
-//! heap of in-flight events, not one as deep as the whole trace.
+//! seeded arrival in the run, and the heap and the slab hold only the events
+//! emitted while running (mostly near-future completions). Its sifts then
+//! walk a heap of in-flight events, not one as deep as the whole trace, and
+//! the seeded arrivals are popped front to back without a slab access. The
+//! run gives its memory back as it drains: a pop that leaves it under a
+//! quarter full halves its capacity (down to `RUN_FLOOR` events), which
+//! keeps pushes and pops amortized O(1) without reallocating back and forth.
 //!
 //! Delivery order is identical to a `BinaryHeap<Event>`'s by construction.
 //! `(time, id)` under `f64::total_cmp` is a total order and ids are unique;
@@ -30,7 +33,16 @@ use crate::payload::Payload;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// Queue key: the total order `(time, id)` plus the slab slot of the body.
+/// Capacity (in events) below which a draining run stops shrinking, so a
+/// run that empties and refills in steady state does not reallocate.
+const RUN_FLOOR: usize = 1024;
+
+/// Whether `(time, id)` pair `a` is delivered before `b`.
+fn precedes(a: (f64, EventId), b: (f64, EventId)) -> bool {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).is_lt()
+}
+
+/// Heap key: the total order `(time, id)` plus the slab slot of the body.
 #[derive(Debug, Clone, Copy)]
 struct EventKey {
     time: f64,
@@ -63,15 +75,7 @@ impl PartialOrd for EventKey {
     }
 }
 
-impl EventKey {
-    /// Whether `self` is delivered before `other`: `(time, id)` ascending.
-    fn precedes(&self, other: &EventKey) -> bool {
-        // `Ord` is reversed for the max-heap, so "greater" means "earlier".
-        self > other
-    }
-}
-
-/// Event body parked in the slab while its key waits in the run or the heap.
+/// Event body parked in the slab while its key waits in the heap.
 struct EventNode {
     src: ComponentId,
     dst: ComponentId,
@@ -79,13 +83,14 @@ struct EventNode {
     payload: Payload,
 }
 
-/// Slab-backed event queue (see module docs).
+/// Two-tier event queue (see module docs).
 #[derive(Default)]
 pub struct SlabEventQueue {
-    /// Keys pushed in ascending `(time, id)` order, earliest at the front.
-    run: VecDeque<EventKey>,
-    /// Every other key.
+    /// Events pushed in ascending `(time, id)` order, earliest at the front.
+    run: VecDeque<Event>,
+    /// Keys of every other event.
     keys: BinaryHeap<EventKey>,
+    /// Bodies of the events keyed in `keys`.
     nodes: Vec<Option<EventNode>>,
     free: Vec<u32>,
 }
@@ -93,6 +98,15 @@ pub struct SlabEventQueue {
 impl SlabEventQueue {
     /// Inserts an event.
     pub fn push(&mut self, event: Event) {
+        match self.run.back() {
+            Some(last) if !precedes((last.time, last.id), (event.time, event.id)) => {
+                self.push_heap(event)
+            }
+            _ => self.run.push_back(event),
+        }
+    }
+
+    fn push_heap(&mut self, event: Event) {
         let node = EventNode {
             src: event.src,
             dst: event.dst,
@@ -111,28 +125,28 @@ impl SlabEventQueue {
                 slot
             }
         };
-        let key = EventKey {
+        self.keys.push(EventKey {
             time: event.time,
             id: event.id,
             slot,
-        };
-        match self.run.back() {
-            Some(last) if !last.precedes(&key) => self.keys.push(key),
-            _ => self.run.push_back(key),
-        }
+        });
     }
 
     /// Removes and returns the earliest event (by `(time, id)`).
     pub fn pop(&mut self) -> Option<Event> {
         let from_run = match (self.run.front(), self.keys.peek()) {
-            (Some(run), Some(heap)) => run.precedes(heap),
+            (Some(run), Some(heap)) => precedes((run.time, run.id), (heap.time, heap.id)),
             (run, _) => run.is_some(),
         };
-        let key = if from_run {
-            self.run.pop_front()
-        } else {
-            self.keys.pop()
-        }?;
+        if from_run {
+            let event = self.run.pop_front();
+            let capacity = self.run.capacity();
+            if capacity > RUN_FLOOR && self.run.len() < capacity / 4 {
+                self.run.shrink_to(capacity / 2);
+            }
+            return event;
+        }
+        let key = self.keys.pop()?;
         let node = self.nodes[key.slot as usize]
             .take()
             .expect("slab slot vacated while its key was still queued");
@@ -156,12 +170,6 @@ impl SlabEventQueue {
     pub fn is_empty(&self) -> bool {
         self.run.is_empty() && self.keys.is_empty()
     }
-
-    /// Capacity of the node slab (allocated once, then recycled).
-    #[cfg(test)]
-    fn slab_capacity(&self) -> usize {
-        self.nodes.len()
-    }
 }
 
 #[cfg(test)]
@@ -169,15 +177,48 @@ mod tests {
     use super::*;
     use hack_tensor::DetRng;
 
+    /// An event whose body is a function of its id: every fifth payload is
+    /// too large to store inline and spills to a box.
     fn event(id: EventId, time: f64) -> Event {
+        let (payload_type, payload) = if id.is_multiple_of(5) {
+            ("[u64; 4]", Payload::new([id, !id, id << 1, id ^ 0x5a5a]))
+        } else {
+            ("u64", Payload::new(id.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
+        };
         Event {
             id,
             time,
-            src: 0,
-            dst: 1,
-            payload_type: "u64",
-            payload: Payload::new(id),
+            src: (id % 7) as ComponentId,
+            dst: (id % 11) as ComponentId + 100,
+            payload_type,
+            payload,
         }
+    }
+
+    /// Everything a delivered event carries, times as bits.
+    fn body(
+        e: &Event,
+    ) -> (
+        EventId,
+        u64,
+        ComponentId,
+        ComponentId,
+        &'static str,
+        Vec<u64>,
+    ) {
+        let payload = match (e.get::<u64>(), e.get::<[u64; 4]>()) {
+            (Some(&v), None) => vec![v],
+            (None, Some(v)) => v.to_vec(),
+            _ => panic!("unexpected payload type {}", e.payload_type),
+        };
+        (
+            e.id,
+            e.time.to_bits(),
+            e.src,
+            e.dst,
+            e.payload_type,
+            payload,
+        )
     }
 
     #[test]
@@ -209,10 +250,25 @@ mod tests {
     }
 
     #[test]
+    fn slab_preserves_heap_tier_bodies() {
+        let mut q = SlabEventQueue::default();
+        q.push(event(1, 9.0)); // run
+        q.push(event(2, 1.0)); // before the run's tail: heap
+        q.push(event(5, 2.0)); // heap, spilled payload
+        assert_eq!((q.run.len(), q.keys.len()), (1, 2));
+        for (id, time) in [(2, 1.0), (5, 2.0), (1, 9.0)] {
+            assert_eq!(body(&q.pop().unwrap()), body(&event(id, time)));
+        }
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
     fn slab_recycles_slots_through_the_free_list() {
         let mut q = SlabEventQueue::default();
-        // Steady-state churn: queue depth stays <= 4, so the slab must too.
-        let mut next_id = 0u64;
+        // A far-future tail sends every later push to the heap tier.
+        q.push(event(0, 1e9));
+        // Steady-state churn: heap depth stays <= 4, so the slab must too.
+        let mut next_id = 1u64;
         for round in 0..100 {
             for _ in 0..4 {
                 q.push(event(next_id, round as f64));
@@ -222,12 +278,42 @@ mod tests {
                 q.pop().unwrap();
             }
         }
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 1);
         assert!(
-            q.slab_capacity() <= 4,
-            "slab grew to {} slots for queue depth 4",
-            q.slab_capacity()
+            q.nodes.len() <= 4,
+            "slab grew to {} slots for heap depth 4",
+            q.nodes.len()
         );
+    }
+
+    #[test]
+    fn a_drained_run_gives_its_memory_back_and_len_stays_exact() {
+        let mut q = Lockstep::default();
+        // 100k in-order pushes, with a heap-tier push (before the run's tail)
+        // after every hundredth.
+        let mut next_id = 0u64;
+        for i in 0..100_000u64 {
+            q.push(next_id, i as f64);
+            next_id += 1;
+            if i % 100 == 99 {
+                q.push(next_id, i as f64 - 0.5);
+                next_id += 1;
+            }
+        }
+        assert_eq!(q.tiers(), (100_000, 1_000));
+        assert!(q.slab.run.capacity() >= 100_000);
+        // Drain, checking the run never holds more than four times its
+        // length once it is past the floor.
+        while q.pop().is_some() {
+            let (len, capacity) = (q.slab.run.len(), q.slab.run.capacity());
+            assert!(
+                capacity <= RUN_FLOOR.max(4 * (len + 1)),
+                "run capacity {capacity} for {len} events"
+            );
+        }
+        assert!(q.slab.is_empty());
+        assert!(q.slab.run.capacity() <= RUN_FLOOR);
+        assert!(q.slab.nodes.len() <= 1_000);
     }
 
     #[test]
@@ -253,8 +339,8 @@ mod tests {
     }
 
     /// The two-tier queue and the single-heap oracle driven in lockstep:
-    /// every pop must agree on `(id, time)`, and `len`/`is_empty` must agree
-    /// after every operation.
+    /// every pop must agree on the whole event (`id`, `time`, `src`, `dst`
+    /// and payload), and `len`/`is_empty` must agree after every operation.
     #[derive(Default)]
     struct Lockstep {
         slab: SlabEventQueue,
@@ -274,14 +360,11 @@ mod tests {
         }
 
         fn pop(&mut self) -> Option<(EventId, f64)> {
-            let a = self.slab.pop().map(|e| (e.id, e.time));
-            let b = self.oracle.pop().map(|e| (e.id, e.time));
-            assert_eq!(
-                a.map(|(id, t)| (id, t.to_bits())),
-                b.map(|(id, t)| (id, t.to_bits()))
-            );
+            let a = self.slab.pop();
+            let b = self.oracle.pop();
+            assert_eq!(a.as_ref().map(body), b.as_ref().map(body));
             self.check_len();
-            a
+            a.map(|e| (e.id, e.time))
         }
 
         fn drain(&mut self) -> Vec<EventId> {

@@ -205,7 +205,7 @@ mod tests {
 
     #[test]
     fn canceling_a_run_resident_event_suppresses_it() {
-        // Arrivals seeded in time order all land in the slab queue's sorted
+        // Arrivals seeded in time order all land in the queue's sorted
         // run; cancel one from the middle of it, then let a handler emit
         // near-future follow-ups into the heap tier.
         struct Echo {
