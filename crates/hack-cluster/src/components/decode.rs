@@ -1,4 +1,9 @@
 //! Decode-side memory accounting, batching, completion — and failures.
+//!
+//! A replica failure touches only the requests holding memory on the
+//! replica: it reads them from the replica's reservation and prefix-hit
+//! indices, in ascending request order, so its cost is O(requests on the
+//! replica) and its results equal those of a scan over the whole trace.
 
 use crate::components::ClusterState;
 use crate::events::{
@@ -53,7 +58,6 @@ impl DecodeReplica {
             // if the replica has since recovered empty). Re-queue through the
             // normal admission path: the prefill side still holds the CPU copy
             // and re-transfers it.
-            cs.states[req].requeues += 1;
             cs.requeued += 1;
             cs.states[req].pipelined_transfer_end = None;
             if let Some(tel) = &mut cs.tel {
@@ -98,7 +102,6 @@ impl DecodeReplica {
 
         if cs.decode[d].failed || !cs.states[req].reserved {
             // Same as the flat fabric's landed-on-a-dead-replica path.
-            cs.states[req].requeues += 1;
             cs.requeued += 1;
             if let Some(tel) = &mut cs.tel {
                 tel.requeued(d, req, now);
@@ -112,13 +115,12 @@ impl DecodeReplica {
     fn on_decode_finished(&self, req: usize, now: f64) {
         let d = self.index;
         let mut cs = self.cluster.borrow_mut();
-        cs.decode[d].kv_used -= cs.states[req].kv_reserve_bytes;
+        let held_on = cs.release(req);
+        debug_assert_eq!(held_on, d, "request {req} decoded off its reservation");
         cs.decode[d].active -= 1;
-        cs.decode[d].reservations -= 1;
         cs.decode[d].resident_tokens = cs.decode[d]
             .resident_tokens
             .saturating_sub(cs.requests[req].total_tokens());
-        cs.states[req].reserved = false;
         let pending = cs.states[req].pending_decode.take();
         cs.states[req].finish_time = now;
         cs.states[req].done = true;
@@ -145,6 +147,10 @@ impl DecodeReplica {
         cs.release_children(req, now);
     }
 
+    /// Replica failure: aborts every request holding memory here and drops
+    /// the replica's cached prefixes. The work is O(requests on the replica):
+    /// the candidates come from the replica's reservation and prefix-hit
+    /// indices, never from a pass over the trace (see [`FailureSets`]).
     fn on_failed(&self, fault: usize, now: f64) {
         let d = self.index;
         let mut cs = self.cluster.borrow_mut();
@@ -153,32 +159,16 @@ impl DecodeReplica {
         if let Some(tel) = &mut cs.tel {
             tel.replica_failed(d, now);
         }
+        let sets = FailureSets::indexed(&cs, d);
+        #[cfg(test)]
+        oracle::check(&cs, d, &sets);
 
-        // Blast radius: every request whose reservation this replica held —
-        // in-flight decodes plus transfers still heading here. Transfers the
-        // same fault's fabric cut already aborted (they carry partial
-        // progress in `transfer_remaining`) are not counted twice.
-        let affected = (0..cs.states.len())
-            .filter(|&r| {
-                !cs.states[r].done
-                    && cs.states[r].decode_replica == d
-                    && cs.states[r].reserved
-                    && cs.states[r].transfer_remaining.is_none()
-            })
-            .count();
-        cs.fault_tallies[fault].requests_aborted += affected;
+        cs.fault_tallies[fault].requests_aborted += sets.affected;
 
         // Abort every in-flight decode on this replica: cancel its completion
         // event and charge the wasted time to the decode stage.
-        let aborted: Vec<usize> = (0..cs.states.len())
-            .filter(|&r| {
-                !cs.states[r].done
-                    && cs.states[r].decode_replica == d
-                    && cs.states[r].pending_decode.is_some()
-            })
-            .collect();
         let group = cs.decode[d].group;
-        for &r in &aborted {
+        for &r in &sets.aborted {
             let (event_id, started) = cs.states[r].pending_decode.take().expect("filtered above");
             cs.decode_ctxs[d].cancel_event(event_id);
             if let Some(tel) = &mut cs.tel {
@@ -188,34 +178,36 @@ impl DecodeReplica {
             cs.aborted_decode_by_group[group] += now - started;
             cs.states[r].decode_time = 0.0;
             cs.states[r].dequant_time = 0.0;
-            cs.states[r].reserved = false;
-            cs.states[r].requeues += 1;
             cs.requeued += 1;
         }
 
-        // Reservations held by transfers still in flight toward this replica
-        // are gone too; those requests re-queue when their transfer lands.
-        for r in 0..cs.states.len() {
-            if !cs.states[r].done && cs.states[r].decode_replica == d {
-                cs.states[r].reserved = false;
-            }
+        // Every reservation on the replica is gone: the aborted decodes' and
+        // those of transfers still in flight toward it, which re-queue when
+        // their transfer lands.
+        for &r in &sets.cleared {
+            cs.states[r].reserved = false;
         }
 
         // The replica's memory contents died with it (peak_kv keeps its
         // high-watermark for the memory report).
-        cs.decode[d].kv_used = 0.0;
-        cs.decode[d].active = 0;
-        cs.decode[d].resident_tokens = 0;
-        cs.decode[d].reservations = 0;
+        let replica = &mut cs.decode[d];
+        debug_assert_eq!(
+            sets.cleared.len(),
+            replica.reserved_reqs.len(),
+            "a finished request still indexed as reserved"
+        );
+        replica.reserved_reqs.clear();
+        replica.kv_used = 0.0;
+        replica.active = 0;
+        replica.resident_tokens = 0;
+        replica.reservations = 0;
 
         // Cached prefixes died with the memory, and every in-flight hit
         // promised against them downgrades to the miss path (kv_used is
         // already zeroed wholesale, so no per-entry subtraction here).
         if cs.cache.is_some() {
-            for r in 0..cs.states.len() {
-                if !cs.states[r].done && cs.states[r].prefix.is_some_and(|h| h.replica == d) {
-                    cs.release_hit(r);
-                }
+            for &r in &sets.released_hits {
+                cs.release_hit(r);
             }
             cs.invalidate_replica_cache(d);
         }
@@ -228,7 +220,7 @@ impl DecodeReplica {
 
         // Re-dispatch the aborted requests onto the surviving fleet (or the
         // memory-wait queue when nothing fits).
-        for r in aborted {
+        for r in sets.aborted {
             cs.try_dispatch_to_decode(r, now);
         }
     }
@@ -255,6 +247,67 @@ impl DecodeReplica {
     }
 }
 
+/// The requests a failure of decode replica `d` touches, each list in
+/// ascending request order. That is the order a scan over the whole trace
+/// visits them, and it matters: `aborted_decode_by_group` sums the aborted
+/// decodes' float charges in this order, and the aborted requests
+/// re-dispatch in it. Every predicate below reads only the replica's
+/// indices, which hold a superset of its matches (a request aborted
+/// mid-decode or mid-transfer holds a reservation here; a hit on `d`
+/// is in `d`'s hit index), so the sets equal those of a whole-trace scan.
+#[derive(Debug, Clone, PartialEq)]
+struct FailureSets {
+    /// Blast radius: requests whose reservation the replica held, in-flight
+    /// decodes plus transfers still heading here. Transfers the same
+    /// fault's fabric cut already aborted (they carry partial progress in
+    /// `transfer_remaining`) are not counted twice.
+    affected: usize,
+    /// In-flight decodes to cancel and re-dispatch.
+    aborted: Vec<usize>,
+    /// Reservations that die with the replica (the aborted decodes among
+    /// them).
+    cleared: Vec<usize>,
+    /// Prefix hits promised against the replica's cache.
+    released_hits: Vec<usize>,
+}
+
+impl FailureSets {
+    fn indexed(cs: &ClusterState, d: usize) -> Self {
+        let s = &cs.states;
+        let held = cs.decode[d].reserved_reqs.sorted();
+        let affected = held
+            .iter()
+            .filter(|&&r| {
+                !s[r].done
+                    && s[r].decode_replica == d
+                    && s[r].reserved
+                    && s[r].transfer_remaining.is_none()
+            })
+            .count();
+        let aborted = held
+            .iter()
+            .copied()
+            .filter(|&r| !s[r].done && s[r].decode_replica == d && s[r].pending_decode.is_some())
+            .collect();
+        let cleared = held
+            .into_iter()
+            .filter(|&r| !s[r].done && s[r].decode_replica == d && s[r].reserved)
+            .collect();
+        let released_hits = cs.decode[d]
+            .hit_reqs
+            .sorted()
+            .into_iter()
+            .filter(|&r| !s[r].done && s[r].prefix.is_some_and(|h| h.replica == d))
+            .collect();
+        FailureSets {
+            affected,
+            aborted,
+            cleared,
+            released_hits,
+        }
+    }
+}
+
 impl EventHandler for DecodeReplica {
     fn on(&mut self, event: Event) {
         let now = event.time;
@@ -269,5 +322,106 @@ impl EventHandler for DecodeReplica {
         } else if let Some(&ReplicaRecovered { fault }) = event.get::<ReplicaRecovered>() {
             self.on_recovered(fault, now);
         }
+    }
+}
+
+/// Test oracle of [`FailureSets::indexed`]: the whole-trace scans the
+/// replica indices replaced, checked at every decode-replica failure of a
+/// test build, plus a record of what each checked failure exercised.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::{ClusterState, FailureSets};
+    use std::cell::RefCell;
+
+    /// What one checked failure touched.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub(crate) struct Coverage {
+        /// Decodes aborted mid-decode.
+        pub mid_decode: usize,
+        /// Reservations cleared under a transfer that left after its
+        /// prefill and is still in flight (or in retry backoff).
+        pub mid_transfer: usize,
+        /// Reservations cleared while their prefill was still in service
+        /// (pipelined).
+        pub pipelined: usize,
+        /// Cleared reservations left out of the blast radius because a
+        /// fabric cut had already aborted their transfer.
+        pub fabric_cut: usize,
+        /// Prefix hits released.
+        pub hits: usize,
+    }
+
+    thread_local! {
+        static CHECKED: RefCell<Vec<Coverage>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// The failure sets of replica `d` by scanning every request.
+    fn scanned(cs: &ClusterState, d: usize) -> FailureSets {
+        let s = &cs.states;
+        let n = s.len();
+        let affected = (0..n)
+            .filter(|&r| {
+                !s[r].done
+                    && s[r].decode_replica == d
+                    && s[r].reserved
+                    && s[r].transfer_remaining.is_none()
+            })
+            .count();
+        let aborted = (0..n)
+            .filter(|&r| !s[r].done && s[r].decode_replica == d && s[r].pending_decode.is_some())
+            .collect();
+        let cleared = (0..n)
+            .filter(|&r| !s[r].done && s[r].decode_replica == d && s[r].reserved)
+            .collect();
+        let released_hits = if cs.cache.is_some() {
+            (0..n)
+                .filter(|&r| !s[r].done && s[r].prefix.is_some_and(|h| h.replica == d))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        FailureSets {
+            affected,
+            aborted,
+            cleared,
+            released_hits,
+        }
+    }
+
+    /// Asserts that replica `d`'s indices are exact and that `indexed`
+    /// equals the whole-trace scans, then records the failure's coverage.
+    pub(super) fn check(cs: &ClusterState, d: usize, indexed: &FailureSets) {
+        let s = &cs.states;
+        let reserved_here: Vec<usize> = (0..s.len())
+            .filter(|&r| s[r].reserved && s[r].decode_replica == d)
+            .collect();
+        let hits_here: Vec<usize> = (0..s.len())
+            .filter(|&r| s[r].prefix.is_some_and(|h| h.replica == d))
+            .collect();
+        assert_eq!(
+            cs.decode[d].reserved_reqs.sorted(),
+            reserved_here,
+            "replica {d}"
+        );
+        assert_eq!(cs.decode[d].hit_reqs.sorted(), hits_here, "replica {d}");
+        assert_eq!(*indexed, scanned(cs, d), "replica {d}");
+        let pipelined = indexed
+            .cleared
+            .iter()
+            .filter(|&&r| s[r].pending_prefill.is_some() && s[r].pending_decode.is_none())
+            .count();
+        let coverage = Coverage {
+            mid_decode: indexed.aborted.len(),
+            mid_transfer: indexed.cleared.len() - indexed.aborted.len() - pipelined,
+            pipelined,
+            fabric_cut: indexed.cleared.len() - indexed.affected,
+            hits: indexed.released_hits.len(),
+        };
+        CHECKED.with(|c| c.borrow_mut().push(coverage));
+    }
+
+    /// Drains the coverage of every failure checked on this thread.
+    pub(crate) fn take_checked() -> Vec<Coverage> {
+        CHECKED.with(|c| std::mem::take(&mut *c.borrow_mut()))
     }
 }

@@ -19,6 +19,16 @@
 //! arithmetic below is a line-for-line port of the original monolithic
 //! simulator (whose per-request numerics this refactor reproduces exactly).
 //!
+//! Each [`DecodeReplicaState`] indexes the requests that hold memory on it:
+//! its KV reservations, taken by [`ClusterState::reserve`] and returned by
+//! [`ClusterState::release`] (a replica failure drops them all at once),
+//! and, with the prefix cache on, the prefix hits promised against it
+//! ([`ClusterState::resolve_prefix`] / [`ClusterState::release_hit`]). A
+//! decode-replica failure therefore costs O(requests on the replica), not a
+//! pass over the trace. The indices are unordered; anything that iterates
+//! them where order reaches a result (float sums, re-dispatch) sorts the
+//! members ascending first, the order a scan over the trace visits them.
+//!
 //! Every replica belongs to a [`crate::fleet::ReplicaGroup`]; costs are
 //! evaluated under the *group's* cost model (GPU, parallelism, NIC, optional
 //! per-group efficiency constants), with one cost table per group (decode) or
@@ -239,13 +249,81 @@ pub(crate) struct DecodeReplicaState {
     /// Draining toward scale-down: finishes its in-flight work but admits
     /// nothing new; flips to `scaled_out` once idle.
     pub draining: bool,
+    /// Exactly the requests holding a KV reservation here (`reserved` with
+    /// `decode_replica` = this replica): `reserved_reqs.len() ==
+    /// reservations` after every [`ClusterState::reserve`] and
+    /// [`ClusterState::release`].
+    pub reserved_reqs: ReqIndex,
+    /// Exactly the requests holding a prefix-cache hit on this replica
+    /// (empty with the cache off).
+    pub hit_reqs: ReqIndex,
 }
 
 impl DecodeReplicaState {
+    /// A live, empty replica of decode group `group` with `kv_capacity` bytes
+    /// of KV budget.
+    pub fn new(group: usize, kv_capacity: f64) -> Self {
+        Self {
+            group,
+            kv_capacity,
+            kv_used: 0.0,
+            peak_kv: 0.0,
+            active: 0,
+            resident_tokens: 0,
+            failed: false,
+            reservations: 0,
+            scaled_out: false,
+            draining: false,
+            reserved_reqs: ReqIndex::default(),
+            hit_reqs: ReqIndex::default(),
+        }
+    }
+
     /// Whether routing may target this replica.
     #[inline]
     pub fn dispatchable(&self) -> bool {
         !self.failed && !self.scaled_out && !self.draining
+    }
+}
+
+/// An unordered set of request indices with O(1) insertion and removal.
+/// Each member's position is kept in a slot of its own [`ReqState`]
+/// (`reserve_slot`, `hit_slot`), so a removal swaps the last member into
+/// the hole and the caller repoints that member's slot.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ReqIndex(Vec<u32>);
+
+impl ReqIndex {
+    /// Adds `req`; returns the slot it now occupies.
+    fn insert(&mut self, req: usize) -> u32 {
+        let slot = self.0.len() as u32;
+        self.0.push(req as u32);
+        slot
+    }
+
+    /// Removes the member at `slot`; returns the member that moved into
+    /// `slot`, whose own slot the caller must repoint.
+    fn remove(&mut self, slot: u32) -> Option<usize> {
+        self.0.swap_remove(slot as usize);
+        self.0.get(slot as usize).map(|&r| r as usize)
+    }
+
+    /// Empties the set without releasing its capacity.
+    fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// The members in ascending request order: the order a scan over the
+    /// whole trace visits them.
+    pub fn sorted(&self) -> Vec<usize> {
+        let mut members: Vec<usize> = self.0.iter().map(|&r| r as usize).collect();
+        members.sort_unstable();
+        members
     }
 }
 
@@ -271,6 +349,10 @@ pub(crate) struct ReqState {
     pub kv_reserve_bytes: f64,
     /// Whether the KV reservation on `decode_replica` is currently held.
     pub reserved: bool,
+    /// Position in `decode_replica`'s `reserved_reqs` while `reserved`.
+    pub reserve_slot: u32,
+    /// Position in the hit replica's `hit_reqs` while `prefix` is `Some`.
+    pub hit_slot: u32,
     /// Pending `DecodeFinished` event (cancellable on replica failure) and the
     /// time decoding started.
     pub pending_decode: Option<(EventId, f64)>,
@@ -297,8 +379,6 @@ pub(crate) struct ReqState {
     /// Permanently aborted: retries and re-admissions exhausted, or stranded
     /// by a permanent fault (terminal).
     pub abandoned: bool,
-    /// How many times the request was re-queued by a replica failure.
-    pub requeues: usize,
     /// The prefix-cache hit this request was promised at prefill time:
     /// `Some` between the prefill-side lookup and decode completion (or a
     /// downgrade when the prefix replica dies). Always `None` with
@@ -488,12 +568,7 @@ impl ClusterState {
                 self.reclaim_cache(target, overflow);
             }
         }
-        self.decode[target].kv_used += bytes;
-        self.decode[target].peak_kv = self.decode[target].peak_kv.max(self.decode[target].kv_used);
-        self.decode[target].reservations += 1;
-        self.states[req].decode_replica = target;
-        self.states[req].kv_reserve_bytes = bytes;
-        self.states[req].reserved = true;
+        self.reserve(req, target, bytes);
 
         let replica = self.states[req].prefill_replica;
         if self.fabric.graph_enabled() {
@@ -517,6 +592,42 @@ impl ClusterState {
             self.decode_ctxs[target].id(),
             end,
         );
+    }
+
+    /// Reserves `bytes` of KV memory for `req` on decode replica `target`
+    /// and enters `req` into the replica's reservation index.
+    pub fn reserve(&mut self, req: usize, target: usize, bytes: f64) {
+        let d = &mut self.decode[target];
+        d.kv_used += bytes;
+        d.peak_kv = d.peak_kv.max(d.kv_used);
+        d.reservations += 1;
+        let s = &mut self.states[req];
+        debug_assert!(!s.reserved, "request {req} already holds a reservation");
+        s.decode_replica = target;
+        s.kv_reserve_bytes = bytes;
+        s.reserved = true;
+        s.reserve_slot = d.reserved_reqs.insert(req);
+        debug_assert_eq!(d.reserved_reqs.len(), d.reservations);
+    }
+
+    /// Returns `req`'s KV reservation to its decode replica and removes it
+    /// from the replica's reservation index; returns that replica.
+    pub fn release(&mut self, req: usize) -> usize {
+        let target = self.states[req].decode_replica;
+        let slot = self.states[req].reserve_slot;
+        debug_assert!(
+            self.states[req].reserved,
+            "request {req} holds no reservation"
+        );
+        let d = &mut self.decode[target];
+        d.kv_used -= self.states[req].kv_reserve_bytes;
+        d.reservations -= 1;
+        if let Some(moved) = d.reserved_reqs.remove(slot) {
+            self.states[moved].reserve_slot = slot;
+        }
+        debug_assert_eq!(d.reserved_reqs.len(), d.reservations);
+        self.states[req].reserved = false;
+        target
     }
 
     /// The volume of `req`'s KV transfer in Gbps-seconds: the wire time is
@@ -591,9 +702,7 @@ impl ClusterState {
         if self.states[req].reserved {
             // The reservation is only still held when the target is alive (a
             // replica failure zeroes its accounting and clears the flag).
-            self.decode[target].kv_used -= self.states[req].kv_reserve_bytes;
-            self.decode[target].reservations -= 1;
-            self.states[req].reserved = false;
+            self.release(req);
             if self.decode[target].draining {
                 self.maybe_finish_drain(target, now);
             }
@@ -626,7 +735,6 @@ impl ClusterState {
         // Everything spent so far collapses into queueing time at the next
         // prefill start, keeping the breakdown equal to the JCT.
         self.states[req].reset_for_readmission();
-        self.states[req].requeues += 1;
         self.requeued += 1;
         let frontend = self.frontend_id.expect("frontend registered before events");
         self.fabric.deliver(RequestArrived { req }, frontend, now);
@@ -736,6 +844,10 @@ impl ClusterState {
     /// request will pay full price on its next dispatch/journey.
     pub fn release_hit(&mut self, req: usize) {
         if let Some(hit) = self.states[req].prefix.take() {
+            let slot = self.states[req].hit_slot;
+            if let Some(moved) = self.decode[hit.replica].hit_reqs.remove(slot) {
+                self.states[moved].hit_slot = slot;
+            }
             if let Some(cache) = &mut self.cache {
                 cache.caches[hit.replica].unpin(self.requests[req].session);
             }
@@ -838,6 +950,10 @@ impl ClusterState {
         let (full_prefill, full_quant) = self.costs.prefill_service_times(group, full);
         let (suffix_prefill, suffix_quant) = self.costs.prefill_service_times(group, suffix);
         let bytes = self.decode_models[0].kv_fp16_bytes(saved) * self.profile().kv_size_factor;
+        debug_assert!(
+            self.states[req].prefix.is_none(),
+            "request {req} already holds a prefix hit"
+        );
         let cache = self.cache.as_mut().expect("checked above");
         cache.caches[replica].pin(request.session);
         cache.hits += 1;
@@ -848,6 +964,7 @@ impl ClusterState {
             tokens: saved,
             bytes,
         });
+        self.states[req].hit_slot = self.decode[replica].hit_reqs.insert(req);
         if let Some(tel) = &mut self.tel {
             tel.prefix_hit(replica, req, now);
         }
@@ -955,5 +1072,38 @@ impl ClusterState {
             tel.replica_joined(d, now);
         }
         self.drain_waiting(now);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn req_state_fits_in_256_bytes() {
+        // One `ReqState` per request of the trace: the 300k-request run holds
+        // ~75 MB of them, so the index slots must not grow it past 256 B.
+        let size = std::mem::size_of::<ReqState>();
+        assert!(size <= 256, "ReqState is {size} B");
+    }
+
+    #[test]
+    fn req_index_swap_removal_repoints_the_moved_member() {
+        let mut index = ReqIndex::default();
+        let mut slot = [0u32; 8];
+        for req in [5, 2, 7, 1] {
+            slot[req] = index.insert(req);
+        }
+        for req in [2, 1] {
+            if let Some(moved) = index.remove(slot[req]) {
+                slot[moved] = slot[req];
+            }
+        }
+        assert_eq!(index.sorted(), vec![5, 7]);
+        for req in [5, 7] {
+            assert_eq!(index.0[slot[req] as usize] as usize, req);
+        }
+        index.clear();
+        assert_eq!(index.len(), 0);
     }
 }

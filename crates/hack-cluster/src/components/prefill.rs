@@ -66,12 +66,7 @@ pub(crate) fn start_prefill(cs: &mut ClusterState, replica: usize, now: f64) {
             .best_decode_replica(bytes)
             .filter(|&t| !cs.fabric.graph_enabled() || cs.fabric.path_alive(replica, t));
         if let Some(target) = target {
-            cs.decode[target].kv_used += bytes;
-            cs.decode[target].peak_kv = cs.decode[target].peak_kv.max(cs.decode[target].kv_used);
-            cs.decode[target].reservations += 1;
-            cs.states[req].decode_replica = target;
-            cs.states[req].kv_reserve_bytes = bytes;
-            cs.states[req].reserved = true;
+            cs.reserve(req, target, bytes);
             if cs.fabric.graph_enabled() {
                 // The flow races prefill: an early landing is recorded in
                 // `pipelined_transfer_end`; otherwise `PrefillFinished`
@@ -183,10 +178,7 @@ impl PrefillReplica {
                 }
             }
             if cs.states[req].reserved {
-                let target = cs.states[req].decode_replica;
-                cs.decode[target].kv_used -= cs.states[req].kv_reserve_bytes;
-                cs.decode[target].reservations -= 1;
-                cs.states[req].reserved = false;
+                let target = cs.release(req);
                 if cs.decode[target].draining {
                     cs.maybe_finish_drain(target, now);
                 }
@@ -195,7 +187,6 @@ impl PrefillReplica {
             // re-resolve (and re-pin) its prefix there.
             cs.release_hit(req);
             cs.states[req].reset_for_readmission();
-            cs.states[req].requeues += 1;
             cs.requeued += 1;
             cs.fault_tallies[fault].requests_aborted += 1;
             let frontend_id = cs.frontend_id.expect("frontend registered before events");

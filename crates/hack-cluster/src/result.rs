@@ -207,11 +207,6 @@ pub struct SimulationResult {
 }
 
 impl SimulationResult {
-    /// Per-request JCT breakdowns.
-    pub fn breakdowns(&self) -> Vec<JctBreakdown> {
-        self.records.iter().map(|r| r.breakdown).collect()
-    }
-
     /// Average JCT across requests (the quantity plotted in Figs. 9, 11, 12, 13, 14).
     pub fn average_jct(&self) -> f64 {
         if self.records.is_empty() {
@@ -222,12 +217,12 @@ impl SimulationResult {
 
     /// Aggregate JCT statistics.
     pub fn jct_stats(&self) -> JctStats {
-        JctStats::from_breakdowns(&self.breakdowns())
+        JctStats::from_breakdowns(self.records.iter().map(|r| &r.breakdown))
     }
 
     /// Average per-stage time ratios (Figs. 1–4).
     pub fn average_ratios(&self) -> StageRatios {
-        average_ratios(&self.breakdowns())
+        average_ratios(self.records.iter().map(|r| &r.breakdown))
     }
 
     // --- Per-tenant views (multi-tenant scenarios). ---

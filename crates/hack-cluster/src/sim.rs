@@ -405,18 +405,7 @@ impl Simulator {
             prefill,
             decode: decode_group_of
                 .iter()
-                .map(|&g| DecodeReplicaState {
-                    group: g,
-                    kv_capacity: decode_budgets[g],
-                    kv_used: 0.0,
-                    peak_kv: 0.0,
-                    active: 0,
-                    resident_tokens: 0,
-                    failed: false,
-                    reservations: 0,
-                    scaled_out: false,
-                    draining: false,
-                })
+                .map(|&g| DecodeReplicaState::new(g, decode_budgets[g]))
                 .collect(),
             waiting_for_memory: VecDeque::new(),
             waiting_for_prefill: VecDeque::new(),
@@ -2023,6 +2012,100 @@ mod tests {
         assert!(
             child.request.arrival + child.breakdown.queueing >= parent_finish - 1e-9,
             "child prefill started before its parent finished"
+        );
+    }
+
+    /// Every decode-replica failure of a test build checks its indexed
+    /// failure sets (blast-radius count, aborted decodes in order, cleared
+    /// reservations, released prefix hits) against the whole-trace scans
+    /// they replaced (`components::decode::oracle`). These runs drive that
+    /// check through each case: sessions with the prefix cache and
+    /// autoscaling on a faulted two-spine link graph, with pipelining on and
+    /// off, so replicas fail mid-decode, mid-transfer, under pipelined
+    /// reservations whose prefill is still running, behind a ToR whose cut
+    /// already aborted their transfers, and while prefix hits are pinned.
+    #[test]
+    fn indexed_failure_sets_match_the_whole_trace_scans() {
+        use crate::components::decode::oracle;
+        use crate::policy::ScalingPolicyKind;
+        use crate::topology::{AvailabilityModel, LinkGraphSpec, MtbfSpec, TopologySpec};
+        use hack_workload::trace::TenantId;
+        use hack_workload::{SessionKind, SessionSpec, SessionTrace};
+        let spec = |tenant: u32, kind: SessionKind, seed: u64| SessionSpec {
+            tenant: TenantId(tenant),
+            kind,
+            sessions: 60,
+            rps: 1.0,
+            dataset: Dataset::Arxiv,
+            max_context: ModelKind::Llama31_70B.spec().max_context,
+            seed,
+        };
+        let requests = Arc::new(
+            SessionTrace::new(vec![
+                spec(
+                    0,
+                    SessionKind::Chat {
+                        turns: 6,
+                        think_mean_s: 5.0,
+                    },
+                    3,
+                ),
+                spec(
+                    1,
+                    SessionKind::Agentic {
+                        tools: 3,
+                        tool_delay_s: 5.0,
+                    },
+                    4,
+                ),
+            ])
+            .generate(),
+        );
+        let mut cfg = sim_config(
+            KvMethodProfile::baseline(),
+            Dataset::Arxiv,
+            0.6,
+            requests.len(),
+        );
+        cfg.cluster.topology = TopologySpec::LinkGraph(LinkGraphSpec::redundant(2));
+        cfg.cluster.set_decode_replicas(8);
+        cfg.cache = CacheConfig::on();
+        cfg.policy.dispatch = DispatchPolicyKind::SessionAffinity;
+        cfg.policy.scaling = ScalingPolicyKind::TargetUtilization {
+            setpoint: 0.7,
+            band: 0.15,
+        };
+        let horizon_s = 60.0 / 1.0;
+        let availability = AvailabilityModel {
+            decode_replica: Some(MtbfSpec::outage(horizon_s / 3.0, 30.0)),
+            decode_tor: Some(MtbfSpec::outage(horizon_s / 2.0, 20.0)),
+            spine: Some(MtbfSpec::outage(horizon_s, 20.0)),
+            ..AvailabilityModel::default()
+        };
+        cfg.faults = availability.generate_plan(&cfg.cluster.fleet_shape(), horizon_s, 11);
+
+        oracle::take_checked();
+        for pipelining in [true, false] {
+            cfg.cluster.pipelining = pipelining;
+            let result = Simulator::with_requests(cfg, requests.clone()).run();
+            assert_eq!(
+                result.records.len() + result.rejected_requests + result.aborted_requests,
+                requests.len()
+            );
+        }
+        let checked = oracle::take_checked();
+        let total = |f: fn(&oracle::Coverage) -> usize| checked.iter().map(f).sum::<usize>();
+        let covered = [
+            checked.len(),
+            total(|c| c.mid_decode),
+            total(|c| c.mid_transfer),
+            total(|c| c.pipelined),
+            total(|c| c.fabric_cut),
+            total(|c| c.hits),
+        ];
+        assert!(
+            covered[0] >= 8 && covered.iter().all(|&n| n > 0),
+            "failures, mid-decode, mid-transfer, pipelined, fabric-cut, hits: {covered:?}"
         );
     }
 

@@ -77,12 +77,9 @@ impl StageRatios {
 }
 
 /// Average time ratios over many requests, computed the way the paper does:
-/// `1/N · Σ_i time_i / JCT_i` per stage (§2.1).
-pub fn average_ratios(breakdowns: &[JctBreakdown]) -> StageRatios {
-    if breakdowns.is_empty() {
-        return StageRatios::default();
-    }
-    let n = breakdowns.len() as f64;
+/// `1/N · Σ_i time_i / JCT_i` per stage (§2.1), summed in iteration order.
+pub fn average_ratios<'a>(breakdowns: impl IntoIterator<Item = &'a JctBreakdown>) -> StageRatios {
+    let mut count = 0usize;
     let mut acc = StageRatios::default();
     for b in breakdowns {
         let r = b.ratios();
@@ -92,7 +89,12 @@ pub fn average_ratios(breakdowns: &[JctBreakdown]) -> StageRatios {
         acc.dequant_or_approx += r.dequant_or_approx;
         acc.decode += r.decode;
         acc.queueing += r.queueing;
+        count += 1;
     }
+    if count == 0 {
+        return StageRatios::default();
+    }
+    let n = count as f64;
     StageRatios {
         prefill: acc.prefill / n,
         quantization: acc.quantization / n,
@@ -123,21 +125,14 @@ pub struct JctStats {
 }
 
 impl JctStats {
-    /// Computes statistics from per-request breakdowns.
-    pub fn from_breakdowns(breakdowns: &[JctBreakdown]) -> JctStats {
-        if breakdowns.is_empty() {
-            return JctStats::default();
-        }
-        let mut totals: Vec<f64> = breakdowns.iter().map(|b| b.total()).collect();
-        // Unstable is exact here: `total_cmp` calls two values equal only
-        // when their bits are identical, so the sorted sequence, and the
-        // mean summed over it, are bit for bit those of a stable sort.
-        totals.sort_unstable_by(f64::total_cmp);
-        let n = breakdowns.len();
-        let mean = totals.iter().sum::<f64>() / n as f64;
-        let pct = |q: f64| totals[(((n - 1) as f64) * q).round() as usize];
+    /// Computes statistics from per-request breakdowns (the mean breakdown
+    /// sums them in iteration order).
+    pub fn from_breakdowns<'a>(breakdowns: impl IntoIterator<Item = &'a JctBreakdown>) -> JctStats {
+        let breakdowns = breakdowns.into_iter();
+        let mut totals: Vec<f64> = Vec::with_capacity(breakdowns.size_hint().0);
         let mut mb = JctBreakdown::default();
         for b in breakdowns {
+            totals.push(b.total());
             mb.prefill += b.prefill;
             mb.quantization += b.quantization;
             mb.communication += b.communication;
@@ -145,6 +140,16 @@ impl JctStats {
             mb.decode += b.decode;
             mb.queueing += b.queueing;
         }
+        if totals.is_empty() {
+            return JctStats::default();
+        }
+        // Unstable is exact here: `total_cmp` calls two values equal only
+        // when their bits are identical, so the sorted sequence, and the
+        // mean summed over it, are bit for bit those of a stable sort.
+        totals.sort_unstable_by(f64::total_cmp);
+        let n = totals.len();
+        let mean = totals.iter().sum::<f64>() / n as f64;
+        let pct = |q: f64| totals[(((n - 1) as f64) * q).round() as usize];
         let nf = n as f64;
         mb.prefill /= nf;
         mb.quantization /= nf;

@@ -140,6 +140,17 @@ impl Simulation {
     }
 }
 
+impl Drop for Simulation {
+    /// Drops the probe. A probe may hold contexts, directly or through the
+    /// state it shares with the components, and every context holds the
+    /// engine state that holds the probe: left installed, that cycle would
+    /// outlive the simulation.
+    fn drop(&mut self) {
+        let probe = self.state.borrow_mut().take_probe();
+        drop(probe);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,6 +394,26 @@ mod tests {
         };
         let pos = |s: &str| s.find("(Tick)").unwrap();
         assert_eq!(pos(&record.render()), pos(&wide.render()));
+    }
+
+    #[test]
+    fn dropping_the_simulation_frees_a_probe_holding_a_context() {
+        struct Holder {
+            _ctx: SimulationContext,
+        }
+        let mut sim = Simulation::new(1);
+        let ctx = sim.create_context("holder");
+        ctx.emit_self(Tick { n: 0 }, 1.0);
+        let probe = Rc::new(RefCell::new(Holder { _ctx: ctx }));
+        let weak = Rc::downgrade(&probe);
+        sim.install_probe(probe);
+        sim.run();
+        assert!(weak.upgrade().is_some(), "the installed probe is alive");
+        drop(sim);
+        assert!(
+            weak.upgrade().is_none(),
+            "the probe outlived its simulation"
+        );
     }
 
     #[test]

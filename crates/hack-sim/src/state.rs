@@ -64,6 +64,11 @@ impl SimState {
         self.probe = Some(probe);
     }
 
+    /// Removes and returns the installed probe.
+    pub fn take_probe(&mut self) -> Option<Rc<RefCell<dyn Any>>> {
+        self.probe.take()
+    }
+
     /// The installed probe, if any.
     pub fn probe(&self) -> Option<&Rc<RefCell<dyn Any>>> {
         self.probe.as_ref()
