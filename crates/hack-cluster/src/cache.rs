@@ -25,6 +25,7 @@
 use hack_kvcache::PrefixCache;
 use serde::Serialize;
 use std::collections::HashMap;
+use std::num::NonZeroU32;
 
 /// Prefix-cache switch on [`crate::SimulationConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Default)]
@@ -82,19 +83,44 @@ impl Default for CacheSettings {
 
 /// The decode replica and prefix size a request was promised at prefill time.
 ///
-/// Recorded on the request's `ReqState` when the prefill-side lookup hits;
-/// the decode dispatch honors it by placing the request on `replica`, where
-/// `tokens` of its prompt are already resident (so both the prefill compute
-/// and the KV transfer covered only the suffix).
+/// Recorded on the request's lifecycle entry when the prefill-side lookup
+/// hits; the decode dispatch honors it by placing the request on `replica`,
+/// where `tokens` of its prompt are already resident (so both the prefill
+/// compute and the KV transfer covered only the suffix). Packed into 16 B:
+/// a hit always saves at least one token, so `Option<PrefixHit>` keeps its
+/// `None` in the token count's zero.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PrefixHit {
-    /// Decode replica holding the prefix.
-    pub replica: usize,
-    /// Prompt tokens served from the cache.
-    pub tokens: usize,
+pub(crate) struct PrefixHit {
+    replica: u32,
+    tokens: NonZeroU32,
     /// Quantized-KV bytes those tokens occupy (already resident on
     /// `replica`, so the decode reservation shrinks by this much).
     pub bytes: f64,
+}
+
+impl PrefixHit {
+    /// A hit of `tokens` (at least one) prompt tokens on decode replica
+    /// `replica`.
+    pub fn new(replica: usize, tokens: usize, bytes: f64) -> Self {
+        Self {
+            replica: u32::try_from(replica).expect("replica index fits in u32"),
+            tokens: u32::try_from(tokens)
+                .ok()
+                .and_then(NonZeroU32::new)
+                .expect("a hit saves between 1 and u32::MAX tokens"),
+            bytes,
+        }
+    }
+
+    /// Decode replica holding the prefix.
+    pub fn replica(&self) -> usize {
+        self.replica as usize
+    }
+
+    /// Prompt tokens served from the cache.
+    pub fn tokens(&self) -> usize {
+        self.tokens.get() as usize
+    }
 }
 
 /// Per-run prefix-cache state: one [`PrefixCache`] per decode replica, the

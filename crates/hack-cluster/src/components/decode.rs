@@ -5,7 +5,7 @@
 //! indices, in ascending request order, so its cost is O(requests on the
 //! replica) and its results equal those of a scan over the whole trace.
 
-use crate::components::ClusterState;
+use crate::components::{ClusterState, Flag, MaybeF64, PendingDecode};
 use crate::events::{
     DecodeFinished, FlowCompleted, ReplicaFailed, ReplicaRecovered, TransferCompleted,
 };
@@ -37,14 +37,14 @@ fn admit_to_batch(cs: &mut ClusterState, d: usize, req: usize, now: f64) {
     let congestion = (cs.decode[d].active as f64 / nominal).max(1.0);
     let decode_t = decode_t * congestion;
     let dequant_t = dequant_t * congestion;
-    cs.states[req].decode_time = decode_t;
-    cs.states[req].dequant_time = dequant_t;
+    cs.charges[req].decode_time = decode_t;
+    cs.charges[req].dequant_time = dequant_t;
     let finish = cs.decode_ctxs[d].emit_at(
         DecodeFinished { req },
         cs.decode_ctxs[d].id(),
         now + decode_t + dequant_t,
     );
-    cs.states[req].pending_decode = Some((finish, now));
+    cs.lifecycle[req].pending_decode = Some(PendingDecode::new(finish, now));
 }
 
 impl DecodeReplica {
@@ -52,14 +52,14 @@ impl DecodeReplica {
         let d = self.index;
         let mut cs = self.cluster.borrow_mut();
 
-        if cs.decode[d].failed || !cs.states[req].reserved {
+        if cs.decode[d].failed || !cs.lifecycle[req].is(Flag::Reserved) {
             // The KV data landed on a replica that failed while the transfer
             // was in flight (its reservation was dropped at failure time, even
             // if the replica has since recovered empty). Re-queue through the
             // normal admission path: the prefill side still holds the CPU copy
             // and re-transfers it.
             cs.requeued += 1;
-            cs.states[req].pipelined_transfer_end = None;
+            cs.lifecycle[req].pipelined_transfer_end = MaybeF64::NONE;
             if let Some(tel) = &mut cs.tel {
                 tel.transfer_landed();
                 tel.requeued(d, req, now);
@@ -80,19 +80,18 @@ impl DecodeReplica {
         let cs = &mut *cs;
         let flow = cs.fabric.finish_flow(req, now);
 
-        if cs.states[req].transfer_start.is_none() {
-            // Pipelined flow landing while its prefill still runs: record the
-            // landing; `PrefillFinished` admits it with zero exposed
-            // communication (the in-flight gauge drops on that delivery).
-            cs.states[req].pipelined_transfer_end = Some(now);
-            return;
-        }
         // Exposed communication: from the charging epoch's start (reservation,
         // or prefill completion for pipelined flows) to the landing — backoff
         // gaps and aborted partial attempts included.
-        let t0 = cs.states[req].transfer_start.take().expect("checked above");
-        cs.states[req].comm_time += now - t0;
-        cs.states[req].transfer_remaining = None;
+        let Some(t0) = cs.lifecycle[req].transfer_start.take() else {
+            // Pipelined flow landing while its prefill still runs: record the
+            // landing; `PrefillFinished` admits it with zero exposed
+            // communication (the in-flight gauge drops on that delivery).
+            cs.lifecycle[req].pipelined_transfer_end = MaybeF64::some(now);
+            return;
+        };
+        cs.charges[req].comm_time += now - t0;
+        cs.lifecycle[req].transfer_remaining = MaybeF64::NONE;
         if let Some(tel) = &mut cs.tel {
             if let Some(f) = &flow {
                 tel.flow_finished(f.src, req, f.started, now);
@@ -100,7 +99,7 @@ impl DecodeReplica {
             tel.transfer_landed();
         }
 
-        if cs.decode[d].failed || !cs.states[req].reserved {
+        if cs.decode[d].failed || !cs.lifecycle[req].is(Flag::Reserved) {
             // Same as the flat fabric's landed-on-a-dead-replica path.
             cs.requeued += 1;
             if let Some(tel) = &mut cs.tel {
@@ -121,11 +120,11 @@ impl DecodeReplica {
         cs.decode[d].resident_tokens = cs.decode[d]
             .resident_tokens
             .saturating_sub(cs.requests[req].total_tokens());
-        let pending = cs.states[req].pending_decode.take();
-        cs.states[req].finish_time = now;
-        cs.states[req].done = true;
+        let pending = cs.lifecycle[req].pending_decode.take();
+        cs.charges[req].finish_time = now;
+        cs.lifecycle[req].set(Flag::Done, true);
         cs.completed += 1;
-        let started = pending.map_or(now, |(_, started)| started);
+        let started = pending.map_or(now, |p| p.started);
         let jct = now - cs.requests[req].arrival;
         if let Some(tel) = &mut cs.tel {
             tel.decode_finished(d, req, started, now, jct);
@@ -169,15 +168,19 @@ impl DecodeReplica {
         // event and charge the wasted time to the decode stage.
         let group = cs.decode[d].group;
         for &r in &sets.aborted {
-            let (event_id, started) = cs.states[r].pending_decode.take().expect("filtered above");
-            cs.decode_ctxs[d].cancel_event(event_id);
+            let pending = cs.lifecycle[r]
+                .pending_decode
+                .take()
+                .expect("filtered above");
+            let started = pending.started;
+            cs.decode_ctxs[d].cancel_event(pending.event());
             if let Some(tel) = &mut cs.tel {
                 tel.decode_aborted(d, r, started, now);
             }
-            cs.states[r].aborted_decode += now - started;
+            cs.charges[r].aborted_decode += now - started;
             cs.aborted_decode_by_group[group] += now - started;
-            cs.states[r].decode_time = 0.0;
-            cs.states[r].dequant_time = 0.0;
+            cs.charges[r].decode_time = 0.0;
+            cs.charges[r].dequant_time = 0.0;
             cs.requeued += 1;
         }
 
@@ -185,7 +188,7 @@ impl DecodeReplica {
         // those of transfers still in flight toward it, which re-queue when
         // their transfer lands.
         for &r in &sets.cleared {
-            cs.states[r].reserved = false;
+            cs.lifecycle[r].set(Flag::Reserved, false);
         }
 
         // The replica's memory contents died with it (peak_kv keeps its
@@ -273,31 +276,30 @@ struct FailureSets {
 
 impl FailureSets {
     fn indexed(cs: &ClusterState, d: usize) -> Self {
-        let s = &cs.states;
+        let s = &cs.lifecycle;
+        let live_here =
+            |r: usize| !s[r].is(Flag::Done) && cs.charges[r].decode_replica as usize == d;
         let held = cs.decode[d].reserved_reqs.sorted();
         let affected = held
             .iter()
             .filter(|&&r| {
-                !s[r].done
-                    && s[r].decode_replica == d
-                    && s[r].reserved
-                    && s[r].transfer_remaining.is_none()
+                live_here(r) && s[r].is(Flag::Reserved) && s[r].transfer_remaining.get().is_none()
             })
             .count();
         let aborted = held
             .iter()
             .copied()
-            .filter(|&r| !s[r].done && s[r].decode_replica == d && s[r].pending_decode.is_some())
+            .filter(|&r| live_here(r) && s[r].pending_decode.is_some())
             .collect();
         let cleared = held
             .into_iter()
-            .filter(|&r| !s[r].done && s[r].decode_replica == d && s[r].reserved)
+            .filter(|&r| live_here(r) && s[r].is(Flag::Reserved))
             .collect();
         let released_hits = cs.decode[d]
             .hit_reqs
             .sorted()
             .into_iter()
-            .filter(|&r| !s[r].done && s[r].prefix.is_some_and(|h| h.replica == d))
+            .filter(|&r| !s[r].is(Flag::Done) && s[r].prefix.is_some_and(|h| h.replica() == d))
             .collect();
         FailureSets {
             affected,
@@ -330,7 +332,7 @@ impl EventHandler for DecodeReplica {
 /// test build, plus a record of what each checked failure exercised.
 #[cfg(test)]
 pub(crate) mod oracle {
-    use super::{ClusterState, FailureSets};
+    use super::{ClusterState, FailureSets, Flag};
     use std::cell::RefCell;
 
     /// What one checked failure touched.
@@ -357,25 +359,23 @@ pub(crate) mod oracle {
 
     /// The failure sets of replica `d` by scanning every request.
     fn scanned(cs: &ClusterState, d: usize) -> FailureSets {
-        let s = &cs.states;
+        let (c, s) = (&cs.charges, &cs.lifecycle);
         let n = s.len();
+        let live_here = |r: usize| !s[r].is(Flag::Done) && c[r].decode_replica as usize == d;
         let affected = (0..n)
             .filter(|&r| {
-                !s[r].done
-                    && s[r].decode_replica == d
-                    && s[r].reserved
-                    && s[r].transfer_remaining.is_none()
+                live_here(r) && s[r].is(Flag::Reserved) && s[r].transfer_remaining.get().is_none()
             })
             .count();
         let aborted = (0..n)
-            .filter(|&r| !s[r].done && s[r].decode_replica == d && s[r].pending_decode.is_some())
+            .filter(|&r| live_here(r) && s[r].pending_decode.is_some())
             .collect();
         let cleared = (0..n)
-            .filter(|&r| !s[r].done && s[r].decode_replica == d && s[r].reserved)
+            .filter(|&r| live_here(r) && s[r].is(Flag::Reserved))
             .collect();
         let released_hits = if cs.cache.is_some() {
             (0..n)
-                .filter(|&r| !s[r].done && s[r].prefix.is_some_and(|h| h.replica == d))
+                .filter(|&r| !s[r].is(Flag::Done) && s[r].prefix.is_some_and(|h| h.replica() == d))
                 .collect()
         } else {
             Vec::new()
@@ -388,15 +388,17 @@ pub(crate) mod oracle {
         }
     }
 
-    /// Asserts that replica `d`'s indices are exact and that `indexed`
-    /// equals the whole-trace scans, then records the failure's coverage.
+    /// Asserts that replica `d`'s indices are exact, that every prefill
+    /// replica's in-service request records that replica as its own, and
+    /// that `indexed` equals the whole-trace scans; then records the
+    /// failure's coverage.
     pub(super) fn check(cs: &ClusterState, d: usize, indexed: &FailureSets) {
-        let s = &cs.states;
+        let (c, s) = (&cs.charges, &cs.lifecycle);
         let reserved_here: Vec<usize> = (0..s.len())
-            .filter(|&r| s[r].reserved && s[r].decode_replica == d)
+            .filter(|&r| s[r].is(Flag::Reserved) && c[r].decode_replica as usize == d)
             .collect();
         let hits_here: Vec<usize> = (0..s.len())
-            .filter(|&r| s[r].prefix.is_some_and(|h| h.replica == d))
+            .filter(|&r| s[r].prefix.is_some_and(|h| h.replica() == d))
             .collect();
         assert_eq!(
             cs.decode[d].reserved_reqs.sorted(),
@@ -404,11 +406,16 @@ pub(crate) mod oracle {
             "replica {d}"
         );
         assert_eq!(cs.decode[d].hit_reqs.sorted(), hits_here, "replica {d}");
+        for (p, replica) in cs.prefill.iter().enumerate() {
+            if let Some((r, _)) = replica.current {
+                assert_eq!(c[r].prefill_replica as usize, p, "request {r} in prefill");
+            }
+        }
         assert_eq!(*indexed, scanned(cs, d), "replica {d}");
         let pipelined = indexed
             .cleared
             .iter()
-            .filter(|&&r| s[r].pending_prefill.is_some() && s[r].pending_decode.is_none())
+            .filter(|&&r| cs.in_prefill(r) && s[r].pending_decode.is_none())
             .count();
         let coverage = Coverage {
             mid_decode: indexed.aborted.len(),

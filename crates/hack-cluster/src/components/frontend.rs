@@ -2,7 +2,7 @@
 //! fault injection, the fabric fault/recovery and transfer-retry control
 //! events.
 
-use crate::components::{prefill, ClusterState, PrefillReplicaState};
+use crate::components::{prefill, ClusterState, Flag, MaybeF64, PrefillReplicaState};
 use crate::events::{FabricFault, FabricRecovered, RequestArrived, TransferRetry};
 use hack_sim::{Event, EventHandler};
 use std::cell::RefCell;
@@ -43,7 +43,7 @@ pub(crate) fn dispatch_to_prefill(cs: &mut ClusterState, req: usize, now: f64) {
         cs.waiting_for_prefill.push_back(req);
         return;
     };
-    cs.states[req].prefill_replica = replica;
+    cs.charges[req].prefill_replica = u32::try_from(replica).expect("replica index fits in u32");
     let tenant = cs.requests[req].tenant.index();
     cs.prefill[replica].queue.push(req, tenant);
     cs.prefill[replica].queued_tokens += cs.requests[req].input_len;
@@ -68,7 +68,7 @@ impl Frontend {
         let cs = &mut *cs;
         if !cs.admission.admit(&cs.requests[req], now) {
             cs.rejected += 1;
-            cs.states[req].rejected = true;
+            cs.lifecycle[req].set(Flag::Rejected, true);
             cs.rejected_per_tenant[cs.requests[req].tenant.index()] += 1;
             if let Some(tel) = &mut cs.tel {
                 tel.request_rejected(req, now);
@@ -117,7 +117,7 @@ impl Frontend {
         }
         for (req, flow) in aborted {
             cs.fault_tallies[fault].requests_aborted += 1;
-            cs.states[req].transfer_remaining = Some(flow.remaining);
+            cs.lifecycle[req].transfer_remaining = MaybeF64::some(flow.remaining);
             if let Some(tel) = &mut cs.tel {
                 tel.transfer_aborted(flow.src, req, flow.started, now);
             }
@@ -150,28 +150,29 @@ impl Frontend {
     fn on_transfer_retry(&self, req: usize, now: f64) {
         let mut cs = self.cluster.borrow_mut();
         let cs = &mut *cs;
-        if cs.states[req].done || cs.states[req].abandoned {
+        let s = &mut cs.lifecycle[req];
+        if s.is(Flag::Done) || s.is(Flag::Abandoned) {
             return;
         }
         // A cleared `transfer_remaining` marks the retry as stale (the
         // request was re-dispatched through another path meanwhile).
-        let Some(volume) = cs.states[req].transfer_remaining else {
+        let Some(volume) = s.transfer_remaining.get() else {
             return;
         };
-        if !cs.states[req].reserved {
+        if !s.is(Flag::Reserved) {
             // The target decode replica failed during the backoff and took
             // the reservation with it: start the dispatch over.
-            cs.states[req].transfer_remaining = None;
-            if let Some(t0) = cs.states[req].transfer_start.take() {
-                cs.states[req].comm_time += now - t0;
+            s.transfer_remaining = MaybeF64::NONE;
+            if let Some(t0) = s.transfer_start.take() {
+                cs.charges[req].comm_time += now - t0;
             }
             cs.try_dispatch_to_decode(req, now);
             return;
         }
-        let replica = cs.states[req].prefill_replica;
-        let target = cs.states[req].decode_replica;
+        let replica = cs.charges[req].prefill_replica as usize;
+        let target = cs.charges[req].decode_replica as usize;
         if cs.fabric.path_alive(replica, target) {
-            cs.states[req].transfer_remaining = None;
+            cs.lifecycle[req].transfer_remaining = MaybeF64::NONE;
             // Note: `transfer_start` is left untouched — the communication
             // charging epoch spans aborts and backoff gaps.
             let started = cs.fabric.start_flow(

@@ -19,6 +19,16 @@
 //! arithmetic below is a line-for-line port of the original monolithic
 //! simulator (whose per-request numerics this refactor reproduces exactly).
 //!
+//! Per-request state is two tables indexed by request, 168 B per request in
+//! all: [`Charges`] (80 B), exactly what the result reads — placement and the
+//! seconds charged to each stage — and [`Lifecycle`] (88 B), the in-flight
+//! bookkeeping the handlers need until the request is resolved. The result
+//! assembly reads the lifecycle table first and frees it before it allocates
+//! the records. State a component owns lives with it instead: the request in
+//! prefill service and its pending `PrefillFinished` sit in
+//! [`PrefillReplicaState::current`], and a memory-waiting request's wait
+//! start rides in its `waiting_for_memory` entry.
+//!
 //! Each [`DecodeReplicaState`] indexes the requests that hold memory on it:
 //! its KV reservations, taken by [`ClusterState::reserve`] and returned by
 //! [`ClusterState::release`] (a replica failure drops them all at once),
@@ -51,6 +61,7 @@ use hack_model::cost_table::{DecodeCostTable, PrefillCostTable};
 use hack_sim::{ComponentId, EventId, SimulationContext};
 use hack_workload::trace::Request;
 use std::collections::VecDeque;
+use std::num::NonZeroU64;
 use std::sync::Arc;
 
 /// The memoized cost layer of a [`crate::sim::Simulator`], built on its first
@@ -209,8 +220,11 @@ pub(crate) struct PrefillReplicaState {
     pub busy: bool,
     /// Whether the replica is currently failed (fault injection).
     pub failed: bool,
-    /// The request currently in prefill service (cancellable on failure).
-    pub current: Option<usize>,
+    /// The request in prefill service and its pending `PrefillFinished`
+    /// event (cancellable on failure). A replica serves one request at a
+    /// time, so this is also the request's own record of being in prefill
+    /// ([`ClusterState::in_prefill`]).
+    pub current: Option<(usize, EventId)>,
 }
 
 impl PrefillReplicaState {
@@ -287,7 +301,7 @@ impl DecodeReplicaState {
 }
 
 /// An unordered set of request indices with O(1) insertion and removal.
-/// Each member's position is kept in a slot of its own [`ReqState`]
+/// Each member's position is kept in a slot of its own [`Lifecycle`]
 /// (`reserve_slot`, `hit_slot`), so a removal swaps the last member into
 /// the hole and the caller repoints that member's slot.
 #[derive(Debug, Clone, Default)]
@@ -327,11 +341,15 @@ impl ReqIndex {
     }
 }
 
-/// Per-request bookkeeping.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ReqState {
-    pub prefill_replica: usize,
-    pub decode_replica: usize,
+/// What the result reads of one request: its placement and the seconds
+/// charged to each stage of its JCT breakdown. One entry per request of the
+/// trace (80 B), index-aligned with [`Lifecycle`].
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Charges {
+    /// Prefill replica of the request's latest journey.
+    pub prefill_replica: u32,
+    /// Decode replica of the latest reservation.
+    pub decode_replica: u32,
     pub prefill_wait: f64,
     pub prefill_time: f64,
     pub quant_time: f64,
@@ -342,71 +360,136 @@ pub(crate) struct ReqState {
     /// Decode time lost to aborted attempts on failed replicas (charged to the
     /// decode stage in the final breakdown).
     pub aborted_decode: f64,
-    /// Pipelined transfer completion time (if a transfer was started during prefill).
-    pub pipelined_transfer_end: Option<f64>,
-    /// When the request started waiting for decode memory.
-    pub memory_wait_start: Option<f64>,
+    pub finish_time: f64,
+}
+
+/// An optional `f64` in 8 bytes: NaN encodes `None`, so the value stored
+/// must never be NaN (every time and transfer volume of a run is finite).
+#[derive(Clone, Copy)]
+pub(crate) struct MaybeF64(f64);
+
+impl MaybeF64 {
+    pub const NONE: Self = Self(f64::NAN);
+
+    pub fn some(value: f64) -> Self {
+        debug_assert!(!value.is_nan(), "NaN encodes None");
+        Self(value)
+    }
+
+    pub fn get(self) -> Option<f64> {
+        (!self.0.is_nan()).then_some(self.0)
+    }
+
+    pub fn take(&mut self) -> Option<f64> {
+        std::mem::replace(self, Self::NONE).get()
+    }
+}
+
+impl Default for MaybeF64 {
+    fn default() -> Self {
+        Self::NONE
+    }
+}
+
+/// A request's pending `DecodeFinished` event (cancellable on replica
+/// failure) and the time decoding started. The event id is stored plus one,
+/// so `Option<PendingDecode>` takes 16 B.
+#[derive(Clone, Copy)]
+pub(crate) struct PendingDecode {
+    event_plus_one: NonZeroU64,
+    pub started: f64,
+}
+
+impl PendingDecode {
+    pub fn new(event: EventId, started: f64) -> Self {
+        Self {
+            event_plus_one: NonZeroU64::new(event.wrapping_add(1))
+                .expect("event ids stay below u64::MAX"),
+            started,
+        }
+    }
+
+    pub fn event(&self) -> EventId {
+        self.event_plus_one.get() - 1
+    }
+}
+
+/// The yes/no facts of a request's lifecycle, one bit each of
+/// [`Lifecycle::flags`].
+#[derive(Clone, Copy)]
+#[repr(u8)]
+pub(crate) enum Flag {
+    /// Decoded to completion (terminal).
+    Done = 1,
+    /// Waited for decode memory at least once.
+    Swapped = 1 << 1,
+    /// Rejected by admission (terminal).
+    Rejected = 1 << 2,
+    /// Permanently aborted: retries and re-admissions exhausted, or stranded
+    /// by a permanent fault (terminal).
+    Abandoned = 1 << 3,
+    /// Holds its KV reservation on `decode_replica`.
+    Reserved = 1 << 4,
+}
+
+/// The in-flight bookkeeping of one request: everything the handlers need
+/// until the request is resolved and the result does not read. One entry per
+/// request of the trace (at most 88 B), index-aligned with [`Charges`];
+/// freed before the result's records are allocated.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Lifecycle {
     pub kv_reserve_bytes: f64,
-    /// Whether the KV reservation on `decode_replica` is currently held.
-    pub reserved: bool,
-    /// Position in `decode_replica`'s `reserved_reqs` while `reserved`.
-    pub reserve_slot: u32,
-    /// Position in the hit replica's `hit_reqs` while `prefix` is `Some`.
-    pub hit_slot: u32,
-    /// Pending `DecodeFinished` event (cancellable on replica failure) and the
-    /// time decoding started.
-    pub pending_decode: Option<(EventId, f64)>,
-    /// Pending `PrefillFinished` event (cancellable on prefill-replica
-    /// failure).
-    pub pending_prefill: Option<EventId>,
+    /// Pipelined transfer completion time (if a transfer was started during
+    /// prefill).
+    pub pipelined_transfer_end: MaybeF64,
     /// When communication charging started for the current transfer flow
     /// (link-graph fabric; `None` while the flow hides under prefill).
-    pub transfer_start: Option<f64>,
+    pub transfer_start: MaybeF64,
     /// Partial progress of an aborted flow: the volume (Gbps-seconds) still
     /// to move when it retries toward the *same* reservation. Dropped when
     /// the request re-targets.
-    pub transfer_remaining: Option<f64>,
-    /// Transfer attempts consumed (aborts + failed restarts); feeds the retry
-    /// histogram.
-    pub transfer_attempts: u32,
-    /// Times the request re-entered admission after exhausting retries.
-    pub readmissions: u32,
-    pub finish_time: f64,
-    pub done: bool,
-    pub swapped: bool,
-    /// Rejected by admission (terminal).
-    pub rejected: bool,
-    /// Permanently aborted: retries and re-admissions exhausted, or stranded
-    /// by a permanent fault (terminal).
-    pub abandoned: bool,
+    pub transfer_remaining: MaybeF64,
+    /// Pending `DecodeFinished` event and the time decoding started.
+    pub pending_decode: Option<PendingDecode>,
     /// The prefix-cache hit this request was promised at prefill time:
     /// `Some` between the prefill-side lookup and decode completion (or a
     /// downgrade when the prefix replica dies). Always `None` with
     /// [`crate::cache::CacheConfig::Off`].
     pub prefix: Option<PrefixHit>,
+    /// Position in `decode_replica`'s `reserved_reqs` while reserved.
+    pub reserve_slot: u32,
+    /// Position in the hit replica's `hit_reqs` while `prefix` is `Some`.
+    pub hit_slot: u32,
+    /// Transfer attempts consumed (aborts + failed restarts); feeds the retry
+    /// histogram.
+    pub transfer_attempts: u32,
+    /// Times the request re-entered admission after exhausting retries.
+    pub readmissions: u32,
+    /// [`Flag`] bits.
+    flags: u8,
 }
 
-impl ReqState {
-    /// Clears the per-stage charges of an aborted journey before the request
-    /// re-enters admission: its next prefill start recomputes the queueing
-    /// wait from the original arrival, so everything spent on the failed
-    /// journey collapses into queueing time and the breakdown keeps summing
-    /// to the JCT. Terminal flags, counters and placement survive.
-    pub fn reset_for_readmission(&mut self) {
-        self.prefill_wait = 0.0;
-        self.prefill_time = 0.0;
-        self.quant_time = 0.0;
-        self.comm_time = 0.0;
-        self.memory_wait = 0.0;
-        self.dequant_time = 0.0;
-        self.decode_time = 0.0;
-        self.aborted_decode = 0.0;
-        self.pipelined_transfer_end = None;
-        self.memory_wait_start = None;
-        self.transfer_start = None;
-        self.transfer_remaining = None;
+impl Lifecycle {
+    pub fn is(&self, flag: Flag) -> bool {
+        self.flags & flag as u8 != 0
+    }
+
+    pub fn set(&mut self, flag: Flag, on: bool) {
+        if on {
+            self.flags |= flag as u8;
+        } else {
+            self.flags &= !(flag as u8);
+        }
     }
 }
+
+/// Relative tolerance of the debug-build check that a decode replica's
+/// `kv_used` equals its reserved plus cached bytes: the running sum and the
+/// recount add the same terms in different orders, so they agree only to
+/// rounding. Relative to the larger of the replica's capacity and the
+/// recount.
+#[cfg(debug_assertions)]
+const KV_BYTES_REL_TOL: f64 = 1e-9;
 
 /// Per-fault blast-radius bookkeeping, accumulated while the run executes and
 /// folded into [`crate::result::FaultRecord`]s afterwards.
@@ -440,8 +523,14 @@ pub(crate) struct ClusterState {
     pub requests: Arc<Vec<Request>>,
     pub prefill: Vec<PrefillReplicaState>,
     pub decode: Vec<DecodeReplicaState>,
-    pub states: Vec<ReqState>,
-    pub waiting_for_memory: VecDeque<usize>,
+    /// Per-request placement and stage charges (index = request).
+    pub charges: Vec<Charges>,
+    /// Per-request in-flight bookkeeping (index = request); emptied before
+    /// the result's records are built.
+    pub lifecycle: Vec<Lifecycle>,
+    /// Requests waiting for decode memory, FIFO, each with the time it
+    /// started waiting.
+    pub waiting_for_memory: VecDeque<(usize, f64)>,
     /// Requests that could not route to any live prefill replica (whole
     /// prefill fleet down); drained on prefill recovery.
     pub waiting_for_prefill: VecDeque<usize>,
@@ -506,6 +595,33 @@ impl ClusterState {
         &self.config.profile
     }
 
+    /// Whether `req` is in prefill service: the replica of its latest
+    /// journey is serving it (its `PrefillFinished` is pending).
+    pub fn in_prefill(&self, req: usize) -> bool {
+        let replica = self.charges[req].prefill_replica as usize;
+        self.prefill[replica].current.is_some_and(|(r, _)| r == req)
+    }
+
+    /// Clears the per-stage charges and transfer state of `req`'s aborted
+    /// journey before it re-enters admission: its next prefill start
+    /// recomputes the queueing wait from the original arrival, so everything
+    /// spent on the failed journey collapses into queueing time and the
+    /// breakdown keeps summing to the JCT. Placement, the finish time, flags,
+    /// counters and index slots survive.
+    pub fn reset_for_readmission(&mut self, req: usize) {
+        let c = &mut self.charges[req];
+        *c = Charges {
+            prefill_replica: c.prefill_replica,
+            decode_replica: c.decode_replica,
+            finish_time: c.finish_time,
+            ..Charges::default()
+        };
+        let s = &mut self.lifecycle[req];
+        s.pipelined_transfer_end = MaybeF64::NONE;
+        s.transfer_start = MaybeF64::NONE;
+        s.transfer_remaining = MaybeF64::NONE;
+    }
+
     pub fn kv_reserve_bytes(&self, request: &Request) -> f64 {
         // KV bytes depend only on the model architecture (identical across
         // decode groups); any group's model computes the same value.
@@ -517,7 +633,7 @@ impl ClusterState {
     /// replica when the request holds a prefix-cache hit.
     pub fn request_kv_bytes(&self, req: usize) -> f64 {
         let full = self.kv_reserve_bytes(&self.requests[req]);
-        match self.states[req].prefix {
+        match self.lifecycle[req].prefix {
             Some(hit) => (full - hit.bytes).max(0.0),
             None => full,
         }
@@ -527,8 +643,8 @@ impl ClusterState {
     /// prompt, or only the suffix past the cached prefix on a hit.
     pub fn effective_prompt(&self, req: usize) -> usize {
         let input = self.requests[req].input_len;
-        match self.states[req].prefix {
-            Some(hit) => input - hit.tokens,
+        match self.lifecycle[req].prefix {
+            Some(hit) => input - hit.tokens(),
             None => input,
         }
     }
@@ -543,14 +659,17 @@ impl ClusterState {
         if let Some(target) = self.dispatch_target(req, bytes) {
             self.reserve_and_transfer(req, target, bytes, now);
         } else {
-            self.states[req].memory_wait_start = Some(now);
             // Count each *request* that ever waited for memory once, even if a
             // replica failure sends it through this path a second time.
-            if !self.states[req].swapped {
-                self.states[req].swapped = true;
+            if !self.lifecycle[req].is(Flag::Swapped) {
+                self.lifecycle[req].set(Flag::Swapped, true);
                 self.swapped += 1;
             }
-            self.waiting_for_memory.push_back(req);
+            debug_assert!(
+                self.waiting_for_memory.iter().all(|&(r, _)| r != req),
+                "request {req} already waits for memory"
+            );
+            self.waiting_for_memory.push_back((req, now));
         }
     }
 
@@ -570,7 +689,7 @@ impl ClusterState {
         }
         self.reserve(req, target, bytes);
 
-        let replica = self.states[req].prefill_replica;
+        let replica = self.charges[req].prefill_replica as usize;
         if self.fabric.graph_enabled() {
             self.start_transfer_flow(req, replica, target, now);
             return;
@@ -583,7 +702,7 @@ impl ClusterState {
         let end = self.fabric.reserve_nic(replica, now, duration);
         // Communication time as experienced by the request: waiting for the NIC
         // plus the wire time.
-        self.states[req].comm_time += end - now;
+        self.charges[req].comm_time += end - now;
         if let Some(tel) = &mut self.tel {
             tel.transfer_started(replica, req, now, end - duration, end);
         }
@@ -601,33 +720,72 @@ impl ClusterState {
         d.kv_used += bytes;
         d.peak_kv = d.peak_kv.max(d.kv_used);
         d.reservations += 1;
-        let s = &mut self.states[req];
-        debug_assert!(!s.reserved, "request {req} already holds a reservation");
-        s.decode_replica = target;
+        let s = &mut self.lifecycle[req];
+        debug_assert!(
+            !s.is(Flag::Reserved),
+            "request {req} already holds a reservation"
+        );
+        self.charges[req].decode_replica =
+            u32::try_from(target).expect("replica index fits in u32");
         s.kv_reserve_bytes = bytes;
-        s.reserved = true;
+        s.set(Flag::Reserved, true);
         s.reserve_slot = d.reserved_reqs.insert(req);
-        debug_assert_eq!(d.reserved_reqs.len(), d.reservations);
+        #[cfg(debug_assertions)]
+        self.check_reservations(target);
     }
 
     /// Returns `req`'s KV reservation to its decode replica and removes it
     /// from the replica's reservation index; returns that replica.
     pub fn release(&mut self, req: usize) -> usize {
-        let target = self.states[req].decode_replica;
-        let slot = self.states[req].reserve_slot;
-        debug_assert!(
-            self.states[req].reserved,
-            "request {req} holds no reservation"
-        );
+        let target = self.charges[req].decode_replica as usize;
+        let s = self.lifecycle[req];
+        debug_assert!(s.is(Flag::Reserved), "request {req} holds no reservation");
         let d = &mut self.decode[target];
-        d.kv_used -= self.states[req].kv_reserve_bytes;
+        d.kv_used -= s.kv_reserve_bytes;
         d.reservations -= 1;
-        if let Some(moved) = d.reserved_reqs.remove(slot) {
-            self.states[moved].reserve_slot = slot;
+        if let Some(moved) = d.reserved_reqs.remove(s.reserve_slot) {
+            self.lifecycle[moved].reserve_slot = s.reserve_slot;
         }
-        debug_assert_eq!(d.reserved_reqs.len(), d.reservations);
-        self.states[req].reserved = false;
+        self.lifecycle[req].set(Flag::Reserved, false);
+        #[cfg(debug_assertions)]
+        self.check_reservations(target);
         target
+    }
+
+    /// Debug-build check of decode replica `d`'s reservation index after a
+    /// reserve or release: the index holds exactly `reservations` members,
+    /// each member holds its reservation on `d` and sits at its recorded
+    /// slot, and `kv_used` equals the members' reserved bytes plus the
+    /// replica's resident prefix bytes within [`KV_BYTES_REL_TOL`].
+    #[cfg(debug_assertions)]
+    fn check_reservations(&self, d: usize) {
+        let replica = &self.decode[d];
+        assert_eq!(
+            replica.reserved_reqs.len(),
+            replica.reservations,
+            "replica {d}"
+        );
+        let mut reserved_bytes = 0.0;
+        for (slot, &r) in replica.reserved_reqs.0.iter().enumerate() {
+            let s = &self.lifecycle[r as usize];
+            assert!(
+                s.is(Flag::Reserved) && self.charges[r as usize].decode_replica as usize == d,
+                "request {r} is indexed on replica {d} without its reservation"
+            );
+            assert_eq!(s.reserve_slot as usize, slot, "request {r} on replica {d}");
+            reserved_bytes += s.kv_reserve_bytes;
+        }
+        let cached = self
+            .cache
+            .as_ref()
+            .map_or(0.0, |cache| cache.caches[d].used_bytes());
+        let expected = reserved_bytes + cached;
+        assert!(
+            (replica.kv_used - expected).abs()
+                <= KV_BYTES_REL_TOL * expected.max(replica.kv_capacity),
+            "replica {d}: kv_used {} but reservations hold {reserved_bytes} and the cache {cached}",
+            replica.kv_used
+        );
     }
 
     /// The volume of `req`'s KV transfer in Gbps-seconds: the wire time is
@@ -649,13 +807,13 @@ impl ClusterState {
             !self.fabric.has_flow(req),
             "request {req} already has an active flow"
         );
-        let volume = self.states[req]
+        let volume = self.lifecycle[req]
             .transfer_remaining
             .take()
             .unwrap_or_else(|| {
                 self.transfer_volume(self.prefill[replica].group, self.decode[target].group, req)
             });
-        self.states[req].transfer_start = Some(now);
+        self.lifecycle[req].transfer_start = MaybeF64::some(now);
         if self.fabric.start_flow(
             req,
             replica,
@@ -668,7 +826,7 @@ impl ClusterState {
                 tel.flow_started(replica);
             }
         } else {
-            self.states[req].transfer_remaining = Some(volume);
+            self.lifecycle[req].transfer_remaining = MaybeF64::some(volume);
             self.schedule_retry(req, now);
         }
     }
@@ -678,19 +836,20 @@ impl ClusterState {
     /// gives the reservation up and sends the request back through admission.
     pub fn schedule_retry(&mut self, req: usize, now: f64) {
         let policy = self.config.policy.retry;
-        if self.states[req].transfer_attempts >= policy.max_transfer_attempts {
+        if self.lifecycle[req].transfer_attempts >= policy.max_transfer_attempts {
             self.give_up_transfer(req, now);
             return;
         }
-        self.states[req].transfer_attempts += 1;
+        self.lifecycle[req].transfer_attempts += 1;
         self.retries += 1;
-        let attempt = self.states[req].transfer_attempts;
+        let attempt = self.lifecycle[req].transfer_attempts;
         let delay = retry_backoff(&policy, self.config.trace.seed, req, attempt);
         let frontend = self.frontend_id.expect("frontend registered before events");
         self.fabric
             .deliver(TransferRetry { req }, frontend, now + delay);
         if let Some(tel) = &mut self.tel {
-            tel.transfer_retry_scheduled(self.states[req].prefill_replica, req, now, attempt);
+            let replica = self.charges[req].prefill_replica as usize;
+            tel.transfer_retry_scheduled(replica, req, now, attempt);
         }
     }
 
@@ -698,8 +857,8 @@ impl ClusterState {
     /// admission, or permanently abort once the policy's re-admissions are
     /// spent.
     pub fn give_up_transfer(&mut self, req: usize, now: f64) {
-        let target = self.states[req].decode_replica;
-        if self.states[req].reserved {
+        let target = self.charges[req].decode_replica as usize;
+        if self.lifecycle[req].is(Flag::Reserved) {
             // The reservation is only still held when the target is alive (a
             // replica failure zeroes its accounting and clears the flag).
             self.release(req);
@@ -707,22 +866,22 @@ impl ClusterState {
                 self.maybe_finish_drain(target, now);
             }
         }
-        self.states[req].transfer_remaining = None;
-        self.states[req].transfer_start = None;
-        if self.states[req].pending_prefill.is_some() {
+        self.lifecycle[req].transfer_remaining = MaybeF64::NONE;
+        self.lifecycle[req].transfer_start = MaybeF64::NONE;
+        if self.in_prefill(req) {
             // A pipelined flow exhausted its retries while the prefill is
             // still in service: drop only the transfer state — the request
             // never left its prefill replica, so `PrefillFinished` dispatches
             // it through the normal path (no re-admission).
-            self.states[req].pipelined_transfer_end = None;
+            self.lifecycle[req].pipelined_transfer_end = MaybeF64::NONE;
             return;
         }
         // The next journey re-resolves the prefix from scratch (and must not
         // leak this journey's pin).
         self.release_hit(req);
-        self.states[req].readmissions += 1;
-        if self.states[req].readmissions > self.config.policy.retry.max_readmissions {
-            self.states[req].abandoned = true;
+        self.lifecycle[req].readmissions += 1;
+        if self.lifecycle[req].readmissions > self.config.policy.retry.max_readmissions {
+            self.lifecycle[req].set(Flag::Abandoned, true);
             self.gave_up += 1;
             if let Some(tel) = &mut self.tel {
                 tel.request_abandoned(req, now);
@@ -734,7 +893,7 @@ impl ClusterState {
         }
         // Everything spent so far collapses into queueing time at the next
         // prefill start, keeping the breakdown equal to the JCT.
-        self.states[req].reset_for_readmission();
+        self.reset_for_readmission(req);
         self.requeued += 1;
         let frontend = self.frontend_id.expect("frontend registered before events");
         self.fabric.deliver(RequestArrived { req }, frontend, now);
@@ -747,13 +906,12 @@ impl ClusterState {
     /// order while they fit somewhere (a head holding a prefix-cache hit
     /// waits specifically for the replica holding its prefix).
     pub fn drain_waiting(&mut self, now: f64) {
-        while let Some(&head) = self.waiting_for_memory.front() {
+        while let Some(&(head, wait_start)) = self.waiting_for_memory.front() {
             self.downgrade_dead_hit(head);
             let bytes = self.request_kv_bytes(head);
             if let Some(target) = self.dispatch_target(head, bytes) {
                 self.waiting_for_memory.pop_front();
-                let wait_start = self.states[head].memory_wait_start.take().unwrap_or(now);
-                self.states[head].memory_wait += now - wait_start;
+                self.charges[head].memory_wait += now - wait_start;
                 if let Some(tel) = &mut self.tel {
                     tel.memory_wait_over(target, head, wait_start, now);
                 }
@@ -830,11 +988,11 @@ impl ClusterState {
     /// on a hit (waiting for it rather than paying a full transfer
     /// elsewhere), otherwise [`Self::best_decode_replica`].
     fn dispatch_target(&self, req: usize, bytes: f64) -> Option<usize> {
-        match self.states[req].prefix {
+        match self.lifecycle[req].prefix {
             Some(hit) => {
-                let d = &self.decode[hit.replica];
-                (d.kv_used + bytes <= d.kv_capacity + self.cache_evictable(hit.replica))
-                    .then_some(hit.replica)
+                let d = &self.decode[hit.replica()];
+                (d.kv_used + bytes <= d.kv_capacity + self.cache_evictable(hit.replica()))
+                    .then_some(hit.replica())
             }
             None => self.best_decode_replica(bytes),
         }
@@ -843,13 +1001,13 @@ impl ClusterState {
     /// Releases `req`'s prefix-cache pin (if any) and forgets the hit — the
     /// request will pay full price on its next dispatch/journey.
     pub fn release_hit(&mut self, req: usize) {
-        if let Some(hit) = self.states[req].prefix.take() {
-            let slot = self.states[req].hit_slot;
-            if let Some(moved) = self.decode[hit.replica].hit_reqs.remove(slot) {
-                self.states[moved].hit_slot = slot;
+        if let Some(hit) = self.lifecycle[req].prefix.take() {
+            let slot = self.lifecycle[req].hit_slot;
+            if let Some(moved) = self.decode[hit.replica()].hit_reqs.remove(slot) {
+                self.lifecycle[moved].hit_slot = slot;
             }
             if let Some(cache) = &mut self.cache {
-                cache.caches[hit.replica].unpin(self.requests[req].session);
+                cache.caches[hit.replica()].unpin(self.requests[req].session);
             }
         }
     }
@@ -859,8 +1017,8 @@ impl ClusterState {
     /// already banked — a deliberate modeling artifact of this failure race
     /// — but the reservation and transfer revert to full price.
     fn downgrade_dead_hit(&mut self, req: usize) {
-        if let Some(hit) = self.states[req].prefix {
-            if !self.decode[hit.replica].dispatchable() {
+        if let Some(hit) = self.lifecycle[req].prefix {
+            if !self.decode[hit.replica()].dispatchable() {
                 self.release_hit(req);
             }
         }
@@ -951,7 +1109,7 @@ impl ClusterState {
         let (suffix_prefill, suffix_quant) = self.costs.prefill_service_times(group, suffix);
         let bytes = self.decode_models[0].kv_fp16_bytes(saved) * self.profile().kv_size_factor;
         debug_assert!(
-            self.states[req].prefix.is_none(),
+            self.lifecycle[req].prefix.is_none(),
             "request {req} already holds a prefix hit"
         );
         let cache = self.cache.as_mut().expect("checked above");
@@ -959,12 +1117,8 @@ impl ClusterState {
         cache.hits += 1;
         cache.prefill_secs_saved += (full_prefill + full_quant) - (suffix_prefill + suffix_quant);
         cache.bytes_saved += bytes;
-        self.states[req].prefix = Some(PrefixHit {
-            replica,
-            tokens: saved,
-            bytes,
-        });
-        self.states[req].hit_slot = self.decode[replica].hit_reqs.insert(req);
+        self.lifecycle[req].prefix = Some(PrefixHit::new(replica, saved, bytes));
+        self.lifecycle[req].hit_slot = self.decode[replica].hit_reqs.insert(req);
         if let Some(tel) = &mut self.tel {
             tel.prefix_hit(replica, req, now);
         }
@@ -1080,11 +1234,38 @@ mod tests {
     use super::*;
 
     #[test]
-    fn req_state_fits_in_256_bytes() {
-        // One `ReqState` per request of the trace: the 300k-request run holds
-        // ~75 MB of them, so the index slots must not grow it past 256 B.
-        let size = std::mem::size_of::<ReqState>();
-        assert!(size <= 256, "ReqState is {size} B");
+    fn request_tables_fit_in_80_and_88_bytes() {
+        // One entry of each table per request of the trace. On the
+        // 300k-request run, 80 B + 88 B = 168 B per request is 50.4 MB
+        // (48.1 MiB), where one 256 B state per request was 76.8 MB
+        // (73.2 MiB); the 88 B lifecycle entries (26.4 MB) are freed before
+        // the 144 B records (43.2 MB) are allocated.
+        let charges = std::mem::size_of::<Charges>();
+        let lifecycle = std::mem::size_of::<Lifecycle>();
+        assert!(charges <= 80, "Charges is {charges} B");
+        assert!(lifecycle <= 88, "Lifecycle is {lifecycle} B");
+    }
+
+    #[test]
+    fn packed_lifecycle_fields_round_trip() {
+        let mut t = MaybeF64::default();
+        assert_eq!(t.get(), None);
+        t = MaybeF64::some(0.0);
+        assert_eq!(t.take(), Some(0.0));
+        assert_eq!(t.get(), None);
+        assert_eq!(MaybeF64::some(f64::INFINITY).get(), Some(f64::INFINITY));
+        for id in [0, 1, u64::MAX - 1] {
+            assert_eq!(PendingDecode::new(id, 2.5).event(), id);
+        }
+        let mut s = Lifecycle::default();
+        for flag in [Flag::Done, Flag::Reserved, Flag::Abandoned] {
+            s.set(flag, true);
+        }
+        s.set(Flag::Done, false);
+        assert!(!s.is(Flag::Done) && s.is(Flag::Reserved) && s.is(Flag::Abandoned));
+        assert!(!s.is(Flag::Swapped) && !s.is(Flag::Rejected));
+        let hit = PrefixHit::new(3, 7, 1.5);
+        assert_eq!((hit.replica(), hit.tokens(), hit.bytes), (3, 7, 1.5));
     }
 
     #[test]

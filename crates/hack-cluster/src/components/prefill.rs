@@ -1,6 +1,6 @@
 //! The prefill lifecycle of one replica — including prefill-side failures.
 
-use crate::components::{frontend, ClusterState};
+use crate::components::{frontend, ClusterState, Flag, MaybeF64};
 use crate::events::{
     PrefillFailed, PrefillFinished, PrefillRecovered, RequestArrived, TransferCompleted,
 };
@@ -36,20 +36,19 @@ pub(crate) fn start_prefill(cs: &mut ClusterState, replica: usize, now: f64) {
         return;
     };
     cs.prefill[replica].busy = true;
-    cs.prefill[replica].current = Some(req);
     let group = cs.prefill[replica].group;
     let request = cs.requests[req];
 
-    cs.states[req].prefill_wait = (now - request.arrival).max(0.0);
+    cs.charges[req].prefill_wait = (now - request.arrival).max(0.0);
     // Session prefix lookup: on a hit, prefill (and later the KV transfer)
     // covers only the suffix past the cached prefix.
     let prompt = cs.resolve_prefix(req, group, now);
     let (prefill_t, quant_t) = cs.costs.prefill_service_times(group, prompt);
-    cs.states[req].prefill_time = prefill_t;
-    cs.states[req].quant_time = quant_t;
+    cs.charges[req].prefill_time = prefill_t;
+    cs.charges[req].quant_time = quant_t;
     if let Some(tel) = &mut cs.tel {
         tel.tenant_dequeued(request.tenant.index());
-        let wait_start = now - cs.states[req].prefill_wait;
+        let wait_start = now - cs.charges[req].prefill_wait;
         tel.prefill_started(replica, req, wait_start, now, prefill_t, quant_t);
     }
 
@@ -60,7 +59,7 @@ pub(crate) fn start_prefill(cs: &mut ClusterState, replica: usize, now: f64) {
     // path falls back to the dispatch at `PrefillFinished` (and its retries).
     // Prefix hits skip pipelining: their placement is forced onto the replica
     // holding the prefix, which the post-prefill dispatch handles.
-    if cs.config.cluster.pipelining && cs.states[req].prefix.is_none() {
+    if cs.config.cluster.pipelining && cs.lifecycle[req].prefix.is_none() {
         let bytes = cs.kv_reserve_bytes(&request);
         let target = cs
             .best_decode_replica(bytes)
@@ -91,7 +90,7 @@ pub(crate) fn start_prefill(cs: &mut ClusterState, replica: usize, now: f64) {
                     request.input_len,
                 );
                 let end = cs.fabric.reserve_nic(replica, now, duration);
-                cs.states[req].pipelined_transfer_end = Some(end);
+                cs.lifecycle[req].pipelined_transfer_end = MaybeF64::some(end);
                 if let Some(tel) = &mut cs.tel {
                     tel.transfer_started(replica, req, now, end - duration, end);
                 }
@@ -104,7 +103,7 @@ pub(crate) fn start_prefill(cs: &mut ClusterState, replica: usize, now: f64) {
         cs.prefill_ctxs[replica].id(),
         now + prefill_t + quant_t,
     );
-    cs.states[req].pending_prefill = Some(finish);
+    cs.prefill[replica].current = Some((req, finish));
 }
 
 impl PrefillReplica {
@@ -114,28 +113,27 @@ impl PrefillReplica {
 
         cs.prefill[i].busy = false;
         cs.prefill[i].current = None;
-        cs.states[req].pending_prefill = None;
         cs.prefill[i].queued_tokens = cs.prefill[i]
             .queued_tokens
             .saturating_sub(cs.requests[req].input_len);
 
         // Hand the request to the transfer/decode pipeline.
-        if let Some(transfer_end) = cs.states[req].pipelined_transfer_end {
+        if let Some(transfer_end) = cs.lifecycle[req].pipelined_transfer_end.get() {
             // Pipelined: the transfer has been running during prefill; only
             // the non-overlapped part counts as communication time. (On the
             // link-graph fabric this is the flow-landed-early case, so the
             // exposed part is zero.)
             let ready = transfer_end.max(now);
-            cs.states[req].comm_time += (transfer_end - now).max(0.0);
-            let target = cs.states[req].decode_replica;
+            cs.charges[req].comm_time += (transfer_end - now).max(0.0);
+            let target = cs.charges[req].decode_replica as usize;
             let dst = cs.decode_ctxs[target].id();
             cs.fabric.deliver(TransferCompleted { req }, dst, ready);
-        } else if cs.states[req].reserved {
+        } else if cs.lifecycle[req].is(Flag::Reserved) {
             // Link-graph pipelined flow still in flight (or in retry
             // backoff): communication is exposed from here on; the
             // `FlowCompleted` delivery — or the retry chain — finishes the
             // hand-off.
-            cs.states[req].transfer_start = Some(now);
+            cs.lifecycle[req].transfer_start = MaybeF64::some(now);
         } else {
             cs.try_dispatch_to_decode(req, now);
         }
@@ -158,26 +156,24 @@ impl PrefillReplica {
 
         // Abort the in-service prefill (and its pipelined transfer, if any):
         // the request re-enters admission from scratch.
-        if let Some(req) = cs.prefill[i].current.take() {
+        if let Some((req, finish)) = cs.prefill[i].current.take() {
             cs.prefill[i].busy = false;
             cs.prefill[i].queued_tokens = cs.prefill[i]
                 .queued_tokens
                 .saturating_sub(cs.requests[req].input_len);
-            if let Some(ev) = cs.states[req].pending_prefill.take() {
-                cs.prefill_ctxs[i].cancel_event(ev);
-            }
+            cs.prefill_ctxs[i].cancel_event(finish);
             if let Some(flow) = cs.fabric.abort_flow(req, now) {
                 if let Some(tel) = &mut cs.tel {
                     tel.transfer_aborted(flow.src, req, flow.started, now);
                 }
-            } else if cs.states[req].pipelined_transfer_end.is_some() {
+            } else if cs.lifecycle[req].pipelined_transfer_end.get().is_some() {
                 // Flat pipelined reservation (or an early-landed flow): the
                 // in-flight gauge was counted up when it started.
                 if let Some(tel) = &mut cs.tel {
                     tel.transfer_landed();
                 }
             }
-            if cs.states[req].reserved {
+            if cs.lifecycle[req].is(Flag::Reserved) {
                 let target = cs.release(req);
                 if cs.decode[target].draining {
                     cs.maybe_finish_drain(target, now);
@@ -186,13 +182,13 @@ impl PrefillReplica {
             // The re-admitted request re-runs prefill from scratch and will
             // re-resolve (and re-pin) its prefix there.
             cs.release_hit(req);
-            cs.states[req].reset_for_readmission();
+            cs.reset_for_readmission(req);
             cs.requeued += 1;
             cs.fault_tallies[fault].requests_aborted += 1;
             let frontend_id = cs.frontend_id.expect("frontend registered before events");
             cs.fabric.deliver(RequestArrived { req }, frontend_id, now);
             if let Some(tel) = &mut cs.tel {
-                tel.requeued(cs.states[req].decode_replica, req, now);
+                tel.requeued(cs.charges[req].decode_replica as usize, req, now);
             }
         }
 

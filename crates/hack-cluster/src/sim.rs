@@ -16,6 +16,14 @@
 //! per-request cost during the event loop is O(1). The per-token summation
 //! loops and direct formulas of [`hack_model::ReplicaCostModel`] those tables
 //! reproduce are the test oracle (`cost_layer_*` below).
+//!
+//! Each run keeps two per-request tables on the cluster blackboard (see the
+//! `components` module): 80 B of charges per request, which the records are
+//! built from, and 88 B of lifecycle state per request, which only the
+//! handlers and the end-of-run scans (group summaries, aborted requests,
+//! the retry histogram and the record order) read. Result assembly runs
+//! those scans first and frees the lifecycle table before it allocates the
+//! records, so the run's peak memory is set at set-up, not at assembly.
 
 use crate::components::decode::DecodeReplica;
 use crate::components::frontend::Frontend;
@@ -23,7 +31,8 @@ use crate::components::network::NetworkFabric;
 use crate::components::prefill::PrefillReplica;
 use crate::components::scaling::ScalingController;
 use crate::components::{
-    ClusterState, DecodeReplicaState, FaultTally, PrefillReplicaState, ReqState, SimCosts,
+    Charges, ClusterState, DecodeReplicaState, FaultTally, Flag, Lifecycle, PrefillReplicaState,
+    SimCosts,
 };
 use crate::config::{ClusterConfig, SimulationConfig};
 use crate::events::{
@@ -400,7 +409,8 @@ impl Simulator {
             dispatch: Dispatch::new(policy.dispatch),
             admission: Admission::new(policy.admission, &policy.tenants),
             scheduling,
-            states: vec![ReqState::default(); requests.len()],
+            charges: vec![Charges::default(); requests.len()],
+            lifecycle: vec![Lifecycle::default(); requests.len()],
             requests,
             prefill,
             decode: decode_group_of
@@ -564,8 +574,10 @@ impl Simulator {
             }
         }
 
-        // --- Assemble records. ---
-        let cs = cluster.borrow();
+        // --- Assemble the result. Every scan of the lifecycle table runs
+        // first; the table is then freed, before the records are allocated,
+        // so the two never share the peak. ---
+        let mut cs = cluster.borrow_mut();
         debug_assert_eq!(
             cs.fabric.active_flows(),
             0,
@@ -573,47 +585,6 @@ impl Simulator {
         );
         let params_bytes = cluster_cfg.model.spec().param_bytes_fp16();
         let peak_kv = cs.decode.iter().map(|d| d.peak_kv).fold(0.0, f64::max);
-
-        // Records are ordered by finish time, ties in request-index order:
-        // the order a stable sort by finish time gives the index-ordered done
-        // requests. Request indices are unique, so `(finish_time, index)` is
-        // a total order and an unstable sort of these small keys yields that
-        // same permutation without moving a record or allocating a merge
-        // buffer; each record is then built once, in place.
-        let mut order: Vec<(f64, usize)> = cs
-            .states
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.done)
-            .map(|(i, s)| (s.finish_time, i))
-            .collect();
-        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let records: Vec<RequestRecord> = order
-            .iter()
-            .map(|&(_, i)| {
-                let s = &cs.states[i];
-                RequestRecord {
-                    request: cs.requests[i],
-                    prefill_replica: s.prefill_replica,
-                    decode_replica: s.decode_replica,
-                    finish_time: s.finish_time,
-                    breakdown: JctBreakdown {
-                        prefill: s.prefill_time,
-                        quantization: s.quant_time,
-                        // Waiting for decode memory keeps the KV transfer pending on
-                        // the prefill side (Fig. 1(d), case ii), so it is charged to
-                        // communication, as in the paper's measurements.
-                        communication: s.comm_time + s.memory_wait,
-                        dequant_or_approx: s.dequant_time,
-                        // Decode attempts aborted by a replica failure are wasted
-                        // decode-side time; charge them to the decode stage so the
-                        // breakdown still sums to the JCT.
-                        decode: s.decode_time + s.aborted_decode,
-                        queueing: s.prefill_wait,
-                    },
-                }
-            })
-            .collect();
 
         // --- Per-group usage summaries. ---
         let mut prefill_groups: Vec<GroupStats> = cluster_cfg
@@ -662,20 +633,24 @@ impl Simulator {
                 }
             })
             .collect();
-        // Accumulate from the per-request states rather than the records: the
-        // record's decode stage folds failure-aborted attempts into the
-        // completing replica's column (it is a *request* decomposition),
-        // while group utilization must charge wasted attempts to the group
-        // that actually spent them (`aborted_decode_by_group`, below).
-        for (i, s) in cs.states.iter().enumerate().filter(|(_, s)| s.done) {
-            let pg = &mut prefill_groups[cs.prefill[s.prefill_replica].group];
+        // Accumulate from the per-request tables rather than the records, in
+        // request order (the float sums depend on it): the record's decode
+        // stage folds failure-aborted attempts into the completing replica's
+        // column (it is a *request* decomposition), while group utilization
+        // must charge wasted attempts to the group that actually spent them
+        // (`aborted_decode_by_group`, below).
+        for (i, c) in cs.charges.iter().enumerate() {
+            if !cs.lifecycle[i].is(Flag::Done) {
+                continue;
+            }
+            let pg = &mut prefill_groups[cs.prefill[c.prefill_replica as usize].group];
             pg.completed += 1;
-            pg.busy_secs += s.prefill_time + s.quant_time;
-            let jct = s.finish_time - cs.requests[i].arrival;
+            pg.busy_secs += c.prefill_time + c.quant_time;
+            let jct = c.finish_time - cs.requests[i].arrival;
             pg.mean_jct += jct;
-            let dg = &mut decode_groups[cs.decode[s.decode_replica].group];
+            let dg = &mut decode_groups[cs.decode[c.decode_replica as usize].group];
             dg.completed += 1;
-            dg.busy_secs += s.dequant_time + s.decode_time;
+            dg.busy_secs += c.dequant_time + c.decode_time;
             dg.mean_jct += jct;
         }
         for (g, aborted) in cs.aborted_decode_by_group.iter().enumerate() {
@@ -700,7 +675,11 @@ impl Simulator {
         // Requests neither completed nor rejected by admission when the run
         // ended: permanently aborted (exhausted retries + re-admissions) or
         // stranded by a permanent whole-fleet failure.
-        let aborted_requests = cs.states.iter().filter(|s| !s.done && !s.rejected).count();
+        let aborted_requests = cs
+            .lifecycle
+            .iter()
+            .filter(|s| !s.is(Flag::Done) && !s.is(Flag::Rejected))
+            .count();
         // retry_histogram[k] = requests that made exactly k transfer attempts
         // (k >= 1; empty when no retries happened, so fault-free results stay
         // visibly clean).
@@ -708,17 +687,61 @@ impl Simulator {
             Vec::new()
         } else {
             let max_attempts = cs
-                .states
+                .lifecycle
                 .iter()
                 .map(|s| s.transfer_attempts as usize)
                 .max()
                 .unwrap_or(0);
             let mut hist = vec![0usize; max_attempts + 1];
-            for s in cs.states.iter().filter(|s| s.transfer_attempts > 0) {
+            for s in cs.lifecycle.iter().filter(|s| s.transfer_attempts > 0) {
                 hist[s.transfer_attempts as usize] += 1;
             }
             hist
         };
+
+        // Records are ordered by finish time, ties in request-index order:
+        // the order a stable sort by finish time gives the index-ordered done
+        // requests. Request indices are unique, so `(finish_time, index)` is
+        // a total order and an unstable sort of these small keys yields that
+        // same permutation without moving a record or allocating a merge
+        // buffer; each record is then built once, in place.
+        let mut order: Vec<(f64, usize)> = cs
+            .lifecycle
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.is(Flag::Done))
+            .map(|(i, _)| (cs.charges[i].finish_time, i))
+            .collect();
+        // That was the last read of the lifecycle table.
+        drop(std::mem::take(&mut cs.lifecycle));
+        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let records: Vec<RequestRecord> = order
+            .iter()
+            .map(|&(_, i)| {
+                let c = &cs.charges[i];
+                RequestRecord {
+                    request: cs.requests[i],
+                    prefill_replica: c.prefill_replica as usize,
+                    decode_replica: c.decode_replica as usize,
+                    finish_time: c.finish_time,
+                    breakdown: JctBreakdown {
+                        prefill: c.prefill_time,
+                        quantization: c.quant_time,
+                        // Waiting for decode memory keeps the KV transfer pending on
+                        // the prefill side (Fig. 1(d), case ii), so it is charged to
+                        // communication, as in the paper's measurements.
+                        communication: c.comm_time + c.memory_wait,
+                        dequant_or_approx: c.dequant_time,
+                        // Decode attempts aborted by a replica failure are wasted
+                        // decode-side time; charge them to the decode stage so the
+                        // breakdown still sums to the JCT.
+                        decode: c.decode_time + c.aborted_decode,
+                        queueing: c.prefill_wait,
+                    },
+                }
+            })
+            .collect();
+
         let faults: Vec<FaultRecord> = self
             .config
             .faults
@@ -899,8 +922,8 @@ impl Simulator {
             decode_groups,
             makespan,
         };
+        let telemetry = cs.tel.take().map(|ts| ts.tel);
         drop(cs);
-        let telemetry = cluster.borrow_mut().tel.take().map(|ts| ts.tel);
         (result, sim.take_log(), telemetry)
     }
 }
@@ -2106,6 +2129,105 @@ mod tests {
         assert!(
             covered[0] >= 8 && covered.iter().all(|&n| n > 0),
             "failures, mid-decode, mid-transfer, pipelined, fabric-cut, hits: {covered:?}"
+        );
+    }
+
+    /// Two identical requests on one prefill replica and a decode replica
+    /// whose KV budget fits only one of them, so the second waits for
+    /// memory from its prefill end until memory frees. Returns the
+    /// configuration, the trace, and the uncontended transfer time of one
+    /// request.
+    fn one_fit_pair(decode_replicas: usize) -> (SimulationConfig, Arc<Vec<Request>>, f64) {
+        let mut cfg = sim_config(KvMethodProfile::baseline(), Dataset::Cocktail, 1.0, 2);
+        cfg.cluster.set_prefill_replicas(1);
+        cfg.cluster.set_decode_replicas(decode_replicas);
+        let model = cfg.cluster.decode_cost_model(0);
+        let budget = cfg.cluster.decode_group_kv_budget_bytes(0);
+        let per_token = model.kv_fp16_bytes(1) * cfg.profile.kv_size_factor;
+        // A sequence filling 70% of the budget: one fits, two do not.
+        let tokens = (0.7 * budget / per_token) as usize;
+        let input_len = 512;
+        let request = |id: u64, arrival: f64| Request {
+            id,
+            tenant: hack_workload::trace::TenantId(0),
+            arrival,
+            input_len,
+            output_len: tokens - input_len,
+            session: 0,
+            parent: None,
+            shared_prefix_tokens: 0,
+        };
+        let requests = Arc::new(vec![request(0, 0.5), request(1, 0.6)]);
+        cfg.trace.num_requests = requests.len();
+        let sim = Simulator::with_requests(cfg, requests.clone());
+        let transfer = sim.costs().prefill_models[0].transfer_time(
+            input_len,
+            &cfg.profile,
+            cfg.cluster.fleet.wire_gbps(0, 0),
+        );
+        (cfg, requests, transfer)
+    }
+
+    /// When request 1's prefill ended (the start of its memory wait).
+    fn prefill_end(r: &RequestRecord) -> f64 {
+        let b = &r.breakdown;
+        r.request.arrival + b.queueing + b.prefill + b.quantization
+    }
+
+    fn assert_close(got: f64, want: f64) {
+        assert!(
+            (got - want).abs() <= 1e-12 * want.abs().max(1.0),
+            "got {got}, want {want}"
+        );
+    }
+
+    /// The wait start rides in the memory-wait queue entry: the second
+    /// request's wait runs from its own prefill end to the instant the first
+    /// request's completion frees the replica, so its communication charge
+    /// is its transfer time plus exactly that wait.
+    #[test]
+    fn memory_wait_ends_when_the_blocking_request_finishes() {
+        let (cfg, requests, transfer) = one_fit_pair(1);
+        let result = Simulator::with_requests(cfg, requests).run();
+        assert_eq!(result.records.len(), 2);
+        assert_eq!(result.swapped_requests, 1);
+        let (first, second) = (&result.records[0], &result.records[1]);
+        assert_eq!((first.request.id, second.request.id), (0, 1));
+        assert_close(first.breakdown.communication, transfer);
+        let waited = first.finish_time - prefill_end(second);
+        assert!(waited > 0.0, "request 1 must wait for memory");
+        assert_close(second.breakdown.communication, transfer + waited);
+    }
+
+    /// The same wait, spanning a replica join: the first scale tick (t = 0)
+    /// drains the idle second replica, the next one (t = 10 s) sees the
+    /// waiting request and orders the replica back, and its join after the
+    /// provisioning delay — before the first request finishes — ends the
+    /// wait.
+    #[test]
+    fn memory_wait_ends_at_the_replica_join_that_admits_it() {
+        use crate::components::scaling::SCALE_TICK_SECS;
+        use crate::policy::ScalingPolicyKind;
+        let (mut cfg, requests, transfer) = one_fit_pair(2);
+        cfg.policy.scaling = ScalingPolicyKind::Threshold {
+            high: 0.5,
+            low: 0.1,
+        };
+        let join = SCALE_TICK_SECS + cfg.cluster.fleet.decode.get(0).provision_delay_s;
+        let result = Simulator::with_requests(cfg, requests).run();
+        assert_eq!(result.records.len(), 2);
+        assert_eq!((result.scale_ups, result.swapped_requests), (1, 1));
+        let first = &result.records[0];
+        let second = result
+            .records
+            .iter()
+            .find(|r| r.request.id == 1)
+            .expect("completed");
+        assert!(prefill_end(second) < SCALE_TICK_SECS && join < first.finish_time);
+        assert_eq!((first.decode_replica, second.decode_replica), (0, 1));
+        assert_close(
+            second.breakdown.communication,
+            transfer + (join - prefill_end(second)),
         );
     }
 
