@@ -23,7 +23,10 @@
 //! handlers and the end-of-run scans (group summaries, aborted requests,
 //! the retry histogram and the record order) read. Result assembly runs
 //! those scans first and frees the lifecycle table before it allocates the
-//! records, so the run's peak memory is set at set-up, not at assembly.
+//! records. Arrivals are streamed into the engine (see
+//! [`hack_sim::SimulationContext::emit_sorted`]), so set-up holds a 4-byte
+//! index per root arrival rather than a whole queued event, and the run's
+//! peak memory is set at assembly, by the charges table and the records.
 
 use crate::components::decode::DecodeReplica;
 use crate::components::frontend::Frontend;
@@ -298,11 +301,32 @@ impl Simulator {
         // `max(arrival, parent completion)`. `parent.is_none()` is always
         // true for legacy traces, so this is the exact pre-session seeding
         // for them.
-        for (i, r) in requests.iter().enumerate() {
-            if r.parent.is_none() {
-                driver.emit_at(RequestArrived { req: i }, frontend_id, r.arrival);
-            }
-        }
+        //
+        // The roots are streamed: the engine builds each arrival when its
+        // queue reaches it, so until the last one is built the queue holds a
+        // 4-byte root index per arrival, not a whole event. A stable sort by
+        // arrival delivers ties in index order, and it keeps an
+        // arrival-sorted trace's ids exactly those of one `emit_at` per root
+        // in index order.
+        let mut roots: Vec<u32> = requests
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.parent.is_none())
+            .map(|(i, _)| u32::try_from(i).expect("trace indices fit in u32"))
+            .collect();
+        roots.sort_by(|&a, &b| {
+            requests[a as usize]
+                .arrival
+                .total_cmp(&requests[b as usize].arrival)
+        });
+        let trace = Arc::clone(&requests);
+        driver.emit_sorted(
+            roots.into_iter().map(move |i| {
+                let req = i as usize;
+                (trace[req].arrival, RequestArrived { req })
+            }),
+            frontend_id,
+        );
         // Expand the fault plan: for each fault, its fabric cut (link-cutting
         // domains only, delivered to the frontend) precedes the correlated
         // replica failures (ascending replica index), and recovery events
@@ -1226,6 +1250,65 @@ mod tests {
             ids.windows(2).any(|w| w[0] > w[1]),
             "finish order must differ from index order: {ids:?}"
         );
+    }
+
+    /// Root arrivals out of index order, with exact ties, on one prefill
+    /// replica that serves them first come, first served: delivery must
+    /// follow arrival time, ties in index order. Every value was recorded
+    /// before arrivals were streamed, when each root was seeded in index
+    /// order.
+    #[test]
+    fn unsorted_roots_with_arrival_ties_keep_their_delivery_order() {
+        let mut cfg = sim_config(KvMethodProfile::baseline(), Dataset::Cocktail, 0.05, 10);
+        cfg.cluster.set_prefill_replicas(1);
+        let mut requests = TraceGenerator::new(cfg.trace).generate();
+        let arrivals = [4.0, 1.0, 2.5, 1.0, 0.0, 2.5, 1.0, 6.0, 0.0, 3.0];
+        for (i, (r, arrival)) in requests.iter_mut().zip(arrivals).enumerate() {
+            r.arrival = arrival;
+            r.input_len = 1024 + 512 * (i % 4);
+            r.output_len = 64 << (i % 3);
+        }
+        let (result, log) =
+            Simulator::with_requests(cfg, Arc::new(requests)).run_traced(EngineMode::Slab);
+        let finished: Vec<(u64, f64)> = result
+            .records
+            .iter()
+            .map(|r| (r.request.id, r.finish_time))
+            .collect();
+        assert_eq!(
+            finished,
+            [
+                (4, 1.6196128594319137),
+                (1, 3.162564513302033),
+                (8, 3.177981799580072),
+                (3, 4.267770158968105),
+                (6, 5.383104298444773),
+                (2, 8.188927858682423),
+                (9, 8.248735223934531),
+                (0, 8.762044169389519),
+                (5, 8.92022166818122),
+                (7, 11.008890577163768),
+            ]
+        );
+        let delivered = log
+            .iter()
+            .filter(|r| r.kind == hack_sim::RecordKind::Delivered)
+            .count();
+        assert_eq!((log.len(), delivered), (80, 40));
+    }
+
+    /// Telemetry on and more root arrivals than one streamed block: the run
+    /// stops once only the sampler's tick is left (`queue_len() <=
+    /// tickers`), which must not fire while arrivals are still unbuilt. (The
+    /// queue refills its run whenever a pop empties it, so the run holds at
+    /// least one arrival while any remain; `hack_sim`'s queue tests check
+    /// that `len` counts the unbuilt ones.)
+    #[test]
+    fn a_telemetry_run_longer_than_one_arrival_block_completes() {
+        let mut cfg = sim_config(KvMethodProfile::hack(), Dataset::Imdb, 20.0, 1_000);
+        cfg.telemetry = TelemetryConfig::on();
+        let result = Simulator::new(cfg).run();
+        assert_eq!(result.records.len(), 1_000);
     }
 
     #[test]

@@ -5,6 +5,7 @@ use crate::payload::Payload;
 use crate::state::SimState;
 use std::any::Any;
 use std::cell::RefCell;
+use std::ops::Range;
 use std::rc::Rc;
 
 /// A component's handle to the engine: read the clock, emit or cancel future
@@ -59,6 +60,28 @@ impl SimulationContext {
             dst,
             time,
         )
+    }
+
+    /// Schedules each `(time, payload)` of `items` for delivery to `dst` at
+    /// its absolute time, as one [`Self::emit_at`] per item in order would,
+    /// and returns the ids they get: one consecutive block, reserved now.
+    ///
+    /// The items must come in ascending time order. Each event is built only
+    /// when the queue is about to deliver it, so a long trace (say, every
+    /// arrival of a run) occupies one block of the queue at a time rather
+    /// than all of it at once; `items` must therefore own what it reads.
+    /// With logging on, every `Emitted` record is written now.
+    ///
+    /// # Panics
+    /// Panics on a non-finite time, one earlier than the current time, or
+    /// one earlier than the item before it. Events are checked as they are
+    /// built, so the panic comes when the queue reaches the offending item.
+    pub fn emit_sorted<T, I>(&self, items: I, dst: ComponentId) -> Range<EventId>
+    where
+        T: Any,
+        I: ExactSizeIterator<Item = (f64, T)> + Clone + 'static,
+    {
+        self.state.borrow_mut().add_sorted(items, self.id, dst)
     }
 
     /// Schedules `payload` for delivery back to this component after `delay`.

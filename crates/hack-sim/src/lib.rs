@@ -18,12 +18,18 @@
 //!   rejects non-finite or past times, so the queue can never be corrupted by a
 //!   stray NaN.
 //! * The queue ([`queue::SlabEventQueue`]) has two tiers: a sorted run of
-//!   whole events that takes, in O(1), every push landing after its tail
-//!   (such as an arrival trace seeded in arrival order) and shrinks as it
-//!   drains, and a binary heap of keys for the rest, whose bodies wait in a
+//!   whole events that takes, in O(1), every push landing after its tail,
+//!   and a binary heap of keys for the rest, whose bodies wait in a
 //!   recycled slab. A pop takes the earlier of the two heads, so delivery
-//!   order is exactly that of one heap of whole events. Payloads of at most 24 bytes are stored inline
-//!   ([`Payload`]), so emitting one allocates nothing.
+//!   order is exactly that of one heap of whole events. Payloads of at most
+//!   24 bytes are stored inline ([`Payload`]), so emitting one allocates
+//!   nothing.
+//! * [`SimulationContext::emit_sorted`] schedules a time-ordered stream (such
+//!   as a whole arrival trace) under one block of ids, but builds each event
+//!   only when the queue is about to deliver it: whenever a pop empties the
+//!   run, the next block of 256 streamed events is built into it. The queue
+//!   then holds one block of the stream instead of all of it, and its
+//!   delivery order and the event log are those of one `emit_at` per item.
 //! * The engine can record a structured [`log::EventRecord`] trace for
 //!   debugging and determinism tests.
 //!

@@ -1,5 +1,6 @@
 //! The time-ordered event queue: a sorted run of whole events in front of a
-//! key heap over a free-list slab.
+//! key heap over a free-list slab, fed by an optional stream of events that
+//! are built only when the run reaches them.
 //!
 //! Events live in two tiers:
 //!
@@ -12,30 +13,35 @@
 //!   slab (`Vec<Option<EventNode>>`) whose slots are recycled through a free
 //!   list. The slab holds heap-tier events only.
 //!
-//! A pop takes whichever tier's head is earlier. A simulator that seeds its
-//! whole arrival trace up front, in arrival order, therefore lands every
-//! seeded arrival in the run, and the heap and the slab hold only the events
-//! emitted while running (mostly near-future completions). Its sifts then
-//! walk a heap of in-flight events, not one as deep as the whole trace, and
-//! the seeded arrivals are popped front to back without a slab access. The
-//! run gives its memory back as it drains: a pop that leaves it under a
-//! quarter full halves its capacity (down to `RUN_FLOOR` events), which
-//! keeps pushes and pops amortized O(1) without reallocating back and forth.
+//! A pop takes whichever tier's head is earlier.
+//!
+//! **Streamed events.** [`SlabEventQueue::push_sorted`] takes an iterator of
+//! events in ascending `(time, id)` order and its length, and builds none of
+//! them. Whenever a pop empties the run, the next block of `STREAM_BLOCK`
+//! events is built into it. While any streamed event is still unbuilt,
+//! every other push goes to the heap, so the run holds streamed events only
+//! and its tail always precedes the first unbuilt one: the run stays sorted,
+//! and a pop still compares only two heads. A simulator that streams its
+//! arrival trace thus delivers every arrival from the run, front to back
+//! without a slab access, while its queue holds one block of arrivals
+//! instead of the whole trace; the heap and the slab hold only the events
+//! emitted while running (mostly near-future completions). `len` counts the
+//! unbuilt events.
 //!
 //! Delivery order is identical to a `BinaryHeap<Event>`'s by construction.
 //! `(time, id)` under `f64::total_cmp` is a total order and ids are unique;
-//! the run is sorted by construction and the heap by its invariant, so the
-//! earlier of the two heads is always the global minimum. The unit tests
-//! drive the queue in lockstep with such a heap as the ordering oracle.
+//! the run is sorted by construction, every unbuilt event comes after it,
+//! and the heap is ordered by its invariant, so the earlier of the two heads
+//! is always the global minimum. The unit tests drive the queue in lockstep
+//! with such a heap as the ordering oracle.
 
 use crate::event::{ComponentId, Event, EventId};
 use crate::payload::Payload;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// Capacity (in events) below which a draining run stops shrinking, so a
-/// run that empties and refills in steady state does not reallocate.
-const RUN_FLOOR: usize = 1024;
+/// Streamed events built into the run at a time.
+const STREAM_BLOCK: usize = 256;
 
 /// Whether `(time, id)` pair `a` is delivered before `b`.
 fn precedes(a: (f64, EventId), b: (f64, EventId)) -> bool {
@@ -83,26 +89,86 @@ struct EventNode {
     payload: Payload,
 }
 
+/// Streamed events not yet built, all after the run's tail.
+struct Stream {
+    events: Box<dyn Iterator<Item = Event>>,
+    /// How many `events` still holds (at least one).
+    unbuilt: usize,
+}
+
 /// Two-tier event queue (see module docs).
 #[derive(Default)]
 pub struct SlabEventQueue {
     /// Events pushed in ascending `(time, id)` order, earliest at the front.
+    /// Never empty while `stream` is pending.
     run: VecDeque<Event>,
     /// Keys of every other event.
     keys: BinaryHeap<EventKey>,
     /// Bodies of the events keyed in `keys`.
     nodes: Vec<Option<EventNode>>,
     free: Vec<u32>,
+    stream: Option<Stream>,
 }
 
 impl SlabEventQueue {
     /// Inserts an event.
     pub fn push(&mut self, event: Event) {
         match self.run.back() {
-            Some(last) if !precedes((last.time, last.id), (event.time, event.id)) => {
+            Some(last)
+                if self.stream.is_some()
+                    || !precedes((last.time, last.id), (event.time, event.id)) =>
+            {
                 self.push_heap(event)
             }
             _ => self.run.push_back(event),
+        }
+    }
+
+    /// Inserts `len` events that `events` yields in ascending `(time, id)`
+    /// order, building each only when the run reaches it (see module docs).
+    ///
+    /// The stream needs the run to itself, so the events the run holds move
+    /// to the heap first. While another stream is still pending, every
+    /// event is built and pushed now instead. Delivery order is the same
+    /// either way.
+    ///
+    /// The order is the caller's to guarantee
+    /// ([`crate::SimulationContext::emit_sorted`] checks every event as it is
+    /// built).
+    ///
+    /// # Panics
+    /// Panics, when the run reaches the gap, if `events` yields fewer than
+    /// `len` events.
+    pub fn push_sorted(&mut self, events: Box<dyn Iterator<Item = Event>>, len: usize) {
+        if self.stream.is_some() {
+            events.take(len).for_each(|event| self.push(event));
+        } else if len > 0 {
+            for event in std::mem::take(&mut self.run) {
+                self.push_heap(event);
+            }
+            self.stream = Some(Stream {
+                events,
+                unbuilt: len,
+            });
+            self.refill();
+        }
+    }
+
+    /// Builds the next block of the pending stream into the (empty) run.
+    fn refill(&mut self) {
+        let Some(stream) = &mut self.stream else {
+            return;
+        };
+        let block = stream.unbuilt.min(STREAM_BLOCK);
+        self.run.extend(stream.events.by_ref().take(block));
+        assert_eq!(
+            self.run.len(),
+            block,
+            "a sorted stream yielded fewer events than its length"
+        );
+        stream.unbuilt -= block;
+        if stream.unbuilt == 0 {
+            self.stream = None;
         }
     }
 
@@ -140,9 +206,8 @@ impl SlabEventQueue {
         };
         if from_run {
             let event = self.run.pop_front();
-            let capacity = self.run.capacity();
-            if capacity > RUN_FLOOR && self.run.len() < capacity / 4 {
-                self.run.shrink_to(capacity / 2);
+            if self.run.is_empty() {
+                self.refill();
             }
             return event;
         }
@@ -161,12 +226,13 @@ impl SlabEventQueue {
         })
     }
 
-    /// Number of queued events.
+    /// Number of queued events, streamed ones not yet built included.
     pub fn len(&self) -> usize {
-        self.run.len() + self.keys.len()
+        self.run.len() + self.keys.len() + self.stream.as_ref().map_or(0, |s| s.unbuilt)
     }
 
-    /// Whether the queue is empty.
+    /// Whether the queue is empty. (A pending stream keeps the run
+    /// non-empty.)
     pub fn is_empty(&self) -> bool {
         self.run.is_empty() && self.keys.is_empty()
     }
@@ -287,36 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn a_drained_run_gives_its_memory_back_and_len_stays_exact() {
-        let mut q = Lockstep::default();
-        // 100k in-order pushes, with a heap-tier push (before the run's tail)
-        // after every hundredth.
-        let mut next_id = 0u64;
-        for i in 0..100_000u64 {
-            q.push(next_id, i as f64);
-            next_id += 1;
-            if i % 100 == 99 {
-                q.push(next_id, i as f64 - 0.5);
-                next_id += 1;
-            }
-        }
-        assert_eq!(q.tiers(), (100_000, 1_000));
-        assert!(q.slab.run.capacity() >= 100_000);
-        // Drain, checking the run never holds more than four times its
-        // length once it is past the floor.
-        while q.pop().is_some() {
-            let (len, capacity) = (q.slab.run.len(), q.slab.run.capacity());
-            assert!(
-                capacity <= RUN_FLOOR.max(4 * (len + 1)),
-                "run capacity {capacity} for {len} events"
-            );
-        }
-        assert!(q.slab.is_empty());
-        assert!(q.slab.run.capacity() <= RUN_FLOOR);
-        assert!(q.slab.nodes.len() <= 1_000);
-    }
-
-    #[test]
     fn slab_order_matches_the_heap_oracle_on_random_workload() {
         // The slab queue must reproduce a BinaryHeap<Event>'s delivery order
         // exactly, including ties and interleaved push/pop churn.
@@ -357,6 +393,23 @@ mod tests {
             self.slab.push(event(id, time));
             self.oracle.push(event(id, time));
             self.check_len();
+        }
+
+        /// Streams `events` (ascending `(time, id)`) into the queue; the
+        /// oracle takes them all at once.
+        fn push_stream(&mut self, events: Vec<(EventId, f64)>) {
+            for &(id, time) in &events {
+                self.oracle.push(event(id, time));
+            }
+            let len = events.len();
+            let built = events.into_iter().map(|(id, time)| event(id, time));
+            self.slab.push_sorted(Box::new(built), len);
+            self.check_len();
+        }
+
+        /// Streamed events not yet built.
+        fn unbuilt(&self) -> usize {
+            self.slab.stream.as_ref().map_or(0, |s| s.unbuilt)
         }
 
         fn pop(&mut self) -> Option<(EventId, f64)> {
@@ -491,5 +544,106 @@ mod tests {
         q.push(62, 1600.0); // after the tail: run
         assert_eq!(q.tiers(), (2, 1));
         assert_eq!(q.drain(), vec![61, 60, 62]);
+    }
+
+    #[test]
+    fn a_stream_matches_the_oracle_with_pushes_and_ties_across_tiers() {
+        for seed in 0..4 {
+            let mut rng = DetRng::new(3000 + seed);
+            let mut q = Lockstep::default();
+            // Before the stream: a run of two and a heap of two, at times
+            // the stream shares with smaller ids.
+            q.push(0, 2.0);
+            q.push(1, 1.0);
+            q.push(2, 3.0);
+            q.push(3, 2.0);
+            assert_eq!(q.tiers(), (2, 2));
+            // 600 streamed events, three to a time, from 0.5 on: two full
+            // blocks and one that ends part-way through a refill.
+            let stream: Vec<_> = (0..600)
+                .map(|k| (4 + k, (k / 3) as f64 * 0.5 + 0.5))
+                .collect();
+            q.push_stream(stream);
+            // The run's two events moved to the heap; the run holds one
+            // block.
+            assert_eq!(q.tiers(), (STREAM_BLOCK, 4));
+            assert_eq!(q.unbuilt(), 600 - STREAM_BLOCK);
+            // Churn: follow-ups at the delivery time or up to 1.5 s later,
+            // so they tie with streamed, run and heap events alike.
+            let mut next_id = 604u64;
+            let mut ended = false;
+            while let Some((_, now)) = q.pop() {
+                if next_id < 1_600 {
+                    for _ in 0..rng.range_usize(0, 3) {
+                        let (run_before, heap_before) = q.tiers();
+                        let streaming = q.unbuilt() > 0;
+                        q.push(next_id, now + rng.range_usize(0, 4) as f64 * 0.5);
+                        next_id += 1;
+                        if streaming {
+                            assert_eq!(q.tiers(), (run_before, heap_before + 1));
+                        }
+                    }
+                }
+                if q.unbuilt() == 0 && !ended && q.slab.run.len() > 1 {
+                    // The stream has ended part-way through its last
+                    // block: a push after the run's tail appends to it
+                    // again.
+                    ended = true;
+                    let (run_before, heap_before) = q.tiers();
+                    q.push(next_id, 1e6);
+                    next_id += 1;
+                    assert_eq!(q.tiers(), (run_before + 1, heap_before));
+                }
+            }
+            assert!(ended, "the stream ended with its last block in the run");
+            assert!(q.slab.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_second_stream_while_one_is_pending_is_built_at_once() {
+        let mut q = Lockstep::default();
+        q.push_stream((0..300).map(|k| (k, k as f64)).collect());
+        // Interleaved with the first stream, ties included.
+        q.push_stream((300..900).map(|k| (k, (k - 300) as f64 * 0.5)).collect());
+        assert_eq!(q.tiers(), (STREAM_BLOCK, 600));
+        assert_eq!(q.unbuilt(), 300 - STREAM_BLOCK);
+        // An empty stream changes nothing.
+        q.push_stream(Vec::new());
+        assert_eq!(q.drain().len(), 900);
+        // With the queue drained, a new stream streams again.
+        q.push_stream((900..1_000).map(|k| (k, 1e3 + k as f64)).collect());
+        assert_eq!((q.tiers(), q.unbuilt()), ((100, 0), 0));
+        assert_eq!(q.drain(), (900..1_000).collect::<Vec<_>>());
+    }
+
+    #[test]
+    #[should_panic(expected = "fewer events than its length")]
+    fn a_stream_shorter_than_its_length_panics_at_the_gap() {
+        let mut q = SlabEventQueue::default();
+        let events = (0..10).map(|k| event(k, k as f64));
+        q.push_sorted(Box::new(events), 11);
+    }
+
+    #[test]
+    fn a_long_stream_holds_one_block_in_the_run() {
+        let mut q = Lockstep::default();
+        q.push_stream((0..100_000).map(|k| (k, k as f64)).collect());
+        // The run never holds more than one block, plus room to grow into.
+        let bound = 2 * STREAM_BLOCK;
+        let mut next_id = 100_000;
+        while let Some((id, now)) = q.pop() {
+            assert!(
+                q.slab.run.capacity() <= bound,
+                "run capacity {} with {} events unbuilt",
+                q.slab.run.capacity(),
+                q.unbuilt()
+            );
+            if id % 100 == 0 && next_id < 101_000 {
+                q.push(next_id, now + 0.5);
+                next_id += 1;
+            }
+        }
+        assert_eq!(next_id, 101_000);
     }
 }

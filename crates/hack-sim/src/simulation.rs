@@ -443,4 +443,92 @@ mod tests {
         assert_eq!(sim.queue_len(), 0);
         assert_eq!(sim.emitted_count(), 1);
     }
+
+    /// Records every delivery whole and answers every third streamed tick
+    /// with a follow-up, so handler events interleave with the stream.
+    struct Recorder {
+        ctx: SimulationContext,
+        seen: Vec<(u64, u64, ComponentId, ComponentId, u32)>,
+    }
+
+    impl EventHandler for Recorder {
+        fn on(&mut self, event: Event) {
+            let n = event.get::<Tick>().expect("only ticks").n;
+            self.seen
+                .push((event.id, event.time.to_bits(), event.src, event.dst, n));
+            if n < 10_000 && n.is_multiple_of(3) {
+                self.ctx
+                    .emit_self(Tick { n: n + 10_000 }, f64::from(n % 2) * 0.25);
+            }
+        }
+    }
+
+    /// A simulation with a recorder, logging on, one tick queued before the
+    /// seed (so the stream meets a non-empty run) and one after it.
+    fn seeded(
+        seed: impl FnOnce(&SimulationContext, ComponentId),
+    ) -> (Simulation, Rc<RefCell<Recorder>>) {
+        let mut sim = Simulation::new(1);
+        sim.set_log_enabled(true);
+        let driver = sim.create_context("driver");
+        let ctx = sim.create_context("recorder");
+        let dst = ctx.id();
+        driver.emit_at(Tick { n: 20_000 }, dst, 3.0);
+        seed(&driver, dst);
+        driver.emit_at(Tick { n: 20_001 }, dst, 100.0);
+        let recorder = Rc::new(RefCell::new(Recorder {
+            ctx,
+            seen: Vec::new(),
+        }));
+        sim.add_handler("recorder", recorder.clone());
+        (sim, recorder)
+    }
+
+    fn ticks() -> impl ExactSizeIterator<Item = (f64, Tick)> + Clone {
+        // Four ticks to a time, so ties span the block boundaries.
+        (0..1_000u32).map(|n| (f64::from(n / 4) * 0.25, Tick { n }))
+    }
+
+    #[test]
+    fn emit_sorted_matches_one_emit_at_per_item() {
+        let (mut one_by_one, first) = seeded(|driver, dst| {
+            for (time, tick) in ticks() {
+                driver.emit_at(tick, dst, time);
+            }
+        });
+        let (mut streamed, second) = seeded(|driver, dst| {
+            let ids = driver.emit_sorted(ticks(), dst);
+            assert_eq!(ids, 1..1_001);
+        });
+        assert_eq!(one_by_one.queue_len(), streamed.queue_len());
+        assert_eq!(one_by_one.run(), streamed.run());
+        assert_eq!(first.borrow().seen, second.borrow().seen);
+        assert_eq!(one_by_one.emitted_count(), streamed.emitted_count());
+        assert_eq!(one_by_one.take_log(), streamed.take_log());
+    }
+
+    #[test]
+    fn canceling_a_streamed_event_not_yet_built_suppresses_it() {
+        let (mut sim, recorder) = seeded(|driver, dst| {
+            let ids = driver.emit_sorted(ticks(), dst);
+            // Tick 900 is several blocks past the first.
+            driver.cancel_event(ids.start + 900);
+        });
+        assert_eq!(sim.queue_len(), 1_002, "unbuilt events are queued");
+        sim.run();
+        let seen = &recorder.borrow().seen;
+        assert!(seen.iter().all(|&(.., n)| n != 900));
+        assert_eq!(seen.iter().filter(|&&(.., n)| n < 1_000).count(), 999);
+        assert_eq!(sim.queue_len(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "before the current time or the item before it")]
+    fn an_out_of_order_stream_is_rejected() {
+        let mut sim = Simulation::new(1);
+        let ctx = sim.create_context("c");
+        let items = (0..2u32).map(|n| (1.0 - f64::from(n) * 0.5, Tick { n }));
+        ctx.emit_sorted(items, ctx.id());
+        sim.run();
+    }
 }

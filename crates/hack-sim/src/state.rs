@@ -8,6 +8,7 @@ use hack_tensor::DetRng;
 use std::any::Any;
 use std::cell::RefCell;
 use std::collections::HashSet;
+use std::ops::Range;
 use std::rc::Rc;
 
 pub(crate) struct SimState {
@@ -118,6 +119,71 @@ impl SimState {
             });
         }
         id
+    }
+
+    /// Schedules every `(time, payload)` of `items`, in ascending time order,
+    /// under one block of consecutive ids, and hands the queue a stream that
+    /// builds each event only when it is needed. The log gets every
+    /// `Emitted` record now, in id order, as one `add_event` per item would
+    /// write them.
+    ///
+    /// # Panics
+    /// Panics, as `add_event` does, on a non-finite time or one before the
+    /// current time, and on a time before its predecessor's. The queue
+    /// builds events late, so the panic comes when the run reaches the
+    /// offending event.
+    pub fn add_sorted<T: Any, I>(
+        &mut self,
+        items: I,
+        src: ComponentId,
+        dst: ComponentId,
+    ) -> Range<EventId>
+    where
+        I: ExactSizeIterator<Item = (f64, T)> + Clone + 'static,
+    {
+        let payload_type = std::any::type_name::<T>();
+        let len = items.len();
+        let first = self.next_event_id;
+        self.next_event_id += len as EventId;
+        let ids = first..self.next_event_id;
+        if let Some(log) = &mut self.log {
+            log.extend(
+                items
+                    .clone()
+                    .zip(ids.clone())
+                    .map(|((time, _), id)| EventRecord {
+                        id,
+                        time,
+                        src,
+                        dst,
+                        payload_type,
+                        kind: RecordKind::Emitted,
+                    }),
+            );
+        }
+        // The current time bounds the first item; each item bounds the next.
+        let mut floor = self.clock;
+        let events = items.zip(ids.clone()).map(move |((time, payload), id)| {
+            assert!(
+                time.is_finite(),
+                "cannot schedule `{payload_type}` at non-finite time {time} (src {src} -> dst {dst})"
+            );
+            assert!(
+                time >= floor,
+                "cannot stream `{payload_type}` #{id} at {time}, before the current time or the item before it, {floor} (src {src} -> dst {dst})"
+            );
+            floor = time;
+            Event {
+                id,
+                time,
+                src,
+                dst,
+                payload_type,
+                payload: Payload::new(payload),
+            }
+        });
+        self.events.push_sorted(Box::new(events), len);
+        ids
     }
 
     /// Marks a scheduled event as canceled; it will be dropped when popped.

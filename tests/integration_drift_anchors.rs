@@ -150,3 +150,241 @@ fn session_cache_grid_is_pinned() {
     .map(|(cell, hit_rate, jct)| (cell.to_string(), hit_rate, jct));
     assert_eq!(got, want);
 }
+
+/// What a layer anchor pins of one traced run: completed requests, mean JCT
+/// and makespan (exact), emitted and delivered event counts, and FNV-1a
+/// digests of the whole result (its `Debug` rendering, which prints every
+/// float exactly) and of the whole event log (id, time bits, source,
+/// destination, payload type and kind of every record).
+#[derive(Debug, PartialEq)]
+struct LayerAnchor {
+    completed: usize,
+    mean_jct: f64,
+    makespan: f64,
+    emitted: usize,
+    delivered: usize,
+    result_digest: u64,
+    log_digest: u64,
+}
+
+fn fnv1a(bytes: impl IntoIterator<Item = u8>, mut hash: u64) -> u64 {
+    for b in bytes {
+        hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+    }
+    hash
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn anchor(simulator: Simulator) -> LayerAnchor {
+    use hack_sim::{EngineMode, RecordKind};
+    let (result, log) = simulator.run_traced(EngineMode::Slab);
+    let delivered = log
+        .iter()
+        .filter(|r| r.kind == RecordKind::Delivered)
+        .count();
+    let log_digest = log.iter().fold(FNV_OFFSET, |h, r| {
+        let h = fnv1a(r.id.to_le_bytes(), h);
+        let h = fnv1a(r.time.to_bits().to_le_bytes(), h);
+        let h = fnv1a((r.src as u64).to_le_bytes(), h);
+        let h = fnv1a((r.dst as u64).to_le_bytes(), h);
+        let h = fnv1a(r.payload_type.bytes(), h);
+        fnv1a([u8::from(r.kind == RecordKind::Delivered)], h)
+    });
+    LayerAnchor {
+        completed: result.records.len(),
+        mean_jct: result.average_jct(),
+        makespan: result.makespan,
+        emitted: log.len() - delivered,
+        delivered,
+        result_digest: fnv1a(format!("{result:?}").bytes(), FNV_OFFSET),
+        log_digest,
+    }
+}
+
+/// Requests per layer anchor: more root arrivals than one block of the
+/// engine's streamed arrivals, so every anchor crosses block refills.
+const LAYER_REQUESTS: usize = 600;
+
+/// The paper-default configuration (Llama-3.1 70B on A10G prefill, IMDb at
+/// 90% of the analytic capacity, HACK, every opt-in layer off), the base every layer anchor below
+/// changes in one place.
+fn paper_default() -> SimulationConfig {
+    JctExperiment {
+        num_requests: LAYER_REQUESTS,
+        seed: 5,
+        ..JctExperiment::new(ModelKind::Llama31_70B, GpuKind::A10G, Dataset::Imdb)
+    }
+    .simulation_config(Method::hack())
+}
+
+#[test]
+fn paper_default_run_is_pinned() {
+    assert_eq!(
+        anchor(Simulator::new(paper_default())),
+        LayerAnchor {
+            completed: 600,
+            mean_jct: 0.513407604751307,
+            makespan: 24.520654862361347,
+            emitted: 2400,
+            delivered: 2400,
+            result_digest: 15932250528993969142,
+            log_digest: 4118371821930231295,
+        }
+    );
+}
+
+/// Two tenants (weights 2:1) merged into one trace, served under weighted
+/// round-robin scheduling.
+#[test]
+fn tenants_under_wrr_are_pinned() {
+    let mut cfg = paper_default();
+    let stream = |tenant: u32, seed: u64| TenantSpec {
+        tenant: TenantId(tenant),
+        trace: TraceConfig {
+            rps: 1.0,
+            num_requests: LAYER_REQUESTS / 2,
+            seed,
+            ..cfg.trace
+        },
+    };
+    let requests = MultiTenantTrace::new(vec![stream(0, 21), stream(1, 22)]).generate();
+    cfg.policy.tenants = TenantClasses::new(&[
+        TenantClass {
+            weight: 2.0,
+            slo_jct: 120.0,
+        },
+        TenantClass {
+            weight: 1.0,
+            slo_jct: 600.0,
+        },
+    ]);
+    cfg.policy.scheduling = SchedulingPolicyKind::WeightedRoundRobin;
+    cfg.trace.num_requests = requests.len();
+    assert_eq!(
+        anchor(Simulator::with_requests(cfg, std::sync::Arc::new(requests))),
+        LayerAnchor {
+            completed: 600,
+            mean_jct: 0.42578954019829546,
+            makespan: 342.36391215220266,
+            emitted: 2400,
+            delivered: 2400,
+            result_digest: 4624367761429265474,
+            log_digest: 14693846121938995055,
+        }
+    );
+}
+
+/// Telemetry on: the sampler's perpetual tick rides beside the arrivals.
+#[test]
+fn telemetry_run_is_pinned() {
+    let mut cfg = paper_default();
+    cfg.telemetry = TelemetryConfig::on();
+    assert_eq!(
+        anchor(Simulator::new(cfg)),
+        LayerAnchor {
+            completed: 600,
+            mean_jct: 0.513407604751307,
+            makespan: 24.520654862361347,
+            emitted: 2404,
+            delivered: 2403,
+            result_digest: 15932250528993969142,
+            log_digest: 12579500285893547490,
+        }
+    );
+}
+
+#[test]
+fn pipelined_run_is_pinned() {
+    let mut cfg = paper_default();
+    cfg.cluster.pipelining = true;
+    assert_eq!(
+        anchor(Simulator::new(cfg)),
+        LayerAnchor {
+            completed: 600,
+            mean_jct: 0.5096711254624187,
+            makespan: 24.515720889028014,
+            emitted: 2400,
+            delivered: 2400,
+            result_digest: 15748524079648470108,
+            log_digest: 10073004864351890299,
+        }
+    );
+}
+
+/// The prefix cache on a chat-session trace: follow-up turns are released
+/// by their parents' completions, so only session roots are seeded.
+#[test]
+fn prefix_cache_run_is_pinned() {
+    let mut cfg = paper_default();
+    let requests = SessionTrace::new(vec![SessionSpec {
+        tenant: TenantId(0),
+        kind: SessionKind::Chat {
+            turns: 2,
+            think_mean_s: 30.0,
+        },
+        sessions: LAYER_REQUESTS / 2,
+        rps: 1.0,
+        dataset: Dataset::Imdb,
+        max_context: cfg.trace.max_context,
+        seed: 23,
+    }])
+    .generate();
+    cfg.cache = CacheConfig::on();
+    cfg.trace.num_requests = requests.len();
+    assert_eq!(
+        anchor(Simulator::with_requests(cfg, std::sync::Arc::new(requests))),
+        LayerAnchor {
+            completed: 600,
+            mean_jct: 0.3461046002380818,
+            makespan: 435.739924858821,
+            emitted: 2400,
+            delivered: 2400,
+            result_digest: 3447478534065364951,
+            log_digest: 10077721773699933029,
+        }
+    );
+}
+
+/// Target-utilization autoscaling over a decode fleet of capacity 8: the
+/// controller's perpetual tick and its provisioning landings ride beside
+/// the arrivals.
+#[test]
+fn autoscaled_run_is_pinned() {
+    let mut cfg = paper_default();
+    cfg.cluster.set_decode_replicas(8);
+    cfg.policy.scaling = ScalingPolicyKind::TargetUtilization {
+        setpoint: 0.7,
+        band: 0.15,
+    };
+    assert_eq!(
+        anchor(Simulator::new(cfg)),
+        LayerAnchor {
+            completed: 600,
+            mean_jct: 0.513407604751307,
+            makespan: 24.520654862361347,
+            emitted: 2404,
+            delivered: 2403,
+            result_digest: 2244766728605975933,
+            log_digest: 4522126028845853138,
+        }
+    );
+}
+
+#[test]
+fn link_graph_run_is_pinned() {
+    let mut cfg = paper_default();
+    cfg.cluster.topology = TopologySpec::LinkGraph(LinkGraphSpec::paper_default());
+    assert_eq!(
+        anchor(Simulator::new(cfg)),
+        LayerAnchor {
+            completed: 600,
+            mean_jct: 0.513410353282405,
+            makespan: 24.520654862361347,
+            emitted: 2439,
+            delivered: 2400,
+            result_digest: 2315441879304777254,
+            log_digest: 6862507861204916885,
+        }
+    );
+}
