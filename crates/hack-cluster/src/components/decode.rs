@@ -5,7 +5,7 @@
 //! indices, in ascending request order, so its cost is O(requests on the
 //! replica) and its results equal those of a scan over the whole trace.
 
-use crate::components::{ClusterState, Flag, MaybeF64, PendingDecode};
+use crate::components::{ClusterState, ReqPhase, Wire};
 use crate::events::{
     DecodeFinished, FlowCompleted, ReplicaFailed, ReplicaRecovered, TransferCompleted,
 };
@@ -23,10 +23,23 @@ pub(crate) struct DecodeReplica {
     pub cluster: Rc<RefCell<ClusterState>>,
 }
 
-/// Admits `req` into replica `d`'s continuous batch: memory already reserved,
-/// KV data fully landed. Shared by the flat fabric's [`TransferCompleted`]
-/// path and the link-graph fabric's [`FlowCompleted`] path.
-fn admit_to_batch(cs: &mut ClusterState, d: usize, req: usize, now: f64) {
+/// `req`'s KV data fully landed on replica `d`: shared by the flat fabric's
+/// [`TransferCompleted`] path and the link-graph fabric's [`FlowCompleted`]
+/// path. It joins `d`'s continuous batch on its reservation there.
+fn land(cs: &mut ClusterState, d: usize, req: usize, now: f64) {
+    if cs.decode[d].failed || !cs.lifecycle[req].phase.holds_reservation() {
+        // The KV data landed on a replica that failed while the transfer was
+        // in flight (its reservation was dropped at failure time, even if the
+        // replica has since recovered empty). Re-queue through the normal
+        // admission path: the prefill side still holds the CPU copy and
+        // re-transfers it.
+        cs.requeued += 1;
+        if let Some(tel) = &mut cs.tel {
+            tel.requeued(d, req, now);
+        }
+        cs.try_dispatch_to_decode(req, now);
+        return;
+    }
     cs.decode[d].active += 1;
     cs.decode[d].resident_tokens += cs.requests[req].total_tokens();
     let group = cs.decode[d].group;
@@ -39,38 +52,23 @@ fn admit_to_batch(cs: &mut ClusterState, d: usize, req: usize, now: f64) {
     let dequant_t = dequant_t * congestion;
     cs.charges[req].decode_time = decode_t;
     cs.charges[req].dequant_time = dequant_t;
-    let finish = cs.decode_ctxs[d].emit_at(
+    let event = cs.decode_ctxs[d].emit_at(
         DecodeFinished { req },
         cs.decode_ctxs[d].id(),
         now + decode_t + dequant_t,
     );
-    cs.lifecycle[req].pending_decode = Some(PendingDecode::new(finish, now));
+    let started = now;
+    cs.advance(req, ReqPhase::Decoding { event, started }, now);
 }
 
 impl DecodeReplica {
     fn on_transfer_completed(&self, req: usize, now: f64) {
         let d = self.index;
         let mut cs = self.cluster.borrow_mut();
-
-        if cs.decode[d].failed || !cs.lifecycle[req].is(Flag::Reserved) {
-            // The KV data landed on a replica that failed while the transfer
-            // was in flight (its reservation was dropped at failure time, even
-            // if the replica has since recovered empty). Re-queue through the
-            // normal admission path: the prefill side still holds the CPU copy
-            // and re-transfers it.
-            cs.requeued += 1;
-            cs.lifecycle[req].pipelined_transfer_end = MaybeF64::NONE;
-            if let Some(tel) = &mut cs.tel {
-                tel.transfer_landed();
-                tel.requeued(d, req, now);
-            }
-            cs.try_dispatch_to_decode(req, now);
-            return;
-        }
         if let Some(tel) = &mut cs.tel {
             tel.transfer_landed();
         }
-        admit_to_batch(&mut cs, d, req, now);
+        land(&mut cs, d, req, now);
     }
 
     /// A fair-shared flow delivered its last byte (link-graph fabric only).
@@ -83,32 +81,21 @@ impl DecodeReplica {
         // Exposed communication: from the charging epoch's start (reservation,
         // or prefill completion for pipelined flows) to the landing — backoff
         // gaps and aborted partial attempts included.
-        let Some(t0) = cs.lifecycle[req].transfer_start.take() else {
+        let ReqPhase::Transferring { since, .. } = cs.lifecycle[req].phase else {
             // Pipelined flow landing while its prefill still runs: record the
             // landing; `PrefillFinished` admits it with zero exposed
             // communication (the in-flight gauge drops on that delivery).
-            cs.lifecycle[req].pipelined_transfer_end = MaybeF64::some(now);
+            cs.advance_transfer(req, now, |t| t.wire = Wire::LandsAt(now));
             return;
         };
-        cs.charges[req].comm_time += now - t0;
-        cs.lifecycle[req].transfer_remaining = MaybeF64::NONE;
+        cs.charges[req].comm_time += now - since;
         if let Some(tel) = &mut cs.tel {
             if let Some(f) = &flow {
                 tel.flow_finished(f.src, req, f.started, now);
             }
             tel.transfer_landed();
         }
-
-        if cs.decode[d].failed || !cs.lifecycle[req].is(Flag::Reserved) {
-            // Same as the flat fabric's landed-on-a-dead-replica path.
-            cs.requeued += 1;
-            if let Some(tel) = &mut cs.tel {
-                tel.requeued(d, req, now);
-            }
-            cs.try_dispatch_to_decode(req, now);
-            return;
-        }
-        admit_to_batch(cs, d, req, now);
+        land(cs, d, req, now);
     }
 
     fn on_decode_finished(&self, req: usize, now: f64) {
@@ -120,11 +107,12 @@ impl DecodeReplica {
         cs.decode[d].resident_tokens = cs.decode[d]
             .resident_tokens
             .saturating_sub(cs.requests[req].total_tokens());
-        let pending = cs.lifecycle[req].pending_decode.take();
+        let ReqPhase::Decoding { started, .. } = cs.lifecycle[req].phase else {
+            unreachable!("request {req} finished decoding outside its decode phase");
+        };
         cs.charges[req].finish_time = now;
-        cs.lifecycle[req].set(Flag::Done, true);
+        cs.advance(req, ReqPhase::Done, now);
         cs.completed += 1;
-        let started = pending.map_or(now, |p| p.started);
         let jct = now - cs.requests[req].arrival;
         if let Some(tel) = &mut cs.tel {
             tel.decode_finished(d, req, started, now, jct);
@@ -132,7 +120,7 @@ impl DecodeReplica {
 
         // Session bookkeeping: the finished request's full context becomes
         // (or refreshes) its session's cached prefix on this replica.
-        cs.cache_on_decode_finished(req, d, now);
+        cs.cache_on_decode_finished(req, d);
 
         // Freed memory: admit waiting requests in FIFO order while they fit.
         cs.drain_waiting(now);
@@ -168,12 +156,10 @@ impl DecodeReplica {
         // event and charge the wasted time to the decode stage.
         let group = cs.decode[d].group;
         for &r in &sets.aborted {
-            let pending = cs.lifecycle[r]
-                .pending_decode
-                .take()
-                .expect("filtered above");
-            let started = pending.started;
-            cs.decode_ctxs[d].cancel_event(pending.event());
+            let ReqPhase::Decoding { event, started } = cs.lifecycle[r].phase else {
+                unreachable!("filtered above");
+            };
+            cs.decode_ctxs[d].cancel_event(event);
             if let Some(tel) = &mut cs.tel {
                 tel.decode_aborted(d, r, started, now);
             }
@@ -184,26 +170,23 @@ impl DecodeReplica {
             cs.requeued += 1;
         }
 
-        // Every reservation on the replica is gone: the aborted decodes' and
-        // those of transfers still in flight toward it, which re-queue when
-        // their transfer lands.
-        for &r in &sets.cleared {
-            cs.lifecycle[r].set(Flag::Reserved, false);
-        }
-
         // The replica's memory contents died with it (peak_kv keeps its
         // high-watermark for the memory report).
         let replica = &mut cs.decode[d];
-        debug_assert_eq!(
-            sets.cleared.len(),
-            replica.reserved_reqs.len(),
-            "a finished request still indexed as reserved"
-        );
         replica.reserved_reqs.clear();
         replica.kv_used = 0.0;
         replica.active = 0;
         replica.resident_tokens = 0;
-        replica.reservations = 0;
+
+        // Every reservation on the replica is gone: the aborted decodes' —
+        // which stay in their decode phase, its `DecodeFinished` cancelled,
+        // until they re-dispatch below — and those of transfers still
+        // heading here, which re-queue when their transfer lands or retries.
+        for &r in &sets.cleared {
+            if cs.lifecycle[r].phase.transfer().is_some() {
+                cs.advance_transfer(r, now, |t| t.reserved = false);
+            }
+        }
 
         // Cached prefixes died with the memory, and every in-flight hit
         // promised against them downgrades to the miss path (kv_used is
@@ -254,16 +237,15 @@ impl DecodeReplica {
 /// ascending request order. That is the order a scan over the whole trace
 /// visits them, and it matters: `aborted_decode_by_group` sums the aborted
 /// decodes' float charges in this order, and the aborted requests
-/// re-dispatch in it. Every predicate below reads only the replica's
-/// indices, which hold a superset of its matches (a request aborted
-/// mid-decode or mid-transfer holds a reservation here; a hit on `d`
-/// is in `d`'s hit index), so the sets equal those of a whole-trace scan.
+/// re-dispatch in it. The sets are read off the replica's indices, which
+/// hold exactly the requests whose phase holds a reservation here and those
+/// holding a prefix hit here, so they equal those of a whole-trace scan.
 #[derive(Debug, Clone, PartialEq)]
 struct FailureSets {
     /// Blast radius: requests whose reservation the replica held, in-flight
     /// decodes plus transfers still heading here. Transfers the same
-    /// fault's fabric cut already aborted (they carry partial progress in
-    /// `transfer_remaining`) are not counted twice.
+    /// fault's fabric cut already aborted (their wire is in backoff with
+    /// its partial progress) are not counted twice.
     affected: usize,
     /// In-flight decodes to cancel and re-dispatch.
     aborted: Vec<usize>,
@@ -274,33 +256,22 @@ struct FailureSets {
     released_hits: Vec<usize>,
 }
 
+/// Whether `phase`'s transfer is in retry backoff.
+fn in_backoff(phase: ReqPhase) -> bool {
+    matches!(phase.transfer().map(|t| t.wire), Some(Wire::Backoff { .. }))
+}
+
 impl FailureSets {
     fn indexed(cs: &ClusterState, d: usize) -> Self {
-        let s = &cs.lifecycle;
-        let live_here =
-            |r: usize| !s[r].is(Flag::Done) && cs.charges[r].decode_replica as usize == d;
-        let held = cs.decode[d].reserved_reqs.sorted();
-        let affected = held
-            .iter()
-            .filter(|&&r| {
-                live_here(r) && s[r].is(Flag::Reserved) && s[r].transfer_remaining.get().is_none()
-            })
-            .count();
-        let aborted = held
+        let phase = |r: usize| cs.lifecycle[r].phase;
+        let cleared = cs.decode[d].reserved_reqs.sorted();
+        let affected = cleared.iter().filter(|&&r| !in_backoff(phase(r))).count();
+        let aborted = cleared
             .iter()
             .copied()
-            .filter(|&r| live_here(r) && s[r].pending_decode.is_some())
+            .filter(|&r| matches!(phase(r), ReqPhase::Decoding { .. }))
             .collect();
-        let cleared = held
-            .into_iter()
-            .filter(|&r| live_here(r) && s[r].is(Flag::Reserved))
-            .collect();
-        let released_hits = cs.decode[d]
-            .hit_reqs
-            .sorted()
-            .into_iter()
-            .filter(|&r| !s[r].is(Flag::Done) && s[r].prefix.is_some_and(|h| h.replica() == d))
-            .collect();
+        let released_hits = cs.decode[d].hit_reqs.sorted();
         FailureSets {
             affected,
             aborted,
@@ -332,7 +303,7 @@ impl EventHandler for DecodeReplica {
 /// test build, plus a record of what each checked failure exercised.
 #[cfg(test)]
 pub(crate) mod oracle {
-    use super::{ClusterState, FailureSets, Flag};
+    use super::{in_backoff, ClusterState, FailureSets, ReqPhase};
     use std::cell::RefCell;
 
     /// What one checked failure touched.
@@ -361,21 +332,21 @@ pub(crate) mod oracle {
     fn scanned(cs: &ClusterState, d: usize) -> FailureSets {
         let (c, s) = (&cs.charges, &cs.lifecycle);
         let n = s.len();
-        let live_here = |r: usize| !s[r].is(Flag::Done) && c[r].decode_replica as usize == d;
+        let live_here =
+            |r: usize| s[r].phase != ReqPhase::Done && c[r].decode_replica as usize == d;
+        let reserved_here = |r: usize| live_here(r) && s[r].phase.holds_reservation();
         let affected = (0..n)
-            .filter(|&r| {
-                live_here(r) && s[r].is(Flag::Reserved) && s[r].transfer_remaining.get().is_none()
-            })
+            .filter(|&r| reserved_here(r) && !in_backoff(s[r].phase))
             .count();
         let aborted = (0..n)
-            .filter(|&r| live_here(r) && s[r].pending_decode.is_some())
+            .filter(|&r| live_here(r) && matches!(s[r].phase, ReqPhase::Decoding { .. }))
             .collect();
-        let cleared = (0..n)
-            .filter(|&r| live_here(r) && s[r].is(Flag::Reserved))
-            .collect();
+        let cleared = (0..n).filter(|&r| reserved_here(r)).collect();
         let released_hits = if cs.cache.is_some() {
             (0..n)
-                .filter(|&r| !s[r].is(Flag::Done) && s[r].prefix.is_some_and(|h| h.replica() == d))
+                .filter(|&r| {
+                    s[r].phase != ReqPhase::Done && s[r].prefix.is_some_and(|h| h.replica() == d)
+                })
                 .collect()
         } else {
             Vec::new()
@@ -395,7 +366,7 @@ pub(crate) mod oracle {
     pub(super) fn check(cs: &ClusterState, d: usize, indexed: &FailureSets) {
         let (c, s) = (&cs.charges, &cs.lifecycle);
         let reserved_here: Vec<usize> = (0..s.len())
-            .filter(|&r| s[r].is(Flag::Reserved) && c[r].decode_replica as usize == d)
+            .filter(|&r| s[r].phase.holds_reservation() && c[r].decode_replica as usize == d)
             .collect();
         let hits_here: Vec<usize> = (0..s.len())
             .filter(|&r| s[r].prefix.is_some_and(|h| h.replica() == d))
@@ -415,7 +386,7 @@ pub(crate) mod oracle {
         let pipelined = indexed
             .cleared
             .iter()
-            .filter(|&&r| cs.in_prefill(r) && s[r].pending_decode.is_none())
+            .filter(|&&r| matches!(s[r].phase, ReqPhase::Prefilling(_)))
             .count();
         let coverage = Coverage {
             mid_decode: indexed.aborted.len(),

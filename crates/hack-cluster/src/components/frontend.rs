@@ -2,7 +2,7 @@
 //! fault injection, the fabric fault/recovery and transfer-retry control
 //! events.
 
-use crate::components::{prefill, ClusterState, Flag, MaybeF64, PrefillReplicaState};
+use crate::components::{prefill, ClusterState, PrefillReplicaState, ReqPhase, Transfer, Wire};
 use crate::events::{FabricFault, FabricRecovered, RequestArrived, TransferRetry};
 use hack_sim::{Event, EventHandler};
 use std::cell::RefCell;
@@ -47,7 +47,7 @@ pub(crate) fn dispatch_to_prefill(cs: &mut ClusterState, req: usize, now: f64) {
     let tenant = cs.requests[req].tenant.index();
     cs.prefill[replica].queue.push(req, tenant);
     cs.prefill[replica].queued_tokens += cs.requests[req].input_len;
-    if !cs.prefill[replica].busy {
+    if !cs.prefill[replica].busy() {
         prefill::start_prefill(cs, replica, now);
     }
 }
@@ -60,7 +60,9 @@ impl Frontend {
     pub(crate) fn route(prefill: &[PrefillReplicaState], input_len: usize) -> Option<usize> {
         (0..prefill.len())
             .filter(|&r| !prefill[r].failed)
-            .min_by_key(|&r| prefill[r].queued_tokens + if prefill[r].busy { input_len } else { 0 })
+            .min_by_key(|&r| {
+                prefill[r].queued_tokens + if prefill[r].busy() { input_len } else { 0 }
+            })
     }
 
     fn on_arrival(&self, req: usize, now: f64) {
@@ -68,7 +70,7 @@ impl Frontend {
         let cs = &mut *cs;
         if !cs.admission.admit(&cs.requests[req], now) {
             cs.rejected += 1;
-            cs.lifecycle[req].set(Flag::Rejected, true);
+            cs.advance(req, ReqPhase::Rejected, now);
             cs.rejected_per_tenant[cs.requests[req].tenant.index()] += 1;
             if let Some(tel) = &mut cs.tel {
                 tel.request_rejected(req, now);
@@ -117,7 +119,8 @@ impl Frontend {
         }
         for (req, flow) in aborted {
             cs.fault_tallies[fault].requests_aborted += 1;
-            cs.lifecycle[req].transfer_remaining = MaybeF64::some(flow.remaining);
+            let remaining = flow.remaining;
+            cs.advance_transfer(req, now, |t| t.wire = Wire::Backoff { remaining });
             if let Some(tel) = &mut cs.tel {
                 tel.transfer_aborted(flow.src, req, flow.started, now);
             }
@@ -150,21 +153,23 @@ impl Frontend {
     fn on_transfer_retry(&self, req: usize, now: f64) {
         let mut cs = self.cluster.borrow_mut();
         let cs = &mut *cs;
-        let s = &mut cs.lifecycle[req];
-        if s.is(Flag::Done) || s.is(Flag::Abandoned) {
-            return;
-        }
-        // A cleared `transfer_remaining` marks the retry as stale (the
-        // request was re-dispatched through another path meanwhile).
-        let Some(volume) = s.transfer_remaining.get() else {
+        let phase = cs.lifecycle[req].phase;
+        // A transfer out of backoff marks the retry as stale (the request
+        // was re-dispatched through another path meanwhile, or resolved).
+        let Some(Transfer {
+            reserved,
+            wire: Wire::Backoff { remaining },
+        }) = phase.transfer()
+        else {
             return;
         };
-        if !s.is(Flag::Reserved) {
+        if !reserved {
             // The target decode replica failed during the backoff and took
-            // the reservation with it: start the dispatch over.
-            s.transfer_remaining = MaybeF64::NONE;
-            if let Some(t0) = s.transfer_start.take() {
-                cs.charges[req].comm_time += now - t0;
+            // the reservation with it: start the dispatch over. A pipelined
+            // transfer does so although its prefill is still in service
+            // (`ReqPhase::redispatches_under_prefill`).
+            if let ReqPhase::Transferring { since, .. } = phase {
+                cs.charges[req].comm_time += now - since;
             }
             cs.try_dispatch_to_decode(req, now);
             return;
@@ -172,18 +177,18 @@ impl Frontend {
         let replica = cs.charges[req].prefill_replica as usize;
         let target = cs.charges[req].decode_replica as usize;
         if cs.fabric.path_alive(replica, target) {
-            cs.lifecycle[req].transfer_remaining = MaybeF64::NONE;
-            // Note: `transfer_start` is left untouched — the communication
-            // charging epoch spans aborts and backoff gaps.
+            // Note: an exposed transfer keeps its `since` — the
+            // communication charging epoch spans aborts and backoff gaps.
             let started = cs.fabric.start_flow(
                 req,
                 replica,
                 target,
                 cs.decode_ctxs[target].id(),
-                volume,
+                remaining,
                 now,
             );
             debug_assert!(started, "path checked alive");
+            cs.advance_transfer(req, now, |t| t.wire = Wire::Flow);
             if let Some(tel) = &mut cs.tel {
                 tel.flow_started(replica);
             }

@@ -19,15 +19,15 @@
 //! arithmetic below is a line-for-line port of the original monolithic
 //! simulator (whose per-request numerics this refactor reproduces exactly).
 //!
-//! Per-request state is two tables indexed by request, 168 B per request in
+//! Per-request state is two tables indexed by request, 160 B per request in
 //! all: [`Charges`] (80 B), exactly what the result reads — placement and the
-//! seconds charged to each stage — and [`Lifecycle`] (88 B), the in-flight
-//! bookkeeping the handlers need until the request is resolved. The result
-//! assembly reads the lifecycle table first and frees it before it allocates
-//! the records. State a component owns lives with it instead: the request in
-//! prefill service and its pending `PrefillFinished` sit in
-//! [`PrefillReplicaState::current`], and a memory-waiting request's wait
-//! start rides in its `waiting_for_memory` entry.
+//! seconds charged to each stage — and [`Lifecycle`] (80 B), the in-flight
+//! bookkeeping the handlers need until the request is resolved. Its
+//! [`ReqPhase`] says where the request is in the pipeline and changes only
+//! through [`ClusterState::advance`]. The result assembly reads the lifecycle
+//! table first and frees it before it allocates the records. A
+//! memory-waiting request's wait start rides in its `waiting_for_memory`
+//! entry.
 //!
 //! Each [`DecodeReplicaState`] indexes the requests that hold memory on it:
 //! its KV reservations, taken by [`ClusterState::reserve`] and returned by
@@ -61,7 +61,6 @@ use hack_model::cost_table::{DecodeCostTable, PrefillCostTable};
 use hack_sim::{ComponentId, EventId, SimulationContext};
 use hack_workload::trace::Request;
 use std::collections::VecDeque;
-use std::num::NonZeroU64;
 use std::sync::Arc;
 
 /// The memoized cost layer of a [`crate::sim::Simulator`], built on its first
@@ -217,13 +216,10 @@ pub(crate) struct PrefillReplicaState {
     pub group: usize,
     pub queue: PrefillQueue,
     pub queued_tokens: usize,
-    pub busy: bool,
     /// Whether the replica is currently failed (fault injection).
     pub failed: bool,
     /// The request in prefill service and its pending `PrefillFinished`
-    /// event (cancellable on failure). A replica serves one request at a
-    /// time, so this is also the request's own record of being in prefill
-    /// ([`ClusterState::in_prefill`]).
+    /// event (cancellable on failure).
     pub current: Option<(usize, EventId)>,
 }
 
@@ -233,10 +229,14 @@ impl PrefillReplicaState {
             group,
             queue,
             queued_tokens: 0,
-            busy: false,
             failed: false,
             current: None,
         }
+    }
+
+    /// Whether the replica is serving a prefill.
+    pub fn busy(&self) -> bool {
+        self.current.is_some()
     }
 }
 
@@ -252,21 +252,17 @@ pub(crate) struct DecodeReplicaState {
     pub resident_tokens: usize,
     /// Whether the replica is currently failed (fault injection).
     pub failed: bool,
-    /// Outstanding KV reservations (decoding or in transfer toward this
-    /// replica). `active == 0 && reservations == 0` is the idle test the
-    /// scale-down drain waits on — a counter, not `kv_used == 0.0`, because
-    /// float accumulation need not return to exactly zero.
-    pub reservations: usize,
     /// Scaled out by the autoscaler: powered down, invisible to routing, not
     /// billed. Only the controller flips this (fault injection uses `failed`).
     pub scaled_out: bool,
     /// Draining toward scale-down: finishes its in-flight work but admits
     /// nothing new; flips to `scaled_out` once idle.
     pub draining: bool,
-    /// Exactly the requests holding a KV reservation here (`reserved` with
-    /// `decode_replica` = this replica): `reserved_reqs.len() ==
-    /// reservations` after every [`ClusterState::reserve`] and
-    /// [`ClusterState::release`].
+    /// Exactly the requests whose phase holds a KV reservation with
+    /// `decode_replica` = this replica (decoding, or in transfer toward it).
+    /// `active == 0` and an empty index is the idle test the scale-down
+    /// drain waits on, not `kv_used == 0.0`: float accumulation need not
+    /// return to exactly zero.
     pub reserved_reqs: ReqIndex,
     /// Exactly the requests holding a prefix-cache hit on this replica
     /// (empty with the cache off).
@@ -285,7 +281,6 @@ impl DecodeReplicaState {
             active: 0,
             resident_tokens: 0,
             failed: false,
-            reservations: 0,
             scaled_out: false,
             draining: false,
             reserved_reqs: ReqIndex::default(),
@@ -363,94 +358,134 @@ pub(crate) struct Charges {
     pub finish_time: f64,
 }
 
-/// An optional `f64` in 8 bytes: NaN encodes `None`, so the value stored
-/// must never be NaN (every time and transfer volume of a run is finite).
-#[derive(Clone, Copy)]
-pub(crate) struct MaybeF64(f64);
-
-impl MaybeF64 {
-    pub const NONE: Self = Self(f64::NAN);
-
-    pub fn some(value: f64) -> Self {
-        debug_assert!(!value.is_nan(), "NaN encodes None");
-        Self(value)
-    }
-
-    pub fn get(self) -> Option<f64> {
-        (!self.0.is_nan()).then_some(self.0)
-    }
-
-    pub fn take(&mut self) -> Option<f64> {
-        std::mem::replace(self, Self::NONE).get()
-    }
+/// Where a request stands in the HACK pipeline: prefilled and quantized
+/// once, its K′/V′ shipped to a decode replica (possibly pipelined under the
+/// prefill, Fig. 1(d)), then decoded there. Each variant carries only what is
+/// live in that phase, and the phase changes only through
+/// [`ClusterState::advance`].
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub(crate) enum ReqPhase {
+    /// Not in service: before its arrival, on its way to the frontend, in a
+    /// prefill queue, or parked while the whole prefill fleet is down.
+    #[default]
+    Queued,
+    /// In prefill service on its `prefill_replica`. `Some` while its KV
+    /// transfer is pipelined under the prefill.
+    Prefilling(Option<Transfer>),
+    /// Prefill done; the KV transfer toward `decode_replica` is exposed
+    /// communication since `since`.
+    Transferring { since: f64, transfer: Transfer },
+    /// Spilled to prefill CPU memory and queued in `waiting_for_memory`.
+    WaitingForMemory,
+    /// In `decode_replica`'s continuous batch since `started`; `event` is
+    /// its pending `DecodeFinished` (cancelled if the replica fails).
+    Decoding { event: EventId, started: f64 },
+    /// Decoded to completion.
+    Done,
+    /// Rejected by admission.
+    Rejected,
+    /// Permanently aborted: retries and re-admissions exhausted.
+    Abandoned,
 }
 
-impl Default for MaybeF64 {
-    fn default() -> Self {
-        Self::NONE
-    }
+/// A request's KV transfer toward its `decode_replica`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct Transfer {
+    /// Holds its KV reservation on `decode_replica`. Cleared when that
+    /// replica fails under the transfer, which then re-dispatches when it
+    /// lands or its retry fires.
+    pub reserved: bool,
+    pub wire: Wire,
 }
 
-/// A request's pending `DecodeFinished` event (cancellable on replica
-/// failure) and the time decoding started. The event id is stored plus one,
-/// so `Option<PendingDecode>` takes 16 B.
-#[derive(Clone, Copy)]
-pub(crate) struct PendingDecode {
-    event_plus_one: NonZeroU64,
-    pub started: f64,
+/// Where a [`Transfer`]'s bytes are.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum Wire {
+    /// Landing at (or landed at) this time: a flat-fabric NIC booking, whose
+    /// `TransferCompleted` is delivered then, or a pipelined link-graph flow
+    /// that landed before its prefill finished.
+    LandsAt(f64),
+    /// A link-graph flow in flight (its `FlowCompleted` is the fabric's).
+    Flow,
+    /// A link-graph flow that was cut or could not start: `remaining`
+    /// Gbps-seconds still to move when its pending `TransferRetry` fires.
+    Backoff { remaining: f64 },
 }
 
-impl PendingDecode {
-    pub fn new(event: EventId, started: f64) -> Self {
-        Self {
-            event_plus_one: NonZeroU64::new(event.wrapping_add(1))
-                .expect("event ids stay below u64::MAX"),
-            started,
+impl ReqPhase {
+    /// The request's KV transfer, pipelined under its prefill or after it.
+    pub fn transfer(&self) -> Option<Transfer> {
+        match *self {
+            ReqPhase::Prefilling(transfer) => transfer,
+            ReqPhase::Transferring { transfer, .. } => Some(transfer),
+            _ => None,
         }
     }
 
-    pub fn event(&self) -> EventId {
-        self.event_plus_one.get() - 1
+    /// Whether the phase holds a KV reservation on `decode_replica`.
+    pub fn holds_reservation(&self) -> bool {
+        matches!(self, ReqPhase::Decoding { .. }) || self.transfer().is_some_and(|t| t.reserved)
     }
-}
 
-/// The yes/no facts of a request's lifecycle, one bit each of
-/// [`Lifecycle::flags`].
-#[derive(Clone, Copy)]
-#[repr(u8)]
-pub(crate) enum Flag {
-    /// Decoded to completion (terminal).
-    Done = 1,
-    /// Waited for decode memory at least once.
-    Swapped = 1 << 1,
-    /// Rejected by admission (terminal).
-    Rejected = 1 << 2,
-    /// Permanently aborted: retries and re-admissions exhausted, or stranded
-    /// by a permanent fault (terminal).
-    Abandoned = 1 << 3,
-    /// Holds its KV reservation on `decode_replica`.
-    Reserved = 1 << 4,
+    /// Whether the phase is what a decode dispatch leads to: a reserved
+    /// transfer, or the memory wait.
+    fn dispatched(&self) -> bool {
+        match self {
+            ReqPhase::WaitingForMemory => true,
+            ReqPhase::Transferring { transfer, .. } => transfer.reserved,
+            _ => false,
+        }
+    }
+
+    /// Whether `self → to` is a phase change of the pipeline.
+    fn can_advance(&self, to: &Self) -> bool {
+        use ReqPhase::*;
+        match (*self, *to) {
+            (Queued, Prefilling(_) | Rejected) | (Prefilling(_), Queued) => true,
+            (Decoding { .. }, Done) | (Prefilling(Some(_)), Prefilling(_)) => true,
+            // After the prefill, the pipelined transfer carries on exposed.
+            (Prefilling(Some(from)), _) => {
+                to.transfer().is_some_and(|t| t.reserved == from.reserved)
+                    || self.redispatches_under_prefill(to)
+            }
+            // Dispatched after the prefill, after its decode replica failed,
+            // or from the memory wait.
+            (Prefilling(None) | Decoding { .. }, _) => to.dispatched(),
+            (WaitingForMemory, Transferring { transfer, .. }) => transfer.reserved,
+            // The wire moves on or loses its target; the transfer lands,
+            // re-dispatches or gives up. (This also covers a request that
+            // re-dispatched under its prefill and is still in service.)
+            (Transferring { .. }, to) => !matches!(to, Prefilling(_) | Done | Rejected),
+            _ => false,
+        }
+    }
+
+    /// The known violation of the pipeline (ROADMAP item 11(b) deletes it):
+    /// a pipelined transfer whose decode target failed during its retry
+    /// backoff re-dispatches when the retry fires, although its prefill is
+    /// still in service. The new transfer can land, and the request start
+    /// decoding, before its own `PrefillFinished`.
+    fn redispatches_under_prefill(&self, to: &Self) -> bool {
+        matches!(
+            self,
+            ReqPhase::Prefilling(Some(Transfer {
+                reserved: false,
+                wire: Wire::Backoff { .. },
+            }))
+        ) && to.dispatched()
+    }
 }
 
 /// The in-flight bookkeeping of one request: everything the handlers need
 /// until the request is resolved and the result does not read. One entry per
-/// request of the trace (at most 88 B), index-aligned with [`Charges`];
+/// request of the trace (at most 80 B), index-aligned with [`Charges`];
 /// freed before the result's records are allocated.
 #[derive(Clone, Copy, Default)]
 pub(crate) struct Lifecycle {
+    /// Written only by [`ClusterState::advance`].
+    pub phase: ReqPhase,
+    /// Bytes of the KV reservation while the phase holds one.
     pub kv_reserve_bytes: f64,
-    /// Pipelined transfer completion time (if a transfer was started during
-    /// prefill).
-    pub pipelined_transfer_end: MaybeF64,
-    /// When communication charging started for the current transfer flow
-    /// (link-graph fabric; `None` while the flow hides under prefill).
-    pub transfer_start: MaybeF64,
-    /// Partial progress of an aborted flow: the volume (Gbps-seconds) still
-    /// to move when it retries toward the *same* reservation. Dropped when
-    /// the request re-targets.
-    pub transfer_remaining: MaybeF64,
-    /// Pending `DecodeFinished` event and the time decoding started.
-    pub pending_decode: Option<PendingDecode>,
     /// The prefix-cache hit this request was promised at prefill time:
     /// `Some` between the prefill-side lookup and decode completion (or a
     /// downgrade when the prefix replica dies). Always `None` with
@@ -465,22 +500,8 @@ pub(crate) struct Lifecycle {
     pub transfer_attempts: u32,
     /// Times the request re-entered admission after exhausting retries.
     pub readmissions: u32,
-    /// [`Flag`] bits.
-    flags: u8,
-}
-
-impl Lifecycle {
-    pub fn is(&self, flag: Flag) -> bool {
-        self.flags & flag as u8 != 0
-    }
-
-    pub fn set(&mut self, flag: Flag, on: bool) {
-        if on {
-            self.flags |= flag as u8;
-        } else {
-            self.flags &= !(flag as u8);
-        }
-    }
+    /// Waited for decode memory at least once.
+    pub swapped: bool,
 }
 
 /// Relative tolerance of the debug-build check that a decode replica's
@@ -490,6 +511,31 @@ impl Lifecycle {
 /// recount.
 #[cfg(debug_assertions)]
 const KV_BYTES_REL_TOL: f64 = 1e-9;
+
+/// Debug-build check of a phase change of `req` (see
+/// [`ClusterState::advance`]): `to` must follow `from.phase`, and `to` holds
+/// a reservation exactly when `req` is in `reserved` (its decode replica's
+/// reservation index) at its `reserve_slot`.
+fn check_advance(req: usize, from: &Lifecycle, to: &ReqPhase, reserved: &ReqIndex) {
+    let (from, slot, member) = (from.phase, from.reserve_slot as usize, req as u32);
+    assert!(
+        from.can_advance(to),
+        "request {req} cannot advance from {from:?} to {to:?}"
+    );
+    if to.holds_reservation() {
+        let at_slot = reserved.0.get(slot) == Some(&member);
+        assert!(
+            at_slot,
+            "request {req} enters {to:?} without its reservation"
+        );
+    } else {
+        let indexed = reserved.0.contains(&member);
+        assert!(
+            !indexed,
+            "request {req} enters {to:?} still indexed as reserved"
+        );
+    }
+}
 
 /// Per-fault blast-radius bookkeeping, accumulated while the run executes and
 /// folded into [`crate::result::FaultRecord`]s afterwards.
@@ -539,7 +585,6 @@ pub(crate) struct ClusterState {
     pub rejected: usize,
     /// Admission rejections per tenant (index = tenant id).
     pub rejected_per_tenant: [usize; crate::policy::MAX_TENANTS],
-    pub swapped: usize,
     pub requeued: usize,
     pub injected_failures: usize,
     /// Total transfer retries scheduled (aborts + failed restarts).
@@ -553,8 +598,8 @@ pub(crate) struct ClusterState {
     /// `(fault index, recovery time)`.
     pub pending_drain: Vec<(usize, f64)>,
     /// Engine address of the frontend (destination of re-admissions and
-    /// transfer retries). `None` only during construction.
-    pub frontend_id: Option<ComponentId>,
+    /// transfer retries).
+    pub frontend_id: ComponentId,
     /// Decode seconds wasted by failure-aborted attempts, per decode *group*
     /// — the group that actually spent the time, which under re-dispatch can
     /// differ from the group that eventually completes the request (the
@@ -591,24 +636,39 @@ pub(crate) struct ClusterState {
 }
 
 impl ClusterState {
-    pub fn profile(&self) -> &KvMethodProfile {
-        &self.config.profile
+    /// Moves `req` to phase `to` at `now`: the only write of a request's
+    /// phase. Test and debug builds reject a change the pipeline does not
+    /// make and check the reservation from the request's side (see
+    /// [`check_advance`]); [`Self::reserve`] and [`Self::release`] update
+    /// the index before the caller advances.
+    #[cfg_attr(not(test), allow(unused_variables))]
+    pub fn advance(&mut self, req: usize, to: ReqPhase, now: f64) {
+        if cfg!(debug_assertions) {
+            let reserved = &self.decode[self.charges[req].decode_replica as usize].reserved_reqs;
+            check_advance(req, &self.lifecycle[req], &to, reserved);
+        }
+        #[cfg(test)]
+        phase_log::record(req, to, now);
+        self.lifecycle[req].phase = to;
     }
 
-    /// Whether `req` is in prefill service: the replica of its latest
-    /// journey is serving it (its `PrefillFinished` is pending).
-    pub fn in_prefill(&self, req: usize) -> bool {
-        let replica = self.charges[req].prefill_replica as usize;
-        self.prefill[replica].current.is_some_and(|(r, _)| r == req)
+    /// Advances `req`, whose phase has a transfer, to the same phase with
+    /// `change` applied to the transfer.
+    pub fn advance_transfer(&mut self, req: usize, now: f64, change: impl FnOnce(&mut Transfer)) {
+        let mut to = self.lifecycle[req].phase;
+        match &mut to {
+            ReqPhase::Prefilling(Some(t)) | ReqPhase::Transferring { transfer: t, .. } => change(t),
+            phase => unreachable!("request {req} has no transfer in {phase:?}"),
+        }
+        self.advance(req, to, now);
     }
 
-    /// Clears the per-stage charges and transfer state of `req`'s aborted
-    /// journey before it re-enters admission: its next prefill start
-    /// recomputes the queueing wait from the original arrival, so everything
-    /// spent on the failed journey collapses into queueing time and the
-    /// breakdown keeps summing to the JCT. Placement, the finish time, flags,
-    /// counters and index slots survive.
-    pub fn reset_for_readmission(&mut self, req: usize) {
+    /// Re-admits `req` after an aborted journey, as a fresh arrival. Its
+    /// next prefill start recomputes the queueing wait from the original
+    /// arrival, so everything spent on the failed journey collapses into
+    /// queueing time and the breakdown keeps summing to the JCT. Placement,
+    /// the finish time, counters and index slots survive.
+    fn readmit(&mut self, req: usize, now: f64) {
         let c = &mut self.charges[req];
         *c = Charges {
             prefill_replica: c.prefill_replica,
@@ -616,23 +676,27 @@ impl ClusterState {
             finish_time: c.finish_time,
             ..Charges::default()
         };
-        let s = &mut self.lifecycle[req];
-        s.pipelined_transfer_end = MaybeF64::NONE;
-        s.transfer_start = MaybeF64::NONE;
-        s.transfer_remaining = MaybeF64::NONE;
+        self.advance(req, ReqPhase::Queued, now);
+        self.requeued += 1;
+        self.fabric
+            .deliver(RequestArrived { req }, self.frontend_id, now);
+        if let Some(tel) = &mut self.tel {
+            tel.requeued(self.charges[req].decode_replica as usize, req, now);
+        }
     }
 
-    pub fn kv_reserve_bytes(&self, request: &Request) -> f64 {
-        // KV bytes depend only on the model architecture (identical across
-        // decode groups); any group's model computes the same value.
-        self.decode_models[0].kv_fp16_bytes(request.total_tokens()) * self.profile().kv_size_factor
+    /// The KV bytes of `tokens` tokens under the run's method. They depend
+    /// only on the model architecture (identical across decode groups), so
+    /// any group's model computes the same value.
+    pub fn kv_bytes(&self, tokens: usize) -> f64 {
+        self.decode_models[0].kv_fp16_bytes(tokens) * self.config.profile.kv_size_factor
     }
 
     /// The KV bytes `req`'s decode reservation must cover: the full
     /// sequence, minus the shared prefix already resident on the target
     /// replica when the request holds a prefix-cache hit.
     pub fn request_kv_bytes(&self, req: usize) -> f64 {
-        let full = self.kv_reserve_bytes(&self.requests[req]);
+        let full = self.kv_bytes(self.requests[req].total_tokens());
         match self.lifecycle[req].prefix {
             Some(hit) => (full - hit.bytes).max(0.0),
             None => full,
@@ -659,23 +723,18 @@ impl ClusterState {
         if let Some(target) = self.dispatch_target(req, bytes) {
             self.reserve_and_transfer(req, target, bytes, now);
         } else {
-            // Count each *request* that ever waited for memory once, even if a
-            // replica failure sends it through this path a second time.
-            if !self.lifecycle[req].is(Flag::Swapped) {
-                self.lifecycle[req].set(Flag::Swapped, true);
-                self.swapped += 1;
-            }
-            debug_assert!(
-                self.waiting_for_memory.iter().all(|&(r, _)| r != req),
-                "request {req} already waits for memory"
-            );
+            // The result counts each *request* that ever waited for memory
+            // once, even if a replica failure sends it here a second time.
+            self.lifecycle[req].swapped = true;
             self.waiting_for_memory.push_back((req, now));
+            self.advance(req, ReqPhase::WaitingForMemory, now);
         }
     }
 
     /// Reserves `bytes` of KV memory for `req` on decode replica `target` and
-    /// starts its transfer over the prefill replica's NIC. `bytes` is the
-    /// caller's `kv_reserve_bytes` for the request, computed once per dispatch
+    /// starts its transfer over the prefill replica's NIC: `req` advances to
+    /// [`ReqPhase::Transferring`]. `bytes` is the caller's
+    /// `kv_reserve_bytes` for the request, computed once per dispatch
     /// attempt.
     pub fn reserve_and_transfer(&mut self, req: usize, target: usize, bytes: f64, now: f64) {
         // Cache occupancy yields to decode memory demand: a reservation that
@@ -688,89 +747,108 @@ impl ClusterState {
             }
         }
         self.reserve(req, target, bytes);
+        let wire = self.start_wire(req, target, now);
+        if let Wire::LandsAt(end) = wire {
+            // Communication time as experienced by the request: waiting for
+            // the NIC plus the wire time.
+            self.charges[req].comm_time += end - now;
+            let dst = self.decode_ctxs[target].id();
+            self.fabric.deliver(TransferCompleted { req }, dst, end);
+        }
+        let (since, reserved) = (now, true);
+        let transfer = Transfer { reserved, wire };
+        self.advance(req, ReqPhase::Transferring { since, transfer }, now);
+        if let Wire::Backoff { .. } = wire {
+            self.schedule_retry(req, now);
+        }
+    }
 
+    /// Puts `req`'s KV on the wire from its prefill replica toward decode
+    /// replica `target`, whose reservation it holds: a flat-fabric NIC
+    /// booking, or a fair-shared link-graph flow — in backoff when the path
+    /// is dead, for the caller to schedule its retry.
+    pub fn start_wire(&mut self, req: usize, target: usize, now: f64) -> Wire {
         let replica = self.charges[req].prefill_replica as usize;
-        if self.fabric.graph_enabled() {
-            self.start_transfer_flow(req, replica, target, now);
-            return;
+        let groups = (self.prefill[replica].group, self.decode[target].group);
+        if !self.fabric.graph_enabled() {
+            let prompt = self.effective_prompt(req);
+            let duration = self.costs.transfer_duration_len(groups.0, groups.1, prompt);
+            let end = self.fabric.reserve_nic(replica, now, duration);
+            if let Some(tel) = &mut self.tel {
+                tel.transfer_started(replica, req, now, end - duration, end);
+            }
+            return Wire::LandsAt(end);
         }
-        let duration = self.costs.transfer_duration_len(
-            self.prefill[replica].group,
-            self.decode[target].group,
-            self.effective_prompt(req),
+        debug_assert!(
+            !self.fabric.has_flow(req),
+            "request {req} already has an active flow"
         );
-        let end = self.fabric.reserve_nic(replica, now, duration);
-        // Communication time as experienced by the request: waiting for the NIC
-        // plus the wire time.
-        self.charges[req].comm_time += end - now;
+        let volume = self.transfer_volume(groups.0, groups.1, req);
+        let dst = self.decode_ctxs[target].id();
+        if !self
+            .fabric
+            .start_flow(req, replica, target, dst, volume, now)
+        {
+            return Wire::Backoff { remaining: volume };
+        }
         if let Some(tel) = &mut self.tel {
-            tel.transfer_started(replica, req, now, end - duration, end);
+            tel.flow_started(replica);
         }
-        self.fabric.deliver(
-            TransferCompleted { req },
-            self.decode_ctxs[target].id(),
-            end,
-        );
+        Wire::Flow
     }
 
     /// Reserves `bytes` of KV memory for `req` on decode replica `target`
-    /// and enters `req` into the replica's reservation index.
+    /// and enters `req` into the replica's reservation index; the caller
+    /// then advances `req` to a phase holding the reservation.
     pub fn reserve(&mut self, req: usize, target: usize, bytes: f64) {
         let d = &mut self.decode[target];
         d.kv_used += bytes;
         d.peak_kv = d.peak_kv.max(d.kv_used);
-        d.reservations += 1;
         let s = &mut self.lifecycle[req];
-        debug_assert!(
-            !s.is(Flag::Reserved),
-            "request {req} already holds a reservation"
-        );
         self.charges[req].decode_replica =
             u32::try_from(target).expect("replica index fits in u32");
         s.kv_reserve_bytes = bytes;
-        s.set(Flag::Reserved, true);
         s.reserve_slot = d.reserved_reqs.insert(req);
         #[cfg(debug_assertions)]
         self.check_reservations(target);
     }
 
     /// Returns `req`'s KV reservation to its decode replica and removes it
-    /// from the replica's reservation index; returns that replica.
+    /// from the replica's reservation index; returns that replica. The
+    /// caller then advances `req` to a phase without a reservation.
     pub fn release(&mut self, req: usize) -> usize {
         let target = self.charges[req].decode_replica as usize;
         let s = self.lifecycle[req];
-        debug_assert!(s.is(Flag::Reserved), "request {req} holds no reservation");
         let d = &mut self.decode[target];
+        debug_assert_eq!(
+            d.reserved_reqs.0.get(s.reserve_slot as usize),
+            Some(&(req as u32)),
+            "request {req} holds no reservation"
+        );
         d.kv_used -= s.kv_reserve_bytes;
-        d.reservations -= 1;
         if let Some(moved) = d.reserved_reqs.remove(s.reserve_slot) {
             self.lifecycle[moved].reserve_slot = s.reserve_slot;
         }
-        self.lifecycle[req].set(Flag::Reserved, false);
         #[cfg(debug_assertions)]
         self.check_reservations(target);
         target
     }
 
     /// Debug-build check of decode replica `d`'s reservation index after a
-    /// reserve or release: the index holds exactly `reservations` members,
-    /// each member holds its reservation on `d` and sits at its recorded
-    /// slot, and `kv_used` equals the members' reserved bytes plus the
-    /// replica's resident prefix bytes within [`KV_BYTES_REL_TOL`].
+    /// reserve or release: each member's reservation is on `d` and it sits
+    /// at its recorded slot, and `kv_used` equals the members' reserved
+    /// bytes plus the replica's resident prefix bytes within
+    /// [`KV_BYTES_REL_TOL`]. Whether each member's phase holds the
+    /// reservation is the request side's check, in [`Self::advance`].
     #[cfg(debug_assertions)]
     fn check_reservations(&self, d: usize) {
         let replica = &self.decode[d];
-        assert_eq!(
-            replica.reserved_reqs.len(),
-            replica.reservations,
-            "replica {d}"
-        );
         let mut reserved_bytes = 0.0;
         for (slot, &r) in replica.reserved_reqs.0.iter().enumerate() {
             let s = &self.lifecycle[r as usize];
-            assert!(
-                s.is(Flag::Reserved) && self.charges[r as usize].decode_replica as usize == d,
-                "request {r} is indexed on replica {d} without its reservation"
+            assert_eq!(
+                self.charges[r as usize].decode_replica as usize, d,
+                "request {r} is indexed on replica {d} but reserved elsewhere"
             );
             assert_eq!(s.reserve_slot as usize, slot, "request {r} on replica {d}");
             reserved_bytes += s.kv_reserve_bytes;
@@ -799,41 +877,9 @@ impl ClusterState {
             * self.costs.fleet.wire_gbps(prefill_group, decode_group)
     }
 
-    /// Starts (or fails to start) the fair-shared flow of `req` from prefill
-    /// replica `replica` to decode replica `target` (link-graph fabric). A
-    /// dead path schedules a seeded-backoff retry instead.
-    pub fn start_transfer_flow(&mut self, req: usize, replica: usize, target: usize, now: f64) {
-        debug_assert!(
-            !self.fabric.has_flow(req),
-            "request {req} already has an active flow"
-        );
-        let volume = self.lifecycle[req]
-            .transfer_remaining
-            .take()
-            .unwrap_or_else(|| {
-                self.transfer_volume(self.prefill[replica].group, self.decode[target].group, req)
-            });
-        self.lifecycle[req].transfer_start = MaybeF64::some(now);
-        if self.fabric.start_flow(
-            req,
-            replica,
-            target,
-            self.decode_ctxs[target].id(),
-            volume,
-            now,
-        ) {
-            if let Some(tel) = &mut self.tel {
-                tel.flow_started(replica);
-            }
-        } else {
-            self.lifecycle[req].transfer_remaining = MaybeF64::some(volume);
-            self.schedule_retry(req, now);
-        }
-    }
-
-    /// Schedules the next retry of `req`'s transfer after a deterministic
-    /// seeded backoff, or — once the policy's transfer attempts are spent —
-    /// gives the reservation up and sends the request back through admission.
+    /// Schedules the next retry of `req`'s transfer, whose wire is in
+    /// backoff, after a deterministic seeded backoff, or — once the policy's
+    /// transfer attempts are spent — gives the transfer up.
     pub fn schedule_retry(&mut self, req: usize, now: f64) {
         let policy = self.config.policy.retry;
         if self.lifecycle[req].transfer_attempts >= policy.max_transfer_attempts {
@@ -844,36 +890,31 @@ impl ClusterState {
         self.retries += 1;
         let attempt = self.lifecycle[req].transfer_attempts;
         let delay = retry_backoff(&policy, self.config.trace.seed, req, attempt);
-        let frontend = self.frontend_id.expect("frontend registered before events");
         self.fabric
-            .deliver(TransferRetry { req }, frontend, now + delay);
+            .deliver(TransferRetry { req }, self.frontend_id, now + delay);
         if let Some(tel) = &mut self.tel {
             let replica = self.charges[req].prefill_replica as usize;
             tel.transfer_retry_scheduled(replica, req, now, attempt);
         }
     }
 
-    /// Exhausted transfer retries: drop the KV reservation and re-enter
-    /// admission, or permanently abort once the policy's re-admissions are
-    /// spent.
-    pub fn give_up_transfer(&mut self, req: usize, now: f64) {
-        let target = self.charges[req].decode_replica as usize;
-        if self.lifecycle[req].is(Flag::Reserved) {
+    /// Exhausted transfer retries: drop the KV reservation and the
+    /// transfer. A pipelined transfer leaves its request in prefill, which
+    /// dispatches it afresh at `PrefillFinished`; otherwise the request
+    /// re-enters admission, or permanently aborts once the policy's
+    /// re-admissions are spent.
+    fn give_up_transfer(&mut self, req: usize, now: f64) {
+        let phase = self.lifecycle[req].phase;
+        if phase.holds_reservation() {
             // The reservation is only still held when the target is alive (a
-            // replica failure zeroes its accounting and clears the flag).
-            self.release(req);
+            // replica failure zeroes its accounting and clears it).
+            let target = self.release(req);
             if self.decode[target].draining {
                 self.maybe_finish_drain(target, now);
             }
         }
-        self.lifecycle[req].transfer_remaining = MaybeF64::NONE;
-        self.lifecycle[req].transfer_start = MaybeF64::NONE;
-        if self.in_prefill(req) {
-            // A pipelined flow exhausted its retries while the prefill is
-            // still in service: drop only the transfer state — the request
-            // never left its prefill replica, so `PrefillFinished` dispatches
-            // it through the normal path (no re-admission).
-            self.lifecycle[req].pipelined_transfer_end = MaybeF64::NONE;
+        if let ReqPhase::Prefilling(_) = phase {
+            self.advance(req, ReqPhase::Prefilling(None), now);
             return;
         }
         // The next journey re-resolves the prefix from scratch (and must not
@@ -881,7 +922,7 @@ impl ClusterState {
         self.release_hit(req);
         self.lifecycle[req].readmissions += 1;
         if self.lifecycle[req].readmissions > self.config.policy.retry.max_readmissions {
-            self.lifecycle[req].set(Flag::Abandoned, true);
+            self.advance(req, ReqPhase::Abandoned, now);
             self.gave_up += 1;
             if let Some(tel) = &mut self.tel {
                 tel.request_abandoned(req, now);
@@ -891,15 +932,7 @@ impl ClusterState {
             self.release_children(req, now);
             return;
         }
-        // Everything spent so far collapses into queueing time at the next
-        // prefill start, keeping the breakdown equal to the JCT.
-        self.reset_for_readmission(req);
-        self.requeued += 1;
-        let frontend = self.frontend_id.expect("frontend registered before events");
-        self.fabric.deliver(RequestArrived { req }, frontend, now);
-        if let Some(tel) = &mut self.tel {
-            tel.requeued(target, req, now);
-        }
+        self.readmit(req, now);
     }
 
     /// Freed memory (or a recovered replica): admit waiting requests in FIFO
@@ -1107,7 +1140,7 @@ impl ClusterState {
         let suffix = full - saved;
         let (full_prefill, full_quant) = self.costs.prefill_service_times(group, full);
         let (suffix_prefill, suffix_quant) = self.costs.prefill_service_times(group, suffix);
-        let bytes = self.decode_models[0].kv_fp16_bytes(saved) * self.profile().kv_size_factor;
+        let bytes = self.kv_bytes(saved);
         debug_assert!(
             self.lifecycle[req].prefix.is_none(),
             "request {req} already holds a prefix hit"
@@ -1129,14 +1162,13 @@ impl ClusterState {
     /// release the hit's pin, then insert (or grow) the session's prefix on
     /// `d` — the replica now holding the request's full context — updating
     /// residency and mirroring the byte deltas into `kv_used`.
-    pub fn cache_on_decode_finished(&mut self, req: usize, d: usize, now: f64) {
+    pub fn cache_on_decode_finished(&mut self, req: usize, d: usize) {
         let request = self.requests[req];
         if request.session == 0 || self.cache.is_none() {
             return;
         }
         self.release_hit(req);
-        let bytes = self.decode_models[0].kv_fp16_bytes(request.total_tokens())
-            * self.profile().kv_size_factor;
+        let bytes = self.kv_bytes(request.total_tokens());
         let cache = self.cache.as_mut().expect("checked above");
         let mut dropped = 0usize;
         if let Some(prev) = cache.resident.get(&request.session).copied() {
@@ -1172,7 +1204,6 @@ impl ClusterState {
                 tel.prefix_evicted(dropped);
             }
         }
-        let _ = now;
     }
 
     /// Releases the children gated on `req`'s terminal state: each arrives at
@@ -1182,11 +1213,10 @@ impl ClusterState {
         if self.session_children.is_empty() {
             return;
         }
-        let frontend = self.frontend_id.expect("frontend registered before events");
         for child in std::mem::take(&mut self.session_children[req]) {
             let at = self.requests[child].arrival.max(now);
             self.fabric
-                .deliver(RequestArrived { req: child }, frontend, at);
+                .deliver(RequestArrived { req: child }, self.frontend_id, at);
         }
     }
 
@@ -1197,7 +1227,7 @@ impl ClusterState {
     /// idle: close its billed interval, power it down, and record the drain.
     pub fn maybe_finish_drain(&mut self, d: usize, now: f64) {
         let state = &mut self.decode[d];
-        if !state.draining || state.active != 0 || state.reservations != 0 {
+        if !state.draining || state.active != 0 || state.reserved_reqs.len() != 0 {
             return;
         }
         state.draining = false;
@@ -1229,43 +1259,177 @@ impl ClusterState {
     }
 }
 
+/// Test-build log of phase changes: every [`ClusterState::advance`] on this
+/// thread between [`phase_log::start`] and [`phase_log::take`] appends
+/// `(request, to, now)`.
+#[cfg(test)]
+pub(crate) mod phase_log {
+    use super::ReqPhase;
+    use std::cell::RefCell;
+
+    thread_local! {
+        static LOG: RefCell<Option<Vec<(usize, ReqPhase, f64)>>> = const { RefCell::new(None) };
+    }
+
+    /// Starts (or restarts) recording on this thread.
+    pub(crate) fn start() {
+        LOG.with(|log| *log.borrow_mut() = Some(Vec::new()));
+    }
+
+    pub(super) fn record(req: usize, to: ReqPhase, now: f64) {
+        LOG.with(|log| {
+            if let Some(log) = log.borrow_mut().as_mut() {
+                log.push((req, to, now));
+            }
+        });
+    }
+
+    /// Stops recording and returns what was recorded.
+    pub(crate) fn take() -> Vec<(usize, ReqPhase, f64)> {
+        LOG.with(|log| log.borrow_mut().take().unwrap_or_default())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn request_tables_fit_in_80_and_88_bytes() {
+    fn request_tables_fit_in_80_and_80_bytes() {
         // One entry of each table per request of the trace. On the
-        // 300k-request run, 80 B + 88 B = 168 B per request is 50.4 MB
-        // (48.1 MiB), where one 256 B state per request was 76.8 MB
-        // (73.2 MiB); the 88 B lifecycle entries (26.4 MB) are freed before
+        // 300k-request run, 80 B + 80 B = 160 B per request is 48.0 MB
+        // (45.8 MiB); the 80 B lifecycle entries (24.0 MB) are freed before
         // the 144 B records (43.2 MB) are allocated.
         let charges = std::mem::size_of::<Charges>();
         let lifecycle = std::mem::size_of::<Lifecycle>();
         assert!(charges <= 80, "Charges is {charges} B");
-        assert!(lifecycle <= 88, "Lifecycle is {lifecycle} B");
+        assert!(lifecycle <= 80, "Lifecycle is {lifecycle} B");
+        assert!(std::mem::size_of::<ReqPhase>() <= 32);
     }
 
     #[test]
-    fn packed_lifecycle_fields_round_trip() {
-        let mut t = MaybeF64::default();
-        assert_eq!(t.get(), None);
-        t = MaybeF64::some(0.0);
-        assert_eq!(t.take(), Some(0.0));
-        assert_eq!(t.get(), None);
-        assert_eq!(MaybeF64::some(f64::INFINITY).get(), Some(f64::INFINITY));
-        for id in [0, 1, u64::MAX - 1] {
-            assert_eq!(PendingDecode::new(id, 2.5).event(), id);
-        }
-        let mut s = Lifecycle::default();
-        for flag in [Flag::Done, Flag::Reserved, Flag::Abandoned] {
-            s.set(flag, true);
-        }
-        s.set(Flag::Done, false);
-        assert!(!s.is(Flag::Done) && s.is(Flag::Reserved) && s.is(Flag::Abandoned));
-        assert!(!s.is(Flag::Swapped) && !s.is(Flag::Rejected));
+    fn each_phase_keeps_its_own_data() {
+        let cut = Transfer {
+            reserved: true,
+            wire: Wire::Backoff { remaining: 2.5 },
+        };
+        let lost = Transfer {
+            reserved: false,
+            ..cut
+        };
+        let transferring = |transfer| ReqPhase::Transferring {
+            since: 1.5,
+            transfer,
+        };
+        let decoding = ReqPhase::Decoding {
+            event: u64::MAX,
+            started: 0.5,
+        };
+        assert_eq!(transferring(cut).transfer(), Some(cut));
+        assert_eq!(ReqPhase::Prefilling(Some(lost)).transfer(), Some(lost));
+        let held = [ReqPhase::Prefilling(Some(cut)), transferring(cut), decoding];
+        let free = [
+            ReqPhase::Queued,
+            ReqPhase::Prefilling(None),
+            ReqPhase::Prefilling(Some(lost)),
+            transferring(lost),
+            ReqPhase::WaitingForMemory,
+            ReqPhase::Done,
+            ReqPhase::Rejected,
+            ReqPhase::Abandoned,
+        ];
+        assert!(held.iter().all(ReqPhase::holds_reservation));
+        assert!(!free.iter().any(ReqPhase::holds_reservation));
+        // Only the two transfer phases carry one.
+        assert_eq!(free.iter().filter(|p| p.transfer().is_some()).count(), 2);
+        assert_eq!(decoding.transfer(), None);
+        assert_eq!(Lifecycle::default().phase, ReqPhase::Queued);
         let hit = PrefixHit::new(3, 7, 1.5);
         assert_eq!((hit.replica(), hit.tokens(), hit.bytes), (3, 7, 1.5));
+    }
+
+    #[test]
+    fn the_redispatch_under_prefill_is_the_one_named_violation() {
+        let pipelined = ReqPhase::Prefilling(Some(Transfer {
+            reserved: false,
+            wire: Wire::Backoff { remaining: 1.0 },
+        }));
+        let redispatched = ReqPhase::Transferring {
+            since: 2.0,
+            transfer: Transfer {
+                reserved: true,
+                wire: Wire::Flow,
+            },
+        };
+        assert!(pipelined.redispatches_under_prefill(&redispatched));
+        assert!(pipelined.redispatches_under_prefill(&ReqPhase::WaitingForMemory));
+        assert!(pipelined.can_advance(&redispatched));
+        // The same dispatch after the prefill is the normal path.
+        assert!(!ReqPhase::Prefilling(None).redispatches_under_prefill(&redispatched));
+        assert!(ReqPhase::Prefilling(None).can_advance(&redispatched));
+        // A pipelined transfer that keeps its reservation carries on.
+        let kept = ReqPhase::Prefilling(redispatched.transfer());
+        assert!(!kept.redispatches_under_prefill(&redispatched));
+        assert!(!kept.can_advance(&ReqPhase::WaitingForMemory));
+    }
+
+    /// A replica index holding `members`, each at the slot of its position.
+    fn index_of(members: &[usize]) -> ReqIndex {
+        let mut index = ReqIndex::default();
+        for &req in members {
+            index.insert(req);
+        }
+        index
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot advance from Done")]
+    fn advance_rejects_leaving_a_terminal_phase() {
+        let done = Lifecycle {
+            phase: ReqPhase::Done,
+            ..Lifecycle::default()
+        };
+        check_advance(4, &done, &ReqPhase::Queued, &index_of(&[]));
+    }
+
+    #[test]
+    #[should_panic(expected = "without its reservation")]
+    fn advance_rejects_a_decode_admission_without_a_reservation() {
+        let landing = Lifecycle {
+            phase: ReqPhase::Transferring {
+                since: 1.0,
+                transfer: Transfer {
+                    reserved: false,
+                    wire: Wire::Flow,
+                },
+            },
+            ..Lifecycle::default()
+        };
+        let decoding = ReqPhase::Decoding {
+            event: 9,
+            started: 2.0,
+        };
+        check_advance(4, &landing, &decoding, &index_of(&[1, 2]));
+    }
+
+    #[test]
+    fn advance_checks_the_reservation_from_the_request_side() {
+        let mut queued = Lifecycle::default();
+        let transfer = Transfer {
+            reserved: true,
+            wire: Wire::Flow,
+        };
+        let prefilling = ReqPhase::Prefilling(Some(transfer));
+        // Reserved at slot 1: the pipelined phase may hold it.
+        queued.reserve_slot = 1;
+        check_advance(4, &queued, &prefilling, &index_of(&[2, 4]));
+        let held = std::panic::catch_unwind(|| {
+            check_advance(4, &queued, &ReqPhase::Prefilling(None), &index_of(&[2, 4]))
+        });
+        assert!(held.is_err(), "a phase without a reservation left indexed");
+        let moved =
+            std::panic::catch_unwind(|| check_advance(4, &queued, &prefilling, &index_of(&[4, 2])));
+        assert!(moved.is_err(), "a reservation at another slot");
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! The prefill lifecycle of one replica — including prefill-side failures.
 
-use crate::components::{frontend, ClusterState, Flag, MaybeF64};
-use crate::events::{
-    PrefillFailed, PrefillFinished, PrefillRecovered, RequestArrived, TransferCompleted,
-};
+use crate::components::{frontend, ClusterState, ReqPhase, Transfer, Wire};
+use crate::events::{PrefillFailed, PrefillFinished, PrefillRecovered, TransferCompleted};
 use hack_sim::{Event, EventHandler};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -35,7 +33,6 @@ pub(crate) fn start_prefill(cs: &mut ClusterState, replica: usize, now: f64) {
     ) else {
         return;
     };
-    cs.prefill[replica].busy = true;
     let group = cs.prefill[replica].group;
     let request = cs.requests[req];
 
@@ -59,42 +56,24 @@ pub(crate) fn start_prefill(cs: &mut ClusterState, replica: usize, now: f64) {
     // path falls back to the dispatch at `PrefillFinished` (and its retries).
     // Prefix hits skip pipelining: their placement is forced onto the replica
     // holding the prefix, which the post-prefill dispatch handles.
+    let mut pipelined = None;
     if cs.config.cluster.pipelining && cs.lifecycle[req].prefix.is_none() {
-        let bytes = cs.kv_reserve_bytes(&request);
+        let bytes = cs.request_kv_bytes(req);
         let target = cs
             .best_decode_replica(bytes)
             .filter(|&t| !cs.fabric.graph_enabled() || cs.fabric.path_alive(replica, t));
         if let Some(target) = target {
             cs.reserve(req, target, bytes);
-            if cs.fabric.graph_enabled() {
-                // The flow races prefill: an early landing is recorded in
-                // `pipelined_transfer_end`; otherwise `PrefillFinished`
-                // exposes the remaining communication time.
-                let volume = cs.transfer_volume(group, cs.decode[target].group, req);
-                let started = cs.fabric.start_flow(
-                    req,
-                    replica,
-                    target,
-                    cs.decode_ctxs[target].id(),
-                    volume,
-                    now,
-                );
-                debug_assert!(started, "pipelined path checked alive");
-                if let Some(tel) = &mut cs.tel {
-                    tel.flow_started(replica);
-                }
-            } else {
-                let duration = cs.costs.transfer_duration_len(
-                    group,
-                    cs.decode[target].group,
-                    request.input_len,
-                );
-                let end = cs.fabric.reserve_nic(replica, now, duration);
-                cs.lifecycle[req].pipelined_transfer_end = MaybeF64::some(end);
-                if let Some(tel) = &mut cs.tel {
-                    tel.transfer_started(replica, req, now, end - duration, end);
-                }
-            }
+            // A link-graph flow races prefill: an early landing is recorded
+            // as `Wire::LandsAt`; otherwise `PrefillFinished` exposes the
+            // remaining communication time.
+            let wire = cs.start_wire(req, target, now);
+            debug_assert!(
+                !matches!(wire, Wire::Backoff { .. }),
+                "pipelined path checked alive"
+            );
+            let reserved = true;
+            pipelined = Some(Transfer { reserved, wire });
         }
     }
 
@@ -104,6 +83,7 @@ pub(crate) fn start_prefill(cs: &mut ClusterState, replica: usize, now: f64) {
         now + prefill_t + quant_t,
     );
     cs.prefill[replica].current = Some((req, finish));
+    cs.advance(req, ReqPhase::Prefilling(pipelined), now);
 }
 
 impl PrefillReplica {
@@ -111,31 +91,38 @@ impl PrefillReplica {
         let i = self.index;
         let mut cs = self.cluster.borrow_mut();
 
-        cs.prefill[i].busy = false;
         cs.prefill[i].current = None;
         cs.prefill[i].queued_tokens = cs.prefill[i]
             .queued_tokens
             .saturating_sub(cs.requests[req].input_len);
 
         // Hand the request to the transfer/decode pipeline.
-        if let Some(transfer_end) = cs.lifecycle[req].pipelined_transfer_end.get() {
-            // Pipelined: the transfer has been running during prefill; only
-            // the non-overlapped part counts as communication time. (On the
-            // link-graph fabric this is the flow-landed-early case, so the
-            // exposed part is zero.)
-            let ready = transfer_end.max(now);
-            cs.charges[req].comm_time += (transfer_end - now).max(0.0);
-            let target = cs.charges[req].decode_replica as usize;
-            let dst = cs.decode_ctxs[target].id();
-            cs.fabric.deliver(TransferCompleted { req }, dst, ready);
-        } else if cs.lifecycle[req].is(Flag::Reserved) {
-            // Link-graph pipelined flow still in flight (or in retry
-            // backoff): communication is exposed from here on; the
-            // `FlowCompleted` delivery — or the retry chain — finishes the
-            // hand-off.
-            cs.lifecycle[req].transfer_start = MaybeF64::some(now);
-        } else {
-            cs.try_dispatch_to_decode(req, now);
+        match cs.lifecycle[req].phase {
+            ReqPhase::Prefilling(None) => cs.try_dispatch_to_decode(req, now),
+            // Pipelined: the transfer carries on as exposed communication.
+            // (So does the transfer of a request that re-dispatched under its
+            // prefill, `ReqPhase::redispatches_under_prefill`.)
+            ReqPhase::Prefilling(Some(transfer)) | ReqPhase::Transferring { transfer, .. } => {
+                if let Wire::LandsAt(transfer_end) = transfer.wire {
+                    // Only the part not overlapped by prefill counts as
+                    // communication time (zero when a link-graph flow
+                    // landed early).
+                    cs.charges[req].comm_time += (transfer_end - now).max(0.0);
+                    let dst = cs.decode_ctxs[cs.charges[req].decode_replica as usize].id();
+                    cs.fabric
+                        .deliver(TransferCompleted { req }, dst, transfer_end.max(now));
+                }
+                // Otherwise a link-graph flow is in flight or in retry
+                // backoff: its `FlowCompleted` delivery — or the retry chain
+                // — finishes the hand-off (re-dispatching if its target
+                // failed meanwhile).
+                let since = now;
+                cs.advance(req, ReqPhase::Transferring { since, transfer }, now);
+            }
+            // Re-dispatched under its prefill and already waiting for memory
+            // or decoding: nothing is left to hand off.
+            ReqPhase::WaitingForMemory | ReqPhase::Decoding { .. } => {}
+            phase => debug_assert!(false, "request {req} finished prefill in {phase:?}"),
         }
 
         // Start the next queued prefill, if any.
@@ -157,23 +144,23 @@ impl PrefillReplica {
         // Abort the in-service prefill (and its pipelined transfer, if any):
         // the request re-enters admission from scratch.
         if let Some((req, finish)) = cs.prefill[i].current.take() {
-            cs.prefill[i].busy = false;
             cs.prefill[i].queued_tokens = cs.prefill[i]
                 .queued_tokens
                 .saturating_sub(cs.requests[req].input_len);
             cs.prefill_ctxs[i].cancel_event(finish);
+            let phase = cs.lifecycle[req].phase;
             if let Some(flow) = cs.fabric.abort_flow(req, now) {
                 if let Some(tel) = &mut cs.tel {
                     tel.transfer_aborted(flow.src, req, flow.started, now);
                 }
-            } else if cs.lifecycle[req].pipelined_transfer_end.get().is_some() {
+            } else if matches!(phase.transfer().map(|t| t.wire), Some(Wire::LandsAt(_))) {
                 // Flat pipelined reservation (or an early-landed flow): the
                 // in-flight gauge was counted up when it started.
                 if let Some(tel) = &mut cs.tel {
                     tel.transfer_landed();
                 }
             }
-            if cs.lifecycle[req].is(Flag::Reserved) {
+            if phase.holds_reservation() {
                 let target = cs.release(req);
                 if cs.decode[target].draining {
                     cs.maybe_finish_drain(target, now);
@@ -182,14 +169,8 @@ impl PrefillReplica {
             // The re-admitted request re-runs prefill from scratch and will
             // re-resolve (and re-pin) its prefix there.
             cs.release_hit(req);
-            cs.reset_for_readmission(req);
-            cs.requeued += 1;
             cs.fault_tallies[fault].requests_aborted += 1;
-            let frontend_id = cs.frontend_id.expect("frontend registered before events");
-            cs.fabric.deliver(RequestArrived { req }, frontend_id, now);
-            if let Some(tel) = &mut cs.tel {
-                tel.requeued(cs.charges[req].decode_replica as usize, req, now);
-            }
+            cs.readmit(req, now);
         }
 
         // Re-route the queue onto live replicas (or park requests in

@@ -214,7 +214,7 @@ impl Dispatch {
                 .map(|p| ReplicaLoad {
                     group: p.group,
                     queued_tokens: p.queued_tokens,
-                    busy: p.busy,
+                    busy: p.busy(),
                     service_secs: service_secs(p.group),
                 })
                 .collect()
@@ -1166,8 +1166,8 @@ mod tests {
     fn replica(queued_tokens: usize, busy: bool, failed: bool) -> PrefillReplicaState {
         PrefillReplicaState {
             queued_tokens,
-            busy,
             failed,
+            current: busy.then_some((0, 0)),
             ..PrefillReplicaState::new(0, Scheduling::Fcfs.queue())
         }
     }

@@ -663,7 +663,7 @@ impl TelemetryState {
         let tel = &mut self.tel;
         for (i, p) in prefill.iter().enumerate() {
             tel.sample(self.prefill_queue_series[i], now, p.queue.len() as f64);
-            tel.sample(self.prefill_busy_series[i], now, f64::from(p.busy));
+            tel.sample(self.prefill_busy_series[i], now, f64::from(p.busy()));
         }
         for (i, d) in decode.iter().enumerate() {
             tel.sample(self.decode_active_series[i], now, d.active as f64);
