@@ -293,6 +293,21 @@ pub struct SimulationConfig {
 }
 
 impl SimulationConfig {
+    /// `profile` served on `cluster` over `trace` with every opt-in layer off:
+    /// the default policy, no faults, telemetry off and the cache off. Other
+    /// settings layer on with struct update (`..SimulationConfig::new(..)`).
+    pub fn new(cluster: ClusterConfig, trace: TraceConfig, profile: KvMethodProfile) -> Self {
+        Self {
+            cluster,
+            trace,
+            profile,
+            policy: PolicyConfig::default(),
+            faults: FaultPlan::none(),
+            telemetry: TelemetryConfig::Off,
+            cache: CacheConfig::Off,
+        }
+    }
+
     /// Validates the fleet (each side needs a replica), the topology and the
     /// fault plan, returning a typed [`ConfigError`] instead of misbehaving
     /// mid-run. Called by
@@ -555,19 +570,18 @@ mod tests {
 
     fn sim_config(cluster: ClusterConfig, faults: FaultPlan) -> SimulationConfig {
         SimulationConfig {
-            cluster,
-            trace: hack_workload::trace::TraceConfig {
-                dataset: Dataset::Cocktail,
-                rps: 0.1,
-                num_requests: 10,
-                max_context: ModelKind::Llama31_70B.spec().max_context,
-                seed: 1,
-            },
-            profile: KvMethodProfile::baseline(),
-            policy: PolicyConfig::default(),
             faults,
-            telemetry: TelemetryConfig::Off,
-            cache: crate::cache::CacheConfig::Off,
+            ..SimulationConfig::new(
+                cluster,
+                hack_workload::trace::TraceConfig {
+                    dataset: Dataset::Cocktail,
+                    rps: 0.1,
+                    num_requests: 10,
+                    max_context: ModelKind::Llama31_70B.spec().max_context,
+                    seed: 1,
+                },
+                KvMethodProfile::baseline(),
+            )
         }
     }
 

@@ -986,9 +986,7 @@ mod tests {
     use crate::cache::CacheConfig;
     use crate::config::ClusterConfig;
     use crate::fleet::{GroupSet, ReplicaGroup};
-    use crate::policy::{
-        DispatchPolicyKind, PolicyConfig, SchedulingPolicyKind, TenantClass, TenantClasses,
-    };
+    use crate::policy::{DispatchPolicyKind, SchedulingPolicyKind, TenantClass, TenantClasses};
     use crate::telemetry::TelemetryConfig;
     use crate::topology::{FaultDomain, FaultEvent, FaultPlan};
     use hack_model::gpu::GpuKind;
@@ -1003,9 +1001,9 @@ mod tests {
         n: usize,
     ) -> SimulationConfig {
         let cluster = ClusterConfig::paper_default(ModelKind::Llama31_70B, GpuKind::A10G);
-        SimulationConfig {
+        SimulationConfig::new(
             cluster,
-            trace: TraceConfig {
+            TraceConfig {
                 dataset,
                 rps,
                 num_requests: n,
@@ -1013,11 +1011,7 @@ mod tests {
                 seed: 7,
             },
             profile,
-            policy: PolicyConfig::default(),
-            faults: FaultPlan::none(),
-            telemetry: TelemetryConfig::Off,
-            cache: CacheConfig::Off,
-        }
+        )
     }
 
     fn run(profile: KvMethodProfile, dataset: Dataset, rps: f64, n: usize) -> SimulationResult {
@@ -1162,21 +1156,17 @@ mod tests {
     fn v100_low_bandwidth_inflates_comm_ratio() {
         let mk = |gpu: GpuKind| {
             let cluster = ClusterConfig::paper_default(ModelKind::Llama31_70B, gpu);
-            let cfg = SimulationConfig {
+            let cfg = SimulationConfig::new(
                 cluster,
-                trace: TraceConfig {
+                TraceConfig {
                     dataset: Dataset::Cocktail,
                     rps: 0.05,
                     num_requests: 40,
                     max_context: ModelKind::Llama31_70B.spec().max_context,
                     seed: 11,
                 },
-                profile: KvMethodProfile::baseline(),
-                policy: PolicyConfig::default(),
-                faults: FaultPlan::none(),
-                telemetry: TelemetryConfig::Off,
-                cache: CacheConfig::Off,
-            };
+                KvMethodProfile::baseline(),
+            );
             Simulator::new(cfg).run().average_ratios().communication
         };
         let v100 = mk(GpuKind::V100);
@@ -1324,21 +1314,17 @@ mod tests {
         let mut cluster = ClusterConfig::scalability(6);
         cluster.cost_params.decode_batch = 8.0;
         cluster.activation_reserve = 0.55;
-        let cfg = SimulationConfig {
+        let cfg = SimulationConfig::new(
             cluster,
-            trace: TraceConfig {
+            TraceConfig {
                 dataset: Dataset::Cocktail,
                 rps: 0.5,
                 num_requests: 80,
                 max_context: ModelKind::Llama31_70B.spec().max_context,
                 seed: 13,
             },
-            profile: KvMethodProfile::baseline(),
-            policy: PolicyConfig::default(),
-            faults: FaultPlan::none(),
-            telemetry: TelemetryConfig::Off,
-            cache: CacheConfig::Off,
-        };
+            KvMethodProfile::baseline(),
+        );
         let result = Simulator::new(cfg).run();
         assert_eq!(result.records.len(), 80);
         assert!(

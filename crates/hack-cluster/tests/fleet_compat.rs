@@ -6,9 +6,9 @@
 //! every f64 exactly), under the default policies and every frontend policy.
 
 use hack_cluster::{
-    AdmissionPolicyKind, CacheConfig, ClusterConfig, DispatchPolicyKind, FaultPlan, FleetSpec,
-    GroupSet, PolicyConfig, ReplicaGroup, RetryPolicy, SchedulingPolicyKind, SimulationConfig,
-    SimulationResult, Simulator, TelemetryConfig, TenantClass, TenantClasses, TopologySpec,
+    AdmissionPolicyKind, ClusterConfig, DispatchPolicyKind, FleetSpec, GroupSet, PolicyConfig,
+    ReplicaGroup, RetryPolicy, SchedulingPolicyKind, SimulationConfig, SimulationResult, Simulator,
+    TenantClass, TenantClasses, TopologySpec,
 };
 use hack_model::cost::{CostParams, KvMethodProfile};
 use hack_model::gpu::GpuKind;
@@ -54,21 +54,17 @@ fn hand_built_default() -> ClusterConfig {
 }
 
 fn sim_config(cluster: ClusterConfig, seed: u64, n: usize) -> SimulationConfig {
-    SimulationConfig {
+    SimulationConfig::new(
         cluster,
-        trace: TraceConfig {
+        TraceConfig {
             dataset: Dataset::Cocktail,
             rps: 0.08,
             num_requests: n,
             max_context: ModelKind::Llama31_70B.spec().max_context,
             seed,
         },
-        profile: KvMethodProfile::hack(),
-        policy: PolicyConfig::default(),
-        faults: FaultPlan::none(),
-        telemetry: TelemetryConfig::Off,
-        cache: CacheConfig::Off,
-    }
+        KvMethodProfile::hack(),
+    )
 }
 
 #[test]

@@ -559,10 +559,7 @@ mod legacy {
     }
 }
 
-use hack_cluster::{
-    CacheConfig, ClusterConfig, FaultPlan, PolicyConfig, SimulationConfig, Simulator,
-    TelemetryConfig,
-};
+use hack_cluster::{CacheConfig, ClusterConfig, SimulationConfig, Simulator};
 use hack_model::cost::KvMethodProfile;
 use hack_model::gpu::GpuKind;
 use hack_model::spec::ModelKind;
@@ -648,9 +645,9 @@ fn config(
     n: usize,
     seed: u64,
 ) -> SimulationConfig {
-    SimulationConfig {
-        cluster: ClusterConfig::paper_default(ModelKind::Llama31_70B, GpuKind::A10G),
-        trace: TraceConfig {
+    SimulationConfig::new(
+        ClusterConfig::paper_default(ModelKind::Llama31_70B, GpuKind::A10G),
+        TraceConfig {
             dataset,
             rps,
             num_requests: n,
@@ -658,11 +655,7 @@ fn config(
             seed,
         },
         profile,
-        policy: PolicyConfig::default(),
-        faults: FaultPlan::none(),
-        telemetry: TelemetryConfig::Off,
-        cache: CacheConfig::Off,
-    }
+    )
 }
 
 #[test]
@@ -724,21 +717,17 @@ fn memory_pressure_and_swap_path_match_seed_simulator() {
     let mut cluster = ClusterConfig::scalability(6);
     cluster.cost_params.decode_batch = 8.0;
     cluster.activation_reserve = 0.55;
-    let cfg = SimulationConfig {
+    let cfg = SimulationConfig::new(
         cluster,
-        trace: TraceConfig {
+        TraceConfig {
             dataset: Dataset::Cocktail,
             rps: 0.5,
             num_requests: 80,
             max_context: ModelKind::Llama31_70B.spec().max_context,
             seed: 13,
         },
-        profile: KvMethodProfile::baseline(),
-        policy: PolicyConfig::default(),
-        faults: FaultPlan::none(),
-        telemetry: TelemetryConfig::Off,
-        cache: CacheConfig::Off,
-    };
+        KvMethodProfile::baseline(),
+    );
     assert_equivalent(cfg, "overload/swap");
 }
 

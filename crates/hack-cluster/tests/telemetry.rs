@@ -11,8 +11,7 @@
 //!    span/instant/series streams.
 
 use hack_cluster::{
-    CacheConfig, ClusterConfig, FaultDomain, FaultEvent, FaultPlan, PolicyConfig, SimulationConfig,
-    Simulator, TelemetryConfig,
+    ClusterConfig, FaultDomain, FaultEvent, FaultPlan, SimulationConfig, Simulator, TelemetryConfig,
 };
 use hack_metrics::telemetry::Telemetry;
 use hack_model::cost::KvMethodProfile;
@@ -23,21 +22,17 @@ use hack_workload::trace::TraceConfig;
 
 fn base_config(n: usize, rps: f64) -> SimulationConfig {
     let model = ModelKind::Llama31_70B;
-    SimulationConfig {
-        cluster: ClusterConfig::paper_default(model, GpuKind::A10G),
-        trace: TraceConfig {
+    SimulationConfig::new(
+        ClusterConfig::paper_default(model, GpuKind::A10G),
+        TraceConfig {
             dataset: Dataset::Cocktail,
             rps,
             num_requests: n,
             max_context: model.spec().max_context,
             seed: 77,
         },
-        profile: KvMethodProfile::hack(),
-        policy: PolicyConfig::default(),
-        faults: FaultPlan::none(),
-        telemetry: TelemetryConfig::Off,
-        cache: CacheConfig::Off,
-    }
+        KvMethodProfile::hack(),
+    )
 }
 
 fn with_telemetry(mut config: SimulationConfig, interval: f64) -> SimulationConfig {

@@ -11,12 +11,10 @@
 //! frontier per trace shape; a scaling policy earns its keep when it dominates
 //! the static fleet (`Off`) — spending less without giving up attainment.
 
-use crate::availability::percentile;
-use crate::experiment::{ExperimentTable, Row};
+use crate::experiment::{percentile, run_cells, sorted_jcts, Cell, ExperimentTable};
 use crate::method::Method;
 use hack_cluster::{
-    CacheConfig, ClusterConfig, FaultPlan, PolicyConfig, ScalingPolicyKind, SimulationConfig,
-    SimulationResult, Simulator, TelemetryConfig,
+    ClusterConfig, PolicyConfig, ScalingPolicyKind, SimulationConfig, SimulationResult, Simulator,
 };
 use hack_model::gpu::GpuKind;
 use hack_model::spec::ModelKind;
@@ -155,55 +153,68 @@ impl AutoscaleExperiment {
         scaling: ScalingPolicyKind,
         method: Method,
     ) -> SimulationConfig {
+        let cluster = ClusterConfig::paper_default(self.model, GpuKind::A10G);
         SimulationConfig {
-            cluster: ClusterConfig::paper_default(self.model, GpuKind::A10G),
-            trace: self.trace_config(),
-            profile: method.profile(),
             policy: PolicyConfig::autoscaled(scaling),
-            faults: FaultPlan::none(),
-            telemetry: TelemetryConfig::Off,
-            cache: CacheConfig::Off,
+            ..SimulationConfig::new(cluster, self.trace_config(), method.profile())
         }
     }
 
-    /// Runs one cell of the grid.
-    pub fn run_cell(
-        &self,
-        shape: TraceShape,
-        scaling: ScalingPolicyKind,
-        method: Method,
-    ) -> SimulationResult {
-        let requests = Arc::new(self.trace(shape));
-        Simulator::with_requests(self.simulation_config(scaling, method), requests).run()
-    }
-
-    /// Runs the full sweep: every policy on every shape, Pareto-marked per
-    /// shape. Deterministic in the experiment.
-    pub fn sweep(&self, method: Method) -> Vec<AutoscaleOutcome> {
-        let mut outcomes: Vec<AutoscaleOutcome> = Vec::new();
+    /// The sweep's cells, labelled `<shape>/<policy>`: every scaling policy
+    /// on each shape's trace, shape by shape.
+    pub fn cells(&self, method: Method) -> Vec<Cell> {
+        let mut cells = Vec::new();
         for shape in TraceShape::all() {
             let requests = Arc::new(self.trace(shape));
-            let mut cell: Vec<AutoscaleOutcome> = ScalingPolicyKind::all(self.per_replica_rps)
-                .into_iter()
-                .map(|scaling| {
-                    let result = Simulator::with_requests(
-                        self.simulation_config(scaling, method),
-                        requests.clone(),
-                    )
-                    .run();
-                    AutoscaleOutcome::from_result(shape, scaling, self, &result)
-                })
-                .collect();
-            mark_pareto(&mut cell);
-            outcomes.extend(cell);
+            for scaling in ScalingPolicyKind::all(self.per_replica_rps) {
+                let config = self.simulation_config(scaling, method);
+                let label = format!("{}/{}", shape.name(), scaling.name());
+                cells.push((label, Simulator::with_requests(config, requests.clone())));
+            }
         }
-        outcomes
+        cells
     }
 
-    /// The `autoscale` grid: one row per `(shape, policy)` cell, labelled
-    /// `<shape>/<policy>`, with the cost/SLO axes and the Pareto flag.
+    /// Fraction of *offered* requests finishing within the JCT target
+    /// (`finish - arrival` at most [`Self::slo_jct_s`]); incomplete requests
+    /// count against it.
+    pub fn slo_attainment(&self, result: &SimulationResult) -> f64 {
+        let attained = result
+            .records
+            .iter()
+            .filter(|r| r.jct() <= self.slo_jct_s)
+            .count();
+        attained as f64 / self.num_requests.max(1) as f64
+    }
+
+    /// Whether `result` is on the cost-vs-attainment Pareto frontier of its
+    /// shape's runs `shape`: no run there spends no more and attains no less
+    /// while strictly better on one axis.
+    pub fn on_frontier(
+        &self,
+        result: &SimulationResult,
+        shape: &[(String, SimulationResult)],
+    ) -> bool {
+        let attainment = self.slo_attainment(result);
+        !shape.iter().any(|(_, other)| {
+            let other_attainment = self.slo_attainment(other);
+            other.gpu_dollars <= result.gpu_dollars
+                && other_attainment >= attainment
+                && (other.gpu_dollars < result.gpu_dollars || other_attainment > attainment)
+        })
+    }
+
+    /// The `autoscale` grid: one row per cell with the cost/SLO axes and the
+    /// per-shape Pareto flag.
     pub fn grid(&self, method: Method) -> ExperimentTable {
-        let mut table = ExperimentTable::new(
+        let runs: Vec<(String, SimulationResult)> = run_cells(self.cells(method)).collect();
+        let policies = ScalingPolicyKind::all(self.per_replica_rps).len();
+        let rows = runs.chunks(policies).flat_map(|shape| {
+            shape
+                .iter()
+                .map(|(label, r)| (label.clone(), (r, self.on_frontier(r, shape))))
+        });
+        ExperimentTable::sweep(
             "autoscale",
             format!(
                 "Autoscaling cost-vs-SLO Pareto grid ({}, {} requests, slo {:.0} s)",
@@ -211,116 +222,30 @@ impl AutoscaleExperiment {
                 self.num_requests,
                 self.slo_jct_s
             ),
-            vec![
-                "slo_attainment".to_string(),
-                "mean_jct_s".to_string(),
-                "p99_jct_s".to_string(),
-                "gpu_dollars".to_string(),
-                "dollars_per_1k_tok".to_string(),
-                "scale_ups".to_string(),
-                "scale_downs".to_string(),
-                "pareto".to_string(),
+            [
+                "slo_attainment",
+                "mean_jct_s",
+                "p99_jct_s",
+                "gpu_dollars",
+                "dollars_per_1k_tok",
+                "scale_ups",
+                "scale_downs",
+                "pareto",
             ],
-            "per (shape, policy) run",
-        );
-        for o in self.sweep(method) {
-            table.push_row(Row::new(
-                format!("{}/{}", o.shape.name(), o.policy.name()),
+            rows,
+            |&(r, pareto)| {
                 vec![
-                    o.slo_attainment,
-                    o.mean_jct_s,
-                    o.p99_jct_s,
-                    o.gpu_dollars,
-                    o.dollars_per_1k_tokens,
-                    o.scale_ups as f64,
-                    o.scale_downs as f64,
-                    if o.pareto { 1.0 } else { 0.0 },
-                ],
-            ));
-        }
-        table
-    }
-}
-
-/// One `(shape, policy)` cell of the autoscaling grid.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct AutoscaleOutcome {
-    /// Trace shape of the cell.
-    pub shape: TraceShape,
-    /// Scaling policy of the cell.
-    pub policy: ScalingPolicyKind,
-    /// Requests completed (of the offered trace).
-    pub completed: usize,
-    /// Fraction of *offered* requests finishing within the JCT target —
-    /// incomplete requests count against it.
-    pub slo_attainment: f64,
-    /// Mean JCT of the completed requests (seconds).
-    pub mean_jct_s: f64,
-    /// p99 JCT of the completed requests (seconds, nearest-rank).
-    pub p99_jct_s: f64,
-    /// Total GPU dollars the run billed (both fleet sides).
-    pub gpu_dollars: f64,
-    /// GPU dollars per thousand generated tokens.
-    pub dollars_per_1k_tokens: f64,
-    /// Scale-up orders placed.
-    pub scale_ups: usize,
-    /// Scale-downs completed.
-    pub scale_downs: usize,
-    /// Makespan of the run (seconds).
-    pub makespan_s: f64,
-    /// On the shape's cost-vs-attainment Pareto frontier (no other policy of
-    /// the same shape is at least as good on both axes and better on one).
-    pub pareto: bool,
-}
-
-impl AutoscaleOutcome {
-    /// Builds the cell summary from one run (`pareto` starts `true` until the
-    /// sweep's per-shape dominance pass says otherwise).
-    pub fn from_result(
-        shape: TraceShape,
-        policy: ScalingPolicyKind,
-        experiment: &AutoscaleExperiment,
-        result: &SimulationResult,
-    ) -> Self {
-        let offered = experiment.num_requests.max(1);
-        let attained = result
-            .records
-            .iter()
-            .filter(|r| r.jct() <= experiment.slo_jct_s)
-            .count();
-        let mut jcts: Vec<f64> = result.records.iter().map(|r| r.jct()).collect();
-        // Unstable is exact: `total_cmp`-equal values have identical bits.
-        jcts.sort_unstable_by(f64::total_cmp);
-        Self {
-            shape,
-            policy,
-            completed: result.records.len(),
-            slo_attainment: attained as f64 / offered as f64,
-            mean_jct_s: result.average_jct(),
-            p99_jct_s: percentile(&jcts, 0.99),
-            gpu_dollars: result.gpu_dollars,
-            dollars_per_1k_tokens: result.dollars_per_1k_tokens,
-            scale_ups: result.scale_ups,
-            scale_downs: result.scale_downs,
-            makespan_s: result.makespan,
-            pareto: true,
-        }
-    }
-}
-
-/// Marks the Pareto frontier of one shape's cells: a cell is dominated when
-/// another spends no more and attains no less, strictly better on at least
-/// one axis.
-fn mark_pareto(cell: &mut [AutoscaleOutcome]) {
-    for i in 0..cell.len() {
-        let dominated = cell.iter().enumerate().any(|(j, other)| {
-            j != i
-                && other.gpu_dollars <= cell[i].gpu_dollars
-                && other.slo_attainment >= cell[i].slo_attainment
-                && (other.gpu_dollars < cell[i].gpu_dollars
-                    || other.slo_attainment > cell[i].slo_attainment)
-        });
-        cell[i].pareto = !dominated;
+                    self.slo_attainment(r),
+                    r.average_jct(),
+                    percentile(&sorted_jcts([r]), 0.99),
+                    r.gpu_dollars,
+                    r.dollars_per_1k_tokens,
+                    r.scale_ups as f64,
+                    r.scale_downs as f64,
+                    if pareto { 1.0 } else { 0.0 },
+                ]
+            },
+        )
     }
 }
 
@@ -359,24 +284,26 @@ mod tests {
     #[test]
     fn sweep_covers_every_cell_and_completes_the_trace() {
         let e = small();
-        let outcomes = e.sweep(Method::hack());
-        assert_eq!(outcomes.len(), 2 * ScalingPolicyKind::all(1.0).len());
-        for o in &outcomes {
+        let runs: Vec<_> = run_cells(e.cells(Method::hack())).collect();
+        assert_eq!(runs.len(), 2 * ScalingPolicyKind::all(1.0).len());
+        for (label, r) in &runs {
             assert_eq!(
-                o.completed,
+                r.records.len(),
                 e.num_requests,
-                "{}/{}: every request completes without faults",
-                o.shape.name(),
-                o.policy.name()
+                "{label}: every request completes without faults"
             );
-            assert!(o.gpu_dollars > 0.0, "every run bills something");
-            assert!(o.slo_attainment >= 0.0 && o.slo_attainment <= 1.0);
+            assert!(r.gpu_dollars > 0.0, "every run bills something");
+            let attainment = e.slo_attainment(r);
+            assert!((0.0..=1.0).contains(&attainment));
         }
         // The static fleet never scales; some elastic policy does.
-        let off = outcomes.iter().find(|o| o.policy.name() == "off").unwrap();
+        let (_, off) = runs
+            .iter()
+            .find(|(label, _)| label.ends_with("/off"))
+            .unwrap();
         assert_eq!((off.scale_ups, off.scale_downs), (0, 0));
         assert!(
-            outcomes.iter().any(|o| o.scale_downs > 0),
+            runs.iter().any(|(_, r)| r.scale_downs > 0),
             "the diurnal trough must trigger at least one scale-down"
         );
     }
@@ -384,13 +311,12 @@ mod tests {
     #[test]
     fn target_utilization_dominates_the_static_fleet_on_the_diurnal_trace() {
         let e = AutoscaleExperiment::paper_sweep();
-        let outcomes = e.sweep(Method::hack());
+        let runs: Vec<_> = run_cells(e.cells(Method::hack()))
+            .filter(|(label, _)| label.starts_with("diurnal/"))
+            .collect();
         let diurnal = |name: &str| {
-            outcomes
-                .iter()
-                .find(|o| o.shape == TraceShape::Diurnal && o.policy.name() == name)
-                .copied()
-                .unwrap()
+            let label = format!("diurnal/{name}");
+            &runs.iter().find(|(l, _)| *l == label).unwrap().1
         };
         let off = diurnal("off");
         let target = diurnal("target-util");
@@ -401,13 +327,19 @@ mod tests {
             off.gpu_dollars
         );
         assert!(
-            target.slo_attainment >= off.slo_attainment,
+            e.slo_attainment(target) >= e.slo_attainment(off),
             "without giving up SLO attainment: {} vs {}",
-            target.slo_attainment,
-            off.slo_attainment
+            e.slo_attainment(target),
+            e.slo_attainment(off)
         );
-        assert!(target.pareto, "dominating policies sit on the frontier");
-        assert!(!off.pareto, "the dominated static fleet does not");
+        assert!(
+            e.on_frontier(target, &runs),
+            "dominating policies sit on the frontier"
+        );
+        assert!(
+            !e.on_frontier(off, &runs),
+            "the dominated static fleet does not"
+        );
     }
 
     #[test]

@@ -9,11 +9,11 @@
 //! ECMP reroute count. Everything is deterministic in the seed list, so
 //! `tests/integration_drift_anchors.rs` pins the grid exactly.
 
-use crate::experiment::{ExperimentTable, Row};
+use crate::experiment::{percentile, run_cells, sorted_jcts, Cell, ExperimentTable};
 use crate::method::Method;
 use hack_cluster::{
-    AvailabilityModel, CacheConfig, ClusterConfig, FaultPlan, LinkGraphSpec, MtbfSpec,
-    PolicyConfig, SimulationConfig, SimulationResult, Simulator, TelemetryConfig, TopologySpec,
+    AvailabilityModel, ClusterConfig, LinkGraphSpec, MtbfSpec, SimulationConfig, SimulationResult,
+    Simulator, TopologySpec,
 };
 use hack_model::gpu::GpuKind;
 use hack_model::spec::ModelKind;
@@ -92,42 +92,44 @@ impl AvailabilityExperiment {
     ) -> SimulationConfig {
         let mut cluster = ClusterConfig::paper_default(self.model, GpuKind::A10G);
         cluster.topology = TopologySpec::LinkGraph(LinkGraphSpec::redundant(self.spines));
-        let faults: FaultPlan =
+        let faults =
             self.model_at(mtbf_s)
                 .generate_plan(&cluster.fleet_shape(), self.horizon_s, fault_seed);
+        let trace = TraceConfig {
+            dataset: self.dataset,
+            rps: self.rps,
+            num_requests: self.num_requests,
+            max_context: self.model.spec().max_context,
+            seed: self.trace_seed,
+        };
         SimulationConfig {
-            cluster,
-            trace: TraceConfig {
-                dataset: self.dataset,
-                rps: self.rps,
-                num_requests: self.num_requests,
-                max_context: self.model.spec().max_context,
-                seed: self.trace_seed,
-            },
-            profile: method.profile(),
-            policy: PolicyConfig::default(),
             faults,
-            telemetry: TelemetryConfig::Off,
-            cache: CacheConfig::Off,
+            ..SimulationConfig::new(cluster, trace, method.profile())
         }
     }
 
-    /// Runs one cell of the grid.
-    pub fn run_cell(&self, mtbf_s: f64, fault_seed: u64, method: Method) -> SimulationResult {
-        Simulator::new(self.simulation_config(mtbf_s, fault_seed, method)).run()
+    /// The sweep's cells, one per `(MTBF, fault seed)` pair, MTBF-major and
+    /// labelled `mtbf-<seconds>`.
+    pub fn cells(&self, method: Method) -> Vec<Cell> {
+        let mut cells = Vec::new();
+        for &mtbf in &self.mtbf_grid_s {
+            for &seed in &self.fault_seeds {
+                let config = self.simulation_config(mtbf, seed, method);
+                cells.push((format!("mtbf-{mtbf:.0}"), Simulator::new(config)));
+            }
+        }
+        cells
     }
 
     /// Runs the full sweep: one pooled [`AvailabilityPoint`] per MTBF value,
     /// each aggregating every fault seed. Deterministic in the experiment.
     pub fn sweep(&self, method: Method) -> Vec<AvailabilityPoint> {
+        let mut runs = run_cells(self.cells(method)).map(|(_, result)| result);
         self.mtbf_grid_s
             .iter()
             .map(|&mtbf| {
-                let results: Vec<SimulationResult> = self
-                    .fault_seeds
-                    .iter()
-                    .map(|&seed| self.run_cell(mtbf, seed, method))
-                    .collect();
+                let results: Vec<SimulationResult> =
+                    runs.by_ref().take(self.fault_seeds.len()).collect();
                 AvailabilityPoint::pool(mtbf, self.num_requests, &results)
             })
             .collect()
@@ -136,7 +138,7 @@ impl AvailabilityExperiment {
     /// The `availability` grid: one row per MTBF value with the SLO-curve
     /// sensors. Row labels are `mtbf-<seconds>`.
     pub fn grid(&self, method: Method) -> ExperimentTable {
-        let mut table = ExperimentTable::new(
+        ExperimentTable::sweep(
             "availability",
             format!(
                 "Availability SLO curve ({}, {} spines, {} requests x {} fault seeds)",
@@ -145,21 +147,20 @@ impl AvailabilityExperiment {
                 self.num_requests,
                 self.fault_seeds.len()
             ),
-            vec![
-                "availability".to_string(),
-                "nines".to_string(),
-                "p99_jct_s".to_string(),
-                "p999_jct_s".to_string(),
-                "downtime_s".to_string(),
-                "abandoned".to_string(),
-                "retries".to_string(),
-                "rerouted".to_string(),
+            [
+                "availability",
+                "nines",
+                "p99_jct_s",
+                "p999_jct_s",
+                "downtime_s",
+                "abandoned",
+                "retries",
+                "rerouted",
             ],
-            "per-MTBF pooled",
-        );
-        for p in self.sweep(method) {
-            table.push_row(Row::new(
-                format!("mtbf-{:.0}", p.mtbf_s),
+            self.sweep(method)
+                .into_iter()
+                .map(|p| (format!("mtbf-{:.0}", p.mtbf_s), p)),
+            |p| {
                 vec![
                     p.availability,
                     p.nines,
@@ -169,10 +170,9 @@ impl AvailabilityExperiment {
                     p.abandoned as f64,
                     p.transfer_retries as f64,
                     p.rerouted_flows as f64,
-                ],
-            ));
-        }
-        table
+                ]
+            },
+        )
     }
 }
 
@@ -219,12 +219,7 @@ impl AvailabilityPoint {
         } else {
             1.0
         };
-        let mut jcts: Vec<f64> = results
-            .iter()
-            .flat_map(|r| r.records.iter().map(|rec| rec.jct()))
-            .collect();
-        // Unstable is exact: `total_cmp`-equal values have identical bits.
-        jcts.sort_unstable_by(f64::total_cmp);
+        let jcts = sorted_jcts(results);
         Self {
             mtbf_s,
             runs: results.len(),
@@ -254,21 +249,6 @@ pub fn nines_of(availability: f64) -> f64 {
     } else {
         (-(1.0 - availability).log10()).clamp(0.0, 9.0)
     }
-}
-
-/// Nearest-rank percentile of an ascending-sorted slice (0 for an empty one).
-///
-/// The rank is `ceil(q * n)` (1-based), saturated into `[1, n]`: an empty
-/// pool returns 0 instead of indexing, and for tiny pools — any `q` above
-/// `(n - 1) / n`, e.g. p99 of fewer than 100 samples — the rank clamps to
-/// the maximum sample rather than rounding past the end of the slice.
-pub(crate) fn percentile(sorted: &[f64], q: f64) -> f64 {
-    let n = sorted.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let rank = (q * n as f64).ceil() as usize;
-    sorted[rank.clamp(1, n) - 1]
 }
 
 #[cfg(test)]
@@ -307,16 +287,15 @@ mod tests {
     #[test]
     fn generated_plans_validate_and_conserve_requests() {
         let e = small();
-        for &mtbf in &e.mtbf_grid_s {
-            for &seed in &e.fault_seeds {
-                let config = e.simulation_config(mtbf, seed, Method::Baseline);
-                config.validate().expect("generated plans always validate");
-                let r = Simulator::new(config).run();
-                assert!(
-                    r.records.len() + r.rejected_requests + r.aborted_requests == e.num_requests,
-                    "conservation at mtbf={mtbf} seed={seed}"
-                );
-            }
+        for (label, sim) in e.cells(Method::Baseline) {
+            sim.config()
+                .validate()
+                .expect("generated plans always validate");
+            let r = sim.run();
+            assert!(
+                r.records.len() + r.rejected_requests + r.aborted_requests == e.num_requests,
+                "conservation at {label}"
+            );
         }
     }
 
@@ -329,29 +308,6 @@ mod tests {
         assert_eq!(percentile(&sorted, 0.99), 5.0);
         assert_eq!(percentile(&sorted, 0.5), 3.0);
         assert_eq!(percentile(&[], 0.99), 0.0);
-    }
-
-    #[test]
-    fn tail_percentiles_saturate_on_tiny_pools() {
-        // n == 0: no sample to index, no panic — 0 by convention.
-        assert_eq!(percentile(&[], 0.99), 0.0);
-        assert_eq!(percentile(&[], 0.999), 0.0);
-
-        // n == 1: every tail percentile is the single sample.
-        assert_eq!(percentile(&[7.5], 0.99), 7.5);
-        assert_eq!(percentile(&[7.5], 0.999), 7.5);
-
-        // n == 99 (< 100 samples): p99 and p999 both clamp to the max
-        // sample — the nearest rank ceil(0.99 * 99) = 99 is the last one.
-        let n99: Vec<f64> = (1..=99).map(|i| i as f64).collect();
-        assert_eq!(percentile(&n99, 0.99), 99.0);
-        assert_eq!(percentile(&n99, 0.999), 99.0);
-
-        // n == 100: p99 is the 99th sample (not the max), p999 still clamps.
-        let n100: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(percentile(&n100, 0.99), 99.0);
-        assert_eq!(percentile(&n100, 0.999), 100.0);
-        assert_eq!(percentile(&n100, 0.5), 50.0);
     }
 
     #[test]

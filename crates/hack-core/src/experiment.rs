@@ -1,5 +1,11 @@
-//! Result tables: the common output format of the per-figure/table harness binaries.
+//! Result tables: the common output format of the per-figure/table harness
+//! binaries, and the one path every scenario sweep takes to its table.
+//!
+//! A sweep is a list of [`Cell`]s — row labels with the simulators that
+//! produce them. [`run_cells`] runs them in order, and
+//! [`ExperimentTable::sweep`] reads each row's columns off the results.
 
+use hack_cluster::{SimulationResult, Simulator};
 use serde::Serialize;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -39,7 +45,69 @@ pub struct ExperimentTable {
     pub unit: String,
 }
 
+/// One cell of a scenario sweep: its row label and the simulator that runs
+/// it. The simulator carries the cell's configuration and trace.
+pub type Cell = (String, Simulator);
+
+/// Runs labelled cells in order, one at a time.
+pub fn run_cells(cells: Vec<Cell>) -> impl Iterator<Item = (String, SimulationResult)> {
+    cells.into_iter().map(|(label, sim)| (label, sim.run()))
+}
+
+/// The JCTs (`finish - arrival`) of every completed request in `results`,
+/// ascending: the pool [`percentile`] reads. `JctStats` sums each request's
+/// stage breakdown instead; the pinned grids depend on each formula, so the
+/// two stay apart.
+pub(crate) fn sorted_jcts<'a>(results: impl IntoIterator<Item = &'a SimulationResult>) -> Vec<f64> {
+    let mut jcts: Vec<f64> = results
+        .into_iter()
+        .flat_map(|r| r.records.iter().map(|rec| rec.jct()))
+        .collect();
+    // Unstable is exact: `total_cmp`-equal values have identical bits.
+    jcts.sort_unstable_by(f64::total_cmp);
+    jcts
+}
+
+/// Nearest-rank percentile of an ascending-sorted slice (0 for an empty one).
+///
+/// The rank is `ceil(q * n)` (1-based), saturated into `[1, n]`: an empty
+/// pool returns 0 instead of indexing, and for tiny pools — any `q` above
+/// `(n - 1) / n`, e.g. p99 of fewer than 100 samples — the rank clamps to
+/// the maximum sample rather than rounding past the end of the slice.
+/// `JctStats` reads index `round((n - 1) * q)` instead, kept apart for the
+/// same reason as in [`sorted_jcts`].
+pub(crate) fn percentile(sorted: &[f64], q: f64) -> f64 {
+    let n = sorted.len();
+    if n == 0 {
+        return 0.0;
+    }
+    let rank = (q * n as f64).ceil() as usize;
+    sorted[rank.clamp(1, n) - 1]
+}
+
 impl ExperimentTable {
+    /// The table of a scenario sweep: one row per labelled run, in order,
+    /// whose values `read` takes off the run (usually a [`SimulationResult`]
+    /// from [`run_cells`]). Sweep columns mix units, so the unit is "mixed".
+    pub fn sweep<T>(
+        id: &str,
+        title: String,
+        columns: impl IntoIterator<Item = impl Into<String>>,
+        runs: impl IntoIterator<Item = (String, T)>,
+        mut read: impl FnMut(&T) -> Vec<f64>,
+    ) -> Self {
+        let mut table = Self::new(
+            id,
+            title,
+            columns.into_iter().map(Into::into).collect(),
+            "mixed",
+        );
+        for (label, run) in runs {
+            table.push_row(Row::new(label, read(&run)));
+        }
+        table
+    }
+
     /// Creates an empty table.
     pub fn new(
         id: impl Into<String>,
@@ -190,6 +258,29 @@ mod tests {
         let path = sample().save_json(&dir).unwrap();
         assert!(path.exists());
         std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn tail_percentiles_saturate_on_tiny_pools() {
+        // n == 0: no sample to index, no panic — 0 by convention.
+        assert_eq!(percentile(&[], 0.99), 0.0);
+        assert_eq!(percentile(&[], 0.999), 0.0);
+
+        // n == 1: every tail percentile is the single sample.
+        assert_eq!(percentile(&[7.5], 0.99), 7.5);
+        assert_eq!(percentile(&[7.5], 0.999), 7.5);
+
+        // n == 99 (< 100 samples): p99 and p999 both clamp to the max
+        // sample — the nearest rank ceil(0.99 * 99) = 99 is the last one.
+        let n99: Vec<f64> = (1..=99).map(|i| i as f64).collect();
+        assert_eq!(percentile(&n99, 0.99), 99.0);
+        assert_eq!(percentile(&n99, 0.999), 99.0);
+
+        // n == 100: p99 is the 99th sample (not the max), p999 still clamps.
+        let n100: Vec<f64> = (1..=100).map(|i| i as f64).collect();
+        assert_eq!(percentile(&n100, 0.99), 99.0);
+        assert_eq!(percentile(&n100, 0.999), 100.0);
+        assert_eq!(percentile(&n100, 0.5), 50.0);
     }
 
     #[test]

@@ -9,13 +9,12 @@
 //! every shipped [`DispatchPolicyKind`] on the mixed fleet and reports average
 //! JCT plus per-group utilization — the `hetero_fleet` experiment grid.
 
-use crate::experiment::{ExperimentTable, Row};
+use crate::experiment::{run_cells, Cell, ExperimentTable};
 use crate::method::Method;
 use hack_cluster::{
-    CacheConfig, ClusterConfig, DispatchPolicyKind, FaultPlan, GroupSet, GroupStats, PolicyConfig,
-    ReplicaGroup, SimulationConfig, SimulationResult, Simulator, TelemetryConfig,
+    ClusterConfig, DispatchPolicyKind, GroupSet, PolicyConfig, ReplicaGroup, SimulationConfig,
+    Simulator,
 };
-use hack_metrics::jct::JctStats;
 use hack_model::gpu::GpuKind;
 use hack_model::spec::ModelKind;
 use hack_workload::dataset::Dataset;
@@ -86,116 +85,59 @@ impl HeteroFleetExperiment {
         method: Method,
         dispatch: DispatchPolicyKind,
     ) -> SimulationConfig {
+        let trace = TraceConfig {
+            dataset: self.dataset,
+            rps: self.rps,
+            num_requests: self.num_requests,
+            max_context: self.model.spec().max_context,
+            seed: self.seed,
+        };
         SimulationConfig {
-            cluster,
-            trace: TraceConfig {
-                dataset: self.dataset,
-                rps: self.rps,
-                num_requests: self.num_requests,
-                max_context: self.model.spec().max_context,
-                seed: self.seed,
-            },
-            profile: method.profile(),
             policy: PolicyConfig::dispatched(dispatch),
-            faults: FaultPlan::none(),
-            telemetry: TelemetryConfig::Off,
-            cache: CacheConfig::Off,
+            ..SimulationConfig::new(cluster, trace, method.profile())
         }
     }
 
-    /// Runs one (cluster, method, dispatch) triple.
-    pub fn run(
-        &self,
-        cluster: ClusterConfig,
-        method: Method,
-        dispatch: DispatchPolicyKind,
-    ) -> HeteroFleetOutcome {
-        let result = Simulator::new(self.simulation_config(cluster, method, dispatch)).run();
-        HeteroFleetOutcome::from_result(dispatch, result)
+    /// The grid's cells, labelled `fleet/dispatch`: the uniform fleet under
+    /// least-loaded dispatch, then the mixed fleet under every shipped
+    /// dispatch policy.
+    pub fn cells(&self, method: Method) -> Vec<Cell> {
+        let cell = |fleet: &str, cluster, dispatch: DispatchPolicyKind| {
+            let config = self.simulation_config(cluster, method, dispatch);
+            (
+                format!("{fleet}/{}", dispatch.name()),
+                Simulator::new(config),
+            )
+        };
+        let mut cells = vec![cell(
+            "uniform",
+            self.uniform_cluster(),
+            DispatchPolicyKind::LeastLoaded,
+        )];
+        for dispatch in DispatchPolicyKind::all() {
+            cells.push(cell("mixed", self.mixed_cluster(), dispatch));
+        }
+        cells
     }
 
-    /// The `hetero_fleet` grid: the uniform fleet under default dispatch, then
-    /// the mixed fleet under every shipped dispatch policy. One row per
-    /// (fleet, policy) with average/p95 JCT and per-prefill-group utilization
-    /// (`NaN` where the fleet has no second group).
+    /// The `hetero_fleet` grid: one row per cell with average/p95 JCT and
+    /// per-prefill-group utilization (`NaN` where the fleet has no second
+    /// group).
     pub fn grid(&self, method: Method) -> ExperimentTable {
-        let mut table = ExperimentTable::new(
+        ExperimentTable::sweep(
             "hetero_fleet",
             format!(
                 "Mixed A10G+L4 vs uniform A10G prefill fleet ({}, {} requests)",
                 method.name(),
                 self.num_requests
             ),
-            vec![
-                "avg_jct_s".to_string(),
-                "p95_jct_s".to_string(),
-                "g0_utilization".to_string(),
-                "g1_utilization".to_string(),
-            ],
-            "mixed",
-        );
-        let mut push = |label: String, outcome: &HeteroFleetOutcome| {
-            let util = |g: usize| {
-                outcome
-                    .prefill_groups
-                    .get(g)
-                    .map_or(f64::NAN, |s| s.utilization)
-            };
-            table.push_row(Row::new(
-                label,
-                vec![outcome.average_jct, outcome.stats.p95, util(0), util(1)],
-            ));
-        };
-        let uniform = self.run(
-            self.uniform_cluster(),
-            method,
-            DispatchPolicyKind::LeastLoaded,
-        );
-        push("uniform/least-loaded".to_string(), &uniform);
-        for dispatch in DispatchPolicyKind::all() {
-            let outcome = self.run(self.mixed_cluster(), method, dispatch);
-            push(format!("mixed/{}", dispatch.name()), &outcome);
-        }
-        table
-    }
-}
-
-/// Aggregate outcome of one (fleet, method, dispatch policy) run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct HeteroFleetOutcome {
-    /// The dispatch policy evaluated.
-    pub dispatch: DispatchPolicyKind,
-    /// Average JCT across requests (seconds).
-    pub average_jct: f64,
-    /// Full JCT statistics.
-    pub stats: JctStats,
-    /// Per-prefill-group usage, in group order.
-    pub prefill_groups: Vec<GroupStats>,
-    /// Per-decode-group usage, in group order.
-    pub decode_groups: Vec<GroupStats>,
-    /// Requests completed (sanity check: equals the trace length).
-    pub completed_requests: usize,
-}
-
-impl HeteroFleetOutcome {
-    /// Aggregates a finished simulation result.
-    pub fn from_result(dispatch: DispatchPolicyKind, result: SimulationResult) -> Self {
-        Self {
-            dispatch,
-            average_jct: result.average_jct(),
-            stats: result.jct_stats(),
-            prefill_groups: result.prefill_groups.clone(),
-            decode_groups: result.decode_groups.clone(),
-            completed_requests: result.records.len(),
-        }
-    }
-
-    /// JCT reduction of this outcome versus another (`1 - self/other`).
-    pub fn jct_reduction_vs(&self, other: &HeteroFleetOutcome) -> f64 {
-        if other.average_jct <= 0.0 {
-            return 0.0;
-        }
-        1.0 - self.average_jct / other.average_jct
+            ["avg_jct_s", "p95_jct_s", "g0_utilization", "g1_utilization"],
+            run_cells(self.cells(method)),
+            |r| {
+                let util = |g: usize| r.prefill_groups.get(g).map_or(f64::NAN, |s| s.utilization);
+                vec![r.average_jct(), r.jct_stats().p95, util(0), util(1)]
+            },
+        )
     }
 }
 
@@ -255,18 +197,14 @@ mod tests {
     #[test]
     fn fastest_eligible_exploits_the_fast_group() {
         let e = small();
-        let least = e.run(
-            e.mixed_cluster(),
-            Method::hack(),
-            DispatchPolicyKind::LeastLoaded,
-        );
-        let fastest = e.run(
-            e.mixed_cluster(),
-            Method::hack(),
-            DispatchPolicyKind::FastestEligible,
-        );
-        assert_eq!(least.completed_requests, e.num_requests);
-        assert_eq!(fastest.completed_requests, e.num_requests);
+        let run = |dispatch| {
+            let config = e.simulation_config(e.mixed_cluster(), Method::hack(), dispatch);
+            Simulator::new(config).run()
+        };
+        let least = run(DispatchPolicyKind::LeastLoaded);
+        let fastest = run(DispatchPolicyKind::FastestEligible);
+        assert_eq!(least.records.len(), e.num_requests);
+        assert_eq!(fastest.records.len(), e.num_requests);
         // Fastest-eligible shifts load toward the faster L4 group (group 1).
         assert!(
             fastest.prefill_groups[1].completed >= least.prefill_groups[1].completed,
@@ -276,10 +214,10 @@ mod tests {
         );
         // And must not be worse end-to-end on this contended mixed fleet.
         assert!(
-            fastest.average_jct <= least.average_jct * 1.0 + 1e-9,
+            fastest.average_jct() <= least.average_jct() * 1.0 + 1e-9,
             "fastest-eligible {} vs least-loaded {}",
-            fastest.average_jct,
-            least.average_jct
+            fastest.average_jct(),
+            least.average_jct()
         );
     }
 }

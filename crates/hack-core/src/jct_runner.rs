@@ -5,10 +5,7 @@
 //! returns the aggregate numbers the figures plot.
 
 use crate::method::Method;
-use hack_cluster::{
-    CacheConfig, ClusterConfig, FaultPlan, PolicyConfig, SimulationConfig, Simulator,
-    TelemetryConfig,
-};
+use hack_cluster::{ClusterConfig, SimulationConfig, Simulator};
 use hack_metrics::jct::{JctStats, StageRatios};
 use hack_model::gpu::GpuKind;
 use hack_model::spec::ModelKind;
@@ -239,15 +236,7 @@ impl JctExperiment {
     /// Builds the full simulation configuration for one method (also used to
     /// drive the [`Simulator`] directly, e.g. with event tracing).
     pub fn simulation_config(&self, method: Method) -> SimulationConfig {
-        SimulationConfig {
-            cluster: self.cluster_config(),
-            trace: self.trace_config(),
-            profile: method.profile(),
-            policy: PolicyConfig::default(),
-            faults: FaultPlan::none(),
-            telemetry: TelemetryConfig::Off,
-            cache: CacheConfig::Off,
-        }
+        SimulationConfig::new(self.cluster_config(), self.trace_config(), method.profile())
     }
 
     /// Runs one method on this experiment.

@@ -11,8 +11,24 @@
 //!   decomposition and the peak decode-memory usage (Figs. 1–4, 9–14, Table 5).
 //! * [`fidelity`] — numerical-fidelity experiments on the reference transformer and on
 //!   raw attention tensors: the accuracy proxy behind Tables 6–8.
-//! * [`experiment`] — output helpers: result tables that print like the paper's
-//!   figures/tables and serialise to JSON for the experiment binaries.
+//! * [`experiment`] — result tables that print like the paper's figures/tables and
+//!   serialise to JSON, and the one path every scenario sweep takes to its table.
+//!
+//! ## Scenario sweeps
+//!
+//! Six experiments sweep one axis of the simulator each: [`fault_storm`] (fault
+//! plans × fabric topologies), [`availability`] (MTBF grid × fault seeds),
+//! [`autoscale`] (trace shapes × scaling policies), [`hetero_fleet`] (prefill
+//! fleets × dispatch policies), [`session_cache`] (session mixes × prefix cache ×
+//! dispatch) and [`tenant_mix`] (tenant mixes × scheduling policies). Each keeps
+//! only its parameters, its trace shaping and a `cells(method)` list of [`Cell`]s:
+//! a row label with the [`Simulator`](hack_cluster::Simulator) that runs it, its
+//! configuration and trace built in. A sweep's `grid(method)` runs the cells in
+//! order ([`run_cells`]) and reads every column straight off each
+//! [`SimulationResult`](hack_cluster::SimulationResult) into an
+//! [`ExperimentTable`] ([`ExperimentTable::sweep`]); callers that want other
+//! sensors run the cells and read the results themselves. Only availability
+//! pools several runs into one row, an [`AvailabilityPoint`].
 //!
 //! ## Quick start
 //!
@@ -39,29 +55,29 @@ pub mod method;
 pub mod session_cache;
 pub mod tenant_mix;
 
-pub use autoscale::{AutoscaleExperiment, AutoscaleOutcome, TraceShape};
+pub use autoscale::{AutoscaleExperiment, TraceShape};
 pub use availability::{nines_of, AvailabilityExperiment, AvailabilityPoint};
-pub use experiment::{ExperimentTable, Row};
-pub use fault_storm::{FaultScenario, FaultStormExperiment, FaultStormOutcome};
+pub use experiment::{run_cells, Cell, ExperimentTable, Row};
+pub use fault_storm::FaultStormExperiment;
 pub use fidelity::{FidelityReport, FidelitySetup};
-pub use hetero_fleet::{HeteroFleetExperiment, HeteroFleetOutcome};
+pub use hetero_fleet::HeteroFleetExperiment;
 pub use jct_runner::{JctExperiment, JctOutcome};
 pub use method::Method;
-pub use session_cache::{SessionCacheExperiment, SessionCacheOutcome, SessionMix};
-pub use tenant_mix::{TenantMixExperiment, TenantMixOutcome, TenantWorkload};
+pub use session_cache::{SessionCacheExperiment, SessionMix};
+pub use tenant_mix::{TenantMixExperiment, TenantWorkload};
 
 /// Convenience re-exports for examples and downstream users.
 pub mod prelude {
-    pub use crate::autoscale::{AutoscaleExperiment, AutoscaleOutcome, TraceShape};
+    pub use crate::autoscale::{AutoscaleExperiment, TraceShape};
     pub use crate::availability::{nines_of, AvailabilityExperiment, AvailabilityPoint};
-    pub use crate::experiment::{ExperimentTable, Row};
-    pub use crate::fault_storm::{FaultScenario, FaultStormExperiment, FaultStormOutcome};
+    pub use crate::experiment::{run_cells, Cell, ExperimentTable, Row};
+    pub use crate::fault_storm::FaultStormExperiment;
     pub use crate::fidelity::{FidelityReport, FidelitySetup};
-    pub use crate::hetero_fleet::{HeteroFleetExperiment, HeteroFleetOutcome};
+    pub use crate::hetero_fleet::HeteroFleetExperiment;
     pub use crate::jct_runner::{JctExperiment, JctOutcome};
     pub use crate::method::Method;
-    pub use crate::session_cache::{SessionCacheExperiment, SessionCacheOutcome, SessionMix};
-    pub use crate::tenant_mix::{TenantMixExperiment, TenantMixOutcome, TenantWorkload};
+    pub use crate::session_cache::{SessionCacheExperiment, SessionMix};
+    pub use crate::tenant_mix::{TenantMixExperiment, TenantWorkload};
     pub use hack_attention::baseline::{baseline_attention, AttentionMask};
     pub use hack_attention::prefill::hack_prefill_attention;
     pub use hack_attention::state::HackKvState;
@@ -70,8 +86,8 @@ pub mod prelude {
         ConfigError, DispatchPolicyKind, FaultDomain, FaultEvent, FaultPlan, FaultRecord,
         FleetShape, FleetSpec, GroupSet, GroupStats, LinkGraphSpec, MtbfSpec, PolicyConfig,
         ReplicaGroup, RetryPolicy, ScalingPolicyKind, SchedulingPolicyKind, SimulationConfig,
-        Simulator, TelemetryConfig, TelemetrySettings, TenantClass, TenantClasses, TopologySpec,
-        SCALE_TICK_SECS,
+        SimulationResult, Simulator, TelemetryConfig, TelemetrySettings, TenantClass,
+        TenantClasses, TopologySpec, SCALE_TICK_SECS,
     };
     pub use hack_metrics::telemetry::Telemetry;
     pub use hack_model::gpu::GpuKind;

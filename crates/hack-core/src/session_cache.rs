@@ -2,18 +2,16 @@
 //! agentic fan-out) over the per-replica KV prefix cache.
 //!
 //! A [`SessionCacheExperiment`] describes a cluster plus a family of session
-//! workloads. [`SessionCacheExperiment::run`] evaluates one (mix, cache,
-//! dispatch) cell and returns JCT statistics together with the cache sensors
-//! (hit rate, bytes saved, prefill seconds avoided);
-//! [`SessionCacheExperiment::grid`] sweeps the chat/agentic/mixed workloads
-//! against cache off/on and the least-loaded vs session-affinity dispatchers
-//! into one result table — the `session_cache` experiment grid.
+//! workloads. Its cells cross the chat/agentic/mixed workloads with cache
+//! off/on and the least-loaded vs session-affinity dispatchers;
+//! [`SessionCacheExperiment::grid`] reads JCT and the cache sensors (hit
+//! rate, bytes saved, prefill seconds avoided) off each run into one result
+//! table — the `session_cache` experiment grid.
 
-use crate::experiment::{ExperimentTable, Row};
+use crate::experiment::{run_cells, Cell, ExperimentTable};
 use crate::method::Method;
 use hack_cluster::{
-    CacheConfig, DispatchPolicyKind, FaultPlan, PolicyConfig, SimulationConfig, SimulationResult,
-    Simulator, TelemetryConfig,
+    CacheConfig, ClusterConfig, DispatchPolicyKind, PolicyConfig, SimulationConfig, Simulator,
 };
 use hack_model::gpu::GpuKind;
 use hack_model::spec::ModelKind;
@@ -101,28 +99,12 @@ impl SessionCacheExperiment {
         }
     }
 
-    fn chat_spec(&self, tenant: u32, seed_salt: u64) -> SessionSpec {
+    /// One stream of `kind` sessions for `tenant`, its seed offset by
+    /// `seed_salt` from the experiment's.
+    fn spec(&self, tenant: u32, kind: SessionKind, seed_salt: u64) -> SessionSpec {
         SessionSpec {
             tenant: TenantId(tenant),
-            kind: SessionKind::Chat {
-                turns: self.chat_turns,
-                think_mean_s: self.think_mean_s,
-            },
-            sessions: self.sessions,
-            rps: self.rps,
-            dataset: self.dataset,
-            max_context: self.model.spec().max_context,
-            seed: self.seed.wrapping_add(seed_salt),
-        }
-    }
-
-    fn agentic_spec(&self, tenant: u32, seed_salt: u64) -> SessionSpec {
-        SessionSpec {
-            tenant: TenantId(tenant),
-            kind: SessionKind::Agentic {
-                tools: self.agent_tools,
-                tool_delay_s: self.tool_delay_s,
-            },
+            kind,
             sessions: self.sessions,
             rps: self.rps,
             dataset: self.dataset,
@@ -133,10 +115,24 @@ impl SessionCacheExperiment {
 
     /// The session trace of one mix.
     pub fn trace(&self, mix: SessionMix) -> SessionTrace {
+        let chat = |tenant| {
+            let kind = SessionKind::Chat {
+                turns: self.chat_turns,
+                think_mean_s: self.think_mean_s,
+            };
+            self.spec(tenant, kind, 0)
+        };
+        let agentic = |tenant| {
+            let kind = SessionKind::Agentic {
+                tools: self.agent_tools,
+                tool_delay_s: self.tool_delay_s,
+            };
+            self.spec(tenant, kind, 1)
+        };
         SessionTrace::new(match mix {
-            SessionMix::Chat => vec![self.chat_spec(0, 0)],
-            SessionMix::Agentic => vec![self.agentic_spec(0, 1)],
-            SessionMix::Mixed => vec![self.chat_spec(0, 0), self.agentic_spec(1, 1)],
+            SessionMix::Chat => vec![chat(0)],
+            SessionMix::Agentic => vec![agentic(0)],
+            SessionMix::Mixed => vec![chat(0), agentic(1)],
         })
     }
 
@@ -149,46 +145,30 @@ impl SessionCacheExperiment {
         dispatch: DispatchPolicyKind,
         num_requests: usize,
     ) -> SimulationConfig {
+        let cluster = ClusterConfig::paper_default(self.model, self.prefill_gpu);
+        let trace = TraceConfig {
+            // Descriptive aggregate view of the merged session stream; the
+            // requests themselves come from [`Self::trace`].
+            dataset: self.dataset,
+            rps: self.rps * if mix == SessionMix::Mixed { 2.0 } else { 1.0 },
+            num_requests,
+            max_context: self.model.spec().max_context,
+            seed: self.seed,
+        };
         SimulationConfig {
-            cluster: hack_cluster::ClusterConfig::paper_default(self.model, self.prefill_gpu),
-            trace: TraceConfig {
-                // Descriptive aggregate view of the merged session stream; the
-                // requests themselves come from [`Self::trace`].
-                dataset: self.dataset,
-                rps: self.rps * if mix == SessionMix::Mixed { 2.0 } else { 1.0 },
-                num_requests,
-                max_context: self.model.spec().max_context,
-                seed: self.seed,
-            },
-            profile: method.profile(),
             policy: PolicyConfig {
                 dispatch,
                 ..PolicyConfig::default()
             },
-            faults: FaultPlan::none(),
-            telemetry: TelemetryConfig::Off,
             cache,
+            ..SimulationConfig::new(cluster, trace, method.profile())
         }
-    }
-
-    /// Runs one (mix, cache, dispatch) cell.
-    pub fn run(
-        &self,
-        method: Method,
-        mix: SessionMix,
-        cache: CacheConfig,
-        dispatch: DispatchPolicyKind,
-    ) -> SessionCacheOutcome {
-        let requests = Arc::new(self.trace(mix).generate());
-        let config = self.simulation_config(method, mix, cache, dispatch, requests.len());
-        let result = Simulator::with_requests(config, requests).run();
-        SessionCacheOutcome::from_result(mix, cache.is_on(), dispatch, result)
     }
 
     /// The (cache, dispatch) columns of the sweep: cache off under the default
     /// dispatcher, then the armed cache under least-loaded and
     /// session-affinity dispatch.
-    pub fn cells(&self) -> [(CacheConfig, DispatchPolicyKind); 3] {
+    fn cache_dispatch(&self) -> [(CacheConfig, DispatchPolicyKind); 3] {
         let on = CacheConfig::with_capacity_fraction(self.capacity_fraction);
         [
             (CacheConfig::Off, DispatchPolicyKind::LeastLoaded),
@@ -197,116 +177,56 @@ impl SessionCacheExperiment {
         ]
     }
 
-    /// Sweeps mixes × cache × dispatch (the `session_cache` grid): one row per
-    /// cell, labelled `mix/cache/dispatch`.
+    /// The sweep's cells, mixes × (cache, dispatch) pairs, labelled
+    /// `mix/cache/dispatch`. The cells of one mix share its trace.
+    pub fn cells(&self, method: Method) -> Vec<Cell> {
+        let mut cells = Vec::new();
+        for mix in SessionMix::all() {
+            let requests = Arc::new(self.trace(mix).generate());
+            for (cache, dispatch) in self.cache_dispatch() {
+                let label = format!(
+                    "{}/{}/{}",
+                    mix.name(),
+                    if cache.is_on() { "on" } else { "off" },
+                    dispatch.name()
+                );
+                let config = self.simulation_config(method, mix, cache, dispatch, requests.len());
+                cells.push((label, Simulator::with_requests(config, requests.clone())));
+            }
+        }
+        cells
+    }
+
+    /// The `session_cache` grid: one row per cell with JCT and the cache
+    /// sensors.
     pub fn grid(&self, method: Method) -> ExperimentTable {
-        let columns = [
-            "mean_jct_s",
-            "p99_jct_s",
-            "hit_rate",
-            "prefill_s_saved",
-            "bytes_saved_mb",
-            "makespan_s",
-        ]
-        .map(String::from)
-        .to_vec();
-        let mut table = ExperimentTable::new(
+        ExperimentTable::sweep(
             "session_cache",
             format!(
                 "Session prefix-cache sweep ({} sessions/stream, {})",
                 self.sessions,
                 method.name()
             ),
-            columns,
-            "mixed",
-        );
-        for mix in SessionMix::all() {
-            for (cache, dispatch) in self.cells() {
-                let outcome = self.run(method, mix, cache, dispatch);
-                table.push_row(Row::new(outcome.label(), outcome.values()));
-            }
-        }
-        table
-    }
-}
-
-/// Aggregate outcome of one (mix, cache, dispatch) run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct SessionCacheOutcome {
-    /// The session mix evaluated.
-    pub mix: SessionMix,
-    /// Whether the prefix cache was armed.
-    pub cache_on: bool,
-    /// The dispatch policy evaluated.
-    pub dispatch: DispatchPolicyKind,
-    /// Mean JCT across all requests (seconds).
-    pub mean_jct: f64,
-    /// 99th-percentile JCT (seconds).
-    pub p99_jct: f64,
-    /// Simulated makespan (seconds).
-    pub makespan: f64,
-    /// Prefix-cache hits over hits plus misses (0 when the cache is off).
-    pub hit_rate: f64,
-    /// Prefix lookups that hit.
-    pub prefix_hits: usize,
-    /// Prefix lookups that missed.
-    pub prefix_misses: usize,
-    /// Resident prefixes dropped by eviction or invalidation.
-    pub prefix_evictions: usize,
-    /// Quantized KV bytes whose prefill and transfer the cache avoided.
-    pub bytes_saved: f64,
-    /// Prefill compute-seconds the cache avoided.
-    pub prefill_seconds_saved: f64,
-    /// Requests completed.
-    pub completed_requests: usize,
-}
-
-impl SessionCacheOutcome {
-    /// Aggregates a finished simulation result into the outcome.
-    pub fn from_result(
-        mix: SessionMix,
-        cache_on: bool,
-        dispatch: DispatchPolicyKind,
-        result: SimulationResult,
-    ) -> Self {
-        let stats = result.jct_stats();
-        Self {
-            mix,
-            cache_on,
-            dispatch,
-            mean_jct: result.average_jct(),
-            p99_jct: stats.p99,
-            makespan: result.makespan,
-            hit_rate: result.prefix_hit_rate,
-            prefix_hits: result.prefix_hits,
-            prefix_misses: result.prefix_misses,
-            prefix_evictions: result.prefix_evictions,
-            bytes_saved: result.prefix_bytes_saved,
-            prefill_seconds_saved: result.prefill_seconds_saved,
-            completed_requests: result.records.len(),
-        }
-    }
-
-    /// Row label of this cell: `mix/cache/dispatch`.
-    pub fn label(&self) -> String {
-        format!(
-            "{}/{}/{}",
-            self.mix.name(),
-            if self.cache_on { "on" } else { "off" },
-            self.dispatch.name()
+            [
+                "mean_jct_s",
+                "p99_jct_s",
+                "hit_rate",
+                "prefill_s_saved",
+                "bytes_saved_mb",
+                "makespan_s",
+            ],
+            run_cells(self.cells(method)),
+            |r| {
+                vec![
+                    r.average_jct(),
+                    r.jct_stats().p99,
+                    r.prefix_hit_rate,
+                    r.prefill_seconds_saved,
+                    r.prefix_bytes_saved / 1e6,
+                    r.makespan,
+                ]
+            },
         )
-    }
-
-    /// Row values, matching [`SessionCacheExperiment::grid`]'s columns.
-    pub fn values(&self) -> Vec<f64> {
-        vec![
-            self.mean_jct,
-            self.p99_jct,
-            self.hit_rate,
-            self.prefill_seconds_saved,
-            self.bytes_saved / 1e6,
-            self.makespan,
-        ]
     }
 }
 
@@ -324,16 +244,19 @@ mod tests {
     #[test]
     fn every_cell_runs_and_conserves_requests() {
         let exp = small();
-        for mix in SessionMix::all() {
-            let total = exp.trace(mix).num_requests();
-            for (cache, dispatch) in exp.cells() {
-                let outcome = exp.run(Method::hack(), mix, cache, dispatch);
-                assert_eq!(outcome.completed_requests, total, "{}", outcome.label());
-                if !outcome.cache_on {
-                    assert_eq!(outcome.prefix_hits + outcome.prefix_misses, 0);
-                    assert_eq!(outcome.hit_rate, 0.0);
-                    assert_eq!(outcome.bytes_saved, 0.0);
-                }
+        let total = |label: &str| {
+            let mix = SessionMix::all()
+                .into_iter()
+                .find(|mix| label.starts_with(mix.name()))
+                .unwrap();
+            exp.trace(mix).num_requests()
+        };
+        for (label, result) in run_cells(exp.cells(Method::hack())) {
+            assert_eq!(result.records.len(), total(&label), "{label}");
+            if label.contains("/off/") {
+                assert_eq!(result.prefix_hits + result.prefix_misses, 0);
+                assert_eq!(result.prefix_hit_rate, 0.0);
+                assert_eq!(result.prefix_bytes_saved, 0.0);
             }
         }
     }
@@ -343,25 +266,26 @@ mod tests {
         // The acceptance scenario: conversational sessions hit the cache on
         // most follow-ups and the saved prefill shows up in mean JCT.
         let exp = SessionCacheExperiment::paper_default();
-        let off = exp.run(
-            Method::hack(),
-            SessionMix::Chat,
-            CacheConfig::Off,
-            DispatchPolicyKind::LeastLoaded,
-        );
-        let on = exp.run(
-            Method::hack(),
-            SessionMix::Chat,
-            CacheConfig::on(),
-            DispatchPolicyKind::SessionAffinity,
-        );
-        assert!(on.hit_rate >= 0.5, "hit rate {}", on.hit_rate);
+        let run = |cache, dispatch| {
+            let requests = Arc::new(exp.trace(SessionMix::Chat).generate());
+            let config = exp.simulation_config(
+                Method::hack(),
+                SessionMix::Chat,
+                cache,
+                dispatch,
+                requests.len(),
+            );
+            Simulator::with_requests(config, requests).run()
+        };
+        let off = run(CacheConfig::Off, DispatchPolicyKind::LeastLoaded);
+        let on = run(CacheConfig::on(), DispatchPolicyKind::SessionAffinity);
+        assert!(on.prefix_hit_rate >= 0.5, "hit rate {}", on.prefix_hit_rate);
         assert!(on.prefill_seconds_saved > 0.0);
         assert!(
-            on.mean_jct < off.mean_jct,
+            on.average_jct() < off.average_jct(),
             "cache on {} must beat off {}",
-            on.mean_jct,
-            off.mean_jct
+            on.average_jct(),
+            off.average_jct()
         );
     }
 
@@ -369,7 +293,10 @@ mod tests {
     fn grid_is_deterministic_and_fully_populated() {
         let exp = small();
         let a = exp.grid(Method::Baseline);
-        assert_eq!(a.rows.len(), SessionMix::all().len() * exp.cells().len());
+        assert_eq!(
+            a.rows.len(),
+            SessionMix::all().len() * exp.cache_dispatch().len()
+        );
         assert_eq!(a, exp.grid(Method::Baseline));
         // Cache-off and armed rows exist for every mix, and the armed chat
         // row records a nonzero hit rate.

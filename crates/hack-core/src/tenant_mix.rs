@@ -3,19 +3,17 @@
 //!
 //! A [`TenantMixExperiment`] describes the shared cluster plus one
 //! [`TenantWorkload`] per tenant (dataset, rate, SLO target, scheduling
-//! weight, seed). [`TenantMixExperiment::run`] evaluates one (method,
-//! scheduling policy) pair on the merged trace and returns per-tenant JCT
-//! statistics, the Jain fairness index and SLO attainment;
-//! [`TenantMixExperiment::grid`] sweeps every shipped scheduling policy into
-//! one result table — the `tenant_mix` experiment grid.
+//! weight, seed). Its cells run every shipped scheduling policy on the merged
+//! trace; [`TenantMixExperiment::grid`] reads the Jain fairness index,
+//! per-tenant mean JCT and SLO attainment off each run into one result table
+//! — the `tenant_mix` experiment grid.
 
-use crate::experiment::{ExperimentTable, Row};
+use crate::experiment::{run_cells, Cell, ExperimentTable};
 use crate::method::Method;
 use hack_cluster::{
-    AdmissionPolicyKind, CacheConfig, FaultPlan, PolicyConfig, SchedulingPolicyKind,
-    SimulationConfig, SimulationResult, Simulator, TelemetryConfig, TenantClass, TenantClasses,
+    AdmissionPolicyKind, ClusterConfig, PolicyConfig, SchedulingPolicyKind, SimulationConfig,
+    Simulator, TenantClass, TenantClasses,
 };
-use hack_metrics::jct::JctStats;
 use hack_metrics::tenant::TenantSlo;
 use hack_model::gpu::GpuKind;
 use hack_model::spec::ModelKind;
@@ -129,152 +127,79 @@ impl TenantMixExperiment {
         method: Method,
         scheduling: SchedulingPolicyKind,
     ) -> SimulationConfig {
-        let mut cluster = hack_cluster::ClusterConfig::paper_default(self.model, self.prefill_gpu);
+        let mut cluster = ClusterConfig::paper_default(self.model, self.prefill_gpu);
         cluster.pipelining = false;
+        let trace = TraceConfig {
+            // Descriptive aggregate view of the merged stream (the rate is
+            // the sum of the tenants'); the engine seed combines the
+            // per-tenant stream seeds.
+            dataset: self.tenants[0].dataset,
+            rps: self.tenants.iter().map(|t| t.rps).sum(),
+            num_requests: self.tenants.iter().map(|t| t.num_requests).sum(),
+            max_context: self.model.spec().max_context,
+            seed: self
+                .tenants
+                .iter()
+                .fold(0u64, |acc, t| acc.wrapping_mul(31).wrapping_add(t.seed)),
+        };
         SimulationConfig {
-            cluster,
-            trace: TraceConfig {
-                // Descriptive aggregate view of the merged stream (the rate is
-                // the sum of the tenants'); the engine seed combines the
-                // per-tenant stream seeds.
-                dataset: self.tenants[0].dataset,
-                rps: self.tenants.iter().map(|t| t.rps).sum(),
-                num_requests: self.tenants.iter().map(|t| t.num_requests).sum(),
-                max_context: self.model.spec().max_context,
-                seed: self
-                    .tenants
-                    .iter()
-                    .fold(0u64, |acc, t| acc.wrapping_mul(31).wrapping_add(t.seed)),
-            },
-            profile: method.profile(),
             policy: PolicyConfig {
                 tenants: self.classes(),
-                dispatch: hack_cluster::DispatchPolicyKind::LeastLoaded,
                 admission: self.admission,
                 scheduling,
-                retry: hack_cluster::RetryPolicy::default(),
-                scaling: hack_cluster::ScalingPolicyKind::Off,
+                ..PolicyConfig::default()
             },
-            faults: FaultPlan::none(),
-            telemetry: TelemetryConfig::Off,
-            cache: CacheConfig::Off,
+            ..SimulationConfig::new(cluster, trace, method.profile())
         }
     }
 
-    /// Runs one (method, scheduling) pair on the merged trace.
-    pub fn run(&self, method: Method, scheduling: SchedulingPolicyKind) -> TenantMixOutcome {
+    /// The sweep's cells, one per shipped scheduling policy (labelled by its
+    /// name), all on the one merged trace.
+    pub fn cells(&self, method: Method) -> Vec<Cell> {
         let requests = Arc::new(self.trace().generate());
-        let config = self.simulation_config(method, scheduling);
-        let result = Simulator::with_requests(config, requests).run();
-        TenantMixOutcome::from_result_with_classes(scheduling, &self.classes(), result)
+        SchedulingPolicyKind::all()
+            .into_iter()
+            .map(|scheduling| {
+                let config = self.simulation_config(method, scheduling);
+                let sim = Simulator::with_requests(config, requests.clone());
+                (scheduling.name().to_string(), sim)
+            })
+            .collect()
     }
 
-    /// Sweeps every shipped scheduling policy (the `tenant_mix` grid): one row
-    /// per policy with the fairness index, per-tenant mean JCTs and SLO
-    /// attainment.
+    /// The `tenant_mix` grid: one row per scheduling policy with the fairness
+    /// index, per-tenant mean JCTs and SLO attainment (`NaN` for a tenant
+    /// that completed nothing).
     pub fn grid(&self, method: Method) -> ExperimentTable {
-        let mut columns = vec!["jain_fairness".to_string()];
-        for i in 0..self.tenants.len() {
-            columns.push(format!("t{i}_mean_jct_s"));
-        }
-        for i in 0..self.tenants.len() {
-            columns.push(format!("t{i}_slo_attainment"));
-        }
-        let mut table = ExperimentTable::new(
+        let n = self.tenants.len();
+        let tenants = || (0..n).map(|i| TenantId(i as u32));
+        let columns = std::iter::once("jain_fairness".to_string())
+            .chain((0..n).map(|i| format!("t{i}_mean_jct_s")))
+            .chain((0..n).map(|i| format!("t{i}_slo_attainment")));
+        let classes = self.classes();
+        ExperimentTable::sweep(
             "tenant_mix",
             format!(
-                "Multi-tenant scheduling sweep ({} tenants, {})",
-                self.tenants.len(),
+                "Multi-tenant scheduling sweep ({n} tenants, {})",
                 method.name()
             ),
             columns,
-            "mixed",
-        );
-        for scheduling in SchedulingPolicyKind::all() {
-            let outcome = self.run(method, scheduling);
-            let mut values = vec![outcome.jain_fairness];
-            for i in 0..self.tenants.len() {
-                values.push(
-                    outcome
-                        .tenant_stats(TenantId(i as u32))
-                        .map_or(f64::NAN, |s| s.mean),
-                );
-            }
-            for i in 0..self.tenants.len() {
-                values.push(
-                    outcome
-                        .slo
-                        .iter()
-                        .find(|s| s.tenant == TenantId(i as u32))
-                        .map_or(f64::NAN, TenantSlo::attainment),
-                );
-            }
-            table.push_row(Row::new(scheduling.name(), values));
-        }
-        table
-    }
-}
-
-/// One tenant's JCT statistics inside a [`TenantMixOutcome`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct TenantStats {
-    /// The tenant.
-    pub tenant: TenantId,
-    /// Its JCT statistics.
-    pub stats: JctStats,
-}
-
-/// Aggregate outcome of one (tenant mix, method, scheduling policy) run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct TenantMixOutcome {
-    /// The scheduling policy evaluated.
-    pub scheduling: SchedulingPolicyKind,
-    /// Global average JCT across all tenants (seconds).
-    pub average_jct: f64,
-    /// Per-tenant JCT statistics, ascending by tenant.
-    pub per_tenant: Vec<TenantStats>,
-    /// Jain fairness index over the tenants' normalized service rates.
-    pub jain_fairness: f64,
-    /// Per-tenant SLO attainment.
-    pub slo: Vec<TenantSlo>,
-    /// Requests turned away by the admission policy.
-    pub rejected_requests: usize,
-    /// Admission rejections per tenant (index = tenant id; empty when nothing
-    /// was rejected).
-    pub rejected_by_tenant: Vec<usize>,
-    /// Requests completed.
-    pub completed_requests: usize,
-}
-
-impl TenantMixOutcome {
-    /// Aggregates a finished simulation result into the per-tenant outcome.
-    pub fn from_result_with_classes(
-        scheduling: SchedulingPolicyKind,
-        classes: &TenantClasses,
-        result: SimulationResult,
-    ) -> Self {
-        Self {
-            scheduling,
-            average_jct: result.average_jct(),
-            per_tenant: result
-                .per_tenant_stats()
-                .into_iter()
-                .map(|(tenant, stats)| TenantStats { tenant, stats })
-                .collect(),
-            jain_fairness: result.jain_fairness(),
-            slo: result.slo_summary(classes),
-            rejected_requests: result.rejected_requests,
-            rejected_by_tenant: result.rejected_by_tenant.clone(),
-            completed_requests: result.records.len(),
-        }
-    }
-
-    /// The [`JctStats`] of one tenant, if it completed any request.
-    pub fn tenant_stats(&self, tenant: TenantId) -> Option<&JctStats> {
-        self.per_tenant
-            .iter()
-            .find(|t| t.tenant == tenant)
-            .map(|t| &t.stats)
+            run_cells(self.cells(method)),
+            |r| {
+                let stats = r.per_tenant_stats();
+                let slo = r.slo_summary(&classes);
+                let mean = |t| stats.iter().find(|(id, _)| *id == t).map(|(_, s)| s.mean);
+                let attainment = |t| {
+                    slo.iter()
+                        .find(|s| s.tenant == t)
+                        .map(TenantSlo::attainment)
+                };
+                std::iter::once(r.jain_fairness())
+                    .chain(tenants().map(|t| mean(t).unwrap_or(f64::NAN)))
+                    .chain(tenants().map(|t| attainment(t).unwrap_or(f64::NAN)))
+                    .collect()
+            },
+        )
     }
 }
 
@@ -292,14 +217,13 @@ mod tests {
     #[test]
     fn mix_runs_every_policy_and_completes_all_requests() {
         let mix = small_mix();
-        for scheduling in SchedulingPolicyKind::all() {
-            let outcome = mix.run(Method::hack(), scheduling);
-            assert_eq!(outcome.completed_requests, 50, "{}", scheduling.name());
-            assert_eq!(outcome.rejected_requests, 0);
-            assert_eq!(outcome.per_tenant.len(), 2);
-            assert!(outcome.jain_fairness > 0.0 && outcome.jain_fairness <= 1.0 + 1e-12);
-            assert!(outcome.tenant_stats(TenantId(0)).is_some());
-            assert!(outcome.tenant_stats(TenantId(2)).is_none());
+        for (label, result) in run_cells(mix.cells(Method::hack())) {
+            assert_eq!(result.records.len(), 50, "{label}");
+            assert_eq!(result.rejected_requests, 0);
+            let tenants: Vec<TenantId> = result.per_tenant_stats().iter().map(|s| s.0).collect();
+            assert_eq!(tenants, [TenantId(0), TenantId(1)]);
+            let jain = result.jain_fairness();
+            assert!(jain > 0.0 && jain <= 1.0 + 1e-12);
         }
     }
 
@@ -320,10 +244,10 @@ mod tests {
             rate_per_weight: 0.05,
             burst: 2.0,
         };
-        let a = mix.run(Method::Baseline, SchedulingPolicyKind::Fcfs);
-        let b = mix.run(Method::Baseline, SchedulingPolicyKind::Fcfs);
+        let (_, fcfs) = &mix.cells(Method::Baseline)[0];
+        let (a, b) = (fcfs.run(), fcfs.run());
         assert!(a.rejected_requests > 0, "overload must trip the bucket");
-        assert_eq!(a.rejected_requests + a.completed_requests, 50);
+        assert_eq!(a.rejected_requests + a.records.len(), 50);
         assert_eq!(
             a.rejected_by_tenant.iter().sum::<usize>(),
             a.rejected_requests,

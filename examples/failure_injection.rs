@@ -42,21 +42,17 @@ fn main() {
         rps: Some(0.08),
         ..JctExperiment::paper_default()
     };
-    let base_config = SimulationConfig {
-        cluster: experiment.cluster_config(),
-        trace: TraceConfig {
+    let base_config = SimulationConfig::new(
+        experiment.cluster_config(),
+        TraceConfig {
             dataset: Dataset::Cocktail,
             rps: 0.08,
             num_requests,
             max_context: ModelKind::Llama31_70B.spec().max_context,
             seed: 7,
         },
-        profile: Method::hack().profile(),
-        policy: PolicyConfig::default(),
-        faults: FaultPlan::none(),
-        telemetry: TelemetryConfig::Off,
-        cache: CacheConfig::Off,
-    };
+        Method::hack().profile(),
+    );
 
     println!("== Fault injection on the paper-default cluster (HACK, Cocktail) ==\n");
 
@@ -168,19 +164,19 @@ fn correlated_tor_storm(smoke: bool) {
     ));
 
     let config = SimulationConfig {
-        cluster,
-        trace: TraceConfig {
-            dataset: Dataset::Arxiv,
-            rps: 0.4,
-            num_requests,
-            max_context: ModelKind::Llama31_70B.spec().max_context,
-            seed: 11,
-        },
-        profile: Method::hack().profile(),
-        policy: PolicyConfig::default(),
         faults,
         telemetry: TelemetryConfig::with_interval(1.0),
-        cache: CacheConfig::Off,
+        ..SimulationConfig::new(
+            cluster,
+            TraceConfig {
+                dataset: Dataset::Arxiv,
+                rps: 0.4,
+                num_requests,
+                max_context: ModelKind::Llama31_70B.spec().max_context,
+                seed: 11,
+            },
+            Method::hack().profile(),
+        )
     };
     let (result, telemetry) = Simulator::new(config).run_with_telemetry();
     let tel = telemetry.expect("telemetry is on");

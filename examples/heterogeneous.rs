@@ -40,51 +40,55 @@ fn main() {
     }
     println!();
 
-    let baseline = e.run(uniform, Method::hack(), DispatchPolicyKind::LeastLoaded);
-    println!(
-        "uniform/least-loaded      avg JCT {:>7.2}s  p95 {:>7.2}s  util [{:.2}]",
-        baseline.average_jct, baseline.stats.p95, baseline.prefill_groups[0].utilization
-    );
-
-    let mut outcomes = Vec::new();
-    for dispatch in DispatchPolicyKind::all() {
-        let outcome = e.run(mixed, Method::hack(), dispatch);
-        let utils: Vec<String> = outcome
+    // The first cell is the uniform fleet under least-loaded dispatch, the
+    // rest the mixed fleet under every dispatch policy.
+    let runs: Vec<(String, SimulationResult)> = run_cells(e.cells(Method::hack())).collect();
+    let baseline = &runs[0].1;
+    // JCT reduction of `a` versus `b`.
+    let reduction =
+        |a: &SimulationResult, b: &SimulationResult| 1.0 - a.average_jct() / b.average_jct();
+    for (i, (label, result)) in runs.iter().enumerate() {
+        let utils: Vec<String> = result
             .prefill_groups
             .iter()
             .map(|g| format!("{:.2}", g.utilization))
             .collect();
+        let versus = if i == 0 {
+            String::new()
+        } else {
+            format!(
+                "  ({:+.1}% vs uniform)",
+                -100.0 * reduction(result, baseline)
+            )
+        };
         println!(
-            "mixed/{:<19} avg JCT {:>7.2}s  p95 {:>7.2}s  util [{}]  ({:+.1}% vs uniform)",
-            dispatch.name(),
-            outcome.average_jct,
-            outcome.stats.p95,
-            utils.join(", "),
-            -100.0 * outcome.jct_reduction_vs(&baseline)
+            "{label:<25} avg JCT {:>7.2}s  p95 {:>7.2}s  util [{}]{versus}",
+            result.average_jct(),
+            result.jct_stats().p95,
+            utils.join(", ")
         );
-        outcomes.push(outcome);
     }
 
-    let least = &outcomes[0];
-    let fastest = &outcomes[1];
+    let least = &runs[1].1;
+    let fastest = &runs[2].1;
     println!(
         "\ntakeaway: swapping half the A10G instances for L4s cuts the average JCT \
          {:.1}s -> {:.1}s under plain least-loaded dispatch, and the group-aware \
          fastest-eligible policy takes another {:.0}% by pushing {} of {} requests \
          onto the faster L4 group (vs {} under least-loaded).",
-        baseline.average_jct,
-        least.average_jct,
-        100.0 * fastest.jct_reduction_vs(least),
+        baseline.average_jct(),
+        least.average_jct(),
+        100.0 * reduction(fastest, least),
         fastest.prefill_groups[1].completed,
-        fastest.completed_requests,
+        fastest.records.len(),
         least.prefill_groups[1].completed,
     );
     assert!(
-        least.average_jct < baseline.average_jct,
+        least.average_jct() < baseline.average_jct(),
         "the mixed fleet must beat the uniform one"
     );
     assert!(
-        fastest.average_jct < least.average_jct,
+        fastest.average_jct() < least.average_jct(),
         "group-aware dispatch must beat load-only dispatch on a mixed fleet"
     );
 }

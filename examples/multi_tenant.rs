@@ -35,59 +35,55 @@ fn main() {
     }
     println!();
 
-    let mut outcomes = Vec::new();
-    for scheduling in SchedulingPolicyKind::all() {
-        let outcome = mix.run(Method::hack(), scheduling);
+    let classes = mix.classes();
+    let mut runs = Vec::new();
+    for (scheduling, result) in run_cells(mix.cells(Method::hack())) {
         println!(
-            "-- {} --  jain fairness {:.3}, global avg JCT {:>7.1}s",
-            scheduling.name(),
-            outcome.jain_fairness,
-            outcome.average_jct
+            "-- {scheduling} --  jain fairness {:.3}, global avg JCT {:>7.1}s",
+            result.jain_fairness(),
+            result.average_jct()
         );
-        for t in &outcome.per_tenant {
-            let slo = outcome
-                .slo
+        let slo = result.slo_summary(&classes);
+        for (tenant, stats) in result.per_tenant_stats() {
+            let slo = slo
                 .iter()
-                .find(|s| s.tenant == t.tenant)
+                .find(|s| s.tenant == tenant)
                 .expect("every tenant has an SLO row");
             println!(
                 "   {}: mean {:>8.1}s  p95 {:>8.1}s  queueing {:>8.1}s  SLO {:>5.1}%",
-                t.tenant,
-                t.stats.mean,
-                t.stats.p95,
-                t.stats.mean_breakdown.queueing,
+                tenant,
+                stats.mean,
+                stats.p95,
+                stats.mean_breakdown.queueing,
                 100.0 * slo.attainment()
             );
         }
         println!();
-        outcomes.push(outcome);
+        runs.push(result);
     }
 
-    let fcfs = &outcomes[0];
-    let wrr = &outcomes[1];
-    let edf = &outcomes[2];
-    let interactive = TenantId(0);
-    let fcfs_wait = fcfs
-        .tenant_stats(interactive)
-        .unwrap()
-        .mean_breakdown
-        .queueing;
-    let wrr_wait = wrr
-        .tenant_stats(interactive)
-        .unwrap()
-        .mean_breakdown
-        .queueing;
+    let (fcfs, wrr, edf) = (&runs[0], &runs[1], &runs[2]);
+    let interactive_queueing = |r: &SimulationResult| {
+        let (_, stats) = r
+            .per_tenant_stats()
+            .into_iter()
+            .find(|(t, _)| *t == TenantId(0))
+            .expect("the interactive tenant completes requests");
+        stats.mean_breakdown.queueing
+    };
+    let fcfs_wait = interactive_queueing(fcfs);
+    let wrr_wait = interactive_queueing(wrr);
     println!(
         "takeaway: WRR cuts the interactive tenant's mean queueing from {fcfs_wait:.0}s \
          to {wrr_wait:.0}s ({}x) and lifts Jain fairness {:.3} -> {:.3}; \
          SLO-EDF reaches {:.3}.",
         (fcfs_wait / wrr_wait.max(1e-9)).round(),
-        fcfs.jain_fairness,
-        wrr.jain_fairness,
-        edf.jain_fairness
+        fcfs.jain_fairness(),
+        wrr.jain_fairness(),
+        edf.jain_fairness()
     );
     assert!(
-        wrr.jain_fairness > fcfs.jain_fairness,
+        wrr.jain_fairness() > fcfs.jain_fairness(),
         "round-robin must out-fair FCFS under overload"
     );
 }

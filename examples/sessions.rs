@@ -68,22 +68,22 @@ fn main() {
     );
 
     let config = |cache: CacheConfig, dispatch: DispatchPolicyKind| SimulationConfig {
-        cluster: ClusterConfig::paper_default(model, GpuKind::A10G),
-        trace: TraceConfig {
-            dataset: Dataset::Cocktail,
-            rps: 0.06,
-            num_requests: requests.len(),
-            max_context: model.spec().max_context,
-            seed: 17,
-        },
-        profile: Method::hack().profile(),
         policy: PolicyConfig {
             dispatch,
             ..PolicyConfig::default()
         },
-        faults: FaultPlan::none(),
-        telemetry: TelemetryConfig::Off,
         cache,
+        ..SimulationConfig::new(
+            ClusterConfig::paper_default(model, GpuKind::A10G),
+            TraceConfig {
+                dataset: Dataset::Cocktail,
+                rps: 0.06,
+                num_requests: requests.len(),
+                max_context: model.spec().max_context,
+                seed: 17,
+            },
+            Method::hack().profile(),
+        )
     };
 
     // --- The three runs. ---

@@ -29,21 +29,17 @@ fn main() {
         rps: Some(0.08),
         ..JctExperiment::paper_default()
     };
-    let base_config = SimulationConfig {
-        cluster: experiment.cluster_config(),
-        trace: TraceConfig {
+    let base_config = SimulationConfig::new(
+        experiment.cluster_config(),
+        TraceConfig {
             dataset: Dataset::Cocktail,
             rps: 0.08,
             num_requests,
             max_context: ModelKind::Llama31_70B.spec().max_context,
             seed: 7,
         },
-        profile: Method::hack().profile(),
-        policy: PolicyConfig::default(),
-        faults: FaultPlan::none(),
-        telemetry: TelemetryConfig::Off,
-        cache: CacheConfig::Off,
-    };
+        Method::hack().profile(),
+    );
 
     println!("== Telemetry export of a failure-injection run (HACK, Cocktail) ==\n");
 
@@ -73,7 +69,6 @@ fn main() {
             recover_at,
         )]),
         telemetry: TelemetryConfig::with_interval(interval),
-        cache: CacheConfig::Off,
         ..base_config
     };
     let (result, telemetry) = Simulator::new(config).run_with_telemetry();
@@ -83,7 +78,6 @@ fn main() {
     // configuration is bit-identical.
     let off = Simulator::new(SimulationConfig {
         telemetry: TelemetryConfig::Off,
-        cache: CacheConfig::Off,
         ..config
     })
     .run();

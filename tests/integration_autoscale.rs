@@ -8,7 +8,6 @@
 //! being pure clock-and-state logic — must land bit-identically across repeat
 //! runs.
 
-use hack_cluster::SimulationResult;
 use hack_core::prelude::*;
 use std::sync::Arc;
 
@@ -37,25 +36,18 @@ fn scale_downs_drain_without_losing_requests() {
     // out of the fleet mid-run loses nothing — their in-flight decodes and
     // reserved transfers finish before the replica leaves.
     let e = experiment();
-    for shape in TraceShape::all() {
-        for scaling in ScalingPolicyKind::all(e.per_replica_rps) {
-            let result = e.run_cell(shape, scaling, Method::hack());
-            assert_conserved(&result, e.num_requests, shape.name());
-            assert_eq!(
-                result.records.len(),
-                e.num_requests,
-                "{}/{}: a faultless run completes everything",
-                shape.name(),
-                scaling.name()
-            );
-        }
+    let mut shrunk = false;
+    for (label, result) in run_cells(e.cells(Method::hack())) {
+        assert_conserved(&result, e.num_requests, &label);
+        assert_eq!(
+            result.records.len(),
+            e.num_requests,
+            "{label}: a faultless run completes everything"
+        );
+        shrunk |= result.scale_downs > 0;
     }
     // The sweep actually shrinks the fleet somewhere: the troughs of both
     // shapes leave the decode fleet idle enough to drain replicas.
-    let shrunk = e
-        .sweep(Method::hack())
-        .into_iter()
-        .any(|o| o.scale_downs > 0);
     assert!(shrunk, "the sweep must exercise the drain path");
 }
 
@@ -98,20 +90,8 @@ fn scaling_decisions_are_reproducible() {
     // Scaling decisions are pure clock-and-state logic on the probe tick, so
     // the full result — scale events, billed dollars, every JCT — must be
     // bit-identical across repeat runs.
-    let e = experiment();
-    for shape in TraceShape::all() {
-        for scaling in ScalingPolicyKind::all(e.per_replica_rps) {
-            let requests = Arc::new(e.trace(shape));
-            let config = e.simulation_config(scaling, Method::hack());
-            let run = || Simulator::with_requests(config, requests.clone()).run();
-            assert_eq!(
-                run(),
-                run(),
-                "{}/{}: repeat runs diverged",
-                shape.name(),
-                scaling.name()
-            );
-        }
+    for (label, sim) in experiment().cells(Method::hack()) {
+        assert_eq!(sim.run(), sim.run(), "{label}: repeat runs diverged");
     }
 }
 
@@ -121,37 +101,32 @@ fn draining_stops_the_meter() {
     // the drain instant, so — at equal makespan, which this over-provisioned
     // fleet keeps across policies — a run that only scaled down bills
     // strictly less than the static fleet.
-    let e = experiment();
-    let outcomes = e.sweep(Method::hack());
+    let runs: Vec<(String, SimulationResult)> =
+        run_cells(experiment().cells(Method::hack())).collect();
     for shape in TraceShape::all() {
-        let of = |name: &str| {
-            outcomes
-                .iter()
-                .find(|o| o.shape == shape && o.policy.name() == name)
-                .copied()
-                .expect("sweep covers every policy")
+        let of_shape: Vec<&(String, SimulationResult)> = runs
+            .iter()
+            .filter(|(label, _)| label.starts_with(&format!("{}/", shape.name())))
+            .collect();
+        let off = &of_shape[0].1;
+        assert_eq!(of_shape[0].0, format!("{}/off", shape.name()));
+        let drained_only = |r: &SimulationResult| {
+            r.scale_downs > 0 && r.scale_ups == 0 && r.makespan == off.makespan
         };
-        let off = of("off");
-        for o in outcomes.iter().filter(|o| o.shape == shape) {
-            if o.scale_downs > 0 && o.scale_ups == 0 && o.makespan_s == off.makespan_s {
-                assert!(
-                    o.gpu_dollars < off.gpu_dollars,
-                    "{}/{}: draining must stop the meter (${} vs static ${})",
-                    shape.name(),
-                    o.policy.name(),
-                    o.gpu_dollars,
-                    off.gpu_dollars
-                );
-            }
+        for (label, r) in of_shape.iter().copied().filter(|(_, r)| drained_only(r)) {
+            assert!(
+                r.gpu_dollars < off.gpu_dollars,
+                "{label}: draining must stop the meter (${} vs static ${})",
+                r.gpu_dollars,
+                off.gpu_dollars
+            );
         }
         // The claim is not vacuous: some policy actually drains on each shape
         // without paying it back with a longer run.
         assert!(
-            outcomes.iter().any(|o| o.shape == shape
-                && o.scale_downs > 0
-                && o.scale_ups == 0
-                && o.makespan_s == off.makespan_s
-                && o.gpu_dollars < off.gpu_dollars),
+            of_shape
+                .iter()
+                .any(|(_, r)| drained_only(r) && r.gpu_dollars < off.gpu_dollars),
             "{}: no drain-only run undercut the static fleet",
             shape.name()
         );

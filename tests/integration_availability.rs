@@ -9,27 +9,22 @@
 //! sensors must recount exactly from the raw fault plan even when windows of
 //! different domains overlap in time.
 
-use hack_cluster::SimulationResult;
 use hack_core::prelude::*;
 
 fn graph_config(n: usize, rps: f64, spines: usize) -> SimulationConfig {
     let mut cluster = ClusterConfig::paper_default(ModelKind::Llama31_70B, GpuKind::A10G);
     cluster.topology = TopologySpec::LinkGraph(LinkGraphSpec::redundant(spines));
-    SimulationConfig {
+    SimulationConfig::new(
         cluster,
-        trace: TraceConfig {
+        TraceConfig {
             dataset: Dataset::Arxiv,
             rps,
             num_requests: n,
             max_context: ModelKind::Llama31_70B.spec().max_context,
             seed: 11,
         },
-        profile: Method::Baseline.profile(),
-        policy: PolicyConfig::default(),
-        faults: FaultPlan::none(),
-        telemetry: TelemetryConfig::Off,
-        cache: CacheConfig::Off,
-    }
+        Method::Baseline.profile(),
+    )
 }
 
 fn assert_conserved(result: &SimulationResult, total: usize, label: &str) {

@@ -17,12 +17,9 @@ fn fault_storm_flat_row_is_pinned() {
         num_requests: 25,
         ..FaultStormExperiment::paper_storm()
     };
-    let flat = &storm.scenarios()[0];
-    assert_eq!(flat.label, "flat/no-fault");
-    assert_eq!(
-        storm.run(flat, Method::hack()).average_jct,
-        6.167930048929858
-    );
+    let (label, flat) = &storm.cells(Method::hack())[0];
+    assert_eq!(label, "flat/no-fault");
+    assert_eq!(flat.run().average_jct(), 6.167930048929858);
 }
 
 /// The fault storm's link-graph rows, loaded until transfers share links: 60
@@ -41,17 +38,18 @@ fn fault_storm_graph_rows_are_pinned() {
         ..FaultStormExperiment::paper_storm()
     };
     let rows = ["graph/no-fault", "graph/tor", "graph/spine"];
-    let got: Vec<(&str, f64, usize, usize)> = storm
-        .scenarios()
+    let got: Vec<(String, f64, usize, usize)> = storm
+        .cells(Method::hack())
         .into_iter()
-        .filter(|s| rows.contains(&s.label))
-        .map(|mut scenario| {
-            if scenario.label == "graph/spine" {
-                scenario.topology = TopologySpec::LinkGraph(LinkGraphSpec::redundant(2));
+        .filter(|(label, _)| rows.contains(&label.as_str()))
+        .map(|(label, sim)| {
+            let mut config = *sim.config();
+            if label == "graph/spine" {
+                config.cluster.topology = TopologySpec::LinkGraph(LinkGraphSpec::redundant(2));
             }
-            let result = Simulator::new(storm.simulation_config(&scenario, Method::hack())).run();
+            let result = Simulator::new(config).run();
             (
-                scenario.label,
+                label,
                 result.average_jct(),
                 result.transfer_retries,
                 result.rerouted_flows,
@@ -59,14 +57,13 @@ fn fault_storm_graph_rows_are_pinned() {
         })
         .collect();
     assert!(got[2].3 >= 1, "the spine fault reroutes a live flow");
-    assert_eq!(
-        got,
-        [
-            ("graph/no-fault", 27.21442300325993, 0, 0),
-            ("graph/tor", 27.232214724652057, 1, 0),
-            ("graph/spine", 27.21442300325993, 0, 1),
-        ]
-    );
+    let want = [
+        ("graph/no-fault", 27.21442300325993, 0, 0),
+        ("graph/tor", 27.232214724652057, 1, 0),
+        ("graph/spine", 27.21442300325993, 0, 1),
+    ]
+    .map(|(label, jct, retries, rerouted)| (label.to_string(), jct, retries, rerouted));
+    assert_eq!(got, want);
 }
 
 /// The availability grid at 15 requests over two fault seeds: availability
@@ -99,13 +96,8 @@ fn autoscale_grid_is_pinned() {
         num_requests: 20,
         ..AutoscaleExperiment::paper_sweep()
     };
-    let got: Vec<(String, f64, f64)> = sweep
-        .sweep(Method::hack())
-        .iter()
-        .map(|o| {
-            let cell = format!("{}/{}", o.shape.name(), o.policy.name());
-            (cell, o.gpu_dollars, o.slo_attainment)
-        })
+    let got: Vec<(String, f64, f64)> = run_cells(sweep.cells(Method::hack()))
+        .map(|(cell, r)| (cell, r.gpu_dollars, sweep.slo_attainment(&r)))
         .collect();
     let want = [
         ("diurnal/off", 0.9739241567866886, 1.0),
@@ -129,13 +121,9 @@ fn session_cache_grid_is_pinned() {
         sessions: 3,
         ..SessionCacheExperiment::paper_default()
     };
-    let mut got = Vec::new();
-    for mix in SessionMix::all() {
-        for (cache, dispatch) in sessions.cells() {
-            let outcome = sessions.run(Method::hack(), mix, cache, dispatch);
-            got.push((outcome.label(), outcome.hit_rate, outcome.mean_jct));
-        }
-    }
+    let got: Vec<(String, f64, f64)> = run_cells(sessions.cells(Method::hack()))
+        .map(|(cell, r)| (cell, r.prefix_hit_rate, r.average_jct()))
+        .collect();
     let want = [
         ("chat/off/least-loaded", 0.0, 23.6308262051791),
         ("chat/on/least-loaded", 1.0, 8.659223025151766),
@@ -387,4 +375,65 @@ fn link_graph_run_is_pinned() {
             log_digest: 6862507861204916885,
         }
     );
+}
+
+/// FNV-1a digest of what a grid computes: its columns, then every row's
+/// label and value bits (title and unit are presentation, left out).
+fn grid_digest(table: &ExperimentTable) -> u64 {
+    let text = |s: &str, h| fnv1a(s.bytes().chain([0]), h);
+    let h = table.columns.iter().fold(FNV_OFFSET, |h, c| text(c, h));
+    table.rows.iter().fold(h, |h, row| {
+        let h = text(&row.label, h);
+        row.values
+            .iter()
+            .fold(h, |h, v| fnv1a(v.to_bits().to_le_bytes(), h))
+    })
+}
+
+/// Every scenario grid at a small size: the digest of its columns, row
+/// labels and values, so any change to what a sweep runs or reads shows.
+#[test]
+fn scenario_grids_are_pinned() {
+    let storm = FaultStormExperiment {
+        num_requests: 25,
+        ..FaultStormExperiment::paper_storm()
+    };
+    let mut availability = AvailabilityExperiment::paper_sweep();
+    availability.num_requests = 15;
+    availability.fault_seeds.truncate(2);
+    let autoscale = AutoscaleExperiment {
+        num_requests: 20,
+        ..AutoscaleExperiment::paper_sweep()
+    };
+    let fleet = HeteroFleetExperiment {
+        num_requests: 30,
+        ..HeteroFleetExperiment::paper_mixed()
+    };
+    let sessions = SessionCacheExperiment {
+        sessions: 3,
+        ..SessionCacheExperiment::paper_default()
+    };
+    let mut tenants = TenantMixExperiment::interactive_vs_batch();
+    tenants.tenants[0].num_requests = 10;
+    tenants.tenants[1].num_requests = 40;
+    let method = Method::hack();
+    let got = [
+        storm.grid(method),
+        availability.grid(method),
+        autoscale.grid(method),
+        fleet.grid(method),
+        sessions.grid(method),
+        tenants.grid(method),
+    ]
+    .map(|t| (t.id.clone(), grid_digest(&t)));
+    let want = [
+        ("fault_storm", 3696139578133899432),
+        ("availability", 4197176968135027675),
+        ("autoscale", 7109779962687480865),
+        ("hetero_fleet", 12503088689725177395),
+        ("session_cache", 14484053637215890723),
+        ("tenant_mix", 14651316110282332173),
+    ]
+    .map(|(id, digest)| (id.to_string(), digest));
+    assert_eq!(got, want);
 }

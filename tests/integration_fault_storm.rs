@@ -8,27 +8,22 @@
 //! Throughout, request conservation holds: every generated request completes
 //! exactly once, is rejected, or is accounted as aborted.
 
-use hack_cluster::SimulationResult;
 use hack_core::prelude::*;
 
 fn storm_config(n: usize, rps: f64) -> SimulationConfig {
     let mut cluster = ClusterConfig::paper_default(ModelKind::Llama31_70B, GpuKind::A10G);
     cluster.topology = TopologySpec::LinkGraph(LinkGraphSpec::paper_default());
-    SimulationConfig {
+    SimulationConfig::new(
         cluster,
-        trace: TraceConfig {
+        TraceConfig {
             dataset: Dataset::Arxiv,
             rps,
             num_requests: n,
             max_context: ModelKind::Llama31_70B.spec().max_context,
             seed: 11,
         },
-        profile: Method::Baseline.profile(),
-        policy: PolicyConfig::default(),
-        faults: FaultPlan::none(),
-        telemetry: TelemetryConfig::Off,
-        cache: CacheConfig::Off,
-    }
+        Method::Baseline.profile(),
+    )
 }
 
 fn assert_conserved(result: &SimulationResult, total: usize) {

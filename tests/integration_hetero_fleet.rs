@@ -13,19 +13,27 @@ fn experiment() -> HeteroFleetExperiment {
     }
 }
 
+fn run(
+    e: &HeteroFleetExperiment,
+    cluster: ClusterConfig,
+    dispatch: DispatchPolicyKind,
+) -> SimulationResult {
+    Simulator::new(e.simulation_config(cluster, Method::hack(), dispatch)).run()
+}
+
 #[test]
 fn mixed_fleet_runs_deterministically_with_per_group_stats() {
     let e = experiment();
     for dispatch in DispatchPolicyKind::all() {
-        let a = e.run(e.mixed_cluster(), Method::hack(), dispatch);
-        let b = e.run(e.mixed_cluster(), Method::hack(), dispatch);
+        let a = run(&e, e.mixed_cluster(), dispatch);
+        let b = run(&e, e.mixed_cluster(), dispatch);
         assert_eq!(
             a,
             b,
             "{}: mixed-fleet runs must be bit-identical",
             dispatch.name()
         );
-        assert_eq!(a.completed_requests, e.num_requests, "{}", dispatch.name());
+        assert_eq!(a.records.len(), e.num_requests, "{}", dispatch.name());
         assert_eq!(a.prefill_groups.len(), 2);
         assert_eq!(a.decode_groups.len(), 1);
         let served: usize = a.prefill_groups.iter().map(|g| g.completed).sum();
@@ -52,32 +60,20 @@ fn mixed_beats_uniform_and_group_aware_dispatch_beats_load_only() {
     // The scenario the fleet API exists for: an L4 half-fleet accelerates
     // prefill, and only a group-aware dispatch policy fully exploits it.
     let e = experiment();
-    let uniform = e.run(
-        e.uniform_cluster(),
-        Method::hack(),
-        DispatchPolicyKind::LeastLoaded,
-    );
-    let least = e.run(
-        e.mixed_cluster(),
-        Method::hack(),
-        DispatchPolicyKind::LeastLoaded,
-    );
-    let fastest = e.run(
-        e.mixed_cluster(),
-        Method::hack(),
-        DispatchPolicyKind::FastestEligible,
-    );
+    let uniform = run(&e, e.uniform_cluster(), DispatchPolicyKind::LeastLoaded);
+    let least = run(&e, e.mixed_cluster(), DispatchPolicyKind::LeastLoaded);
+    let fastest = run(&e, e.mixed_cluster(), DispatchPolicyKind::FastestEligible);
     assert!(
-        least.average_jct < uniform.average_jct,
+        least.average_jct() < uniform.average_jct(),
         "mixed {} vs uniform {}",
-        least.average_jct,
-        uniform.average_jct
+        least.average_jct(),
+        uniform.average_jct()
     );
     assert!(
-        fastest.average_jct < least.average_jct,
+        fastest.average_jct() < least.average_jct(),
         "fastest-eligible {} vs least-loaded {}",
-        fastest.average_jct,
-        least.average_jct
+        fastest.average_jct(),
+        least.average_jct()
     );
     // The policy shifts completions toward the faster L4 group.
     assert!(fastest.prefill_groups[1].completed > least.prefill_groups[1].completed);
@@ -134,27 +130,20 @@ fn uniform_fleet_reproduces_legacy_jct_experiment_results() {
     // identical shape must reproduce it bit-for-bit.
     let e = experiment();
     let uniform = e.uniform_cluster();
-    let legacy_config = SimulationConfig {
-        cluster: uniform,
-        trace: TraceConfig {
+    let legacy_config = SimulationConfig::new(
+        uniform,
+        TraceConfig {
             dataset: e.dataset,
             rps: e.rps,
             num_requests: e.num_requests,
             max_context: e.model.spec().max_context,
             seed: e.seed,
         },
-        profile: Method::hack().profile(),
-        policy: PolicyConfig::default(),
-        faults: FaultPlan::none(),
-        telemetry: TelemetryConfig::Off,
-        cache: CacheConfig::Off,
-    };
-    let direct = Simulator::new(legacy_config).run();
-    let via_experiment = e.run(uniform, Method::hack(), DispatchPolicyKind::LeastLoaded);
-    assert_eq!(
-        HeteroFleetOutcome::from_result(DispatchPolicyKind::LeastLoaded, direct),
-        via_experiment
+        Method::hack().profile(),
     );
+    let direct = Simulator::new(legacy_config).run();
+    let via_experiment = run(&e, uniform, DispatchPolicyKind::LeastLoaded);
+    assert_eq!(direct, via_experiment);
 }
 
 #[test]

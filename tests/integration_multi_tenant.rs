@@ -11,8 +11,8 @@
 //!   round-robin bounds its wait, SLO-EDF prioritises its deadlines — and
 //!   both measurably improve the Jain fairness index over FCFS.
 
-use hack_cluster::{SchedulingPolicyKind, SimulationConfig, Simulator};
 use hack_core::prelude::*;
+use hack_metrics::jct::JctStats;
 use hack_workload::Request;
 use std::sync::Arc;
 
@@ -31,6 +31,19 @@ fn mix_config(mix: &TenantMixExperiment, scheduling: SchedulingPolicyKind) -> Si
 
 fn mix_requests(mix: &TenantMixExperiment) -> Arc<Vec<Request>> {
     Arc::new(mix.trace().generate())
+}
+
+fn run(mix: &TenantMixExperiment, scheduling: SchedulingPolicyKind) -> SimulationResult {
+    Simulator::with_requests(mix_config(mix, scheduling), mix_requests(mix)).run()
+}
+
+/// The JCT statistics of one tenant of a run that completed its requests.
+fn tenant_stats(result: &SimulationResult, tenant: TenantId) -> JctStats {
+    let stats = result
+        .per_tenant_stats()
+        .into_iter()
+        .find(|(t, _)| *t == tenant);
+    stats.expect("the tenant completes requests").1
 }
 
 #[test]
@@ -58,17 +71,16 @@ fn two_tenant_runs_are_bit_identical_across_runs() {
 fn fcfs_starves_the_interactive_tenant_and_wrr_bounds_its_wait() {
     let mix = contention_mix();
     let interactive = TenantId(0);
-    let fcfs = mix.run(Method::hack(), SchedulingPolicyKind::Fcfs);
-    let wrr = mix.run(Method::hack(), SchedulingPolicyKind::WeightedRoundRobin);
+    let fcfs = tenant_stats(&run(&mix, SchedulingPolicyKind::Fcfs), interactive);
+    let wrr = tenant_stats(
+        &run(&mix, SchedulingPolicyKind::WeightedRoundRobin),
+        interactive,
+    );
 
     // Starvation under FCFS: the interactive tenant spends the bulk of its
     // JCT queueing behind the batch backlog (its own service is seconds).
-    let fcfs_queue = fcfs
-        .tenant_stats(interactive)
-        .expect("interactive tenant completes")
-        .mean_breakdown
-        .queueing;
-    let fcfs_service = fcfs.tenant_stats(interactive).unwrap().mean - fcfs_queue;
+    let fcfs_queue = fcfs.mean_breakdown.queueing;
+    let fcfs_service = fcfs.mean - fcfs_queue;
     assert!(
         fcfs_queue > 5.0 * fcfs_service,
         "FCFS must starve the interactive tenant: queueing {fcfs_queue:.1}s vs \
@@ -77,18 +89,13 @@ fn fcfs_starves_the_interactive_tenant_and_wrr_bounds_its_wait() {
 
     // Bounded wait under weighted round-robin: the interactive tenant's worst
     // queueing drops to a fraction of the FCFS backlog wait.
-    let wrr_queue = wrr
-        .tenant_stats(interactive)
-        .unwrap()
-        .mean_breakdown
-        .queueing;
+    let wrr_queue = wrr.mean_breakdown.queueing;
     assert!(
         wrr_queue < 0.6 * fcfs_queue,
         "WRR must bound the interactive tenant's wait: {wrr_queue:.1}s vs \
          FCFS {fcfs_queue:.1}s"
     );
-    let fcfs_p95 = fcfs.tenant_stats(interactive).unwrap().p95;
-    let wrr_p95 = wrr.tenant_stats(interactive).unwrap().p95;
+    let (fcfs_p95, wrr_p95) = (fcfs.p95, wrr.p95);
     assert!(
         wrr_p95 < fcfs_p95,
         "tail JCT must improve too: {wrr_p95:.1}s vs {fcfs_p95:.1}s"
@@ -98,36 +105,37 @@ fn fcfs_starves_the_interactive_tenant_and_wrr_bounds_its_wait() {
 #[test]
 fn round_robin_and_edf_improve_jain_fairness_over_fcfs_under_overload() {
     let mix = contention_mix();
-    let fcfs = mix.run(Method::hack(), SchedulingPolicyKind::Fcfs);
-    let wrr = mix.run(Method::hack(), SchedulingPolicyKind::WeightedRoundRobin);
-    let edf = mix.run(Method::hack(), SchedulingPolicyKind::SloEdf);
+    let fcfs = run(&mix, SchedulingPolicyKind::Fcfs);
+    let wrr = run(&mix, SchedulingPolicyKind::WeightedRoundRobin);
+    let edf = run(&mix, SchedulingPolicyKind::SloEdf);
 
     assert!(
-        wrr.jain_fairness > fcfs.jain_fairness + 0.01,
+        wrr.jain_fairness() > fcfs.jain_fairness() + 0.01,
         "WRR must measurably out-fair FCFS: {} vs {}",
-        wrr.jain_fairness,
-        fcfs.jain_fairness
+        wrr.jain_fairness(),
+        fcfs.jain_fairness()
     );
     assert!(
-        edf.jain_fairness > fcfs.jain_fairness + 0.01,
+        edf.jain_fairness() > fcfs.jain_fairness() + 0.01,
         "SLO-EDF must measurably out-fair FCFS: {} vs {}",
-        edf.jain_fairness,
-        fcfs.jain_fairness
+        edf.jain_fairness(),
+        fcfs.jain_fairness()
     );
 
     // The fairness gain may not tank overall throughput: the batch tenant's
     // mean JCT stays within a few percent of its FCFS value.
     let batch = TenantId(1);
-    let fcfs_batch = fcfs.tenant_stats(batch).unwrap().mean;
-    let wrr_batch = wrr.tenant_stats(batch).unwrap().mean;
+    let fcfs_batch = tenant_stats(&fcfs, batch).mean;
+    let wrr_batch = tenant_stats(&wrr, batch).mean;
     assert!(
         wrr_batch < 1.15 * fcfs_batch,
         "WRR must not collapse the batch tenant: {wrr_batch:.1}s vs {fcfs_batch:.1}s"
     );
 
     // SLO-EDF earns its name: interactive SLO attainment is at least FCFS's.
-    let slo_of = |o: &TenantMixOutcome, t: TenantId| {
-        o.slo
+    let classes = mix.classes();
+    let slo_of = |r: &SimulationResult, t: TenantId| {
+        r.slo_summary(&classes)
             .iter()
             .find(|s| s.tenant == t)
             .map(|s| s.attainment())

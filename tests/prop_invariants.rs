@@ -360,20 +360,6 @@ fn random_sim_config(rng: &mut DetRng) -> SimulationConfig {
     let mut cluster = ClusterConfig::paper_default(ModelKind::Llama31_70B, GpuKind::A10G);
     cluster.pipelining = rng.chance(0.5);
     SimulationConfig {
-        cluster,
-        trace: TraceConfig {
-            dataset,
-            rps: rng.range_f64(0.02, 0.5),
-            num_requests: rng.range_usize(5, 25),
-            max_context: ModelKind::Llama31_70B.spec().max_context,
-            seed: rng.next_u64(),
-        },
-        profile: if rng.chance(0.5) {
-            Method::hack().profile()
-        } else {
-            Method::Baseline.profile()
-        },
-        policy: PolicyConfig::default(),
         faults: if rng.chance(0.3) {
             FaultPlan::new(&[FaultEvent::transient(
                 FaultDomain::DecodeReplica(rng.range_usize(0, cluster.decode_replicas())),
@@ -383,8 +369,21 @@ fn random_sim_config(rng: &mut DetRng) -> SimulationConfig {
         } else {
             FaultPlan::none()
         },
-        telemetry: TelemetryConfig::Off,
-        cache: CacheConfig::Off,
+        ..SimulationConfig::new(
+            cluster,
+            TraceConfig {
+                dataset,
+                rps: rng.range_f64(0.02, 0.5),
+                num_requests: rng.range_usize(5, 25),
+                max_context: ModelKind::Llama31_70B.spec().max_context,
+                seed: rng.next_u64(),
+            },
+            if rng.chance(0.5) {
+                Method::hack().profile()
+            } else {
+                Method::Baseline.profile()
+            },
+        )
     }
 }
 
