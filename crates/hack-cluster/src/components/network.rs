@@ -544,7 +544,11 @@ mod tests {
         /// Delivers the next event and finishes its flow, as the decode
         /// replica does; returns `(time, req)`.
         fn land(&mut self) -> (f64, usize) {
-            assert!(self.sim.step(), "a flow completion is pending");
+            assert_eq!(
+                self.sim.step(),
+                Some(self.dst),
+                "a flow completion is pending"
+            );
             let (time, req) = *self.delivered.borrow().0.last().expect("delivered");
             assert!(self.fabric.finish_flow(req, time).is_some());
             (time, req)
@@ -587,7 +591,7 @@ mod tests {
         assert_eq!(rig.land(), (2.0, 1));
         // The survivor moved 10 of its 30 and now runs alone at 10 Gbps.
         assert_eq!(rig.land(), (4.0, 0));
-        assert!(!rig.sim.step(), "nothing left pending");
+        assert_eq!(rig.sim.step(), None, "nothing left pending");
     }
 
     #[test]
@@ -608,7 +612,7 @@ mod tests {
         let aborted = rig.fabric.abort_flow(0, 1.0).expect("active");
         assert_eq!(aborted.remaining, 5.0);
         assert_eq!(rig.land(), (3.5, 1));
-        assert!(!rig.sim.step(), "the aborted flow's event never lands");
+        assert_eq!(rig.sim.step(), None, "the aborted flow's event never lands");
         assert_eq!(rig.delivered.borrow().0.len(), 1);
     }
 

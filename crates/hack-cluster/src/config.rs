@@ -308,9 +308,9 @@ impl SimulationConfig {
         }
     }
 
-    /// Validates the fleet (each side needs a replica), the topology and the
-    /// fault plan, returning a typed [`ConfigError`] instead of misbehaving
-    /// mid-run. Called by
+    /// Validates the fleet (each side needs a replica), the topology, the
+    /// telemetry interval, the policies and the fault plan, returning a typed
+    /// [`ConfigError`] instead of misbehaving mid-run. Called by
     /// [`Simulator::try_new`](crate::Simulator::try_new) before any event is
     /// scheduled.
     pub fn validate(&self) -> Result<(), ConfigError> {
@@ -342,6 +342,12 @@ impl SimulationConfig {
             }
             if spec.spines == 0 {
                 return Err(ConfigError::InvalidTopology { what: "spines" });
+            }
+        }
+        if let Some(settings) = self.telemetry.settings() {
+            let interval = settings.sample_interval_secs;
+            if !(interval.is_finite() && interval > 0.0) {
+                return Err(ConfigError::InvalidTelemetryInterval { interval });
             }
         }
         self.policy.retry.validate()?;

@@ -1,10 +1,17 @@
 //! The cluster simulator: components assembled on the [`hack_sim`] engine.
 //!
-//! [`Simulator::run`] builds a [`hack_sim::Simulation`], registers the
-//! component fleet (frontend, prefill replicas, network fabric, decode
-//! replicas, the crate's `components` module), seeds it with the request trace's
-//! arrival events (plus any fault-injection events), and drives the engine
-//! until every request completes.
+//! Every run takes three steps:
+//!
+//! * **build** creates a [`hack_sim::Simulation`] with one context per
+//!   component (driver, frontend, network fabric, prefill and decode
+//!   replicas, then the telemetry sampler and the scaling controller when
+//!   configured), seeds the request trace's arrivals and the expanded fault
+//!   plan, and hands every handler the one cluster blackboard (the crate's
+//!   `components` module) it reads and writes;
+//! * **drive** steps the engine until every request is resolved, or only
+//!   the control plane's own ticks are left, and returns the makespan; it
+//!   tells control traffic from request traffic by each event's destination;
+//! * **assemble** reads the [`SimulationResult`] off the blackboard.
 //!
 //! The fleet is a [`crate::fleet::FleetSpec`]: replicas are instantiated
 //! group-major (group 0's replicas first), each carrying its group's cost
@@ -42,15 +49,16 @@ use crate::events::{
     FabricFault, FabricRecovered, PrefillFailed, PrefillRecovered, ReplicaFailed, ReplicaRecovered,
     RequestArrived, SampleTick, ScaleTick,
 };
+use crate::fleet::ReplicaGroup;
 use crate::policy::{Admission, Dispatch, Scaling, Scheduling};
 use crate::result::{FaultRecord, GroupStats, RequestRecord, SimulationResult};
 use crate::telemetry::{TelemetrySampler, TelemetryState};
-use crate::topology::{ConfigError, FaultDomain};
+use crate::topology::{ConfigError, FaultDomain, FaultEvent};
 use hack_metrics::jct::JctBreakdown;
 use hack_metrics::telemetry::Telemetry;
-use hack_model::cost::{KvMethodProfile, ReplicaCostModel};
+use hack_model::cost::ReplicaCostModel;
 use hack_model::cost_table::{DecodeCostTable, PrefillCostTable};
-use hack_sim::{EngineMode, EventRecord, Simulation};
+use hack_sim::{ComponentId, EngineMode, EventRecord, Simulation};
 use hack_workload::trace::{Request, TraceGenerator};
 use std::cell::{OnceCell, RefCell};
 use std::collections::VecDeque;
@@ -223,10 +231,6 @@ impl Simulator {
         &self.config
     }
 
-    fn profile(&self) -> &KvMethodProfile {
-        &self.config.profile
-    }
-
     /// Runs the simulation to completion and returns the aggregated result.
     pub fn run(&self) -> SimulationResult {
         self.run_impl(false).0
@@ -257,19 +261,35 @@ impl Simulator {
         &self,
         capture_log: bool,
     ) -> (SimulationResult, Vec<EventRecord>, Option<Telemetry>) {
+        let (mut sim, cluster, control) = self.build(capture_log);
+        let makespan = drive(&mut sim, &cluster, &control);
+        let mut cs = cluster.borrow_mut();
+        let result = assemble(&mut cs, makespan);
+        let telemetry = cs.tel.take().map(|ts| ts.tel);
+        drop(cs);
+        (result, sim.take_log(), telemetry)
+    }
+
+    /// Builds one run: the engine with every component's context, the
+    /// streamed arrivals and the expanded fault plan, the cluster blackboard
+    /// and the handlers. Returns the engine, the blackboard and the ids of
+    /// the control-plane components (the telemetry sampler and the scaling
+    /// controller, each only when configured). The fault plan and topology
+    /// were validated at construction time.
+    fn build(
+        &self,
+        capture_log: bool,
+    ) -> (Simulation, Rc<RefCell<ClusterState>>, Vec<ComponentId>) {
         let requests = self.requests.clone();
         let costs = self.costs().clone();
-        let profile = *self.profile();
         let cluster_cfg = &self.config.cluster;
         let prefill_replicas = cluster_cfg.fleet.prefill.total_replicas();
         let decode_replicas = cluster_cfg.fleet.decode.total_replicas();
 
-        // --- Assemble the engine and the component fleet. (The fault plan and
-        // topology were validated at construction time.) ---
         let mut sim = Simulation::new(self.config.trace.seed);
         sim.set_log_enabled(capture_log);
         let driver = sim.create_context("driver");
-        let frontend_ctx = sim.create_context("frontend");
+        let frontend_id = sim.create_context("frontend").id();
         let fabric_ctx = sim.create_context("fabric");
         let prefill_ctxs: Vec<_> = (0..prefill_replicas)
             .map(|i| sim.create_context(format!("prefill-{i}")))
@@ -277,30 +297,23 @@ impl Simulator {
         let decode_ctxs: Vec<_> = (0..decode_replicas)
             .map(|i| sim.create_context(format!("decode-{i}")))
             .collect();
-        // The sampler and controller contexts are created *after* every
-        // regular component (sampler first), so runs without them assign
-        // exactly the component ids they always did.
+        // The control-plane contexts come after every regular component
+        // (sampler first), so the regular components' ids do not depend on
+        // which of them a run configures.
         let telemetry_settings = self.config.telemetry.settings();
-        let sampler_ctx = telemetry_settings
-            .as_ref()
-            .map(|_| sim.create_context("telemetry-sampler"));
+        let sampler = telemetry_settings.map(|s| {
+            (
+                s.sample_interval_secs,
+                sim.create_context("telemetry-sampler"),
+            )
+        });
         let scaler = Scaling::new(self.config.policy.scaling)
             .map(|scaling| (scaling, sim.create_context("scaling-controller")));
-        // Perpetual tickers: auxiliary components that always keep one
-        // self-addressed event pending (the telemetry sampler's SampleTick,
-        // the scaling controller's ScaleTick).
-        let tickers = usize::from(telemetry_settings.is_some()) + usize::from(scaler.is_some());
-
-        let frontend_id = frontend_ctx.id();
-        let prefill_ids: Vec<_> = prefill_ctxs.iter().map(|c| c.id()).collect();
-        let decode_ids: Vec<_> = decode_ctxs.iter().map(|c| c.id()).collect();
 
         // Seed the queue: one arrival event per independent request or
         // session root, plus fault injection. Session children are gated on
         // their parent's terminal state — `release_children` injects them at
-        // `max(arrival, parent completion)`. `parent.is_none()` is always
-        // true for legacy traces, so this is the exact pre-session seeding
-        // for them.
+        // `max(arrival, parent completion)`.
         //
         // The roots are streamed: the engine builds each arrival when its
         // queue reaches it, so until the last one is built the queue holds a
@@ -330,10 +343,8 @@ impl Simulator {
         // Expand the fault plan: for each fault, its fabric cut (link-cutting
         // domains only, delivered to the frontend) precedes the correlated
         // replica failures (ascending replica index), and recovery events
-        // mirror that order. A legacy single-decode-replica plan expands to
-        // exactly the two events the pre-plan simulator seeded.
-        // A degradation slows links without failing anything behind them: it
-        // expands to the fabric events only.
+        // mirror that order. A degradation slows links without failing
+        // anything behind them: it expands to the fabric events only.
         let targets: Vec<(Vec<usize>, Vec<usize>)> = self
             .config
             .faults
@@ -348,25 +359,24 @@ impl Simulator {
                 driver.emit_at(FabricFault { fault: k }, frontend_id, f.at);
             }
             for &i in pre {
-                driver.emit_at(PrefillFailed { fault: k }, prefill_ids[i], f.at);
+                driver.emit_at(PrefillFailed { fault: k }, prefill_ctxs[i].id(), f.at);
             }
             for &i in dec {
-                driver.emit_at(ReplicaFailed { fault: k }, decode_ids[i], f.at);
+                driver.emit_at(ReplicaFailed { fault: k }, decode_ctxs[i].id(), f.at);
             }
             if let Some(recover) = f.recover_at {
                 if f.domain.needs_link_graph() {
                     driver.emit_at(FabricRecovered { fault: k }, frontend_id, recover);
                 }
                 for &i in pre {
-                    driver.emit_at(PrefillRecovered { fault: k }, prefill_ids[i], recover);
+                    driver.emit_at(PrefillRecovered { fault: k }, prefill_ctxs[i].id(), recover);
                 }
                 for &i in dec {
-                    driver.emit_at(ReplicaRecovered { fault: k }, decode_ids[i], recover);
+                    driver.emit_at(ReplicaRecovered { fault: k }, decode_ctxs[i].id(), recover);
                 }
             }
         }
 
-        let num_requests = requests.len();
         let policy = self.config.policy;
         let scheduling = Scheduling::new(policy.scheduling);
 
@@ -408,8 +418,8 @@ impl Simulator {
             ts
         });
         // Child index for session gating: left empty when the trace has no
-        // sessions, so every release site is a single `is_empty` check on the
-        // legacy path.
+        // sessions, so every release site is a single `is_empty` check on a
+        // sessionless trace.
         let mut session_children: Vec<Vec<usize>> = Vec::new();
         if requests.iter().any(|r| r.parent.is_some()) {
             session_children = vec![Vec::new(); requests.len()];
@@ -444,8 +454,6 @@ impl Simulator {
             waiting_for_memory: VecDeque::new(),
             waiting_for_prefill: VecDeque::new(),
             fabric: match cluster_cfg.topology.link_graph() {
-                // The flat fabric is constructed exactly as before the
-                // topology API existed (bit- and cost-identical default).
                 None => NetworkFabric::new(fabric_ctx, prefill_replicas),
                 Some(spec) => {
                     // Per-replica NIC capacities, flattened group-major like
@@ -500,12 +508,6 @@ impl Simulator {
             session_children,
         };
         let cluster = Rc::new(RefCell::new(state));
-        if tickers > 0 {
-            // The blackboard doubles as the engine probe: auxiliary components
-            // (the sampler and the scaling controller) observe the simulation
-            // through `SimulationContext::probe` instead of being wired in.
-            sim.install_probe(cluster.clone());
-        }
 
         sim.add_handler(
             "frontend",
@@ -531,365 +533,363 @@ impl Simulator {
                 })),
             );
         }
-        let sampler_ticks = Rc::new(std::cell::Cell::new(0u64));
-        if let (Some(ctx), Some(settings)) = (sampler_ctx, telemetry_settings) {
-            // Seed the first tick at t=0 so every series starts at the origin;
-            // the sampler re-arms itself each tick.
+        // Each control-plane component ticks first at t=0 (so every series
+        // starts at the origin and the first scaling decision observes the
+        // fleet's full configured capacity) and re-arms itself.
+        let mut control = Vec::new();
+        if let Some((interval, ctx)) = sampler {
             ctx.emit_at(SampleTick, ctx.id(), 0.0);
+            control.push(ctx.id());
             sim.add_handler(
                 "telemetry-sampler",
                 Rc::new(RefCell::new(TelemetrySampler {
                     ctx,
-                    interval: settings.sample_interval_secs.max(f64::MIN_POSITIVE),
-                    ticks: sampler_ticks.clone(),
+                    cluster: cluster.clone(),
+                    interval,
                 })),
             );
         }
-        let scale_ticks = Rc::new(std::cell::Cell::new(0u64));
         if let Some((scaling, ctx)) = scaler {
-            // The first control decision fires at t=0 (observing the fleet's
-            // configured full capacity); the controller re-arms itself.
             ctx.emit_at(ScaleTick, ctx.id(), 0.0);
+            control.push(ctx.id());
             sim.add_handler(
                 "scaling-controller",
                 Rc::new(RefCell::new(ScalingController {
                     ctx,
+                    cluster: cluster.clone(),
                     policy: scaling,
                     ordered: vec![false; decode_replicas],
                     arrivals_seen: 0,
-                    ticks: scale_ticks.clone(),
                 })),
             );
         }
+        (sim, cluster, control)
+    }
+}
 
-        // --- Drive the engine until every request is resolved — completed or
-        // rejected by admission — (or the queue runs dry, e.g. under a
-        // permanent failure of the whole decode fleet). ---
-        let mut makespan = 0.0f64;
-        // Each ticker keeps exactly one tick pending at all times, so the
-        // queue never runs dry on its own: when a delivered control event
-        // leaves nothing but the tickers' own re-arms behind
-        // (`queue_len() <= tickers`) the simulation proper is over — a
-        // ticker-free run would have seen `step()` return false. That check
-        // only needs to run on control-delivering steps (between control
-        // events the queue always holds the pending ticks plus at least one
-        // live event); without tickers the counters never move, so every
-        // step takes the makespan branch. Steps that deliver control-plane
-        // traffic (sampler ticks, scale ticks, provisioning landings) are
-        // excluded from the makespan so it stays a maximum over
-        // request-visible events only — bit-identical to a ticker-free run
-        // when nothing scales, even when the run ends with the queue dry
-        // (e.g. a permanent whole-fleet failure): events are delivered in
-        // time order, so the surviving maximum is over exactly the same
-        // event set.
-        while {
-            let cs = cluster.borrow();
-            cs.completed + cs.rejected < num_requests
-        } {
-            let ticks_before = sampler_ticks.get() + scale_ticks.get();
-            if !sim.step() {
-                break;
-            }
-            if sampler_ticks.get() + scale_ticks.get() == ticks_before {
-                makespan = makespan.max(sim.time());
-            } else if sim.queue_len() <= tickers {
-                break;
-            }
+/// Drives the engine until every request is resolved — completed or rejected
+/// by admission — or only the control plane's own ticks are left (as after a
+/// permanent failure of the whole decode fleet), and returns the makespan.
+///
+/// Each `control` component keeps exactly one tick pending at all times, so
+/// with any of them configured the queue never runs dry on its own. A step
+/// that delivers to one of them (a tick or a provisioning landing) is left
+/// out of the makespan, so the makespan stays a maximum over request-visible
+/// events only: events come in time order, so it is bit-identical to a run
+/// without them when nothing scales, even when the run ends with the queue
+/// dry. Only such a step can leave nothing but the re-armed ticks queued
+/// (`queue_len() <= control.len()`): between control events the queue holds
+/// those ticks plus at least one live event. Without control components every
+/// step counts, and the loop ends when `step` finds the queue empty.
+fn drive(sim: &mut Simulation, cluster: &RefCell<ClusterState>, control: &[ComponentId]) -> f64 {
+    let num_requests = cluster.borrow().requests.len();
+    let mut makespan = 0.0f64;
+    while {
+        let cs = cluster.borrow();
+        cs.completed + cs.rejected < num_requests
+    } {
+        let Some(dst) = sim.step() else { break };
+        if !control.contains(&dst) {
+            makespan = makespan.max(sim.time());
+        } else if sim.queue_len() <= control.len() {
+            break;
         }
+    }
+    makespan
+}
 
-        // --- Assemble the result. Every scan of the lifecycle table runs
-        // first; the table is then freed, before the records are allocated,
-        // so the two never share the peak. ---
-        let mut cs = cluster.borrow_mut();
-        debug_assert_eq!(
-            cs.fabric.active_flows(),
-            0,
-            "every link-graph flow must have landed or been aborted by run end"
-        );
-        let params_bytes = cluster_cfg.model.spec().param_bytes_fp16();
-        let peak_kv = cs.decode.iter().map(|d| d.peak_kv).fold(0.0, f64::max);
+/// Assembles the run's [`SimulationResult`] from the blackboard. Every scan
+/// of the lifecycle table runs first; the table is then freed, before the
+/// records are allocated, so the two never share the peak.
+fn assemble(cs: &mut ClusterState, makespan: f64) -> SimulationResult {
+    debug_assert_eq!(
+        cs.fabric.active_flows(),
+        0,
+        "every link-graph flow must have landed or been aborted by run end"
+    );
+    let config = &cs.config;
+    let fleet = &config.cluster.fleet;
+    let params_bytes = config.cluster.model.spec().param_bytes_fp16();
+    let peak_kv = cs.decode.iter().map(|d| d.peak_kv).fold(0.0, f64::max);
 
-        // --- Per-group usage summaries. ---
-        let mut prefill_groups: Vec<GroupStats> = cluster_cfg
-            .fleet
-            .prefill
-            .iter()
-            .enumerate()
-            .map(|(g, spec)| GroupStats {
-                group: g,
-                gpu: spec.gpu,
-                replicas: spec.replicas,
-                completed: 0,
-                busy_secs: 0.0,
-                utilization: 0.0,
-                mean_jct: 0.0,
-                peak_kv_bytes: 0.0,
-                peak_memory_fraction: 0.0,
-                gpu_dollars: 0.0,
-            })
-            .collect();
-        let mut decode_groups: Vec<GroupStats> = cluster_cfg
-            .fleet
-            .decode
-            .iter()
-            .enumerate()
-            .map(|(g, spec)| {
-                let mem = cluster_cfg.decode_group_mem_bytes(g);
-                let act_bytes = cluster_cfg.activation_reserve * mem;
-                let group_peak = cs
-                    .decode
-                    .iter()
-                    .filter(|d| d.group == g)
-                    .map(|d| d.peak_kv)
-                    .fold(0.0, f64::max);
-                GroupStats {
-                    group: g,
-                    gpu: spec.gpu,
-                    replicas: spec.replicas,
-                    completed: 0,
-                    busy_secs: 0.0,
-                    utilization: 0.0,
-                    mean_jct: 0.0,
-                    peak_kv_bytes: group_peak,
-                    peak_memory_fraction: ((params_bytes + act_bytes + group_peak) / mem).min(1.0),
-                    gpu_dollars: 0.0,
-                }
-            })
-            .collect();
-        // Accumulate from the per-request tables rather than the records, in
-        // request order (the float sums depend on it): the record's decode
-        // stage folds failure-aborted attempts into the completing replica's
-        // column (it is a *request* decomposition), while group utilization
-        // must charge wasted attempts to the group that actually spent them
-        // (`aborted_decode_by_group`, below).
-        for (i, c) in cs.charges.iter().enumerate() {
-            if cs.lifecycle[i].phase != ReqPhase::Done {
-                continue;
-            }
-            let pg = &mut prefill_groups[cs.prefill[c.prefill_replica as usize].group];
-            pg.completed += 1;
-            pg.busy_secs += c.prefill_time + c.quant_time;
-            let jct = c.finish_time - cs.requests[i].arrival;
-            pg.mean_jct += jct;
-            let dg = &mut decode_groups[cs.decode[c.decode_replica as usize].group];
-            dg.completed += 1;
-            dg.busy_secs += c.dequant_time + c.decode_time;
-            dg.mean_jct += jct;
-        }
-        for (g, aborted) in cs.aborted_decode_by_group.iter().enumerate() {
-            decode_groups[g].busy_secs += aborted;
-        }
-        for g in prefill_groups.iter_mut().chain(decode_groups.iter_mut()) {
-            if g.completed > 0 {
-                g.mean_jct /= g.completed as f64;
-            }
-            if makespan > 0.0 {
-                g.utilization = g.busy_secs / (g.replicas as f64 * makespan);
-            }
-        }
-        // The headline memory figure is the worst group's (for single-group
-        // fleets this is exactly the pre-fleet scalar).
-        let peak_fraction = decode_groups
-            .iter()
-            .map(|g| g.peak_memory_fraction)
-            .fold(0.0, f64::max);
-
-        // --- Robustness sensors. All zero/empty without fault injection. ---
-        // Requests neither completed nor rejected by admission when the run
-        // ended: permanently aborted (exhausted retries + re-admissions) or
-        // stranded by a permanent whole-fleet failure.
-        let aborted_requests = num_requests - cs.completed - cs.rejected;
-        // retry_histogram[k] = requests that made exactly k transfer attempts
-        // (k >= 1; empty when no retries happened, so fault-free results stay
-        // visibly clean).
-        let retry_histogram = if cs.retries == 0 {
-            Vec::new()
-        } else {
-            let max_attempts = cs
-                .lifecycle
+    // --- Per-group usage summaries. ---
+    let group_stats = |g: usize, spec: &ReplicaGroup| GroupStats {
+        group: g,
+        gpu: spec.gpu,
+        replicas: spec.replicas,
+        completed: 0,
+        busy_secs: 0.0,
+        utilization: 0.0,
+        mean_jct: 0.0,
+        peak_kv_bytes: 0.0,
+        peak_memory_fraction: 0.0,
+        gpu_dollars: 0.0,
+    };
+    let mut prefill_groups: Vec<GroupStats> = fleet
+        .prefill
+        .iter()
+        .enumerate()
+        .map(|(g, spec)| group_stats(g, spec))
+        .collect();
+    let mut decode_groups: Vec<GroupStats> = fleet
+        .decode
+        .iter()
+        .enumerate()
+        .map(|(g, spec)| {
+            let mem = config.cluster.decode_group_mem_bytes(g);
+            let act_bytes = config.cluster.activation_reserve * mem;
+            let group_peak = cs
+                .decode
                 .iter()
-                .map(|s| s.transfer_attempts as usize)
-                .max()
-                .unwrap_or(0);
-            let mut hist = vec![0usize; max_attempts + 1];
-            for s in cs.lifecycle.iter().filter(|s| s.transfer_attempts > 0) {
-                hist[s.transfer_attempts as usize] += 1;
+                .filter(|d| d.group == g)
+                .map(|d| d.peak_kv)
+                .fold(0.0, f64::max);
+            GroupStats {
+                peak_kv_bytes: group_peak,
+                peak_memory_fraction: ((params_bytes + act_bytes + group_peak) / mem).min(1.0),
+                ..group_stats(g, spec)
             }
-            hist
-        };
+        })
+        .collect();
+    // Accumulate from the per-request tables rather than the records, in
+    // request order (the float sums depend on it): the record's decode
+    // stage folds failure-aborted attempts into the completing replica's
+    // column (it is a *request* decomposition), while group utilization
+    // must charge wasted attempts to the group that actually spent them
+    // (`aborted_decode_by_group`, below).
+    for (i, c) in cs.charges.iter().enumerate() {
+        if cs.lifecycle[i].phase != ReqPhase::Done {
+            continue;
+        }
+        let pg = &mut prefill_groups[cs.prefill[c.prefill_replica as usize].group];
+        pg.completed += 1;
+        pg.busy_secs += c.prefill_time + c.quant_time;
+        let jct = c.finish_time - cs.requests[i].arrival;
+        pg.mean_jct += jct;
+        let dg = &mut decode_groups[cs.decode[c.decode_replica as usize].group];
+        dg.completed += 1;
+        dg.busy_secs += c.dequant_time + c.decode_time;
+        dg.mean_jct += jct;
+    }
+    for (g, aborted) in cs.aborted_decode_by_group.iter().enumerate() {
+        decode_groups[g].busy_secs += aborted;
+    }
+    for g in prefill_groups.iter_mut().chain(decode_groups.iter_mut()) {
+        if g.completed > 0 {
+            g.mean_jct /= g.completed as f64;
+        }
+        if makespan > 0.0 {
+            g.utilization = g.busy_secs / (g.replicas as f64 * makespan);
+        }
+    }
+    // The headline memory figure is the worst group's.
+    let peak_fraction = decode_groups
+        .iter()
+        .map(|g| g.peak_memory_fraction)
+        .fold(0.0, f64::max);
 
-        // Records are ordered by finish time, ties in request-index order:
-        // the order a stable sort by finish time gives the index-ordered done
-        // requests. Request indices are unique, so `(finish_time, index)` is
-        // a total order and an unstable sort of these small keys yields that
-        // same permutation without moving a record or allocating a merge
-        // buffer; each record is then built once, in place.
-        let mut order: Vec<(f64, usize)> = cs
+    // --- Robustness sensors. All zero/empty without fault injection. ---
+    // Requests neither completed nor rejected by admission when the run
+    // ended: permanently aborted (exhausted retries + re-admissions) or
+    // stranded by a permanent whole-fleet failure.
+    let aborted_requests = cs.requests.len() - cs.completed - cs.rejected;
+    // retry_histogram[k] = requests that made exactly k transfer attempts
+    // (k >= 1; empty when no retries happened, so fault-free results stay
+    // visibly clean).
+    let retry_histogram = if cs.retries == 0 {
+        Vec::new()
+    } else {
+        let max_attempts = cs
             .lifecycle
             .iter()
-            .enumerate()
-            .filter(|(_, s)| s.phase == ReqPhase::Done)
-            .map(|(i, _)| (cs.charges[i].finish_time, i))
-            .collect();
-        let swapped_requests = cs.lifecycle.iter().filter(|s| s.swapped).count();
-        // That was the last read of the lifecycle table.
-        drop(std::mem::take(&mut cs.lifecycle));
-        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let records: Vec<RequestRecord> = order
-            .iter()
-            .map(|&(_, i)| {
-                let c = &cs.charges[i];
-                RequestRecord {
-                    request: cs.requests[i],
-                    prefill_replica: c.prefill_replica as usize,
-                    decode_replica: c.decode_replica as usize,
-                    finish_time: c.finish_time,
-                    breakdown: JctBreakdown {
-                        prefill: c.prefill_time,
-                        quantization: c.quant_time,
-                        // Waiting for decode memory keeps the KV transfer pending on
-                        // the prefill side (Fig. 1(d), case ii), so it is charged to
-                        // communication, as in the paper's measurements.
-                        communication: c.comm_time + c.memory_wait,
-                        dequant_or_approx: c.dequant_time,
-                        // Decode attempts aborted by a replica failure are wasted
-                        // decode-side time; charge them to the decode stage so the
-                        // breakdown still sums to the JCT.
-                        decode: c.decode_time + c.aborted_decode,
-                        queueing: c.prefill_wait,
-                    },
-                }
-            })
-            .collect();
+            .map(|s| s.transfer_attempts as usize)
+            .max()
+            .unwrap_or(0);
+        let mut hist = vec![0usize; max_attempts + 1];
+        for s in cs.lifecycle.iter().filter(|s| s.transfer_attempts > 0) {
+            hist[s.transfer_attempts as usize] += 1;
+        }
+        hist
+    };
 
-        let faults: Vec<FaultRecord> = self
-            .config
-            .faults
-            .iter()
-            .zip(&cs.fault_tallies)
-            .map(|(f, tally)| FaultRecord {
-                domain: f.domain,
-                at: f.at,
-                recover_at: f.recover_at,
-                replicas_affected: tally.replicas_affected,
-                requests_aborted: tally.requests_aborted,
-                downtime_secs: (f.recover_at.unwrap_or(makespan.max(f.at)) - f.at).max(0.0),
-                recovery_drain_secs: tally.recovery_drain,
-            })
-            .collect();
-        // Goodput while degraded: completions per second inside the union of
-        // the fault windows (clipped to the run).
-        let mut windows: Vec<(f64, f64)> = faults
-            .iter()
-            .map(|f| {
-                (
-                    f.at.min(makespan),
-                    f.recover_at.unwrap_or(makespan).min(makespan),
-                )
-            })
-            .filter(|(a, b)| b > a)
-            .collect();
-        windows.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
-        let mut merged: Vec<(f64, f64)> = Vec::new();
-        for w in windows {
-            match merged.last_mut() {
-                Some(last) if w.0 <= last.1 => last.1 = last.1.max(w.1),
-                _ => merged.push(w),
+    // Records are ordered by finish time, ties in request-index order:
+    // the order a stable sort by finish time gives the index-ordered done
+    // requests. Request indices are unique, so `(finish_time, index)` is
+    // a total order and an unstable sort of these small keys yields that
+    // same permutation without moving a record or allocating a merge
+    // buffer; each record is then built once, in place.
+    let mut order: Vec<(f64, usize)> = cs
+        .lifecycle
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| s.phase == ReqPhase::Done)
+        .map(|(i, _)| (cs.charges[i].finish_time, i))
+        .collect();
+    let swapped_requests = cs.lifecycle.iter().filter(|s| s.swapped).count();
+    // That was the last read of the lifecycle table.
+    drop(std::mem::take(&mut cs.lifecycle));
+    order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    let records: Vec<RequestRecord> = order
+        .iter()
+        .map(|&(_, i)| {
+            let c = &cs.charges[i];
+            RequestRecord {
+                request: cs.requests[i],
+                prefill_replica: c.prefill_replica as usize,
+                decode_replica: c.decode_replica as usize,
+                finish_time: c.finish_time,
+                breakdown: JctBreakdown {
+                    prefill: c.prefill_time,
+                    quantization: c.quant_time,
+                    // Waiting for decode memory keeps the KV transfer pending on
+                    // the prefill side (Fig. 1(d), case ii), so it is charged to
+                    // communication, as in the paper's measurements.
+                    communication: c.comm_time + c.memory_wait,
+                    dequant_or_approx: c.dequant_time,
+                    // Decode attempts aborted by a replica failure are wasted
+                    // decode-side time; charge them to the decode stage so the
+                    // breakdown still sums to the JCT.
+                    decode: c.decode_time + c.aborted_decode,
+                    queueing: c.prefill_wait,
+                },
+            }
+        })
+        .collect();
+
+    let faults: Vec<FaultRecord> = config
+        .faults
+        .iter()
+        .zip(&cs.fault_tallies)
+        .map(|(f, tally)| FaultRecord {
+            domain: f.domain,
+            at: f.at,
+            recover_at: f.recover_at,
+            replicas_affected: tally.replicas_affected,
+            requests_aborted: tally.requests_aborted,
+            downtime_secs: (f.recover_at.unwrap_or(makespan.max(f.at)) - f.at).max(0.0),
+            recovery_drain_secs: tally.recovery_drain,
+        })
+        .collect();
+    // A fault's window, clipped to the run.
+    let window = |f: &FaultEvent| {
+        (
+            f.at.min(makespan),
+            f.recover_at.unwrap_or(makespan).min(makespan),
+        )
+    };
+    // Goodput while degraded: completions per second inside the union of
+    // the fault windows.
+    let mut windows: Vec<(f64, f64)> = config
+        .faults
+        .iter()
+        .map(window)
+        .filter(|(a, b)| b > a)
+        .collect();
+    windows.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
+    let mut merged: Vec<(f64, f64)> = Vec::new();
+    for w in windows {
+        match merged.last_mut() {
+            Some(last) if w.0 <= last.1 => last.1 = last.1.max(w.1),
+            _ => merged.push(w),
+        }
+    }
+    let degraded_secs: f64 = merged.iter().map(|(a, b)| b - a).sum();
+    let degraded_completions = records
+        .iter()
+        .filter(|r| {
+            merged
+                .iter()
+                .any(|&(a, b)| r.finish_time >= a && r.finish_time <= b)
+        })
+        .count();
+    let degraded_goodput = if degraded_secs > 0.0 {
+        degraded_completions as f64 / degraded_secs
+    } else {
+        0.0
+    };
+    // Link-degradation sensors: link-seconds spent below nominal capacity
+    // and the capacity removed from the fabric (Gbps-seconds), windows
+    // clipped to the run. ECMP reroutes are counted by the fabric itself.
+    let mut degraded_link_secs = 0.0;
+    let mut throughput_loss_gbps_s = 0.0;
+    for f in config.faults.iter() {
+        let Some(factor) = f.degrade else { continue };
+        let (start, end) = window(f);
+        let mut span = (end - start).max(0.0);
+        // A binary outage of the same domain cuts the very links the
+        // degradation slows: dead link time is not *degraded* time, so
+        // each overlapping outage window's intersection is subtracted
+        // (outage windows on one domain are validated disjoint, so no
+        // intersection is subtracted twice).
+        for o in config.faults.iter() {
+            if o.degrade.is_some() || o.domain != f.domain {
+                continue;
+            }
+            let (o_start, o_end) = window(o);
+            span -= (end.min(o_end) - start.max(o_start)).max(0.0);
+        }
+        let links = cs.fabric.links_for_domain(f.domain);
+        degraded_link_secs += links.len() as f64 * span;
+        throughput_loss_gbps_s += cs.fabric.nominal_capacity(&links) * (1.0 - factor) * span;
+    }
+
+    // --- $/GPU-hour cost sensors. Prefill groups are static and bill every
+    // replica for the whole makespan. Decode replicas bill their racked
+    // uptime: closed scale-down intervals accumulated in `decode_uptime`,
+    // plus the still-open interval of every replica that is live (or
+    // failed-but-racked) at run end. Without a scaling policy every interval
+    // is `[0, makespan]`, so the cost collapses to
+    // `replicas * makespan * rate` — the static fleet's bill. ---
+    let mut gpu_dollars = 0.0;
+    for (g, spec) in fleet.prefill.iter().enumerate() {
+        let dollars = spec.replicas as f64 * makespan * spec.replica_dollars_per_s();
+        prefill_groups[g].gpu_dollars = dollars;
+        gpu_dollars += dollars;
+    }
+    let mut base = 0usize;
+    for (g, spec) in fleet.decode.iter().enumerate() {
+        let mut uptime = 0.0;
+        for r in base..base + spec.replicas {
+            uptime += cs.decode_uptime[r];
+            if let Some(opened) = cs.decode_up_since[r] {
+                uptime += (makespan - opened).max(0.0);
             }
         }
-        let degraded_secs: f64 = merged.iter().map(|(a, b)| b - a).sum();
-        let degraded_completions = records
-            .iter()
-            .filter(|r| {
-                merged
-                    .iter()
-                    .any(|&(a, b)| r.finish_time >= a && r.finish_time <= b)
-            })
-            .count();
-        let degraded_goodput = if degraded_secs > 0.0 {
-            degraded_completions as f64 / degraded_secs
-        } else {
-            0.0
-        };
-        // Link-degradation sensors: link-seconds spent below nominal capacity
-        // and the capacity removed from the fabric (Gbps-seconds), windows
-        // clipped to the run. ECMP reroutes are counted by the fabric itself.
-        let mut degraded_link_secs = 0.0;
-        let mut throughput_loss_gbps_s = 0.0;
-        for f in self.config.faults.iter() {
-            let Some(factor) = f.degrade else { continue };
-            let start = f.at.min(makespan);
-            let end = f.recover_at.unwrap_or(makespan).min(makespan);
-            let mut window = (end - start).max(0.0);
-            // A binary outage of the same domain cuts the very links the
-            // degradation slows: dead link time is not *degraded* time, so
-            // each overlapping outage window's intersection is subtracted
-            // (outage windows on one domain are validated disjoint, so no
-            // intersection is subtracted twice).
-            for o in self.config.faults.iter() {
-                if o.degrade.is_some() || o.domain != f.domain {
-                    continue;
-                }
-                let o_start = o.at.min(makespan);
-                let o_end = o.recover_at.unwrap_or(makespan).min(makespan);
-                window -= (end.min(o_end) - start.max(o_start)).max(0.0);
-            }
-            let links = cs.fabric.links_for_domain(f.domain);
-            degraded_link_secs += links.len() as f64 * window;
-            throughput_loss_gbps_s += cs.fabric.nominal_capacity(&links) * (1.0 - factor) * window;
-        }
-        let rerouted_flows = cs.fabric.rerouted_flows();
+        base += spec.replicas;
+        let dollars = uptime * spec.replica_dollars_per_s();
+        decode_groups[g].gpu_dollars = dollars;
+        gpu_dollars += dollars;
+    }
+    // Generated (output) tokens across completed requests: the serving
+    // industry's unit cost denominator.
+    let generated_tokens: usize = records.iter().map(|r| r.request.output_len).sum();
+    let dollars_per_1k_tokens = if generated_tokens > 0 {
+        gpu_dollars / (generated_tokens as f64 / 1000.0)
+    } else {
+        0.0
+    };
 
-        // --- $/GPU-hour cost sensors. Prefill groups are static this PR and
-        // bill every replica for the whole makespan. Decode replicas bill
-        // their racked uptime: closed scale-down intervals accumulated in
-        // `decode_uptime`, plus the still-open interval of every replica that
-        // is live (or failed-but-racked) at run end. Without a scaling policy
-        // every interval is `[0, makespan]`, so the cost collapses to
-        // `replicas * makespan * rate` — the static fleet's bill. ---
-        let mut gpu_dollars = 0.0;
-        for (g, spec) in cluster_cfg.fleet.prefill.iter().enumerate() {
-            let dollars = spec.replicas as f64 * makespan * spec.replica_dollars_per_s();
-            prefill_groups[g].gpu_dollars = dollars;
-            gpu_dollars += dollars;
-        }
-        let mut base = 0usize;
-        for (g, spec) in cluster_cfg.fleet.decode.iter().enumerate() {
-            let mut uptime = 0.0;
-            for r in base..base + spec.replicas {
-                uptime += cs.decode_uptime[r];
-                if let Some(opened) = cs.decode_up_since[r] {
-                    uptime += (makespan - opened).max(0.0);
-                }
-            }
-            base += spec.replicas;
-            let dollars = uptime * spec.replica_dollars_per_s();
-            decode_groups[g].gpu_dollars = dollars;
-            gpu_dollars += dollars;
-        }
-        // Generated (output) tokens across completed requests: the serving
-        // industry's unit cost denominator.
-        let generated_tokens: usize = records.iter().map(|r| r.request.output_len).sum();
-        let dollars_per_1k_tokens = if generated_tokens > 0 {
-            gpu_dollars / (generated_tokens as f64 / 1000.0)
-        } else {
-            0.0
-        };
-
-        // --- Prefix-cache sensors. All zero/empty when the cache is off. ---
-        let (prefix_hits, prefix_misses, prefix_evictions) = match &cs.cache {
-            Some(c) => (c.hits, c.misses, c.evictions),
-            None => (0, 0, 0),
-        };
-        let (prefix_hit_rate, prefix_bytes_saved, prefill_seconds_saved) = match &cs.cache {
-            Some(c) => (c.hit_rate(), c.bytes_saved, c.prefill_secs_saved),
-            None => (0.0, 0.0, 0.0),
-        };
-        // Per decode group: the worst replica's peak cache occupancy as a
-        // fraction of that replica's full KV budget.
-        let prefix_cache_peak_fraction: Vec<f64> = match &cs.cache {
-            None => Vec::new(),
-            Some(c) => (0..cluster_cfg.fleet.decode.len())
+    // --- Prefix-cache sensors. All zero/empty when the cache is off. ---
+    let (
+        prefix_hits,
+        prefix_misses,
+        prefix_evictions,
+        prefix_hit_rate,
+        prefix_bytes_saved,
+        prefill_seconds_saved,
+        prefix_cache_peak_fraction,
+    ) = match &cs.cache {
+        None => (0, 0, 0, 0.0, 0.0, 0.0, Vec::new()),
+        Some(c) => (
+            c.hits,
+            c.misses,
+            c.evictions,
+            c.hit_rate(),
+            c.bytes_saved,
+            c.prefill_secs_saved,
+            // Per decode group: the worst replica's peak cache occupancy
+            // as a fraction of that replica's full KV budget.
+            (0..fleet.decode.len())
                 .map(|g| {
                     cs.decode
                         .iter()
@@ -901,50 +901,47 @@ impl Simulator {
                         .fold(0.0, f64::max)
                 })
                 .collect(),
-        };
+        ),
+    };
 
-        let result = SimulationResult {
-            method: profile.name.to_string(),
-            records,
-            peak_decode_memory_fraction: peak_fraction,
-            peak_decode_kv_bytes: peak_kv,
-            swapped_requests,
-            rejected_requests: cs.rejected,
-            rejected_by_tenant: {
-                let counts = &cs.rejected_per_tenant;
-                let live = counts.iter().rposition(|&n| n > 0).map_or(0, |i| i + 1);
-                counts[..live].to_vec()
-            },
-            requeued_requests: cs.requeued,
-            injected_failures: cs.injected_failures,
-            transfer_retries: cs.retries,
-            retry_histogram,
-            aborted_requests,
-            abandoned_requests: cs.gave_up,
-            faults,
-            degraded_secs,
-            degraded_goodput,
-            degraded_link_secs,
-            throughput_loss_gbps_s,
-            rerouted_flows,
-            scale_ups: cs.scale_ups,
-            scale_downs: cs.scale_downs,
-            gpu_dollars,
-            dollars_per_1k_tokens,
-            prefix_hits,
-            prefix_misses,
-            prefix_evictions,
-            prefix_hit_rate,
-            prefix_bytes_saved,
-            prefill_seconds_saved,
-            prefix_cache_peak_fraction,
-            prefill_groups,
-            decode_groups,
-            makespan,
-        };
-        let telemetry = cs.tel.take().map(|ts| ts.tel);
-        drop(cs);
-        (result, sim.take_log(), telemetry)
+    SimulationResult {
+        method: config.profile.name.to_string(),
+        records,
+        peak_decode_memory_fraction: peak_fraction,
+        peak_decode_kv_bytes: peak_kv,
+        swapped_requests,
+        rejected_requests: cs.rejected,
+        rejected_by_tenant: {
+            let counts = &cs.rejected_per_tenant;
+            let live = counts.iter().rposition(|&n| n > 0).map_or(0, |i| i + 1);
+            counts[..live].to_vec()
+        },
+        requeued_requests: cs.requeued,
+        injected_failures: cs.injected_failures,
+        transfer_retries: cs.retries,
+        retry_histogram,
+        aborted_requests,
+        abandoned_requests: cs.gave_up,
+        faults,
+        degraded_secs,
+        degraded_goodput,
+        degraded_link_secs,
+        throughput_loss_gbps_s,
+        rerouted_flows: cs.fabric.rerouted_flows(),
+        scale_ups: cs.scale_ups,
+        scale_downs: cs.scale_downs,
+        gpu_dollars,
+        dollars_per_1k_tokens,
+        prefix_hits,
+        prefix_misses,
+        prefix_evictions,
+        prefix_hit_rate,
+        prefix_bytes_saved,
+        prefill_seconds_saved,
+        prefix_cache_peak_fraction,
+        prefill_groups,
+        decode_groups,
+        makespan,
     }
 }
 
@@ -989,6 +986,7 @@ mod tests {
     use crate::policy::{DispatchPolicyKind, SchedulingPolicyKind, TenantClass, TenantClasses};
     use crate::telemetry::TelemetryConfig;
     use crate::topology::{FaultDomain, FaultEvent, FaultPlan};
+    use hack_model::cost::KvMethodProfile;
     use hack_model::gpu::GpuKind;
     use hack_model::spec::ModelKind;
     use hack_workload::dataset::Dataset;
@@ -1284,11 +1282,11 @@ mod tests {
     }
 
     /// Telemetry on and more root arrivals than one streamed block: the run
-    /// stops once only the sampler's tick is left (`queue_len() <=
-    /// tickers`), which must not fire while arrivals are still unbuilt. (The
-    /// queue refills its run whenever a pop empties it, so the run holds at
-    /// least one arrival while any remain; `hack_sim`'s queue tests check
-    /// that `len` counts the unbuilt ones.)
+    /// stops once only the sampler's tick is left (`drive`'s `queue_len() <=
+    /// control.len()`), which must not fire while arrivals are still
+    /// unbuilt. (The queue refills its run whenever a pop empties it, so the
+    /// run holds at least one arrival while any remain; `hack_sim`'s queue
+    /// tests check that `len` counts the unbuilt ones.)
     #[test]
     fn a_telemetry_run_longer_than_one_arrival_block_completes() {
         let mut cfg = sim_config(KvMethodProfile::hack(), Dataset::Imdb, 20.0, 1_000);
@@ -1653,12 +1651,13 @@ mod tests {
     /// All four decode replicas of a link-graph fleet fail for good at 30 s
     /// with telemetry on, so most requests can never resolve. The run must
     /// stop once only the sampler's tick is left queued (`queue_len() <=
-    /// tickers`). While cancelled fabric events lingered in the queue it
-    /// never did: the sampler ticked on, growing the address space by about
-    /// 1 GB per second of recorded samples, until memory ran out. Its body,
-    /// `unresolvable_link_graph_run_outcome`, therefore runs in a child
-    /// process of this test binary under a 2 GiB address-space limit and a
-    /// 20 s deadline, so that a regression fails this test instead of
+    /// control.len()`), and so must its rerun with an inert autoscaler
+    /// beside the sampler. While cancelled fabric events lingered in the
+    /// queue it never did: the sampler ticked on, growing the address space
+    /// by about 1 GB per second of recorded samples, until memory ran out.
+    /// Its body, `unresolvable_link_graph_run_outcome`, therefore runs in a
+    /// child process of this test binary under a 2 GiB address-space limit
+    /// and a 20 s deadline, so that a regression fails this test instead of
     /// hanging it or exhausting the machine's memory.
     #[cfg(unix)]
     #[test]
@@ -1716,6 +1715,13 @@ mod tests {
             (11, 29),
             "(completed, aborted)"
         );
+        // Both control-plane components armed: an inert autoscaler beside
+        // the sampler ends the run at the same point, with the same result.
+        cfg.policy.scaling = crate::policy::ScalingPolicyKind::Threshold {
+            high: f64::MAX,
+            low: 0.0,
+        };
+        assert_eq!(Simulator::new(cfg).run(), result);
     }
 
     #[test]
@@ -2003,6 +2009,22 @@ mod tests {
                         if a.to_bits() == arrival.to_bits()
                 ),
                 "arrival {arrival}: {err:?}"
+            );
+        }
+
+        // A sampling interval that is not a positive, finite number of
+        // seconds could never re-arm the sampler; only construct, never run.
+        for interval in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut bad = cfg;
+            bad.telemetry = TelemetryConfig::with_interval(interval);
+            let err = Simulator::try_new(bad).err();
+            assert!(
+                matches!(
+                    err,
+                    Some(ConfigError::InvalidTelemetryInterval { interval: i })
+                        if i.to_bits() == interval.to_bits()
+                ),
+                "interval {interval}: {err:?}"
             );
         }
 

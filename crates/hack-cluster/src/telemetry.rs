@@ -24,6 +24,7 @@ use crate::events::SampleTick;
 use hack_metrics::telemetry::{SeriesId, Telemetry, TrackId, NO_REQUEST};
 use hack_sim::{Event, EventHandler, SimulationContext};
 use serde::Serialize;
+use std::cell::RefCell;
 use std::rc::Rc;
 
 /// Telemetry switch on [`crate::SimulationConfig`].
@@ -714,10 +715,10 @@ impl ClusterState {
 /// sampler always keeps exactly one pending tick in the queue.
 pub(crate) struct TelemetrySampler {
     pub ctx: SimulationContext,
+    pub cluster: Rc<RefCell<ClusterState>>,
+    /// Positive and finite: [`crate::SimulationConfig::validate`] rejects
+    /// any other interval.
     pub interval: f64,
-    /// Ticks delivered so far, shared with the run loop: a step that only
-    /// delivered a sampler tick must not advance the reported makespan.
-    pub ticks: Rc<std::cell::Cell<u64>>,
 }
 
 impl EventHandler for TelemetrySampler {
@@ -725,13 +726,7 @@ impl EventHandler for TelemetrySampler {
         if !event.is::<SampleTick>() {
             return;
         }
-        self.ticks.set(self.ticks.get() + 1);
-        // The sampler holds no reference to the cluster: it reaches the
-        // blackboard through the engine-probe path ([`ClusterState`] is
-        // installed as the probe on telemetry-on runs), which is how auxiliary
-        // components observe a simulation without being wired into it.
-        self.ctx
-            .probe::<ClusterState, _>(|now, cs| cs.sample_telemetry(now));
+        self.cluster.borrow_mut().sample_telemetry(event.time);
         self.ctx.emit_self(SampleTick, self.interval);
     }
 }

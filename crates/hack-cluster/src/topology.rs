@@ -450,6 +450,12 @@ pub enum ConfigError {
         /// The rejected arrival time.
         arrival: f64,
     },
+    /// The telemetry sampling interval is not a positive, finite number of
+    /// seconds, so the sampler could not re-arm.
+    InvalidTelemetryInterval {
+        /// The rejected interval.
+        interval: f64,
+    },
     /// A supplied trace's length differs from `config.trace.num_requests`.
     TraceLengthMismatch {
         /// `config.trace.num_requests`.
@@ -525,6 +531,10 @@ impl fmt::Display for ConfigError {
             ConfigError::InvalidArrival { request, arrival } => write!(
                 f,
                 "request {request} arrives at {arrival} (must be finite and >= 0)"
+            ),
+            ConfigError::InvalidTelemetryInterval { interval } => write!(
+                f,
+                "telemetry sample interval {interval} s (must be finite and > 0)"
             ),
             ConfigError::TraceLengthMismatch { expected, got } => write!(
                 f,

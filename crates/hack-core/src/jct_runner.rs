@@ -114,7 +114,7 @@ impl JctExperiment {
     }
 
     /// The bounded probe experiment the capacity bisection runs at each rate.
-    fn probe_experiment(&self, rps: f64, num_requests: usize) -> JctExperiment {
+    fn bisection_experiment(&self, rps: f64, num_requests: usize) -> JctExperiment {
         JctExperiment {
             rps: Some(rps),
             num_requests,
@@ -179,10 +179,10 @@ impl JctExperiment {
     /// Deterministic: probes reuse this experiment's trace seed.
     pub fn measured_max_rps(&self) -> f64 {
         let n = self.num_requests.clamp(20, 40);
-        let template = TraceTemplate::new(self.probe_experiment(1.0, n).trace_config());
+        let template = TraceTemplate::new(self.bisection_experiment(1.0, n).trace_config());
         self.bisect_max_rps(|rps| {
             let config = self
-                .probe_experiment(rps, n)
+                .bisection_experiment(rps, n)
                 .simulation_config(Method::Baseline);
             let requests = Arc::new(template.instantiate(rps));
             Simulator::with_requests(config, requests)
@@ -200,7 +200,7 @@ impl JctExperiment {
         let n = self.num_requests.clamp(20, 40);
         self.bisect_max_rps(|rps| {
             let config = self
-                .probe_experiment(rps, n)
+                .bisection_experiment(rps, n)
                 .simulation_config(Method::Baseline);
             Simulator::new(config).run().average_jct()
         })

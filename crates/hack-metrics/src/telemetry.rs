@@ -3,10 +3,9 @@
 //!
 //! This module is the *data* layer of the simulator's observability stack. It
 //! knows nothing about the engine or the cluster components: producers (the
-//! `hack-cluster` components, or any `hack-sim` component via
-//! `SimulationContext::probe`) push [`Span`]s, [`InstantEvent`]s and
-//! time-series samples into one [`Telemetry`] registry, and consumers export
-//! the registry as
+//! `hack-cluster` components, or any component that owns a registry) push
+//! [`Span`]s, [`InstantEvent`]s and time-series samples into one
+//! [`Telemetry`] registry, and consumers export the registry as
 //!
 //! * Chrome trace-event JSON ([`Telemetry::chrome_trace_json`]) — loadable in
 //!   Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`, with one

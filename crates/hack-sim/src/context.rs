@@ -105,21 +105,6 @@ impl SimulationContext {
     pub fn gen_range(&self, lo: f64, hi: f64) -> f64 {
         self.state.borrow_mut().rng().range_f64(lo, hi)
     }
-
-    /// Runs `f` against the engine probe installed with
-    /// [`crate::Simulation::install_probe`], handing it the current simulation
-    /// time. Returns `None` — without touching the clock, the queue or the
-    /// RNG — when no probe is installed or the installed probe is not a `T`,
-    /// so instrumentation guarded by `probe` is free when telemetry is off.
-    pub fn probe<T: Any, R>(&self, f: impl FnOnce(f64, &mut T) -> R) -> Option<R> {
-        let (probe, time) = {
-            let state = self.state.borrow();
-            let probe = Rc::clone(state.probe()?);
-            (probe, state.time())
-        };
-        let mut probe = probe.borrow_mut();
-        probe.downcast_mut::<T>().map(|t| f(time, t))
-    }
 }
 
 impl std::fmt::Debug for SimulationContext {

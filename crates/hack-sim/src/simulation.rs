@@ -78,30 +78,27 @@ impl Simulation {
         self.state.borrow().time()
     }
 
-    /// Delivers the next event. Returns `false` when the queue is empty.
+    /// Delivers the next event and returns the component it was addressed
+    /// to, or `None` when the queue is empty.
     ///
     /// Events addressed to a component without a handler are delivered to no
     /// one (they still count as processed), like unhandled messages in most
     /// actor systems.
-    pub fn step(&mut self) -> bool {
-        let event: Option<Event> = self.state.borrow_mut().next_event();
-        match event {
-            None => false,
-            Some(event) => {
-                let handler = self.handlers.get(event.dst).cloned().flatten();
-                if let Some(handler) = handler {
-                    handler.borrow_mut().on(event);
-                }
-                true
-            }
+    pub fn step(&mut self) -> Option<ComponentId> {
+        let event: Event = self.state.borrow_mut().next_event()?;
+        let dst = event.dst;
+        let handler = self.handlers.get(dst).cloned().flatten();
+        if let Some(handler) = handler {
+            handler.borrow_mut().on(event);
         }
+        Some(dst)
     }
 
     /// Runs until the event queue is empty; returns the number of events
     /// delivered by this call.
     pub fn run(&mut self) -> u64 {
         let before = self.state.borrow().processed_count();
-        while self.step() {}
+        while self.step().is_some() {}
         self.state.borrow().processed_count() - before
     }
 
@@ -128,26 +125,6 @@ impl Simulation {
     /// Drains and returns the structured event log recorded so far.
     pub fn take_log(&mut self) -> Vec<EventRecord> {
         self.state.borrow_mut().take_log()
-    }
-
-    /// Installs the engine probe: a shared mutable value components can reach
-    /// from their [`SimulationContext`] via [`SimulationContext::probe`]
-    /// (telemetry registries, debug counters, ...). The probe is deliberately
-    /// outside the event system — reading or writing it can never perturb the
-    /// clock, the queue or the RNG.
-    pub fn install_probe<T: std::any::Any>(&mut self, probe: Rc<RefCell<T>>) {
-        self.state.borrow_mut().set_probe(probe);
-    }
-}
-
-impl Drop for Simulation {
-    /// Drops the probe. A probe may hold contexts, directly or through the
-    /// state it shares with the components, and every context holds the
-    /// engine state that holds the probe: left installed, that cycle would
-    /// outlive the simulation.
-    fn drop(&mut self) {
-        let probe = self.state.borrow_mut().take_probe();
-        drop(probe);
     }
 }
 
@@ -291,9 +268,19 @@ mod tests {
     fn events_to_handlerless_components_are_counted() {
         let mut sim = Simulation::new(1);
         let passive = sim.create_context("passive");
+        let counter = build_counter(&mut sim, 1.0);
+        let counter_id = counter.borrow().ctx.id();
+        passive.emit_self(Tick { n: 1 }, 0.5);
+        counter.borrow().ctx.emit_self(Tick { n: 0 }, 1.0);
+        // `step` names each delivered event's destination, handler or not,
+        // and `None` once the queue is empty.
+        assert_eq!(sim.step(), Some(passive.id()));
+        assert_eq!(sim.step(), Some(counter_id));
+        assert_eq!(sim.step(), None);
+        assert_eq!(counter.borrow().seen, vec![0]);
         passive.emit_self(Tick { n: 1 }, 0.5);
         assert_eq!(sim.run(), 1);
-        assert_eq!(sim.queue_len(), 0);
+        assert_eq!((sim.processed_count(), sim.queue_len()), (3, 0));
     }
 
     #[test]
@@ -397,51 +384,40 @@ mod tests {
     }
 
     #[test]
-    fn dropping_the_simulation_frees_a_probe_holding_a_context() {
-        struct Holder {
-            _ctx: SimulationContext,
+    fn dropping_the_simulation_frees_a_handler_holding_a_context() {
+        // The cluster's shape: a handler shares a state that holds a
+        // context, and every context holds the engine state.
+        struct Shared {
+            ctx: SimulationContext,
+            seen: u32,
+        }
+        struct Handler {
+            shared: Rc<RefCell<Shared>>,
+        }
+        impl EventHandler for Handler {
+            fn on(&mut self, event: Event) {
+                let mut shared = self.shared.borrow_mut();
+                shared.seen += 1;
+                if event.get::<Tick>().is_some_and(|t| t.n > 0) {
+                    shared.ctx.emit_self(Tick { n: 0 }, 1.0);
+                }
+            }
         }
         let mut sim = Simulation::new(1);
         let ctx = sim.create_context("holder");
-        ctx.emit_self(Tick { n: 0 }, 1.0);
-        let probe = Rc::new(RefCell::new(Holder { _ctx: ctx }));
-        let weak = Rc::downgrade(&probe);
-        sim.install_probe(probe);
-        sim.run();
-        assert!(weak.upgrade().is_some(), "the installed probe is alive");
+        ctx.emit_self(Tick { n: 1 }, 1.0);
+        ctx.emit_self(Tick { n: 0 }, 10.0);
+        let shared = Rc::new(RefCell::new(Shared { ctx, seen: 0 }));
+        let weak = Rc::downgrade(&shared);
+        sim.add_handler("holder", Rc::new(RefCell::new(Handler { shared })));
+        assert_eq!(sim.step(), sim.lookup_id("holder"));
+        assert_eq!(sim.queue_len(), 2, "dropped with events still queued");
+        assert_eq!(weak.upgrade().map(|s| s.borrow().seen), Some(1));
         drop(sim);
         assert!(
             weak.upgrade().is_none(),
-            "the probe outlived its simulation"
+            "the shared state outlived its simulation"
         );
-    }
-
-    #[test]
-    fn probe_reaches_installed_value_and_is_silent_otherwise() {
-        let mut sim = Simulation::new(1);
-        let ctx = sim.create_context("c");
-        // No probe installed: closure must not run.
-        assert_eq!(ctx.probe::<u32, _>(|_, _| unreachable!("no probe")), None);
-
-        let probe = Rc::new(RefCell::new(0u32));
-        sim.install_probe(probe.clone());
-        // Wrong type: still None.
-        assert_eq!(
-            ctx.probe::<String, _>(|_, _| unreachable!("wrong type")),
-            None
-        );
-        // Right type: observes the clock and mutates the probe.
-        ctx.emit_self(Tick { n: 0 }, 2.0);
-        sim.run();
-        let seen = ctx.probe::<u32, _>(|time, v| {
-            *v += 5;
-            time
-        });
-        assert_eq!(seen, Some(2.0));
-        assert_eq!(*probe.borrow(), 5);
-        // Probing never perturbs the engine.
-        assert_eq!(sim.queue_len(), 0);
-        assert_eq!(sim.emitted_count(), 1);
     }
 
     /// Records every delivery whole and answers every third streamed tick

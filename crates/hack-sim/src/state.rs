@@ -6,10 +6,8 @@ use crate::payload::Payload;
 use crate::queue::SlabEventQueue;
 use hack_tensor::DetRng;
 use std::any::Any;
-use std::cell::RefCell;
 use std::collections::HashSet;
 use std::ops::Range;
-use std::rc::Rc;
 
 pub(crate) struct SimState {
     clock: f64,
@@ -19,7 +17,6 @@ pub(crate) struct SimState {
     processed: u64,
     rng: DetRng,
     log: Option<Vec<EventRecord>>,
-    probe: Option<Rc<RefCell<dyn Any>>>,
 }
 
 impl SimState {
@@ -32,7 +29,6 @@ impl SimState {
             processed: 0,
             rng: DetRng::new(seed),
             log: None,
-            probe: None,
         }
     }
 
@@ -57,22 +53,6 @@ impl SimState {
             Some(log) => std::mem::take(log),
             None => Vec::new(),
         }
-    }
-
-    /// Installs the engine probe components reach via
-    /// [`crate::SimulationContext::probe`].
-    pub fn set_probe(&mut self, probe: Rc<RefCell<dyn Any>>) {
-        self.probe = Some(probe);
-    }
-
-    /// Removes and returns the installed probe.
-    pub fn take_probe(&mut self) -> Option<Rc<RefCell<dyn Any>>> {
-        self.probe.take()
-    }
-
-    /// The installed probe, if any.
-    pub fn probe(&self) -> Option<&Rc<RefCell<dyn Any>>> {
-        self.probe.as_ref()
     }
 
     /// Schedules an event at an absolute time.

@@ -87,7 +87,7 @@ fn off_is_bit_identical_to_the_scaling_free_simulator() {
 
 #[test]
 fn scaling_decisions_are_reproducible() {
-    // Scaling decisions are pure clock-and-state logic on the probe tick, so
+    // Scaling decisions are pure clock-and-state logic on the scale tick, so
     // the full result — scale events, billed dollars, every JCT — must be
     // bit-identical across repeat runs.
     for (label, sim) in experiment().cells(Method::hack()) {
