@@ -23,8 +23,8 @@
 //! they decoded on.
 
 use hack_kvcache::PrefixCache;
+use hack_tensor::IntMap;
 use serde::Serialize;
-use std::collections::HashMap;
 use std::num::NonZeroU32;
 
 /// Prefix-cache switch on [`crate::SimulationConfig`].
@@ -129,14 +129,13 @@ impl PrefixHit {
 ///
 /// Lives on the `ClusterState` blackboard as an `Option` — `None` when
 /// [`CacheConfig::Off`]. The residency map is only ever *keyed into* (never
-/// iterated), so the `HashMap` cannot leak iteration-order nondeterminism
-/// into the simulation.
+/// iterated), so its hash order cannot leak into the simulation.
 #[derive(Debug)]
 pub struct SessionCacheState {
     /// One cache per decode replica (same indexing as the decode fleet).
     pub caches: Vec<PrefixCache>,
     /// Which decode replica holds each session's prefix, if any.
-    pub resident: HashMap<u64, usize>,
+    pub resident: IntMap<u64, usize>,
     /// Prefill-side lookups that found a usable prefix.
     pub hits: usize,
     /// Session follow-ups whose prefix was not resident.
@@ -162,7 +161,7 @@ impl SessionCacheState {
                 .iter()
                 .map(|cap| PrefixCache::new(cap * settings.capacity_fraction))
                 .collect(),
-            resident: HashMap::new(),
+            resident: IntMap::default(),
             hits: 0,
             misses: 0,
             evictions: 0,

@@ -60,9 +60,7 @@ impl Frontend {
     pub(crate) fn route(prefill: &[PrefillReplicaState], input_len: usize) -> Option<usize> {
         (0..prefill.len())
             .filter(|&r| !prefill[r].failed)
-            .min_by_key(|&r| {
-                prefill[r].queued_tokens + if prefill[r].busy() { input_len } else { 0 }
-            })
+            .min_by_key(|&r| prefill[r].backlog_tokens(input_len))
     }
 
     fn on_arrival(&self, req: usize, now: f64) {

@@ -238,6 +238,16 @@ impl PrefillReplicaState {
     pub fn busy(&self) -> bool {
         self.current.is_some()
     }
+
+    /// The pre-fleet routing metric for a request of `input_len` prompt
+    /// tokens: pending tokens, plus `input_len` while busy. `queued_tokens`
+    /// still holds the in-service prompt (it is released only when its
+    /// prefill finishes), so the `busy` addend counts the in-service request
+    /// *again*, at the arriving request's length: the pre-fleet router's
+    /// deliberate pessimism, kept for bit-compatibility.
+    pub fn backlog_tokens(&self, input_len: usize) -> usize {
+        self.queued_tokens + if self.busy() { input_len } else { 0 }
+    }
 }
 
 /// Decode-side state of one replica.

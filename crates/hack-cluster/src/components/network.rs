@@ -23,6 +23,13 @@
 //!   [`FlowCompleted`], the earliest-finishing flow's (lowest request index on
 //!   ties); each re-split cancels it and emits the new earliest. Dead links
 //!   abort their flows with partial progress kept for the retry path.
+//!
+//!   A re-split costs O(links + flows), not O(flows × path): each flow keeps
+//!   its five link indices (set when it starts, changed only by a spine
+//!   reroute), the per-link flow counts are kept current as flows start,
+//!   end and reroute, and each link's share is divided out once per
+//!   re-split. A flow's rate is then the minimum of its links' shares, the
+//!   same expression in the same order as a per-flow recount.
 
 use crate::events::FlowCompleted;
 use crate::topology::FaultDomain;
@@ -35,10 +42,10 @@ use std::collections::BTreeMap;
 pub(crate) struct Flow {
     /// Source prefill replica.
     pub src: usize,
-    /// Destination decode replica.
-    pub dst: usize,
-    /// Spine block this flow is ECMP-pinned to (0 on single-spine fabrics).
-    pub spine: usize,
+    /// The five links the flow crosses, `Layout::path_via(src, dst, spine)`
+    /// for the spine block it is ECMP-pinned to (block 0 on single-spine
+    /// fabrics). `u32` indices keep a flow at 64 bytes.
+    path: [u32; 5],
     /// Engine address of the destination decode replica's component.
     pub dst_ctx: ComponentId,
     /// Remaining volume in Gbps-seconds (`transfer_time` at 1 Gbps).
@@ -81,6 +88,11 @@ impl Layout {
     }
 }
 
+/// A link index as a flow stores it; a fabric has far fewer than 2^32 links.
+fn link_u32(link: usize) -> u32 {
+    u32::try_from(link).expect("link index fits in u32")
+}
+
 /// Deterministic ECMP hash of a request id — a splitmix64 finalizer, so the
 /// spine choice is identical across runs and platforms.
 fn ecmp_hash(req: usize) -> u64 {
@@ -107,8 +119,12 @@ pub(crate) struct LinkGraph {
     /// The fabric's one pending [`FlowCompleted`]: the earliest-finishing
     /// flow's, re-targeted by every re-split.
     pending: Option<EventId>,
-    /// Per-link flow counts, a scratch buffer [`LinkGraph::resplit`] refills.
+    /// Per-link count of the active flows crossing it, kept current by every
+    /// flow insert, removal and reroute.
     load: Vec<u32>,
+    /// Per-link equal share `capacity·degrade/load`, a scratch buffer
+    /// [`LinkGraph::resplit`] refills.
+    share: Vec<f64>,
 }
 
 /// The transfer path between the prefill and decode fleets.
@@ -166,6 +182,7 @@ impl NetworkFabric {
         let alive = vec![true; capacity.len()];
         let degrade = vec![1.0; capacity.len()];
         let load = vec![0; capacity.len()];
+        let share = vec![0.0; capacity.len()];
         Self {
             ctx,
             nic_free_at: vec![0.0; prefill_replicas],
@@ -178,6 +195,7 @@ impl NetworkFabric {
                 last_update: 0.0,
                 pending: None,
                 load,
+                share,
             }),
             rerouted: 0,
         }
@@ -316,12 +334,12 @@ impl NetworkFabric {
         let g = graph.as_mut().expect("start_flow requires the link graph");
         let spine = g.ecmp_spine(req).expect("path_alive checked a live spine");
         g.advance(now);
-        g.flows.insert(
+        let path = g.layout.path_via(src, dst, spine).map(link_u32);
+        g.insert(
             req,
             Flow {
                 src,
-                dst,
-                spine,
+                path,
                 dst_ctx,
                 remaining: volume,
                 rate: 0.0,
@@ -340,7 +358,7 @@ impl NetworkFabric {
         // The pending event is the one being delivered: nothing to cancel.
         g.pending = None;
         g.advance(now);
-        let flow = g.flows.remove(&req);
+        let flow = g.remove(req);
         g.resplit(ctx, now);
         flow
     }
@@ -352,7 +370,7 @@ impl NetworkFabric {
         let Self { ctx, graph, .. } = self;
         let g = graph.as_mut()?;
         g.advance(now);
-        let flow = g.flows.remove(&req);
+        let flow = g.remove(req);
         g.resplit(ctx, now);
         flow
     }
@@ -379,33 +397,31 @@ impl NetworkFabric {
         let dead: Vec<usize> = g
             .flows
             .iter()
-            .filter(|(_, f)| {
-                g.layout
-                    .path_via(f.src, f.dst, f.spine)
-                    .iter()
-                    .any(|&l| !g.alive[l])
-            })
+            .filter(|(_, f)| f.path.iter().any(|&l| !g.alive[l as usize]))
             .map(|(&req, _)| req)
             .collect();
         let mut aborted = Vec::with_capacity(dead.len());
         let mut moved = Vec::new();
         for req in dead {
             let flow = g.flows.get(&req).expect("listed flow exists");
-            let path = g.layout.path_via(flow.src, flow.dst, flow.spine);
-            let endpoint_dead = path
+            let endpoint_dead = flow
+                .path
                 .iter()
                 .enumerate()
-                .any(|(hop, &l)| hop != 2 && !g.alive[l]);
+                .any(|(hop, &l)| hop != 2 && !g.alive[l as usize]);
             if !endpoint_dead {
                 if let Some(spine) = g.ecmp_spine(req) {
+                    let spine_link = g.layout.spine_base() + spine;
                     let flow = g.flows.get_mut(&req).expect("listed flow exists");
-                    flow.spine = spine;
+                    g.load[flow.path[2] as usize] -= 1;
+                    g.load[spine_link] += 1;
+                    flow.path[2] = link_u32(spine_link);
                     *rerouted += 1;
                     moved.push((req, flow.src));
                     continue;
                 }
             }
-            let flow = g.flows.remove(&req).expect("listed flow exists");
+            let flow = g.remove(req).expect("listed flow exists");
             aborted.push((req, flow));
         }
         g.resplit(ctx, now);
@@ -432,6 +448,27 @@ impl LinkGraph {
         }
     }
 
+    /// Adds `flow` as `req`'s active flow, counting it on its links.
+    fn insert(&mut self, req: usize, flow: Flow) {
+        for l in flow.path {
+            self.load[l as usize] += 1;
+        }
+        if let Some(old) = self.flows.insert(req, flow) {
+            for l in old.path {
+                self.load[l as usize] -= 1;
+            }
+        }
+    }
+
+    /// Removes `req`'s active flow, if any, and uncounts it from its links.
+    fn remove(&mut self, req: usize) -> Option<Flow> {
+        let flow = self.flows.remove(&req)?;
+        for l in flow.path {
+            self.load[l as usize] -= 1;
+        }
+        Some(flow)
+    }
+
     /// Advances every flow's remaining volume to `now` at its current rate.
     fn advance(&mut self, now: f64) {
         let dt = now - self.last_update;
@@ -448,24 +485,21 @@ impl LinkGraph {
     /// capacity a flow cannot use at its bottleneck is not handed to the
     /// others — ROADMAP item 2(b)) and re-targets the fabric's one pending
     /// [`FlowCompleted`] at the earliest-finishing flow, ties going to the
-    /// lowest request index. Called after any change to the flow set or link
-    /// state; `advance` must have run first.
+    /// lowest request index. Each link's share is divided out once from the
+    /// running `load`; a flow's rate is the minimum over its cached path.
+    /// Called after any change to the flow set or link state; `advance` must
+    /// have run first.
     fn resplit(&mut self, ctx: &SimulationContext, now: f64) {
-        let load = &mut self.load;
-        load.fill(0);
-        for flow in self.flows.values() {
-            for l in self.layout.path_via(flow.src, flow.dst, flow.spine) {
-                load[l] += 1;
-            }
+        // Links no flow crosses get an unread infinite or NaN share.
+        for (l, share) in self.share.iter_mut().enumerate() {
+            *share = self.capacity[l] * self.degrade[l] / self.load[l] as f64;
         }
-        let layout = self.layout;
-        let capacity = &self.capacity;
-        let degrade = &self.degrade;
+        let share = &self.share;
         let mut next: Option<(f64, usize, ComponentId)> = None;
         for (&req, flow) in self.flows.iter_mut() {
             let mut rate = f64::INFINITY;
-            for l in layout.path_via(flow.src, flow.dst, flow.spine) {
-                rate = rate.min(capacity[l] * degrade[l] / load[l] as f64);
+            for l in flow.path {
+                rate = rate.min(share[l as usize]);
             }
             flow.rate = rate;
             let at = now + flow.remaining / rate;
@@ -621,8 +655,8 @@ mod tests {
     fn assert_within_capacity(g: &LinkGraph) {
         let mut used = vec![0.0; g.capacity.len()];
         for f in g.flows.values() {
-            for l in g.layout.path_via(f.src, f.dst, f.spine) {
-                used[l] += f.rate;
+            for l in f.path {
+                used[l as usize] += f.rate;
             }
         }
         for (l, &u) in used.iter().enumerate() {
@@ -632,28 +666,96 @@ mod tests {
         assert_eq!(g.pending.is_some(), !g.flows.is_empty());
     }
 
+    /// The per-flow recount the running bookkeeping replaces: every cached
+    /// path is `path_via` of the flow's endpoints (as the caller started it)
+    /// over a spine block and crosses no dead link, the running `load`
+    /// equals a count over those paths, and every rate equals the minimum
+    /// over its path of `capacity·degrade/count`, bit for bit.
+    fn assert_matches_recount(g: &LinkGraph, endpoints: &BTreeMap<usize, (usize, usize)>) {
+        let spines = g.layout.spine_base()..g.layout.decode_tor_base();
+        let paths: Vec<[usize; 5]> = g
+            .flows
+            .iter()
+            .map(|(req, f)| {
+                let (src, dst) = endpoints[req];
+                assert_eq!(f.src, src);
+                let hop2 = f.path[2] as usize;
+                assert!(spines.contains(&hop2), "hop 2 is a spine block");
+                let spine = hop2 - spines.start;
+                let path = g.layout.path_via(src, dst, spine);
+                assert!(
+                    path.iter().all(|&l| g.alive[l]),
+                    "request {req} on a dead link"
+                );
+                path
+            })
+            .collect();
+        let mut load = vec![0u32; g.capacity.len()];
+        for &l in paths.iter().flatten() {
+            load[l] += 1;
+        }
+        assert_eq!(g.load, load, "running load");
+        for (f, path) in g.flows.values().zip(&paths) {
+            assert_eq!(f.path, path.map(link_u32), "cached path");
+            let mut rate = f64::INFINITY;
+            for &l in path {
+                rate = rate.min(g.capacity[l] * g.degrade[l] / load[l] as f64);
+            }
+            assert_eq!(
+                f.rate.to_bits(),
+                rate.to_bits(),
+                "rate {} vs {rate}",
+                f.rate
+            );
+        }
+    }
+
     #[test]
     fn random_operations_keep_links_within_capacity() {
         let mut rig = Rig::new(8, 40.0, 2);
         let mut rng = DetRng::new(0x5eed);
         let links = rig.graph().capacity.len();
-        let (mut next_req, mut most_active) = (0, 0);
-        for _ in 0..2000 {
+        let spines = rig.graph().layout.spine_base()..rig.graph().layout.decode_tor_base();
+        let mut endpoints = BTreeMap::new();
+        let mut cut: Vec<usize> = Vec::new();
+        let (mut next_req, mut most_active, mut aborted) = (0, 0, 0);
+        for _ in 0..4000 {
             let now = rig.sim.time();
             let active: Vec<usize> = rig.graph().flows.keys().copied().collect();
             most_active = most_active.max(active.len());
-            match rng.range_usize(0, 4) {
-                0 => {
+            match rng.range_usize(0, 6) {
+                0 | 1 => {
                     let (src, dst) = (rng.range_usize(0, 8), rng.range_usize(0, 8));
-                    rig.start(next_req, src, dst, rng.range_f64(1.0, 50.0), now);
+                    let volume = rng.range_f64(1.0, 50.0);
+                    if rig
+                        .fabric
+                        .start_flow(next_req, src, dst, rig.dst, volume, now)
+                    {
+                        endpoints.insert(next_req, (src, dst));
+                    }
                     next_req += 1;
                 }
-                1 if !active.is_empty() => {
+                2 if !active.is_empty() => {
                     rig.land();
                 }
-                2 if !active.is_empty() => {
+                3 if !active.is_empty() => {
                     let req = active[rng.range_usize(0, active.len())];
                     assert!(rig.fabric.abort_flow(req, now).is_some());
+                }
+                4 => {
+                    // Cut a spine more often than not, so flows reroute.
+                    let link = if rng.chance(0.6) {
+                        rng.range_usize(spines.start, spines.end)
+                    } else {
+                        rng.range_usize(0, links)
+                    };
+                    rig.fabric.set_links(&[link], false);
+                    cut.push(link);
+                    aborted += rig.fabric.abort_dead_flows(now).0.len();
+                }
+                5 if !cut.is_empty() => {
+                    let link = cut.swap_remove(rng.range_usize(0, cut.len()));
+                    rig.fabric.set_links(&[link], true);
                 }
                 _ => {
                     let link = rng.range_usize(0, links);
@@ -666,7 +768,10 @@ mod tests {
                 }
             }
             assert_within_capacity(rig.graph());
+            assert_matches_recount(rig.graph(), &endpoints);
         }
         assert!(most_active >= 8, "the sequence exercised contention");
+        assert!(rig.fabric.rerouted_flows() > 0, "spine cuts rerouted flows");
+        assert!(aborted > 0, "endpoint cuts aborted flows");
     }
 }

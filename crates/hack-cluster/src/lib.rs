@@ -146,8 +146,8 @@ pub use components::scaling::SCALE_TICK_SECS;
 pub use config::{ClusterConfig, SimulationConfig};
 pub use fleet::{FleetSpec, GroupSet, ReplicaGroup, MAX_GROUPS};
 pub use policy::{
-    AdmissionPolicyKind, DispatchPolicyKind, GroupScalingView, PolicyConfig, ReplicaLoad,
-    ScalingPolicyKind, SchedulingPolicyKind, TenantClass, TenantClasses,
+    AdmissionPolicyKind, DispatchPolicyKind, GroupScalingView, PolicyConfig, ScalingPolicyKind,
+    SchedulingPolicyKind, TenantClass, TenantClasses,
 };
 pub use result::{FaultRecord, GroupStats, RequestRecord, SimulationResult};
 pub use sim::Simulator;

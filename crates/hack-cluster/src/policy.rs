@@ -5,9 +5,9 @@
 //!
 //! * **dispatch** — *which prefill replica* an admitted request queues on.
 //!   Least-loaded is the frontend's own routing (§7.1); the other policies
-//!   see every replica's group, backlog and the request's estimated service
-//!   time on that replica's group ([`ReplicaLoad`]), so heterogeneous fleets
-//!   can route around slow groups;
+//!   see every replica's group and backlog, and fastest-eligible also the
+//!   request's estimated service time on that replica's group, so
+//!   heterogeneous fleets can route around slow groups;
 //! * **admission** — *whether* a request enters the cluster at all;
 //! * **scheduling** — *which queued request* a freed prefill replica serves
 //!   next. FCFS pops the replica's FIFO head; the tenant-aware policies pick
@@ -29,9 +29,10 @@
 
 use crate::components::frontend::Frontend;
 use crate::components::{PrefillQueue, PrefillReplicaState};
+use hack_tensor::IntMap;
 use hack_workload::trace::{Request, TenantId};
 use serde::{Serialize, Value};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Upper bound on distinct tenants per simulation (sizes the fixed per-tenant
 /// state so [`PolicyConfig`] stays `Copy`).
@@ -142,38 +143,6 @@ impl Serialize for TenantClasses {
 
 // --- Dispatch: which prefill replica an admitted request queues on. ---
 
-/// One replica as the load-view dispatch policies see it when routing one
-/// request: group membership, current backlog and the request's estimated
-/// service time on the replica's group (heterogeneous groups differ in
-/// speed, not just load).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReplicaLoad {
-    /// Prefill group of the replica.
-    pub group: usize,
-    /// Prompt tokens pending on the replica. While the replica is `busy`
-    /// this still *includes* the in-service request's prompt (it is released
-    /// only when its prefill finishes), so policies should not add their own
-    /// in-service estimate on top of it — `ReplicaLoad::backlog_tokens`'s
-    /// extra `busy` addend is the pre-fleet router's deliberate pessimism
-    /// (the in-service request counted *again*, at the arriving request's
-    /// length), kept for bit-compatibility.
-    pub queued_tokens: usize,
-    /// Whether the replica is currently serving a prefill.
-    pub busy: bool,
-    /// Estimated (prefill + quantization) service seconds of the *arriving*
-    /// request on this replica's group.
-    pub service_secs: f64,
-}
-
-impl ReplicaLoad {
-    /// The pre-fleet routing metric: pending tokens, penalising a busy
-    /// replica by the arriving request's own length on top of
-    /// [`Self::queued_tokens`] (which already holds the in-service prompt).
-    fn backlog_tokens(&self, input_len: usize) -> usize {
-        self.queued_tokens + if self.busy { input_len } else { 0 }
-    }
-}
-
 /// The run's dispatch policy, built once per run from its
 /// [`DispatchPolicyKind`].
 #[derive(Debug)]
@@ -198,32 +167,22 @@ impl Dispatch {
 
     /// The prefill replica `request` queues on, or `None` when every replica
     /// has failed. Least-loaded is the frontend's routing over the live
-    /// replicas. The other policies see every replica's [`ReplicaLoad`],
-    /// failed ones included (`service_secs(group)` is the request's service
-    /// time on `group`), and a pick on a failed replica falls back to
-    /// least-loaded: the policies predate fault awareness.
+    /// replicas. The other policies see every replica, failed ones included,
+    /// and a pick on a failed replica falls back to least-loaded: the
+    /// policies predate fault awareness. Only fastest-eligible evaluates
+    /// `service_secs(group)`, the request's estimated (prefill +
+    /// quantization) service time on `group`.
     pub(crate) fn route(
         &mut self,
         prefill: &[PrefillReplicaState],
         request: &Request,
         service_secs: impl Fn(usize) -> f64,
     ) -> Option<usize> {
-        let loads = || -> Vec<ReplicaLoad> {
-            prefill
-                .iter()
-                .map(|p| ReplicaLoad {
-                    group: p.group,
-                    queued_tokens: p.queued_tokens,
-                    busy: p.busy(),
-                    service_secs: service_secs(p.group),
-                })
-                .collect()
-        };
         let pick = match self {
             Dispatch::LeastLoaded => return Frontend::route(prefill, request.input_len),
-            Dispatch::FastestEligible => fastest_eligible(&loads(), request),
-            Dispatch::GroupAffinity => group_affinity(&loads(), request),
-            Dispatch::SessionAffinity(pins) => pins.route(&loads(), request),
+            Dispatch::FastestEligible => fastest_eligible(prefill, request, service_secs),
+            Dispatch::GroupAffinity => group_affinity(prefill, request),
+            Dispatch::SessionAffinity(pins) => pins.route(prefill, request),
         };
         if prefill[pick].failed {
             Frontend::route(prefill, request.input_len)
@@ -238,15 +197,19 @@ impl Dispatch {
 /// homogeneous fleet this ranks replicas as least-loaded does, up to a
 /// constant addend; on a mixed fleet the faster group absorbs
 /// proportionally more load.
-fn fastest_eligible(loads: &[ReplicaLoad], request: &Request) -> usize {
+fn fastest_eligible(
+    prefill: &[PrefillReplicaState],
+    request: &Request,
+    service_secs: impl Fn(usize) -> f64,
+) -> usize {
     let input = request.input_len.max(1);
     let mut best = 0usize;
     let mut best_score = f64::INFINITY;
-    for (i, l) in loads.iter().enumerate() {
-        let backlog = (l.backlog_tokens(request.input_len) + request.input_len) as f64;
+    for (i, p) in prefill.iter().enumerate() {
+        let backlog = (p.backlog_tokens(request.input_len) + request.input_len) as f64;
         // Seconds to drain the backlog at this group's speed for prompts
         // like this one (service_secs / input tokens).
-        let score = backlog * l.service_secs / input as f64;
+        let score = backlog * service_secs(p.group) / input as f64;
         // Strict `<` keeps the first minimum, matching least-loaded's
         // deterministic tie-break.
         if score < best_score {
@@ -260,14 +223,14 @@ fn fastest_eligible(loads: &[ReplicaLoad], request: &Request) -> usize {
 /// Pins tenants to prefill groups round-robin (`tenant mod groups`) and
 /// routes least-loaded *within* the preferred group, so one tenant's burst
 /// only queues behind its own group.
-fn group_affinity(loads: &[ReplicaLoad], request: &Request) -> usize {
-    let groups = loads.iter().map(|l| l.group + 1).max().unwrap_or(1);
+fn group_affinity(prefill: &[PrefillReplicaState], request: &Request) -> usize {
+    let groups = prefill.iter().map(|p| p.group + 1).max().unwrap_or(1);
     let preferred = request.tenant.index() % groups;
-    loads
+    prefill
         .iter()
         .enumerate()
-        .filter(|(_, l)| l.group == preferred)
-        .min_by_key(|(_, l)| l.backlog_tokens(request.input_len))
+        .filter(|(_, p)| p.group == preferred)
+        .min_by_key(|(_, p)| p.backlog_tokens(request.input_len))
         .map(|(i, _)| i)
         .expect("every group has at least one replica")
 }
@@ -288,24 +251,24 @@ pub const SESSION_SPILL_FACTOR: f64 = 2.0;
 /// replica holding the prefix.
 #[derive(Debug, Default)]
 pub(crate) struct SessionAffinity {
-    pinned: HashMap<u64, usize>,
+    pinned: IntMap<u64, usize>,
 }
 
 impl SessionAffinity {
-    fn route(&mut self, loads: &[ReplicaLoad], request: &Request) -> usize {
-        let fallback = loads
+    fn route(&mut self, prefill: &[PrefillReplicaState], request: &Request) -> usize {
+        let fallback = prefill
             .iter()
             .enumerate()
-            .min_by_key(|(_, l)| l.backlog_tokens(request.input_len))
+            .min_by_key(|(_, p)| p.backlog_tokens(request.input_len))
             .map(|(i, _)| i)
             .expect("cluster has at least one prefill replica");
         if request.session == 0 {
             return fallback;
         }
         match self.pinned.get(&request.session) {
-            Some(&pinned) if pinned < loads.len() => {
-                let pinned_backlog = loads[pinned].backlog_tokens(request.input_len) as f64;
-                let best_backlog = loads[fallback].backlog_tokens(request.input_len) as f64;
+            Some(&pinned) if pinned < prefill.len() => {
+                let pinned_backlog = prefill[pinned].backlog_tokens(request.input_len) as f64;
+                let best_backlog = prefill[fallback].backlog_tokens(request.input_len) as f64;
                 let limit = SESSION_SPILL_FACTOR * best_backlog + request.input_len as f64;
                 if pinned_backlog <= limit {
                     pinned
@@ -1154,21 +1117,19 @@ mod tests {
         assert!(bucket.admit(&request(8, 0, 1.0), 1.0));
     }
 
-    fn load(group: usize, queued_tokens: usize, busy: bool, service_secs: f64) -> ReplicaLoad {
-        ReplicaLoad {
-            group,
-            queued_tokens,
-            busy,
-            service_secs,
-        }
-    }
-
     fn replica(queued_tokens: usize, busy: bool, failed: bool) -> PrefillReplicaState {
         PrefillReplicaState {
             queued_tokens,
             failed,
             current: busy.then_some((0, 0)),
             ..PrefillReplicaState::new(0, Scheduling::Fcfs.queue())
+        }
+    }
+
+    fn in_group(group: usize, queued_tokens: usize, busy: bool) -> PrefillReplicaState {
+        PrefillReplicaState {
+            group,
+            ..replica(queued_tokens, busy, false)
         }
     }
 
@@ -1195,12 +1156,14 @@ mod tests {
     #[test]
     fn fastest_eligible_prefers_the_faster_group_under_equal_load() {
         let req = request(0, 0, 0.0);
-        // Same backlog; group 1 serves this prompt twice as fast.
-        let loads = [load(0, 200, false, 2.0), load(1, 200, false, 1.0)];
-        assert_eq!(fastest_eligible(&loads, &req), 1);
+        // Group 1 serves this prompt twice as fast as group 0.
+        let service_secs = |group| if group == 0 { 2.0 } else { 1.0 };
+        // Same backlog: the faster group wins.
+        let loads = [in_group(0, 200, false), in_group(1, 200, false)];
+        assert_eq!(fastest_eligible(&loads, &req, service_secs), 1);
         // A fast group with a deep queue loses to an idle slow one.
-        let loads = [load(0, 0, false, 2.0), load(1, 5_000, true, 1.0)];
-        assert_eq!(fastest_eligible(&loads, &req), 0);
+        let loads = [in_group(0, 0, false), in_group(1, 5_000, true)];
+        assert_eq!(fastest_eligible(&loads, &req, service_secs), 0);
     }
 
     #[test]
@@ -1209,17 +1172,17 @@ mod tests {
         let mut req = request(0, 0, 0.0); // input_len = 100
         req.session = 7;
         // First turn of the session routes least-loaded and pins there.
-        let loads = [load(0, 300, false, 1.0), load(0, 50, false, 1.0)];
+        let loads = [replica(300, false, false), replica(50, false, false)];
         assert_eq!(policy.route(&loads, &req), 1);
         // Follow-ups stick to the pin even when it is no longer least-loaded
         // (400 <= 2 * 200 + 100).
-        let loads = [load(0, 200, false, 1.0), load(0, 400, false, 1.0)];
+        let loads = [replica(200, false, false), replica(400, false, false)];
         assert_eq!(policy.route(&loads, &req), 1);
         // ... until the pinned backlog crosses the spill threshold
         // (901 > 2 * 400 + 100); the session re-pins on the spill target.
-        let loads = [load(0, 400, false, 1.0), load(0, 901, false, 1.0)];
+        let loads = [replica(400, false, false), replica(901, false, false)];
         assert_eq!(policy.route(&loads, &req), 0);
-        let loads = [load(0, 500, false, 1.0), load(0, 450, false, 1.0)];
+        let loads = [replica(500, false, false), replica(450, false, false)];
         assert_eq!(policy.route(&loads, &req), 0, "re-pinned after spill");
         // Independent requests (session 0) always route least-loaded.
         assert_eq!(policy.route(&loads, &request(1, 0, 0.0)), 1);
@@ -1232,10 +1195,10 @@ mod tests {
     #[test]
     fn group_affinity_pins_tenants_to_groups() {
         let loads = [
-            load(0, 500, false, 1.0),
-            load(0, 0, false, 1.0),
-            load(1, 0, false, 1.0),
-            load(1, 100, false, 1.0),
+            in_group(0, 500, false),
+            in_group(0, 0, false),
+            in_group(1, 0, false),
+            in_group(1, 100, false),
         ];
         // Tenant 0 -> group 0 (least-loaded within it), tenant 1 -> group 1,
         // tenant 2 wraps to group 0 again.

@@ -30,6 +30,7 @@
 //! independent of table length), so cache state can never change results.
 
 use crate::cost::{KvMethodProfile, ReplicaCostModel};
+use hack_tensor::IntMap;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -182,7 +183,7 @@ pub struct PrefillCosts {
 /// prompt lengths of its trace.
 #[derive(Debug, Clone)]
 pub struct PrefillCostTable {
-    entries: HashMap<usize, PrefillCosts>,
+    entries: IntMap<usize, PrefillCosts>,
 }
 
 impl PrefillCostTable {
@@ -194,7 +195,7 @@ impl PrefillCostTable {
         network_gbps: f64,
         prompts: impl IntoIterator<Item = usize>,
     ) -> Self {
-        let mut entries = HashMap::new();
+        let mut entries = IntMap::default();
         for prompt in prompts {
             entries.entry(prompt).or_insert_with(|| PrefillCosts {
                 prefill: model.prefill_time(prompt, profile),

@@ -4,15 +4,14 @@ use crate::event::{ComponentId, Event, EventId};
 use crate::log::{EventRecord, RecordKind};
 use crate::payload::Payload;
 use crate::queue::SlabEventQueue;
-use hack_tensor::DetRng;
+use hack_tensor::{DetRng, IntSet};
 use std::any::Any;
-use std::collections::HashSet;
 use std::ops::Range;
 
 pub(crate) struct SimState {
     clock: f64,
     events: SlabEventQueue,
-    canceled: HashSet<EventId>,
+    canceled: IntSet<EventId>,
     next_event_id: EventId,
     processed: u64,
     rng: DetRng,
@@ -24,7 +23,7 @@ impl SimState {
         Self {
             clock: 0.0,
             events: SlabEventQueue::default(),
-            canceled: HashSet::new(),
+            canceled: IntSet::default(),
             next_event_id: 0,
             processed: 0,
             rng: DetRng::new(seed),

@@ -17,9 +17,12 @@
 //!   these so that experiments are reproducible bit-for-bit.
 //! * [`compare`] — numerical comparison helpers (relative error, cosine similarity)
 //!   used throughout the test suites.
+//! * [`hash`] — a folded-multiply hasher for the integer-keyed maps of the
+//!   simulators ([`IntMap`], [`IntSet`]).
 
 pub mod compare;
 pub mod half;
+pub mod hash;
 pub mod matmul;
 pub mod matrix;
 pub mod rng;
@@ -27,5 +30,6 @@ pub mod softmax;
 
 pub use compare::{cosine_similarity, max_abs_diff, mean_abs_error, relative_frobenius_error};
 pub use half::F16;
+pub use hash::{IntHasher, IntMap, IntSet};
 pub use matrix::Matrix;
 pub use rng::DetRng;

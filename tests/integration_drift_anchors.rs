@@ -3,10 +3,12 @@
 //! Four small scenario configurations — the fault storm (flat and link-graph
 //! rows), the MTBF/MTTR availability sweep, the autoscale cost-vs-SLO sweep
 //! and the session prefix-cache grid — are pure functions of their seeds, so
-//! every value below is reproduced bit-for-bit on any host. A mismatch is a
-//! semantic change to the simulator (a different controller decision, fault
-//! window, cache lookup or dispatch), never noise: fix the cause, or update
-//! the value in the same change that explains why it moved.
+//! every value below is reproduced bit-for-bit on any host. The same holds
+//! for the layer anchors further down: the paper default, each opt-in layer
+//! alone on it, and every layer at once. A mismatch is a semantic change to
+//! the simulator (a different controller decision, fault window, cache
+//! lookup or dispatch), never noise: fix the cause, or update the value in
+//! the same change that explains why it moved.
 
 use hack_core::prelude::*;
 
@@ -165,6 +167,11 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>, mut hash: u64) -> u64 {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 fn anchor(simulator: Simulator) -> LayerAnchor {
+    traced(simulator).1
+}
+
+/// Runs `simulator` with the event log on; returns its result and anchor.
+fn traced(simulator: Simulator) -> (SimulationResult, LayerAnchor) {
     use hack_sim::{EngineMode, RecordKind};
     let (result, log) = simulator.run_traced(EngineMode::Slab);
     let delivered = log
@@ -179,7 +186,7 @@ fn anchor(simulator: Simulator) -> LayerAnchor {
         let h = fnv1a(r.payload_type.bytes(), h);
         fnv1a([u8::from(r.kind == RecordKind::Delivered)], h)
     });
-    LayerAnchor {
+    let anchor = LayerAnchor {
         completed: result.records.len(),
         mean_jct: result.average_jct(),
         makespan: result.makespan,
@@ -187,7 +194,8 @@ fn anchor(simulator: Simulator) -> LayerAnchor {
         delivered,
         result_digest: fnv1a(format!("{result:?}").bytes(), FNV_OFFSET),
         log_digest,
-    }
+    };
+    (result, anchor)
 }
 
 /// Requests per layer anchor: more root arrivals than one block of the
@@ -436,4 +444,82 @@ fn scenario_grids_are_pinned() {
     ]
     .map(|(id, digest)| (id.to_string(), digest));
     assert_eq!(got, want);
+}
+
+/// Every opt-in layer in one run, as the `sessions-faults` benchmark runs
+/// them: chat and agentic sessions under the prefix cache and
+/// session-affinity dispatch, two tenants under WRR scheduling,
+/// target-utilization autoscaling over a decode fleet of capacity 8, a
+/// 2-spine link graph with one spine outage and one decode-ToR degradation,
+/// and telemetry. Each layer above is pinned alone; this pins how they
+/// meet, including spine reroutes of live flows and the fabric's cancelled
+/// completions.
+#[test]
+fn all_layers_run_is_pinned() {
+    let mut cfg = paper_default();
+    let max_context = cfg.trace.max_context;
+    let spec = |tenant: u32, kind: SessionKind, seed: u64| SessionSpec {
+        tenant: TenantId(tenant),
+        kind,
+        sessions: LAYER_REQUESTS / 8,
+        rps: 1.0,
+        dataset: Dataset::Arxiv,
+        max_context,
+        seed,
+    };
+    let chat = SessionKind::Chat {
+        turns: 4,
+        think_mean_s: 30.0,
+    };
+    let agentic = SessionKind::Agentic {
+        tools: 3,
+        tool_delay_s: 5.0,
+    };
+    let requests = SessionTrace::new(vec![spec(0, chat, 31), spec(1, agentic, 32)]).generate();
+    cfg.trace.num_requests = requests.len();
+    cfg.policy.tenants = TenantClasses::new(&[
+        TenantClass {
+            weight: 2.0,
+            slo_jct: 120.0,
+        },
+        TenantClass {
+            weight: 1.0,
+            slo_jct: 600.0,
+        },
+    ]);
+    cfg.policy.scheduling = SchedulingPolicyKind::WeightedRoundRobin;
+    cfg.policy.dispatch = DispatchPolicyKind::SessionAffinity;
+    cfg.policy.scaling = ScalingPolicyKind::TargetUtilization {
+        setpoint: 0.7,
+        band: 0.15,
+    };
+    cfg.cluster.set_decode_replicas(8);
+    cfg.cluster.topology = TopologySpec::LinkGraph(LinkGraphSpec::redundant(2));
+    cfg.faults = FaultPlan::new(&[
+        FaultEvent::transient(FaultDomain::Spine(0), 34.25, 94.25),
+        FaultEvent::degraded(FaultDomain::DecodeTor(0), 30.0, 150.0, 0.5),
+    ]);
+    cfg.telemetry = TelemetryConfig::on();
+    cfg.cache = CacheConfig::on();
+    let (result, got) = traced(Simulator::with_requests(cfg, std::sync::Arc::new(requests)));
+    assert_eq!(
+        result.rerouted_flows, 2,
+        "the spine outage reroutes live flows"
+    );
+    assert!(
+        got.emitted > got.delivered,
+        "the fabric cancels completions"
+    );
+    assert_eq!(
+        got,
+        LayerAnchor {
+            completed: 675,
+            mean_jct: 78.77032371513198,
+            makespan: 363.022499169336,
+            emitted: 2888,
+            delivered: 2782,
+            result_digest: 17756975044852337078,
+            log_digest: 13854811821671555058,
+        }
+    );
 }
