@@ -1,14 +1,17 @@
-//! Result tables: the common output format of the per-figure/table harness
-//! binaries, and the one path every scenario sweep takes to its table.
+//! Result tables: the common output format of the paper's figures and of the
+//! scenario sweeps, and the one runner both take to their tables.
 //!
-//! A sweep is a list of [`Cell`]s — row labels with the simulators that
-//! produce them. [`run_cells`] runs them in order, and
-//! [`ExperimentTable::sweep`] reads each row's columns off the results.
+//! A sweep or figure is a list of [`Cell`]s — row labels with the simulators
+//! that produce them. [`run_cells`] runs them on worker threads and returns
+//! the results in cell order; [`ExperimentTable::sweep`] reads each row's
+//! columns off the results. Every cell carries its own trace seed, so no
+//! result depends on which thread ran it.
 
 use hack_cluster::{SimulationResult, Simulator};
 use serde::Serialize;
 use std::fmt::Write as _;
 use std::path::Path;
+use std::sync::Mutex;
 
 /// One labelled row of numeric values.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -49,9 +52,55 @@ pub struct ExperimentTable {
 /// it. The simulator carries the cell's configuration and trace.
 pub type Cell = (String, Simulator);
 
-/// Runs labelled cells in order, one at a time.
+/// Runs labelled cells on one worker thread per available core and yields
+/// their results in cell order. Each cell carries its own seed, so the
+/// results equal a sequential run's.
 pub fn run_cells(cells: Vec<Cell>) -> impl Iterator<Item = (String, SimulationResult)> {
-    cells.into_iter().map(|(label, sim)| (label, sim.run()))
+    par_map(cells, |(label, sim)| (label, sim.run())).into_iter()
+}
+
+/// Applies `f` to every item on `available_parallelism().min(len)` scoped
+/// worker threads and returns the results in input order. Each worker takes
+/// the next unclaimed item until none is left, so a slow item does not hold
+/// up the others; results are merged back by index. Items move into the
+/// workers rather than being shared: a [`Simulator`] is `Send` but not
+/// `Sync`. A panic in `f` resurfaces on the calling thread.
+pub(crate) fn par_map<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let len = items.len();
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let mut slots: Vec<Option<R>> = (0..len).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.min(len))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let next = queue
+                            .lock()
+                            .expect("no worker panics holding the queue")
+                            .next();
+                        let Some((index, item)) = next else {
+                            return done;
+                        };
+                        done.push((index, f(item)));
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            let done = handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (index, result) in done {
+                slots[index] = Some(result);
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|r| r.expect("every item was taken by a worker"))
+        .collect()
 }
 
 /// The JCTs (`finish - arrival`) of every completed request in `results`,
@@ -281,6 +330,33 @@ mod tests {
         assert_eq!(percentile(&n100, 0.99), 99.0);
         assert_eq!(percentile(&n100, 0.999), 100.0);
         assert_eq!(percentile(&n100, 0.5), 50.0);
+    }
+
+    #[test]
+    fn par_map_returns_results_in_input_order() {
+        let items: Vec<u64> = (0..23).collect();
+        let got = par_map(items.clone(), |c| c * 3);
+        let want: Vec<u64> = items.iter().map(|c| c * 3).collect();
+        assert_eq!(got, want);
+        assert!(par_map(Vec::<u64>::new(), |c| c).is_empty());
+    }
+
+    #[test]
+    fn run_cells_matches_sequential_runs() {
+        use crate::hetero_fleet::HeteroFleetExperiment;
+        use crate::method::Method;
+        let fleet = HeteroFleetExperiment {
+            num_requests: 10,
+            ..HeteroFleetExperiment::paper_mixed()
+        };
+        let sequential: Vec<(String, SimulationResult)> = fleet
+            .cells(Method::hack())
+            .into_iter()
+            .map(|(label, sim)| (label, sim.run()))
+            .collect();
+        assert!(sequential.len() > 1, "the sweep has several cells");
+        let sharded: Vec<_> = run_cells(fleet.cells(Method::hack())).collect();
+        assert_eq!(sharded, sequential);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! End-to-end JCT experiments on the cluster simulator.
 //!
 //! One [`JctExperiment`] describes a row of the paper's evaluation matrix (model ×
-//! prefill GPU × dataset × load); [`JctExperiment::run`] evaluates one method on it and
-//! returns the aggregate numbers the figures plot.
+//! prefill GPU × dataset × load); [`JctExperiment::simulation_config`] turns it into
+//! one method's simulator configuration, whose result the figures
+//! ([`crate::figures`]) read their numbers off.
 
 use crate::method::Method;
 use hack_cluster::{ClusterConfig, SimulationConfig, Simulator};
-use hack_metrics::jct::{JctStats, StageRatios};
 use hack_model::gpu::GpuKind;
 use hack_model::spec::ModelKind;
 use hack_workload::dataset::Dataset;
@@ -15,7 +15,7 @@ use serde::Serialize;
 use std::sync::Arc;
 
 /// One experiment configuration (the workload/cluster side; the method is supplied to
-/// [`JctExperiment::run`]).
+/// [`JctExperiment::simulation_config`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct JctExperiment {
     /// Model being served.
@@ -92,7 +92,7 @@ impl JctExperiment {
     ///
     /// With `rps: None` this falls back to the **analytic** capacity estimate
     /// (fast, used by unit tests and as the bisection's starting bracket); the
-    /// figure binaries instead resolve the load by *measurement* — see
+    /// figures instead resolve the load by *measurement* — see
     /// [`JctExperiment::with_measured_load`].
     pub fn effective_rps(&self) -> f64 {
         if let Some(rps) = self.rps {
@@ -238,65 +238,16 @@ impl JctExperiment {
     pub fn simulation_config(&self, method: Method) -> SimulationConfig {
         SimulationConfig::new(self.cluster_config(), self.trace_config(), method.profile())
     }
-
-    /// Runs one method on this experiment.
-    pub fn run(&self, method: Method) -> JctOutcome {
-        let result = Simulator::new(self.simulation_config(method)).run();
-        JctOutcome {
-            method,
-            method_name: method.name(),
-            average_jct: result.average_jct(),
-            stats: result.jct_stats(),
-            ratios: result.average_ratios(),
-            peak_decode_memory_fraction: result.peak_decode_memory_fraction,
-            swapped_requests: result.swapped_requests,
-            requeued_requests: result.requeued_requests,
-            completed_requests: result.records.len(),
-        }
-    }
-
-    /// Runs several methods on the same experiment (same trace, same load).
-    pub fn run_all(&self, methods: &[Method]) -> Vec<JctOutcome> {
-        methods.iter().map(|m| self.run(*m)).collect()
-    }
-}
-
-/// Aggregate outcome of one (experiment, method) pair.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct JctOutcome {
-    /// The evaluated method.
-    pub method: Method,
-    /// Its display name.
-    pub method_name: String,
-    /// Average JCT across requests (seconds) — the paper's headline metric.
-    pub average_jct: f64,
-    /// Full JCT statistics (mean, p50, p95, max, mean stage breakdown).
-    pub stats: JctStats,
-    /// Average per-stage time ratios.
-    pub ratios: StageRatios,
-    /// Peak decode-instance GPU memory usage fraction (Table 5).
-    pub peak_decode_memory_fraction: f64,
-    /// Requests that had to wait for decode memory.
-    pub swapped_requests: usize,
-    /// Request re-queues caused by injected decode-replica failures.
-    pub requeued_requests: usize,
-    /// Requests completed (sanity check: equals the trace length).
-    pub completed_requests: usize,
-}
-
-impl JctOutcome {
-    /// JCT reduction of this method versus another outcome (`1 - self/other`).
-    pub fn jct_reduction_vs(&self, other: &JctOutcome) -> f64 {
-        if other.average_jct <= 0.0 {
-            return 0.0;
-        }
-        1.0 - self.average_jct / other.average_jct
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hack_cluster::SimulationResult;
+
+    fn run(e: &JctExperiment, method: Method) -> SimulationResult {
+        Simulator::new(e.simulation_config(method)).run()
+    }
 
     fn small(dataset: Dataset) -> JctExperiment {
         JctExperiment {
@@ -402,13 +353,15 @@ mod tests {
         assert!(resolved.rps.is_some());
         // The measured operating point must actually be sustainable: the probe
         // at the resolved rate stays below the saturation threshold.
-        let jct = resolved.run(Method::Baseline).average_jct;
-        let unloaded = JctExperiment {
-            rps: Some(resolved.rps.unwrap() * 0.05),
-            ..e
-        }
-        .run(Method::Baseline)
-        .average_jct;
+        let jct = run(&resolved, Method::Baseline).average_jct();
+        let unloaded = run(
+            &JctExperiment {
+                rps: Some(resolved.rps.unwrap() * 0.05),
+                ..e
+            },
+            Method::Baseline,
+        )
+        .average_jct();
         assert!(
             jct <= unloaded * 2.0,
             "resolved load saturates the cluster: {jct} vs unloaded {unloaded}"
@@ -424,31 +377,30 @@ mod tests {
     #[test]
     fn fig9_ordering_holds_on_cocktail() {
         let e = small(Dataset::Cocktail);
-        let outcomes = e.run_all(&Method::main_comparison());
-        assert_eq!(outcomes.len(), 4);
-        for o in &outcomes {
-            assert_eq!(o.completed_requests, 30, "{}", o.method_name);
-        }
-        let base = &outcomes[0];
-        let cachegen = &outcomes[1];
-        let kvquant = &outcomes[2];
-        let hack = &outcomes[3];
-        assert!(hack.average_jct < cachegen.average_jct);
-        assert!(hack.average_jct < kvquant.average_jct);
-        assert!(hack.average_jct < base.average_jct);
-        assert!(
-            hack.jct_reduction_vs(base) > 0.1,
-            "reduction {}",
-            hack.jct_reduction_vs(base)
-        );
+        let methods = Method::main_comparison();
+        let jcts: Vec<f64> = methods
+            .iter()
+            .map(|&m| {
+                let result = run(&e, m);
+                assert_eq!(result.records.len(), 30, "{}", m.name());
+                result.average_jct()
+            })
+            .collect();
+        assert_eq!(jcts.len(), 4);
+        let [base, cachegen, kvquant, hack] = [jcts[0], jcts[1], jcts[2], jcts[3]];
+        assert!(hack < cachegen);
+        assert!(hack < kvquant);
+        assert!(hack < base);
+        let reduction = 1.0 - hack / base;
+        assert!(reduction > 0.1, "reduction {reduction}");
     }
 
     #[test]
     fn table5_memory_ordering_holds() {
         let e = small(Dataset::Cocktail);
-        let base = e.run(Method::Baseline);
-        let kvq = e.run(Method::KvQuant);
-        let hack = e.run(Method::hack());
+        let base = run(&e, Method::Baseline);
+        let kvq = run(&e, Method::KvQuant);
+        let hack = run(&e, Method::hack());
         assert!(base.peak_decode_memory_fraction > kvq.peak_decode_memory_fraction);
         assert!(hack.peak_decode_memory_fraction >= kvq.peak_decode_memory_fraction - 1e-9);
     }
@@ -465,10 +417,10 @@ mod tests {
     #[test]
     fn hack_ablations_are_not_faster_than_hack() {
         let e = small(Dataset::Arxiv);
-        let hack = e.run(Method::hack());
-        let no_se = e.run(Method::HackNoSe);
-        let no_rqe = e.run(Method::HackNoRqe);
-        assert!(no_se.average_jct >= hack.average_jct);
-        assert!(no_rqe.average_jct >= hack.average_jct);
+        let hack = run(&e, Method::hack()).average_jct();
+        let no_se = run(&e, Method::HackNoSe).average_jct();
+        let no_rqe = run(&e, Method::HackNoRqe).average_jct();
+        assert!(no_se >= hack);
+        assert!(no_rqe >= hack);
     }
 }

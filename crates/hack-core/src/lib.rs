@@ -6,13 +6,17 @@
 //!   CacheGen-like, KVQuant-like, FP8/6/4, HACK and its ablations/partition variants),
 //!   with mappings to the cost-model profile, the numerical attention backend and the
 //!   KV cache layout.
-//! * [`jct_runner`] — end-to-end JCT experiments on the cluster simulator: given a
-//!   model, prefill GPU, dataset and method, produce the average JCT, its stage
-//!   decomposition and the peak decode-memory usage (Figs. 1–4, 9–14, Table 5).
+//! * [`jct_runner`] — one row of the paper's evaluation matrix (model, prefill GPU,
+//!   dataset, load) as a simulator configuration per method, with the load set to the
+//!   cluster's measured capacity (Figs. 1–4, 9–14, Table 5).
 //! * [`fidelity`] — numerical-fidelity experiments on the reference transformer and on
 //!   raw attention tensors: the accuracy proxy behind Tables 6–8.
 //! * [`experiment`] — result tables that print like the paper's figures/tables and
-//!   serialise to JSON, and the one path every scenario sweep takes to its table.
+//!   serialise to JSON, and [`run_cells`], the one runner every figure and scenario
+//!   sweep takes to its table: it runs labelled simulator cells on worker threads and
+//!   returns the results in cell order.
+//! * [`figures`] — every figure and table of the paper's evaluation as a function from
+//!   the requests per row to its tables, listed in [`figures::FIGURES`].
 //!
 //! ## Scenario sweeps
 //!
@@ -23,8 +27,8 @@
 //! dispatch) and [`tenant_mix`] (tenant mixes × scheduling policies). Each keeps
 //! only its parameters, its trace shaping and a `cells(method)` list of [`Cell`]s:
 //! a row label with the [`Simulator`](hack_cluster::Simulator) that runs it, its
-//! configuration and trace built in. A sweep's `grid(method)` runs the cells in
-//! order ([`run_cells`]) and reads every column straight off each
+//! configuration and trace built in. A sweep's `grid(method)` runs the cells
+//! ([`run_cells`]) and reads every column straight off each
 //! [`SimulationResult`](hack_cluster::SimulationResult) into an
 //! [`ExperimentTable`] ([`ExperimentTable::sweep`]); callers that want other
 //! sensors run the cells and read the results themselves. Only availability
@@ -49,6 +53,7 @@ pub mod availability;
 pub mod experiment;
 pub mod fault_storm;
 pub mod fidelity;
+pub mod figures;
 pub mod hetero_fleet;
 pub mod jct_runner;
 pub mod method;
@@ -61,7 +66,7 @@ pub use experiment::{run_cells, Cell, ExperimentTable, Row};
 pub use fault_storm::FaultStormExperiment;
 pub use fidelity::{FidelityReport, FidelitySetup};
 pub use hetero_fleet::HeteroFleetExperiment;
-pub use jct_runner::{JctExperiment, JctOutcome};
+pub use jct_runner::JctExperiment;
 pub use method::Method;
 pub use session_cache::{SessionCacheExperiment, SessionMix};
 pub use tenant_mix::{TenantMixExperiment, TenantWorkload};
@@ -74,7 +79,7 @@ pub mod prelude {
     pub use crate::fault_storm::FaultStormExperiment;
     pub use crate::fidelity::{FidelityReport, FidelitySetup};
     pub use crate::hetero_fleet::HeteroFleetExperiment;
-    pub use crate::jct_runner::{JctExperiment, JctOutcome};
+    pub use crate::jct_runner::JctExperiment;
     pub use crate::method::Method;
     pub use crate::session_cache::{SessionCacheExperiment, SessionMix};
     pub use crate::tenant_mix::{TenantMixExperiment, TenantWorkload};

@@ -26,7 +26,12 @@ fn main() {
         experiment.num_requests
     );
 
-    let outcomes = experiment.run_all(&Method::main_comparison());
+    let methods = Method::main_comparison();
+    let cells = methods
+        .iter()
+        .map(|&m| (m.name(), Simulator::new(experiment.simulation_config(m))))
+        .collect();
+    let results: Vec<(String, SimulationResult)> = run_cells(cells).collect();
 
     let mut table = ExperimentTable::new(
         "long_prompt_summarization",
@@ -41,33 +46,34 @@ fn main() {
         ],
         "mixed",
     );
-    for o in &outcomes {
+    for (name, r) in &results {
+        let ratios = r.average_ratios();
         table.push_row(Row::new(
-            o.method_name.clone(),
+            name.clone(),
             vec![
-                o.average_jct,
-                100.0 * o.ratios.prefill,
-                100.0 * o.ratios.communication,
-                100.0 * o.ratios.dequant_or_approx,
-                100.0 * o.ratios.decode,
-                100.0 * o.peak_decode_memory_fraction,
+                r.average_jct(),
+                100.0 * ratios.prefill,
+                100.0 * ratios.communication,
+                100.0 * ratios.dequant_or_approx,
+                100.0 * ratios.decode,
+                100.0 * r.peak_decode_memory_fraction,
             ],
         ));
     }
     println!("{}", table.render());
 
-    let baseline = &outcomes[0];
-    for o in &outcomes[1..] {
+    let reduction = |r: &SimulationResult, other: &SimulationResult| {
+        100.0 * (1.0 - r.average_jct() / other.average_jct())
+    };
+    let baseline = &results[0].1;
+    for (name, r) in &results[1..] {
         println!(
-            "{:<10} reduces average JCT by {:.1}% vs the baseline",
-            o.method_name,
-            100.0 * o.jct_reduction_vs(baseline)
+            "{name:<10} reduces average JCT by {:.1}% vs the baseline",
+            reduction(r, baseline)
         );
     }
-    let hack = outcomes.last().unwrap();
-    let kvquant = &outcomes[2];
     println!(
         "HACK       reduces average JCT by {:.1}% vs KVQuant (paper reports up to 52.3%)",
-        100.0 * hack.jct_reduction_vs(kvquant)
+        reduction(&results[3].1, &results[2].1)
     );
 }

@@ -10,21 +10,25 @@ fn experiment(dataset: Dataset, n: usize) -> JctExperiment {
     }
 }
 
+fn run(e: &JctExperiment, method: Method) -> SimulationResult {
+    Simulator::new(e.simulation_config(method)).run()
+}
+
 #[test]
 fn fig9_shape_hack_wins_on_every_dataset() {
     for dataset in [Dataset::Imdb, Dataset::Cocktail] {
-        let outcomes = experiment(dataset, 30).run_all(&Method::main_comparison());
-        let baseline = &outcomes[0];
-        let hack = &outcomes[3];
+        let e = experiment(dataset, 30);
+        let methods = Method::main_comparison();
+        let results: Vec<SimulationResult> = methods.iter().map(|&m| run(&e, m)).collect();
+        let baseline = results[0].average_jct();
+        let hack = results[3].average_jct();
         assert!(
-            hack.average_jct < baseline.average_jct,
-            "{}: HACK {} vs baseline {}",
-            dataset.name(),
-            hack.average_jct,
-            baseline.average_jct
+            hack < baseline,
+            "{}: HACK {hack} vs baseline {baseline}",
+            dataset.name()
         );
-        for o in &outcomes {
-            assert_eq!(o.completed_requests, 30, "{}", o.method_name);
+        for (method, result) in methods.iter().zip(&results) {
+            assert_eq!(result.records.len(), 30, "{}", method.name());
         }
     }
 }
@@ -35,9 +39,9 @@ fn long_datasets_benefit_more_than_short_ones() {
     // Cocktail than for IMDb and HumanEval.
     let gain = |dataset: Dataset| {
         let e = experiment(dataset, 30);
-        let base = e.run(Method::Baseline);
-        let hack = e.run(Method::hack());
-        hack.jct_reduction_vs(&base)
+        let base = run(&e, Method::Baseline).average_jct();
+        let hack = run(&e, Method::hack()).average_jct();
+        1.0 - hack / base
     };
     let short = gain(Dataset::Imdb);
     let long = gain(Dataset::Cocktail);
@@ -56,7 +60,7 @@ fn fig12_baseline_comm_ratio_tracks_bandwidth() {
             num_requests: 30,
             ..JctExperiment::new(ModelKind::Llama31_70B, gpu, Dataset::Cocktail)
         };
-        e.run(Method::Baseline).ratios.communication
+        run(&e, Method::Baseline).average_ratios().communication
     };
     let a100 = ratio(GpuKind::A100);
     let v100 = ratio(GpuKind::V100);
@@ -70,13 +74,13 @@ fn table5_memory_shape() {
     // Table 5: quantized methods cut peak decode memory; HACK sits at or slightly above
     // CacheGen/KVQuant (sums + FP16 tail) but below the baseline. The simulated
     // residency is lower than the paper's (its decode instances run much closer to
-    // memory saturation), so only the ordering is asserted here; the table5 harness
+    // memory saturation), so only the ordering is asserted here; the table5 figure
     // additionally reports the analytic at-capacity breakdown, which reproduces the
     // paper's magnitudes.
     let e = experiment(Dataset::Cocktail, 40);
-    let base = e.run(Method::Baseline);
-    let cachegen = e.run(Method::CacheGen);
-    let hack = e.run(Method::hack());
+    let base = run(&e, Method::Baseline);
+    let cachegen = run(&e, Method::CacheGen);
+    let hack = run(&e, Method::hack());
     assert!(base.peak_decode_memory_fraction > cachegen.peak_decode_memory_fraction);
     assert!(hack.peak_decode_memory_fraction >= cachegen.peak_decode_memory_fraction - 1e-9);
     assert!(hack.peak_decode_memory_fraction <= base.peak_decode_memory_fraction);
@@ -87,34 +91,31 @@ fn fig13_ablations_cost_time() {
     // Fig. 13: HACK/SE is slower than HACK, especially on long sequences; HACK/RQE is
     // never faster than HACK.
     let e = experiment(Dataset::Cocktail, 30);
-    let hack = e.run(Method::hack());
-    let no_se = e.run(Method::HackNoSe);
-    let no_rqe = e.run(Method::HackNoRqe);
-    assert!(
-        no_se.average_jct > hack.average_jct,
-        "SE removal must cost time"
-    );
-    assert!(no_rqe.average_jct >= hack.average_jct);
+    let hack = run(&e, Method::hack()).average_jct();
+    let no_se = run(&e, Method::HackNoSe).average_jct();
+    let no_rqe = run(&e, Method::HackNoRqe).average_jct();
+    assert!(no_se > hack, "SE removal must cost time");
+    assert!(no_rqe >= hack);
 }
 
 #[test]
 fn fig14_scalability_completes_and_keeps_the_method_ordering() {
     // Fig. 14: at every prefill:decode ratio p the compressed methods stay below the
-    // baseline. (The paper's 127% baseline JCT growth comes from running its real
-    // decode side at saturation, which the calibrated service-time model does not reach
-    // at RPS = 0.02·p; the harness binary prints the simulated series and
-    // EXPERIMENTS.md records the deviation.)
+    // baseline. This deviates from the paper: its 127% baseline JCT growth from p=1 to
+    // p=8 comes from running its real decode side at saturation, while at
+    // RPS = 0.02·p the simulated decode side stays below saturation, so the simulated
+    // growth is smaller (the fig14 figure prints this note with its series).
     for p in [1usize, 4] {
         let e = JctExperiment::scalability(p);
-        let base = e.run(Method::Baseline);
-        let hack = e.run(Method::hack());
-        assert_eq!(base.completed_requests, e.num_requests);
-        assert_eq!(hack.completed_requests, e.num_requests);
+        let base = run(&e, Method::Baseline);
+        let hack = run(&e, Method::hack());
+        assert_eq!(base.records.len(), e.num_requests);
+        assert_eq!(hack.records.len(), e.num_requests);
         assert!(
-            hack.average_jct < base.average_jct,
+            hack.average_jct() < base.average_jct(),
             "p={p}: HACK {} vs baseline {}",
-            hack.average_jct,
-            base.average_jct
+            hack.average_jct(),
+            base.average_jct()
         );
     }
 }
@@ -124,18 +125,24 @@ fn pipelining_only_helps_communication() {
     let plain = experiment(Dataset::Cocktail, 30);
     let mut piped = plain;
     piped.pipelining = true;
-    let a = plain.run(Method::Baseline);
-    let b = piped.run(Method::Baseline);
-    assert!(b.ratios.communication <= a.ratios.communication + 1e-9);
+    let a = run(&plain, Method::Baseline);
+    let b = run(&piped, Method::Baseline);
+    assert!(b.average_ratios().communication <= a.average_ratios().communication + 1e-9);
     // Prefill and decode service times are untouched by pipelining.
-    assert!((a.stats.mean_breakdown.prefill - b.stats.mean_breakdown.prefill).abs() < 1e-6);
+    let prefill = |r: &SimulationResult| r.jct_stats().mean_breakdown.prefill;
+    assert!((prefill(&a) - prefill(&b)).abs() < 1e-6);
 }
 
 #[test]
 fn outcomes_serialize_to_json() {
+    // A figure's table, read off the result, serialises with its columns and labels.
     let e = experiment(Dataset::HumanEval, 10);
-    let outcome = e.run(Method::hack());
-    let json = serde_json::to_string(&outcome).expect("serializable outcome");
+    let method = Method::hack();
+    let runs = [(method.name(), run(&e, method))];
+    let table = ExperimentTable::sweep("outcome", "outcome".into(), ["average_jct"], runs, |r| {
+        vec![r.average_jct()]
+    });
+    let json = table.to_json();
     assert!(json.contains("average_jct"));
     assert!(json.contains("HACK"));
 }

@@ -1,15 +1,18 @@
-//! Integration: exact drift anchors for the deterministic scenario grids.
+//! Integration: exact drift anchors for the deterministic scenario grids and
+//! the paper's figures.
 //!
 //! Four small scenario configurations — the fault storm (flat and link-graph
 //! rows), the MTBF/MTTR availability sweep, the autoscale cost-vs-SLO sweep
 //! and the session prefix-cache grid — are pure functions of their seeds, so
 //! every value below is reproduced bit-for-bit on any host. The same holds
-//! for the layer anchors further down: the paper default, each opt-in layer
-//! alone on it, and every layer at once. A mismatch is a semantic change to
+//! for the layer anchors further down (the paper default, each opt-in layer
+//! alone on it, and every layer at once) and for every figure and table of
+//! the paper at 20 requests per row. A mismatch is a semantic change to
 //! the simulator (a different controller decision, fault window, cache
 //! lookup or dispatch), never noise: fix the cause, or update the value in
 //! the same change that explains why it moved.
 
+use hack_core::figures::FigureFn;
 use hack_core::prelude::*;
 
 /// The fault storm at 25 requests: the flat/no-fault row's average JCT.
@@ -444,6 +447,77 @@ fn scenario_grids_are_pinned() {
     ]
     .map(|(id, digest)| (id.to_string(), digest));
     assert_eq!(got, want);
+}
+
+/// The digest of every table the `figures` compute at `n` requests per row.
+fn figure_digests(figures: &[FigureFn], n: usize) -> Vec<(String, u64)> {
+    figures
+        .iter()
+        .flat_map(|figure| figure(n))
+        .map(|t| (t.id.clone(), grid_digest(&t)))
+        .collect()
+}
+
+/// The twelve simulated figures and tables at 20 requests per row: the
+/// digest of each table's columns, row labels and values, so any change to
+/// what a figure runs, measures or reads shows. The values were recorded
+/// from the per-figure harness binaries these functions replaced.
+#[test]
+fn simulated_figures_are_pinned() {
+    use hack_core::figures::*;
+    let figures: [FigureFn; 12] = [
+        fig1, fig2, fig3, fig4, fp_lowprec, fig9, fig10, fig11, fig12, fig13, fig14, table5,
+    ];
+    let want = [
+        ("fig1a", 15075372796607091892),
+        ("fig1b", 14136449371079939871),
+        ("fig1c", 3231966088883255230),
+        ("fig1d", 3726469639540041248),
+        ("fig2_cachegen", 3318916530076197695),
+        ("fig2_kvquant", 2502769551686031509),
+        ("fig3_cachegen", 6208773922894824394),
+        ("fig3_kvquant", 6669977778775771752),
+        ("fig4_cachegen", 12440661859562056965),
+        ("fig4_kvquant", 15446849288443126339),
+        ("fp_lowprec_comm", 16889516757133475116),
+        ("fp_lowprec_memory", 16984037598859735672),
+        ("fig9", 18054058731760975981),
+        ("fig9_reductions", 7206090336410732572),
+        ("fig10_imdb", 1130099149313882018),
+        ("fig10_arxiv", 15538768463981054038),
+        ("fig10_cocktail", 14289982048843100597),
+        ("fig10_humaneval", 1311931305093146950),
+        ("fig11", 10921270718502875542),
+        ("fig12", 12918805495937682247),
+        ("fig12_reductions", 12663242191895669777),
+        ("fig13", 16332528642773705372),
+        ("fig13_overhead", 9027986802916804585),
+        ("fig14", 767470619205946403),
+        ("table5_simulated", 544513757287194851),
+        ("table5", 8041711320704596717),
+        ("table5_overheads", 8672348100678491833),
+    ]
+    .map(|(id, digest)| (id.to_string(), digest));
+    assert_eq!(figure_digests(&figures, 20), want);
+}
+
+/// Tables 6–8, which measure numerical fidelity on the kernels and the
+/// reference transformer (Table 8 also simulates, at 20 requests per row).
+/// Pinned like the simulated figures. Unoptimised, the fidelity trials take
+/// minutes, so this runs in release builds only (CI's drift-anchor step).
+#[test]
+#[cfg_attr(debug_assertions, ignore = "minutes unoptimised; run with --release")]
+fn fidelity_tables_are_pinned() {
+    use hack_core::figures::*;
+    let want = [
+        ("table6_fidelity", 13307526244042401230),
+        ("table6", 3352549912321912483),
+        ("table7", 6548317413104160458),
+        ("table8_accuracy", 15364608614734603657),
+        ("table8_jct", 3437785127022810126),
+    ]
+    .map(|(id, digest)| (id.to_string(), digest));
+    assert_eq!(figure_digests(&[table6, table7, table8], 20), want);
 }
 
 /// Every opt-in layer in one run, as the `sessions-faults` benchmark runs
