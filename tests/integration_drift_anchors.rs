@@ -275,12 +275,16 @@ fn tenants_under_wrr_are_pinned() {
 }
 
 /// Telemetry on: the sampler's perpetual tick rides beside the arrivals.
+/// Pins what the telemetry records too ([`telemetry_digest`]).
 #[test]
 fn telemetry_run_is_pinned() {
-    let mut cfg = paper_default();
-    cfg.telemetry = TelemetryConfig::on();
+    let sim = telemetry_run();
     assert_eq!(
-        anchor(Simulator::new(cfg)),
+        telemetry_digest(&telemetry_of(&sim).1),
+        TELEMETRY_RUN_DIGEST
+    );
+    assert_eq!(
+        anchor(sim),
         LayerAnchor {
             completed: 600,
             mean_jct: 0.513407604751307,
@@ -291,6 +295,12 @@ fn telemetry_run_is_pinned() {
             log_digest: 12579500285893547490,
         }
     );
+}
+
+fn telemetry_run() -> Simulator {
+    let mut cfg = paper_default();
+    cfg.telemetry = TelemetryConfig::on();
+    Simulator::new(cfg)
 }
 
 #[test]
@@ -525,11 +535,8 @@ fn fidelity_tables_are_pinned() {
 /// session-affinity dispatch, two tenants under WRR scheduling,
 /// target-utilization autoscaling over a decode fleet of capacity 8, a
 /// 2-spine link graph with one spine outage and one decode-ToR degradation,
-/// and telemetry. Each layer above is pinned alone; this pins how they
-/// meet, including spine reroutes of live flows and the fabric's cancelled
-/// completions.
-#[test]
-fn all_layers_run_is_pinned() {
+/// and telemetry.
+fn all_layers_run() -> Simulator {
     let mut cfg = paper_default();
     let max_context = cfg.trace.max_context;
     let spec = |tenant: u32, kind: SessionKind, seed: u64| SessionSpec {
@@ -575,7 +582,17 @@ fn all_layers_run_is_pinned() {
     ]);
     cfg.telemetry = TelemetryConfig::on();
     cfg.cache = CacheConfig::on();
-    let (result, got) = traced(Simulator::with_requests(cfg, std::sync::Arc::new(requests)));
+    Simulator::with_requests(cfg, std::sync::Arc::new(requests))
+}
+
+/// Each layer above is pinned alone; this pins how they meet, including
+/// spine reroutes of live flows and the fabric's cancelled completions, and
+/// what the telemetry records of it.
+#[test]
+fn all_layers_run_is_pinned() {
+    let sim = all_layers_run();
+    assert_eq!(telemetry_digest(&telemetry_of(&sim).1), ALL_LAYERS_DIGEST);
+    let (result, got) = traced(sim);
     assert_eq!(
         result.rerouted_flows, 2,
         "the spine outage reroutes live flows"
@@ -596,4 +613,210 @@ fn all_layers_run_is_pinned() {
             log_digest: 13854811821671555058,
         }
     );
+}
+
+/// Every counter the cluster records into its telemetry.
+const COUNTERS: [&str; 14] = [
+    "completed",
+    "rejected",
+    "abandoned",
+    "requeued",
+    "aborted_decodes",
+    "transfer_aborts",
+    "transfer_retries",
+    "flow_reroutes",
+    "prefix_hit",
+    "prefix_miss",
+    "prefix_evicted",
+    "scale_ups",
+    "scale_downs",
+    "sampler_ticks",
+];
+
+/// FNV-1a digest of what a run's telemetry records: its Chrome trace (every
+/// track, span, instant and sample), its time-series CSV, every counter and
+/// the JCT histogram.
+fn telemetry_digest(tel: &Telemetry) -> u64 {
+    let h = fnv1a(tel.chrome_trace_json().bytes(), FNV_OFFSET);
+    let h = fnv1a(tel.timeseries_csv().bytes(), h);
+    let h = COUNTERS
+        .iter()
+        .fold(h, |h, name| fnv1a(tel.counter(name).to_le_bytes(), h));
+    fnv1a(format!("{:?}", tel.histogram("jct_seconds")).bytes(), h)
+}
+
+/// Runs `sim` with its telemetry.
+fn telemetry_of(sim: &Simulator) -> (SimulationResult, Telemetry) {
+    let (result, telemetry) = sim.run_with_telemetry();
+    (result, telemetry.expect("the run has telemetry on"))
+}
+
+const TELEMETRY_RUN_DIGEST: u64 = 11162595295420381293;
+const ALL_LAYERS_DIGEST: u64 = 6022444549610246856;
+
+/// The request paths of the flat fabric: pipelined transfers under
+/// token-bucket admission (which rejects), decode memory tight enough that
+/// requests wait for it, and one decode-replica and one prefill-replica
+/// failure (aborted decodes, re-admissions, and transfers that land on the
+/// failed replica and re-queue).
+fn flat_fault_run() -> Simulator {
+    let mut cfg = paper_default();
+    cfg.cluster.pipelining = true;
+    cfg.cluster.activation_reserve = 0.7;
+    cfg.policy.admission = AdmissionPolicyKind::TokenBucket {
+        rate_per_weight: 20.0,
+        burst: 4.0,
+    };
+    cfg.faults = FaultPlan::new(&[
+        FaultEvent::transient(FaultDomain::DecodeReplica(0), 6.0, 12.0),
+        FaultEvent::transient(FaultDomain::PrefillReplica(0), 8.0, 14.0),
+    ]);
+    cfg.telemetry = TelemetryConfig::on();
+    Simulator::new(cfg)
+}
+
+/// The request paths of the link graph: an Arxiv burst whose flows a
+/// prefill-ToR cut aborts in flight, under a retry policy of one transfer
+/// attempt and no re-admission, so a retry finds the path still dead and
+/// its request is abandoned. With `pipelining`, flows race their prefills
+/// and land early instead.
+fn link_graph_fault_run(pipelining: bool) -> Simulator {
+    let mut cfg = paper_default();
+    cfg.trace = TraceConfig {
+        dataset: Dataset::Arxiv,
+        rps: 8.0,
+        num_requests: 60,
+        seed: 11,
+        ..cfg.trace
+    };
+    cfg.cluster.pipelining = pipelining;
+    cfg.cluster.topology = TopologySpec::LinkGraph(LinkGraphSpec::paper_default());
+    cfg.policy.retry = RetryPolicy {
+        max_transfer_attempts: 1,
+        max_readmissions: 0,
+        ..RetryPolicy::default()
+    };
+    cfg.faults = FaultPlan::new(&[FaultEvent::transient(
+        FaultDomain::PrefillTor(0),
+        3.75,
+        8.75,
+    )]);
+    cfg.telemetry = TelemetryConfig::on();
+    Simulator::new(cfg)
+}
+
+#[test]
+fn flat_fault_telemetry_is_pinned() {
+    let (result, tel) = telemetry_of(&flat_fault_run());
+    let got = (
+        result.records.len(),
+        result.rejected_requests,
+        result.requeued_requests,
+        result.swapped_requests,
+        telemetry_digest(&tel),
+    );
+    assert_eq!(got, (457, 143, 6, 101, 3032868284818327737));
+}
+
+#[test]
+fn link_graph_fault_telemetry_is_pinned() {
+    let got = [false, true].map(|pipelining| {
+        let (result, tel) = telemetry_of(&link_graph_fault_run(pipelining));
+        (
+            result.records.len(),
+            result.abandoned_requests,
+            result.transfer_retries,
+            telemetry_digest(&tel),
+        )
+    });
+    assert_eq!(
+        got,
+        [
+            (59, 1, 1, 14599797976435729427),
+            (60, 0, 1, 5998751636471316802)
+        ]
+    );
+}
+
+/// The flat and link-graph fault runs together draw every request span and
+/// instant the cluster records, so their pins cover every path a request's
+/// timeline is drawn from.
+#[test]
+fn fault_runs_emit_every_request_span_and_instant() {
+    let mut names: Vec<&str> = Vec::new();
+    for sim in [flat_fault_run(), link_graph_fault_run(false)] {
+        let (_, tel) = telemetry_of(&sim);
+        names.extend(tel.spans().iter().map(|s| s.name));
+        names.extend(tel.instants().iter().map(|i| i.name));
+    }
+    let spans = [
+        "queue_wait",
+        "prefill_exec",
+        "quantize",
+        "nic_wait",
+        "kv_transfer",
+        "kv_flow",
+        "kv_flow_aborted",
+        "memory_wait",
+        "decode_exec",
+        "decode_aborted",
+    ];
+    let instants = [
+        "arrived",
+        "rejected",
+        "transfer_retry",
+        "requeued",
+        "abandoned",
+        "completed",
+    ];
+    for name in spans.iter().chain(&instants) {
+        let count = names.iter().filter(|n| *n == name).count();
+        assert!(count > 0, "no `{name}` in the fault runs");
+    }
+}
+
+/// Every telemetry counter that a result also counts agrees with it, on
+/// each telemetry run pinned above. An aborted decode re-queues its request
+/// without a `requeued` instant, so the result's re-queues are the two
+/// counters' sum.
+#[test]
+fn telemetry_counters_equal_the_result_counters() {
+    let runs = [
+        telemetry_run(),
+        all_layers_run(),
+        flat_fault_run(),
+        link_graph_fault_run(false),
+        link_graph_fault_run(true),
+    ];
+    for sim in runs {
+        let (r, tel) = telemetry_of(&sim);
+        let counter = |name| tel.counter(name) as usize;
+        let got = [
+            counter("completed"),
+            counter("rejected"),
+            counter("abandoned"),
+            counter("requeued") + counter("aborted_decodes"),
+            counter("transfer_retries"),
+            counter("flow_reroutes"),
+            counter("prefix_hit"),
+            counter("prefix_miss"),
+            counter("prefix_evicted"),
+            counter("scale_ups"),
+            counter("scale_downs"),
+        ];
+        let want = [
+            r.records.len(),
+            r.rejected_requests,
+            r.abandoned_requests,
+            r.requeued_requests,
+            r.transfer_retries,
+            r.rerouted_flows,
+            r.prefix_hits,
+            r.prefix_misses,
+            r.prefix_evictions,
+            r.scale_ups,
+            r.scale_downs,
+        ];
+        assert_eq!(got, want, "telemetry counters vs the result's");
+    }
 }
