@@ -64,11 +64,7 @@ fn land(cs: &mut ClusterState, d: usize, req: usize, now: f64) {
 impl DecodeReplica {
     fn on_transfer_completed(&self, req: usize, now: f64) {
         let d = self.index;
-        let mut cs = self.cluster.borrow_mut();
-        if let Some(tel) = &mut cs.tel {
-            tel.transfer_landed();
-        }
-        land(&mut cs, d, req, now);
+        land(&mut self.cluster.borrow_mut(), d, req, now);
     }
 
     /// A fair-shared flow delivered its last byte (link-graph fabric only).
@@ -76,7 +72,7 @@ impl DecodeReplica {
         let d = self.index;
         let mut cs = self.cluster.borrow_mut();
         let cs = &mut *cs;
-        let flow = cs.fabric.finish_flow(req, now);
+        cs.fabric.finish_flow(req, now);
 
         // Exposed communication: from the charging epoch's start (reservation,
         // or prefill completion for pipelined flows) to the landing — backoff
@@ -84,17 +80,11 @@ impl DecodeReplica {
         let ReqPhase::Transferring { since, .. } = cs.lifecycle[req].phase else {
             // Pipelined flow landing while its prefill still runs: record the
             // landing; `PrefillFinished` admits it with zero exposed
-            // communication (the in-flight gauge drops on that delivery).
+            // communication.
             cs.advance_transfer(req, now, |t| t.wire = Wire::LandsAt(now));
             return;
         };
         cs.charges[req].comm_time += now - since;
-        if let Some(tel) = &mut cs.tel {
-            if let Some(f) = &flow {
-                tel.flow_finished(f.src, req, f.started, now);
-            }
-            tel.transfer_landed();
-        }
         land(cs, d, req, now);
     }
 
@@ -107,16 +97,9 @@ impl DecodeReplica {
         cs.decode[d].resident_tokens = cs.decode[d]
             .resident_tokens
             .saturating_sub(cs.requests[req].total_tokens());
-        let ReqPhase::Decoding { started, .. } = cs.lifecycle[req].phase else {
-            unreachable!("request {req} finished decoding outside its decode phase");
-        };
         cs.charges[req].finish_time = now;
         cs.advance(req, ReqPhase::Done, now);
         cs.completed += 1;
-        let jct = now - cs.requests[req].arrival;
-        if let Some(tel) = &mut cs.tel {
-            tel.decode_finished(d, req, started, now, jct);
-        }
 
         // Session bookkeeping: the finished request's full context becomes
         // (or refreshes) its session's cached prefix on this replica.

@@ -70,18 +70,13 @@ impl Frontend {
             cs.rejected += 1;
             cs.advance(req, ReqPhase::Rejected, now);
             cs.rejected_per_tenant[cs.requests[req].tenant.index()] += 1;
-            if let Some(tel) = &mut cs.tel {
-                tel.request_rejected(req, now);
-            }
             // Rejection is terminal: children gated on this request are
             // released rather than orphaned.
             cs.release_children(req, now);
             return;
         }
-        let tenant = cs.requests[req].tenant.index();
         if let Some(tel) = &mut cs.tel {
-            tel.request_arrived(req, now);
-            tel.tenant_enqueued(tenant);
+            tel.request_arrived(req, cs.requests[req].tenant.index(), now);
         }
         dispatch_to_prefill(cs, req, now);
     }
@@ -98,20 +93,17 @@ impl Frontend {
         cs.injected_failures += 1;
         let event = *cs.config.faults.get(fault);
         let links = cs.fabric.links_for_domain(event.domain);
+        if let Some(tel) = &mut cs.tel {
+            tel.fabric_fault(fault, event.degrade.is_some(), now);
+        }
         if let Some(factor) = event.degrade {
             cs.fabric.set_degrade(&links, factor, now);
-            if let Some(tel) = &mut cs.tel {
-                tel.link_degraded(fault, now);
-            }
             return;
         }
         cs.fabric.set_links(&links, false);
-        if let Some(tel) = &mut cs.tel {
-            tel.fabric_fault(fault, now);
-        }
         let (aborted, rerouted) = cs.fabric.abort_dead_flows(now);
-        for (req, src) in rerouted {
-            if let Some(tel) = &mut cs.tel {
+        if let Some(tel) = &mut cs.tel {
+            for (req, src) in rerouted {
                 tel.flow_rerouted(src, req, now);
             }
         }
@@ -119,9 +111,6 @@ impl Frontend {
             cs.fault_tallies[fault].requests_aborted += 1;
             let remaining = flow.remaining;
             cs.advance_transfer(req, now, |t| t.wire = Wire::Backoff { remaining });
-            if let Some(tel) = &mut cs.tel {
-                tel.transfer_aborted(flow.src, req, flow.started, now);
-            }
             cs.schedule_retry(req, now);
         }
     }
@@ -131,16 +120,13 @@ impl Frontend {
         let cs = &mut *cs;
         let event = *cs.config.faults.get(fault);
         let links = cs.fabric.links_for_domain(event.domain);
+        if let Some(tel) = &mut cs.tel {
+            tel.fabric_recovered(fault, event.degrade.is_some(), now);
+        }
         if event.degrade.is_some() {
             cs.fabric.set_degrade(&links, 1.0, now);
-            if let Some(tel) = &mut cs.tel {
-                tel.link_restored(fault, now);
-            }
-            return;
-        }
-        cs.fabric.set_links(&links, true);
-        if let Some(tel) = &mut cs.tel {
-            tel.fabric_recovered(fault, now);
+        } else {
+            cs.fabric.set_links(&links, true);
         }
     }
 
@@ -186,10 +172,7 @@ impl Frontend {
                 now,
             );
             debug_assert!(started, "path checked alive");
-            cs.advance_transfer(req, now, |t| t.wire = Wire::Flow);
-            if let Some(tel) = &mut cs.tel {
-                tel.flow_started(replica);
-            }
+            cs.advance_transfer(req, now, |t| t.wire = Wire::Flow { started: now });
         } else {
             cs.schedule_retry(req, now);
         }

@@ -24,10 +24,9 @@
 //! seconds charged to each stage — and [`Lifecycle`] (80 B), the in-flight
 //! bookkeeping the handlers need until the request is resolved. Its
 //! [`ReqPhase`] says where the request is in the pipeline and changes only
-//! through [`ClusterState::advance`]. The result assembly reads the lifecycle
-//! table first and frees it before it allocates the records. A
-//! memory-waiting request's wait start rides in its `waiting_for_memory`
-//! entry.
+//! through [`ClusterState::advance`], which is also where the request's
+//! telemetry timeline is drawn. The result assembly reads the lifecycle
+//! table first and frees it before it allocates the records.
 //!
 //! Each [`DecodeReplicaState`] indexes the requests that hold memory on it:
 //! its KV reservations, taken by [`ClusterState::reserve`] and returned by
@@ -157,6 +156,16 @@ impl PrefillQueue {
             PrefillQueue::Fifo(fifo) => fifo.len(),
             PrefillQueue::ByTenant(queues) => queues.len,
         }
+    }
+
+    /// Every queued request, in no particular order.
+    #[cfg(debug_assertions)]
+    pub fn members(&self) -> impl Iterator<Item = usize> + '_ {
+        let queues: &[VecDeque<usize>] = match self {
+            PrefillQueue::Fifo(fifo) => std::slice::from_ref(fifo),
+            PrefillQueue::ByTenant(queues) => &queues.queues[..],
+        };
+        queues.iter().flatten().copied()
     }
 
     /// Whether nothing is queued.
@@ -385,8 +394,9 @@ pub(crate) enum ReqPhase {
     /// Prefill done; the KV transfer toward `decode_replica` is exposed
     /// communication since `since`.
     Transferring { since: f64, transfer: Transfer },
-    /// Spilled to prefill CPU memory and queued in `waiting_for_memory`.
-    WaitingForMemory,
+    /// Spilled to prefill CPU memory and queued in `waiting_for_memory`
+    /// since `since`.
+    WaitingForMemory { since: f64 },
     /// In `decode_replica`'s continuous batch since `started`; `event` is
     /// its pending `DecodeFinished` (cancelled if the replica fails).
     Decoding { event: EventId, started: f64 },
@@ -415,8 +425,9 @@ pub(crate) enum Wire {
     /// `TransferCompleted` is delivered then, or a pipelined link-graph flow
     /// that landed before its prefill finished.
     LandsAt(f64),
-    /// A link-graph flow in flight (its `FlowCompleted` is the fabric's).
-    Flow,
+    /// A link-graph flow in flight since `started` (its `FlowCompleted` is
+    /// the fabric's).
+    Flow { started: f64 },
     /// A link-graph flow that was cut or could not start: `remaining`
     /// Gbps-seconds still to move when its pending `TransferRetry` fires.
     Backoff { remaining: f64 },
@@ -441,7 +452,7 @@ impl ReqPhase {
     /// transfer, or the memory wait.
     fn dispatched(&self) -> bool {
         match self {
-            ReqPhase::WaitingForMemory => true,
+            ReqPhase::WaitingForMemory { .. } => true,
             ReqPhase::Transferring { transfer, .. } => transfer.reserved,
             _ => false,
         }
@@ -461,7 +472,7 @@ impl ReqPhase {
             // Dispatched after the prefill, after its decode replica failed,
             // or from the memory wait.
             (Prefilling(None) | Decoding { .. }, _) => to.dispatched(),
-            (WaitingForMemory, Transferring { transfer, .. }) => transfer.reserved,
+            (WaitingForMemory { .. }, Transferring { transfer, .. }) => transfer.reserved,
             // The wire moves on or loses its target; the transfer lands,
             // re-dispatches or gives up. (This also covers a request that
             // re-dispatched under its prefill and is still in service.)
@@ -512,6 +523,17 @@ pub(crate) struct Lifecycle {
     pub readmissions: u32,
     /// Waited for decode memory at least once.
     pub swapped: bool,
+}
+
+impl Lifecycle {
+    /// The prompt tokens `request`'s prefill/transfer actually covers: the
+    /// full prompt, or only the suffix past the cached prefix on a hit.
+    pub fn effective_prompt(&self, request: &Request) -> usize {
+        match self.prefix {
+            Some(hit) => request.input_len - hit.tokens(),
+            None => request.input_len,
+        }
+    }
 }
 
 /// Relative tolerance of the debug-build check that a decode replica's
@@ -584,9 +606,9 @@ pub(crate) struct ClusterState {
     /// Per-request in-flight bookkeeping (index = request); emptied before
     /// the result's records are built.
     pub lifecycle: Vec<Lifecycle>,
-    /// Requests waiting for decode memory, FIFO, each with the time it
-    /// started waiting.
-    pub waiting_for_memory: VecDeque<(usize, f64)>,
+    /// Requests waiting for decode memory, FIFO (each in
+    /// [`ReqPhase::WaitingForMemory`]).
+    pub waiting_for_memory: VecDeque<usize>,
     /// Requests that could not route to any live prefill replica (whole
     /// prefill fleet down); drained on prefill recovery.
     pub waiting_for_prefill: VecDeque<usize>,
@@ -651,14 +673,13 @@ impl ClusterState {
     /// make and check the reservation from the request's side (see
     /// [`check_advance`]); [`Self::reserve`] and [`Self::release`] update
     /// the index before the caller advances.
-    #[cfg_attr(not(test), allow(unused_variables))]
     pub fn advance(&mut self, req: usize, to: ReqPhase, now: f64) {
+        let from = self.lifecycle[req].phase;
         if cfg!(debug_assertions) {
             let reserved = &self.decode[self.charges[req].decode_replica as usize].reserved_reqs;
             check_advance(req, &self.lifecycle[req], &to, reserved);
         }
-        #[cfg(test)]
-        phase_log::record(req, to, now);
+        self.observe_phase(req, from, to, now);
         self.lifecycle[req].phase = to;
     }
 
@@ -690,9 +711,6 @@ impl ClusterState {
         self.requeued += 1;
         self.fabric
             .deliver(RequestArrived { req }, self.frontend_id, now);
-        if let Some(tel) = &mut self.tel {
-            tel.requeued(self.charges[req].decode_replica as usize, req, now);
-        }
     }
 
     /// The KV bytes of `tokens` tokens under the run's method. They depend
@@ -713,16 +731,6 @@ impl ClusterState {
         }
     }
 
-    /// The prompt tokens `req`'s prefill/transfer actually covers: the full
-    /// prompt, or only the suffix past the cached prefix on a hit.
-    pub fn effective_prompt(&self, req: usize) -> usize {
-        let input = self.requests[req].input_len;
-        match self.lifecycle[req].prefix {
-            Some(hit) => input - hit.tokens(),
-            None => input,
-        }
-    }
-
     /// Hands `req` to the transfer/decode pipeline: reserve decode memory and
     /// serialize the KV transfer onto the prefill NIC, or spill to prefill CPU
     /// memory and join the FIFO memory-wait queue (§4). A prefix-cache hit
@@ -736,8 +744,8 @@ impl ClusterState {
             // The result counts each *request* that ever waited for memory
             // once, even if a replica failure sends it here a second time.
             self.lifecycle[req].swapped = true;
-            self.waiting_for_memory.push_back((req, now));
-            self.advance(req, ReqPhase::WaitingForMemory, now);
+            self.waiting_for_memory.push_back(req);
+            self.advance(req, ReqPhase::WaitingForMemory { since: now }, now);
         }
     }
 
@@ -781,13 +789,9 @@ impl ClusterState {
         let replica = self.charges[req].prefill_replica as usize;
         let groups = (self.prefill[replica].group, self.decode[target].group);
         if !self.fabric.graph_enabled() {
-            let prompt = self.effective_prompt(req);
+            let prompt = self.lifecycle[req].effective_prompt(&self.requests[req]);
             let duration = self.costs.transfer_duration_len(groups.0, groups.1, prompt);
-            let end = self.fabric.reserve_nic(replica, now, duration);
-            if let Some(tel) = &mut self.tel {
-                tel.transfer_started(replica, req, now, end - duration, end);
-            }
-            return Wire::LandsAt(end);
+            return Wire::LandsAt(self.fabric.reserve_nic(replica, now, duration));
         }
         debug_assert!(
             !self.fabric.has_flow(req),
@@ -801,10 +805,7 @@ impl ClusterState {
         {
             return Wire::Backoff { remaining: volume };
         }
-        if let Some(tel) = &mut self.tel {
-            tel.flow_started(replica);
-        }
-        Wire::Flow
+        Wire::Flow { started: now }
     }
 
     /// Reserves `bytes` of KV memory for `req` on decode replica `target`
@@ -881,7 +882,7 @@ impl ClusterState {
     /// that bandwidth is the bandwidth-independent volume a fair-shared flow
     /// must move.
     pub fn transfer_volume(&self, prefill_group: usize, decode_group: usize, req: usize) -> f64 {
-        let prompt = self.effective_prompt(req);
+        let prompt = self.lifecycle[req].effective_prompt(&self.requests[req]);
         self.costs
             .transfer_duration_len(prefill_group, decode_group, prompt)
             * self.costs.fleet.wire_gbps(prefill_group, decode_group)
@@ -903,8 +904,7 @@ impl ClusterState {
         self.fabric
             .deliver(TransferRetry { req }, self.frontend_id, now + delay);
         if let Some(tel) = &mut self.tel {
-            let replica = self.charges[req].prefill_replica as usize;
-            tel.transfer_retry_scheduled(replica, req, now, attempt);
+            tel.transfer_retry_scheduled(self.charges[req].prefill_replica as usize, req, now);
         }
     }
 
@@ -934,9 +934,6 @@ impl ClusterState {
         if self.lifecycle[req].readmissions > self.config.policy.retry.max_readmissions {
             self.advance(req, ReqPhase::Abandoned, now);
             self.gave_up += 1;
-            if let Some(tel) = &mut self.tel {
-                tel.request_abandoned(req, now);
-            }
             // Permanent abort is terminal: gated children would strand
             // otherwise.
             self.release_children(req, now);
@@ -949,15 +946,15 @@ impl ClusterState {
     /// order while they fit somewhere (a head holding a prefix-cache hit
     /// waits specifically for the replica holding its prefix).
     pub fn drain_waiting(&mut self, now: f64) {
-        while let Some(&(head, wait_start)) = self.waiting_for_memory.front() {
+        while let Some(&head) = self.waiting_for_memory.front() {
             self.downgrade_dead_hit(head);
             let bytes = self.request_kv_bytes(head);
             if let Some(target) = self.dispatch_target(head, bytes) {
                 self.waiting_for_memory.pop_front();
-                self.charges[head].memory_wait += now - wait_start;
-                if let Some(tel) = &mut self.tel {
-                    tel.memory_wait_over(target, head, wait_start, now);
-                }
+                let ReqPhase::WaitingForMemory { since } = self.lifecycle[head].phase else {
+                    unreachable!("request {head} queued for memory outside its wait");
+                };
+                self.charges[head].memory_wait += now - since;
                 self.reserve_and_transfer(head, target, bytes, now);
             } else {
                 break;
@@ -1286,7 +1283,7 @@ pub(crate) mod phase_log {
         LOG.with(|log| *log.borrow_mut() = Some(Vec::new()));
     }
 
-    pub(super) fn record(req: usize, to: ReqPhase, now: f64) {
+    pub(crate) fn record(req: usize, to: ReqPhase, now: f64) {
         LOG.with(|log| {
             if let Some(log) = log.borrow_mut().as_mut() {
                 log.push((req, to, now));
@@ -1343,7 +1340,7 @@ mod tests {
             ReqPhase::Prefilling(None),
             ReqPhase::Prefilling(Some(lost)),
             transferring(lost),
-            ReqPhase::WaitingForMemory,
+            ReqPhase::WaitingForMemory { since: 1.0 },
             ReqPhase::Done,
             ReqPhase::Rejected,
             ReqPhase::Abandoned,
@@ -1368,11 +1365,12 @@ mod tests {
             since: 2.0,
             transfer: Transfer {
                 reserved: true,
-                wire: Wire::Flow,
+                wire: Wire::Flow { started: 1.0 },
             },
         };
         assert!(pipelined.redispatches_under_prefill(&redispatched));
-        assert!(pipelined.redispatches_under_prefill(&ReqPhase::WaitingForMemory));
+        let waiting = ReqPhase::WaitingForMemory { since: 2.0 };
+        assert!(pipelined.redispatches_under_prefill(&waiting));
         assert!(pipelined.can_advance(&redispatched));
         // The same dispatch after the prefill is the normal path.
         assert!(!ReqPhase::Prefilling(None).redispatches_under_prefill(&redispatched));
@@ -1380,7 +1378,7 @@ mod tests {
         // A pipelined transfer that keeps its reservation carries on.
         let kept = ReqPhase::Prefilling(redispatched.transfer());
         assert!(!kept.redispatches_under_prefill(&redispatched));
-        assert!(!kept.can_advance(&ReqPhase::WaitingForMemory));
+        assert!(!kept.can_advance(&waiting));
     }
 
     /// A replica index holding `members`, each at the slot of its position.
@@ -1410,7 +1408,7 @@ mod tests {
                 since: 1.0,
                 transfer: Transfer {
                     reserved: false,
-                    wire: Wire::Flow,
+                    wire: Wire::Flow { started: 1.0 },
                 },
             },
             ..Lifecycle::default()
@@ -1427,7 +1425,7 @@ mod tests {
         let mut queued = Lifecycle::default();
         let transfer = Transfer {
             reserved: true,
-            wire: Wire::Flow,
+            wire: Wire::Flow { started: 1.0 },
         };
         let prefilling = ReqPhase::Prefilling(Some(transfer));
         // Reserved at slot 1: the pipelined phase may hold it.

@@ -44,7 +44,7 @@ pub(crate) struct Flow {
     pub src: usize,
     /// The five links the flow crosses, `Layout::path_via(src, dst, spine)`
     /// for the spine block it is ECMP-pinned to (block 0 on single-spine
-    /// fabrics). `u32` indices keep a flow at 64 bytes.
+    /// fabrics). `u32` indices keep a flow at 56 bytes.
     path: [u32; 5],
     /// Engine address of the destination decode replica's component.
     pub dst_ctx: ComponentId,
@@ -52,8 +52,6 @@ pub(crate) struct Flow {
     pub remaining: f64,
     /// Current bottleneck-share rate (Gbps).
     pub rate: f64,
-    /// When this flow (attempt) started, for telemetry spans.
-    pub started: f64,
 }
 
 /// Fixed link-index layout of the graph:
@@ -343,7 +341,6 @@ impl NetworkFabric {
                 dst_ctx,
                 remaining: volume,
                 rate: 0.0,
-                started: now,
             },
         );
         g.resplit(ctx, now);

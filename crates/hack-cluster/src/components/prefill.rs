@@ -43,11 +43,6 @@ pub(crate) fn start_prefill(cs: &mut ClusterState, replica: usize, now: f64) {
     let (prefill_t, quant_t) = cs.costs.prefill_service_times(group, prompt);
     cs.charges[req].prefill_time = prefill_t;
     cs.charges[req].quant_time = quant_t;
-    if let Some(tel) = &mut cs.tel {
-        tel.tenant_dequeued(request.tenant.index());
-        let wait_start = now - cs.charges[req].prefill_wait;
-        tel.prefill_started(replica, req, wait_start, now, prefill_t, quant_t);
-    }
 
     // Pipelining: start the KV transfer concurrently with prefill when a decode
     // replica can take the request right now (Fig. 1(d): this hides communication
@@ -121,7 +116,7 @@ impl PrefillReplica {
             }
             // Re-dispatched under its prefill and already waiting for memory
             // or decoding: nothing is left to hand off.
-            ReqPhase::WaitingForMemory | ReqPhase::Decoding { .. } => {}
+            ReqPhase::WaitingForMemory { .. } | ReqPhase::Decoding { .. } => {}
             phase => debug_assert!(false, "request {req} finished prefill in {phase:?}"),
         }
 
@@ -148,19 +143,8 @@ impl PrefillReplica {
                 .queued_tokens
                 .saturating_sub(cs.requests[req].input_len);
             cs.prefill_ctxs[i].cancel_event(finish);
-            let phase = cs.lifecycle[req].phase;
-            if let Some(flow) = cs.fabric.abort_flow(req, now) {
-                if let Some(tel) = &mut cs.tel {
-                    tel.transfer_aborted(flow.src, req, flow.started, now);
-                }
-            } else if matches!(phase.transfer().map(|t| t.wire), Some(Wire::LandsAt(_))) {
-                // Flat pipelined reservation (or an early-landed flow): the
-                // in-flight gauge was counted up when it started.
-                if let Some(tel) = &mut cs.tel {
-                    tel.transfer_landed();
-                }
-            }
-            if phase.holds_reservation() {
+            cs.fabric.abort_flow(req, now);
+            if cs.lifecycle[req].phase.holds_reservation() {
                 let target = cs.release(req);
                 if cs.decode[target].draining {
                     cs.maybe_finish_drain(target, now);

@@ -2359,7 +2359,7 @@ mod tests {
         );
     }
 
-    /// The wait start rides in the memory-wait queue entry: the second
+    /// The wait start rides in the request's memory-wait phase: the second
     /// request's wait runs from its own prefill end to the instant the first
     /// request's completion frees the replica, so its communication charge
     /// is its transfer time plus exactly that wait.

@@ -9,6 +9,13 @@
 //!   [`crate::sim::Simulator`] run path — every recording site is guarded by
 //!   one `Option` check, so the off-path is bit- and cost-identical to the
 //!   pre-telemetry simulator.
+//! * A request's timeline has one recording site: every phase change goes
+//!   through `ClusterState::advance`, which hands the old and the new phase
+//!   to `TelemetryState::on_phase`. Events that change no request's phase
+//!   (replica, fabric and scaling events, admissions, prefix lookups, retry
+//!   schedules, reroutes) record where they happen, as do the two request
+//!   events the hook cannot place: an aborted decode and the re-queue of a
+//!   transfer landing on a failed replica (see `OBSERVABILITY.md`).
 //! * Telemetry **on** must not perturb the simulation: spans and samples are
 //!   recorded from values the components already compute, and the periodic
 //!   time-series sampler is a dedicated engine component that only *reads* the
@@ -19,10 +26,11 @@
 //! See `OBSERVABILITY.md` at the repository root for the span taxonomy and how
 //! to open exported traces in Perfetto.
 
-use crate::components::ClusterState;
+use crate::components::{Charges, ClusterState, ReqPhase, Transfer, Wire};
 use crate::events::SampleTick;
 use hack_metrics::telemetry::{SeriesId, Telemetry, TrackId, NO_REQUEST};
 use hack_sim::{Event, EventHandler, SimulationContext};
+use hack_workload::trace::Request;
 use serde::Serialize;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -124,10 +132,10 @@ impl TelemetrySettings {
 pub(crate) struct TelemetryState {
     /// The registry all spans/instants/samples/counters land in.
     pub tel: Telemetry,
-    pub frontend_track: TrackId,
-    pub prefill_tracks: Vec<TrackId>,
-    pub nic_tracks: Vec<TrackId>,
-    pub decode_tracks: Vec<TrackId>,
+    frontend_track: TrackId,
+    prefill_tracks: Vec<TrackId>,
+    nic_tracks: Vec<TrackId>,
+    decode_tracks: Vec<TrackId>,
     prefill_queue_series: Vec<SeriesId>,
     prefill_busy_series: Vec<SeriesId>,
     decode_active_series: Vec<SeriesId>,
@@ -135,9 +143,11 @@ pub(crate) struct TelemetryState {
     inflight_series: SeriesId,
     memory_wait_series: SeriesId,
     tenant_backlog_series: Vec<SeriesId>,
-    /// Queued-but-not-yet-prefilling requests per tenant (sampler input).
+    /// Admitted requests per tenant whose prefill has not started (sampler
+    /// input).
     tenant_backlog: Vec<usize>,
-    /// KV transfers currently waiting for or occupying a NIC (sampler input).
+    /// Requests whose KV is on the wire, waiting for or occupying a NIC
+    /// (sampler input).
     inflight_transfers: usize,
     /// Head-based sampling mask (`stride - 1`, stride a power of two): request
     /// `req`'s lifecycle is traced iff `req & span_mask == 0`.
@@ -209,23 +219,111 @@ impl TelemetryState {
         req as u64 & self.span_mask == 0
     }
 
-    // --- Frontend lifecycle. ---
+    // --- A request's timeline (see OBSERVABILITY.md, "Span taxonomy", for
+    // the phase change behind each span and instant). ---
 
+    /// `req` of `tenant` was admitted: it joins its tenant's backlog until
+    /// its prefill starts.
     #[inline]
-    pub fn request_arrived(&mut self, req: usize, now: f64) {
+    pub fn request_arrived(&mut self, req: usize, tenant: usize, now: f64) {
+        self.tenant_backlog[tenant] += 1;
         if self.traced(req) {
             self.tel
                 .instant("arrived", "frontend", self.frontend_track, req as u64, now);
         }
     }
 
-    #[inline]
-    pub fn request_rejected(&mut self, req: usize, now: f64) {
-        if self.traced(req) {
-            self.tel
-                .instant("rejected", "frontend", self.frontend_track, req as u64, now);
+    /// What `req`'s phase change `from → to` at `now` draws on its timeline:
+    /// the one recording site of the request lifecycle, called by
+    /// [`ClusterState::advance`] before it writes `to`. `c` and `request`
+    /// are the request's entries; `wire_time` recomputes the uncontended
+    /// wire time of a fresh flat-fabric NIC booking and is called only for
+    /// traced requests. Counters, the JCT histogram and the two gauges
+    /// derived from phases (transfers on the wire, tenant backlog) cover
+    /// every request, with exact arithmetic.
+    pub fn on_phase(
+        &mut self,
+        req: usize,
+        (from, to): (ReqPhase, ReqPhase),
+        now: f64,
+        c: &Charges,
+        request: &Request,
+        wire_time: impl FnOnce() -> f64,
+    ) {
+        use ReqPhase::*;
+        match (on_wire(&from), on_wire(&to)) {
+            (false, true) => self.inflight_transfers += 1,
+            (true, false) => self.inflight_transfers -= 1,
+            _ => {}
         }
-        self.tel.add_counter("rejected", 1);
+        if let (Queued, Prefilling(_)) = (from, to) {
+            self.tenant_backlog[request.tenant.index()] -= 1;
+        }
+        let counter = match to {
+            Rejected => Some("rejected"),
+            Abandoned => Some("abandoned"),
+            Queued => Some("requeued"),
+            Done => Some("completed"),
+            _ => None,
+        };
+        if let Some(name) = counter {
+            self.tel.add_counter(name, 1);
+        }
+        let flow_left = flow_left(&from, &to);
+        if let Some(("kv_flow_aborted", _)) = flow_left {
+            self.tel.add_counter("transfer_aborts", 1);
+        }
+        if to == Done {
+            let jct = now - request.arrival;
+            self.tel.record_histogram("jct_seconds", jct);
+        }
+        if !self.traced(req) {
+            return;
+        }
+        let r = req as u64;
+        let (p, d) = (c.prefill_replica as usize, c.decode_replica as usize);
+        let (prefill, nic) = (self.prefill_tracks[p], self.nic_tracks[p]);
+        let (frontend, decode) = (self.frontend_track, self.decode_tracks[d]);
+        let tel = &mut self.tel;
+        match (from, to) {
+            // The queueing wait and the prefill/quantization service, whose
+            // end times are known at the start.
+            (Queued, Prefilling(_)) => {
+                let (arrived, prefilled) = (now - c.prefill_wait, now + c.prefill_time);
+                let quantized = prefilled + c.quant_time;
+                tel.span("queue_wait", "frontend", prefill, r, arrived, now);
+                tel.span("prefill_exec", "prefill", prefill, r, now, prefilled);
+                tel.span("quantize", "prefill", prefill, r, prefilled, quantized);
+            }
+            (WaitingForMemory { since }, _) => {
+                tel.span("memory_wait", "decode", decode, r, since, now);
+            }
+            (Decoding { started, .. }, Done) => {
+                tel.span("decode_exec", "decode", decode, r, started, now);
+                tel.instant("completed", "decode", decode, r, now);
+            }
+            (_, Rejected) => tel.instant("rejected", "frontend", frontend, r, now),
+            (_, Abandoned) => tel.instant("abandoned", "frontend", frontend, r, now),
+            (_, Queued) => tel.instant("requeued", "decode", decode, r, now),
+            _ => {}
+        }
+        if let Some((name, started)) = flow_left {
+            tel.span(name, "fabric", nic, r, started, now);
+        }
+        // A fresh flat-fabric NIC booking (not one the request already held
+        // before this change): it waits for the NIC from `now`, then
+        // occupies it until it lands.
+        if let Some(Transfer {
+            reserved: true,
+            wire: Wire::LandsAt(end),
+        }) = to.transfer()
+        {
+            if !from.transfer().is_some_and(|t| t.reserved) {
+                let start = end - wire_time();
+                tel.span("nic_wait", "fabric", nic, r, now, start);
+                tel.span("kv_transfer", "fabric", nic, r, start, end);
+            }
+        }
     }
 
     // --- Session prefix cache (see OBSERVABILITY.md, "Prefix-cache
@@ -270,151 +368,12 @@ impl TelemetryState {
         self.tel.add_counter("prefix_evicted", n as u64);
     }
 
-    #[inline]
-    pub fn tenant_enqueued(&mut self, tenant: usize) {
-        if let Some(n) = self.tenant_backlog.get_mut(tenant) {
-            *n += 1;
-        }
-    }
+    // --- The fault/retry path (see OBSERVABILITY.md, "Fault and retry
+    // taxonomy"). ---
 
-    #[inline]
-    pub fn tenant_dequeued(&mut self, tenant: usize) {
-        if let Some(n) = self.tenant_backlog.get_mut(tenant) {
-            *n = n.saturating_sub(1);
-        }
-    }
-
-    // --- Prefill lifecycle. ---
-
-    /// The prefill-queue wait ([arrival, prefill start]) and the scheduled
-    /// prefill/quantization service spans. Recorded when the replica picks the
-    /// request up — the service end times are deterministic at that point.
-    #[inline]
-    pub fn prefill_started(
-        &mut self,
-        replica: usize,
-        req: usize,
-        wait_start: f64,
-        now: f64,
-        prefill_t: f64,
-        quant_t: f64,
-    ) {
-        if !self.traced(req) {
-            return;
-        }
-        let track = self.prefill_tracks[replica];
-        let tel = &mut self.tel;
-        tel.span("queue_wait", "frontend", track, req as u64, wait_start, now);
-        tel.span(
-            "prefill_exec",
-            "prefill",
-            track,
-            req as u64,
-            now,
-            now + prefill_t,
-        );
-        tel.span(
-            "quantize",
-            "prefill",
-            track,
-            req as u64,
-            now + prefill_t,
-            now + prefill_t + quant_t,
-        );
-    }
-
-    // --- Transfer path. ---
-
-    /// A KV transfer was serialized onto prefill replica `replica`'s NIC:
-    /// waits for the NIC over [`now`, `wire_start`] (possibly empty) and
-    /// occupies the wire over [`wire_start`, `wire_end`].
-    #[inline]
-    pub fn transfer_started(
-        &mut self,
-        replica: usize,
-        req: usize,
-        now: f64,
-        wire_start: f64,
-        wire_end: f64,
-    ) {
-        self.inflight_transfers += 1;
-        if !self.traced(req) {
-            return;
-        }
-        let track = self.nic_tracks[replica];
-        let tel = &mut self.tel;
-        tel.span("nic_wait", "fabric", track, req as u64, now, wire_start);
-        tel.span(
-            "kv_transfer",
-            "fabric",
-            track,
-            req as u64,
-            wire_start,
-            wire_end,
-        );
-    }
-
-    #[inline]
-    pub fn transfer_landed(&mut self) {
-        self.inflight_transfers = self.inflight_transfers.saturating_sub(1);
-    }
-
-    // --- Link-graph flows and the fault/retry path (see OBSERVABILITY.md,
-    // "Fault and retry taxonomy"). ---
-
-    /// A fair-shared flow started (or restarted after an abort) on the
-    /// link-graph fabric. The span is recorded at the landing, when the end
-    /// is known ([`Self::flow_finished`]); starting only moves the in-flight
-    /// gauge.
-    #[inline]
-    pub fn flow_started(&mut self, _replica: usize) {
-        self.inflight_transfers += 1;
-    }
-
-    /// A fair-shared flow delivered its last byte: the final (successful)
-    /// attempt occupied [`started`, `now`]. The in-flight gauge drops via
-    /// [`Self::transfer_landed`], which the caller invokes alongside.
-    #[inline]
-    pub fn flow_finished(&mut self, replica: usize, req: usize, started: f64, now: f64) {
-        if self.traced(req) {
-            self.tel.span(
-                "kv_flow",
-                "fabric",
-                self.nic_tracks[replica],
-                req as u64,
-                started,
-                now,
-            );
-        }
-    }
-
-    /// An in-flight transfer aborted (dead link or dead source replica) after
-    /// running over [`started`, `now`]; its partial progress is kept for the
-    /// retry.
-    pub fn transfer_aborted(&mut self, replica: usize, req: usize, started: f64, now: f64) {
-        self.inflight_transfers = self.inflight_transfers.saturating_sub(1);
-        if self.traced(req) {
-            self.tel.span(
-                "kv_flow_aborted",
-                "fabric",
-                self.nic_tracks[replica],
-                req as u64,
-                started,
-                now,
-            );
-        }
-        self.tel.add_counter("transfer_aborts", 1);
-    }
-
-    /// Attempt `attempt` of `req`'s transfer was scheduled after a seeded
-    /// backoff starting at `now`.
-    pub fn transfer_retry_scheduled(
-        &mut self,
-        replica: usize,
-        req: usize,
-        now: f64,
-        _attempt: u32,
-    ) {
+    /// A retry of `req`'s transfer was scheduled after a seeded backoff
+    /// starting at `now`.
+    pub fn transfer_retry_scheduled(&mut self, replica: usize, req: usize, now: f64) {
         if self.traced(req) {
             self.tel.instant(
                 "transfer_retry",
@@ -425,21 +384,6 @@ impl TelemetryState {
             );
         }
         self.tel.add_counter("transfer_retries", 1);
-    }
-
-    /// `req` exhausted its transfer retries and re-admissions: permanently
-    /// aborted.
-    pub fn request_abandoned(&mut self, req: usize, now: f64) {
-        if self.traced(req) {
-            self.tel.instant(
-                "abandoned",
-                "frontend",
-                self.frontend_track,
-                req as u64,
-                now,
-            );
-        }
-        self.tel.add_counter("abandoned", 1);
     }
 
     pub fn prefill_failed(&mut self, replica: usize, now: f64) {
@@ -462,49 +406,29 @@ impl TelemetryState {
         );
     }
 
-    /// Fault `fault` of the run's plan cut its links (the `req` slot carries
-    /// the fault index for attribution in the exported trace).
-    pub fn fabric_fault(&mut self, fault: usize, now: f64) {
-        self.tel.instant(
-            "fabric_fault",
-            "fabric",
-            self.frontend_track,
-            fault as u64,
-            now,
-        );
+    /// Fault `fault` of the run's plan cut its links, or only `degraded`
+    /// them (capacity lowered, flows re-split but kept alive). The `req`
+    /// slot carries the fault index for attribution in the exported trace.
+    pub fn fabric_fault(&mut self, fault: usize, degraded: bool, now: f64) {
+        let name = if degraded {
+            "link_degraded"
+        } else {
+            "fabric_fault"
+        };
+        let track = self.frontend_track;
+        self.tel.instant(name, "fabric", track, fault as u64, now);
     }
 
-    pub fn fabric_recovered(&mut self, fault: usize, now: f64) {
-        self.tel.instant(
-            "fabric_recovered",
-            "fabric",
-            self.frontend_track,
-            fault as u64,
-            now,
-        );
-    }
-
-    /// Fault `fault` of the run's plan degraded its links (capacity lowered,
-    /// flows re-split but kept alive; the `req` slot carries the fault index).
-    pub fn link_degraded(&mut self, fault: usize, now: f64) {
-        self.tel.instant(
-            "link_degraded",
-            "fabric",
-            self.frontend_track,
-            fault as u64,
-            now,
-        );
-    }
-
-    /// Fault `fault`'s degraded links were restored to nominal capacity.
-    pub fn link_restored(&mut self, fault: usize, now: f64) {
-        self.tel.instant(
-            "link_restored",
-            "fabric",
-            self.frontend_track,
-            fault as u64,
-            now,
-        );
+    /// Fault `fault`'s links came back up, or were restored to nominal
+    /// capacity when it only `degraded` them.
+    pub fn fabric_recovered(&mut self, fault: usize, degraded: bool, now: f64) {
+        let name = if degraded {
+            "link_restored"
+        } else {
+            "fabric_recovered"
+        };
+        let track = self.frontend_track;
+        self.tel.instant(name, "fabric", track, fault as u64, now);
     }
 
     /// A flow survived a spine fault by ECMP-rerouting onto a surviving
@@ -522,25 +446,12 @@ impl TelemetryState {
         self.tel.add_counter("flow_reroutes", 1);
     }
 
-    // --- Decode lifecycle. ---
+    // --- Decode-side faults. ---
 
-    /// A request waited for decode KV memory over [`wait_start`, `now`] before
-    /// being admitted to replica `replica`.
-    #[inline]
-    pub fn memory_wait_over(&mut self, replica: usize, req: usize, wait_start: f64, now: f64) {
-        if !self.traced(req) {
-            return;
-        }
-        self.tel.span(
-            "memory_wait",
-            "decode",
-            self.decode_tracks[replica],
-            req as u64,
-            wait_start,
-            now,
-        );
-    }
-
+    /// `req`'s KV landed on decode `replica` after the replica failed: it
+    /// re-enters dispatch. (The re-dispatch's reservation overwrites the
+    /// request's decode replica before its phase changes, so this instant
+    /// is recorded where the landing is handled.)
     #[inline]
     pub fn requeued(&mut self, replica: usize, req: usize, now: f64) {
         if self.traced(req) {
@@ -555,27 +466,9 @@ impl TelemetryState {
         self.tel.add_counter("requeued", 1);
     }
 
-    /// A request finished decoding on `replica`: the batched decode occupied
-    /// [`started`, `now`], and the request's JCT enters the histogram.
-    #[inline]
-    pub fn decode_finished(
-        &mut self,
-        replica: usize,
-        req: usize,
-        started: f64,
-        now: f64,
-        jct: f64,
-    ) {
-        if self.traced(req) {
-            let track = self.decode_tracks[replica];
-            let tel = &mut self.tel;
-            tel.span("decode_exec", "decode", track, req as u64, started, now);
-            tel.instant("completed", "decode", track, req as u64, now);
-        }
-        self.tel.add_counter("completed", 1);
-        self.tel.record_histogram("jct_seconds", jct);
-    }
-
+    /// A failure of `replica` aborted `req`'s decode, which ran over
+    /// [`started`, `now`]. (Recorded where the failure is handled, so that
+    /// every aborted span precedes the re-dispatches' transfer spans.)
     pub fn decode_aborted(&mut self, replica: usize, req: usize, started: f64, now: f64) {
         if self.traced(req) {
             self.tel.span(
@@ -686,11 +579,98 @@ impl TelemetryState {
     }
 }
 
+/// Whether `phase`'s KV is on the wire — a NIC booking or a flow, waiting
+/// for or occupying its NIC — rather than in retry backoff: what the
+/// in-flight gauge counts.
+fn on_wire(phase: &ReqPhase) -> bool {
+    matches!(
+        phase.transfer().map(|t| t.wire),
+        Some(Wire::LandsAt(_) | Wire::Flow { .. })
+    )
+}
+
+/// The span a link-graph flow leaves when `from → to` takes it off the
+/// wire, with the start of its attempt: `kv_flow` when it landed (and its
+/// request was admitted or, its reservation lost, re-dispatched),
+/// `kv_flow_aborted` when a cut or its prefill's failure stopped it. `None`
+/// while it carries on, also after losing its reservation, and when it
+/// lands early under its prefill, which draws no span.
+fn flow_left(from: &ReqPhase, to: &ReqPhase) -> Option<(&'static str, f64)> {
+    let Some(Transfer {
+        reserved,
+        wire: Wire::Flow { started },
+    }) = from.transfer()
+    else {
+        return None;
+    };
+    let name = match to.transfer() {
+        Some(t) if t.reserved == reserved => {
+            matches!(t.wire, Wire::Backoff { .. }).then_some("kv_flow_aborted")?
+        }
+        // Landed without its reservation and re-dispatched at once.
+        Some(_) => (!reserved).then_some("kv_flow")?,
+        None if *to == ReqPhase::Queued => "kv_flow_aborted",
+        None => "kv_flow",
+    };
+    Some((name, started))
+}
+
 impl ClusterState {
+    /// Observes `req`'s phase change `from → to` at `now`, before
+    /// [`ClusterState::advance`] writes it: the test-build phase log, then
+    /// the request's telemetry timeline ([`TelemetryState::on_phase`]).
+    pub(crate) fn observe_phase(&mut self, req: usize, from: ReqPhase, to: ReqPhase, now: f64) {
+        #[cfg(test)]
+        crate::components::phase_log::record(req, to, now);
+        let Self {
+            tel: Some(tel),
+            charges,
+            requests,
+            lifecycle,
+            costs,
+            prefill,
+            decode,
+            ..
+        } = self
+        else {
+            return;
+        };
+        let (c, request) = (&charges[req], &requests[req]);
+        // The wire time `start_wire` booked on the prefill replica's NIC.
+        let wire_time = || {
+            let groups = (
+                prefill[c.prefill_replica as usize].group,
+                decode[c.decode_replica as usize].group,
+            );
+            let prompt = lifecycle[req].effective_prompt(request);
+            costs.transfer_duration_len(groups.0, groups.1, prompt)
+        };
+        tel.on_phase(req, (from, to), now, c, request, wire_time);
+    }
+
+    /// Debug-build check of the gauges [`TelemetryState::on_phase`] keeps:
+    /// the transfers on the wire and each tenant's backlog (its requests in
+    /// prefill queues or parked while the prefill fleet is down) equal a
+    /// recount.
+    #[cfg(debug_assertions)]
+    fn check_gauges(&self) {
+        let Some(ts) = &self.tel else { return };
+        let wired = self.lifecycle.iter().filter(|l| on_wire(&l.phase)).count();
+        assert_eq!(ts.inflight_transfers, wired, "transfers on the wire");
+        let mut backlog = vec![0; ts.tenant_backlog.len()];
+        let queued = self.prefill.iter().flat_map(|p| p.queue.members());
+        for r in queued.chain(self.waiting_for_prefill.iter().copied()) {
+            backlog[self.requests[r].tenant.index()] += 1;
+        }
+        assert_eq!(ts.tenant_backlog, backlog, "tenant backlog");
+    }
+
     /// One sampler tick: append a sample to every registered time series.
     /// Read-only on everything the cluster components look at — recording
     /// mutates only the telemetry registry itself.
     pub(crate) fn sample_telemetry(&mut self, now: f64) {
+        #[cfg(debug_assertions)]
+        self.check_gauges();
         let Self {
             tel,
             prefill,

@@ -655,10 +655,11 @@ const TELEMETRY_RUN_DIGEST: u64 = 11162595295420381293;
 const ALL_LAYERS_DIGEST: u64 = 6022444549610246856;
 
 /// The request paths of the flat fabric: pipelined transfers under
-/// token-bucket admission (which rejects), decode memory tight enough that
-/// requests wait for it, and one decode-replica and one prefill-replica
-/// failure (aborted decodes, re-admissions, and transfers that land on the
-/// failed replica and re-queue).
+/// token-bucket admission (which rejects), and one decode-replica and one
+/// prefill-replica failure (aborted decodes, re-admissions, and transfers
+/// that land on the failed replica and re-queue). An activation reserve of
+/// 70% leaves no KV budget at all, so every request is admitted to an idle
+/// decode replica and waits for memory while none is idle.
 fn flat_fault_run() -> Simulator {
     let mut cfg = paper_default();
     cfg.cluster.pipelining = true;
