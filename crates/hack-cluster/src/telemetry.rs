@@ -241,6 +241,7 @@ impl TelemetryState {
     /// traced requests. Counters, the JCT histogram and the two gauges
     /// derived from phases (transfers on the wire, tenant backlog) cover
     /// every request, with exact arithmetic.
+    #[inline]
     pub fn on_phase(
         &mut self,
         req: usize,
@@ -619,6 +620,7 @@ impl ClusterState {
     /// Observes `req`'s phase change `from → to` at `now`, before
     /// [`ClusterState::advance`] writes it: the test-build phase log, then
     /// the request's telemetry timeline ([`TelemetryState::on_phase`]).
+    #[inline]
     pub(crate) fn observe_phase(&mut self, req: usize, from: ReqPhase, to: ReqPhase, now: f64) {
         #[cfg(test)]
         crate::components::phase_log::record(req, to, now);
