@@ -6,11 +6,12 @@
 //! and the session prefix-cache grid — are pure functions of their seeds, so
 //! every value below is reproduced bit-for-bit on any host. The same holds
 //! for the layer anchors further down (the paper default, each opt-in layer
-//! alone on it, and every layer at once) and for every figure and table of
-//! the paper at 20 requests per row. A mismatch is a semantic change to
-//! the simulator (a different controller decision, fault window, cache
-//! lookup or dispatch), never noise: fix the cause, or update the value in
-//! the same change that explains why it moved.
+//! alone on it, and every layer at once), for what the telemetry records of
+//! the telemetry-on runs and of two fault runs, and for every figure and
+//! table of the paper at 20 requests per row. A mismatch is a semantic
+//! change to the simulator (a different controller decision, fault window,
+//! cache lookup or dispatch), never noise: fix the cause, or update the
+//! value in the same change that explains why it moved.
 
 use hack_core::figures::FigureFn;
 use hack_core::prelude::*;
