@@ -55,33 +55,29 @@ use crate::events::{RequestArrived, TransferCompleted, TransferRetry};
 use crate::fleet::FleetSpec;
 use crate::policy::{Admission, Dispatch, Scheduling, MAX_TENANTS};
 use crate::topology::retry_backoff;
-use hack_model::cost::{KvMethodProfile, ReplicaCostModel};
-use hack_model::cost_table::{DecodeCostTable, PrefillCostTable};
+use hack_model::cost::{PrefillEvaluator, ReplicaCostModel};
+use hack_model::cost_table::DecodeCostTable;
 use hack_sim::{ComponentId, EventId, SimulationContext};
 use hack_workload::trace::Request;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// The memoized cost layer of a [`crate::sim::Simulator`], built on its first
-/// run and shared by every later one: one decode prefix-sum table per decode
-/// group and one prompt-length memo per (prefill group × decode group) pair,
-/// so every per-request cost the handlers ask for is O(1). Prompt lengths
-/// outside the trace (prefix-cache suffixes) fall through to the
-/// [`ReplicaCostModel`] formulas, which remain the test oracle of every
+/// The cost layer of a [`crate::sim::Simulator`], built on its first run and
+/// shared by every later one: one decode prefix-sum table per decode group
+/// and one prefill-side evaluator per (prefill group × decode group) pair,
+/// so every per-request cost the handlers ask for is O(1) and every prompt
+/// length, prefix-cache suffixes included, takes the same path. The
+/// [`hack_model::ReplicaCostModel`] formulas remain the test oracle of every
 /// lookup (`cost_layer_*` in the simulator's tests).
 #[derive(Clone)]
 pub(crate) struct SimCosts {
-    pub profile: KvMethodProfile,
     pub fleet: FleetSpec,
-    /// Cost model of each prefill group (index = group).
-    pub prefill_models: Vec<ReplicaCostModel>,
     /// `decode[dg]`: the decode cost table of decode group `dg`.
     pub decode: Vec<Arc<DecodeCostTable>>,
-    /// `prefill[pg][dg]`: prefill/quantization times under prefill group
-    /// `pg`'s model and the wire time over `min(pg, dg)` NIC bandwidth. The
-    /// prefill/quantization entries are identical across `dg` (they do not
-    /// depend on the network), so group-only lookups read `prefill[pg][0]`.
-    pub prefill: Vec<Vec<Arc<PrefillCostTable>>>,
+    /// `prefill[pg][dg]`: prefill group `pg`'s cost model with the wire at
+    /// `min(pg, dg)` NIC bandwidth. Prefill and quantization times do not
+    /// depend on the wire, so group-only lookups read `prefill[pg][0]`.
+    pub prefill: Vec<Vec<PrefillEvaluator>>,
 }
 
 impl SimCosts {
@@ -93,34 +89,23 @@ impl SimCosts {
     }
 
     /// Prefill and quantization service times of a prompt on prefill group
-    /// `group`, memoized by prompt length (lengths repeat heavily across a
-    /// trace).
+    /// `group`.
     pub fn prefill_service_times(&self, group: usize, prompt: usize) -> (f64, f64) {
-        if let Some(costs) = self.prefill[group][0].get(prompt) {
-            return (costs.prefill, costs.quantization);
-        }
-        let model = &self.prefill_models[group];
-        (
-            model.prefill_time(prompt, &self.profile),
-            model.quantization_time(prompt, &self.profile),
-        )
+        let costs = &self.prefill[group][0];
+        (costs.prefill_time(prompt), costs.quantization_time(prompt))
     }
 
     /// Uncontended wire time of a `prompt`-token KV transfer from prefill
     /// group `prefill_group` to decode group `decode_group`, bottlenecked by
-    /// the slower of the two groups' NICs and memoized by prompt length (the
-    /// NIC serialization on top of it is per-request state in the fabric).
+    /// the slower of the two groups' NICs (the NIC serialization on top of
+    /// it is per-request state in the fabric).
     pub fn transfer_duration_len(
         &self,
         prefill_group: usize,
         decode_group: usize,
         prompt: usize,
     ) -> f64 {
-        if let Some(costs) = self.prefill[prefill_group][decode_group].get(prompt) {
-            return costs.transfer;
-        }
-        let gbps = self.fleet.wire_gbps(prefill_group, decode_group);
-        self.prefill_models[prefill_group].transfer_time(prompt, &self.profile, gbps)
+        self.prefill[prefill_group][decode_group].transfer_time(prompt)
     }
 }
 
@@ -878,7 +863,7 @@ impl ClusterState {
     }
 
     /// The volume of `req`'s KV transfer in Gbps-seconds: the wire time is
-    /// linear in inverse bandwidth, so the memoized min-NIC duration times
+    /// linear in inverse bandwidth, so the evaluated min-NIC duration times
     /// that bandwidth is the bandwidth-independent volume a fair-shared flow
     /// must move.
     pub fn transfer_volume(&self, prefill_group: usize, decode_group: usize, req: usize) -> f64 {

@@ -7,9 +7,9 @@
 //!   from one NIC, modelled as a FIFO resource (`nic_free_at`): a transfer
 //!   starts when the NIC frees up and occupies it for the wire time. The wire
 //!   time itself is group-aware — see
-//!   [`super::SimCosts::transfer_duration_len`], which memoizes it per
-//!   (prefill group, decode group, prompt length) and bottlenecks on the
-//!   slower of the two groups' NICs. This path is bit- and cost-identical to
+//!   [`super::SimCosts::transfer_duration_len`], which evaluates it per
+//!   (prefill group, decode group) pair and bottlenecks on the slower of the
+//!   two groups' NICs. This path is bit- and cost-identical to
 //!   the pre-topology simulator.
 //! * **Link graph**: transfers are flows crossing five links (source NIC,
 //!   source ToR uplink, spine, destination ToR uplink, destination NIC), each

@@ -15,14 +15,14 @@
 //!
 //! The fleet is a [`crate::fleet::FleetSpec`]: replicas are instantiated
 //! group-major (group 0's replicas first), each carrying its group's cost
-//! model and memory budget. [`Simulator::new`] materialises the run's *cost
-//! layer* once: the trace itself, one decode-side prefix-sum table per decode
-//! group ([`hack_model::cost_table::DecodeCostTable`], shared process-wide
-//! across simulators with the same parameterisation) and one prefill-side
-//! per-prompt-length memo per (prefill group × decode group) pair, so every
-//! per-request cost during the event loop is O(1). The per-token summation
-//! loops and direct formulas of [`hack_model::ReplicaCostModel`] those tables
-//! reproduce are the test oracle (`cost_layer_*` below).
+//! model and memory budget. [`Simulator::new`] generates the trace once, and
+//! the first run materialises the *cost layer*: one decode-side prefix-sum
+//! table per decode group ([`hack_model::cost_table::DecodeCostTable`],
+//! shared process-wide across simulators with the same parameterisation)
+//! and one [`hack_model::PrefillEvaluator`] per (prefill group × decode
+//! group) pair, so every per-request cost during the event loop is O(1).
+//! The pointwise formulas of [`hack_model::ReplicaCostModel`] are the test
+//! oracle of both, bit for bit (`cost_layer_*` below).
 //!
 //! Each run keeps two per-request tables on the cluster blackboard (see the
 //! `components` module): 80 B of charges per request, which the records are
@@ -57,7 +57,7 @@ use crate::topology::{ConfigError, FaultDomain, FaultEvent};
 use hack_metrics::jct::JctBreakdown;
 use hack_metrics::telemetry::Telemetry;
 use hack_model::cost::ReplicaCostModel;
-use hack_model::cost_table::{DecodeCostTable, PrefillCostTable};
+use hack_model::cost_table::DecodeCostTable;
 use hack_sim::{ComponentId, EngineMode, EventRecord, Simulation};
 use hack_workload::trace::{Request, TraceGenerator};
 use std::cell::{OnceCell, RefCell};
@@ -153,10 +153,10 @@ impl Simulator {
         })
     }
 
-    /// The memoized cost layer of this simulator: one decode prefix-sum table
-    /// per decode group (shared process-wide across equal parameterisations)
-    /// and one prefill per-prompt-length memo per (prefill × decode) group
-    /// pair, built on first use.
+    /// The cost layer of this simulator: one decode prefix-sum table per
+    /// decode group (shared process-wide across equal parameterisations)
+    /// and one prefill-side evaluator per (prefill × decode) group pair,
+    /// built on first use.
     fn costs(&self) -> &SimCosts {
         self.costs.get_or_init(|| {
             let max_kv_len = self
@@ -166,60 +166,25 @@ impl Simulator {
                 .max()
                 .unwrap_or(1);
             let cluster = &self.config.cluster;
+            let profile = &self.config.profile;
             let fleet = cluster.fleet;
-            let prefill_models: Vec<ReplicaCostModel> = (0..fleet.prefill.len())
-                .map(|g| cluster.prefill_cost_model(g))
-                .collect();
             let decode = self
                 .decode_models
                 .iter()
                 .map(|model| {
-                    DecodeCostTable::shared(
-                        model,
-                        &self.config.profile,
-                        model.params.decode_batch,
-                        max_kv_len,
-                    )
+                    DecodeCostTable::shared(model, profile, model.params.decode_batch, max_kv_len)
                 })
                 .collect();
-            // One full build per prefill group; further decode pairings only
-            // re-evaluate the transfer column at their own min-NIC bandwidth
-            // (prefill/quantization are bandwidth-independent), and pairings
-            // with an equal bandwidth share one table.
-            let prefill = prefill_models
-                .iter()
-                .enumerate()
-                .map(|(pg, model)| {
-                    let mut built: Vec<(f64, Arc<PrefillCostTable>)> = Vec::new();
+            let prefill = (0..fleet.prefill.len())
+                .map(|pg| {
+                    let model = cluster.prefill_cost_model(pg);
                     (0..fleet.decode.len())
-                        .map(|dg| {
-                            let network_gbps = fleet.wire_gbps(pg, dg);
-                            if let Some((_, table)) =
-                                built.iter().find(|(gbps, _)| *gbps == network_gbps)
-                            {
-                                return table.clone();
-                            }
-                            let table = Arc::new(match built.first() {
-                                None => PrefillCostTable::build(
-                                    model,
-                                    &self.config.profile,
-                                    network_gbps,
-                                    self.requests.iter().map(|r| r.input_len),
-                                ),
-                                Some((_, base)) => {
-                                    base.with_network(model, &self.config.profile, network_gbps)
-                                }
-                            });
-                            built.push((network_gbps, table.clone()));
-                            table
-                        })
+                        .map(|dg| model.prefill_evaluator(profile, fleet.wire_gbps(pg, dg)))
                         .collect()
                 })
                 .collect();
             SimCosts {
-                profile: self.config.profile,
                 fleet,
-                prefill_models,
                 decode,
                 prefill,
             }
@@ -1400,7 +1365,9 @@ mod tests {
         let costs = sim.costs();
         let cluster = &cfg.cluster;
         let profile = cfg.profile;
-        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs().max(f64::MIN_POSITIVE);
+        let same = |got: f64, want: f64, at: &str| {
+            assert_eq!(got.to_bits(), want.to_bits(), "{at}: {got} vs {want}");
+        };
 
         let mut prompts: Vec<usize> = sim.requests.iter().map(|r| r.input_len).collect();
         // A prompt length outside the trace: the prefix-cache suffix path.
@@ -1411,33 +1378,44 @@ mod tests {
             for &prompt in &prompts {
                 let (prefill, quant) = costs.prefill_service_times(pg, prompt);
                 let at = format!("prefill group {pg}, prompt {prompt}");
-                assert!(close(prefill, model.prefill_time(prompt, &profile)), "{at}");
-                assert!(
-                    close(quant, model.quantization_time(prompt, &profile)),
-                    "{at}"
-                );
+                same(prefill, model.prefill_time(prompt, &profile), &at);
+                same(quant, model.quantization_time(prompt, &profile), &at);
                 for (dg, dg_gbps) in decode_gbps.into_iter().enumerate() {
                     let gbps = pg_gbps.min(dg_gbps);
-                    let wire = model.transfer_time(prompt, &profile, gbps);
-                    assert!(
-                        close(costs.transfer_duration_len(pg, dg, prompt), wire),
-                        "pair ({pg}, {dg}), prompt {prompt}"
+                    same(
+                        costs.transfer_duration_len(pg, dg, prompt),
+                        model.transfer_time(prompt, &profile, gbps),
+                        &format!("pair ({pg}, {dg}), prompt {prompt}"),
                     );
                 }
             }
         }
+        // The decode lookups are differences of prefix sums accumulated from
+        // context 1 in ascending order, so they equal the same differences
+        // of the pointwise formulas' running sums bit for bit.
+        let max_end = sim
+            .requests
+            .iter()
+            .map(Request::total_tokens)
+            .max()
+            .unwrap();
         for dg in 0..2 {
             let model = cluster.decode_cost_model(dg);
+            let batch = model.params.decode_batch;
+            let (mut decode_sum, mut dequant_sum) = (vec![0.0], vec![0.0]);
+            for kv_len in 1..=max_end {
+                decode_sum
+                    .push(decode_sum[kv_len - 1] + model.decode_iter_time(kv_len, &profile, batch));
+                dequant_sum.push(
+                    dequant_sum[kv_len - 1] + model.dequant_or_approx_iter_time(kv_len, &profile),
+                );
+            }
             for r in sim.requests.iter() {
                 let (decode, dequant) = costs.decode_durations(dg, r);
-                let (ref_decode, ref_dequant) = model.decode_durations_reference(
-                    &profile,
-                    model.params.decode_batch,
-                    r.input_len,
-                    r.output_len,
-                );
-                assert!(close(decode, ref_decode), "group {dg}, request {}", r.id);
-                assert!(close(dequant, ref_dequant), "group {dg}, request {}", r.id);
+                let (start, end) = (r.input_len, r.total_tokens());
+                let at = format!("group {dg}, request {}", r.id);
+                same(decode, decode_sum[end] - decode_sum[start], &at);
+                same(dequant, dequant_sum[end] - dequant_sum[start], &at);
             }
         }
     }
@@ -2338,11 +2316,7 @@ mod tests {
         let requests = Arc::new(vec![request(0, 0.5), request(1, 0.6)]);
         cfg.trace.num_requests = requests.len();
         let sim = Simulator::with_requests(cfg, requests.clone());
-        let transfer = sim.costs().prefill_models[0].transfer_time(
-            input_len,
-            &cfg.profile,
-            cfg.cluster.fleet.wire_gbps(0, 0),
-        );
+        let transfer = sim.costs().transfer_duration_len(0, 0, input_len);
         (cfg, requests, transfer)
     }
 

@@ -313,14 +313,15 @@ impl TelemetryState {
         }
         // A fresh flat-fabric NIC booking (not one the request already held
         // before this change): it waits for the NIC from `now`, then
-        // occupies it until it lands.
+        // occupies it until it lands. On an idle NIC `end` is `now + wire
+        // time`, and `end − wire time` can round one ulp below `now`.
         if let Some(Transfer {
             reserved: true,
             wire: Wire::LandsAt(end),
         }) = to.transfer()
         {
             if !from.transfer().is_some_and(|t| t.reserved) {
-                let start = end - wire_time();
+                let start = now.max(end - wire_time());
                 tel.span("nic_wait", "fabric", nic, r, now, start);
                 tel.span("kv_transfer", "fabric", nic, r, start, end);
             }

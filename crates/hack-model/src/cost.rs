@@ -334,34 +334,37 @@ impl ReplicaCostModel {
         self.model.kv_bytes_per_token_fp16() as f64 * tokens as f64
     }
 
-    /// Bytes of KV data transferred from prefill to decode for a prompt of `tokens`
-    /// tokens under the given method.
-    pub fn kv_transfer_bytes(&self, tokens: usize, profile: &KvMethodProfile) -> f64 {
-        self.kv_fp16_bytes(tokens) * profile.kv_size_factor
+    /// The prefill-side formulas (prefill, quantization and uncontended
+    /// transfer over a NIC of `network_gbps`) with their length-independent
+    /// terms evaluated once.
+    pub fn prefill_evaluator(
+        &self,
+        profile: &KvMethodProfile,
+        network_gbps: f64,
+    ) -> PrefillEvaluator {
+        PrefillEvaluator {
+            service: PrefillService::new(self, profile),
+            kv_bytes_per_token: self.model.kv_bytes_per_token_fp16() as f64,
+            kv_size_factor: profile.kv_size_factor,
+            wire_bytes_per_s: network_gbps * 1e9 / 8.0 * self.params.network_efficiency,
+        }
+    }
+
+    /// The decode-side formulas (decode iteration and dequantization or
+    /// approximation) of a sequence decoding with `batch` others, with their
+    /// length-independent terms evaluated once.
+    pub fn decode_evaluator(&self, profile: &KvMethodProfile, batch: f64) -> DecodeEvaluator {
+        DecodeEvaluator::new(self, profile, batch)
     }
 
     /// Prefill compute time for a prompt of `prompt` tokens.
     pub fn prefill_time(&self, prompt: usize, profile: &KvMethodProfile) -> f64 {
-        let attn = self.model.attention_flops(prompt, prompt);
-        let linear = self.model.prefill_flops(prompt) - attn;
-        let attn_rate = self.agg_attention_ops(profile.int8_attention);
-        let mut t = linear / self.agg_fp16_flops() + attn / attn_rate;
-        if profile.needs_fp_conversion && !self.gpu.fp8_support {
-            // §3: FP4/6/8 data must be converted to FP16 before the attention matmuls.
-            let conv_ops = 2.0 * 2.0 * self.model.kv_elements_per_token() as f64 * prompt as f64;
-            t += conv_ops / self.agg_elementwise_ops();
-        }
-        t
+        PrefillService::new(self, profile).prefill_time(prompt)
     }
 
     /// KV quantization/encoding time on the prefill instance (once per request).
     pub fn quantization_time(&self, prompt: usize, profile: &KvMethodProfile) -> f64 {
-        if !profile.quantizes {
-            return 0.0;
-        }
-        // 3 ops per element (subtract, scale, round) over K and V.
-        let ops = 3.0 * 2.0 * self.model.kv_elements_per_token() as f64 * prompt as f64;
-        ops / self.agg_elementwise_ops()
+        PrefillService::new(self, profile).quantization_time(prompt)
     }
 
     /// Uncontended KV transfer time over a NIC of `network_gbps`.
@@ -371,43 +374,16 @@ impl ReplicaCostModel {
         profile: &KvMethodProfile,
         network_gbps: f64,
     ) -> f64 {
-        let bytes = self.kv_transfer_bytes(tokens, profile);
-        bytes / (network_gbps * 1e9 / 8.0 * self.params.network_efficiency)
+        self.prefill_evaluator(profile, network_gbps)
+            .transfer_time(tokens)
     }
 
     /// Per-iteration dequantization time (CacheGen / KVQuant) or approximation time
     /// (HACK) for one sequence at context length `kv_len`.
     pub fn dequant_or_approx_iter_time(&self, kv_len: usize, profile: &KvMethodProfile) -> f64 {
-        let heads = (self.model.layers * self.model.kv_heads) as f64;
-        let d_h = self.model.head_dim;
-        if profile.dequant_per_iter {
-            let ops = hack_quant::cost::kv_dequant_ops(d_h, kv_len) as f64 * heads;
-            let rate = self.parallel.gpus_per_replica() as f64
-                * self.gpu.fp16_tflops
-                * 1e12
-                * self.params.dequant_efficiency;
-            return ops / rate;
-        }
-        if profile.approx_per_iter {
-            let per_head = if profile.summation_elimination {
-                hack_quant::cost::decode_approx_ops_with_se(d_h, kv_len)
-            } else {
-                hack_quant::cost::decode_approx_ops_without_se(d_h, kv_len)
-            } as f64;
-            let mut ops = per_head * heads;
-            if !profile.requant_elimination {
-                // Requantize the partial last block of V every iteration (Π/2 tokens on
-                // average).
-                ops += hack_quant::cost::requant_last_block_ops(profile.partition / 2, d_h) as f64
-                    * heads;
-            }
-            return ops / self.agg_elementwise_ops();
-        }
-        if profile.needs_fp_conversion && !self.gpu.fp8_support {
-            let ops = 2.0 * 2.0 * d_h as f64 * kv_len as f64 * heads;
-            return ops / self.agg_elementwise_ops();
-        }
-        0.0
+        // The batch plays no part in this formula.
+        self.decode_evaluator(profile, 1.0)
+            .dequant_or_approx_iter_time(kv_len)
     }
 
     /// Decode iteration latency experienced by a sequence at context length `kv_len`,
@@ -415,34 +391,8 @@ impl ReplicaCostModel {
     /// length (continuous batching: weights are streamed once per iteration for the
     /// whole batch, per-sequence KV reads and compute are not shared).
     pub fn decode_iter_time(&self, kv_len: usize, profile: &KvMethodProfile, batch: f64) -> f64 {
-        let batch = batch.max(1.0);
-        let weight_time = self.model.param_bytes_fp16() / self.agg_mem_bw();
-        // Memory the attention kernel streams for this sequence's KV data: HACK and the
-        // minifloat casts read the compact representation directly; the
-        // dequantize-per-iteration baselines read the compact cache *and* stream the
-        // transient dequantized FP16 working set; the FP16 baseline reads full-size KV.
-        let kv_read_factor = if profile.dequant_per_iter {
-            profile.kv_size_factor * 1.5
-        } else if profile.int8_attention || profile.needs_fp_conversion {
-            profile.kv_size_factor
-        } else {
-            1.0
-        };
-        let kv_access_bw = self.parallel.gpus_per_replica() as f64
-            * self.gpu.mem_bandwidth_gbs
-            * 1e9
-            * self.params.kv_access_efficiency;
-        let kv_read_time = self.kv_fp16_bytes(kv_len) * kv_read_factor / kv_access_bw;
-        let attn_flops = self.model.attention_flops(1, kv_len);
-        let linear_flops = self.model.decode_flops(kv_len) - attn_flops;
-        let attn_rate = self.agg_attention_ops(profile.int8_attention);
-        let compute_time = linear_flops / self.agg_fp16_flops() + attn_flops / attn_rate;
-        // Per iteration: the batch shares one weight stream and the fixed per-step
-        // overhead; this sequence's own KV gather and attention compute are not shared.
-        weight_time / batch
-            + self.params.decode_iter_overhead_s / batch
-            + kv_read_time
-            + compute_time
+        self.decode_evaluator(profile, batch)
+            .decode_iter_time(kv_len)
     }
 
     /// Total (decode, dequant/approx) time of `output_len` decode iterations
@@ -457,12 +407,13 @@ impl ReplicaCostModel {
         input_len: usize,
         output_len: usize,
     ) -> (f64, f64) {
+        let evaluator = self.decode_evaluator(profile, batch);
         let mut decode = 0.0;
         let mut dequant = 0.0;
         for i in 0..output_len {
             let kv_len = input_len + i + 1;
-            decode += self.decode_iter_time(kv_len, profile, batch);
-            dequant += self.dequant_or_approx_iter_time(kv_len, profile);
+            decode += evaluator.decode_iter_time(kv_len);
+            dequant += evaluator.dequant_or_approx_iter_time(kv_len);
         }
         (decode, dequant)
     }
@@ -495,8 +446,254 @@ impl ReplicaCostModel {
     }
 }
 
+/// The prefill and quantization formulas of one (model, profile) pair, with
+/// the length-independent terms evaluated once.
+#[derive(Debug, Clone, Copy)]
+struct PrefillService {
+    model: ModelSpec,
+    /// [`ModelSpec::linear_flops_per_token`].
+    linear_per_token: (f64, f64),
+    /// [`ReplicaCostModel::agg_fp16_flops`].
+    fp16_rate: f64,
+    /// [`ReplicaCostModel::agg_attention_ops`] on the profile's datapath.
+    attention_rate: f64,
+    /// [`ReplicaCostModel::agg_elementwise_ops`].
+    elementwise_rate: f64,
+    /// Conversion ops per prompt token, when the format must be converted
+    /// to FP16 before attention (§3).
+    conversion_per_token: Option<f64>,
+    /// Quantization ops per prompt token, when the profile quantizes.
+    quantization_per_token: Option<f64>,
+}
+
+impl PrefillService {
+    fn new(model: &ReplicaCostModel, profile: &KvMethodProfile) -> Self {
+        let kv_elements = model.model.kv_elements_per_token() as f64;
+        Self {
+            model: model.model,
+            linear_per_token: model.model.linear_flops_per_token(),
+            fp16_rate: model.agg_fp16_flops(),
+            attention_rate: model.agg_attention_ops(profile.int8_attention),
+            elementwise_rate: model.agg_elementwise_ops(),
+            // §3: FP4/6/8 data must be converted to FP16 before the attention matmuls.
+            conversion_per_token: (profile.needs_fp_conversion && !model.gpu.fp8_support)
+                .then_some(2.0 * 2.0 * kv_elements),
+            // 3 ops per element (subtract, scale, round) over K and V.
+            quantization_per_token: profile.quantizes.then_some(3.0 * 2.0 * kv_elements),
+        }
+    }
+
+    fn prefill_time(&self, prompt: usize) -> f64 {
+        let attn = self.model.attention_flops(prompt, prompt);
+        let linear = self
+            .model
+            .forward_flops_with(self.linear_per_token, prompt, prompt)
+            - attn;
+        let mut t = linear / self.fp16_rate + attn / self.attention_rate;
+        if let Some(per_token) = self.conversion_per_token {
+            let conv_ops = per_token * prompt as f64;
+            t += conv_ops / self.elementwise_rate;
+        }
+        t
+    }
+
+    fn quantization_time(&self, prompt: usize) -> f64 {
+        match self.quantization_per_token {
+            Some(per_token) => per_token * prompt as f64 / self.elementwise_rate,
+            None => 0.0,
+        }
+    }
+}
+
+/// The prefill-side formulas of one (model, profile, wire bandwidth):
+/// [`ReplicaCostModel::prefill_time`], [`ReplicaCostModel::quantization_time`]
+/// and [`ReplicaCostModel::transfer_time`] are its per-length half, which runs
+/// the same floating-point operations in the same order as evaluating the
+/// formulas whole, so its results are bit-identical to theirs.
+#[derive(Debug, Clone, Copy)]
+pub struct PrefillEvaluator {
+    service: PrefillService,
+    /// [`ModelSpec::kv_bytes_per_token_fp16`].
+    kv_bytes_per_token: f64,
+    kv_size_factor: f64,
+    /// Achieved NIC throughput in bytes per second.
+    wire_bytes_per_s: f64,
+}
+
+impl PrefillEvaluator {
+    /// Prefill compute time for a prompt of `prompt` tokens.
+    pub fn prefill_time(&self, prompt: usize) -> f64 {
+        self.service.prefill_time(prompt)
+    }
+
+    /// KV quantization/encoding time of a prompt of `prompt` tokens.
+    pub fn quantization_time(&self, prompt: usize) -> f64 {
+        self.service.quantization_time(prompt)
+    }
+
+    /// Uncontended transfer time of the KV data of `tokens` tokens.
+    pub fn transfer_time(&self, tokens: usize) -> f64 {
+        let bytes = self.kv_bytes_per_token * tokens as f64 * self.kv_size_factor;
+        bytes / self.wire_bytes_per_s
+    }
+}
+
+/// What a decode iteration spends on the KV history besides attention.
+#[derive(Debug, Clone, Copy)]
+enum HistoryCost {
+    /// Nothing (FP16, and the minifloat casts on GPUs with FP8 support).
+    None,
+    /// Dequantizing the whole history (CacheGen / KVQuant), at this op rate.
+    Dequant { rate: f64 },
+    /// HACK's Eq. 4 approximation at the element-wise rate, plus the
+    /// requantization of the last V block when RQE is off.
+    Approx {
+        summation_elimination: bool,
+        requant_ops: Option<f64>,
+        rate: f64,
+    },
+    /// Converting the minifloat history to FP16: ops per context token and
+    /// head, at the element-wise rate.
+    Conversion { per_token: f64, rate: f64 },
+}
+
+/// The decode-side formulas of one (model, profile, batch):
+/// [`ReplicaCostModel::decode_iter_time`] and
+/// [`ReplicaCostModel::dequant_or_approx_iter_time`] are its per-length half,
+/// which runs the same floating-point operations in the same order as
+/// evaluating the formulas whole, so its results are bit-identical to theirs.
+#[derive(Debug, Clone, Copy)]
+pub struct DecodeEvaluator {
+    model: ModelSpec,
+    /// [`ModelSpec::linear_flops_per_token`].
+    linear_per_token: (f64, f64),
+    /// The batch's shares of one weight stream and of the fixed per-step
+    /// overhead.
+    batch_share: f64,
+    /// [`ModelSpec::kv_bytes_per_token_fp16`].
+    kv_bytes_per_token: f64,
+    /// KV bytes the attention kernel streams per FP16 KV byte.
+    kv_read_factor: f64,
+    /// Achieved KV gather bandwidth (byte/s).
+    kv_access_bw: f64,
+    /// [`ReplicaCostModel::agg_fp16_flops`].
+    fp16_rate: f64,
+    /// [`ReplicaCostModel::agg_attention_ops`] on the profile's datapath.
+    attention_rate: f64,
+    /// KV heads over all layers.
+    heads: f64,
+    history: HistoryCost,
+}
+
+impl DecodeEvaluator {
+    fn new(model: &ReplicaCostModel, profile: &KvMethodProfile, batch: f64) -> Self {
+        let batch = batch.max(1.0);
+        let weight_time = model.model.param_bytes_fp16() / model.agg_mem_bw();
+        // Memory the attention kernel streams for this sequence's KV data: HACK and the
+        // minifloat casts read the compact representation directly; the
+        // dequantize-per-iteration baselines read the compact cache *and* stream the
+        // transient dequantized FP16 working set; the FP16 baseline reads full-size KV.
+        let kv_read_factor = if profile.dequant_per_iter {
+            profile.kv_size_factor * 1.5
+        } else if profile.int8_attention || profile.needs_fp_conversion {
+            profile.kv_size_factor
+        } else {
+            1.0
+        };
+        let gpus = model.parallel.gpus_per_replica() as f64;
+        let (d_h, heads) = (
+            model.model.head_dim,
+            (model.model.layers * model.model.kv_heads) as f64,
+        );
+        let history = if profile.dequant_per_iter {
+            HistoryCost::Dequant {
+                rate: gpus * model.gpu.fp16_tflops * 1e12 * model.params.dequant_efficiency,
+            }
+        } else if profile.approx_per_iter {
+            HistoryCost::Approx {
+                summation_elimination: profile.summation_elimination,
+                // Requantize the partial last block of V every iteration (Π/2 tokens on
+                // average).
+                requant_ops: (!profile.requant_elimination).then(|| {
+                    hack_quant::cost::requant_last_block_ops(profile.partition / 2, d_h) as f64
+                        * heads
+                }),
+                rate: model.agg_elementwise_ops(),
+            }
+        } else if profile.needs_fp_conversion && !model.gpu.fp8_support {
+            HistoryCost::Conversion {
+                per_token: 2.0 * 2.0 * d_h as f64,
+                rate: model.agg_elementwise_ops(),
+            }
+        } else {
+            HistoryCost::None
+        };
+        Self {
+            model: model.model,
+            linear_per_token: model.model.linear_flops_per_token(),
+            // Per iteration: the batch shares one weight stream and the fixed per-step
+            // overhead; this sequence's own KV gather and attention compute are not shared.
+            batch_share: weight_time / batch + model.params.decode_iter_overhead_s / batch,
+            kv_bytes_per_token: model.model.kv_bytes_per_token_fp16() as f64,
+            kv_read_factor,
+            kv_access_bw: gpus
+                * model.gpu.mem_bandwidth_gbs
+                * 1e9
+                * model.params.kv_access_efficiency,
+            fp16_rate: model.agg_fp16_flops(),
+            attention_rate: model.agg_attention_ops(profile.int8_attention),
+            heads,
+            history,
+        }
+    }
+
+    /// Decode iteration latency at context length `kv_len`.
+    pub fn decode_iter_time(&self, kv_len: usize) -> f64 {
+        let kv_read_time =
+            self.kv_bytes_per_token * kv_len as f64 * self.kv_read_factor / self.kv_access_bw;
+        let attn_flops = self.model.attention_flops(1, kv_len);
+        let linear_flops = self
+            .model
+            .forward_flops_with(self.linear_per_token, 1, kv_len)
+            - attn_flops;
+        let compute_time = linear_flops / self.fp16_rate + attn_flops / self.attention_rate;
+        self.batch_share + kv_read_time + compute_time
+    }
+
+    /// Dequantization (CacheGen / KVQuant) or approximation (HACK) time of one
+    /// iteration at context length `kv_len`.
+    pub fn dequant_or_approx_iter_time(&self, kv_len: usize) -> f64 {
+        let d_h = self.model.head_dim;
+        match self.history {
+            HistoryCost::None => 0.0,
+            HistoryCost::Dequant { rate } => {
+                hack_quant::cost::kv_dequant_ops(d_h, kv_len) as f64 * self.heads / rate
+            }
+            HistoryCost::Approx {
+                summation_elimination,
+                requant_ops,
+                rate,
+            } => {
+                let per_head = if summation_elimination {
+                    hack_quant::cost::decode_approx_ops_with_se(d_h, kv_len)
+                } else {
+                    hack_quant::cost::decode_approx_ops_without_se(d_h, kv_len)
+                } as f64;
+                let mut ops = per_head * self.heads;
+                if let Some(requant) = requant_ops {
+                    ops += requant;
+                }
+                ops / rate
+            }
+            HistoryCost::Conversion { per_token, rate } => {
+                per_token * kv_len as f64 * self.heads / rate
+            }
+        }
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::gpu::GpuKind;
     use crate::spec::ModelKind;
@@ -513,6 +710,86 @@ mod tests {
 
     fn cocktail_prompt() -> usize {
         16_200
+    }
+
+    /// Every method profile the paper compares (the `Method` mapping in
+    /// `hack-core` resolves to exactly these constructors).
+    pub(crate) fn all_profiles() -> Vec<KvMethodProfile> {
+        vec![
+            KvMethodProfile::baseline(),
+            KvMethodProfile::cachegen(),
+            KvMethodProfile::kvquant(),
+            KvMethodProfile::hack(),
+            KvMethodProfile::hack_with_partition(32),
+            KvMethodProfile::hack_with_partition(128),
+            KvMethodProfile::hack_no_se(),
+            KvMethodProfile::hack_no_rqe(),
+            KvMethodProfile::fp8(),
+            KvMethodProfile::fp6(),
+            KvMethodProfile::fp4(),
+        ]
+    }
+
+    /// The lengths the formula pin evaluates: every length 1-130, then, up to
+    /// 131 072, each power of two with the primes just below it and just
+    /// above it and the prime just above one and a half times it.
+    fn pinned_lengths() -> Vec<usize> {
+        let is_prime = |n: usize| {
+            n > 1
+                && (2..)
+                    .take_while(|d| d * d <= n)
+                    .all(|d| !n.is_multiple_of(d))
+        };
+        let prime_below = |n: usize| (2..n).rev().find(|&p| is_prime(p)).unwrap();
+        let prime_above = |n: usize| (n + 1..).find(|&p| is_prime(p)).unwrap();
+        let mut lengths: Vec<usize> = (1..=130).collect();
+        for k in 8..=17 {
+            let power = 1usize << k;
+            lengths.extend([prime_below(power), power, prime_above(power)]);
+            lengths.push(prime_above(power + power / 2));
+        }
+        lengths.retain(|&n| n <= 131_072);
+        lengths
+    }
+
+    #[test]
+    fn cost_formulas_are_pinned() {
+        // An FNV-1a digest over the bits of the five pointwise formulas on
+        // every model, GPU (Table 3 parallelism) and method profile, at two
+        // decode batches and three wire bandwidths. Any change to a formula's
+        // floating-point operations or their order moves it.
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut feed = |value: f64| {
+            for byte in value.to_bits().to_le_bytes() {
+                digest ^= u64::from(byte);
+                digest = digest.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let lengths = pinned_lengths();
+        for model in ModelKind::all() {
+            for gpu in GpuKind::all() {
+                let m = ReplicaCostModel::new(
+                    model.spec(),
+                    gpu.spec(),
+                    Parallelism::table3(model, gpu),
+                );
+                for profile in all_profiles() {
+                    for &len in &lengths {
+                        for batch in [1.0, 8.0] {
+                            feed(m.decode_iter_time(len, &profile, batch));
+                        }
+                        feed(m.dequant_or_approx_iter_time(len, &profile));
+                        feed(m.prefill_time(len, &profile));
+                        feed(m.quantization_time(len, &profile));
+                        for gbps in [10.0, 40.0, 50.0] {
+                            feed(m.transfer_time(len, &profile, gbps));
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(lengths.len(), 168, "lengths");
+        assert_eq!(digest, 0x3bbc_add9_37a9_a60b, "cost formula digest");
     }
 
     #[test]

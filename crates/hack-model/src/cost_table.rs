@@ -1,25 +1,29 @@
-//! Memoized cost tables: O(1) per-request analytic costs for the simulator.
+//! Cost tables: O(1) per-request analytic costs for the simulator.
 //!
-//! The discrete-event simulator asks [`ReplicaCostModel`] the same questions over
-//! and over: the per-iteration decode and dequantization/approximation times at
-//! every context length a request passes through (O(output tokens) formula
-//! evaluations per request), and the prefill/quantization/transfer times of
-//! prompt lengths that repeat heavily across a trace. For a fixed
-//! `(ReplicaCostModel, KvMethodProfile, batch)` all of these are pure functions
-//! of one integer, so a cluster run can precompute them once:
+//! The discrete-event simulator asks [`ReplicaCostModel`] for the summed
+//! decode and dequantization/approximation times of every request: one
+//! formula evaluation per context length the request passes through, so
+//! O(output tokens) per request. For a fixed `(ReplicaCostModel,
+//! KvMethodProfile, batch)` those are pure functions of the context length,
+//! so a cluster run precomputes their running sums once:
 //!
-//! * [`DecodeCostTable`] — per-`kv_len` decode/dequant iteration times up to the
-//!   trace's maximum context, plus f64 prefix sums, turning the per-request
-//!   decode-duration loop into two prefix subtractions.
-//! * [`PrefillCostTable`] — prefill/quantization/uncontended-transfer times
-//!   memoized by prompt length.
+//! * [`DecodeCostTable`] runs the model's
+//!   [`DecodeEvaluator`](crate::cost::DecodeEvaluator) over every
+//!   context length up to the trace's maximum and keeps the two prefix-sum
+//!   columns, turning the per-request decode-duration loop into two prefix
+//!   subtractions.
+//! * [`PrefillCostTable`] memoizes the prefill-side costs of a set of prompt
+//!   lengths. The simulator evaluates those per request through a
+//!   [`crate::cost::PrefillEvaluator`] instead; the memo stays as the cost
+//!   the benchmark times under `model.cost_table_build_s`.
 //!
 //! Prefix sums change the f64 summation order (`prefix[a+n] - prefix[a]` versus
 //! the sequential loop from `a+1` to `a+n`), so table results match the
 //! reference loop ([`ReplicaCostModel::decode_durations_reference`]) exactly
 //! when the request starts at context 0 and to ~1e-15 relative error elsewhere.
 //! The tests in this module pin both bounds; `hack-cluster`'s `cost_layer_*`
-//! test pins the simulator's lookups to the reference formulas within 1e-9.
+//! test pins the simulator's lookups bit for bit to the same prefix
+//! differences of the pointwise formulas.
 //!
 //! Tables are immutable once built and shared via [`DecodeCostTable::shared`],
 //! a process-wide cache keyed by the full parameterisation: repeated simulator
@@ -34,23 +38,19 @@ use hack_tensor::IntMap;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Per-`kv_len` decode-side cost tables with prefix sums for one
-/// `(ReplicaCostModel, KvMethodProfile, batch)` triple.
+/// Prefix sums of the per-`kv_len` decode and dequant/approx iteration times
+/// of one `(ReplicaCostModel, KvMethodProfile, batch)` triple.
 #[derive(Debug, Clone)]
 pub struct DecodeCostTable {
-    /// `decode_iter[k]` = `decode_iter_time(k)`; index 0 is unused (0.0).
-    decode_iter: Vec<f64>,
-    /// `dequant_iter[k]` = `dequant_or_approx_iter_time(k)`; index 0 unused.
-    dequant_iter: Vec<f64>,
-    /// `decode_prefix[k]` = sum of `decode_iter[1..=k]`, accumulated in
-    /// ascending `kv_len` order; `decode_prefix[0]` = 0.
+    /// `decode_prefix[k]` = the sum of `decode_iter_time(1..=k)`, accumulated
+    /// in ascending `kv_len` order; `decode_prefix[0]` = 0.
     decode_prefix: Vec<f64>,
-    /// Prefix sums of `dequant_iter`, same convention.
+    /// The same sums of `dequant_or_approx_iter_time`.
     dequant_prefix: Vec<f64>,
 }
 
 impl DecodeCostTable {
-    /// Builds the tables for context lengths `1..=max_kv_len`.
+    /// Builds the prefix sums for context lengths `1..=max_kv_len`.
     pub fn build(
         model: &ReplicaCostModel,
         profile: &KvMethodProfile,
@@ -58,25 +58,19 @@ impl DecodeCostTable {
         max_kv_len: usize,
     ) -> Self {
         let max_kv_len = max_kv_len.max(1);
-        let mut decode_iter = Vec::with_capacity(max_kv_len + 1);
-        let mut dequant_iter = Vec::with_capacity(max_kv_len + 1);
+        let evaluator = model.decode_evaluator(profile, batch);
         let mut decode_prefix = Vec::with_capacity(max_kv_len + 1);
         let mut dequant_prefix = Vec::with_capacity(max_kv_len + 1);
-        decode_iter.push(0.0);
-        dequant_iter.push(0.0);
-        decode_prefix.push(0.0);
-        dequant_prefix.push(0.0);
+        let (mut decode, mut dequant) = (0.0, 0.0);
+        decode_prefix.push(decode);
+        dequant_prefix.push(dequant);
         for kv_len in 1..=max_kv_len {
-            let d = model.decode_iter_time(kv_len, profile, batch);
-            let q = model.dequant_or_approx_iter_time(kv_len, profile);
-            decode_iter.push(d);
-            dequant_iter.push(q);
-            decode_prefix.push(decode_prefix[kv_len - 1] + d);
-            dequant_prefix.push(dequant_prefix[kv_len - 1] + q);
+            decode += evaluator.decode_iter_time(kv_len);
+            dequant += evaluator.dequant_or_approx_iter_time(kv_len);
+            decode_prefix.push(decode);
+            dequant_prefix.push(dequant);
         }
         Self {
-            decode_iter,
-            dequant_iter,
             decode_prefix,
             dequant_prefix,
         }
@@ -84,20 +78,7 @@ impl DecodeCostTable {
 
     /// Largest context length covered by the tables.
     pub fn max_kv_len(&self) -> usize {
-        self.decode_iter.len() - 1
-    }
-
-    /// Tabulated `decode_iter_time(kv_len)`.
-    ///
-    /// # Panics
-    /// Panics if `kv_len` exceeds [`Self::max_kv_len`].
-    pub fn decode_iter_time(&self, kv_len: usize) -> f64 {
-        self.decode_iter[kv_len]
-    }
-
-    /// Tabulated `dequant_or_approx_iter_time(kv_len)`.
-    pub fn dequant_or_approx_iter_time(&self, kv_len: usize) -> f64 {
-        self.dequant_iter[kv_len]
+        self.decode_prefix.len() - 1
     }
 
     /// Total (decode, dequant/approx) time of `output_len` decode iterations
@@ -176,11 +157,8 @@ pub struct PrefillCosts {
 }
 
 /// Prefill/quantization/transfer times memoized by prompt length for one
-/// `(ReplicaCostModel, KvMethodProfile, network_gbps)` triple.
-///
-/// Traces repeat prompt lengths heavily (dataset length distributions are
-/// discrete), so the table is built once per simulator from the distinct
-/// prompt lengths of its trace.
+/// `(ReplicaCostModel, KvMethodProfile, network_gbps)` triple, evaluated
+/// once per distinct length.
 #[derive(Debug, Clone)]
 pub struct PrefillCostTable {
     entries: IntMap<usize, PrefillCosts>,
@@ -195,43 +173,15 @@ impl PrefillCostTable {
         network_gbps: f64,
         prompts: impl IntoIterator<Item = usize>,
     ) -> Self {
+        let evaluator = model.prefill_evaluator(profile, network_gbps);
         let mut entries = IntMap::default();
         for prompt in prompts {
             entries.entry(prompt).or_insert_with(|| PrefillCosts {
-                prefill: model.prefill_time(prompt, profile),
-                quantization: model.quantization_time(prompt, profile),
-                transfer: model.transfer_time(prompt, profile, network_gbps),
+                prefill: evaluator.prefill_time(prompt),
+                quantization: evaluator.quantization_time(prompt),
+                transfer: evaluator.transfer_time(prompt),
             });
         }
-        Self { entries }
-    }
-
-    /// A copy of this memo with the transfer column re-evaluated at a
-    /// different network bandwidth, reusing the (bandwidth-independent)
-    /// prefill/quantization entries. Heterogeneous fleets need one transfer
-    /// memo per (prefill group, decode group) NIC pairing but only one
-    /// prefill/quantization evaluation per prefill group; this avoids
-    /// re-running the expensive service-time formulas per pairing. Transfer
-    /// values are bit-identical to a fresh [`Self::build`] at `network_gbps`.
-    pub fn with_network(
-        &self,
-        model: &ReplicaCostModel,
-        profile: &KvMethodProfile,
-        network_gbps: f64,
-    ) -> Self {
-        let entries = self
-            .entries
-            .iter()
-            .map(|(&prompt, costs)| {
-                (
-                    prompt,
-                    PrefillCosts {
-                        transfer: model.transfer_time(prompt, profile, network_gbps),
-                        ..*costs
-                    },
-                )
-            })
-            .collect();
         Self { entries }
     }
 
@@ -254,6 +204,7 @@ impl PrefillCostTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::tests::all_profiles;
     use crate::gpu::GpuKind;
     use crate::parallelism::Parallelism;
     use crate::spec::ModelKind;
@@ -267,43 +218,25 @@ mod tests {
         )
     }
 
-    /// Every method profile the paper compares (the `Method` mapping in
-    /// `hack-core` resolves to exactly these constructors).
-    fn all_profiles() -> Vec<KvMethodProfile> {
-        vec![
-            KvMethodProfile::baseline(),
-            KvMethodProfile::cachegen(),
-            KvMethodProfile::kvquant(),
-            KvMethodProfile::hack(),
-            KvMethodProfile::hack_with_partition(32),
-            KvMethodProfile::hack_with_partition(128),
-            KvMethodProfile::hack_no_se(),
-            KvMethodProfile::hack_no_rqe(),
-            KvMethodProfile::fp8(),
-            KvMethodProfile::fp6(),
-            KvMethodProfile::fp4(),
-        ]
-    }
-
     #[test]
     fn table_matches_the_pointwise_formulas_exactly() {
+        // From context 0 a lookup is one prefix entry: the running sum of
+        // the pointwise formulas in ascending order, bit for bit.
         let m = decode_model();
         let batch = 8.0;
+        let checkpoints = [1usize, 2, 63, 64, 65, 1000, 4096];
         for profile in all_profiles() {
             let table = DecodeCostTable::build(&m, &profile, batch, 4096);
-            for kv_len in [1usize, 2, 63, 64, 65, 1000, 4096] {
-                assert_eq!(
-                    table.decode_iter_time(kv_len),
-                    m.decode_iter_time(kv_len, &profile, batch),
-                    "{}: decode_iter_time({kv_len})",
-                    profile.name
-                );
-                assert_eq!(
-                    table.dequant_or_approx_iter_time(kv_len),
-                    m.dequant_or_approx_iter_time(kv_len, &profile),
-                    "{}: dequant_or_approx_iter_time({kv_len})",
-                    profile.name
-                );
+            let (mut decode, mut dequant) = (0.0, 0.0);
+            for kv_len in 1..=4096 {
+                decode += m.decode_iter_time(kv_len, &profile, batch);
+                dequant += m.dequant_or_approx_iter_time(kv_len, &profile);
+                if checkpoints.contains(&kv_len) {
+                    let (d, q) = table.decode_durations(0, kv_len);
+                    let at = format!("{}: decode_durations(0, {kv_len})", profile.name);
+                    assert_eq!(d.to_bits(), decode.to_bits(), "{at}");
+                    assert_eq!(q.to_bits(), dequant.to_bits(), "{at}");
+                }
             }
         }
     }
@@ -340,19 +273,32 @@ mod tests {
 
     #[test]
     fn decode_iter_time_is_monotone_in_kv_len() {
+        // The per-length costs the table sums never fall as the context
+        // grows, so a longer decode never costs less.
         let m = decode_model();
         for profile in all_profiles() {
+            let evaluator = m.decode_evaluator(&profile, 8.0);
             let table = DecodeCostTable::build(&m, &profile, 8.0, 8192);
             for kv_len in 2..=table.max_kv_len() {
                 assert!(
-                    table.decode_iter_time(kv_len) >= table.decode_iter_time(kv_len - 1),
+                    evaluator.decode_iter_time(kv_len) >= evaluator.decode_iter_time(kv_len - 1),
                     "{}: decode_iter_time must not decrease at kv_len {kv_len}",
                     profile.name
                 );
                 assert!(
-                    table.dequant_or_approx_iter_time(kv_len)
-                        >= table.dequant_or_approx_iter_time(kv_len - 1),
+                    evaluator.dequant_or_approx_iter_time(kv_len)
+                        >= evaluator.dequant_or_approx_iter_time(kv_len - 1),
                     "{}: dequant/approx time must not decrease at kv_len {kv_len}",
+                    profile.name
+                );
+                let (shorter, longer) = (
+                    table.decode_durations(0, kv_len - 1),
+                    table.decode_durations(0, kv_len),
+                );
+                assert!(longer.0 > shorter.0, "{}: at kv_len {kv_len}", profile.name);
+                assert!(
+                    longer.1 >= shorter.1,
+                    "{}: at kv_len {kv_len}",
                     profile.name
                 );
             }
@@ -372,24 +318,7 @@ mod tests {
         assert_eq!(a.decode_durations(500, 700), c.decode_durations(500, 700));
         // A different batch size is a different table.
         let d = DecodeCostTable::shared(&m, &profile, 9.0, 1000);
-        assert_ne!(d.decode_iter_time(1000), a.decode_iter_time(1000));
-    }
-
-    #[test]
-    fn with_network_matches_a_fresh_build() {
-        let m = decode_model();
-        let profile = KvMethodProfile::hack();
-        let base = PrefillCostTable::build(&m, &profile, 40.0, [100, 200, 300]);
-        let rebased = base.with_network(&m, &profile, 10.0);
-        let fresh = PrefillCostTable::build(&m, &profile, 10.0, [100, 200, 300]);
-        for prompt in [100usize, 200, 300] {
-            assert_eq!(rebased.get(prompt), fresh.get(prompt), "prompt {prompt}");
-            // Prefill/quantization are bandwidth-independent and carried over.
-            assert_eq!(
-                rebased.get(prompt).unwrap().prefill,
-                base.get(prompt).unwrap().prefill
-            );
-        }
+        assert_ne!(d.decode_durations(0, 1000), a.decode_durations(0, 1000));
     }
 
     #[test]

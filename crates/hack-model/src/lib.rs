@@ -23,10 +23,14 @@
 //! * [`cost`] — [`cost::ReplicaCostModel`]: stage latencies (prefill, quantization,
 //!   transfer, dequantization/approximation, decode) for a model replica on a given
 //!   instance, parameterised by a [`cost::KvMethodProfile`].
-//! * [`cost_table`] — memoized O(1) views of the cost model for the simulator:
-//!   per-`kv_len` decode/dequant tables with prefix sums
-//!   ([`cost_table::DecodeCostTable`], process-wide cached) and per-prompt-length
-//!   prefill/quantization/transfer memos ([`cost_table::PrefillCostTable`]).
+//!   Each formula's length-independent terms are evaluated once per
+//!   configuration by [`cost::PrefillEvaluator`] (per model, profile and wire
+//!   bandwidth) and [`cost::DecodeEvaluator`] (per model, profile and batch).
+//! * [`cost_table`] — O(1) views of the cost model for the simulator: the
+//!   decode/dequant prefix sums of [`cost_table::DecodeCostTable`]
+//!   (process-wide cached), and the per-prompt-length memo
+//!   [`cost_table::PrefillCostTable`], which the simulator does not use (the
+//!   benchmark times its build).
 //! * [`reference`](mod@reference) — a small, runnable decoder-only transformer (RMSNorm, RoPE, GQA,
 //!   SwiGLU MLP) whose attention backend is pluggable, used to measure end-to-end
 //!   output fidelity of HACK and the baselines (Table 6/7 proxies).
@@ -38,7 +42,7 @@ pub mod parallelism;
 pub mod reference;
 pub mod spec;
 
-pub use cost::{CostParams, KvMethodProfile, ReplicaCostModel};
+pub use cost::{CostParams, DecodeEvaluator, KvMethodProfile, PrefillEvaluator, ReplicaCostModel};
 pub use cost_table::{DecodeCostTable, PrefillCostTable, PrefillCosts};
 pub use gpu::{GpuKind, GpuSpec, InstanceKind, InstanceSpec};
 pub use parallelism::Parallelism;

@@ -168,9 +168,27 @@ impl ModelSpec {
     /// context (linear layers + attention). Used for both prefill (`tokens = kv_len =
     /// prompt`) and decode (`tokens = 1`).
     pub fn forward_flops(&self, tokens: usize, kv_len: usize) -> f64 {
-        let linear =
-            2.0 * (self.param_count() - 2.0 * (self.hidden * self.vocab) as f64) * tokens as f64
-                + 2.0 * (self.hidden * self.vocab) as f64 * tokens as f64;
+        self.forward_flops_with(self.linear_flops_per_token(), tokens, kv_len)
+    }
+
+    /// Linear-layer FLOPs per token, split as `(body, lm_head)`: twice the
+    /// parameters outside the embedding and the LM head, and twice the LM
+    /// head's (the embedding is a lookup, not a GEMM).
+    pub(crate) fn linear_flops_per_token(&self) -> (f64, f64) {
+        let lm_head = (self.hidden * self.vocab) as f64;
+        (2.0 * (self.param_count() - 2.0 * lm_head), 2.0 * lm_head)
+    }
+
+    /// [`Self::forward_flops`] with the per-token linear FLOPs of
+    /// [`Self::linear_flops_per_token`] already evaluated, so that a caller
+    /// evaluating many lengths pays for the parameter count once.
+    pub(crate) fn forward_flops_with(
+        &self,
+        (body, lm_head): (f64, f64),
+        tokens: usize,
+        kv_len: usize,
+    ) -> f64 {
+        let linear = body * tokens as f64 + lm_head * tokens as f64;
         linear + self.attention_flops(tokens, kv_len)
     }
 

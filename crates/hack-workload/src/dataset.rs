@@ -23,15 +23,64 @@ impl LengthStats {
     /// `sigma` is chosen so that the `min`–`max` span corresponds to roughly ±3 sigma
     /// in log space, and `mu` is set so the distribution mean equals `avg`.
     pub fn sample(&self, rng: &mut DetRng) -> usize {
-        if self.min == self.max {
-            return self.min;
-        }
+        self.sampler().sample(rng)
+    }
+
+    /// The fitted distribution [`Self::sample`] draws from. Fit it once to
+    /// draw many lengths without a logarithm per draw.
+    pub fn sampler(&self) -> LengthSampler {
         let span = (self.max as f64 / self.min.max(1) as f64).ln();
         let sigma = (span / 6.0).clamp(0.05, 1.5);
         // Mean of lognormal = exp(mu + sigma^2/2)  =>  mu = ln(avg) - sigma^2/2.
         let mu = (self.avg as f64).ln() - sigma * sigma / 2.0;
-        let sampled = rng.log_normal(mu, sigma).round() as usize;
+        LengthSampler {
+            min: self.min,
+            max: self.max,
+            mu,
+            sigma,
+        }
+    }
+}
+
+/// The log-normal fit of one [`LengthStats`] (see [`LengthStats::sample`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LengthSampler {
+    min: usize,
+    max: usize,
+    mu: f64,
+    sigma: f64,
+}
+
+impl LengthSampler {
+    /// Draws one length in `[min, max]`; degenerate statistics
+    /// (`min == max`) return `min` without drawing.
+    pub fn sample(&self, rng: &mut DetRng) -> usize {
+        if self.min == self.max {
+            return self.min;
+        }
+        let sampled = rng.log_normal(self.mu, self.sigma).round() as usize;
         sampled.clamp(self.min, self.max)
+    }
+}
+
+/// The fitted input and output length distributions of one dataset under a
+/// context-window cap (see [`Dataset::sample_lengths`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DatasetSampler {
+    input: LengthSampler,
+    output: LengthSampler,
+    max_context: usize,
+}
+
+impl DatasetSampler {
+    /// Samples one (input_len, output_len) pair. Inputs are capped at the
+    /// context window minus the sampled output length (the Falcon-180B
+    /// 2K-context case of §7.1).
+    pub fn sample(&self, rng: &mut DetRng) -> (usize, usize) {
+        let output = self.output.sample(rng).max(1);
+        let input_cap = self.max_context.saturating_sub(output).max(1);
+        let input = self.input.sample(rng).min(input_cap).max(1);
+        (input, output)
     }
 }
 
@@ -124,10 +173,17 @@ impl Dataset {
     /// Samples one (input_len, output_len) pair. Inputs are capped at `max_context`
     /// minus the sampled output length (the Falcon-180B 2K-context case of §7.1).
     pub fn sample_lengths(&self, max_context: usize, rng: &mut DetRng) -> (usize, usize) {
-        let output = self.output_stats().sample(rng).max(1);
-        let input_cap = max_context.saturating_sub(output).max(1);
-        let input = self.input_stats().sample(rng).min(input_cap).max(1);
-        (input, output)
+        self.sampler(max_context).sample(rng)
+    }
+
+    /// The fitted distributions [`Self::sample_lengths`] draws from, for
+    /// drawing a whole trace's lengths without refitting per request.
+    pub fn sampler(&self, max_context: usize) -> DatasetSampler {
+        DatasetSampler {
+            input: self.input_stats().sampler(),
+            output: self.output_stats().sampler(),
+            max_context,
+        }
     }
 }
 

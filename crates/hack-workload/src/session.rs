@@ -17,7 +17,7 @@
 //! model prefix-cache hits.
 
 use crate::arrivals::PoissonArrivals;
-use crate::dataset::Dataset;
+use crate::dataset::{Dataset, DatasetSampler};
 use crate::trace::{Request, TenantId};
 use hack_tensor::DetRng;
 use serde::Serialize;
@@ -114,21 +114,32 @@ impl SessionSpec {
 
     /// Draws the request DAG of one session from `rng`.
     pub fn sample_dag(&self, rng: &mut DetRng) -> RequestDag {
+        self.dag(&self.dataset.sampler(self.max_context), rng)
+    }
+
+    /// [`Self::sample_dag`] with the dataset's length distributions fitted.
+    fn dag(&self, lengths: &DatasetSampler, rng: &mut DetRng) -> RequestDag {
         match self.kind {
             SessionKind::Chat {
                 turns,
                 think_mean_s,
-            } => self.chat_dag(turns, think_mean_s, rng),
+            } => self.chat_dag(turns, think_mean_s, lengths, rng),
             SessionKind::Agentic {
                 tools,
                 tool_delay_s,
-            } => self.agentic_dag(tools, tool_delay_s, rng),
+            } => self.agentic_dag(tools, tool_delay_s, lengths, rng),
         }
     }
 
-    fn chat_dag(&self, turns: usize, think_mean_s: f64, rng: &mut DetRng) -> RequestDag {
+    fn chat_dag(
+        &self,
+        turns: usize,
+        think_mean_s: f64,
+        lengths: &DatasetSampler,
+        rng: &mut DetRng,
+    ) -> RequestDag {
         assert!(think_mean_s > 0.0, "chat think time must be positive");
-        let (input_len, output_len) = self.dataset.sample_lengths(self.max_context, rng);
+        let (input_len, output_len) = lengths.sample(rng);
         let mut nodes = vec![DagNode {
             parent: None,
             offset_s: 0.0,
@@ -140,7 +151,7 @@ impl SessionSpec {
         let mut offset = 0.0f64;
         for turn in 1..turns.max(1) {
             offset += rng.exponential(1.0 / think_mean_s);
-            let (fresh_in, fresh_out) = self.dataset.sample_lengths(self.max_context, rng);
+            let (fresh_in, fresh_out) = lengths.sample(rng);
             // A follow-up message is much shorter than a root prompt; the bulk
             // of the turn's prompt is the replayed context.
             let followup = (fresh_in / 8).max(MIN_FOLLOWUP_TOKENS);
@@ -158,10 +169,16 @@ impl SessionSpec {
         RequestDag { nodes }
     }
 
-    fn agentic_dag(&self, tools: usize, tool_delay_s: f64, rng: &mut DetRng) -> RequestDag {
+    fn agentic_dag(
+        &self,
+        tools: usize,
+        tool_delay_s: f64,
+        lengths: &DatasetSampler,
+        rng: &mut DetRng,
+    ) -> RequestDag {
         assert!(tool_delay_s > 0.0, "agentic tool delay must be positive");
         let tools = tools.max(1);
-        let (input_len, output_len) = self.dataset.sample_lengths(self.max_context, rng);
+        let (input_len, output_len) = lengths.sample(rng);
         let mut nodes = vec![DagNode {
             parent: None,
             offset_s: 0.0,
@@ -174,7 +191,7 @@ impl SessionSpec {
         let mut tool_outputs = 0usize;
         for _ in 0..tools {
             let offset = rng.exponential(1.0 / tool_delay_s);
-            let (fresh_in, fresh_out) = self.dataset.sample_lengths(self.max_context, rng);
+            let (fresh_in, fresh_out) = lengths.sample(rng);
             let tool_prompt = (fresh_in / 16).max(MIN_FOLLOWUP_TOKENS);
             let tool_output = (fresh_out / 4).max(MIN_FOLLOWUP_TOKENS);
             let input_len = (root_context + tool_prompt).min(self.max_context).max(2);
@@ -192,7 +209,7 @@ impl SessionSpec {
         // parent is the *last* tool call; the simulator's gating releases it
         // only after that parent completes.
         let join_offset = fanout_end + rng.exponential(1.0 / tool_delay_s);
-        let (_, join_out) = self.dataset.sample_lengths(self.max_context, rng);
+        let (_, join_out) = lengths.sample(rng);
         let join_input = (root_context + tool_outputs + MIN_FOLLOWUP_TOKENS)
             .min(self.max_context)
             .max(2);
@@ -217,9 +234,10 @@ impl SessionSpec {
         let mut rng = DetRng::new(self.seed);
         let mut arrivals = PoissonArrivals::new(self.rps);
         let mut requests = Vec::with_capacity(self.num_requests());
+        let lengths = self.dataset.sampler(self.max_context);
         for s in 0..self.sessions {
             let start = arrivals.next_arrival(&mut rng);
-            let dag = self.sample_dag(&mut rng);
+            let dag = self.dag(&lengths, &mut rng);
             let base = requests.len() as u64;
             for node in &dag.nodes {
                 requests.push(Request {
@@ -262,20 +280,29 @@ pub fn merge_streams(streams: &[Vec<Request>]) -> Vec<Request> {
         session_offset.push(acc);
         acc += stream.iter().map(|r| r.session).max().unwrap_or(0);
     }
-    let mut tagged: Vec<(usize, Request)> = streams
+    // `(arrival, stream, index)` is a total order that ties like a stable
+    // sort of the concatenated streams by arrival, so the keys sort unstably
+    // into the same permutation and the requests are gathered once after.
+    let mut order: Vec<(f64, usize, usize)> = streams
         .iter()
         .enumerate()
-        .flat_map(|(i, s)| s.iter().map(move |r| (i, *r)))
+        .flat_map(|(s, stream)| {
+            stream
+                .iter()
+                .enumerate()
+                .map(move |(i, r)| (r.arrival, s, i))
+        })
         .collect();
-    tagged.sort_by(|a, b| a.1.arrival.total_cmp(&b.1.arrival));
+    order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
     let mut remap: Vec<Vec<u64>> = streams.iter().map(|s| vec![0; s.len()]).collect();
-    for (new_id, (stream, r)) in tagged.iter().enumerate() {
-        remap[*stream][r.id as usize] = new_id as u64;
+    for (new_id, &(_, stream, index)) in order.iter().enumerate() {
+        remap[stream][index] = new_id as u64;
     }
-    tagged
+    order
         .into_iter()
         .enumerate()
-        .map(|(new_id, (stream, mut r))| {
+        .map(|(new_id, (_, stream, index))| {
+            let mut r = streams[stream][index];
             r.id = new_id as u64;
             r.parent = r.parent.map(|p| remap[stream][p as usize]);
             if r.session != 0 {

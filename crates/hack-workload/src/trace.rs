@@ -126,13 +126,11 @@ impl TraceGenerator {
     pub fn generate(&self) -> Vec<Request> {
         let mut rng = DetRng::new(self.config.seed);
         let mut arrivals = PoissonArrivals::new(self.config.rps);
+        let lengths = self.config.dataset.sampler(self.config.max_context);
         (0..self.config.num_requests as u64)
             .map(|id| {
                 let arrival = arrivals.next_arrival(&mut rng);
-                let (input_len, output_len) = self
-                    .config
-                    .dataset
-                    .sample_lengths(self.config.max_context, &mut rng);
+                let (input_len, output_len) = lengths.sample(&mut rng);
                 Request {
                     id,
                     tenant: TenantId::default(),
@@ -178,6 +176,7 @@ impl TraceTemplate {
             "trace must contain at least one request"
         );
         let mut rng = DetRng::new(config.seed);
+        let sampler = config.dataset.sampler(config.max_context);
         let mut unit_gaps = Vec::with_capacity(config.num_requests);
         let mut lengths = Vec::with_capacity(config.num_requests);
         for _ in 0..config.num_requests {
@@ -185,7 +184,7 @@ impl TraceTemplate {
             // is the raw -ln(u) draw and consumes the same RNG stream as
             // `PoissonArrivals` does at any rate.
             unit_gaps.push(rng.exponential(1.0));
-            lengths.push(config.dataset.sample_lengths(config.max_context, &mut rng));
+            lengths.push(sampler.sample(&mut rng));
         }
         Self {
             config,

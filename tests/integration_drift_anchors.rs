@@ -822,3 +822,38 @@ fn telemetry_counters_equal_the_result_counters() {
         assert_eq!(got, want, "telemetry counters vs the result's");
     }
 }
+
+/// A fresh flat-fabric NIC booking draws `nic_wait` from `now` to the
+/// transfer's start, recomputed as `end − wire time`. With an idle NIC the
+/// booking's `end` is `now + wire time`, and the subtraction can round one
+/// ulp below `now`. On this Arxiv run it does for request 37, whose wait
+/// must come out empty instead of ending before it starts (debug builds
+/// reject such a span as it is recorded).
+#[test]
+fn nic_wait_spans_never_end_before_they_start() {
+    let mut cfg = paper_default();
+    cfg.trace = TraceConfig {
+        dataset: Dataset::Arxiv,
+        rps: 2.0,
+        num_requests: 300,
+        ..cfg.trace
+    };
+    cfg.telemetry = TelemetryConfig::on();
+    let (_, tel) = telemetry_of(&Simulator::new(cfg));
+    for span in tel.spans() {
+        assert!(
+            span.end >= span.start,
+            "request {}: `{}` runs from {} to {}",
+            span.req,
+            span.name,
+            span.start,
+            span.end
+        );
+    }
+    let wait = tel
+        .spans()
+        .iter()
+        .find(|s| s.name == "nic_wait" && s.req == 37)
+        .expect("request 37 waits for its NIC");
+    assert_eq!(wait.start, wait.end, "request 37's NIC was idle");
+}
