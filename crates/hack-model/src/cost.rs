@@ -353,7 +353,11 @@ impl ReplicaCostModel {
     /// The decode-side formulas (decode iteration and dequantization or
     /// approximation) of a sequence decoding with `batch` others, with their
     /// length-independent terms evaluated once.
-    pub fn decode_evaluator(&self, profile: &KvMethodProfile, batch: f64) -> DecodeEvaluator {
+    pub(crate) fn decode_evaluator(
+        &self,
+        profile: &KvMethodProfile,
+        batch: f64,
+    ) -> DecodeEvaluator {
         DecodeEvaluator::new(self, profile, batch)
     }
 
@@ -563,7 +567,7 @@ enum HistoryCost {
 /// which runs the same floating-point operations in the same order as
 /// evaluating the formulas whole, so its results are bit-identical to theirs.
 #[derive(Debug, Clone, Copy)]
-pub struct DecodeEvaluator {
+pub(crate) struct DecodeEvaluator {
     model: ModelSpec,
     /// [`ModelSpec::linear_flops_per_token`].
     linear_per_token: (f64, f64),

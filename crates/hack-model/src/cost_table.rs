@@ -7,11 +7,10 @@
 //! KvMethodProfile, batch)` those are pure functions of the context length,
 //! so a cluster run precomputes their running sums once:
 //!
-//! * [`DecodeCostTable`] runs the model's
-//!   [`DecodeEvaluator`](crate::cost::DecodeEvaluator) over every
-//!   context length up to the trace's maximum and keeps the two prefix-sum
-//!   columns, turning the per-request decode-duration loop into two prefix
-//!   subtractions.
+//! * [`DecodeCostTable`] evaluates the decode-side formulas, with their
+//!   length-independent terms hoisted, over every context length up to the
+//!   trace's maximum and keeps the two prefix-sum columns, turning the
+//!   per-request decode-duration loop into two prefix subtractions.
 //! * [`PrefillCostTable`] memoizes the prefill-side costs of a set of prompt
 //!   lengths. The simulator evaluates those per request through a
 //!   [`crate::cost::PrefillEvaluator`] instead; the memo stays as the cost

@@ -24,8 +24,9 @@
 //!   transfer, dequantization/approximation, decode) for a model replica on a given
 //!   instance, parameterised by a [`cost::KvMethodProfile`].
 //!   Each formula's length-independent terms are evaluated once per
-//!   configuration by [`cost::PrefillEvaluator`] (per model, profile and wire
-//!   bandwidth) and [`cost::DecodeEvaluator`] (per model, profile and batch).
+//!   configuration: per model, profile and wire bandwidth by
+//!   [`cost::PrefillEvaluator`], and per model, profile and batch by the
+//!   decode-side evaluator the decode cost table runs.
 //! * [`cost_table`] — O(1) views of the cost model for the simulator: the
 //!   decode/dequant prefix sums of [`cost_table::DecodeCostTable`]
 //!   (process-wide cached), and the per-prompt-length memo
@@ -42,7 +43,7 @@ pub mod parallelism;
 pub mod reference;
 pub mod spec;
 
-pub use cost::{CostParams, DecodeEvaluator, KvMethodProfile, PrefillEvaluator, ReplicaCostModel};
+pub use cost::{CostParams, KvMethodProfile, PrefillEvaluator, ReplicaCostModel};
 pub use cost_table::{DecodeCostTable, PrefillCostTable, PrefillCosts};
 pub use gpu::{GpuKind, GpuSpec, InstanceKind, InstanceSpec};
 pub use parallelism::Parallelism;

@@ -28,7 +28,7 @@ impl LengthStats {
 
     /// The fitted distribution [`Self::sample`] draws from. Fit it once to
     /// draw many lengths without a logarithm per draw.
-    pub fn sampler(&self) -> LengthSampler {
+    pub(crate) fn sampler(&self) -> LengthSampler {
         let span = (self.max as f64 / self.min.max(1) as f64).ln();
         let sigma = (span / 6.0).clamp(0.05, 1.5);
         // Mean of lognormal = exp(mu + sigma^2/2)  =>  mu = ln(avg) - sigma^2/2.
@@ -44,7 +44,7 @@ impl LengthStats {
 
 /// The log-normal fit of one [`LengthStats`] (see [`LengthStats::sample`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LengthSampler {
+pub(crate) struct LengthSampler {
     min: usize,
     max: usize,
     mu: f64,
@@ -66,7 +66,7 @@ impl LengthSampler {
 /// The fitted input and output length distributions of one dataset under a
 /// context-window cap (see [`Dataset::sample_lengths`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DatasetSampler {
+pub(crate) struct DatasetSampler {
     input: LengthSampler,
     output: LengthSampler,
     max_context: usize,
@@ -178,7 +178,7 @@ impl Dataset {
 
     /// The fitted distributions [`Self::sample_lengths`] draws from, for
     /// drawing a whole trace's lengths without refitting per request.
-    pub fn sampler(&self, max_context: usize) -> DatasetSampler {
+    pub(crate) fn sampler(&self, max_context: usize) -> DatasetSampler {
         DatasetSampler {
             input: self.input_stats().sampler(),
             output: self.output_stats().sampler(),

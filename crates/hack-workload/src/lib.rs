@@ -17,7 +17,7 @@ pub mod tenant;
 pub mod trace;
 
 pub use arrivals::PoissonArrivals;
-pub use dataset::{Dataset, DatasetSampler, LengthSampler, LengthStats};
+pub use dataset::{Dataset, LengthStats};
 pub use session::{merge_streams, DagNode, RequestDag, SessionKind, SessionSpec, SessionTrace};
 pub use tenant::{MultiTenantTrace, TenantSpec};
 pub use trace::{Request, TenantId, TraceConfig, TraceGenerator};
