@@ -26,12 +26,43 @@
 //! * `P'·V'` skips those partitions. Each would add exactly `+0.0` to an accumulator
 //!   that starts at `+0.0` and therefore never holds `−0.0`.
 //!
-//! No dense `L × L` f32 matrix is built: the scores live in one reusable row. P' is an
-//! `L × L` one-byte code tensor whose partitions after each row's diagonal stay zero.
-//! It is still the largest allocation of the kernel (4 MiB at L = 2048), so P', the
+//! No dense `L × L` f32 matrix is built. P' is an `L × L` one-byte code tensor whose
+//! partitions after each row's diagonal stay zero.
+//!
+//! # Two threads, one draw stream
+//!
+//! The dots, the scaling and the softmax draw nothing from the RNG, and every query
+//! row of them is independent; only the quantizations draw. So the kernel runs the
+//! draw-free half on up to `available_parallelism() − 1` scoped helper threads (none
+//! for a prompt of one chunk, or whose `L² · d_h` is below 2²¹, where starting a
+//! thread costs more than it saves). The `&mut DetRng` never leaves the caller,
+//! which draws in the serial order: Q, K, the P rows from 0 to `L − 1`, V, then
+//! `from_prefill`'s K and V.
+//!
+//! * **Phase 1** (`Q'·K'ᵀ`, softmax, P quantization). Rows are cut into chunks of
+//!   16. Helpers claim chunks in order and compute their scaled softmax rows into a
+//!   per-chunk buffer. The caller quantizes the chunks strictly in row order; when
+//!   the next one is not ready it claims and computes the next unclaimed chunk
+//!   itself, so with zero helpers the same loop runs serially. Claims stop eight
+//!   chunks past the last one quantized, which bounds the buffered score rows to 128
+//!   rows of at most `L` floats (1 MiB at L = 2048); the buffers are reused from
+//!   chunk to chunk.
+//! * **Phase 2** (`P'·V'`). After the caller quantized V, every thread takes chunks
+//!   of output rows, the longest first, from one shared iterator. The rows are
+//!   disjoint, so each row accumulates exactly as in the serial loop.
+//!
+//! Each row's arithmetic and every draw are those of the serial loop, so the result
+//! does not depend on the number of threads; a test pins 0, 1 and 3 helpers to each
+//! other bit for bit.
+//!
+//! # Memory
+//!
+//! P' is the largest allocation of the kernel (4 MiB at L = 2048), so P', the
 //! quantized operands and both products' metadata copies are freed before
 //! [`HackKvState::from_prefill`] runs; otherwise its transient copies of V would
-//! sit on top of them at the kernel's memory peak.
+//! sit on top of them at the kernel's memory peak. Running `from_prefill` alongside
+//! `P'·V'` would hide its time but put it back on that peak: an overlapped variant
+//! read the `kernel-decode` benchmark's peak RSS 5.8% higher.
 //!
 //! Without Summation Elimination both products recompute every code sum of their
 //! operands from the codes, as the dense products did, so the HACK/SE ablation still
@@ -44,6 +75,9 @@ use hack_quant::stochastic::PartitionMeta;
 use hack_quant::{HackConfig, PartitionLayout, QuantizedTensor, RowProduct};
 use hack_tensor::softmax::softmax_slice_inplace;
 use hack_tensor::{DetRng, Matrix};
+use std::ops::Range;
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread;
 
 /// Result of the prefill attention kernel for one head.
 #[derive(Debug, Clone)]
@@ -60,9 +94,30 @@ pub struct PrefillOutput {
     pub pv_counts: HomomorphicOpCounts,
 }
 
+/// Query rows per chunk: the unit a thread claims in both phases, and the unit
+/// the caller quantizes P in.
+const CHUNK_ROWS: usize = 16;
+
+/// Chunks that may be claimed past the last one the caller has quantized. It
+/// caps the buffered score rows at `WINDOW_CHUNKS × CHUNK_ROWS` rows of at most
+/// `L` floats each (1 MiB at L = 2048).
+const WINDOW_CHUNKS: usize = 8;
+
+/// The `L² · d_h` below which prefill runs on the caller alone. On a 2-vCPU
+/// host, starting and joining the helpers of both phases cost 50–80 µs, and a
+/// head of `L = 160`, `d_h = 64` (1.6 M) ran no faster on two threads than on
+/// one. The reference transformer's heads (`d_h = 16`, under a hundred
+/// tokens) stay far below it.
+const MIN_PARALLEL_WORK: usize = 1 << 21;
+
 /// Runs HACK prefill self-attention for a single head.
 ///
 /// * `q`, `k`, `v`: `L × d_h` (the prompt's projections for this head).
+///
+/// Prompts of more than 16 rows and an `L² · d_h` of at least 2²¹ run on up
+/// to `available_parallelism() − 1` helper threads besides the caller. Every
+/// stochastic-rounding draw stays on the caller, in the serial order, so the
+/// result does not depend on the thread count.
 pub fn hack_prefill_attention(
     q: &Matrix,
     k: &Matrix,
@@ -84,9 +139,14 @@ pub fn hack_prefill_attention(
     assert!(l > 0, "prefill requires at least one token");
     let pi = cfg.partition.get();
     let se = cfg.summation_elimination;
+    let helpers = if l * l * d_h < MIN_PARALLEL_WORK {
+        0
+    } else {
+        spare_threads().min(l.div_ceil(CHUNK_ROWS) - 1)
+    };
     // Everything the products allocate, P' included, is freed when
     // `causal_attention` returns, so `from_prefill` starts from a smaller peak.
-    let output = causal_attention(q, k, v, cfg, rng);
+    let output = causal_attention(q, k, v, cfg, helpers, rng);
 
     // Build the decode-ready KV state (honouring RQE for the trailing partial block).
     let state = HackKvState::from_prefill(k, v, cfg, rng);
@@ -99,12 +159,20 @@ pub fn hack_prefill_attention(
     }
 }
 
-/// Steps 2–4 of causal HACK prefill: the `L × d_h` attention output.
+/// The host's threads besides the calling one, read once per process.
+fn spare_threads() -> usize {
+    static SPARE: OnceLock<usize> = OnceLock::new();
+    *SPARE.get_or_init(|| thread::available_parallelism().map_or(0, |n| n.get() - 1))
+}
+
+/// Steps 2–4 of causal HACK prefill: the `L × d_h` attention output, with
+/// `helpers` threads besides the caller computing scores and `P'·V'` rows.
 fn causal_attention(
     q: &Matrix,
     k: &Matrix,
     v: &Matrix,
     cfg: HackConfig,
+    helpers: usize,
     rng: &mut DetRng,
 ) -> Matrix {
     let (l, d_h) = q.shape();
@@ -118,16 +186,23 @@ fn causal_attention(
     let k_q = QuantizedTensor::quantize_rows(k, cfg.kv_bits, pi, cfg.rounding, rng);
     let (q_sums, k_sums) = (q_q.code_sums(se), k_q.code_sums(se));
 
-    // Steps 3–4 and step 2 again, one query row at a time: homomorphic Q'·K'ᵀ over the
-    // visible keys, scaled, causal softmax, then P quantized (INT8, partitions along
-    // the sequence dimension) up to the diagonal partition. The partitions after it
-    // keep codes 0 and zero metadata, which is what they quantize to, and are never
-    // read.
-    let scale = 1.0 / (d_h as f32).sqrt();
+    // Steps 3–4 and step 2 again, a chunk of query rows at a time: any thread
+    // computes the homomorphic Q'·K'ᵀ over the visible keys, scaled, causal
+    // softmax; the caller then quantizes P (INT8, partitions along the sequence
+    // dimension) up to each row's diagonal partition, strictly in row order. The
+    // partitions after it keep codes 0 and zero metadata, which is what they
+    // quantize to, and are never read.
     let p_spans: Vec<(usize, usize)> = PartitionLayout::new(l, pi).ranges().collect();
     let n_parts = p_spans.len();
     let qk = RowProduct::with_sums(&k_q, &k_sums);
-    let mut probs = vec![0.0f32; l];
+    let scores = ScoreRows {
+        q_q: &q_q,
+        q_sums: &q_sums,
+        qk: &qk,
+        scale: 1.0 / (d_h as f32).sqrt(),
+        l,
+        pi,
+    };
     let mut p_codes = vec![0u8; l * l];
     let zero_meta = PartitionMeta {
         min: 0.0,
@@ -135,29 +210,33 @@ fn causal_attention(
     };
     let mut p_metas = vec![zero_meta; l * n_parts];
     let mut p_sums = vec![0i32; l * n_parts];
-    for i in 0..l {
-        let visible = &mut probs[..=i];
-        visible.fill(0.0);
-        qk.accumulate(q_q.row_prefix(i, q_q.n_partitions(), &q_sums), visible);
-        for s in visible.iter_mut() {
-            *s *= scale;
+    let window = Window::new(l.div_ceil(CHUNK_ROWS));
+    thread::scope(|scope| {
+        for _ in 0..helpers {
+            scope.spawn(|| window.help(&scores));
         }
-        softmax_slice_inplace(visible);
-        // Entries past `i` are still zero (no earlier row reached them), so the masked
-        // tail of the diagonal partition quantizes exactly as in the dense P.
-        let row_codes = &mut p_codes[i * l..(i + 1) * l];
-        for (p, &(s, e)) in p_spans[..=i / pi].iter().enumerate() {
-            let (meta, sum) = quantize_partition(
-                &probs[s..e],
-                &mut row_codes[s..e],
-                cfg.p_bits,
-                cfg.rounding,
-                rng,
-            );
-            p_metas[i * n_parts + p] = meta;
-            p_sums[i * n_parts + p] = sum;
+        let _abort = AbortOnPanic(&window);
+        for c in 0..window.chunks {
+            let buf = window.take(c, &scores);
+            let stride = scores.stride(c);
+            for (r, i) in scores.rows(c).enumerate() {
+                let row = &buf[r * stride..];
+                let row_codes = &mut p_codes[i * l..(i + 1) * l];
+                for (p, &(s, e)) in p_spans[..=i / pi].iter().enumerate() {
+                    let (meta, sum) = quantize_partition(
+                        &row[s..e],
+                        &mut row_codes[s..e],
+                        cfg.p_bits,
+                        cfg.rounding,
+                        rng,
+                    );
+                    p_metas[i * n_parts + p] = meta;
+                    p_sums[i * n_parts + p] = sum;
+                }
+            }
+            window.release(buf);
         }
-    }
+    });
     // The scores are done. Freeing their right-operand copies before P'·V' builds
     // its own keeps the two off the same memory peak.
     drop(qk);
@@ -165,15 +244,205 @@ fn causal_attention(
     let p_sums = p_q.code_sums(se);
 
     // Step 2 again for V (INT2, partitions along the sequence dimension), then step 3
-    // again: homomorphic P'·V' over each row's partitions up to the diagonal.
+    // again: homomorphic P'·V' over each row's partitions up to the diagonal, chunks
+    // of output rows on every thread, the longest rows first.
     let v_q = QuantizedTensor::quantize_cols(v, cfg.kv_bits, pi, cfg.rounding, rng);
     let v_sums = v_q.code_sums(se);
     let pv = RowProduct::with_sums(&v_q, &v_sums);
     let mut output = Matrix::zeros(l, d_h);
-    for i in 0..l {
-        pv.accumulate(p_q.row_prefix(i, i / pi + 1, &p_sums), output.row_mut(i));
-    }
+    let blocks = Mutex::new(
+        output
+            .as_mut_slice()
+            .chunks_mut((CHUNK_ROWS * d_h).max(1))
+            .enumerate()
+            .rev(),
+    );
+    let run = || loop {
+        let Some((c, rows)) = lock(&blocks).next() else {
+            return;
+        };
+        for (r, out) in rows.chunks_mut(d_h).enumerate() {
+            let i = c * CHUNK_ROWS + r;
+            pv.accumulate(p_q.row_prefix(i, i / pi + 1, &p_sums), out);
+        }
+    };
+    thread::scope(|scope| {
+        for _ in 0..helpers {
+            scope.spawn(run);
+        }
+        run();
+    });
     output
+}
+
+/// Locks `mutex`, also after a thread panicked holding it. Every update made
+/// under these locks is one field write or one iterator step, so the data is
+/// valid whenever a lock is released, and a panicking thread sets
+/// [`WindowState::aborted`] so that no other thread waits for it.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The RNG-free half of a query row: `Q'·K'ᵀ` over the visible keys, scaled,
+/// then the causal softmax.
+struct ScoreRows<'a> {
+    q_q: &'a QuantizedTensor,
+    q_sums: &'a [i32],
+    qk: &'a RowProduct<'a>,
+    scale: f32,
+    l: usize,
+    pi: usize,
+}
+
+impl ScoreRows<'_> {
+    /// The query rows of chunk `c`.
+    fn rows(&self, c: usize) -> Range<usize> {
+        c * CHUNK_ROWS..((c + 1) * CHUNK_ROWS).min(self.l)
+    }
+
+    /// The distance between rows in chunk `c`'s buffer: up to the end of its
+    /// last row's diagonal partition, the furthest any of its rows is read.
+    fn stride(&self, c: usize) -> usize {
+        let last = self.rows(c).end - 1;
+        ((last / self.pi + 1) * self.pi).min(self.l)
+    }
+
+    /// Fills `buf` with chunk `c`'s probability rows, each zero past its
+    /// diagonal, so the masked tail of the diagonal partition quantizes
+    /// exactly as in the dense P.
+    fn fill(&self, c: usize, buf: &mut Vec<f32>) {
+        let stride = self.stride(c);
+        let rows = self.rows(c);
+        buf.clear();
+        buf.resize(rows.len() * stride, 0.0);
+        let n_q = self.q_q.n_partitions();
+        for (r, i) in rows.enumerate() {
+            let visible = &mut buf[r * stride..][..=i];
+            self.qk
+                .accumulate(self.q_q.row_prefix(i, n_q, self.q_sums), visible);
+            for s in visible.iter_mut() {
+                *s *= self.scale;
+            }
+            softmax_slice_inplace(visible);
+        }
+    }
+}
+
+/// The chunks of score rows between the threads that compute them and the
+/// caller that quantizes them in order.
+struct Window {
+    chunks: usize,
+    state: Mutex<WindowState>,
+    changed: Condvar,
+}
+
+struct WindowState {
+    /// The first chunk no thread has claimed; chunks are claimed in order.
+    next: usize,
+    /// Chunks the caller has quantized. Claims stop at `done + WINDOW_CHUNKS`.
+    done: usize,
+    /// Computed chunks the caller has not taken yet.
+    ready: Vec<Option<Vec<f32>>>,
+    /// Buffers the caller has finished with, for the next claims.
+    spare: Vec<Vec<f32>>,
+    /// A thread panicked: nobody may wait for another thread any more.
+    aborted: bool,
+}
+
+impl Window {
+    fn new(chunks: usize) -> Self {
+        Self {
+            chunks,
+            state: Mutex::new(WindowState {
+                next: 0,
+                done: 0,
+                ready: (0..chunks).map(|_| None).collect(),
+                spare: Vec::new(),
+                aborted: false,
+            }),
+            changed: Condvar::new(),
+        }
+    }
+
+    /// Claims the next chunk if the window has room, with a buffer for it.
+    fn claim(&self, st: &mut WindowState) -> Option<(usize, Vec<f32>)> {
+        let c = st.next;
+        if c == self.chunks || c == st.done + WINDOW_CHUNKS {
+            return None;
+        }
+        st.next += 1;
+        Some((c, st.spare.pop().unwrap_or_default()))
+    }
+
+    fn wait<'a>(&self, st: MutexGuard<'a, WindowState>) -> MutexGuard<'a, WindowState> {
+        self.changed
+            .wait(st)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A helper thread: computes the next unclaimed chunk while the window has
+    /// room, until every chunk is claimed.
+    fn help(&self, scores: &ScoreRows<'_>) {
+        let _abort = AbortOnPanic(self);
+        let mut st = lock(&self.state);
+        while !st.aborted && st.next < self.chunks {
+            let Some((c, mut buf)) = self.claim(&mut st) else {
+                st = self.wait(st);
+                continue;
+            };
+            drop(st);
+            scores.fill(c, &mut buf);
+            st = lock(&self.state);
+            st.ready[c] = Some(buf);
+            self.changed.notify_all();
+        }
+    }
+
+    /// The caller: chunk `c`'s scores. While a helper still computes them the
+    /// caller computes the next unclaimed chunk itself, or waits if the window
+    /// is full; with no helpers it computes every chunk in turn.
+    fn take(&self, c: usize, scores: &ScoreRows<'_>) -> Vec<f32> {
+        let mut st = lock(&self.state);
+        loop {
+            assert!(!st.aborted, "a prefill helper thread panicked");
+            if let Some(buf) = st.ready[c].take() {
+                return buf;
+            }
+            let Some((claimed, mut buf)) = self.claim(&mut st) else {
+                st = self.wait(st);
+                continue;
+            };
+            drop(st);
+            scores.fill(claimed, &mut buf);
+            if claimed == c {
+                return buf;
+            }
+            st = lock(&self.state);
+            st.ready[claimed] = Some(buf);
+        }
+    }
+
+    /// The caller has quantized the oldest chunk: slides the window by one and
+    /// keeps its buffer for a later claim.
+    fn release(&self, buf: Vec<f32>) {
+        let mut st = lock(&self.state);
+        st.done += 1;
+        st.spare.push(buf);
+        self.changed.notify_all();
+    }
+}
+
+/// Marks the window aborted if its thread unwinds while the guard is alive,
+/// so no other thread waits for it forever.
+struct AbortOnPanic<'a>(&'a Window);
+
+impl Drop for AbortOnPanic<'_> {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            lock(&self.0.state).aborted = true;
+            self.0.changed.notify_all();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -250,6 +519,79 @@ mod tests {
                     assert_eq!(got.qk_counts, expect.qk_counts, "{label}");
                     assert_eq!(got.pv_counts, expect.pv_counts, "{label}");
                     assert_eq!(rng_causal.next_u64(), rng_dense.next_u64(), "{label}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prefill_is_pinned() {
+        // An FNV-1a digest over the output bits, the shipped state (codes,
+        // metadata and `kv_bytes`) and the next RNG draw, under the paper
+        // default (Π = 64, stochastic rounding), at lengths around the
+        // partition size and two long ragged ones. Any change to what prefill
+        // computes, or to the order of its draws, moves it.
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut feed = |bytes: &[u8]| {
+            for &byte in bytes {
+                digest ^= u64::from(byte);
+                digest = digest.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for l in [1usize, 15, 16, 17, 64, 65, 731, 1100] {
+            let (q, k, v) = structured_qkv(l, 64, 300 + l as u64);
+            let mut rng = DetRng::new(17 + l as u64);
+            let out = hack_prefill_attention(&q, &k, &v, HackConfig::paper_default(), &mut rng);
+            for x in out.output.as_slice() {
+                feed(&x.to_bits().to_le_bytes());
+            }
+            for t in [out.state.k_quant(), out.state.v_quant()] {
+                feed(t.codes());
+                for m in t.metas() {
+                    feed(&m.min.to_bits().to_le_bytes());
+                    feed(&m.scale.to_bits().to_le_bytes());
+                }
+            }
+            feed(&(out.state.kv_bytes() as u64).to_le_bytes());
+            feed(&rng.next_u64().to_le_bytes());
+        }
+        assert_eq!(digest, 0xd354_7aed_09e4_5ee0, "prefill digest");
+    }
+
+    #[test]
+    fn helper_count_does_not_change_prefill() {
+        // Outputs, shipped state and the next RNG draw with 0, 1 and 3 helper
+        // threads: a prompt shorter than one chunk, one that ends mid-chunk,
+        // and longer ones whose chunks outnumber the window, under both
+        // rounding modes and without Summation Elimination.
+        for (l, pi) in [(9usize, 64), (40, 32), (200, 64), (331, 128)] {
+            let (q, k, v) = structured_qkv(l, 64, 500 + l as u64);
+            for rounding in [RoundingMode::Nearest, RoundingMode::Stochastic] {
+                let cfg = HackConfig {
+                    partition: PartitionSize::new(pi).unwrap(),
+                    rounding,
+                    summation_elimination: l != 200,
+                    ..HackConfig::paper_default()
+                };
+                let run = |helpers: usize| {
+                    let mut rng = DetRng::new(23 + l as u64);
+                    let output = causal_attention(&q, &k, &v, cfg, helpers, &mut rng);
+                    let state = HackKvState::from_prefill(&k, &v, cfg, &mut rng);
+                    (bits_of(&output), state, rng.next_u64())
+                };
+                let (serial, serial_state, serial_draw) = run(0);
+                for helpers in [1, 3] {
+                    let label = format!("L={l} Π={pi} {rounding:?} helpers={helpers}");
+                    let (output, state, draw) = run(helpers);
+                    assert_eq!(output, serial, "{label}");
+                    assert_eq!(state.k_quant(), serial_state.k_quant(), "{label}");
+                    assert_eq!(state.v_quant(), serial_state.v_quant(), "{label}");
+                    assert_eq!(
+                        bits_of(state.v_tail()),
+                        bits_of(serial_state.v_tail()),
+                        "{label}"
+                    );
+                    assert_eq!(draw, serial_draw, "{label}");
                 }
             }
         }
@@ -349,6 +691,18 @@ mod tests {
         let row_first = Matrix::from_vec(1, 32, first.output.row(0).to_vec());
         let cos = cosine_similarity(&row_full, &row_first);
         assert!(cos > 0.9, "causal first-row cosine {cos}");
+    }
+
+    #[test]
+    fn zero_width_head_gives_an_empty_output() {
+        let m = Matrix::zeros(40, 0);
+        let mut rng = DetRng::new(14);
+        let out = hack_prefill_attention(&m, &m, &m, HackConfig::paper_default(), &mut rng);
+        assert_eq!(out.output.shape(), (40, 0));
+        assert_eq!(
+            causal_attention(&m, &m, &m, out.state.config(), 1, &mut rng).shape(),
+            (40, 0)
+        );
     }
 
     #[test]
